@@ -97,9 +97,11 @@ class EncryptedGradient:
 
 
 def encrypt_gradient(
-    pk: PublicKey, q: QuantizedGradient, rng: random.Random | None = None
+    key: PublicKey | KeyPair, q: QuantizedGradient, rng: random.Random | None = None
 ) -> EncryptedGradient:
-    cts = [paillier.encrypt(pk, paillier.encode_signed(v, pk.n), rng) for v in q.values]
+    """Key holders pass the KeyPair for faster, identical ciphertexts."""
+    n = key.public.n if isinstance(key, KeyPair) else key.n
+    cts = [paillier.encrypt(key, paillier.encode_signed(v, n), rng) for v in q.values]
     return EncryptedGradient(ciphertexts=cts, config=q.config)
 
 

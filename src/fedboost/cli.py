@@ -59,14 +59,15 @@ def _cmd_keybench(args) -> int:
     keygen_s = time.perf_counter() - start
     plains = [rng.randrange(kp.public.n) for _ in range(args.trials)]
 
+    # key holders (every client) encrypt with the key pair
     start = time.perf_counter()
-    cts = [paillier.encrypt(kp.public, m, rng) for m in plains]
+    cts = [paillier.encrypt(kp, m, rng) for m in plains]
     encrypt_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    for c in cts:
-        paillier.decrypt(kp, c)
+    decrypted = [paillier.decrypt(kp, c) for c in cts]
     decrypt_s = time.perf_counter() - start
+    mismatches = sum(d != m for d, m in zip(decrypted, plains))
 
     start = time.perf_counter()
     acc = cts[0]
@@ -85,6 +86,8 @@ def _cmd_keybench(args) -> int:
     print(f"decrypt:    {decrypt_s / args.trials * 1e6:9.3f} us/op")
     print(f"he_add:     {add_s / max(1, args.trials - 1) * 1e6:9.3f} us/op")
     print(f"scalar_mul: {mul_s / args.trials * 1e6:9.3f} us/op")
+    if mismatches:
+        raise FedBoostError(f"{mismatches} of {args.trials} decryptions differ from the plaintext")
     return 0
 
 

@@ -2,8 +2,15 @@
 
 Additively homomorphic: multiplying two ciphertexts adds the plaintexts mod n,
 and raising a ciphertext to an integer power multiplies its plaintext. Uses the
-g = n+1 variant, so encryption needs no exponentiation by g and decryption is
-L(c^lambda mod n^2) * mu mod n.
+g = n+1 variant, so encryption needs no exponentiation by g.
+
+The key holder works modulo p^2 and q^2 and recombines by the Chinese
+remainder theorem (Paillier, EUROCRYPT 1999, section 7). Decryption computes
+m mod p = L_p(c^(p-1) mod p^2) * h_p mod p with L_p(u) = (u-1)/p and
+h_p = (-q)^-1 mod p (the same for q), then m mod n. Encryption under a
+:class:`KeyPair` computes the nonce term r^n as r^(n mod p(p-1)) mod p^2 and
+r^(n mod q(q-1)) mod q^2; the ciphertext equals the one :class:`PublicKey`
+encryption gives for the same nonce.
 
 Key generation accepts a seed so experiment runs are reproducible; pass
 ``seed=None`` (and ``rng=None`` to :func:`encrypt`) for OS randomness. The
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,22 +42,26 @@ class PublicKey:
     def n_squared(self) -> int:
         return self.n * self.n
 
-    @property
-    def generator(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class KeyPair:
     public: PublicKey
     p: int
     q: int
-    lam: int  # lcm(p-1, q-1)
-    mu: int  # (L(g^lam mod n^2))^-1 mod n
+    h_p: int  # (-q)^-1 mod p, which is L_p(g^(p-1) mod p^2)^-1 for g = n+1
+    h_q: int  # (-p)^-1 mod q
+    p_sq_inv: int  # (p^2)^-1 mod q^2
 
     @property
     def key_bits(self) -> int:
         return self.public.key_bits
+
+    def _nonce_power(self, r: int) -> int:
+        """r^n mod n^2 by CRT over p^2 and q^2, for r coprime to n."""
+        p_sq, q_sq, n = self.p * self.p, self.q * self.q, self.public.n
+        x_p = pow(r, n % (p_sq - self.p), p_sq)
+        x_q = pow(r, n % (q_sq - self.q), q_sq)
+        return x_p + (x_q - x_p) * self.p_sq_inv % q_sq * p_sq
 
 
 @dataclass(frozen=True)
@@ -94,19 +106,24 @@ def _generate_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
+def _check_key_bits(key_bits: int, n: int | None = None) -> None:
+    if key_bits < 64 or key_bits % 2 != 0:
+        raise WeakKey(f"key_bits must be even and >= 64, got {key_bits}")
+    if n is not None and n.bit_length() != key_bits:
+        raise WeakKey(f"modulus has {n.bit_length()} bits, expected {key_bits}")
+
+
 def _build_keypair(p: int, q: int, key_bits: int) -> KeyPair:
-    n = p * q
-    public = PublicKey(n=n, key_bits=key_bits)
-    lam = math.lcm(p - 1, q - 1)
-    # g = n+1 makes L(g^lam mod n^2) = lam mod n.
-    mu = pow(_l_function(pow(public.generator, lam, public.n_squared), n), -1, n)
-    return KeyPair(public=public, p=p, q=q, lam=lam, mu=mu)
+    if min(p, q) < 3 or math.gcd(p, q) != 1:
+        raise WeakKey("p and q must be distinct coprime factors greater than 2")
+    _check_key_bits(key_bits, p * q)
+    h_p, h_q, p_sq_inv = pow(-q, -1, p), pow(-p, -1, q), pow(p * p, -1, q * q)
+    return KeyPair(PublicKey(n=p * q, key_bits=key_bits), p, q, h_p, h_q, p_sq_inv)
 
 
 def keygen(key_bits: int, seed: int | None) -> KeyPair:
     """Generate an n of exactly ``key_bits`` bits from two equal-size primes."""
-    if key_bits < 64 or key_bits % 2 != 0:
-        raise WeakKey(f"key_bits must be even and >= 64, got {key_bits}")
+    _check_key_bits(key_bits)
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     p = _generate_prime(key_bits // 2, rng)
     q = _generate_prime(key_bits // 2, rng)
@@ -119,25 +136,32 @@ def _l_function(u: int, n: int) -> int:
     return (u - 1) // n
 
 
-def encrypt(pk: PublicKey, m: int, rng: random.Random | None = None) -> Ciphertext:
-    """c = (1+n)^m * r^n mod n^2 for a fresh nonce r coprime to n."""
+def encrypt(key: PublicKey | KeyPair, m: int, rng: random.Random | None = None) -> Ciphertext:
+    """c = (1+n)^m * r^n mod n^2 for a fresh nonce r coprime to n. A key pair
+    computes r^n by CRT; the ciphertext is the same for the same rng state."""
+    pk = key.public if isinstance(key, KeyPair) else key
     if not (0 <= m < pk.n):
         raise PlaintextOutOfRange(f"plaintext must lie in [0, n), got {m}")
     rng = rng if rng is not None else random.SystemRandom()
+    # gcd(r, n) == 1 is also what lets the key pair reduce the exponent of r^n
     while True:
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
             break
     n_sq = pk.n_squared
-    value = (1 + pk.n * m) % n_sq * pow(r, pk.n, n_sq) % n_sq
+    r_n = key._nonce_power(r) if isinstance(key, KeyPair) else pow(r, pk.n, n_sq)
+    value = (1 + pk.n * m) % n_sq * r_n % n_sq
     return Ciphertext(value=value, public=pk)
 
 
 def decrypt(kp: KeyPair, c: Ciphertext) -> int:
     if c.public.n != kp.public.n:
         raise KeyMismatch("ciphertext was produced under a different key")
-    n, n_sq = kp.public.n, kp.public.n_squared
-    return _l_function(pow(c.value, kp.lam, n_sq), n) * kp.mu % n
+    p, q = kp.p, kp.q
+    m_p = _l_function(pow(c.value, p - 1, p * p), p) * kp.h_p % p
+    m_q = _l_function(pow(c.value, q - 1, q * q), q) * kp.h_q % q
+    # p^-1 mod q is -h_q mod q
+    return m_p + (m_p - m_q) * kp.h_q % q * p
 
 
 def he_add(pk: PublicKey, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -180,7 +204,7 @@ def int_to_hex(x: int) -> str:
 
 
 def hex_to_int(s: str) -> int:
-    if not s or s.strip() != s or s.lower() != s or s.startswith(("+", "-")):
+    if not isinstance(s, str) or not re.fullmatch("[0-9a-f]+", s):
         raise ValueError(f"not a bare lowercase hex string: {s!r}")
     return int(s, 16)
 
@@ -190,7 +214,12 @@ def public_key_to_payload(pk: PublicKey) -> dict:
 
 
 def public_key_from_payload(payload: dict) -> PublicKey:
-    return PublicKey(n=hex_to_int(payload["n"]), key_bits=int(payload["key_bits"]))
+    try:
+        n, key_bits = hex_to_int(payload["n"]), int(payload["key_bits"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WeakKey(f"malformed public key: {exc!r}") from exc
+    _check_key_bits(key_bits, n)
+    return PublicKey(n=n, key_bits=key_bits)
 
 
 def keypair_to_blob(kp: KeyPair) -> str:
@@ -202,5 +231,9 @@ def keypair_to_blob(kp: KeyPair) -> str:
 
 
 def keypair_from_blob(blob: str) -> KeyPair:
-    data = json.loads(blob)
-    return _build_keypair(hex_to_int(data["p"]), hex_to_int(data["q"]), int(data["key_bits"]))
+    try:
+        data = json.loads(blob)
+        p, q, key_bits = hex_to_int(data["p"]), hex_to_int(data["q"]), int(data["key_bits"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WeakKey(f"malformed key blob: {exc!r}") from exc
+    return _build_keypair(p, q, key_bits)

@@ -259,7 +259,7 @@ class ClientSession:
             qz.check_capacity(
                 q, self.keypair.public.n, self.settings.n_clients, self.settings.quant.pieces
             )
-            upload = agg.encrypt_gradient(self.keypair.public, q, self._nonce_rng)
+            upload = agg.encrypt_gradient(self.keypair, q, self._nonce_rng)
         else:
             upload = report.gradient
         return Message(
@@ -299,7 +299,7 @@ class ClientSession:
         if msg.kind == MessageKind.KEY_DELIVER:
             if self.client_id == 1:
                 raise ProtocolViolation("key source received a key delivery")
-            self.keypair = paillier.keypair_from_blob(msg.payload["blob"])
+            self.keypair = paillier.keypair_from_blob(msg.payload.get("blob"))
             return []
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
             return [self.train_round(msg)]

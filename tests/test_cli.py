@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fedboost import paillier
 from fedboost.cli import main
 from fedboost.config import config_to_dict, default_config, two_client_noniid, ExperimentConfig
 
@@ -95,6 +96,16 @@ class TestKeybenchCommand:
         stdout = capsys.readouterr().out
         for label in ("keygen:", "encrypt:", "decrypt:", "he_add:", "scalar_mul:"):
             assert label in stdout
+
+    def test_wrong_decryption_exits_nonzero(self, capsys, monkeypatch):
+        real_decrypt = paillier.decrypt
+        monkeypatch.setattr(paillier, "decrypt", lambda kp, c: real_decrypt(kp, c) ^ 1)
+        code = main(["keybench", "--key-bits", "64", "--trials", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "decrypt:" in captured.out
+        err = json.loads(captured.err.strip())
+        assert err["detail"] == "5 of 5 decryptions differ from the plaintext"
 
 
 def test_default_config_is_full_scale():

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import time
 
@@ -5,8 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedboost import aggregate as agg
 from fedboost import paillier
+from fedboost import quantize as qz
 from fedboost.errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
+
+
+def reference_decrypt(kp: paillier.KeyPair, c: paillier.Ciphertext) -> int:
+    """Textbook decryption L(c^lambda mod n^2) * mu mod n, with g = n+1."""
+    n, n_sq = kp.public.n, kp.public.n_squared
+    lam = math.lcm(kp.p - 1, kp.q - 1)
+    mu = pow((pow(n + 1, lam, n_sq) - 1) // n, -1, n)
+    return (pow(c.value, lam, n_sq) - 1) // n * mu % n
+
+
+@pytest.fixture(scope="module")
+def key1024():
+    return paillier.keygen(1024, seed=2024)
 
 
 class TestKeygen:
@@ -17,7 +34,7 @@ class TestKeygen:
     def test_deterministic_per_seed(self):
         a = paillier.keygen(96, seed=5)
         b = paillier.keygen(96, seed=5)
-        assert (a.p, a.q, a.lam, a.mu) == (b.p, b.q, b.lam, b.mu)
+        assert a == b
 
     def test_seeds_differ(self):
         assert paillier.keygen(96, seed=5).public.n != paillier.keygen(96, seed=6).public.n
@@ -70,6 +87,59 @@ class TestEncryptDecrypt:
         c = paillier.encrypt(key64.public, 5)
         with pytest.raises(KeyMismatch):
             paillier.decrypt(key128, c)
+
+
+class TestCrtAgainstReference:
+    """CRT decryption and key-holder encryption match the textbook forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key_bits=st.sampled_from([64, 96, 128]),
+        key_seed=st.integers(min_value=0, max_value=50),
+        data=st.data(),
+    )
+    def test_decrypt_matches_reference(self, key_bits, key_seed, data):
+        kp = paillier.keygen(key_bits, seed=key_seed)
+        m = data.draw(st.integers(min_value=0, max_value=kp.public.n - 1))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+        c = paillier.encrypt(kp.public, m, rng)
+        assert paillier.decrypt(kp, c) == reference_decrypt(kp, c) == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key_bits=st.sampled_from([64, 96, 128]),
+        key_seed=st.integers(min_value=0, max_value=50),
+        data=st.data(),
+    )
+    def test_keypair_encrypt_equals_public_encrypt(self, key_bits, key_seed, data):
+        kp = paillier.keygen(key_bits, seed=key_seed)
+        m = data.draw(st.integers(min_value=0, max_value=kp.public.n - 1))
+        nonce_seed = data.draw(st.integers(min_value=0, max_value=2**32))
+        via_keypair = paillier.encrypt(kp, m, random.Random(nonce_seed))
+        via_public = paillier.encrypt(kp.public, m, random.Random(nonce_seed))
+        assert via_keypair.value == via_public.value
+        assert via_keypair.public == kp.public
+
+    def test_fixed_1024_bit_key(self, key1024):
+        rng = random.Random(7)
+        for m in (0, 1, key1024.public.n - 1, rng.randrange(key1024.public.n)):
+            nonce_seed = rng.getrandbits(32)
+            c = paillier.encrypt(key1024, m, random.Random(nonce_seed))
+            assert c.value == paillier.encrypt(key1024.public, m, random.Random(nonce_seed)).value
+            assert paillier.decrypt(key1024, c) == reference_decrypt(key1024, c) == m
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=12),
+        nonce_seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_encrypt_gradient_same_for_keypair_and_public_key(self, key128, values, nonce_seed):
+        q = qz.QuantizedGradient(values=values, config=qz.QuantConfig(scale_exponent=12, pieces=100))
+        a = agg.encrypt_gradient(key128, q, random.Random(nonce_seed))
+        b = agg.encrypt_gradient(key128.public, q, random.Random(nonce_seed))
+        assert [c.value for c in a.ciphertexts] == [c.value for c in b.ciphertexts]
+        assert a.config == b.config
+        assert agg.decrypt_gradient(key128, a).values == values
 
 
 class TestHomomorphism:
@@ -173,7 +243,7 @@ class TestSerialization:
         assert paillier.int_to_hex(255) == "ff"
 
     def test_hex_rejects_prefixes_and_uppercase(self):
-        for bad in ("+ff", "-ff", "FF", " ff", ""):
+        for bad in ("+ff", "-ff", "FF", " ff", "", "0xff", "f_f", "ff\n", 255, None):
             with pytest.raises(ValueError):
                 paillier.hex_to_int(bad)
 
@@ -182,9 +252,49 @@ class TestSerialization:
         assert payload["n"] == format(key128.public.n, "x")
         assert paillier.public_key_from_payload(payload) == key128.public
 
-    def test_keypair_blob_roundtrip(self, key128):
-        restored = paillier.keypair_from_blob(paillier.keypair_to_blob(key128))
-        assert restored == key128
+    @settings(max_examples=30, deadline=None)
+    @given(key_bits=st.sampled_from([64, 96, 128]), seed=st.integers(min_value=0, max_value=10**6))
+    def test_keypair_blob_roundtrip(self, key_bits, seed):
+        kp = paillier.keygen(key_bits, seed=seed)
+        restored = paillier.keypair_from_blob(paillier.keypair_to_blob(kp))
+        assert restored == kp  # every field, the CRT constants included
         m = 31337
-        c = paillier.encrypt(key128.public, m)
+        c = paillier.encrypt(kp.public, m)
         assert paillier.decrypt(restored, c) == m
+
+
+def _blob(**fields) -> str:
+    return json.dumps(fields, sort_keys=True)
+
+
+class TestMalformedKeyMaterial:
+    @pytest.mark.parametrize(
+        "blob, cause",
+        [
+            ("not json", "malformed key blob"),
+            ("[1, 2]", "malformed key blob"),
+            (_blob(key_bits=64, p="c5"), "malformed key blob"),
+            (_blob(key_bits=64, p="zz", q="c5"), "malformed key blob"),
+            (_blob(key_bits=64, p=197, q="c5"), "malformed key blob"),
+            (_blob(key_bits="x", p="c5", q="c7"), "malformed key blob"),
+            (_blob(key_bits=64, p="f", q="23"), "coprime"),
+            (_blob(key_bits=64, p="1", q="c5"), "greater than 2"),
+        ],
+    )
+    def test_bad_blob_is_weak_key(self, blob, cause):
+        with pytest.raises(WeakKey, match=cause):
+            paillier.keypair_from_blob(blob)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"key_bits": 128}, {"key_bits": 128, "n": "XY"}, {"key_bits": "big", "n": "ff"}, {"n": "ff"}],
+    )
+    def test_unparseable_public_key_is_weak_key(self, payload):
+        with pytest.raises(WeakKey, match="malformed public key"):
+            paillier.public_key_from_payload(payload)
+
+    def test_public_modulus_size_must_match_key_bits(self, key128):
+        payload = paillier.public_key_to_payload(key128.public)
+        payload["key_bits"] = 256
+        with pytest.raises(WeakKey, match="bits"):
+            paillier.public_key_from_payload(payload)

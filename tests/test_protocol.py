@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import threading
 
 import numpy as np
@@ -25,6 +26,7 @@ from fedboost.protocol import (
 from fedboost.transport import ReplayEndpoint, encode_frame, loopback_pair
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+_GOOD_BLOB = json.loads(paillier.keypair_to_blob(paillier.keygen(128, seed=5)))
 
 
 def client_split(seed: int, n_each: int = 60) -> DatasetSplit:
@@ -176,6 +178,36 @@ class TestKeyDistribution:
         secret = paillier.encrypt(pk, 424242)
         decrypted = {paillier.decrypt(s.keypair, secret) for s in sessions}
         assert decrypted == {424242}
+
+    @pytest.mark.parametrize(
+        "payload, cause",
+        [
+            ({}, "malformed key blob"),
+            ({"blob": json.dumps({"key_bits": 128, "q": "c5"})}, "malformed key blob"),
+            ({"blob": json.dumps({"key_bits": 128, "p": "0x1f", "q": "c5"})}, "malformed key blob"),
+            ({"blob": json.dumps({**_GOOD_BLOB, "q": _GOOD_BLOB["p"]})}, "distinct"),
+            ({"blob": json.dumps({**_GOOD_BLOB, "key_bits": 192})}, "128 bits, expected 192"),
+        ],
+    )
+    def test_bad_key_delivery_aborts_client_promptly(self, payload, cause):
+        settings = make_settings(encryption="he", timeout_s=20.0)
+        server_ep, client_ep = loopback_pair(capacity=8)
+        session = ClientSession(settings, 2, client_split(2))
+        thread = threading.Thread(target=client_run, args=(session, client_ep), daemon=True)
+        thread.start()
+        try:
+            server_ep.send(
+                *encode_message(Message(MessageKind.KEY_DELIVER, 0, protocol.SERVER_ID, payload))
+            )
+            reply = decode_message(*server_ep.recv(timeout=5.0))
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            server_ep.close()
+            thread.join(timeout=5.0)
+        assert reply.kind == MessageKind.ABORT and reply.sender == 2
+        assert reply.payload["reason"].startswith("WeakKey: ")
+        assert cause in reply.payload["reason"]
 
 
 def _frame_parts(frame: bytes) -> tuple[int, bytes]:
