@@ -6,6 +6,25 @@ cross-validation loss matrix. Two readings of that combination are provided:
 ``literal`` multiplies softmax(T) by the row sums as written, ``score`` negates
 the row sums first so that a model that validates poorly everywhere (for
 example a poisoned one) receives a smaller weight. ``score`` is the default.
+
+Encrypted gradients pack several quantized entries into one Paillier
+plaintext (as in BatchCrypt, Zhang et al., USENIX ATC 2020). Entries
+v_0..v_(s-1) become the signed integer sum_j v_j * 2^(w*j), sign-encoded with
+:func:`paillier.encode_signed`; decryption extracts signed digits: take the
+low w bits, subtract 2^w when they are at least 2^(w-1), shift right by w.
+The width w is ``SLOT_BITS`` = 127, the signed range of the smallest 128-bit
+modulus, and a key of b bits holds s = max(1, (b-1) // w) slots: one at 128
+bits, 8 at 1024 and 16 at 2048. A gradient of L entries takes ceil(L/s)
+ciphertexts; the last one is zero-padded. Every party derives s from the key
+size alone, so the layout needs no negotiation.
+
+Homomorphic addition and scalar multiplication act on every slot at once.
+Each integer weight k_i lies in [0, P], so a weighted sum of N gradients has
+|sum_i k_i v_i| <= N * P * max|v| per slot, and :func:`quantize.check_capacity`
+admits an entry when 2 * N * P * |v| is below the slot capacity: 2^w, or the
+whole modulus n when a ciphertext holds one slot (the unpacked rule, so
+128-bit ciphertexts are unchanged). Then no slot borrows from or carries into
+its neighbour, and the packed sum stays below 2^(w*s - 1) <= n/2.
 """
 
 from __future__ import annotations
@@ -15,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paillier
+from . import paillier, quantize
 from .errors import DegenerateCohort, EmptyCohort, InvalidWeight, KeyMismatch, ShapeMismatch
 from .paillier import Ciphertext, KeyPair, PublicKey
 from .quantize import QuantConfig, QuantizedGradient, quantize_weight
+
+SLOT_BITS = 127
 
 
 @dataclass
@@ -82,34 +103,77 @@ class DpFusionConfig:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
+def slots_per_ciphertext(key_bits: int) -> int:
+    """Gradient entries one plaintext of a ``key_bits`` modulus holds."""
+    return max(1, (key_bits - 1) // SLOT_BITS)
+
+
+def slot_capacity(pk: PublicKey) -> int:
+    """Exclusive bound on 2 * |slot value| for :func:`quantize.check_capacity`."""
+    return pk.n if slots_per_ciphertext(pk.key_bits) == 1 else 1 << SLOT_BITS
+
+
 @dataclass
 class EncryptedGradient:
-    """Paillier ciphertexts of signed-encoded quantized entries. ``config``
-    states how decrypted integers decode back to reals: value * pieces / scale.
+    """Paillier ciphertexts of ``entries`` signed quantized values, packed
+    slots_per_ciphertext(key_bits) to a ciphertext. ``config`` states how
+    decrypted integers decode back to reals: value * pieces / scale.
     Server-side weighting consumes the piece factor, so merged and fused
-    gradients carry ``pieces=1``."""
+    gradients carry ``pieces=1``. ``len`` counts ciphertexts."""
 
     ciphertexts: list[Ciphertext]
     config: QuantConfig
+    entries: int
+
+    def __post_init__(self):
+        slots = slots_per_ciphertext(self.ciphertexts[0].public.key_bits) if self.ciphertexts else 1
+        if self.entries < 0 or len(self.ciphertexts) != -(-self.entries // slots):
+            raise ShapeMismatch(
+                f"{len(self.ciphertexts)} ciphertexts cannot hold {self.entries} entries "
+                f"at {slots} per ciphertext"
+            )
 
     def __len__(self) -> int:
         return len(self.ciphertexts)
 
 
 def encrypt_gradient(
-    key: PublicKey | KeyPair, q: QuantizedGradient, rng: random.Random | None = None
+    key: PublicKey | KeyPair,
+    q: QuantizedGradient,
+    rng: random.Random | None = None,
+    n_clients: int = 1,
+    pieces: int = 1,
 ) -> EncryptedGradient:
-    """Key holders pass the KeyPair for faster, identical ciphertexts."""
-    n = key.public.n if isinstance(key, KeyPair) else key.n
-    cts = [paillier.encrypt(key, paillier.encode_signed(v, n), rng) for v in q.values]
-    return EncryptedGradient(ciphertexts=cts, config=q.config)
+    """Pack and encrypt ``q``, leaving every slot room for a weighted sum of
+    ``n_clients`` gradients with integer weights up to ``pieces``; raises
+    GradientOverflow naming the first entry that does not fit. Key holders
+    pass the KeyPair for faster, identical ciphertexts."""
+    pk = key.public if isinstance(key, KeyPair) else key
+    quantize.check_capacity(q, slot_capacity(pk), n_clients, pieces)
+    slots = slots_per_ciphertext(pk.key_bits)
+    cts = []
+    for start in range(0, len(q.values), slots):
+        packed = 0
+        for v in reversed(q.values[start : start + slots]):
+            packed = (packed << SLOT_BITS) + v
+        cts.append(paillier.encrypt(key, paillier.encode_signed(packed, pk.n), rng))
+    return EncryptedGradient(ciphertexts=cts, config=q.config, entries=len(q.values))
 
 
 def decrypt_gradient(kp: KeyPair, eg: EncryptedGradient) -> QuantizedGradient:
-    values = [
-        paillier.decode_signed(paillier.decrypt(kp, c), kp.public.n) for c in eg.ciphertexts
-    ]
-    return QuantizedGradient(values=values, config=eg.config)
+    slots = slots_per_ciphertext(kp.key_bits)
+    mask, half = (1 << SLOT_BITS) - 1, 1 << (SLOT_BITS - 1)
+    values = []
+    for c in eg.ciphertexts:
+        packed = paillier.decode_signed(paillier.decrypt(kp, c), kp.public.n)
+        for _ in range(slots - 1):
+            digit = packed & mask
+            if digit >= half:
+                digit -= mask + 1
+            values.append(digit)
+            packed = (packed - digit) >> SLOT_BITS
+        values.append(packed)  # the top slot is what remains
+    return QuantizedGradient(values=values[: eg.entries], config=eg.config)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -168,11 +232,11 @@ def _weighted_ciphertext_sum(
 
 def _common_config(egrads: list[EncryptedGradient], pk: PublicKey) -> QuantConfig:
     cfg = egrads[0].config
-    length = len(egrads[0])
+    entries = egrads[0].entries
     for eg in egrads:
         if eg.config != cfg:
             raise ShapeMismatch("encrypted gradients carry different quantization configs")
-        if len(eg) != length:
+        if eg.entries != entries:
             raise ShapeMismatch("encrypted gradient lengths differ")
         for c in eg.ciphertexts:
             if c.public.n != pk.n:
@@ -196,7 +260,7 @@ def merge_encrypted(
         _weighted_ciphertext_sum(pk, egrads, int_weights, e) for e in range(len(egrads[0]))
     ]
     return EncryptedGradient(
-        ciphertexts=cts, config=QuantConfig(cfg.scale_exponent, pieces=1)
+        ciphertexts=cts, config=QuantConfig(cfg.scale_exponent, pieces=1), entries=egrads[0].entries
     )
 
 
@@ -239,5 +303,5 @@ def dp_fuse(
             _weighted_ciphertext_sum(pk, egrads, int_weights, e)
             for e in range(len(egrads[0]))
         ]
-        fused.append(EncryptedGradient(ciphertexts=cts, config=out_cfg))
+        fused.append(EncryptedGradient(ciphertexts=cts, config=out_cfg, entries=egrads[0].entries))
     return fused

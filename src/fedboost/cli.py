@@ -9,7 +9,7 @@ import random
 import sys
 import time
 
-from . import paillier
+from . import aggregate, paillier
 from .config import AGGREGATORS, ENCRYPTIONS, TRANSPORTS, default_config, load_config
 from .errors import FedBoostError
 from .runner import GridSpec, export_boundary, load_model, run_experiment
@@ -86,6 +86,7 @@ def _cmd_keybench(args) -> int:
     print(f"decrypt:    {decrypt_s / args.trials * 1e6:9.3f} us/op")
     print(f"he_add:     {add_s / max(1, args.trials - 1) * 1e6:9.3f} us/op")
     print(f"scalar_mul: {mul_s / args.trials * 1e6:9.3f} us/op")
+    print(f"slots:      {aggregate.slots_per_ciphertext(args.key_bits):9d} entries per ciphertext")
     if mismatches:
         raise FedBoostError(f"{mismatches} of {args.trials} decryptions differ from the plaintext")
     return 0

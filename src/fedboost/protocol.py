@@ -34,6 +34,7 @@ from .errors import (
     KeyMismatch,
     ProtocolViolation,
     RoundAborted,
+    ShapeMismatch,
     TransportError,
 )
 from .transport import encode_frame
@@ -98,23 +99,40 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# --- gradient payload codec -------------------------------------------------
+# --- payload codec ------------------------------------------------------------
+
+
+def _field(payload, name: str, kind):
+    """payload[name], or ProtocolViolation when it is missing or not of ``kind``."""
+    value = payload.get(name) if isinstance(payload, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ProtocolViolation(f"payload field {name!r} is missing or mistyped")
+    return value
+
+
+def _vector(payload, name: str, length: int | None = None) -> np.ndarray:
+    """A list of finite numbers, of ``length`` entries when given."""
+    values = _field(payload, name, list)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise ProtocolViolation(f"payload field {name!r} is not a list of numbers")
+    if length is not None and len(values) != length:
+        raise ProtocolViolation(
+            f"payload field {name!r} has {len(values)} entries, expected {length}"
+        )
+    vector = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(vector)):
+        raise ProtocolViolation(f"payload field {name!r} has non-finite entries")
+    return vector
 
 
 def gradient_to_payload(g) -> dict:
     if isinstance(g, np.ndarray):
         return {"format": "plain", "values": [float(x) for x in g]}
-    if isinstance(g, qz.QuantizedGradient):
-        return {
-            "format": "quantized",
-            "pieces": g.config.pieces,
-            "scale_exponent": g.config.scale_exponent,
-            "values": [qz.signed_int_to_hex(v) for v in g.values],
-        }
     if isinstance(g, agg.EncryptedGradient):
         return {
             "format": "encrypted",
             "ciphertexts": [paillier.int_to_hex(c.value) for c in g.ciphertexts],
+            "entries": g.entries,
             "n": paillier.int_to_hex(g.ciphertexts[0].public.n),
             "pieces": g.config.pieces,
             "scale_exponent": g.config.scale_exponent,
@@ -122,41 +140,45 @@ def gradient_to_payload(g) -> dict:
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
 
 
-def encrypted_gradient_from_payload(payload: dict, pk: paillier.PublicKey) -> agg.EncryptedGradient:
-    if payload.get("format") != "encrypted":
-        raise ProtocolViolation(f"expected encrypted gradient, got {payload.get('format')!r}")
-    if paillier.hex_to_int(payload["n"]) != pk.n:
+def encrypted_gradient_from_payload(
+    payload: dict, pk: paillier.PublicKey, length: int | None = None
+) -> agg.EncryptedGradient:
+    """Packed ciphertexts under ``pk`` holding ``length`` entries when given."""
+    if _field(payload, "format", str) != "encrypted":
+        raise ProtocolViolation(f"expected encrypted gradient, got {payload['format']!r}")
+    try:
+        n = paillier.hex_to_int(_field(payload, "n", str))
+    except ValueError as exc:
+        raise ProtocolViolation(f"malformed modulus: {exc}") from exc
+    if n != pk.n:
         raise KeyMismatch("gradient is encrypted under a different key")
-    cts = [
-        paillier.Ciphertext(value=paillier.hex_to_int(h), public=pk)
-        for h in payload["ciphertexts"]
-    ]
-    cfg = qz.QuantConfig(
-        scale_exponent=int(payload["scale_exponent"]), pieces=int(payload["pieces"])
-    )
-    return agg.EncryptedGradient(ciphertexts=cts, config=cfg)
-
-
-def decode_gradient_payload(payload: dict, keypair: paillier.KeyPair | None = None) -> np.ndarray:
-    """Real-valued gradient from any wire format; encrypted needs the key pair."""
-    fmt = payload.get("format")
-    if fmt == "plain":
-        g = np.asarray(payload["values"], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise ProtocolViolation("plain gradient has non-finite entries")
-        return g
-    if fmt == "quantized":
-        q = qz.QuantizedGradient(
-            values=[qz.signed_hex_to_int(v) for v in payload["values"]],
-            config=qz.QuantConfig(
-                scale_exponent=int(payload["scale_exponent"]), pieces=int(payload["pieces"])
-            ),
+    entries = _field(payload, "entries", int)
+    if length is not None and entries != length:
+        raise ProtocolViolation(f"gradient has {entries} entries, expected {length}")
+    hexes = _field(payload, "ciphertexts", list)
+    try:
+        cts = [paillier.Ciphertext(value=paillier.hex_to_int(h), public=pk) for h in hexes]
+        cfg = qz.QuantConfig(
+            scale_exponent=_field(payload, "scale_exponent", int),
+            pieces=_field(payload, "pieces", int),
         )
-        return qz.dequantize(q)
+        return agg.EncryptedGradient(ciphertexts=cts, config=cfg, entries=entries)
+    except (ValueError, ShapeMismatch) as exc:
+        raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
+
+
+def decode_gradient_payload(
+    payload: dict, keypair: paillier.KeyPair | None = None, length: int | None = None
+) -> np.ndarray:
+    """Real-valued gradient of ``length`` entries when given, from the plain or
+    the packed encrypted wire format; encrypted needs the key pair."""
+    fmt = _field(payload, "format", str)
+    if fmt == "plain":
+        return _vector(payload, "values", length)
     if fmt == "encrypted":
         if keypair is None:
             raise ProtocolViolation("encrypted gradient but no key pair")
-        eg = encrypted_gradient_from_payload(payload, keypair.public)
+        eg = encrypted_gradient_from_payload(payload, keypair.public, length)
         return qz.dequantize(agg.decrypt_gradient(keypair, eg))
     raise ProtocolViolation(f"unknown gradient format {fmt!r}")
 
@@ -239,11 +261,13 @@ class ClientSession:
             raise ProtocolViolation(f"expected round {self.round + 1}, got {r}")
         if self.settings.encrypted and self.keypair is None:
             raise ProtocolViolation("no key pair before first training round")
+        layout = self.settings.layout
         if r == 1:
-            layout = nn.Layout(tuple(tuple(l) for l in msg.payload["layout"]))
-            self.weights = nn.ModelParams(np.array(msg.payload["weights"]), layout)
+            if _field(msg.payload, "layout", list) != [list(l) for l in layout.layers]:
+                raise ProtocolViolation(f"model layout differs from {layout.layers}")
+            self.weights = nn.ModelParams(_vector(msg.payload, "weights", layout.size), layout)
         else:
-            g = self._decode_gradient(msg.payload["gradient"])
+            g = self._decode_gradient(_field(msg.payload, "gradient", dict))
             self.weights = nn.apply_gradient(self.weights, g)
         self.round = r
         report = nn.train_local(
@@ -255,11 +279,13 @@ class ClientSession:
             derive_seed(self.settings.master_seed, "shuffle", r, self.client_id),
         )
         if self.settings.encrypted:
-            q = qz.quantize(report.gradient, self.settings.quant)
-            qz.check_capacity(
-                q, self.keypair.public.n, self.settings.n_clients, self.settings.quant.pieces
+            upload = agg.encrypt_gradient(
+                self.keypair,
+                qz.quantize(report.gradient, self.settings.quant),
+                self._nonce_rng,
+                self.settings.n_clients,
+                self.settings.quant.pieces,
             )
-            upload = agg.encrypt_gradient(self.keypair, q, self._nonce_rng)
         else:
             upload = report.gradient
         return Message(
@@ -288,7 +314,7 @@ class ClientSession:
                 f"final gradient in round {msg.round} at local round {self.round}, "
                 f"expected {self.settings.rounds}"
             )
-        g = self._decode_gradient(msg.payload["gradient"])
+        g = self._decode_gradient(_field(msg.payload, "gradient", dict))
         return nn.apply_gradient(self.weights, g)
 
     # -- message pump --
@@ -304,7 +330,12 @@ class ClientSession:
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
             return [self.train_round(msg)]
         if msg.kind == MessageKind.FUSED_GRADIENT:
-            values = [self.evaluate_fused(p) for p in msg.payload["models"]]
+            models = _field(msg.payload, "models", list)
+            if len(models) != self.settings.n_clients:
+                raise ProtocolViolation(
+                    f"{len(models)} models to cross-validate, expected {self.settings.n_clients}"
+                )
+            values = [self.evaluate_fused(p) for p in models]
             return [
                 Message(
                     MessageKind.EVAL_RESULT,
@@ -338,7 +369,7 @@ class ClientSession:
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
     def _decode_gradient(self, payload: dict) -> np.ndarray:
-        return decode_gradient_payload(payload, self.keypair)
+        return decode_gradient_payload(payload, self.keypair, self.settings.layout.size)
 
 
 def client_run(session: ClientSession, endpoint) -> None:
@@ -390,7 +421,7 @@ class ServerState:
     roster: tuple[int, ...]
     round: int = 0
     public_key: paillier.PublicKey | None = None
-    train_gradients: dict[int, dict] = field(default_factory=dict)
+    train_gradients: dict[int, np.ndarray | agg.EncryptedGradient] = field(default_factory=dict)
     train_losses: dict[int, float] = field(default_factory=dict)
     validation: dict[tuple[int, int], float] = field(default_factory=dict)
     global_gradient: dict | None = None
@@ -468,15 +499,25 @@ def distribute_keys(state: ServerState, endpoints, transcript: list | None = Non
             )
 
 
+def _receive_gradient(state: ServerState, cid: int, payload: dict):
+    """A client's uploaded gradient, checked against the model size; the
+    server decodes ciphertexts but never decrypts them."""
+    length = state.settings.layout.size
+    try:
+        gradient = _field(payload, "gradient", dict)
+        if state.settings.encrypted:
+            return encrypted_gradient_from_payload(gradient, state.public_key, length)
+        return decode_gradient_payload(gradient, length=length)
+    except ProtocolViolation as exc:
+        raise ProtocolViolation(f"client {cid}: {exc}") from exc
+
+
 def _cross_validation_models(state: ServerState, order: list[int]) -> list[dict]:
     """Per-model payloads the clients will score, fused when DP is on."""
     settings = state.settings
-    if settings.encryption == "none" or settings.encryption == "he":
-        return [state.train_gradients[cid] for cid in order]
-    egrads = [
-        encrypted_gradient_from_payload(state.train_gradients[cid], state.public_key)
-        for cid in order
-    ]
+    grads = [state.train_gradients[cid] for cid in order]
+    if settings.encryption != "he_dp":
+        return [gradient_to_payload(g) for g in grads]
     fusion = agg.DpFusionConfig(
         p_hat=settings.p_hat, pieces=settings.quant.pieces, jitter=settings.dp_jitter
     )
@@ -485,22 +526,16 @@ def _cross_validation_models(state: ServerState, order: list[int]) -> list[dict]
         if settings.dp_jitter > 0
         else None
     )
-    fused = agg.dp_fuse(state.public_key, egrads, fusion, rng)
+    fused = agg.dp_fuse(state.public_key, grads, fusion, rng)
     return [gradient_to_payload(f) for f in fused]
 
 
 def _merge(state: ServerState, order: list[int], weights: agg.AggregationWeights) -> dict:
     settings = state.settings
+    grads = [state.train_gradients[cid] for cid in order]
     if settings.encrypted:
-        egrads = [
-            encrypted_gradient_from_payload(state.train_gradients[cid], state.public_key)
-            for cid in order
-        ]
-        merged = agg.merge_encrypted(state.public_key, egrads, weights, settings.quant.pieces)
+        merged = agg.merge_encrypted(state.public_key, grads, weights, settings.quant.pieces)
         return gradient_to_payload(merged)
-    grads = [
-        np.asarray(state.train_gradients[cid]["values"], dtype=np.float64) for cid in order
-    ]
     return gradient_to_payload(agg.merge_plain(grads, weights))
 
 
@@ -552,8 +587,8 @@ def server_run(
             msg = _expect(state, endpoints, cid, MessageKind.TRAIN_RESULT, transcript)
             if msg.round != r:
                 raise ProtocolViolation(f"train result for round {msg.round} during round {r}")
-            state.train_gradients[cid] = msg.payload["gradient"]
-            state.train_losses[cid] = float(msg.payload["train_loss"])
+            state.train_gradients[cid] = _receive_gradient(state, cid, msg.payload)
+            state.train_losses[cid] = float(_field(msg.payload, "train_loss", (int, float)))
         durations["train"] = time.monotonic() - phase_start
 
         validation_matrix = None
@@ -574,12 +609,7 @@ def server_run(
                 )
             for cid in order:
                 msg = _expect(state, endpoints, cid, MessageKind.EVAL_RESULT, transcript)
-                values = msg.payload["values"]
-                if len(values) != len(order):
-                    raise ProtocolViolation(
-                        f"client {cid} returned {len(values)} validation entries, "
-                        f"expected {len(order)}"
-                    )
+                values = _vector(msg.payload, "values", len(order))
                 for i, v in enumerate(values):
                     state.validation[(i, cid - 1)] = float(v)
             # barrier: the matrix exists only once all N*N entries arrived
@@ -638,5 +668,6 @@ def server_run(
         ),
     )
     final_msg = _expect(state, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, transcript)
-    final = nn.ModelParams(np.array(final_msg.payload["weights"]), settings.layout)
+    final_values = _vector(final_msg.payload, "weights", settings.layout.size)
+    final = nn.ModelParams(final_values, settings.layout)
     return ServerRunResult(final_weights=final, initial_weights=initial, rounds=state.records)

@@ -68,12 +68,14 @@ def quantize_weight(p: float, pieces: int) -> int:
     return round(Fraction(float(p)) * pieces)
 
 
-def check_capacity(q: QuantizedGradient, n: int, n_clients: int, pieces: int) -> None:
-    """Require N * P * max|g_k| < n/2 so weighted homomorphic sums cannot wrap."""
+def check_capacity(q: QuantizedGradient, capacity: int, n_clients: int, pieces: int) -> None:
+    """Require 2 * N * P * |v| < capacity for every entry, so a sum of N entries
+    weighted by integers up to P stays in the signed range of a plaintext slot
+    of that capacity (the modulus n when a ciphertext holds one entry)."""
     for index, v in enumerate(q.values):
-        if 2 * n_clients * pieces * abs(v) >= n:
+        if 2 * n_clients * pieces * abs(v) >= capacity:
             raise GradientOverflow(
-                f"entry {index} ({v}) would overflow the modulus for "
+                f"entry {index} ({v}) would overflow its plaintext slot for "
                 f"N={n_clients}, P={pieces}",
                 index=index,
             )

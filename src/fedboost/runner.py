@@ -3,8 +3,10 @@ chosen transport (or train centralized), score the global model per round on
 the combined test set, and export metrics/model/boundary artifacts.
 
 Per-round test metrics are computed by this harness: in encrypted modes the
-server cannot decrypt, so the harness re-derives the cohort key pair from the
-master seed (the same derivation client 1 uses) purely for measurement.
+server cannot decrypt, so the harness scores rounds with the cohort key pair
+purely for measurement. On loopback it reads client 1's key pair; TCP clients
+are separate processes, so there it re-derives the key pair from the master
+seed (the same derivation client 1 uses).
 """
 
 from __future__ import annotations
@@ -86,20 +88,22 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 
 def _run_loopback(
     settings: ProtocolSettings, splits: list[DatasetSplit], transcript: list | None
-) -> ServerRunResult:
+) -> tuple[ServerRunResult, paillier.KeyPair | None]:
+    """The server's result and client 1's key pair (None without encryption)."""
     server_eps = {}
+    sessions = []
     workers = []
     try:
         for cid in range(1, settings.n_clients + 1):
             server_ep, client_ep = loopback_pair(capacity=64)
             server_eps[cid] = server_ep
-            session = ClientSession(settings, cid, splits[cid - 1])
+            sessions.append(ClientSession(settings, cid, splits[cid - 1]))
             worker = threading.Thread(
-                target=client_run, args=(session, client_ep), daemon=True
+                target=client_run, args=(sessions[-1], client_ep), daemon=True
             )
             workers.append(worker)
             worker.start()
-        return server_run(settings, server_eps, transcript)
+        return server_run(settings, server_eps, transcript), sessions[0].keypair
     finally:
         for ep in server_eps.values():
             ep.close()
@@ -151,13 +155,8 @@ def _run_tcp(
 
 
 def _protocol_records(
-    cfg: ExperimentConfig, result: ServerRunResult, test: LabeledData
+    result: ServerRunResult, test: LabeledData, keypair: paillier.KeyPair | None
 ) -> list[RoundRecord]:
-    keypair = (
-        paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
-        if cfg.encryption != "none"
-        else None
-    )
     shadow = result.initial_weights
     records = []
     for sr in result.rounds:
@@ -230,9 +229,14 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
         settings = cfg.to_protocol_settings()
         if cfg.transport == "tcp":
             run = _run_tcp(cfg, settings, transcript)
+            keypair = (
+                paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
+                if settings.encrypted
+                else None
+            )
         else:
-            run = _run_loopback(settings, splits, transcript)
-        records = _protocol_records(cfg, run, test)
+            run, keypair = _run_loopback(settings, splits, transcript)
+        records = _protocol_records(run, test, keypair)
         final = run.final_weights
 
     result = ExperimentResult(

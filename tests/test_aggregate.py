@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from fedboost import aggregate as agg
+from fedboost import paillier
 from fedboost import quantize as qz
 from fedboost.errors import (
     DegenerateCohort,
     EmptyCohort,
+    GradientOverflow,
     InvalidWeight,
     KeyMismatch,
     ShapeMismatch,
@@ -279,3 +281,162 @@ class TestWeightInvariants:
     def test_negative_rejected(self):
         with pytest.raises(InvalidWeight):
             agg.AggregationWeights(np.array([-0.5, 1.5]))
+
+
+# --- slot packing -------------------------------------------------------------
+
+PACKING_KEY_BITS = {1: 128, 2: 256, 8: 1024}
+
+
+@pytest.fixture(scope="module")
+def packing_keys():
+    """One key pair per slot count: 128-bit (1 slot), 256 (2), 1024 (8)."""
+    keys = {slots: paillier.keygen(bits, seed=31) for slots, bits in PACKING_KEY_BITS.items()}
+    for slots, kp in keys.items():
+        assert agg.slots_per_ciphertext(kp.key_bits) == slots
+    return keys
+
+
+def largest_admitted(pk, n_clients, pieces):
+    """The largest |v| that check_capacity admits under pk's slot layout."""
+    return (agg.slot_capacity(pk) - 1) // (2 * n_clients * pieces)
+
+
+def exact_sum(int_weights, values):
+    return [sum(k * v[e] for k, v in zip(int_weights, values)) for e in range(len(values[0]))]
+
+
+class TestSlotLayout:
+    def test_slot_counts_per_key_size(self):
+        assert [agg.slots_per_ciphertext(b) for b in (64, 128, 254, 256, 512, 1024, 2048)] == [
+            1, 1, 1, 2, 4, 8, 16
+        ]
+
+    def test_one_slot_keeps_the_whole_modulus(self, key128):
+        assert agg.slot_capacity(key128.public) == key128.public.n
+
+    def test_ciphertexts_per_42_entry_gradient(self, packing_keys):
+        q = qz.QuantizedGradient(values=list(range(-21, 21)), config=qz.QuantConfig())
+        for slots, kp in packing_keys.items():
+            eg = agg.encrypt_gradient(kp, q, random.Random(0))
+            assert (len(eg), eg.entries) == (-(-42 // slots), 42)
+            assert agg.decrypt_gradient(kp, eg).values == q.values
+
+    def test_one_slot_ciphertexts_equal_unpacked_encryption(self, key128):
+        values = [5, -7, 0, 2**100, -(2**100)]
+        q = qz.QuantizedGradient(values=values, config=qz.QuantConfig())
+        packed = agg.encrypt_gradient(key128, q, random.Random(3))
+        rng = random.Random(3)
+        unpacked = [
+            paillier.encrypt(key128, paillier.encode_signed(v, key128.public.n), rng)
+            for v in values
+        ]
+        assert [c.value for c in packed.ciphertexts] == [c.value for c in unpacked]
+
+    def test_ciphertext_count_must_match_entries(self, packing_keys):
+        q = qz.QuantizedGradient(values=[1] * 9, config=qz.QuantConfig())
+        eg = agg.encrypt_gradient(packing_keys[8], q, random.Random(0))
+        with pytest.raises(ShapeMismatch):
+            agg.EncryptedGradient(eg.ciphertexts, eg.config, entries=17)
+        with pytest.raises(ShapeMismatch):
+            agg.EncryptedGradient(eg.ciphertexts[:1], eg.config, entries=9)
+
+
+class TestPackedArithmetic:
+    @pytest.mark.parametrize("slots", sorted(PACKING_KEY_BITS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_merge_and_fuse_equal_exact_integer_sums(self, packing_keys, slots, data):
+        kp = packing_keys[slots]
+        n_models = data.draw(st.integers(2, 4), label="n_models")
+        pieces = data.draw(st.sampled_from([1, 10, 100]), label="pieces")
+        length = data.draw(st.integers(1, 2 * slots + 1), label="length")
+        bound = largest_admitted(kp.public, n_models, pieces)
+        entry = st.one_of(
+            st.integers(-bound, bound), st.sampled_from([-bound, -1, 0, 1, bound])
+        )
+        values = [
+            data.draw(st.lists(entry, min_size=length, max_size=length), label=f"g{i}")
+            for i in range(n_models)
+        ]
+        cfg = qz.QuantConfig(scale_exponent=32, pieces=pieces)
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="nonce"))
+        egrads = [
+            agg.encrypt_gradient(kp, qz.QuantizedGradient(v, cfg), rng, n_models, pieces)
+            for v in values
+        ]
+        assert all(len(eg) == -(-length // slots) for eg in egrads)
+
+        raw = data.draw(
+            st.lists(st.integers(0, 1000), min_size=n_models, max_size=n_models).filter(any),
+            label="weights",
+        )
+        w = agg.AggregationWeights(np.array(raw) / sum(raw))
+        merged = agg.merge_encrypted(kp.public, egrads, w, pieces)
+        k = [qz.quantize_weight(float(x), pieces) for x in w.values]
+        assert agg.decrypt_gradient(kp, merged).values == exact_sum(k, values)
+
+        p_hat = data.draw(st.sampled_from([0.6, 0.9, 1.0]), label="p_hat")
+        k_self = qz.quantize_weight(p_hat, pieces)
+        k_other = qz.quantize_weight((1 - p_hat) / (n_models - 1), pieces)
+        if k_self <= k_other:
+            return
+        fused = agg.dp_fuse(kp.public, egrads, agg.DpFusionConfig(p_hat=p_hat, pieces=pieces))
+        for i, f in enumerate(fused):
+            k = [k_self if j == i else k_other for j in range(n_models)]
+            assert agg.decrypt_gradient(kp, f).values == exact_sum(k, values)
+
+    def test_negative_slots_borrow_from_neighbours(self, packing_keys):
+        kp = packing_keys[8]
+        cfg = qz.QuantConfig(scale_exponent=32, pieces=1)
+        # 11 entries: the last ciphertext holds 3
+        a = [-1, 1, -1, 0, -(2**125), 2**125, -5, 3, -1, -2, 7]
+        b = [0, -1, 1, -1, 2**125 - 7, -(2**125) + 9, 5, -3, 1, -1, -7]
+        egrads = [
+            agg.encrypt_gradient(kp, qz.QuantizedGradient(v, cfg), random.Random(i))
+            for i, v in enumerate((a, b))
+        ]
+        assert [len(eg) for eg in egrads] == [2, 2]
+        uniform = agg.AggregationWeights(np.array([0.5, 0.5]))
+        sums = agg.merge_encrypted(kp.public, egrads, uniform, 2)
+        assert agg.decrypt_gradient(kp, sums).values == [x + y for x, y in zip(a, b)]
+
+
+class TestSlotCapacity:
+    @pytest.mark.parametrize("slots", [1, 8])
+    @pytest.mark.parametrize("n_clients, pieces", [(3, 100), (2, 64)])
+    def test_largest_admitted_value_survives_worst_case_sum(
+        self, packing_keys, slots, n_clients, pieces
+    ):
+        kp = packing_keys[slots]
+        bound = largest_admitted(kp.public, n_clients, pieces)
+        values = [bound, -bound, 0, bound, -bound, 1, -1, bound, -bound, bound]
+        q = qz.QuantizedGradient(values, qz.QuantConfig(pieces=pieces))
+        egrads = [
+            agg.encrypt_gradient(kp, q, random.Random(i), n_clients, pieces)
+            for i in range(n_clients)
+        ]
+        # every client at the full weight P: the largest sum the check allows for
+        worst = []
+        for cts in zip(*(eg.ciphertexts for eg in egrads)):
+            acc = paillier.he_scalar_mul(kp.public, pieces, cts[0])
+            for c in cts[1:]:
+                acc = paillier.he_add(kp.public, acc, paillier.he_scalar_mul(kp.public, pieces, c))
+            worst.append(acc)
+        total = agg.EncryptedGradient(worst, q.config, entries=len(values))
+        assert agg.decrypt_gradient(kp, total).values == [n_clients * pieces * v for v in values]
+
+    @pytest.mark.parametrize("slots", [1, 8])
+    @pytest.mark.parametrize("index, sign", [(0, 1), (6, -1), (9, 1)])
+    @pytest.mark.parametrize("pieces", [100, 64])  # 2*N*64 divides 2^127: the bound is met exactly
+    def test_one_past_the_bound_overflows_at_its_index(
+        self, packing_keys, slots, index, sign, pieces
+    ):
+        kp, n_clients = packing_keys[slots], 2
+        bound = largest_admitted(kp.public, n_clients, pieces)
+        values = [bound] * 10
+        values[index] = sign * (bound + 1)
+        q = qz.QuantizedGradient(values, qz.QuantConfig(pieces=pieces))
+        with pytest.raises(GradientOverflow) as err:
+            agg.encrypt_gradient(kp, q, random.Random(0), n_clients, pieces)
+        assert err.value.index == index

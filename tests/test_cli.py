@@ -96,6 +96,11 @@ class TestKeybenchCommand:
         stdout = capsys.readouterr().out
         for label in ("keygen:", "encrypt:", "decrypt:", "he_add:", "scalar_mul:"):
             assert label in stdout
+        assert "slots:              1 entries per ciphertext" in stdout
+
+    def test_reports_slots_per_ciphertext(self, capsys):
+        assert main(["keybench", "--key-bits", "512", "--trials", "2"]) == 0
+        assert "slots:              4 entries per ciphertext" in capsys.readouterr().out
 
     def test_wrong_decryption_exits_nonzero(self, capsys, monkeypatch):
         real_decrypt = paillier.decrypt

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -110,13 +111,6 @@ class TestGradientPayloads:
         assert payload["format"] == "plain"
         assert np.array_equal(protocol.decode_gradient_payload(payload), g)
 
-    def test_quantized_roundtrip(self):
-        cfg = qz.QuantConfig(scale_exponent=8, pieces=10)
-        q = qz.quantize(np.array([0.125, -0.5]), cfg)
-        payload = protocol.gradient_to_payload(q)
-        assert payload["values"] == [format(1250000, "+x"), "-" + format(5000000, "x")]
-        assert np.allclose(protocol.decode_gradient_payload(payload), [0.125, -0.5])
-
     def test_encrypted_roundtrip(self, key128):
         cfg = qz.QuantConfig(scale_exponent=8, pieces=10)
         q = qz.quantize(np.array([0.125, -0.5]), cfg)
@@ -208,6 +202,118 @@ class TestKeyDistribution:
         assert reply.kind == MessageKind.ABORT and reply.sender == 2
         assert reply.payload["reason"].startswith("WeakKey: ")
         assert cause in reply.payload["reason"]
+
+
+def _round_one(settings) -> Message:
+    initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
+    return Message(
+        MessageKind.GLOBAL_GRADIENT,
+        round=1,
+        sender=protocol.SERVER_ID,
+        payload={
+            "layout": [list(l) for l in settings.layout.layers],
+            "weights": [float(x) for x in initial.values],
+        },
+    )
+
+
+def _packed_payload(kp, settings) -> dict:
+    """A valid packed gradient payload under ``kp``."""
+    q = qz.quantize(np.full(settings.layout.size, 0.01), settings.quant)
+    return protocol.gradient_to_payload(agg.encrypt_gradient(kp, q))
+
+
+_KEY256 = paillier.keygen(256, seed=8)  # 2 slots: 42 entries in 21 ciphertexts
+_PACKED = _packed_payload(_KEY256, make_settings(encryption="he", key_bits=256))
+
+
+class TestMalformedPayloads:
+    """A client that cannot decode a payload aborts with the cause instead of
+    dying silently and leaving the server to wait out its timeout."""
+
+    @pytest.mark.parametrize(
+        "kind, round_no, payload, cause",
+        [
+            (MessageKind.GLOBAL_GRADIENT, 1, {}, "'layout' is missing"),
+            (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 8], [8, 2]], "weights": "x"}, "'weights'"),
+            (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 3], [3, 2]], "weights": []}, "layout differs"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {}, "'gradient' is missing"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"format": "quantized"}}, "unknown gradient format"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "entries": 41}}, "41 entries, expected 42"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "entries": "42"}}, "'entries'"),
+            (
+                MessageKind.GLOBAL_GRADIENT,
+                2,
+                {"gradient": {**_PACKED, "ciphertexts": _PACKED["ciphertexts"][:-1]}},
+                "20 ciphertexts cannot hold 42 entries at 2 per ciphertext",
+            ),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "ciphertexts": [7] * 21}}, "malformed"),
+            (MessageKind.FUSED_GRADIENT, 1, {}, "'models' is missing"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED]}, "1 models to cross-validate"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"n": _PACKED["n"]}]}, "'format'"),
+            (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
+        ],
+    )
+    def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
+        settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
+        server_ep, client_ep = loopback_pair(capacity=8)
+        session = ClientSession(settings, 2, client_split(2))
+        session.keypair = _KEY256
+        if round_no == 2 or kind != MessageKind.GLOBAL_GRADIENT:
+            session.handle(_round_one(settings))
+        thread = threading.Thread(target=client_run, args=(session, client_ep), daemon=True)
+        thread.start()
+        try:
+            start = time.monotonic()
+            server_ep.send(*encode_message(Message(kind, round_no, protocol.SERVER_ID, payload)))
+            reply = decode_message(*server_ep.recv(timeout=5.0))
+            thread.join(timeout=5.0)
+            assert not thread.is_alive() and time.monotonic() - start < 5.0
+        finally:
+            server_ep.close()
+            thread.join(timeout=5.0)
+        assert reply.kind == MessageKind.ABORT and reply.sender == 2
+        assert reply.payload["reason"].startswith("ProtocolViolation: ")
+        assert cause in reply.payload["reason"]
+
+    @pytest.mark.parametrize(
+        "gradient, cause",
+        [
+            ({"format": "plain", "values": [0.0] * 41}, "client 1: payload field 'values' has 41 entries"),
+            ({"format": "plain", "values": [float("nan")] * 42}, "client 1: payload field 'values' has non-finite"),
+            ({"format": "plain"}, "client 1: payload field 'values' is missing"),
+            (None, "client 1: payload field 'gradient' is missing"),
+        ],
+    )
+    def test_server_rejects_malformed_plain_upload(self, gradient, cause):
+        settings = make_settings(rounds=1)
+        # plain json.dumps: the canonical encoder refuses NaN, a peer need not
+        body = json.dumps(
+            {"payload": {"gradient": gradient, "train_loss": 0.5}, "round": 1, "sender": 1}
+        ).encode()
+        upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
+        endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
+        with pytest.raises(ProtocolViolation, match=cause):
+            server_run(settings, endpoints)
+
+    @pytest.mark.parametrize(
+        "tamper, cause",
+        [
+            (lambda p: {**p, "entries": 43}, "gradient has 43 entries, expected 42"),
+            (lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2}, "42 ciphertexts cannot hold"),
+            (lambda p: {**p, "format": "plain"}, "expected encrypted gradient"),
+        ],
+    )
+    def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
+        settings = make_settings(encryption="he", key_bits=256, rounds=1)
+        source = ClientSession(settings, 1, client_split(1))
+        frames = [encode_frame(*encode_message(m)) for m in source.startup()]
+        bad = tamper(_packed_payload(source.keypair, settings))
+        upload = Message(MessageKind.TRAIN_RESULT, 1, 1, {"gradient": bad, "train_loss": 0.5})
+        frames.append(encode_frame(*encode_message(upload)))
+        endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
+        with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
+            server_run(settings, endpoints)
 
 
 def _frame_parts(frame: bytes) -> tuple[int, bytes]:

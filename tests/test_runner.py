@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fedboost import nn
+from fedboost import nn, paillier
 from fedboost.config import (
     ClientSpec,
     ExperimentConfig,
@@ -161,6 +161,45 @@ class TestRunExperiment:
         tcp = run_experiment(ExperimentConfig(**cfg, transport="tcp"), keep_transcript=True)
         assert loop.transcript == tcp.transcript
         assert np.array_equal(loop.final_params.values, tcp.final_params.values)
+
+    def test_packed_keys_write_identical_artifacts(self, tmp_path):
+        # 512-bit keys pack 4 entries per ciphertext, 128-bit keys one; packed
+        # arithmetic is exact, so every artifact but the timings is the same
+        outputs = {}
+        for transport in ("loopback", "tcp"):
+            for key_bits in (128, 512):
+                out = tmp_path / f"{transport}{key_bits}"
+                cfg = ExperimentConfig(
+                    clients=two_client_noniid(200, master_seed=4),
+                    rounds=2,
+                    master_seed=4,
+                    aggregator="fedboosting",
+                    encryption="he_dp",
+                    key_bits=key_bits,
+                    transport=transport,
+                    out_dir=str(out),
+                )
+                run_experiment(cfg)
+                records = json.loads((out / "records.json").read_text())
+                for rec in records:
+                    del rec["durations"]
+                outputs[transport, key_bits] = (
+                    (out / "metrics.csv").read_bytes(),
+                    (out / "model.json").read_bytes(),
+                    records,
+                )
+        reference = outputs["loopback", 128]
+        for key, artifacts in outputs.items():
+            assert artifacts == reference, key
+
+    def test_loopback_scores_rounds_with_the_client_key(self, monkeypatch):
+        calls = []
+        real_keygen = paillier.keygen
+        monkeypatch.setattr(paillier, "keygen", lambda *a: calls.append(a) or real_keygen(*a))
+        run_experiment(desk_config(rounds=1, encryption="he"))
+        assert len(calls) == 1
+        run_experiment(desk_config(rounds=1, encryption="he", transport="tcp"))
+        assert len(calls) == 2  # TCP clients are other processes: the runner derives its own
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"
