@@ -7,8 +7,7 @@ from dataclasses import dataclass, field, asdict
 
 from .datasets import GaussianSpec
 from .errors import ConfigError
-from .nn import OptimizerConfig, mlp_layout
-from .protocol import ProtocolSettings
+from .nn import Layout, OptimizerConfig, mlp_layout
 from .quantize import QuantConfig
 
 AGGREGATORS = ("fedavg", "fedboosting", "centralized")
@@ -115,24 +114,21 @@ class ExperimentConfig:
                     f"must lie in [0, 1], got {client.poison_flip_frac}",
                 )
 
-    def to_protocol_settings(self) -> ProtocolSettings:
-        return ProtocolSettings(
-            n_clients=len(self.clients),
-            rounds=self.rounds,
-            aggregator=self.aggregator,
-            encryption=self.encryption,
-            weighting_mode=self.weighting_mode,
-            layout=mlp_layout(2, self.n_hidden, 2),
-            optimizer=OptimizerConfig(kind="adam", learning_rate=self.learning_rate),
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            quant=self.quant,
-            key_bits=self.key_bits,
-            p_hat=self.p_hat,
-            dp_jitter=self.dp_jitter,
-            master_seed=self.master_seed,
-            timeout_s=self.timeout_s,
-        )
+    @property
+    def n_clients(self) -> int:
+        return len(self.clients)
+
+    @property
+    def layout(self) -> Layout:
+        return mlp_layout(2, self.n_hidden, 2)
+
+    @property
+    def optimizer(self) -> OptimizerConfig:
+        return OptimizerConfig(learning_rate=self.learning_rate)
+
+    @property
+    def encrypted(self) -> bool:
+        return self.encryption in ("he", "he_dp")
 
 
 def two_client_noniid(

@@ -7,7 +7,6 @@ controllable Non-IID setup.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,24 +133,3 @@ def poison_labels(dataset: LabeledData, flip_frac: float, seed: int) -> LabeledD
     y = dataset.y.copy()
     y[idx] = 1 - y[idx]
     return LabeledData(dataset.x, y)
-
-
-def load_csv(path: str) -> LabeledData:
-    """Read rows ``x1,x2,label`` (with header); label must be 0 or 1."""
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path} is empty")
-        for row in reader:
-            if not row:
-                continue
-            x1, x2, label = float(row[0]), float(row[1]), int(row[2])
-            if label not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {label} in {path}")
-            xs.append((x1, x2))
-            ys.append(label)
-    if not xs:
-        raise EmptyDataset(f"{path} has no data rows")
-    return LabeledData(np.array(xs), np.array(ys))

@@ -86,24 +86,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"  # "adam" or "sgd"
+    """Adam hyper-parameters; every local training pass starts from fresh moments."""
+
     learning_rate: float = 0.003
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    step_count: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.step_count < 0:
-            raise ValueError("step_count must be >= 0")
 
 
 @dataclass
@@ -240,7 +236,7 @@ def train_local(
 
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    t = opt.step_count
+    t = 0
     eta, b1, b2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
 
     rng = np.random.default_rng(seed)
@@ -249,15 +245,12 @@ def train_local(
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             _loss_and_grad(views, grad_views, train.x[idx], train.y[idx])
-            if opt.kind == "adam":
-                t += 1
-                m = b1 * m + (1.0 - b1) * grad
-                v = b2 * v + (1.0 - b2) * grad * grad
-                m_hat = m / (1.0 - b1**t)
-                v_hat = v / (1.0 - b2**t)
-                flat -= eta * m_hat / (np.sqrt(v_hat) + eps)
-            else:
-                flat -= eta * grad
+            t += 1
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            flat -= eta * m_hat / (np.sqrt(v_hat) + eps)
 
     # The delta is the unit exchanged with the server, so the post-training
     # weights are defined as params + delta; reconstruction is then bit-exact.

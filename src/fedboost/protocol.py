@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -28,8 +30,10 @@ from . import aggregate as agg
 from . import nn
 from . import paillier
 from . import quantize as qz
+from .config import ExperimentConfig
 from .datasets import DatasetSplit
 from .errors import (
+    ConfigError,
     FedBoostError,
     KeyMismatch,
     ProtocolViolation,
@@ -183,39 +187,13 @@ def decode_gradient_payload(
     raise ProtocolViolation(f"unknown gradient format {fmt!r}")
 
 
-# --- configuration shared by both sides --------------------------------------
-
-
-@dataclass(frozen=True)
-class ProtocolSettings:
-    n_clients: int
-    rounds: int
-    aggregator: str = "fedboosting"  # "fedavg" | "fedboosting"
-    encryption: str = "none"  # "none" | "he" | "he_dp"
-    weighting_mode: str = "score"
-    layout: nn.Layout = field(default_factory=nn.mlp_layout)
-    optimizer: nn.OptimizerConfig = field(default_factory=nn.OptimizerConfig)
-    batch_size: int = 8
-    epochs: int = 1
-    quant: qz.QuantConfig = field(default_factory=qz.QuantConfig)
-    key_bits: int = 128
-    p_hat: float = 0.9
-    dp_jitter: float = 0.0
-    master_seed: int = 0
-    timeout_s: float = 60.0
-
-    @property
-    def encrypted(self) -> bool:
-        return self.encryption in ("he", "he_dp")
-
-
 # --- client side --------------------------------------------------------------
 
 
 class ClientSession:
     """Single-threaded client state machine; feed it messages, send the replies."""
 
-    def __init__(self, settings: ProtocolSettings, client_id: int, split: DatasetSplit):
+    def __init__(self, settings: ExperimentConfig, client_id: int, split: DatasetSplit):
         if not (1 <= client_id <= settings.n_clients):
             raise ValueError(f"client id {client_id} outside 1..{settings.n_clients}")
         self.settings = settings
@@ -417,13 +395,9 @@ class ServerRound:
 class ServerState:
     """Holds public material only; decryption capability never enters here."""
 
-    settings: ProtocolSettings
-    roster: tuple[int, ...]
+    settings: ExperimentConfig
     round: int = 0
     public_key: paillier.PublicKey | None = None
-    train_gradients: dict[int, np.ndarray | agg.EncryptedGradient] = field(default_factory=dict)
-    train_losses: dict[int, float] = field(default_factory=dict)
-    validation: dict[tuple[int, int], float] = field(default_factory=dict)
     global_gradient: dict | None = None
     records: list[ServerRound] = field(default_factory=list)
     last_round_seen: dict[int, int] = field(default_factory=dict)
@@ -440,9 +414,9 @@ def _send(endpoints, cid: int, msg: Message) -> None:
     endpoints[cid].send(*encode_message(msg))
 
 
-def _broadcast_abort(endpoints, roster, round_no: int, reason: str) -> None:
+def _broadcast_abort(endpoints, round_no: int, reason: str) -> None:
     msg = Message(MessageKind.ABORT, round=round_no, sender=SERVER_ID, payload={"reason": reason})
-    for cid in roster:
+    for cid in endpoints:
         try:
             _send(endpoints, cid, msg)
         except TransportError:
@@ -459,18 +433,18 @@ def _expect(
     try:
         raw_kind, body = endpoints[cid].recv(timeout=state.settings.timeout_s)
     except TransportError as exc:
-        _broadcast_abort(endpoints, state.roster, state.round, f"client {cid} unreachable")
+        _broadcast_abort(endpoints, state.round, f"client {cid} unreachable")
         raise RoundAborted(f"waiting for {kind.name} from client {cid}: {exc}") from exc
     try:
         msg = decode_message(raw_kind, body)
     except ProtocolViolation:
-        _broadcast_abort(endpoints, state.roster, state.round, f"client {cid} sent garbage")
+        _broadcast_abort(endpoints, state.round, f"client {cid} sent garbage")
         raise
     if transcript is not None:
         transcript.append((cid, encode_frame(raw_kind, body)))
     if msg.kind == MessageKind.ABORT:
         reason = msg.payload.get("reason", "unspecified")
-        _broadcast_abort(endpoints, state.roster, state.round, f"client {cid} aborted: {reason}")
+        _broadcast_abort(endpoints, state.round, f"client {cid} aborted: {reason}")
         raise RoundAborted(f"client {cid} aborted: {reason}")
     if msg.sender != cid:
         raise ProtocolViolation(f"message from endpoint {cid} claims sender {msg.sender}")
@@ -490,7 +464,7 @@ def distribute_keys(state: ServerState, endpoints, transcript: list | None = Non
     state.public_key = paillier.public_key_from_payload(offer.payload)
     deliver = _expect(state, endpoints, 1, MessageKind.KEY_DELIVER, transcript)
     # the blob is opaque to the server: it relays the payload without parsing it
-    for cid in state.roster:
+    for cid in endpoints:
         if cid != 1:
             _send(
                 endpoints,
@@ -499,25 +473,30 @@ def distribute_keys(state: ServerState, endpoints, transcript: list | None = Non
             )
 
 
-def _receive_gradient(state: ServerState, cid: int, payload: dict):
-    """A client's uploaded gradient, checked against the model size; the
-    server decodes ciphertexts but never decrypts them."""
-    length = state.settings.layout.size
+@contextmanager
+def _from_client(cid: int):
+    """Name client ``cid`` in a ProtocolViolation raised reading its payload."""
     try:
-        gradient = _field(payload, "gradient", dict)
-        if state.settings.encrypted:
-            return encrypted_gradient_from_payload(gradient, state.public_key, length)
-        return decode_gradient_payload(gradient, length=length)
+        yield
     except ProtocolViolation as exc:
         raise ProtocolViolation(f"client {cid}: {exc}") from exc
 
 
-def _cross_validation_models(state: ServerState, order: list[int]) -> list[dict]:
+def _receive_gradient(state: ServerState, payload: dict):
+    """An uploaded gradient, checked against the model size; the server
+    decodes ciphertexts but never decrypts them."""
+    length = state.settings.layout.size
+    gradient = _field(payload, "gradient", dict)
+    if state.settings.encrypted:
+        return encrypted_gradient_from_payload(gradient, state.public_key, length)
+    return decode_gradient_payload(gradient, length=length)
+
+
+def _cross_validation_models(state: ServerState, gradients: list) -> list[dict]:
     """Per-model payloads the clients will score, fused when DP is on."""
     settings = state.settings
-    grads = [state.train_gradients[cid] for cid in order]
     if settings.encryption != "he_dp":
-        return [gradient_to_payload(g) for g in grads]
+        return [gradient_to_payload(g) for g in gradients]
     fusion = agg.DpFusionConfig(
         p_hat=settings.p_hat, pieces=settings.quant.pieces, jitter=settings.dp_jitter
     )
@@ -526,35 +505,36 @@ def _cross_validation_models(state: ServerState, order: list[int]) -> list[dict]
         if settings.dp_jitter > 0
         else None
     )
-    fused = agg.dp_fuse(state.public_key, grads, fusion, rng)
+    fused = agg.dp_fuse(state.public_key, gradients, fusion, rng)
     return [gradient_to_payload(f) for f in fused]
 
 
-def _merge(state: ServerState, order: list[int], weights: agg.AggregationWeights) -> dict:
+def _merge(state: ServerState, gradients: list, weights: agg.AggregationWeights) -> dict:
     settings = state.settings
-    grads = [state.train_gradients[cid] for cid in order]
     if settings.encrypted:
-        merged = agg.merge_encrypted(state.public_key, grads, weights, settings.quant.pieces)
+        merged = agg.merge_encrypted(state.public_key, gradients, weights, settings.quant.pieces)
         return gradient_to_payload(merged)
-    return gradient_to_payload(agg.merge_plain(grads, weights))
+    return gradient_to_payload(agg.merge_plain(gradients, weights))
 
 
 def server_run(
-    settings: ProtocolSettings,
+    settings: ExperimentConfig,
     endpoints: dict[int, object],
     transcript: list | None = None,
 ) -> ServerRunResult:
     """Drive all rounds over per-client endpoints; returns the decrypted final
     model and one record per round. Clients are polled in id order inside each
-    phase, so runs and transcripts are reproducible."""
-    if set(endpoints) != set(range(1, settings.n_clients + 1)):
-        raise ProtocolViolation(f"need endpoints for clients 1..{settings.n_clients}")
-    if settings.aggregator not in ("fedavg", "fedboosting"):
-        raise ProtocolViolation(f"unknown aggregator {settings.aggregator!r}")
-    if settings.encryption == "he_dp" and settings.aggregator != "fedboosting":
-        raise ProtocolViolation("dp fusion only exists on the cross-validation path")
-    state = ServerState(settings=settings, roster=tuple(range(1, settings.n_clients + 1)))
-    order = list(state.roster)
+    phase, so runs and transcripts are reproducible. A configuration that
+    ``validate`` refuses, or a centralized one, raises ConfigError before any
+    frame is sent."""
+    settings.validate()
+    if settings.aggregator == "centralized":
+        raise ConfigError("aggregator", "centralized training runs without the protocol")
+    n = settings.n_clients
+    clients = range(1, n + 1)
+    if set(endpoints) != set(clients):
+        raise ProtocolViolation(f"need endpoints for clients 1..{n}")
+    state = ServerState(settings=settings)
 
     if settings.encrypted:
         distribute_keys(state, endpoints, transcript)
@@ -563,9 +543,6 @@ def server_run(
 
     for r in range(1, settings.rounds + 1):
         state.round = r
-        state.train_gradients.clear()
-        state.train_losses.clear()
-        state.validation.clear()
         durations: dict[str, float] = {}
 
         if r == 1:
@@ -575,28 +552,35 @@ def server_run(
             }
         else:
             payload = {"gradient": state.global_gradient}
-        for cid in order:
+        for cid in clients:
             _send(
                 endpoints,
                 cid,
                 Message(MessageKind.GLOBAL_GRADIENT, round=r, sender=SERVER_ID, payload=payload),
             )
 
+        # round state, indexed by cid - 1
+        gradients = []
+        train_losses = np.empty(n)
         phase_start = time.monotonic()
-        for cid in order:
+        for cid in clients:
             msg = _expect(state, endpoints, cid, MessageKind.TRAIN_RESULT, transcript)
             if msg.round != r:
                 raise ProtocolViolation(f"train result for round {msg.round} during round {r}")
-            state.train_gradients[cid] = _receive_gradient(state, cid, msg.payload)
-            state.train_losses[cid] = float(_field(msg.payload, "train_loss", (int, float)))
+            with _from_client(cid):
+                gradients.append(_receive_gradient(state, msg.payload))
+                loss = _field(msg.payload, "train_loss", (int, float))
+                if not math.isfinite(loss):
+                    raise ProtocolViolation(f"payload field 'train_loss' is {loss}")
+            train_losses[cid - 1] = loss
         durations["train"] = time.monotonic() - phase_start
 
-        validation_matrix = None
+        validation = None
         if settings.aggregator == "fedboosting":
             phase_start = time.monotonic()
-            models = _cross_validation_models(state, order)
+            models = _cross_validation_models(state, gradients)
             fused_msg_payload = {"models": models}
-            for cid in order:
+            for cid in clients:
                 _send(
                     endpoints,
                     cid,
@@ -607,46 +591,39 @@ def server_run(
                         payload=fused_msg_payload,
                     ),
                 )
-            for cid in order:
+            # column j holds every candidate model's loss on client j + 1's data
+            validation = np.empty((n, n))
+            for cid in clients:
                 msg = _expect(state, endpoints, cid, MessageKind.EVAL_RESULT, transcript)
-                values = _vector(msg.payload, "values", len(order))
-                for i, v in enumerate(values):
-                    state.validation[(i, cid - 1)] = float(v)
-            # barrier: the matrix exists only once all N*N entries arrived
-            validation_matrix = agg.ValidationMatrix(
-                np.array(
-                    [
-                        [state.validation[(i, j)] for j in range(len(order))]
-                        for i in range(len(order))
-                    ]
-                )
-            )
+                with _from_client(cid):
+                    values = _vector(msg.payload, "values", n)
+                    if np.any(values < 0):
+                        raise ProtocolViolation("payload field 'values' has negative losses")
+                validation[:, cid - 1] = values
             weights = agg.fedboost_weights(
-                np.array([state.train_losses[cid] for cid in order]),
-                validation_matrix,
-                mode=settings.weighting_mode,
+                train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
             )
             durations["cross_validation"] = time.monotonic() - phase_start
         else:
-            weights = agg.fedavg_weights(len(order))
+            weights = agg.fedavg_weights(n)
 
         phase_start = time.monotonic()
-        state.global_gradient = _merge(state, order, weights)
+        state.global_gradient = _merge(state, gradients, weights)
         durations["merge"] = time.monotonic() - phase_start
 
         state.records.append(
             ServerRound(
                 round=r,
-                train_losses=[state.train_losses[cid] for cid in order],
-                validation=validation_matrix.values.tolist() if validation_matrix else None,
-                weights=weights.values.tolist() if settings.aggregator == "fedboosting" else None,
+                train_losses=train_losses.tolist(),
+                validation=None if validation is None else validation.tolist(),
+                weights=None if validation is None else weights.values.tolist(),
                 merged_gradient=state.global_gradient,
                 durations=durations,
             )
         )
 
     final_payload = {"gradient": state.global_gradient}
-    for cid in order:
+    for cid in clients:
         _send(
             endpoints,
             cid,

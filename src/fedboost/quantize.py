@@ -79,17 +79,3 @@ def check_capacity(q: QuantizedGradient, capacity: int, n_clients: int, pieces: 
                 f"N={n_clients}, P={pieces}",
                 index=index,
             )
-
-
-# --- wire helpers: mandatory sign prefix, lowercase hex magnitude ---
-
-
-def signed_int_to_hex(v: int) -> str:
-    return ("-" if v < 0 else "+") + format(abs(v), "x")
-
-
-def signed_hex_to_int(s: str) -> int:
-    if len(s) < 2 or s[0] not in "+-" or s[1:].lower() != s[1:]:
-        raise ValueError(f"not a sign-prefixed lowercase hex string: {s!r}")
-    magnitude = int(s[1:], 16)
-    return -magnitude if s[0] == "-" else magnitude

@@ -25,7 +25,6 @@ from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison
 from .errors import ConfigError, IoError, ProtocolViolation
 from .protocol import (
     ClientSession,
-    ProtocolSettings,
     ServerRunResult,
     client_run,
     decode_gradient_payload,
@@ -87,23 +86,23 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 
 
 def _run_loopback(
-    settings: ProtocolSettings, splits: list[DatasetSplit], transcript: list | None
+    cfg: ExperimentConfig, splits: list[DatasetSplit], transcript: list | None
 ) -> tuple[ServerRunResult, paillier.KeyPair | None]:
     """The server's result and client 1's key pair (None without encryption)."""
     server_eps = {}
     sessions = []
     workers = []
     try:
-        for cid in range(1, settings.n_clients + 1):
+        for cid in range(1, cfg.n_clients + 1):
             server_ep, client_ep = loopback_pair(capacity=64)
             server_eps[cid] = server_ep
-            sessions.append(ClientSession(settings, cid, splits[cid - 1]))
+            sessions.append(ClientSession(cfg, cid, splits[cid - 1]))
             worker = threading.Thread(
                 target=client_run, args=(sessions[-1], client_ep), daemon=True
             )
             workers.append(worker)
             worker.start()
-        return server_run(settings, server_eps, transcript), sessions[0].keypair
+        return server_run(cfg, server_eps, transcript), sessions[0].keypair
     finally:
         for ep in server_eps.values():
             ep.close()
@@ -112,20 +111,15 @@ def _run_loopback(
 
 
 def _client_process_main(host: str, port: int, cfg: ExperimentConfig, client_id: int) -> None:
-    settings = cfg.to_protocol_settings()
-    session = ClientSession(settings, client_id, build_client_split(cfg, client_id))
-    endpoint = tcp_connect(f"{host}:{port}", timeout=settings.timeout_s)
+    session = ClientSession(cfg, client_id, build_client_split(cfg, client_id))
+    endpoint = tcp_connect(f"{host}:{port}", timeout=cfg.timeout_s)
     try:
         client_run(session, endpoint)
     finally:
         endpoint.close()
 
 
-def _run_tcp(
-    cfg: ExperimentConfig,
-    settings: ProtocolSettings,
-    transcript: list | None,
-) -> ServerRunResult:
+def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
     listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
     host, port = listener.address
     ctx = multiprocessing.get_context("spawn")
@@ -133,14 +127,14 @@ def _run_tcp(
     server_eps = {}
     try:
         # clients are launched one at a time, so accept order identifies them
-        for cid in range(1, settings.n_clients + 1):
+        for cid in range(1, cfg.n_clients + 1):
             proc = ctx.Process(
                 target=_client_process_main, args=(host, port, cfg, cid), daemon=True
             )
             proc.start()
             procs.append(proc)
-            server_eps[cid] = listener.accept(timeout=settings.timeout_s)
-        return server_run(settings, server_eps, transcript)
+            server_eps[cid] = listener.accept(timeout=cfg.timeout_s)
+        return server_run(cfg, server_eps, transcript)
     finally:
         listener.close()
         for ep in server_eps.values():
@@ -182,14 +176,12 @@ def _protocol_records(
 def _run_centralized(
     cfg: ExperimentConfig, splits: list[DatasetSplit], test: LabeledData
 ) -> tuple[list[RoundRecord], nn.ModelParams]:
-    layout = nn.mlp_layout(2, cfg.n_hidden, 2)
-    params = nn.init_params(derive_seed(cfg.master_seed, "init"), layout)
+    params = nn.init_params(derive_seed(cfg.master_seed, "init"), cfg.layout)
     pooled = DatasetSplit(
         train=LabeledData.concat([s.train for s in splits]),
         validation=splits[0].validation,
         test=test,
     )
-    opt = nn.OptimizerConfig(kind="adam", learning_rate=cfg.learning_rate)
     records = []
     for r in range(1, cfg.rounds + 1):
         report = nn.train_local(
@@ -197,7 +189,7 @@ def _run_centralized(
             pooled,
             cfg.batch_size,
             cfg.epochs,
-            opt,
+            cfg.optimizer,
             derive_seed(cfg.master_seed, "shuffle", r, 0),
         )
         params = nn.apply_gradient(params, report.gradient)
@@ -226,16 +218,15 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
     if cfg.aggregator == "centralized":
         records, final = _run_centralized(cfg, splits, test)
     else:
-        settings = cfg.to_protocol_settings()
         if cfg.transport == "tcp":
-            run = _run_tcp(cfg, settings, transcript)
+            run = _run_tcp(cfg, transcript)
             keypair = (
                 paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
-                if settings.encrypted
+                if cfg.encrypted
                 else None
             )
         else:
-            run, keypair = _run_loopback(settings, splits, transcript)
+            run, keypair = _run_loopback(cfg, splits, transcript)
         records = _protocol_records(run, test, keypair)
         final = run.final_weights
 

@@ -211,23 +211,3 @@ def tcp_connect(addr, max_frame: int = MAX_FRAME_BYTES, timeout: float = 30.0) -
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(None)
     return TcpEndpoint(sock, max_frame)
-
-
-class ReplayEndpoint:
-    """Feeds a prerecorded inbound frame sequence; records what gets sent."""
-
-    def __init__(self, frames: list[bytes], max_frame: int = MAX_FRAME_BYTES):
-        self._frames = list(frames)
-        self._max_frame = max_frame
-        self.sent: list[bytes] = []
-
-    def send(self, kind: int, body: bytes) -> None:
-        self.sent.append(encode_frame(kind, body, self._max_frame))
-
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        if not self._frames:
-            raise ChannelClosed("replay exhausted")
-        return decode_frame(self._frames.pop(0), self._max_frame)
-
-    def close(self) -> None:
-        pass

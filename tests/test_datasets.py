@@ -7,7 +7,6 @@ from fedboost.datasets import (
     GaussianSpec,
     LabeledData,
     generate_client_dataset,
-    load_csv,
     poison_labels,
     split,
 )
@@ -147,24 +146,3 @@ class TestPoison:
         out = poison_labels(data, frac, seed)
         assert np.array_equal(out.x, data.x)
         assert (out.y != data.y).sum() == int(round(frac * len(data)))
-
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("x1,x2,label\n0.5,-1.25,0\n2.0,3.5,1\n")
-        data = load_csv(str(path))
-        assert np.array_equal(data.x, [[0.5, -1.25], [2.0, 3.5]])
-        assert np.array_equal(data.y, [0, 1])
-
-    def test_bad_label_rejected(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("x1,x2,label\n0.5,1.0,2\n")
-        with pytest.raises(ValueError):
-            load_csv(str(path))
-
-    def test_header_only_rejected(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("x1,x2,label\n")
-        with pytest.raises(EmptyDataset):
-            load_csv(str(path))

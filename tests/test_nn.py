@@ -175,18 +175,21 @@ class TestEvaluate:
             nn.evaluate(nn.init_params(0, LAYOUT), data)
 
 
+def analytic_gradient(params, x, y):
+    grad = np.zeros_like(params.values)
+    nn._loss_and_grad(params.layout.views(params.values), params.layout.views(grad), x, y)
+    return grad
+
+
 class TestGradients:
     def test_analytic_matches_finite_differences(self):
-        # 100 random (params, sample) draws; sgd with lr=1 exposes -gradient
+        # 100 random (params, sample) draws
         rng = np.random.default_rng(123)
-        opt = nn.OptimizerConfig(kind="sgd", learning_rate=1.0)
         for _ in range(100):
             params = random_params(rng)
             x = rng.normal(size=(1, 2))
             y = np.array([rng.integers(0, 2)])
-            parts = DatasetSplit(LabeledData(x, y), LabeledData(x, y), LabeledData(x, y))
-            report = nn.train_local(params, parts, batch_size=1, epochs=1, opt=opt, seed=0)
-            analytic = -report.gradient
+            analytic = analytic_gradient(params, x, y)
             reference = fd_gradient(list(params.values), LAYOUT, x, y)
             rel = np.linalg.norm(analytic - reference) / np.linalg.norm(reference)
             assert rel < 1e-6
@@ -196,11 +199,22 @@ class TestGradients:
         params = random_params(rng)
         x = rng.normal(size=(6, 2))
         y = rng.integers(0, 2, size=6)
-        parts = DatasetSplit(LabeledData(x, y), LabeledData(x, y), LabeledData(x, y))
-        opt = nn.OptimizerConfig(kind="sgd", learning_rate=1.0)
-        report = nn.train_local(params, parts, batch_size=6, epochs=1, opt=opt, seed=0)
+        analytic = analytic_gradient(params, x, y)
         reference = fd_gradient(list(params.values), LAYOUT, x, y)
-        assert np.linalg.norm(-report.gradient - reference) / np.linalg.norm(reference) < 1e-6
+        assert np.linalg.norm(analytic - reference) / np.linalg.norm(reference) < 1e-6
+
+    def test_first_adam_step_follows_the_gradient(self):
+        # Adam's first step is -lr * g / (|g| + eps) for the gradient g it is fed
+        rng = np.random.default_rng(5)
+        params = random_params(rng)
+        x = rng.normal(size=(1, 2))
+        y = np.array([1])
+        parts = DatasetSplit(LabeledData(x, y), LabeledData(x, y), LabeledData(x, y))
+        opt = nn.OptimizerConfig(learning_rate=0.003)
+        report = nn.train_local(params, parts, batch_size=1, epochs=1, opt=opt, seed=0)
+        g = analytic_gradient(params, x, y)
+        expected = -opt.learning_rate * g / (np.abs(g) + opt.epsilon)
+        assert np.allclose(report.gradient, expected, rtol=1e-12, atol=1e-18)
 
 
 class TestTrainLocal:

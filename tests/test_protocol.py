@@ -9,13 +9,13 @@ import pytest
 from fedboost import aggregate as agg
 from fedboost import nn, paillier, protocol
 from fedboost import quantize as qz
+from fedboost.config import ClientSpec, ExperimentConfig
 from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_client_dataset, split
-from fedboost.errors import KeyMismatch, ProtocolViolation, RoundAborted
+from fedboost.errors import ChannelClosed, ConfigError, KeyMismatch, ProtocolViolation, RoundAborted
 from fedboost.protocol import (
     ClientSession,
     Message,
     MessageKind,
-    ProtocolSettings,
     ServerState,
     client_run,
     decode_message,
@@ -24,7 +24,7 @@ from fedboost.protocol import (
     encode_message,
     server_run,
 )
-from fedboost.transport import ReplayEndpoint, encode_frame, loopback_pair
+from fedboost.transport import decode_frame, encode_frame, loopback_pair
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 _GOOD_BLOB = json.loads(paillier.keypair_to_blob(paillier.keygen(128, seed=5)))
@@ -41,9 +41,12 @@ def client_split(seed: int, n_each: int = 60) -> DatasetSplit:
     return split(data, 0.8, 0.2, seed=seed + 1)
 
 
-def make_settings(**overrides) -> ProtocolSettings:
+def make_settings(n_clients: int = 2, **overrides) -> ExperimentConfig:
+    """A cohort of ``n_clients``; the protocol tests hand each session its
+    split (``client_split``) directly, so the client specs only size it."""
+    spec = ClientSpec(clusters=(GaussianSpec((0.0, 0.0), IDENTITY, 0, 1),), seed=0)
     defaults = dict(
-        n_clients=2,
+        clients=(spec,) * n_clients,
         rounds=2,
         aggregator="fedboosting",
         encryption="none",
@@ -55,7 +58,26 @@ def make_settings(**overrides) -> ProtocolSettings:
         timeout_s=20.0,
     )
     defaults.update(overrides)
-    return ProtocolSettings(**defaults)
+    return ExperimentConfig(**defaults)
+
+
+class ReplayEndpoint:
+    """Feeds a prerecorded inbound frame sequence; records what gets sent."""
+
+    def __init__(self, frames: list[bytes]):
+        self._frames = list(frames)
+        self.sent: list[bytes] = []
+
+    def send(self, kind: int, body: bytes) -> None:
+        self.sent.append(encode_frame(kind, body))
+
+    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+        if not self._frames:
+            raise ChannelClosed("replay exhausted")
+        return decode_frame(self._frames.pop(0))
+
+    def close(self) -> None:
+        pass
 
 
 def run_loopback(settings, splits, transcript=None, missing=()):
@@ -132,7 +154,7 @@ class TestKeyDistribution:
         settings = make_settings(encryption="he_dp")
         source = ClientSession(settings, 1, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings, roster=(1, 2))
+        state = ServerState(settings=settings)
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
         distribute_keys(state, endpoints)
         assert state.public_key == source.keypair.public
@@ -146,7 +168,7 @@ class TestKeyDistribution:
         settings = make_settings(encryption="he")
         source = ClientSession(settings, 1, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings, roster=(1, 2))
+        state = ServerState(settings=settings)
         distribute_keys(state, {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])})
         assert isinstance(state.public_key, paillier.PublicKey)
         _assert_no_keypair(state, path="ServerState")
@@ -155,7 +177,7 @@ class TestKeyDistribution:
         settings = make_settings(encryption="he")
         source = ClientSession(settings, 1, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings, roster=(1, 2))
+        state = ServerState(settings=settings)
         state.public_key = source.keypair.public  # a key is already registered
         with pytest.raises(ProtocolViolation):
             distribute_keys(state, {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])})
@@ -315,6 +337,50 @@ class TestMalformedPayloads:
         with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
             server_run(settings, endpoints)
 
+    @pytest.mark.parametrize("aggregator", ["fedboosting", "fedavg"])
+    def test_server_rejects_non_finite_train_loss(self, aggregator):
+        settings = make_settings(aggregator=aggregator, rounds=1)
+        gradient = protocol.gradient_to_payload(np.zeros(42))
+        # plain json.dumps writes a bare NaN, which json.loads accepts
+        body = json.dumps(
+            {"payload": {"gradient": gradient, "train_loss": float("nan")}, "round": 1, "sender": 1}
+        ).encode()
+        upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
+        endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
+        with pytest.raises(ProtocolViolation, match="client 1: payload field 'train_loss' is nan"):
+            server_run(settings, endpoints)
+
+    def test_server_rejects_negative_validation_losses(self):
+        settings = make_settings(rounds=1)
+        gradient = protocol.gradient_to_payload(np.zeros(42))
+        endpoints = {}
+        for cid in (1, 2):
+            upload = Message(MessageKind.TRAIN_RESULT, 1, cid, {"gradient": gradient, "train_loss": 0.5})
+            scores = Message(MessageKind.EVAL_RESULT, 1, cid, {"values": [-1.0, 0.5]})
+            endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in (upload, scores)])
+        with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
+            server_run(settings, endpoints)
+
+
+class TestServerConfigCheck:
+    """server_run refuses what ExperimentConfig.validate refuses, and
+    centralized runs, before it sends a frame."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(aggregator="fedavg", encryption="he_dp"), "encryption"),
+            (dict(aggregator="centralized"), "aggregator"),
+            (dict(encryption="he_dp", p_hat=0.5), "p_hat"),
+        ],
+    )
+    def test_refused_before_any_frame(self, overrides, field):
+        endpoints = {1: ReplayEndpoint([]), 2: ReplayEndpoint([])}
+        with pytest.raises(ConfigError) as err:
+            server_run(make_settings(**overrides), endpoints)
+        assert err.value.field == field
+        assert [ep.sent for ep in endpoints.values()] == [[], []]
+
 
 def _frame_parts(frame: bytes) -> tuple[int, bytes]:
     return frame[4], frame[5:]
@@ -450,7 +516,7 @@ class TestClientSession:
             session.handle(stale)
 
 
-def reference_fedavg(settings: ProtocolSettings, splits) -> nn.ModelParams:
+def reference_fedavg(settings: ExperimentConfig, splits) -> nn.ModelParams:
     """Monolithic single-process loop mirroring the protocol's seed schedule."""
     params = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
     for r in range(1, settings.rounds + 1):

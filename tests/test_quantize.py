@@ -147,20 +147,3 @@ class TestCapacity:
     def test_zero_gradient_always_passes(self):
         g = qz.QuantizedGradient(values=[0, 0], config=qz.QuantConfig())
         qz.check_capacity(g, 3, n_clients=100, pieces=1000)
-
-
-class TestSignedHex:
-    def test_examples(self):
-        assert qz.signed_int_to_hex(255) == "+ff"
-        assert qz.signed_int_to_hex(-255) == "-ff"
-        assert qz.signed_int_to_hex(0) == "+0"
-
-    def test_rejects_unprefixed_or_uppercase(self):
-        for bad in ("ff", "+FF", "", "+"):
-            with pytest.raises(ValueError):
-                qz.signed_hex_to_int(bad)
-
-    @settings(max_examples=100, deadline=None)
-    @given(v=st.integers(min_value=-(10**40), max_value=10**40))
-    def test_roundtrip(self, v):
-        assert qz.signed_hex_to_int(qz.signed_int_to_hex(v)) == v

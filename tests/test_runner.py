@@ -126,15 +126,14 @@ class TestRunExperiment:
         plain = run_experiment(cfg)
         enc = run_experiment(desk_config(aggregator="fedavg", rounds=1, encryption="he"))
         # both runs share the round-1 gradients; only the merge path differs
-        settings = cfg.to_protocol_settings()
-        initial = nn.init_params(derive_seed(cfg.master_seed, "init"), settings.layout)
+        initial = nn.init_params(derive_seed(cfg.master_seed, "init"), cfg.layout)
         grads = [
             nn.train_local(
                 initial,
                 split_part,
                 cfg.batch_size,
                 cfg.epochs,
-                settings.optimizer,
+                cfg.optimizer,
                 derive_seed(cfg.master_seed, "shuffle", 1, cid),
             ).gradient
             for cid, split_part in enumerate(build_splits(cfg), start=1)

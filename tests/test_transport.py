@@ -204,18 +204,3 @@ class TestTcp:
         client.close()
         with pytest.raises(ChannelClosed):
             server.recv(timeout=5)
-
-
-class TestReplay:
-    def test_replays_in_order_then_closes(self):
-        frames = [transport.encode_frame(1, b"a"), transport.encode_frame(2, b"b")]
-        ep = transport.ReplayEndpoint(frames)
-        assert ep.recv() == (1, b"a")
-        assert ep.recv() == (2, b"b")
-        with pytest.raises(ChannelClosed):
-            ep.recv()
-
-    def test_records_sends(self):
-        ep = transport.ReplayEndpoint([])
-        ep.send(3, b"out")
-        assert ep.sent == [transport.encode_frame(3, b"out")]
