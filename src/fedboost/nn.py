@@ -3,7 +3,8 @@
 The model is a stack of fully-connected layers with sigmoid activations on all
 hidden layers and a softmax output; parameters live in one flat float64 vector
 so that whole models and gradients can be exchanged, merged and encrypted as
-plain vectors.
+plain vectors. Local training is fused for the two-layer layout of
+``mlp_layout``.
 """
 
 from __future__ import annotations
@@ -164,37 +165,6 @@ def forward(params: ModelParams, x) -> np.ndarray:
     return forward_batch(params, x[None, :])[0]
 
 
-def _loss_and_grad(
-    views: list[tuple[np.ndarray, np.ndarray]],
-    grad_views: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Mean cross-entropy over the batch; writes the gradient into grad_views."""
-    acts = [x]
-    h = x
-    for w, b in views[:-1]:
-        h = _sigmoid(h @ w.T + b)
-        acts.append(h)
-    w_out, b_out = views[-1]
-    logits = h @ w_out.T + b_out
-    logp = _log_softmax(logits)
-    n = x.shape[0]
-    loss = -logp[np.arange(n), y].mean()
-
-    delta = np.exp(logp)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    for layer in range(len(views) - 1, -1, -1):
-        gw, gb = grad_views[layer]
-        gw[:] = delta.T @ acts[layer]
-        gb[:] = delta.sum(axis=0)
-        if layer > 0:
-            h = acts[layer]
-            delta = (delta @ views[layer][0]) * h * (1.0 - h)
-    return loss
-
-
 def evaluate(params: ModelParams, data: LabeledData) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over a labelled set."""
     if len(data) == 0:
@@ -214,48 +184,87 @@ def train_local(
     opt: OptimizerConfig,
     seed: int,
 ) -> TrainReport:
-    """Mini-batch cross-entropy training on ``data.train``.
+    """Mini-batch cross-entropy training with Adam on ``data.train``.
 
     Batch order is drawn from a generator seeded with ``seed``, so the result is
     bit-reproducible. Returns the total weight delta (trained minus input
     weights) and the mean loss of a final full pass over the training set.
+
+    The step is fused for two layers: each layer is held as one ``[W | b]``
+    matrix, so its forward pass and its gradient take one matmul each, and Adam
+    updates that buffer in place, per coordinate; the buffer is put back in the
+    flat order once, at the end.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    layout = params.layout
+    if len(layout.layers) != 2:
+        raise InvalidLayout(f"training needs two layers, got {len(layout.layers)}")
     train = data.train
     n = len(train)
     if n == 0:
         raise EmptyDataset("training set is empty")
 
-    flat = params.values.copy()
-    grad = np.zeros_like(flat)
-    views = params.layout.views(flat)
-    grad_views = params.layout.views(grad)
+    (n_in, n_hidden), (_, n_out) = layout.layers
+    # flat index of every entry of the row-major [W | b] matrices
+    order = np.concatenate(
+        [np.column_stack(wb).ravel() for wb in layout.views(np.arange(layout.size))]
+    )
+    theta = params.values[order]
+    grad = np.empty_like(theta)
+    split_at = n_hidden * (n_in + 1)
+    w1_t = theta[:split_at].reshape(n_hidden, n_in + 1).T
+    w2 = theta[split_at:].reshape(n_out, n_hidden + 1)
+    w2_t, w2_weights = w2.T, w2[:, :n_hidden]
+    g1 = grad[:split_at].reshape(n_hidden, n_in + 1)
+    g2 = grad[split_at:].reshape(n_out, n_hidden + 1)
 
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     t = 0
     eta, b1, b2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
 
+    # inputs and hidden activations carry a trailing 1 that meets the bias column
+    hidden = np.ones((min(batch_size, n), n_hidden + 1))
+    one_hot = np.eye(n_out)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            _loss_and_grad(views, grad_views, train.x[idx], train.y[idx])
-            t += 1
-            m = b1 * m + (1.0 - b1) * grad
-            v = b2 * v + (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            flat -= eta * m_hat / (np.sqrt(v_hat) + eps)
+    # exp(-z) overflows to inf below z = -709, and 1 / (1 + inf) is the right 0
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            xs = np.ones((n, n_in + 1))
+            xs[:, :n_in] = train.x[perm]
+            ys = one_hot[train.y[perm]]
+            for start in range(0, n, batch_size):
+                x = xs[start : start + batch_size]
+                h = hidden[: len(x)]
+                s = h[:, :n_hidden]
+                np.divide(1.0, 1.0 + np.exp(-(x @ w1_t)), out=s)
+                # softmax minus one-hot, over the batch: the loss gradient at the logits
+                d = h @ w2_t
+                d -= d.max(axis=1, keepdims=True)
+                np.exp(d, out=d)
+                d /= d.sum(axis=1, keepdims=True)
+                d -= ys[start : start + batch_size]
+                d /= len(x)
+                np.matmul(d.T, h, out=g2)
+                np.matmul(((d @ w2_weights) * s * (1.0 - s)).T, x, out=g1)
 
+                t += 1
+                m *= b1
+                m += (1.0 - b1) * grad
+                v *= b2
+                v += (1.0 - b2) * grad * grad
+                theta -= eta * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+
+    flat = np.empty_like(theta)
+    flat[order] = theta
     # The delta is the unit exchanged with the server, so the post-training
     # weights are defined as params + delta; reconstruction is then bit-exact.
     delta = flat - params.values
-    final_loss, _ = evaluate(ModelParams(params.values + delta, params.layout), train)
+    final_loss, _ = evaluate(ModelParams(params.values + delta, layout), train)
     return TrainReport(gradient=delta, training_loss=final_loss)
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import random
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -33,6 +34,7 @@ from . import quantize as qz
 from .config import ExperimentConfig
 from .datasets import DatasetSplit
 from .errors import (
+    ChannelClosed,
     ConfigError,
     FedBoostError,
     KeyMismatch,
@@ -41,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     TransportError,
 )
-from .transport import encode_frame
+from .transport import decode_frame, encode_frame
 
 SERVER_ID = 0
 DESIGNATED_DECRYPTOR = 1
@@ -123,7 +125,10 @@ def _vector(payload, name: str, length: int | None = None) -> np.ndarray:
         raise ProtocolViolation(
             f"payload field {name!r} has {len(values)} entries, expected {length}"
         )
-    vector = np.array(values, dtype=np.float64)
+    try:
+        vector = np.array(values, dtype=np.float64)
+    except OverflowError:  # json reads integers of any size
+        raise ProtocolViolation(f"payload field {name!r} has entries beyond float range") from None
     if not np.all(np.isfinite(vector)):
         raise ProtocolViolation(f"payload field {name!r} has non-finite entries")
     return vector
@@ -350,6 +355,17 @@ class ClientSession:
         return decode_gradient_payload(payload, self.keypair, self.settings.layout.size)
 
 
+def _abort(session: ClientSession, exc: FedBoostError) -> Message:
+    """End the session on ``exc``; the ABORT that tells the server why."""
+    session.done = True
+    return Message(
+        MessageKind.ABORT,
+        round=session.round,
+        sender=session.client_id,
+        payload={"reason": f"{type(exc).__name__}: {exc}"},
+    )
+
+
 def client_run(session: ClientSession, endpoint) -> None:
     """Blocking pump: run the session over one endpoint until done or aborted."""
     try:
@@ -362,20 +378,46 @@ def client_run(session: ClientSession, endpoint) -> None:
     except (TransportError, RoundAborted):
         session.done = True
     except FedBoostError as exc:
-        session.done = True
         try:
-            endpoint.send(
-                *encode_message(
-                    Message(
-                        MessageKind.ABORT,
-                        round=session.round,
-                        sender=session.client_id,
-                        payload={"reason": f"{type(exc).__name__}: {exc}"},
-                    )
-                )
-            )
+            endpoint.send(*encode_message(_abort(session, exc)))
         except TransportError:
             pass
+
+
+class InThreadEndpoint:
+    """The server's endpoint to a client session run in the server's thread.
+
+    ``send`` hands the frame to the session and queues its encoded replies;
+    ``recv`` pops the next one. Frames go through the same codec as on TCP, so
+    bytes and transcripts are the same. A FedBoostError becomes an ABORT reply,
+    as in ``client_run``; frames sent after the session is done are dropped.
+    """
+
+    def __init__(self, session: ClientSession):
+        self._session = session
+        self._replies: deque[bytes] = deque()
+        self._run(session.startup)
+
+    def _run(self, step) -> None:
+        try:
+            replies = step()
+        except FedBoostError as exc:
+            replies = [_abort(self._session, exc)]
+        except Exception as exc:
+            raise RuntimeError(
+                f"client {self._session.client_id} failed: {type(exc).__name__}: {exc}"
+            ) from exc
+        self._replies.extend(encode_frame(*encode_message(m)) for m in replies)
+
+    def send(self, kind: int, body: bytes) -> None:
+        if not self._session.done:
+            frame = encode_frame(kind, body)
+            self._run(lambda: self._session.handle(decode_message(*decode_frame(frame))))
+
+    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+        if not self._replies:
+            raise ChannelClosed(f"client {self._session.client_id} has no reply to send")
+        return decode_frame(self._replies.popleft())
 
 
 # --- server side ---------------------------------------------------------------
@@ -552,6 +594,8 @@ def server_run(
             }
         else:
             payload = {"gradient": state.global_gradient}
+        # in-thread loopback clients train inside send, so time the broadcast too
+        phase_start = time.monotonic()
         for cid in clients:
             _send(
                 endpoints,
@@ -562,7 +606,6 @@ def server_run(
         # round state, indexed by cid - 1
         gradients = []
         train_losses = np.empty(n)
-        phase_start = time.monotonic()
         for cid in clients:
             msg = _expect(state, endpoints, cid, MessageKind.TRAIN_RESULT, transcript)
             if msg.round != r:
@@ -570,6 +613,10 @@ def server_run(
             with _from_client(cid):
                 gradients.append(_receive_gradient(state, msg.payload))
                 loss = _field(msg.payload, "train_loss", (int, float))
+                try:
+                    loss = float(loss)
+                except OverflowError:
+                    raise ProtocolViolation("payload field 'train_loss' is beyond float range")
                 if not math.isfinite(loss):
                     raise ProtocolViolation(f"payload field 'train_loss' is {loss}")
             train_losses[cid - 1] = loss
@@ -645,6 +692,7 @@ def server_run(
         ),
     )
     final_msg = _expect(state, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, transcript)
-    final_values = _vector(final_msg.payload, "weights", settings.layout.size)
+    with _from_client(DESIGNATED_DECRYPTOR):
+        final_values = _vector(final_msg.payload, "weights", settings.layout.size)
     final = nn.ModelParams(final_values, settings.layout)
     return ServerRunResult(final_weights=final, initial_weights=initial, rounds=state.records)

@@ -1,5 +1,6 @@
 """Experiment orchestration: build client data, host a protocol run over the
-chosen transport (or train centralized), score the global model per round on
+chosen transport (clients in the server's thread on loopback, one process per
+client over TCP) or train centralized, score the global model per round on
 the combined test set, and export metrics/model/boundary artifacts.
 
 Per-round test metrics are computed by this harness: in encrypted modes the
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,13 +25,14 @@ from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison
 from .errors import ConfigError, IoError, ProtocolViolation
 from .protocol import (
     ClientSession,
+    InThreadEndpoint,
     ServerRunResult,
     client_run,
     decode_gradient_payload,
     derive_seed,
     server_run,
 )
-from .transport import loopback_pair, tcp_connect, tcp_listen
+from .transport import tcp_connect, tcp_listen
 
 
 @dataclass
@@ -88,26 +89,12 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 def _run_loopback(
     cfg: ExperimentConfig, splits: list[DatasetSplit], transcript: list | None
 ) -> tuple[ServerRunResult, paillier.KeyPair | None]:
-    """The server's result and client 1's key pair (None without encryption)."""
-    server_eps = {}
-    sessions = []
-    workers = []
-    try:
-        for cid in range(1, cfg.n_clients + 1):
-            server_ep, client_ep = loopback_pair(capacity=64)
-            server_eps[cid] = server_ep
-            sessions.append(ClientSession(cfg, cid, splits[cid - 1]))
-            worker = threading.Thread(
-                target=client_run, args=(sessions[-1], client_ep), daemon=True
-            )
-            workers.append(worker)
-            worker.start()
-        return server_run(cfg, server_eps, transcript), sessions[0].keypair
-    finally:
-        for ep in server_eps.values():
-            ep.close()
-        for worker in workers:
-            worker.join(timeout=10)
+    """The server's result and client 1's key pair (None without encryption).
+    Clients run in this thread: numpy on batch-sized arrays holds the GIL, so
+    client threads would train no faster; TCP trains clients in parallel."""
+    sessions = [ClientSession(cfg, cid, splits[cid - 1]) for cid in range(1, cfg.n_clients + 1)]
+    endpoints = {s.client_id: InThreadEndpoint(s) for s in sessions}
+    return server_run(cfg, endpoints, transcript), sessions[0].keypair
 
 
 def _client_process_main(host: str, port: int, cfg: ExperimentConfig, client_id: int) -> None:

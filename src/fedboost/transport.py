@@ -1,14 +1,14 @@
-"""Message transports: a deterministic in-process loopback and framed TCP.
+"""Frames and the framed TCP transport.
 
 One frame on the wire is a 4-byte big-endian length (counting everything that
 follows), one kind byte, then the UTF-8 body; so length == len(body) + 1.
-Frames are delivered whole or not at all, and both transports carry identical
-bytes for identical protocol runs.
+Frames are delivered whole or not at all. Loopback runs pass the same frames to
+clients in the server's thread (``protocol.InThreadEndpoint``), so both
+transports carry identical bytes for identical protocol runs.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
@@ -18,7 +18,6 @@ from .errors import ChannelClosed, FrameTooLarge, ProtocolViolation, TransportEr
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
-_CLOSE_SENTINEL = object()
 
 
 def encode_frame(kind: int, body: bytes, max_frame: int = MAX_FRAME_BYTES) -> bytes:
@@ -43,52 +42,6 @@ def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, by
             f"declared length {length} does not match payload of {len(data) - _HEADER.size}"
         )
     return data[_HEADER.size], data[_HEADER.size + 1 :]
-
-
-class LoopbackEndpoint:
-    """One side of an in-process channel; FIFO, lossless, in-order."""
-
-    def __init__(self, outgoing: queue.Queue, incoming: queue.Queue, max_frame: int):
-        self._outgoing = outgoing
-        self._incoming = incoming
-        self._max_frame = max_frame
-        self._send_closed = False
-
-    def send(self, kind: int, body: bytes) -> None:
-        if self._send_closed:
-            raise ChannelClosed("send after close")
-        self._outgoing.put(encode_frame(kind, body, self._max_frame))
-
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            try:
-                item = self._incoming.get(timeout=remaining if remaining is not None else None)
-            except queue.Empty:
-                raise TransportTimeout(f"no frame within {timeout}s") from None
-            if item is _CLOSE_SENTINEL:
-                raise ChannelClosed("peer closed the channel")
-            return decode_frame(item, self._max_frame)
-
-    def close(self) -> None:
-        if not self._send_closed:
-            self._send_closed = True
-            self._outgoing.put(_CLOSE_SENTINEL)
-
-
-def loopback_pair(
-    capacity: int = 64, max_frame: int = MAX_FRAME_BYTES
-) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    # +1 keeps room for the close sentinel even when the data queue is full
-    a_to_b: queue.Queue = queue.Queue(maxsize=capacity + 1)
-    b_to_a: queue.Queue = queue.Queue(maxsize=capacity + 1)
-    return (
-        LoopbackEndpoint(a_to_b, b_to_a, max_frame),
-        LoopbackEndpoint(b_to_a, a_to_b, max_frame),
-    )
 
 
 def _parse_addr(addr) -> tuple[str, int]:

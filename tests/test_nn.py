@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,10 +176,60 @@ class TestEvaluate:
             nn.evaluate(nn.init_params(0, LAYOUT), data)
 
 
+def loss_and_grad(views, grad_views, x, y):
+    """Generic per-batch backprop for any depth: the mean cross-entropy over
+    the batch; writes the gradient into ``grad_views``. The oracle for the
+    fused two-layer step in ``nn.train_local``."""
+    acts = [x]
+    h = x
+    for w, b in views[:-1]:
+        h = nn._sigmoid(h @ w.T + b)
+        acts.append(h)
+    w_out, b_out = views[-1]
+    logp = nn._log_softmax(h @ w_out.T + b_out)
+    n = x.shape[0]
+    loss = -logp[np.arange(n), y].mean()
+
+    delta = np.exp(logp)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    for layer in range(len(views) - 1, -1, -1):
+        gw, gb = grad_views[layer]
+        gw[:] = delta.T @ acts[layer]
+        gb[:] = delta.sum(axis=0)
+        if layer > 0:
+            h = acts[layer]
+            delta = (delta @ views[layer][0]) * h * (1.0 - h)
+    return loss
+
+
 def analytic_gradient(params, x, y):
     grad = np.zeros_like(params.values)
-    nn._loss_and_grad(params.layout.views(params.values), params.layout.views(grad), x, y)
+    loss_and_grad(params.layout.views(params.values), params.layout.views(grad), x, y)
     return grad
+
+
+def reference_train(params, data, batch_size, epochs, opt, seed):
+    """Unfused training: the oracle's gradient per batch, Adam on the flat
+    vector, and the batch order ``train_local`` draws from ``seed``."""
+    train = data.train
+    flat = params.values.copy()
+    grad = np.zeros_like(flat)
+    views, grad_views = params.layout.views(flat), params.layout.views(grad)
+    m, v, t = np.zeros_like(flat), np.zeros_like(flat), 0
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        perm = rng.permutation(len(train))
+        for start in range(0, len(train), batch_size):
+            idx = perm[start : start + batch_size]
+            loss_and_grad(views, grad_views, train.x[idx], train.y[idx])
+            t += 1
+            m = opt.beta1 * m + (1.0 - opt.beta1) * grad
+            v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+            m_hat = m / (1.0 - opt.beta1**t)
+            v_hat = v / (1.0 - opt.beta2**t)
+            flat -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    return flat - params.values
 
 
 class TestGradients:
@@ -215,6 +266,48 @@ class TestGradients:
         g = analytic_gradient(params, x, y)
         expected = -opt.learning_rate * g / (np.abs(g) + opt.epsilon)
         assert np.allclose(report.gradient, expected, rtol=1e-12, atol=1e-18)
+
+
+class TestFusedStep:
+    """The fused two-layer step against the unfused oracle loop; the two sum
+    in different orders, so they agree to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("n_hidden", [1, 8, 32])
+    @pytest.mark.parametrize("batch_size", [7, 64])  # 40 rows: a partial last batch; one batch
+    def test_matches_reference_adam_loop(self, n_hidden, batch_size):
+        layout = nn.mlp_layout(2, n_hidden, 2)
+        params = nn.init_params(n_hidden, layout)
+        parts = tiny_split(20, seed=n_hidden)
+        opt = nn.OptimizerConfig(learning_rate=0.05)
+        report = nn.train_local(params, parts, batch_size, 2, opt, seed=3)
+        expected = reference_train(params, parts, batch_size, 2, opt, seed=3)
+        assert np.all(expected != 0)
+        np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=0)
+        post = nn.ModelParams(params.values + expected, layout)
+        assert report.training_loss == pytest.approx(nn.evaluate(post, parts.train)[0], rel=1e-12)
+
+    def test_saturated_pre_activations_give_a_finite_delta(self):
+        # pre-activations of both layers reach thousands, far past exp's range
+        flat = nn.init_params(1, LAYOUT).values
+        (w1, _b1), (w2, _b2) = LAYOUT.views(flat)
+        w1[:] = np.where(w1 >= 0, 1000.0, -1000.0)
+        w2[:] = np.where(w2 >= 0, 1000.0, -1000.0)
+        params = nn.ModelParams(flat, LAYOUT)
+        parts = tiny_split(10, seed=4)
+        z1 = parts.train.x @ w1.T
+        assert np.abs(z1).max() > 710 and np.abs(nn._sigmoid(z1) @ w2.T).max() > 710
+        opt = nn.OptimizerConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = nn.train_local(params, parts, 4, 1, opt, seed=2)
+        assert np.all(np.isfinite(report.gradient))
+        expected = reference_train(params, parts, 4, 1, opt, seed=2)
+        np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=0)
+
+    def test_three_layers_refused(self):
+        layout = nn.Layout(((2, 4), (4, 4), (4, 2)))
+        with pytest.raises(InvalidLayout, match="two layers, got 3"):
+            nn.train_local(nn.init_params(0, layout), tiny_split(), 4, 1, nn.OptimizerConfig(), 0)
 
 
 class TestTrainLocal:

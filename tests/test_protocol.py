@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import threading
 import time
 
 import numpy as np
@@ -14,17 +13,17 @@ from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_
 from fedboost.errors import ChannelClosed, ConfigError, KeyMismatch, ProtocolViolation, RoundAborted
 from fedboost.protocol import (
     ClientSession,
+    InThreadEndpoint,
     Message,
     MessageKind,
     ServerState,
-    client_run,
     decode_message,
     derive_seed,
     distribute_keys,
     encode_message,
     server_run,
 )
-from fedboost.transport import decode_frame, encode_frame, loopback_pair
+from fedboost.transport import decode_frame, encode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 _GOOD_BLOB = json.loads(paillier.keypair_to_blob(paillier.keygen(128, seed=5)))
@@ -81,25 +80,26 @@ class ReplayEndpoint:
 
 
 def run_loopback(settings, splits, transcript=None, missing=()):
-    """Minimal in-test harness: client threads over loopback endpoints."""
-    endpoints = {}
-    threads = []
-    try:
-        for cid in range(1, settings.n_clients + 1):
-            server_ep, client_ep = loopback_pair(capacity=64)
-            endpoints[cid] = server_ep
-            if cid in missing:
-                continue
-            session = ClientSession(settings, cid, splits[cid - 1])
-            thread = threading.Thread(target=client_run, args=(session, client_ep), daemon=True)
-            threads.append(thread)
-            thread.start()
-        return server_run(settings, endpoints, transcript)
-    finally:
-        for ep in endpoints.values():
-            ep.close()
-        for thread in threads:
-            thread.join(timeout=10)
+    """Minimal in-test harness: clients run in this thread; a ``missing``
+    client never replies."""
+    endpoints = {
+        cid: ReplayEndpoint([])
+        if cid in missing
+        else InThreadEndpoint(ClientSession(settings, cid, splits[cid - 1]))
+        for cid in range(1, settings.n_clients + 1)
+    }
+    return server_run(settings, endpoints, transcript)
+
+
+def server_says(endpoint, kind, round_no, payload) -> list[Message]:
+    """Send one server message to ``endpoint``; every reply it queued."""
+    endpoint.send(*encode_message(Message(kind, round_no, protocol.SERVER_ID, payload)))
+    replies = []
+    while True:
+        try:
+            replies.append(decode_message(*endpoint.recv()))
+        except ChannelClosed:
+            return replies
 
 
 class TestMessageCodec:
@@ -207,20 +207,9 @@ class TestKeyDistribution:
     )
     def test_bad_key_delivery_aborts_client_promptly(self, payload, cause):
         settings = make_settings(encryption="he", timeout_s=20.0)
-        server_ep, client_ep = loopback_pair(capacity=8)
         session = ClientSession(settings, 2, client_split(2))
-        thread = threading.Thread(target=client_run, args=(session, client_ep), daemon=True)
-        thread.start()
-        try:
-            server_ep.send(
-                *encode_message(Message(MessageKind.KEY_DELIVER, 0, protocol.SERVER_ID, payload))
-            )
-            reply = decode_message(*server_ep.recv(timeout=5.0))
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-        finally:
-            server_ep.close()
-            thread.join(timeout=5.0)
+        [reply] = server_says(InThreadEndpoint(session), MessageKind.KEY_DELIVER, 0, payload)
+        assert session.done
         assert reply.kind == MessageKind.ABORT and reply.sender == 2
         assert reply.payload["reason"].startswith("WeakKey: ")
         assert cause in reply.payload["reason"]
@@ -278,25 +267,57 @@ class TestMalformedPayloads:
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
-        server_ep, client_ep = loopback_pair(capacity=8)
         session = ClientSession(settings, 2, client_split(2))
         session.keypair = _KEY256
         if round_no == 2 or kind != MessageKind.GLOBAL_GRADIENT:
             session.handle(_round_one(settings))
-        thread = threading.Thread(target=client_run, args=(session, client_ep), daemon=True)
-        thread.start()
-        try:
-            start = time.monotonic()
-            server_ep.send(*encode_message(Message(kind, round_no, protocol.SERVER_ID, payload)))
-            reply = decode_message(*server_ep.recv(timeout=5.0))
-            thread.join(timeout=5.0)
-            assert not thread.is_alive() and time.monotonic() - start < 5.0
-        finally:
-            server_ep.close()
-            thread.join(timeout=5.0)
+        [reply] = server_says(InThreadEndpoint(session), kind, round_no, payload)
+        assert session.done
         assert reply.kind == MessageKind.ABORT and reply.sender == 2
         assert reply.payload["reason"].startswith("ProtocolViolation: ")
         assert cause in reply.payload["reason"]
+
+    @pytest.mark.parametrize(
+        "round_no, payload, cause",
+        [
+            (1, {"layout": [[2, 8], [8, 2]], "weights": [10**400] + [0.0] * 41}, "'weights'"),
+            (2, {"gradient": {"format": "plain", "values": [0.0] * 41 + [-(10**400)]}}, "'values'"),
+        ],
+    )
+    def test_client_aborts_on_numbers_beyond_float_range(self, round_no, payload, cause):
+        # json reads an integer literal of any length; float() of it overflows
+        settings = make_settings(rounds=2)
+        session = ClientSession(settings, 2, client_split(2))
+        if round_no == 2:
+            session.handle(_round_one(settings))
+        endpoint = InThreadEndpoint(session)
+        [reply] = server_says(endpoint, MessageKind.GLOBAL_GRADIENT, round_no, payload)
+        assert session.done
+        assert reply.kind == MessageKind.ABORT and reply.sender == 2
+        assert reply.payload["reason"] == (
+            f"ProtocolViolation: payload field {cause} has entries beyond float range"
+        )
+
+    @pytest.mark.parametrize("field", ["train_loss", "values", "weights"])
+    def test_server_rejects_numbers_beyond_float_range(self, field):
+        huge = 10**400
+        # the final model's weights are read only after a fedavg round
+        aggregator = "fedavg" if field == "weights" else "fedboosting"
+        settings = make_settings(aggregator=aggregator, rounds=1)
+        gradient = protocol.gradient_to_payload(np.zeros(42))
+        endpoints = {}
+        for cid in (1, 2):
+            upload = {"gradient": gradient, "train_loss": huge if field == "train_loss" else 0.5}
+            messages = [Message(MessageKind.TRAIN_RESULT, 1, cid, upload)]
+            if field == "values":
+                messages.append(Message(MessageKind.EVAL_RESULT, 1, cid, {"values": [huge, 0.5]}))
+            if field == "weights" and cid == 1:
+                weights = [huge] + [0.0] * 41
+                messages.append(Message(MessageKind.FINAL_MODEL, 1, cid, {"weights": weights}))
+            endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
+        cause = f"client 1: payload field '{field}' .*beyond float range"
+        with pytest.raises(ProtocolViolation, match=cause):
+            server_run(settings, endpoints)
 
     @pytest.mark.parametrize(
         "gradient, cause",
@@ -360,6 +381,53 @@ class TestMalformedPayloads:
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in (upload, scores)])
         with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
             server_run(settings, endpoints)
+
+
+class TestInThreadEndpoint:
+    """The loopback endpoint runs its client session in the caller's thread."""
+
+    def test_startup_replies_arrive_in_order(self):
+        session = ClientSession(make_settings(encryption="he"), 1, client_split(1))
+        endpoint = InThreadEndpoint(session)
+        kinds = [decode_message(*endpoint.recv()).kind for _ in range(2)]
+        assert kinds == [MessageKind.KEY_OFFER, MessageKind.KEY_DELIVER]
+
+    def test_replies_are_the_encoded_frames(self):
+        settings = make_settings()
+        endpoint = InThreadEndpoint(ClientSession(settings, 2, client_split(2)))
+        endpoint.send(*encode_message(_round_one(settings)))
+        [expected] = ClientSession(settings, 2, client_split(2)).handle(_round_one(settings))
+        assert endpoint.recv() == encode_message(expected)
+
+    def test_recv_with_nothing_queued_names_the_client(self):
+        endpoint = InThreadEndpoint(ClientSession(make_settings(), 2, client_split(2)))
+        start = time.monotonic()
+        with pytest.raises(ChannelClosed, match="client 2 has no reply"):
+            endpoint.recv(timeout=20.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_sends_after_the_session_ends_are_dropped(self):
+        settings = make_settings()
+        session = ClientSession(settings, 2, client_split(2))
+        endpoint = InThreadEndpoint(session)
+        assert server_says(endpoint, MessageKind.ABORT, 0, {"reason": "test"}) == []
+        assert session.done
+        round_one = _round_one(settings).payload
+        assert server_says(endpoint, MessageKind.GLOBAL_GRADIENT, 1, round_one) == []
+        assert session.round == 0 and session.weights is None
+
+    def test_other_errors_reach_the_caller_naming_the_client(self, monkeypatch):
+        handle = ClientSession.handle
+
+        def crash_client_2(session, msg):
+            if session.client_id == 2:
+                raise ZeroDivisionError("division by zero")
+            return handle(session, msg)
+
+        monkeypatch.setattr(ClientSession, "handle", crash_client_2)
+        with pytest.raises(RuntimeError, match="client 2 failed: ZeroDivisionError") as err:
+            run_loopback(make_settings(rounds=1), [client_split(1), client_split(2)])
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 class TestServerConfigCheck:
@@ -605,10 +673,12 @@ class TestServerRun:
         assert np.array_equal(live.final_weights.values, replayed.final_weights.values)
 
     def test_unresponsive_client_aborts_round(self):
-        settings = make_settings(timeout_s=0.3)
+        settings = make_settings(timeout_s=20.0)
         splits = [client_split(1), client_split(2)]
-        with pytest.raises(RoundAborted):
+        start = time.monotonic()
+        with pytest.raises(RoundAborted, match="TRAIN_RESULT from client 2"):
             run_loopback(settings, splits, missing=(2,))
+        assert time.monotonic() - start < 5.0  # at once, not after timeout_s
 
     def test_empty_training_set_propagates_as_abort(self):
         settings = make_settings()

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -199,6 +201,41 @@ class TestRunExperiment:
         assert len(calls) == 1
         run_experiment(desk_config(rounds=1, encryption="he", transport="tcp"))
         assert len(calls) == 2  # TCP clients are other processes: the runner derives its own
+
+    def test_loopback_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loopback started a thread")
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading, "Thread", refuse)
+        result = run_experiment(desk_config(rounds=2, encryption="he"))
+        assert len(result.records) == 2
+        assert threading.active_count() == before
+
+    def test_loopback_times_training_in_every_round(self, tmp_path, monkeypatch):
+        # clients train inside the server's send, so the train phase must
+        # start before the broadcast to cover it
+        spent = []
+        train_local = nn.train_local
+
+        def timed(*args, **kwargs):
+            start = time.monotonic()
+            try:
+                return train_local(*args, **kwargs)
+            finally:
+                spent.append(time.monotonic() - start)
+
+        monkeypatch.setattr(nn, "train_local", timed)
+        artifacts = []
+        for run in ("a", "b"):
+            spent.clear()
+            out = tmp_path / run
+            result = run_experiment(desk_config(out_dir=str(out)))
+            for rec, per_client in zip(result.records, np.reshape(spent, (-1, 2))):
+                assert rec.durations["train"] >= per_client.sum() > 0
+            # timings go to records.json only
+            artifacts.append(((out / "metrics.csv").read_bytes(), (out / "model.json").read_bytes()))
+        assert artifacts[0] == artifacts[1]
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"

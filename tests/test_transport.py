@@ -49,58 +49,6 @@ class TestFrameCodec:
         assert transport.decode_frame(transport.encode_frame(kind, body)) == (kind, body)
 
 
-class TestLoopback:
-    def test_bit_exact_roundtrip(self):
-        a, b = transport.loopback_pair(capacity=4)
-        a.send(9, b"\x00\xffpayload")
-        assert b.recv(timeout=1) == (9, b"\x00\xffpayload")
-
-    def test_fifo_order(self):
-        a, b = transport.loopback_pair(capacity=4)
-        a.send(1, b"first")
-        a.send(2, b"second")
-        assert b.recv(timeout=1)[1] == b"first"
-        assert b.recv(timeout=1)[1] == b"second"
-
-    def test_bidirectional(self):
-        a, b = transport.loopback_pair(capacity=4)
-        a.send(1, b"ping")
-        assert b.recv(timeout=1) == (1, b"ping")
-        b.send(2, b"pong")
-        assert a.recv(timeout=1) == (2, b"pong")
-
-    def test_send_after_close(self):
-        a, _b = transport.loopback_pair(capacity=1)
-        a.close()
-        with pytest.raises(ChannelClosed):
-            a.send(1, b"late")
-
-    def test_recv_on_closed_empty_channel(self):
-        a, b = transport.loopback_pair(capacity=1)
-        a.close()
-        with pytest.raises(ChannelClosed):
-            b.recv(timeout=1)
-
-    def test_recv_drains_before_close(self):
-        a, b = transport.loopback_pair(capacity=2)
-        a.send(1, b"data")
-        a.close()
-        assert b.recv(timeout=1) == (1, b"data")
-        with pytest.raises(ChannelClosed):
-            b.recv(timeout=1)
-
-    def test_recv_timeout(self):
-        _a, b = transport.loopback_pair(capacity=1)
-        start = time.monotonic()
-        with pytest.raises(TransportTimeout):
-            b.recv(timeout=0.05)
-        assert time.monotonic() - start < 1.0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            transport.loopback_pair(capacity=0)
-
-
 @pytest.fixture()
 def tcp_pair():
     listener = transport.tcp_listen("127.0.0.1:0")
