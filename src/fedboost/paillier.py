@@ -8,9 +8,15 @@ The key holder works modulo p^2 and q^2 and recombines by the Chinese
 remainder theorem (Paillier, EUROCRYPT 1999, section 7). Decryption computes
 m mod p = L_p(c^(p-1) mod p^2) * h_p mod p with L_p(u) = (u-1)/p and
 h_p = (-q)^-1 mod p (the same for q), then m mod n. Encryption under a
-:class:`KeyPair` computes the nonce term r^n as r^(n mod p(p-1)) mod p^2 and
-r^(n mod q(q-1)) mod q^2; the ciphertext equals the one :class:`PublicKey`
-encryption gives for the same nonce.
+:class:`KeyPair` computes the nonce term r^n mod p^2 by lifting from mod p:
+(r^(q mod (p-1)) mod p)^p mod p^2, since a^p mod p^2 depends only on a mod p
+(the same for q). That is a half-size exponent modulo p and another modulo
+p^2 in place of a full-size one modulo p^2; the ciphertext equals the one
+:class:`PublicKey` encryption gives for the same nonce.
+
+Prime search rejects a candidate with a prime factor below a few thousand by
+one gcd with their product. It draws the same Miller-Rabin witnesses from the
+rng as the unsieved test would, so a seed gives the same key either way.
 
 Key generation accepts a seed so experiment runs are reproducible; pass
 ``seed=None`` (and ``rng=None`` to :func:`encrypt`) for OS randomness. The
@@ -57,10 +63,12 @@ class KeyPair:
         return self.public.key_bits
 
     def _nonce_power(self, r: int) -> int:
-        """r^n mod n^2 by CRT over p^2 and q^2, for r coprime to n."""
-        p_sq, q_sq, n = self.p * self.p, self.q * self.q, self.public.n
-        x_p = pow(r, n % (p_sq - self.p), p_sq)
-        x_q = pow(r, n % (q_sq - self.q), q_sq)
+        """r^n mod n^2 by CRT over p^2 and q^2, each lifted from mod p (mod q),
+        for r coprime to n: r^n = (r^q)^p, and a^p mod p^2 depends on a mod p."""
+        p, q = self.p, self.q
+        p_sq, q_sq = p * p, q * q
+        x_p = pow(pow(r, q % (p - 1), p), p, p_sq)
+        x_q = pow(pow(r, p % (q - 1), q), q, q_sq)
         return x_p + (x_q - x_p) * self.p_sq_inv % q_sq * p_sq
 
 
@@ -74,18 +82,46 @@ class Ciphertext:
             raise ValueError("ciphertext value out of range")
 
 
+def _primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    return [i for i, is_prime in enumerate(sieve) if is_prime]
+
+
+# Product of the primes from 53 (the first after _SMALL_PRIMES) below _SIEVE_BOUND.
+# A larger bound rejects more candidates per gcd, but the gcd's cost grows with
+# the primorial and outweighs the saving at small key sizes.
+_SIEVE_BOUND = 3000
+_PRIMORIAL = math.prod(p for p in _primes_below(_SIEVE_BOUND) if p > _SMALL_PRIMES[-1])
+
+
 def _is_probable_prime(candidate: int, rng: random.Random, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
+    """Miller-Rabin with ``rounds`` random witnesses after trial division.
+
+    A candidate with a prime factor below _SIEVE_BOUND is composite. For it a
+    drawn witness ``a`` with a^(candidate-1) != 1 modulo those factors is not a
+    Fermat liar, so the Miller-Rabin round would fail: return at once. Only
+    when ``a`` might be a liar does the full round run. The result and the
+    witnesses drawn from ``rng`` are therefore those of plain Miller-Rabin, and
+    seeded key generation gives the same primes with or without the sieve.
+    """
     if candidate < 2:
         return False
     for p in _SMALL_PRIMES:
         if candidate % p == 0:
             return candidate == p
+    small_factors = math.gcd(candidate, _PRIMORIAL) if candidate > _SIEVE_BOUND else 1
     d, s = candidate - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for _ in range(rounds):
         a = rng.randrange(2, candidate - 1)
+        if small_factors != 1 and pow(a, candidate - 1, small_factors) != 1:
+            return False
         x = pow(a, d, candidate)
         if x in (1, candidate - 1):
             continue

@@ -150,9 +150,13 @@ def gradient_to_payload(g) -> dict:
 
 
 def encrypted_gradient_from_payload(
-    payload: dict, pk: paillier.PublicKey, length: int | None = None
+    payload: dict,
+    pk: paillier.PublicKey,
+    length: int | None = None,
+    quant: qz.QuantConfig | None = None,
 ) -> agg.EncryptedGradient:
-    """Packed ciphertexts under ``pk`` holding ``length`` entries when given."""
+    """Packed ciphertexts under ``pk`` holding ``length`` entries and quantized
+    with ``quant``, each when given."""
     if _field(payload, "format", str) != "encrypted":
         raise ProtocolViolation(f"expected encrypted gradient, got {payload['format']!r}")
     try:
@@ -171,23 +175,34 @@ def encrypted_gradient_from_payload(
             scale_exponent=_field(payload, "scale_exponent", int),
             pieces=_field(payload, "pieces", int),
         )
-        return agg.EncryptedGradient(ciphertexts=cts, config=cfg, entries=entries)
+        eg = agg.EncryptedGradient(ciphertexts=cts, config=cfg, entries=entries)
     except (ValueError, ShapeMismatch) as exc:
         raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
+    # checked before anything decodes with them: dequantize divides by 10**scale_exponent
+    for name in ("pieces", "scale_exponent"):
+        if quant is not None and getattr(cfg, name) != getattr(quant, name):
+            raise ProtocolViolation(
+                f"payload field {name!r} is {getattr(cfg, name)}, expected {getattr(quant, name)}"
+            )
+    return eg
 
 
 def decode_gradient_payload(
-    payload: dict, keypair: paillier.KeyPair | None = None, length: int | None = None
+    payload: dict,
+    keypair: paillier.KeyPair | None = None,
+    length: int | None = None,
+    quant: qz.QuantConfig | None = None,
 ) -> np.ndarray:
     """Real-valued gradient of ``length`` entries when given, from the plain or
-    the packed encrypted wire format; encrypted needs the key pair."""
+    the packed encrypted wire format; encrypted needs the key pair, and is
+    checked against ``quant`` when given."""
     fmt = _field(payload, "format", str)
     if fmt == "plain":
         return _vector(payload, "values", length)
     if fmt == "encrypted":
         if keypair is None:
             raise ProtocolViolation("encrypted gradient but no key pair")
-        eg = encrypted_gradient_from_payload(payload, keypair.public, length)
+        eg = encrypted_gradient_from_payload(payload, keypair.public, length, quant)
         return qz.dequantize(agg.decrypt_gradient(keypair, eg))
     raise ProtocolViolation(f"unknown gradient format {fmt!r}")
 
@@ -285,7 +300,9 @@ class ClientSession:
         """Validation loss of one candidate model on the local validation set."""
         if self.weights is None:
             raise ProtocolViolation("cross-validation before any training round")
-        g = self._decode_gradient(fused_payload)
+        # under he the server relays the raw uploads; under he_dp it fuses them
+        raw = self.settings.encryption == "he"
+        g = self._decode_gradient(fused_payload, self.settings.quant.pieces if raw else 1)
         candidate = nn.apply_gradient(self.weights, g)
         loss, _acc = nn.evaluate(candidate, self.split.validation)
         return float(loss)
@@ -351,8 +368,11 @@ class ClientSession:
             return []
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
-    def _decode_gradient(self, payload: dict) -> np.ndarray:
-        return decode_gradient_payload(payload, self.keypair, self.settings.layout.size)
+    def _decode_gradient(self, payload: dict, pieces: int = 1) -> np.ndarray:
+        """A gradient from the server. An encrypted one must carry the configured
+        scale exponent and ``pieces``: 1 once the server has applied weights."""
+        quant = qz.QuantConfig(self.settings.quant.scale_exponent, pieces)
+        return decode_gradient_payload(payload, self.keypair, self.settings.layout.size, quant)
 
 
 def _abort(session: ClientSession, exc: FedBoostError) -> Message:
@@ -530,7 +550,9 @@ def _receive_gradient(state: ServerState, payload: dict):
     length = state.settings.layout.size
     gradient = _field(payload, "gradient", dict)
     if state.settings.encrypted:
-        return encrypted_gradient_from_payload(gradient, state.public_key, length)
+        return encrypted_gradient_from_payload(
+            gradient, state.public_key, length, state.settings.quant
+        )
     return decode_gradient_payload(gradient, length=length)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import nn, paillier
 from .config import ExperimentConfig, GridSpec, save_config
 from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison_labels, split
-from .errors import ConfigError, IoError, ProtocolViolation
+from .errors import ConfigError, IoError, ProtocolViolation, RoundAborted, TransportTimeout
 from .protocol import (
     ClientSession,
     InThreadEndpoint,
@@ -107,6 +107,9 @@ def _client_process_main(host: str, port: int, cfg: ExperimentConfig, client_id:
 
 
 def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
+    # imported here: loopback runs and the client processes never wait on a sentinel
+    from multiprocessing.connection import wait
+
     listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
     host, port = listener.address
     ctx = multiprocessing.get_context("spawn")
@@ -120,7 +123,17 @@ def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
             )
             proc.start()
             procs.append(proc)
-            server_eps[cid] = listener.accept(timeout=cfg.timeout_s)
+            # a client that exits before it connects ends the wait at once
+            ready = wait([listener, proc.sentinel], timeout=cfg.timeout_s)
+            if listener in ready:
+                server_eps[cid] = listener.accept(timeout=cfg.timeout_s)
+            elif ready:
+                proc.join()
+                raise RoundAborted(
+                    f"client {cid} exited with code {proc.exitcode} before connecting"
+                )
+            else:
+                raise TransportTimeout(f"client {cid} did not connect within {cfg.timeout_s}s")
         return server_run(cfg, server_eps, transcript)
     finally:
         listener.close()
@@ -130,6 +143,7 @@ def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
             proc.join(timeout=10)
             if proc.is_alive():
                 proc.terminate()
+                proc.join()
 
 
 # --- experiment driver -----------------------------------------------------------

@@ -127,6 +127,10 @@ class TcpListener:
     def address(self) -> tuple[str, int]:
         return self._sock.getsockname()[:2]
 
+    def fileno(self) -> int:
+        """The listening socket's descriptor, readable when a client is waiting."""
+        return self._sock.fileno()
+
     def accept(self, timeout: float | None = None) -> TcpEndpoint:
         self._sock.settimeout(timeout)
         try:

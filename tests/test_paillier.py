@@ -11,6 +11,52 @@ from fedboost import aggregate as agg
 from fedboost import paillier
 from fedboost import quantize as qz
 from fedboost.errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
+from fedboost.protocol import derive_seed
+
+_TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def reference_is_probable_prime(candidate: int, rng: random.Random, rounds: int = 40) -> bool:
+    """Trial division by the primes below 50, then Miller-Rabin with ``rounds``
+    witnesses drawn from ``rng``: the prime test before the sieve, frozen."""
+    if candidate < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if candidate % p == 0:
+            return candidate == p
+    d, s = candidate - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, candidate - 1)
+        x = pow(a, d, candidate)
+        if x in (1, candidate - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % candidate
+            if x == candidate - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_keygen(key_bits: int, seed: int) -> tuple[int, int]:
+    """(p, q) as key generation chose them before the sieve."""
+    rng = random.Random(seed)
+
+    def prime(bits: int) -> int:
+        while True:
+            candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+            if reference_is_probable_prime(candidate, rng):
+                return candidate
+
+    p = prime(key_bits // 2)
+    q = prime(key_bits // 2)
+    while q == p:
+        q = prime(key_bits // 2)
+    return p, q
 
 
 def reference_decrypt(kp: paillier.KeyPair, c: paillier.Ciphertext) -> int:
@@ -24,6 +70,11 @@ def reference_decrypt(kp: paillier.KeyPair, c: paillier.Ciphertext) -> int:
 @pytest.fixture(scope="module")
 def key1024():
     return paillier.keygen(1024, seed=2024)
+
+
+@pytest.fixture(scope="module")
+def key2048():
+    return paillier.keygen(2048, seed=derive_seed(1, "keygen"))
 
 
 class TestKeygen:
@@ -53,6 +104,86 @@ class TestKeygen:
         start = time.perf_counter()
         paillier.keygen(128, seed=777)
         assert time.perf_counter() - start < 1.0
+
+
+class TestSieveKeepsKeys:
+    """Sieving prime candidates draws the witnesses plain Miller-Rabin draws,
+    so every seed gives the key it gave before the sieve."""
+
+    def test_primorial_holds_the_primes_from_53_below_the_bound(self):
+        primes = [
+            p for p in range(53, paillier._SIEVE_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1))
+        ]
+        assert paillier._PRIMORIAL == math.prod(primes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.integers(min_value=1, max_value=2**80), seed=st.integers(min_value=0, max_value=2**32))
+    def test_verdict_and_rng_stream_match_reference(self, half, seed):
+        candidate = 2 * half + 1
+        sieved, plain = random.Random(seed), random.Random(seed)
+        assert paillier._is_probable_prime(candidate, sieved) == reference_is_probable_prime(
+            candidate, plain
+        )
+        assert sieved.getstate() == plain.getstate()
+
+    def test_strong_liars_of_a_sieved_composite_draw_the_same_witnesses(self):
+        # a Carmichael number: every witness coprime to it passes the Fermat
+        # check, and about 13 % are strong liars that make Miller-Rabin draw again
+        n = 211 * 421 * 631
+        redrawn = 0
+        for seed in range(200):
+            sieved, plain = random.Random(seed), random.Random(seed)
+            assert not paillier._is_probable_prime(n, sieved)
+            assert not reference_is_probable_prime(n, plain)
+            assert sieved.getstate() == plain.getstate()
+            one_draw = random.Random(seed)
+            one_draw.randrange(2, n - 1)
+            redrawn += plain.getstate() != one_draw.getstate()
+        assert redrawn > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key_bits=st.sampled_from([64, 96, 128, 192, 256]),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_small_keys_match_reference(self, key_bits, seed):
+        kp = paillier.keygen(key_bits, seed)
+        assert (kp.p, kp.q) == reference_keygen(key_bits, seed)
+
+    @pytest.mark.parametrize("master_seed", range(8))
+    def test_1024_bit_keys_match_reference(self, master_seed):
+        seed = derive_seed(master_seed, "keygen")
+        kp = paillier.keygen(1024, seed)
+        assert (kp.p, kp.q) == reference_keygen(1024, seed)
+
+    def test_2048_bit_key_matches_reference(self, key2048):
+        assert (key2048.p, key2048.q) == reference_keygen(2048, derive_seed(1, "keygen"))
+
+
+class TestLiftedNoncePower:
+    """The key holder's r^n mod n^2, lifted from mod p and mod q, equals the
+    full exponentiation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key_bits=st.sampled_from([64, 96, 128]),
+        key_seed=st.integers(min_value=0, max_value=50),
+        data=st.data(),
+    )
+    def test_matches_full_exponentiation(self, key_bits, key_seed, data):
+        kp = paillier.keygen(key_bits, seed=key_seed)
+        n = kp.public.n
+        r = data.draw(st.integers(min_value=1, max_value=n - 1).filter(lambda r: math.gcd(r, n) == 1))
+        assert kp._nonce_power(r) == pow(r, n, n * n)
+
+    @pytest.mark.parametrize("key_name", ["key1024", "key2048"])
+    def test_real_key_sizes(self, key_name, request):
+        kp = request.getfixturevalue(key_name)
+        n = kp.public.n
+        rng = random.Random(11)
+        cases = [1, 2, n - 1, kp.p + 1, kp.q - 1] + [rng.randrange(1, n) for _ in range(3)]
+        for r in cases:
+            assert kp._nonce_power(r) == pow(r, n, n * n)
 
 
 class TestEncryptDecrypt:

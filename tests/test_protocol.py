@@ -263,6 +263,31 @@ class TestMalformedPayloads:
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED]}, "1 models to cross-validate"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"n": _PACKED["n"]}]}, "'format'"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
+            # a merged gradient carries pieces=1; a raw upload relayed as one is refused
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": _PACKED}, "'pieces' is 100, expected 1"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "pieces": 2}}, "'pieces' is 2, expected 1"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "pieces": 10**400}}, "'pieces' is 1000"),
+            (
+                MessageKind.GLOBAL_GRADIENT,
+                2,
+                {"gradient": {**_PACKED, "pieces": 1, "scale_exponent": 13}},
+                "'scale_exponent' is 13, expected 12",
+            ),
+            # under he the models to score are the raw uploads, pieces=100
+            (
+                MessageKind.FUSED_GRADIENT,
+                1,
+                {"models": [_PACKED, {**_PACKED, "pieces": 101}]},
+                "'pieces' is 101, expected 100",
+            ),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "pieces": 10**400}] * 2}, "'pieces' is 1000"),
+            (
+                MessageKind.FUSED_GRADIENT,
+                1,
+                {"models": [{**_PACKED, "scale_exponent": 11}] * 2},
+                "'scale_exponent' is 11, expected 12",
+            ),
+            (MessageKind.MERGED_GRADIENT, 1, {"gradient": {**_PACKED, "pieces": 10**400}}, "'pieces' is 1000"),
         ],
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
@@ -345,6 +370,11 @@ class TestMalformedPayloads:
             (lambda p: {**p, "entries": 43}, "gradient has 43 entries, expected 42"),
             (lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2}, "42 ciphertexts cannot hold"),
             (lambda p: {**p, "format": "plain"}, "expected encrypted gradient"),
+            # the piece count and scale must be the configured ones
+            (lambda p: {**p, "pieces": 10**400}, "payload field 'pieces' is 1000"),
+            (lambda p: {**p, "pieces": 101}, "payload field 'pieces' is 101, expected 100$"),
+            (lambda p: {**p, "pieces": 99}, "payload field 'pieces' is 99, expected 100$"),
+            (lambda p: {**p, "scale_exponent": 13}, "payload field 'scale_exponent' is 13, expected 12$"),
         ],
     )
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedboost
 from fedboost import nn, paillier
 from fedboost.config import (
     ClientSpec,
@@ -246,6 +251,26 @@ class TestRunExperiment:
         assert (out / "config.json").exists()
         params = load_model(out / "model.json")
         assert params.values.shape == (42,)
+
+    def test_tcp_client_that_dies_before_connecting_fails_fast(self, tmp_path):
+        # Without a __main__ guard the spawned client re-runs the script and
+        # fails while bootstrapping, before it ever connects.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from fedboost.config import ExperimentConfig, two_client_noniid\n"
+            "from fedboost.runner import run_experiment\n"
+            "run_experiment(ExperimentConfig(clients=two_client_noniid(100, master_seed=1),"
+            " rounds=1, master_seed=1, transport='tcp', timeout_s=30.0))\n"
+        )
+        src = Path(fedboost.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode != 0
+        assert "RoundAborted: client 1 exited with code 1 before connecting" in proc.stderr
 
 
 class TestExportMetrics:
