@@ -1,7 +1,8 @@
 """Federated gradient boosting with encrypted aggregation on synthetic 2D data."""
 
 from .config import ExperimentConfig, default_config, load_config, two_client_noniid
-from .runner import ExperimentResult, RoundRecord, run_experiment
+from .protocol import RoundRecord
+from .runner import ExperimentResult, run_experiment
 
 __version__ = "0.1.0"
 

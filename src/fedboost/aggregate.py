@@ -62,17 +62,12 @@ class ValidationMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
 
 @dataclass
 class AggregationWeights:
-    """Convex weights over clients; ``mode`` records how they were derived
-    (``literal``/``score`` for boosted weights, None for uniform)."""
+    """Convex weights over clients."""
 
     values: np.ndarray
-    mode: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -82,25 +77,6 @@ class AggregationWeights:
             raise InvalidWeight("weights must lie in [0, 1]")
         if abs(self.values.sum() - 1.0) > 1e-12:
             raise InvalidWeight(f"weights must sum to 1, got {self.values.sum()!r}")
-
-
-@dataclass(frozen=True)
-class DpFusionConfig:
-    """Perturbation weights for cross-validation: the target model keeps the
-    dominant share p_hat, the rest is spread evenly over the other models.
-    ``jitter`` > 0 adds a per-call uniform offset in [-jitter, jitter]."""
-
-    p_hat: float = 0.9
-    pieces: int = 100
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.p_hat <= 1):
-            raise InvalidWeight(f"p_hat must lie in (0, 1], got {self.p_hat}")
-        if self.pieces < 1:
-            raise ValueError(f"pieces must be >= 1, got {self.pieces}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
 def slots_per_ciphertext(key_bits: int) -> int:
@@ -186,7 +162,7 @@ def fedavg_weights(n: int) -> AggregationWeights:
     """Uniform 1/N weights."""
     if n < 1:
         raise EmptyCohort(f"cohort size must be >= 1, got {n}")
-    return AggregationWeights(np.full(n, 1.0 / n), mode=None)
+    return AggregationWeights(np.full(n, 1.0 / n))
 
 
 def fedboost_weights(
@@ -200,10 +176,10 @@ def fedboost_weights(
         raise ShapeMismatch(f"training losses {T.shape} do not match matrix size {V.n}")
     if not np.all(np.isfinite(T)):
         raise ValueError("training losses must be finite")
-    v = V.row_sums()
+    v = V.values.sum(axis=1)
     if mode == "score":
         v = -v
-    return AggregationWeights(softmax(softmax(T) * v), mode=mode)
+    return AggregationWeights(softmax(softmax(T) * v))
 
 
 def merge_plain(grads: list[np.ndarray], w: AggregationWeights) -> np.ndarray:
@@ -265,34 +241,27 @@ def merge_encrypted(
 
 
 def dp_fuse(
-    pk: PublicKey,
-    egrads: list[EncryptedGradient],
-    cfg: DpFusionConfig,
-    rng: random.Random | None = None,
+    pk: PublicKey, egrads: list[EncryptedGradient], p_hat: float, pieces: int
 ) -> list[EncryptedGradient]:
     """Perturbed copy of every encrypted gradient for cross-validation.
 
     Fused model i is round(p_hat*P) times gradient i plus
     round((1-p_hat)*P/(N-1)) times every other gradient, entirely under
-    homomorphic operations; nothing is decrypted here."""
+    homomorphic operations; nothing is decrypted here. The own model must keep
+    the dominant integer weight, else InvalidWeight."""
     n_models = len(egrads)
     if n_models < 2:
         raise DegenerateCohort("fusion needs at least 2 models; disable it for 1")
     quant_cfg = _common_config(egrads, pk)
-    p_hat = cfg.p_hat
-    if cfg.jitter > 0:
-        if rng is None:
-            raise ValueError("jitter requires an rng")
-        p_hat = min(1.0, max(1.0 / n_models + 1e-9, p_hat + rng.uniform(-cfg.jitter, cfg.jitter)))
     if p_hat * n_models <= 1:
         raise InvalidWeight(
             f"p_hat={p_hat} must exceed 1/N={1 / n_models} so the own model dominates"
         )
-    k_self = quantize_weight(p_hat, cfg.pieces)
-    k_other = quantize_weight((1.0 - p_hat) / (n_models - 1), cfg.pieces)
+    k_self = quantize_weight(p_hat, pieces)
+    k_other = quantize_weight((1.0 - p_hat) / (n_models - 1), pieces)
     if k_self <= k_other:
         raise InvalidWeight(
-            f"piece resolution P={cfg.pieces} erases the dominance of p_hat={p_hat} "
+            f"piece resolution P={pieces} erases the dominance of p_hat={p_hat} "
             f"over {(1.0 - p_hat) / (n_models - 1)}; raise P or p_hat"
         )
     out_cfg = QuantConfig(quant_cfg.scale_exponent, pieces=1)

@@ -48,7 +48,6 @@ class ExperimentConfig:
     quant: QuantConfig = field(default_factory=QuantConfig)
     key_bits: int = 128
     p_hat: float = 0.9
-    dp_jitter: float = 0.0
     train_frac: float = 0.9
     val_frac_of_train: float = 0.1
     n_hidden: int = 8
@@ -93,8 +92,6 @@ class ExperimentConfig:
             raise ConfigError("key_bits", f"must be even and >= 64, got {self.key_bits}")
         if self.encryption == "he_dp" and not (1.0 / n < self.p_hat <= 1.0):
             raise ConfigError("p_hat", f"must lie in (1/{n}, 1], got {self.p_hat}")
-        if self.dp_jitter < 0:
-            raise ConfigError("dp_jitter", f"must be >= 0, got {self.dp_jitter}")
         if not (0 < self.train_frac < 1):
             raise ConfigError("train_frac", f"must lie in (0, 1), got {self.train_frac}")
         if not (0 < self.val_frac_of_train < 1):
@@ -187,14 +184,24 @@ def _gaussian_from_dict(data: dict, path: str) -> GaussianSpec:
         raise ConfigError(path, f"bad cluster spec: {exc}") from exc
 
 
+# The JSON values each scalar field takes, by the field's annotation
+_JSON_KINDS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config a JSON document describes; a ConfigError names the first
+    unknown or mistyped field."""
     if not isinstance(data, dict):
         raise ConfigError("", "config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     kwargs = {k: v for k, v in data.items() if k not in ("clients", "quant")}
+    for name, value in kwargs.items():
+        kind = fields[name].type
+        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+            raise ConfigError(name, f"must be {kind}, got {value!r}")
     if "quant" in data:
         q = data["quant"]
         try:
@@ -203,13 +210,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("quant", f"bad quantization config: {exc}") from exc
+    specs = data.get("clients", ())
+    if not isinstance(specs, (list, tuple)):
+        raise ConfigError("clients", f"must be a list, got {specs!r}")
     clients = []
-    for i, c in enumerate(data.get("clients", ())):
-        clusters = tuple(
-            _gaussian_from_dict(g, f"clients[{i}].clusters[{j}]")
-            for j, g in enumerate(c.get("clusters", ()))
-        )
+    for i, c in enumerate(specs):
         try:
+            clusters = tuple(
+                _gaussian_from_dict(g, f"clients[{i}].clusters[{j}]")
+                for j, g in enumerate(c.get("clusters", ()))
+            )
             clients.append(
                 ClientSpec(
                     clusters=clusters,
@@ -217,13 +227,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     poison_flip_frac=float(c.get("poison_flip_frac", 0.0)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"clients[{i}]", f"bad client spec: {exc}") from exc
     kwargs["clients"] = tuple(clients)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("", f"bad config: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -24,6 +24,8 @@ class GaussianSpec:
     count: int
 
     def __post_init__(self):
+        if np.asarray(self.mean, dtype=float).shape != (2,):
+            raise ValueError(f"mean must be 2 numbers, got {self.mean}")
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
             raise InvalidCovariance(f"covariance must be 2x2 symmetric, got {self.covariance}")

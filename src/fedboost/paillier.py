@@ -259,7 +259,7 @@ def public_key_from_payload(payload: dict) -> PublicKey:
 
 
 def keypair_to_blob(kp: KeyPair) -> str:
-    """Opaque JSON blob carrying the full key pair between clients."""
+    """JSON blob carrying the full key pair, p and q in plain hex, between clients."""
     return json.dumps(
         {"key_bits": kp.key_bits, "p": int_to_hex(kp.p), "q": int_to_hex(kp.q)},
         sort_keys=True,

@@ -6,7 +6,7 @@ its training loss, the server builds per-model cross-validation payloads
 (perturbed under homomorphic ops when fusion is on), clients return validation
 losses, the server computes aggregation weights and merges. After the last
 round a designated client decrypts the merged result and returns the final
-weights, since the server itself never holds secret key material.
+weights, since the server's state never holds the key pair.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as hex strings and floats as shortest round-trip decimals, so
@@ -444,12 +444,17 @@ class InThreadEndpoint:
 
 
 @dataclass
-class ServerRound:
+class RoundRecord:
+    """One completed round: client losses, the cross-validation matrix and
+    boost weights when applicable, phase durations, and the post-merge global
+    model's combined-test performance, which the runner fills in."""
+
     round: int
     train_losses: list[float]
     validation: list[list[float]] | None
     weights: list[float] | None
-    merged_gradient: dict
+    global_test_loss: float | None = None
+    global_test_acc: float | None = None
     durations: dict[str, float] = field(default_factory=dict)
 
 
@@ -460,29 +465,30 @@ class ServerState:
     settings: ExperimentConfig
     round: int = 0
     public_key: paillier.PublicKey | None = None
-    global_gradient: dict | None = None
-    records: list[ServerRound] = field(default_factory=list)
     last_round_seen: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
 class ServerRunResult:
+    """The final model, one record per round, and each round's merged
+    gradient payload (kept out of the records, so out of records.json)."""
+
     final_weights: nn.ModelParams
     initial_weights: nn.ModelParams
-    rounds: list[ServerRound]
+    rounds: list[RoundRecord]
+    merged_gradients: list[dict]
 
 
-def _send(endpoints, cid: int, msg: Message) -> None:
-    endpoints[cid].send(*encode_message(msg))
-
-
-def _broadcast_abort(endpoints, round_no: int, reason: str) -> None:
-    msg = Message(MessageKind.ABORT, round=round_no, sender=SERVER_ID, payload={"reason": reason})
-    for cid in endpoints:
+def _send(endpoints, kind: MessageKind, round_no: int, payload: dict, to=None) -> None:
+    """Encode one server message once and send it to clients ``to`` (default:
+    all, in id order). An ABORT goes to every client that can still take it."""
+    frame = encode_message(Message(kind, round=round_no, sender=SERVER_ID, payload=payload))
+    for cid in sorted(endpoints) if to is None else to:
         try:
-            _send(endpoints, cid, msg)
+            endpoints[cid].send(*frame)
         except TransportError:
-            pass
+            if kind != MessageKind.ABORT:
+                raise
 
 
 def _expect(
@@ -495,19 +501,19 @@ def _expect(
     try:
         raw_kind, body = endpoints[cid].recv(timeout=state.settings.timeout_s)
     except TransportError as exc:
-        _broadcast_abort(endpoints, state.round, f"client {cid} unreachable")
+        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"client {cid} unreachable"})
         raise RoundAborted(f"waiting for {kind.name} from client {cid}: {exc}") from exc
     try:
         msg = decode_message(raw_kind, body)
     except ProtocolViolation:
-        _broadcast_abort(endpoints, state.round, f"client {cid} sent garbage")
+        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"client {cid} sent garbage"})
         raise
     if transcript is not None:
         transcript.append((cid, encode_frame(raw_kind, body)))
     if msg.kind == MessageKind.ABORT:
-        reason = msg.payload.get("reason", "unspecified")
-        _broadcast_abort(endpoints, state.round, f"client {cid} aborted: {reason}")
-        raise RoundAborted(f"client {cid} aborted: {reason}")
+        reason = f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}"
+        _send(endpoints, MessageKind.ABORT, state.round, {"reason": reason})
+        raise RoundAborted(reason)
     if msg.sender != cid:
         raise ProtocolViolation(f"message from endpoint {cid} claims sender {msg.sender}")
     if msg.round < state.last_round_seen.get(cid, 0):
@@ -519,20 +525,15 @@ def _expect(
 
 
 def distribute_keys(state: ServerState, endpoints, transcript: list | None = None) -> None:
-    """Register client 1's public key, relay the opaque key blob to the rest."""
+    """Register client 1's public key, relay the key blob to the rest."""
     offer = _expect(state, endpoints, 1, MessageKind.KEY_OFFER, transcript)
     if state.public_key is not None:
         raise ProtocolViolation("duplicate key offer")
     state.public_key = paillier.public_key_from_payload(offer.payload)
     deliver = _expect(state, endpoints, 1, MessageKind.KEY_DELIVER, transcript)
-    # the blob is opaque to the server: it relays the payload without parsing it
-    for cid in endpoints:
-        if cid != 1:
-            _send(
-                endpoints,
-                cid,
-                Message(MessageKind.KEY_DELIVER, round=0, sender=SERVER_ID, payload=deliver.payload),
-            )
+    # relayed without parsing, though the blob holds p and q in plain hex
+    peers = [cid for cid in sorted(endpoints) if cid != 1]
+    _send(endpoints, MessageKind.KEY_DELIVER, 0, deliver.payload, to=peers)
 
 
 @contextmanager
@@ -561,15 +562,7 @@ def _cross_validation_models(state: ServerState, gradients: list) -> list[dict]:
     settings = state.settings
     if settings.encryption != "he_dp":
         return [gradient_to_payload(g) for g in gradients]
-    fusion = agg.DpFusionConfig(
-        p_hat=settings.p_hat, pieces=settings.quant.pieces, jitter=settings.dp_jitter
-    )
-    rng = (
-        random.Random(derive_seed(settings.master_seed, "dpjitter", state.round))
-        if settings.dp_jitter > 0
-        else None
-    )
-    fused = agg.dp_fuse(state.public_key, gradients, fusion, rng)
+    fused = agg.dp_fuse(state.public_key, gradients, settings.p_hat, settings.quant.pieces)
     return [gradient_to_payload(f) for f in fused]
 
 
@@ -599,6 +592,7 @@ def server_run(
     if set(endpoints) != set(clients):
         raise ProtocolViolation(f"need endpoints for clients 1..{n}")
     state = ServerState(settings=settings)
+    records, merged_gradients = [], []
 
     if settings.encrypted:
         distribute_keys(state, endpoints, transcript)
@@ -615,15 +609,10 @@ def server_run(
                 "weights": [float(x) for x in initial.values],
             }
         else:
-            payload = {"gradient": state.global_gradient}
+            payload = {"gradient": merged_gradients[-1]}
         # in-thread loopback clients train inside send, so time the broadcast too
         phase_start = time.monotonic()
-        for cid in clients:
-            _send(
-                endpoints,
-                cid,
-                Message(MessageKind.GLOBAL_GRADIENT, round=r, sender=SERVER_ID, payload=payload),
-            )
+        _send(endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
 
         # round state, indexed by cid - 1
         gradients = []
@@ -648,18 +637,7 @@ def server_run(
         if settings.aggregator == "fedboosting":
             phase_start = time.monotonic()
             models = _cross_validation_models(state, gradients)
-            fused_msg_payload = {"models": models}
-            for cid in clients:
-                _send(
-                    endpoints,
-                    cid,
-                    Message(
-                        MessageKind.FUSED_GRADIENT,
-                        round=r,
-                        sender=SERVER_ID,
-                        payload=fused_msg_payload,
-                    ),
-                )
+            _send(endpoints, MessageKind.FUSED_GRADIENT, r, {"models": models})
             # column j holds every candidate model's loss on client j + 1's data
             validation = np.empty((n, n))
             for cid in clients:
@@ -677,44 +655,24 @@ def server_run(
             weights = agg.fedavg_weights(n)
 
         phase_start = time.monotonic()
-        state.global_gradient = _merge(state, gradients, weights)
+        merged_gradients.append(_merge(state, gradients, weights))
         durations["merge"] = time.monotonic() - phase_start
 
-        state.records.append(
-            ServerRound(
+        records.append(
+            RoundRecord(
                 round=r,
                 train_losses=train_losses.tolist(),
                 validation=None if validation is None else validation.tolist(),
                 weights=None if validation is None else weights.values.tolist(),
-                merged_gradient=state.global_gradient,
                 durations=durations,
             )
         )
 
-    final_payload = {"gradient": state.global_gradient}
-    for cid in clients:
-        _send(
-            endpoints,
-            cid,
-            Message(
-                MessageKind.MERGED_GRADIENT,
-                round=settings.rounds,
-                sender=SERVER_ID,
-                payload=final_payload,
-            ),
-        )
-    _send(
-        endpoints,
-        DESIGNATED_DECRYPTOR,
-        Message(
-            MessageKind.FINAL_MODEL_REQUEST,
-            round=settings.rounds,
-            sender=SERVER_ID,
-            payload={},
-        ),
-    )
+    last = settings.rounds
+    _send(endpoints, MessageKind.MERGED_GRADIENT, last, {"gradient": merged_gradients[-1]})
+    _send(endpoints, MessageKind.FINAL_MODEL_REQUEST, last, {}, to=[DESIGNATED_DECRYPTOR])
     final_msg = _expect(state, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, transcript)
     with _from_client(DESIGNATED_DECRYPTOR):
         final_values = _vector(final_msg.payload, "weights", settings.layout.size)
     final = nn.ModelParams(final_values, settings.layout)
-    return ServerRunResult(final_weights=final, initial_weights=initial, rounds=state.records)
+    return ServerRunResult(final, initial, records, merged_gradients)

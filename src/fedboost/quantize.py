@@ -40,9 +40,6 @@ class QuantizedGradient:
     values: list[int]
     config: QuantConfig
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def quantize(g: np.ndarray, cfg: QuantConfig) -> QuantizedGradient:
     """Per entry: round-half-even(x * S / P), with x * S taken exactly in rationals."""

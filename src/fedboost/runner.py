@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,18 @@ import numpy as np
 from . import nn, paillier
 from .config import ExperimentConfig, GridSpec, save_config
 from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison_labels, split
-from .errors import ConfigError, IoError, ProtocolViolation, RoundAborted, TransportTimeout
+from .errors import (
+    ConfigError,
+    FedBoostError,
+    IoError,
+    ProtocolViolation,
+    RoundAborted,
+    TransportTimeout,
+)
 from .protocol import (
     ClientSession,
     InThreadEndpoint,
+    RoundRecord,
     ServerRunResult,
     client_run,
     decode_gradient_payload,
@@ -33,20 +41,6 @@ from .protocol import (
     server_run,
 )
 from .transport import tcp_connect, tcp_listen
-
-
-@dataclass
-class RoundRecord:
-    """One completed round: client losses, boost weights when applicable, and
-    the post-merge global model's combined-test performance."""
-
-    round: int
-    train_losses: list[float]
-    validation: list[list[float]] | None
-    weights: list[float] | None
-    global_test_loss: float
-    global_test_acc: float
-    durations: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -152,26 +146,14 @@ def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
 def _protocol_records(
     result: ServerRunResult, test: LabeledData, keypair: paillier.KeyPair | None
 ) -> list[RoundRecord]:
+    """The server's records, scored on ``test`` after each round's merge."""
     shadow = result.initial_weights
-    records = []
-    for sr in result.rounds:
-        g = decode_gradient_payload(sr.merged_gradient, keypair)
-        shadow = nn.apply_gradient(shadow, g)
-        loss, acc = nn.evaluate(shadow, test)
-        records.append(
-            RoundRecord(
-                round=sr.round,
-                train_losses=sr.train_losses,
-                validation=sr.validation,
-                weights=sr.weights,
-                global_test_loss=loss,
-                global_test_acc=acc,
-                durations=sr.durations,
-            )
-        )
+    for record, merged in zip(result.rounds, result.merged_gradients):
+        shadow = nn.apply_gradient(shadow, decode_gradient_payload(merged, keypair))
+        record.global_test_loss, record.global_test_acc = nn.evaluate(shadow, test)
     if not np.array_equal(shadow.values, result.final_weights.values):
         raise ProtocolViolation("decrypted final model disagrees with the merged trajectory")
-    return records
+    return result.rounds
 
 
 def _run_centralized(
@@ -308,8 +290,11 @@ def load_model(path) -> nn.ModelParams:
         raise IoError(f"cannot read model from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoError(f"model file {path} is not valid JSON: {exc}") from exc
-    layout = nn.Layout(tuple(tuple(layer) for layer in doc["layout"]))
-    return nn.ModelParams(np.array(doc["values"], dtype=np.float64), layout)
+    try:
+        layout = nn.Layout(tuple(tuple(layer) for layer in doc["layout"]))
+        return nn.ModelParams(np.array(doc["values"], dtype=np.float64), layout)
+    except (KeyError, TypeError, ValueError, FedBoostError) as exc:
+        raise IoError(f"model file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def write_outputs(cfg: ExperimentConfig, result: ExperimentResult) -> None:

@@ -195,7 +195,7 @@ class TestDpFuse:
         cfg = qz.QuantConfig(scale_exponent=6, pieces=10)
         grads = [np.array([0.5, -0.25]), np.array([0.1, 0.9])]
         egrads = encrypt_all(key128.public, grads, cfg)
-        fused = agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=1.0, pieces=10))
+        fused = agg.dp_fuse(key128.public, egrads, 1.0, 10)
         bound = cfg.pieces / (2 * cfg.scale)
         for i, g in enumerate(grads):
             assert np.abs(decode_real(key128, fused[i]) - g).max() <= bound
@@ -203,7 +203,7 @@ class TestDpFuse:
     def test_small_example(self, key128):
         cfg = qz.QuantConfig(scale_exponent=4, pieces=10)
         egrads = encrypt_all(key128.public, [np.array([0.5]), np.array([0.1])], cfg)
-        fused = agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=0.9, pieces=10))
+        fused = agg.dp_fuse(key128.public, egrads, 0.9, 10)
         assert decode_real(key128, fused[0])[0] == 0.46
 
     def test_matches_plain_linear_combination(self, key128):
@@ -211,7 +211,7 @@ class TestDpFuse:
         rng = np.random.default_rng(5)
         grads = [rng.uniform(-1, 1, 5) for _ in range(3)]
         egrads = encrypt_all(key128.public, grads, cfg)
-        fused = agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=0.9, pieces=100))
+        fused = agg.dp_fuse(key128.public, egrads, 0.9, 100)
         off = (1 - 0.9) / 2
         for i in range(3):
             expected = 0.9 * grads[i] + off * sum(g for j, g in enumerate(grads) if j != i)
@@ -225,7 +225,7 @@ class TestDpFuse:
         rng = np.random.default_rng(9)
         grads = [rng.normal(0, 1, 6) for _ in range(2)]
         egrads = encrypt_all(key128.public, grads, cfg)
-        fused = agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=0.9, pieces=100))
+        fused = agg.dp_fuse(key128.public, egrads, 0.9, 100)
         for i in range(2):
             decoded = decode_real(key128, fused[i])
             own = np.linalg.norm(decoded - grads[i])
@@ -237,20 +237,13 @@ class TestDpFuse:
         cfg = qz.QuantConfig(scale_exponent=4, pieces=10)
         egrads = encrypt_all(key128.public, [np.array([0.5])], cfg)
         with pytest.raises(DegenerateCohort):
-            agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=0.9, pieces=10))
+            agg.dp_fuse(key128.public, egrads, 0.9, 10)
 
     def test_p_hat_must_dominate(self, key128):
         cfg = qz.QuantConfig(scale_exponent=4, pieces=10)
         egrads = encrypt_all(key128.public, [np.array([0.5])] * 3, cfg)
         with pytest.raises(InvalidWeight):
-            agg.dp_fuse(key128.public, egrads, agg.DpFusionConfig(p_hat=0.3, pieces=10))
-
-    def test_jittered_p_hat_stays_dominant(self, key128):
-        cfg = qz.QuantConfig(scale_exponent=4, pieces=100)
-        egrads = encrypt_all(key128.public, [np.array([0.5]), np.array([0.1])], cfg)
-        fusion = agg.DpFusionConfig(p_hat=0.9, pieces=100, jitter=0.05)
-        fused = agg.dp_fuse(key128.public, egrads, fusion, rng=random.Random(4))
-        assert len(fused) == 2
+            agg.dp_fuse(key128.public, egrads, 0.3, 10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,14 +256,13 @@ class TestDpFuse:
         # dp_fuse either yields strictly dominant integer weights or refuses
         cfg = qz.QuantConfig(scale_exponent=4, pieces=pieces)
         egrads = encrypt_all(key128.public, [np.array([0.25])] * n, cfg)
-        fusion = agg.DpFusionConfig(p_hat=p_hat, pieces=pieces)
         k_self = qz.quantize_weight(p_hat, pieces)
         k_other = qz.quantize_weight((1 - p_hat) / (n - 1), pieces)
         if k_self > k_other:
-            assert len(agg.dp_fuse(key128.public, egrads, fusion)) == n
+            assert len(agg.dp_fuse(key128.public, egrads, p_hat, pieces)) == n
         else:
             with pytest.raises(InvalidWeight):
-                agg.dp_fuse(key128.public, egrads, fusion)
+                agg.dp_fuse(key128.public, egrads, p_hat, pieces)
 
 
 class TestWeightInvariants:
@@ -381,7 +373,7 @@ class TestPackedArithmetic:
         k_other = qz.quantize_weight((1 - p_hat) / (n_models - 1), pieces)
         if k_self <= k_other:
             return
-        fused = agg.dp_fuse(kp.public, egrads, agg.DpFusionConfig(p_hat=p_hat, pieces=pieces))
+        fused = agg.dp_fuse(kp.public, egrads, p_hat, pieces)
         for i, f in enumerate(fused):
             k = [k_self if j == i else k_other for j in range(n_models)]
             assert agg.decrypt_gradient(kp, f).values == exact_sum(k, values)

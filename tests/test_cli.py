@@ -21,6 +21,10 @@ def tiny_config_path(tmp_path):
     return path
 
 
+def cluster(**overrides) -> dict:
+    return {"mean": [0, 0], "covariance": [[1, 0], [0, 1]], "label": 0, "count": 5, **overrides}
+
+
 class TestRunCommand:
     def test_run_writes_artifacts(self, tmp_path, tiny_config_path, capsys):
         out = tmp_path / "out"
@@ -68,6 +72,33 @@ class TestRunCommand:
         assert err["error"] == "ConfigError"
         assert "rounds" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("clients", [1], "clients[0]"),
+            ("clients", 5, "clients"),
+            ("clients", [{"seed": 1, "clusters": 5}], "clients[0]"),
+            ("rounds", "3", "rounds"),
+            ("rounds", True, "rounds"),
+            ("p_hat", "0.9", "p_hat"),
+            ("out_dir", 7, "out_dir"),
+            ("quant", 5, "quant"),
+            ("clients", [{"seed": 1, "clusters": [cluster(mean="ab")]}], "clients[0].clusters[0]"),
+            ("clients", [{"seed": 1, "clusters": [cluster(mean=[0, 0, 0])]}], "clients[0].clusters[0]"),
+        ],
+    )
+    def test_mistyped_field_exits_with_json_error_naming_it(
+        self, tmp_path, tiny_config_path, capsys, field, value, named
+    ):
+        data = json.loads(tiny_config_path.read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith(f"{named}: ")
+
 
 class TestBoundaryCommand:
     def test_grid_export(self, tmp_path, tiny_config_path, capsys):
@@ -87,6 +118,24 @@ class TestBoundaryCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "IoError"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"values": [0.0] * 42},
+            {"layout": [[2, 8], [8, 2]], "values": "x"},
+            {"layout": [[2, 8], [8, 2]], "values": [0.0] * 41},
+            {"layout": 3, "values": [0.0] * 42},
+            [],
+        ],
+    )
+    def test_malformed_model_errors_naming_the_file(self, tmp_path, capsys, doc):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert main(["boundary", "--model", str(model), "--out", str(tmp_path / "g.csv")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IoError"
+        assert str(model) in err["detail"]
 
 
 class TestKeybenchCommand:

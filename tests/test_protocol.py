@@ -683,7 +683,7 @@ class TestServerRun:
         a = run_loopback(settings, splits)
         b = run_loopback(settings, splits)
         assert np.array_equal(a.final_weights.values, b.final_weights.values)
-        assert [r.merged_gradient for r in a.rounds] == [r.merged_gradient for r in b.rounds]
+        assert a.merged_gradients == b.merged_gradients
 
     def test_transcript_replay_reproduces_records(self):
         settings = make_settings(encryption="he_dp", rounds=2)
@@ -699,7 +699,7 @@ class TestServerRun:
             assert a.train_losses == b.train_losses
             assert a.validation == b.validation
             assert a.weights == b.weights
-            assert a.merged_gradient == b.merged_gradient
+        assert live.merged_gradients == replayed.merged_gradients
         assert np.array_equal(live.final_weights.values, replayed.final_weights.values)
 
     def test_unresponsive_client_aborts_round(self):

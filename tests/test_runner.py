@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedboost
-from fedboost import nn, paillier
+from fedboost import nn, paillier, protocol
 from fedboost.config import (
     ClientSpec,
     ExperimentConfig,
@@ -81,6 +81,11 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="gpu_count"):
             config_from_dict({"gpu_count": 4})
+        # a config.json written before dp_jitter was deleted
+        old = json.loads(json.dumps(config_to_dict(desk_config())))
+        with pytest.raises(ConfigError, match="^dp_jitter: unknown field$") as info:
+            config_from_dict({**old, "dp_jitter": 0.0})
+        assert info.value.field == "dp_jitter"
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -241,6 +246,17 @@ class TestRunExperiment:
             # timings go to records.json only
             artifacts.append(((out / "metrics.csv").read_bytes(), (out / "model.json").read_bytes()))
         assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("aggregator", ["fedboosting", "fedavg", "centralized"])
+    def test_records_json_has_one_schema(self, tmp_path, aggregator):
+        run_experiment(desk_config(rounds=2, aggregator=aggregator, out_dir=str(tmp_path)))
+        records = json.loads((tmp_path / "records.json").read_text())
+        keys = {"round", "train_losses", "validation", "weights", "durations"}
+        keys |= {"global_test_loss", "global_test_acc"}
+        assert [set(r) for r in records] == [keys, keys]
+
+    def test_one_round_record_type(self):
+        assert fedboost.RoundRecord is protocol.RoundRecord
 
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "run"
