@@ -113,7 +113,9 @@ class ExperimentConfig:
 
     @property
     def n_clients(self) -> int:
-        return len(self.clients)
+        """Trainers in the cohort: one for centralized, which pools every
+        client's training data."""
+        return 1 if self.aggregator == "centralized" else len(self.clients)
 
     @property
     def layout(self) -> Layout:
@@ -173,12 +175,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _gaussian_from_dict(data: dict, path: str) -> GaussianSpec:
+    _check_scalars(data, GaussianSpec, path)
     try:
         return GaussianSpec(
             mean=tuple(data["mean"]),
             covariance=tuple(tuple(row) for row in data["covariance"]),
-            label=int(data["label"]),
-            count=int(data["count"]),
+            label=data["label"],
+            count=data["count"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"bad cluster spec: {exc}") from exc
@@ -188,26 +191,32 @@ def _gaussian_from_dict(data: dict, path: str) -> GaussianSpec:
 _JSON_KINDS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
+def _check_scalars(data, cls, path: str) -> None:
+    """ConfigError naming ``path.field`` for the first scalar field of ``cls``
+    whose value in the JSON object ``data`` is not of the annotated kind."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, f"must be a JSON object, got {data!r}")
+    for name, f in cls.__dataclass_fields__.items():
+        value = data.get(name)
+        if name in data and f.type in _JSON_KINDS:
+            if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[f.type]):
+                where = f"{path}.{name}" if path else name
+                raise ConfigError(where, f"must be {f.type}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON document describes; a ConfigError names the first
     unknown or mistyped field."""
-    if not isinstance(data, dict):
-        raise ConfigError("", "config must be a JSON object")
-    fields = ExperimentConfig.__dataclass_fields__
-    unknown = set(data) - set(fields)
+    _check_scalars(data, ExperimentConfig, "")
+    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     kwargs = {k: v for k, v in data.items() if k not in ("clients", "quant")}
-    for name, value in kwargs.items():
-        kind = fields[name].type
-        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-            raise ConfigError(name, f"must be {kind}, got {value!r}")
     if "quant" in data:
         q = data["quant"]
+        _check_scalars(q, QuantConfig, "quant")
         try:
-            kwargs["quant"] = QuantConfig(
-                scale_exponent=int(q["scale_exponent"]), pieces=int(q["pieces"])
-            )
+            kwargs["quant"] = QuantConfig(scale_exponent=q["scale_exponent"], pieces=q["pieces"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("quant", f"bad quantization config: {exc}") from exc
     specs = data.get("clients", ())
@@ -215,6 +224,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("clients", f"must be a list, got {specs!r}")
     clients = []
     for i, c in enumerate(specs):
+        _check_scalars(c, ClientSpec, f"clients[{i}]")
         try:
             clusters = tuple(
                 _gaussian_from_dict(g, f"clients[{i}].clusters[{j}]")
@@ -223,11 +233,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             clients.append(
                 ClientSpec(
                     clusters=clusters,
-                    seed=int(c["seed"]),
+                    seed=c["seed"],
                     poison_flip_frac=float(c.get("poison_flip_frac", 0.0)),
                 )
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"clients[{i}]", f"bad client spec: {exc}") from exc
     kwargs["clients"] = tuple(clients)
     return ExperimentConfig(**kwargs)
@@ -242,9 +252,3 @@ def load_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -35,7 +35,6 @@ from .config import ExperimentConfig
 from .datasets import DatasetSplit
 from .errors import (
     ChannelClosed,
-    ConfigError,
     FedBoostError,
     KeyMismatch,
     ProtocolViolation,
@@ -213,13 +212,23 @@ def decode_gradient_payload(
 class ClientSession:
     """Single-threaded client state machine; feed it messages, send the replies."""
 
-    def __init__(self, settings: ExperimentConfig, client_id: int, split: DatasetSplit):
+    def __init__(
+        self,
+        settings: ExperimentConfig,
+        client_id: int,
+        split: DatasetSplit,
+        keypair: paillier.KeyPair | None = None,
+    ):
+        """``keypair`` is the cohort key pair, which client 1 of an encrypted
+        cohort holds from the start; the others receive it in KEY_DELIVER."""
         if not (1 <= client_id <= settings.n_clients):
             raise ValueError(f"client id {client_id} outside 1..{settings.n_clients}")
+        if settings.encrypted and client_id == 1 and keypair is None:
+            raise ValueError("client 1 of an encrypted cohort needs the cohort key pair")
         self.settings = settings
         self.client_id = client_id
         self.split = split
-        self.keypair: paillier.KeyPair | None = None
+        self.keypair = keypair
         self.weights: nn.ModelParams | None = None
         self.round = 0
         self.done = False
@@ -229,12 +238,9 @@ class ClientSession:
     # -- key distribution --
 
     def startup(self) -> list[Message]:
-        """Client 1 generates the cohort key pair and offers/ships it."""
+        """Client 1 offers the cohort's public key and ships the key pair."""
         if not self.settings.encrypted or self.client_id != 1:
             return []
-        self.keypair = paillier.keygen(
-            self.settings.key_bits, derive_seed(self.settings.master_seed, "keygen")
-        )
         return [
             Message(
                 MessageKind.KEY_OFFER,
@@ -255,8 +261,6 @@ class ClientSession:
     def train_round(self, msg: Message) -> Message:
         """Apply the incoming global state, train locally, upload the gradient."""
         r = msg.round
-        if r != self.round + 1:
-            raise ProtocolViolation(f"expected round {self.round + 1}, got {r}")
         if self.settings.encrypted and self.keypair is None:
             raise ProtocolViolation("no key pair before first training round")
         layout = self.settings.layout
@@ -309,10 +313,9 @@ class ClientSession:
 
     def decrypt_final(self, msg: Message) -> nn.ModelParams:
         """Final weights: previous global weights plus the merged gradient."""
-        if msg.round != self.settings.rounds or self.round != self.settings.rounds:
+        if self.round != self.settings.rounds:
             raise ProtocolViolation(
-                f"final gradient in round {msg.round} at local round {self.round}, "
-                f"expected {self.settings.rounds}"
+                f"final gradient in round {self.round}, expected {self.settings.rounds}"
             )
         g = self._decode_gradient(_field(msg.payload, "gradient", dict))
         return nn.apply_gradient(self.weights, g)
@@ -322,6 +325,16 @@ class ClientSession:
     def handle(self, msg: Message) -> list[Message]:
         if msg.sender != SERVER_ID:
             raise ProtocolViolation(f"client received message from non-server {msg.sender}")
+        if msg.kind == MessageKind.ABORT:
+            self.done = True
+            return []
+        # a server frame carries this client's round, and a round's broadcast the next one
+        expected = self.round + 1 if msg.kind == MessageKind.GLOBAL_GRADIENT else self.round
+        if msg.round != expected:
+            raise ProtocolViolation(
+                f"{msg.kind.name} for round {msg.round} at local round {self.round}, "
+                f"expected round {expected}"
+            )
         if msg.kind == MessageKind.KEY_DELIVER:
             if self.client_id == 1:
                 raise ProtocolViolation("key source received a key delivery")
@@ -363,9 +376,6 @@ class ClientSession:
                     payload={"weights": [float(x) for x in self.final_weights.values]},
                 )
             ]
-        if msg.kind == MessageKind.ABORT:
-            self.done = True
-            return []
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
     def _decode_gradient(self, payload: dict, pieces: int = 1) -> np.ndarray:
@@ -465,7 +475,6 @@ class ServerState:
     settings: ExperimentConfig
     round: int = 0
     public_key: paillier.PublicKey | None = None
-    last_round_seen: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -516,11 +525,13 @@ def _expect(
         raise RoundAborted(reason)
     if msg.sender != cid:
         raise ProtocolViolation(f"message from endpoint {cid} claims sender {msg.sender}")
-    if msg.round < state.last_round_seen.get(cid, 0):
-        raise ProtocolViolation(f"client {cid} round went backwards to {msg.round}")
-    state.last_round_seen[cid] = msg.round
     if msg.kind != kind:
         raise ProtocolViolation(f"expected {kind.name} from client {cid}, got {msg.kind.name}")
+    # every client frame carries the server's round, 0 during key exchange
+    if msg.round != state.round:
+        raise ProtocolViolation(
+            f"client {cid} sent {kind.name} for round {msg.round} during round {state.round}"
+        )
     return msg
 
 
@@ -582,11 +593,8 @@ def server_run(
     """Drive all rounds over per-client endpoints; returns the decrypted final
     model and one record per round. Clients are polled in id order inside each
     phase, so runs and transcripts are reproducible. A configuration that
-    ``validate`` refuses, or a centralized one, raises ConfigError before any
-    frame is sent."""
+    ``validate`` refuses raises ConfigError before any frame is sent."""
     settings.validate()
-    if settings.aggregator == "centralized":
-        raise ConfigError("aggregator", "centralized training runs without the protocol")
     n = settings.n_clients
     clients = range(1, n + 1)
     if set(endpoints) != set(clients):
@@ -619,8 +627,6 @@ def server_run(
         train_losses = np.empty(n)
         for cid in clients:
             msg = _expect(state, endpoints, cid, MessageKind.TRAIN_RESULT, transcript)
-            if msg.round != r:
-                raise ProtocolViolation(f"train result for round {msg.round} during round {r}")
             with _from_client(cid):
                 gradients.append(_receive_gradient(state, msg.payload))
                 loss = _field(msg.payload, "train_loss", (int, float))

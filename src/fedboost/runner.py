@@ -1,13 +1,14 @@
 """Experiment orchestration: build client data, host a protocol run over the
 chosen transport (clients in the server's thread on loopback, one process per
-client over TCP) or train centralized, score the global model per round on
-the combined test set, and export metrics/model/boundary artifacts.
+client over TCP), score the global model per round on the combined test set,
+and export metrics/model/boundary artifacts. Centralized training is a cohort
+of one trainer holding the pooled training data, run on loopback.
 
+The runner generates the cohort key pair once, before either transport
+starts, and hands it to client 1, which holds it and sends it to the cohort.
 Per-round test metrics are computed by this harness: in encrypted modes the
-server cannot decrypt, so the harness scores rounds with the cohort key pair
-purely for measurement. On loopback it reads client 1's key pair; TCP clients
-are separate processes, so there it re-derives the key pair from the master
-seed (the same derivation client 1 uses).
+server cannot decrypt, so the harness scores rounds with that key pair purely
+for measurement.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, paillier
-from .config import ExperimentConfig, GridSpec, save_config
+from .config import ExperimentConfig, GridSpec, config_to_dict
 from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison_labels, split
 from .errors import (
     ConfigError,
@@ -81,39 +82,37 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 
 
 def _run_loopback(
-    cfg: ExperimentConfig, splits: list[DatasetSplit], transcript: list | None
-) -> tuple[ServerRunResult, paillier.KeyPair | None]:
-    """The server's result and client 1's key pair (None without encryption).
-    Clients run in this thread: numpy on batch-sized arrays holds the GIL, so
-    client threads would train no faster; TCP trains clients in parallel."""
-    sessions = [ClientSession(cfg, cid, splits[cid - 1]) for cid in range(1, cfg.n_clients + 1)]
+    cfg: ExperimentConfig, sessions: list[ClientSession], transcript: list | None
+) -> ServerRunResult:
+    """Clients run in this thread: numpy on batch-sized arrays holds the GIL,
+    so client threads would train no faster; TCP trains clients in parallel."""
     endpoints = {s.client_id: InThreadEndpoint(s) for s in sessions}
-    return server_run(cfg, endpoints, transcript), sessions[0].keypair
+    return server_run(cfg, endpoints, transcript)
 
 
-def _client_process_main(host: str, port: int, cfg: ExperimentConfig, client_id: int) -> None:
-    session = ClientSession(cfg, client_id, build_client_split(cfg, client_id))
-    endpoint = tcp_connect(f"{host}:{port}", timeout=cfg.timeout_s)
+def _client_process_main(address: tuple[str, int], session: ClientSession) -> None:
+    endpoint = tcp_connect(address, timeout=session.settings.timeout_s)
     try:
         client_run(session, endpoint)
     finally:
         endpoint.close()
 
 
-def _run_tcp(cfg: ExperimentConfig, transcript: list | None) -> ServerRunResult:
+def _run_tcp(
+    cfg: ExperimentConfig, sessions: list[ClientSession], transcript: list | None
+) -> ServerRunResult:
     # imported here: loopback runs and the client processes never wait on a sentinel
     from multiprocessing.connection import wait
 
     listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
-    host, port = listener.address
     ctx = multiprocessing.get_context("spawn")
     procs = []
     server_eps = {}
     try:
         # clients are launched one at a time, so accept order identifies them
-        for cid in range(1, cfg.n_clients + 1):
+        for cid, session in enumerate(sessions, 1):
             proc = ctx.Process(
-                target=_client_process_main, args=(host, port, cfg, cid), daemon=True
+                target=_client_process_main, args=(listener.address, session), daemon=True
             )
             proc.start()
             procs.append(proc)
@@ -156,40 +155,6 @@ def _protocol_records(
     return result.rounds
 
 
-def _run_centralized(
-    cfg: ExperimentConfig, splits: list[DatasetSplit], test: LabeledData
-) -> tuple[list[RoundRecord], nn.ModelParams]:
-    params = nn.init_params(derive_seed(cfg.master_seed, "init"), cfg.layout)
-    pooled = DatasetSplit(
-        train=LabeledData.concat([s.train for s in splits]),
-        validation=splits[0].validation,
-        test=test,
-    )
-    records = []
-    for r in range(1, cfg.rounds + 1):
-        report = nn.train_local(
-            params,
-            pooled,
-            cfg.batch_size,
-            cfg.epochs,
-            cfg.optimizer,
-            derive_seed(cfg.master_seed, "shuffle", r, 0),
-        )
-        params = nn.apply_gradient(params, report.gradient)
-        loss, acc = nn.evaluate(params, test)
-        records.append(
-            RoundRecord(
-                round=r,
-                train_losses=[report.training_loss],
-                validation=None,
-                weights=None,
-                global_test_loss=loss,
-                global_test_acc=acc,
-            )
-        )
-    return records, params
-
-
 def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> ExperimentResult:
     """Run one configured experiment end to end and write artifacts to
     cfg.out_dir when set."""
@@ -197,25 +162,30 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
     splits = build_splits(cfg)
     test = combined_test_set(splits)
     transcript: list | None = [] if keep_transcript else None
+    keypair = (
+        paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
+        if cfg.encrypted
+        else None
+    )
 
     if cfg.aggregator == "centralized":
-        records, final = _run_centralized(cfg, splits, test)
+        # one trainer on the pooled training data, on loopback whatever the transport
+        pooled = LabeledData.concat([s.train for s in splits])
+        splits = [DatasetSplit(pooled, splits[0].validation, test)]
+    # client 1 holds the key pair and sends it to the others through the server
+    sessions = [
+        ClientSession(cfg, cid, split, keypair if cid == 1 else None)
+        for cid, split in enumerate(splits, 1)
+    ]
+    if cfg.transport == "tcp" and cfg.aggregator != "centralized":
+        run = _run_tcp(cfg, sessions, transcript)
     else:
-        if cfg.transport == "tcp":
-            run = _run_tcp(cfg, transcript)
-            keypair = (
-                paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
-                if cfg.encrypted
-                else None
-            )
-        else:
-            run, keypair = _run_loopback(cfg, splits, transcript)
-        records = _protocol_records(run, test, keypair)
-        final = run.final_weights
+        run = _run_loopback(cfg, sessions, transcript)
+    records = _protocol_records(run, test, keypair)
 
     result = ExperimentResult(
         records=records,
-        final_params=final,
+        final_params=run.final_weights,
         final_test_loss=records[-1].global_test_loss,
         final_test_acc=records[-1].global_test_acc,
         transcript=transcript,
@@ -226,6 +196,14 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
 
 
 # --- artifact export --------------------------------------------------------------
+
+
+def _write(path, text: str, what: str) -> None:
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def export_metrics(records: list[RoundRecord], path) -> None:
@@ -241,11 +219,7 @@ def export_metrics(records: list[RoundRecord], path) -> None:
                 f"{rec.round},{i + 1},{t_loss!r},{weight!r},"
                 f"{rec.global_test_loss!r},{rec.global_test_acc!r}"
             )
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write metrics to {path}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n", "metrics")
 
 
 def export_boundary(params: nn.ModelParams, grid: GridSpec, path) -> None:
@@ -262,11 +236,7 @@ def export_boundary(params: nn.ModelParams, grid: GridSpec, path) -> None:
         for x in xs:
             p = nn.forward(params, (x, y))[1]
             lines.append(f"{float(x)!r},{float(y)!r},{float(p)!r}")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write boundary grid to {path}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n", "boundary grid")
 
 
 def save_model(params: nn.ModelParams, path) -> None:
@@ -274,12 +244,7 @@ def save_model(params: nn.ModelParams, path) -> None:
         "layout": [list(layer) for layer in params.layout.layers],
         "values": [float(x) for x in params.values],
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model to {path}: {exc}") from exc
+    _write(path, json.dumps(doc, sort_keys=True) + "\n", "model")
 
 
 def load_model(path) -> nn.ModelParams:
@@ -305,10 +270,6 @@ def write_outputs(cfg: ExperimentConfig, result: ExperimentResult) -> None:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
     export_metrics(result.records, out / "metrics.csv")
     save_model(result.final_params, out / "model.json")
-    save_config(cfg, out / "config.json")
-    try:
-        with open(out / "records.json", "w") as fh:
-            json.dump([asdict(r) for r in result.records], fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write records to {out}: {exc}") from exc
+    records = [asdict(r) for r in result.records]
+    for name, doc in (("config", config_to_dict(cfg)), ("records", records)):
+        _write(out / f"{name}.json", json.dumps(doc, indent=2, sort_keys=True) + "\n", name)

@@ -20,23 +20,23 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _HEADER = struct.Struct(">I")
 
 
-def encode_frame(kind: int, body: bytes, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(kind: int, body: bytes) -> bytes:
     if not (0 <= kind <= 255):
         raise ValueError(f"kind must fit one byte, got {kind}")
     length = len(body) + 1
-    if length > max_frame:
-        raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"frame of {length} bytes exceeds limit {MAX_FRAME_BYTES}")
     return _HEADER.pack(length) + bytes([kind]) + body
 
 
-def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, bytes]:
+def decode_frame(data: bytes) -> tuple[int, bytes]:
     if len(data) < _HEADER.size + 1:
         raise ProtocolViolation(f"frame truncated at {len(data)} bytes")
     (length,) = _HEADER.unpack_from(data)
     if length < 1:
         raise ProtocolViolation("declared length omits the kind byte")
-    if length > max_frame:
-        raise FrameTooLarge(f"declared length {length} exceeds limit {max_frame}")
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
     if len(data) != _HEADER.size + length:
         raise ProtocolViolation(
             f"declared length {length} does not match payload of {len(data) - _HEADER.size}"
@@ -44,29 +44,18 @@ def decode_frame(data: bytes, max_frame: int = MAX_FRAME_BYTES) -> tuple[int, by
     return data[_HEADER.size], data[_HEADER.size + 1 :]
 
 
-def _parse_addr(addr) -> tuple[str, int]:
-    if isinstance(addr, tuple):
-        host, port = addr
-        return str(host), int(port)
-    host, _, port = str(addr).rpartition(":")
-    if not host or not port.isdigit():
-        raise TransportError(f"address must be host:port, got {addr!r}")
-    return host, int(port)
-
-
 class TcpEndpoint:
     """Framed stream over one connected socket; reassembles partial reads."""
 
-    def __init__(self, sock: socket.socket, max_frame: int = MAX_FRAME_BYTES):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._max_frame = max_frame
         self._closed = False
 
     def send(self, kind: int, body: bytes) -> None:
         if self._closed:
             raise ChannelClosed("send after close")
         try:
-            self._sock.sendall(encode_frame(kind, body, self._max_frame))
+            self._sock.sendall(encode_frame(kind, body))
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
@@ -102,9 +91,9 @@ class TcpEndpoint:
         if length < 1:
             self.close()
             raise ProtocolViolation("declared length omits the kind byte")
-        if length > self._max_frame:
+        if length > MAX_FRAME_BYTES:
             self.close()
-            raise FrameTooLarge(f"declared length {length} exceeds limit {self._max_frame}")
+            raise FrameTooLarge(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
         payload = self._recv_exact(length, deadline)
         return payload[0], payload[1:]
 
@@ -119,9 +108,8 @@ class TcpEndpoint:
 
 
 class TcpListener:
-    def __init__(self, sock: socket.socket, max_frame: int):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._max_frame = max_frame
 
     @property
     def address(self) -> tuple[str, int]:
@@ -140,31 +128,31 @@ class TcpListener:
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return TcpEndpoint(conn, self._max_frame)
+        return TcpEndpoint(conn)
 
     def close(self) -> None:
         self._sock.close()
 
 
-def tcp_listen(addr, max_frame: int = MAX_FRAME_BYTES, backlog: int = 16) -> TcpListener:
-    host, port = _parse_addr(addr)
+def tcp_listen(addr: tuple[str, int]) -> TcpListener:
+    host, port = addr
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
-        sock.listen(backlog)
+        sock.listen()
     except OSError as exc:
         sock.close()
         raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
-    return TcpListener(sock, max_frame)
+    return TcpListener(sock)
 
 
-def tcp_connect(addr, max_frame: int = MAX_FRAME_BYTES, timeout: float = 30.0) -> TcpEndpoint:
-    host, port = _parse_addr(addr)
+def tcp_connect(addr: tuple[str, int], timeout: float = 30.0) -> TcpEndpoint:
+    host, port = addr
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection(addr, timeout=timeout)
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(None)
-    return TcpEndpoint(sock, max_frame)
+    return TcpEndpoint(sock)

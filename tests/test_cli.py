@@ -85,6 +85,13 @@ class TestRunCommand:
             ("quant", 5, "quant"),
             ("clients", [{"seed": 1, "clusters": [cluster(mean="ab")]}], "clients[0].clusters[0]"),
             ("clients", [{"seed": 1, "clusters": [cluster(mean=[0, 0, 0])]}], "clients[0].clusters[0]"),
+            # nested scalars follow the rule of top-level ones
+            ("quant", {"scale_exponent": "3", "pieces": 100}, "quant.scale_exponent"),
+            ("quant", {"scale_exponent": 3, "pieces": 1.5}, "quant.pieces"),
+            ("clients", [{"seed": "7", "clusters": [cluster()]}], "clients[0].seed"),
+            ("clients", [{"seed": 1, "poison_flip_frac": "0.5", "clusters": [cluster()]}], "clients[0].poison_flip_frac"),
+            ("clients", [{"seed": 1, "clusters": [cluster(count=100.7)]}], "clients[0].clusters[0].count"),
+            ("clients", [{"seed": 1, "clusters": [cluster(), cluster(label=True)]}], "clients[0].clusters[1].label"),
         ],
     )
     def test_mistyped_field_exits_with_json_error_naming_it(
@@ -98,6 +105,15 @@ class TestRunCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert err["detail"].startswith(f"{named}: ")
+
+
+    def test_unwritable_artifact_exits_with_json_error(self, tmp_path, tiny_config_path, capsys):
+        out = tmp_path / "out"
+        (out / "config.json").mkdir(parents=True)
+        assert main(["run", "--config", str(tiny_config_path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IoError"
+        assert err["detail"].startswith(f"cannot write config to {out / 'config.json'}: ")
 
 
 class TestBoundaryCommand:

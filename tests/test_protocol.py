@@ -8,7 +8,7 @@ import pytest
 from fedboost import aggregate as agg
 from fedboost import nn, paillier, protocol
 from fedboost import quantize as qz
-from fedboost.config import ClientSpec, ExperimentConfig
+from fedboost.config import ClientSpec, ExperimentConfig, two_client_noniid
 from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_client_dataset, split
 from fedboost.errors import ChannelClosed, ConfigError, KeyMismatch, ProtocolViolation, RoundAborted
 from fedboost.protocol import (
@@ -23,6 +23,7 @@ from fedboost.protocol import (
     encode_message,
     server_run,
 )
+from fedboost.runner import build_splits, run_experiment
 from fedboost.transport import decode_frame, encode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
@@ -79,14 +80,26 @@ class ReplayEndpoint:
         pass
 
 
+def cohort_key(settings) -> paillier.KeyPair | None:
+    """The key pair the runner derives for an encrypted cohort and hands client 1."""
+    if not settings.encrypted:
+        return None
+    return paillier.keygen(settings.key_bits, derive_seed(settings.master_seed, "keygen"))
+
+
+def key_source(settings, split) -> ClientSession:
+    """Client 1, holding the cohort key pair."""
+    return ClientSession(settings, 1, split, cohort_key(settings))
+
+
 def run_loopback(settings, splits, transcript=None, missing=()):
     """Minimal in-test harness: clients run in this thread; a ``missing``
     client never replies."""
+    sessions = [key_source(settings, splits[0])]
+    sessions += [ClientSession(settings, cid, split) for cid, split in enumerate(splits[1:], 2)]
     endpoints = {
-        cid: ReplayEndpoint([])
-        if cid in missing
-        else InThreadEndpoint(ClientSession(settings, cid, splits[cid - 1]))
-        for cid in range(1, settings.n_clients + 1)
+        s.client_id: ReplayEndpoint([]) if s.client_id in missing else InThreadEndpoint(s)
+        for s in sessions
     }
     return server_run(settings, endpoints, transcript)
 
@@ -152,7 +165,7 @@ class TestGradientPayloads:
 class TestKeyDistribution:
     def test_relay_and_bitwise_equality(self):
         settings = make_settings(encryption="he_dp")
-        source = ClientSession(settings, 1, client_split(1))
+        source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         state = ServerState(settings=settings)
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
@@ -166,7 +179,7 @@ class TestKeyDistribution:
 
     def test_server_state_never_holds_secret_material(self):
         settings = make_settings(encryption="he")
-        source = ClientSession(settings, 1, client_split(1))
+        source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         state = ServerState(settings=settings)
         distribute_keys(state, {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])})
@@ -175,7 +188,7 @@ class TestKeyDistribution:
 
     def test_duplicate_key_offer(self):
         settings = make_settings(encryption="he")
-        source = ClientSession(settings, 1, client_split(1))
+        source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         state = ServerState(settings=settings)
         state.public_key = source.keypair.public  # a key is already registered
@@ -184,7 +197,8 @@ class TestKeyDistribution:
 
     def test_four_client_cohort_shares_one_key(self):
         settings = make_settings(n_clients=4, encryption="he")
-        sessions = [ClientSession(settings, cid, client_split(cid)) for cid in range(1, 5)]
+        sessions = [key_source(settings, client_split(1))]
+        sessions += [ClientSession(settings, cid, client_split(cid)) for cid in range(2, 5)]
         startup = sessions[0].startup()
         deliver = next(m for m in startup if m.kind == MessageKind.KEY_DELIVER)
         relay = Message(MessageKind.KEY_DELIVER, round=0, sender=protocol.SERVER_ID, payload=deliver.payload)
@@ -379,7 +393,7 @@ class TestMalformedPayloads:
     )
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1)
-        source = ClientSession(settings, 1, client_split(1))
+        source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         bad = tamper(_packed_payload(source.keypair, settings))
         upload = Message(MessageKind.TRAIN_RESULT, 1, 1, {"gradient": bad, "train_loss": 0.5})
@@ -417,8 +431,7 @@ class TestInThreadEndpoint:
     """The loopback endpoint runs its client session in the caller's thread."""
 
     def test_startup_replies_arrive_in_order(self):
-        session = ClientSession(make_settings(encryption="he"), 1, client_split(1))
-        endpoint = InThreadEndpoint(session)
+        endpoint = InThreadEndpoint(key_source(make_settings(encryption="he"), client_split(1)))
         kinds = [decode_message(*endpoint.recv()).kind for _ in range(2)]
         assert kinds == [MessageKind.KEY_OFFER, MessageKind.KEY_DELIVER]
 
@@ -461,14 +474,13 @@ class TestInThreadEndpoint:
 
 
 class TestServerConfigCheck:
-    """server_run refuses what ExperimentConfig.validate refuses, and
-    centralized runs, before it sends a frame."""
+    """server_run refuses what ExperimentConfig.validate refuses before it
+    sends a frame."""
 
     @pytest.mark.parametrize(
         "overrides, field",
         [
             (dict(aggregator="fedavg", encryption="he_dp"), "encryption"),
-            (dict(aggregator="centralized"), "aggregator"),
             (dict(encryption="he_dp", p_hat=0.5), "p_hat"),
         ],
     )
@@ -478,6 +490,64 @@ class TestServerConfigCheck:
             server_run(make_settings(**overrides), endpoints)
         assert err.value.field == field
         assert [ep.sent for ep in endpoints.values()] == [[], []]
+
+
+class TestRoundChecks:
+    """Every frame carries the round its receiver is in, and a new round's
+    broadcast the next one; any other round ends the run at once."""
+
+    @pytest.mark.parametrize("shift", [-1, 5])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            MessageKind.KEY_OFFER,
+            MessageKind.KEY_DELIVER,
+            MessageKind.TRAIN_RESULT,
+            MessageKind.EVAL_RESULT,
+            MessageKind.FINAL_MODEL,
+        ],
+        ids=lambda kind: kind.name,
+    )
+    def test_server_refuses_a_client_frame_of_another_round(self, kind, shift):
+        settings = make_settings(encryption="he", rounds=2)
+        transcript = []
+        run_loopback(settings, [client_split(1), client_split(2)], transcript)
+        # the last frame of this kind: client 2's in round 2 for the per-client kinds
+        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == kind)
+        cid, frame = transcript[at]
+        msg = decode_message(*decode_frame(frame))
+        bad = msg.round + shift
+        transcript[at] = (cid, encode_frame(*encode_message(dataclasses.replace(msg, round=bad))))
+        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        cause = f"^client {cid} sent {kind.name} for round {bad} during round {msg.round}$"
+        with pytest.raises(ProtocolViolation, match=cause):
+            server_run(settings, endpoints)
+
+    @pytest.mark.parametrize("shift", [-1, 8])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            MessageKind.KEY_DELIVER,
+            MessageKind.GLOBAL_GRADIENT,
+            MessageKind.FUSED_GRADIENT,
+            MessageKind.MERGED_GRADIENT,
+            MessageKind.FINAL_MODEL_REQUEST,
+        ],
+        ids=lambda kind: kind.name,
+    )
+    def test_client_aborts_on_a_server_frame_of_another_round(self, kind, shift):
+        settings = make_settings(rounds=1)
+        session = ClientSession(settings, 1, client_split(1))
+        session.handle(_round_one(settings))
+        expected = 2 if kind == MessageKind.GLOBAL_GRADIENT else 1
+        bad = expected + shift
+        [reply] = server_says(InThreadEndpoint(session), kind, bad, {})
+        assert session.done
+        assert reply.kind == MessageKind.ABORT and reply.sender == 1
+        assert reply.payload["reason"] == (
+            f"ProtocolViolation: {kind.name} for round {bad} at local round 1, "
+            f"expected round {expected}"
+        )
 
 
 def _frame_parts(frame: bytes) -> tuple[int, bytes]:
@@ -573,10 +643,13 @@ class TestClientSession:
         with pytest.raises(ProtocolViolation):
             session.handle(merged)
 
+    def test_encrypted_key_source_needs_the_key_pair(self):
+        with pytest.raises(ValueError, match="client 1 of an encrypted cohort needs"):
+            ClientSession(make_settings(encryption="he"), 1, client_split(1))
+
     def test_final_wrong_key_rejected(self, key64):
         settings = make_settings(rounds=1, encryption="he")
-        session = ClientSession(settings, 1, client_split(1))
-        session.startup()
+        session = key_source(settings, client_split(1))
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
         session.handle(
             Message(
@@ -636,6 +709,27 @@ def reference_fedavg(settings: ExperimentConfig, splits) -> nn.ModelParams:
     return params
 
 
+def reference_centralized(settings: ExperimentConfig, splits) -> tuple[nn.ModelParams, list]:
+    """One trainer on the pooled training data in client 1's batch order; the
+    final model and each round's loss on the combined test set."""
+    test = LabeledData.concat([s.test for s in splits])
+    pooled = DatasetSplit(LabeledData.concat([s.train for s in splits]), splits[0].validation, test)
+    params = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
+    losses = []
+    for r in range(1, settings.rounds + 1):
+        report = nn.train_local(
+            params,
+            pooled,
+            settings.batch_size,
+            settings.epochs,
+            settings.optimizer,
+            derive_seed(settings.master_seed, "shuffle", r, 1),
+        )
+        params = nn.apply_gradient(params, report.gradient)
+        losses.append(nn.evaluate(params, test)[0])
+    return params, losses
+
+
 class TestServerRun:
     def test_smoke_single_round(self):
         settings = make_settings(rounds=1)
@@ -654,6 +748,20 @@ class TestServerRun:
         result = run_loopback(settings, splits)
         expected = reference_fedavg(settings, splits)
         assert np.array_equal(result.final_weights.values, expected.values)
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_centralized_matches_reference_loop_bitwise(self, transport):
+        settings = ExperimentConfig(
+            clients=two_client_noniid(300, master_seed=4),
+            aggregator="centralized",
+            rounds=3,
+            master_seed=4,
+            transport=transport,
+        )
+        result = run_experiment(settings)
+        expected, losses = reference_centralized(settings, build_splits(settings))
+        assert np.array_equal(result.final_params.values, expected.values)
+        assert [rec.global_test_loss for rec in result.records] == losses
 
     def test_he_merge_stays_within_quantization_bound_of_plain_oracle(self):
         settings = make_settings(aggregator="fedavg", encryption="he", rounds=1)

@@ -209,8 +209,9 @@ class TestRunExperiment:
         monkeypatch.setattr(paillier, "keygen", lambda *a: calls.append(a) or real_keygen(*a))
         run_experiment(desk_config(rounds=1, encryption="he"))
         assert len(calls) == 1
+        # one key generation per run on either transport: TCP's client 1 gets the runner's key
         run_experiment(desk_config(rounds=1, encryption="he", transport="tcp"))
-        assert len(calls) == 2  # TCP clients are other processes: the runner derives its own
+        assert len(calls) == 2
 
     def test_loopback_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -67,7 +67,10 @@ def run(cfg: ExperimentConfig, monkeypatch):
         return quantized[-1]
 
     monkeypatch.setattr(qz, "quantize", recorded)
-    sessions = [ClientSession(cfg, cid, split) for cid, split in enumerate(build_splits(cfg), 1)]
+    keypair = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
+    splits = build_splits(cfg)
+    sessions = [ClientSession(cfg, 1, splits[0], keypair)]
+    sessions += [ClientSession(cfg, cid, split) for cid, split in enumerate(splits[1:], 2)]
     endpoints = {s.client_id: Tap(InThreadEndpoint(s)) for s in sessions}
     transcript = []
     protocol.server_run(cfg, endpoints, transcript)
