@@ -192,25 +192,26 @@ _JSON_KINDS = {"int": int, "float": (int, float), "str": str, "str | None": (str
 
 
 def _check_scalars(data, cls, path: str) -> None:
-    """ConfigError naming ``path.field`` for the first scalar field of ``cls``
-    whose value in the JSON object ``data`` is not of the annotated kind."""
+    """ConfigError naming ``path.field`` for the first key of the JSON object
+    ``data`` that is no field of ``cls``, else for the first scalar field of
+    ``cls`` whose value in ``data`` is not of the annotated kind."""
     if not isinstance(data, dict):
         raise ConfigError(path, f"must be a JSON object, got {data!r}")
+    at = f"{path}." if path else ""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(at + sorted(unknown)[0], "unknown field")
     for name, f in cls.__dataclass_fields__.items():
         value = data.get(name)
         if name in data and f.type in _JSON_KINDS:
             if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[f.type]):
-                where = f"{path}.{name}" if path else name
-                raise ConfigError(where, f"must be {f.type}, got {value!r}")
+                raise ConfigError(at + name, f"must be {f.type}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON document describes; a ConfigError names the first
     unknown or mistyped field."""
     _check_scalars(data, ExperimentConfig, "")
-    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
     kwargs = {k: v for k, v in data.items() if k not in ("clients", "quant")}
     if "quant" in data:
         q = data["quant"]

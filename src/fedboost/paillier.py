@@ -26,7 +26,6 @@ modern security margins; raise ``key_bits`` for anything beyond simulation.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -149,14 +148,6 @@ def _check_key_bits(key_bits: int, n: int | None = None) -> None:
         raise WeakKey(f"modulus has {n.bit_length()} bits, expected {key_bits}")
 
 
-def _build_keypair(p: int, q: int, key_bits: int) -> KeyPair:
-    if min(p, q) < 3 or math.gcd(p, q) != 1:
-        raise WeakKey("p and q must be distinct coprime factors greater than 2")
-    _check_key_bits(key_bits, p * q)
-    h_p, h_q, p_sq_inv = pow(-q, -1, p), pow(-p, -1, q), pow(p * p, -1, q * q)
-    return KeyPair(PublicKey(n=p * q, key_bits=key_bits), p, q, h_p, h_q, p_sq_inv)
-
-
 def keygen(key_bits: int, seed: int | None) -> KeyPair:
     """Generate an n of exactly ``key_bits`` bits from two equal-size primes."""
     _check_key_bits(key_bits)
@@ -165,7 +156,8 @@ def keygen(key_bits: int, seed: int | None) -> KeyPair:
     q = _generate_prime(key_bits // 2, rng)
     while q == p:
         q = _generate_prime(key_bits // 2, rng)
-    return _build_keypair(p, q, key_bits)
+    h_p, h_q, p_sq_inv = pow(-q, -1, p), pow(-p, -1, q), pow(p * p, -1, q * q)
+    return KeyPair(PublicKey(n=p * q, key_bits=key_bits), p, q, h_p, h_q, p_sq_inv)
 
 
 def _l_function(u: int, n: int) -> int:
@@ -257,19 +249,3 @@ def public_key_from_payload(payload: dict) -> PublicKey:
     _check_key_bits(key_bits, n)
     return PublicKey(n=n, key_bits=key_bits)
 
-
-def keypair_to_blob(kp: KeyPair) -> str:
-    """JSON blob carrying the full key pair, p and q in plain hex, between clients."""
-    return json.dumps(
-        {"key_bits": kp.key_bits, "p": int_to_hex(kp.p), "q": int_to_hex(kp.q)},
-        sort_keys=True,
-    )
-
-
-def keypair_from_blob(blob: str) -> KeyPair:
-    try:
-        data = json.loads(blob)
-        p, q, key_bits = hex_to_int(data["p"]), hex_to_int(data["q"]), int(data["key_bits"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WeakKey(f"malformed key blob: {exc!r}") from exc
-    return _build_keypair(p, q, key_bits)

@@ -6,7 +6,9 @@ its training loss, the server builds per-model cross-validation payloads
 (perturbed under homomorphic ops when fusion is on), clients return validation
 losses, the server computes aggregation weights and merges. After the last
 round a designated client decrypts the merged result and returns the final
-weights, since the server's state never holds the key pair.
+weights, since the server's state never holds the key pair. Every client of an
+encrypted cohort holds that key pair from the start, handed over out of band;
+client 1 offers the server its public key, and no frame carries the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as hex strings and floats as shortest round-trip decimals, so
@@ -50,7 +52,7 @@ DESIGNATED_DECRYPTOR = 1
 
 class MessageKind(IntEnum):
     KEY_OFFER = 1
-    KEY_DELIVER = 2
+    KEY_DELIVER = 2  # retired: no frame carries the key pair
     GLOBAL_GRADIENT = 3
     TRAIN_RESULT = 4
     FUSED_GRADIENT = 5
@@ -219,12 +221,12 @@ class ClientSession:
         split: DatasetSplit,
         keypair: paillier.KeyPair | None = None,
     ):
-        """``keypair`` is the cohort key pair, which client 1 of an encrypted
-        cohort holds from the start; the others receive it in KEY_DELIVER."""
+        """``keypair`` is the cohort key pair, which every client of an
+        encrypted cohort holds from the start."""
         if not (1 <= client_id <= settings.n_clients):
             raise ValueError(f"client id {client_id} outside 1..{settings.n_clients}")
-        if settings.encrypted and client_id == 1 and keypair is None:
-            raise ValueError("client 1 of an encrypted cohort needs the cohort key pair")
+        if settings.encrypted and keypair is None:
+            raise ValueError("every client of an encrypted cohort needs the cohort key pair")
         self.settings = settings
         self.client_id = client_id
         self.split = split
@@ -235,10 +237,10 @@ class ClientSession:
         self.final_weights: nn.ModelParams | None = None
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
 
-    # -- key distribution --
+    # -- key offer --
 
     def startup(self) -> list[Message]:
-        """Client 1 offers the cohort's public key and ships the key pair."""
+        """Client 1 offers the server the cohort's public key."""
         if not self.settings.encrypted or self.client_id != 1:
             return []
         return [
@@ -247,13 +249,7 @@ class ClientSession:
                 round=0,
                 sender=self.client_id,
                 payload=paillier.public_key_to_payload(self.keypair.public),
-            ),
-            Message(
-                MessageKind.KEY_DELIVER,
-                round=0,
-                sender=self.client_id,
-                payload={"blob": paillier.keypair_to_blob(self.keypair)},
-            ),
+            )
         ]
 
     # -- round operations --
@@ -261,8 +257,6 @@ class ClientSession:
     def train_round(self, msg: Message) -> Message:
         """Apply the incoming global state, train locally, upload the gradient."""
         r = msg.round
-        if self.settings.encrypted and self.keypair is None:
-            raise ProtocolViolation("no key pair before first training round")
         layout = self.settings.layout
         if r == 1:
             if _field(msg.payload, "layout", list) != [list(l) for l in layout.layers]:
@@ -335,11 +329,6 @@ class ClientSession:
                 f"{msg.kind.name} for round {msg.round} at local round {self.round}, "
                 f"expected round {expected}"
             )
-        if msg.kind == MessageKind.KEY_DELIVER:
-            if self.client_id == 1:
-                raise ProtocolViolation("key source received a key delivery")
-            self.keypair = paillier.keypair_from_blob(msg.payload.get("blob"))
-            return []
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
             return [self.train_round(msg)]
         if msg.kind == MessageKind.FUSED_GRADIENT:
@@ -500,6 +489,16 @@ def _send(endpoints, kind: MessageKind, round_no: int, payload: dict, to=None) -
                 raise
 
 
+@contextmanager
+def _from_client(cid: int):
+    """Name client ``cid`` in a ProtocolViolation or KeyMismatch raised
+    reading what it sent."""
+    try:
+        yield
+    except (ProtocolViolation, KeyMismatch) as exc:
+        raise type(exc)(f"client {cid}: {exc}") from exc
+
+
 def _expect(
     state: ServerState,
     endpoints,
@@ -510,50 +509,23 @@ def _expect(
     try:
         raw_kind, body = endpoints[cid].recv(timeout=state.settings.timeout_s)
     except TransportError as exc:
-        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"client {cid} unreachable"})
         raise RoundAborted(f"waiting for {kind.name} from client {cid}: {exc}") from exc
-    try:
+    with _from_client(cid):
         msg = decode_message(raw_kind, body)
-    except ProtocolViolation:
-        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"client {cid} sent garbage"})
-        raise
     if transcript is not None:
         transcript.append((cid, encode_frame(raw_kind, body)))
     if msg.kind == MessageKind.ABORT:
-        reason = f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}"
-        _send(endpoints, MessageKind.ABORT, state.round, {"reason": reason})
-        raise RoundAborted(reason)
+        raise RoundAborted(f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}")
     if msg.sender != cid:
         raise ProtocolViolation(f"message from endpoint {cid} claims sender {msg.sender}")
     if msg.kind != kind:
         raise ProtocolViolation(f"expected {kind.name} from client {cid}, got {msg.kind.name}")
-    # every client frame carries the server's round, 0 during key exchange
+    # every client frame carries the server's round, 0 for the key offer
     if msg.round != state.round:
         raise ProtocolViolation(
             f"client {cid} sent {kind.name} for round {msg.round} during round {state.round}"
         )
     return msg
-
-
-def distribute_keys(state: ServerState, endpoints, transcript: list | None = None) -> None:
-    """Register client 1's public key, relay the key blob to the rest."""
-    offer = _expect(state, endpoints, 1, MessageKind.KEY_OFFER, transcript)
-    if state.public_key is not None:
-        raise ProtocolViolation("duplicate key offer")
-    state.public_key = paillier.public_key_from_payload(offer.payload)
-    deliver = _expect(state, endpoints, 1, MessageKind.KEY_DELIVER, transcript)
-    # relayed without parsing, though the blob holds p and q in plain hex
-    peers = [cid for cid in sorted(endpoints) if cid != 1]
-    _send(endpoints, MessageKind.KEY_DELIVER, 0, deliver.payload, to=peers)
-
-
-@contextmanager
-def _from_client(cid: int):
-    """Name client ``cid`` in a ProtocolViolation raised reading its payload."""
-    try:
-        yield
-    except ProtocolViolation as exc:
-        raise ProtocolViolation(f"client {cid}: {exc}") from exc
 
 
 def _receive_gradient(state: ServerState, payload: dict):
@@ -593,17 +565,28 @@ def server_run(
     """Drive all rounds over per-client endpoints; returns the decrypted final
     model and one record per round. Clients are polled in id order inside each
     phase, so runs and transcripts are reproducible. A configuration that
-    ``validate`` refuses raises ConfigError before any frame is sent."""
+    ``validate`` refuses raises ConfigError before any frame is sent; any
+    later FedBoostError is sent to every client in an ABORT, then raised."""
     settings.validate()
+    state = ServerState(settings=settings)
+    try:
+        return _run_rounds(state, endpoints, transcript)
+    except FedBoostError as exc:
+        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"{type(exc).__name__}: {exc}"})
+        raise
+
+
+def _run_rounds(state: ServerState, endpoints, transcript: list | None) -> ServerRunResult:
+    settings = state.settings
     n = settings.n_clients
     clients = range(1, n + 1)
     if set(endpoints) != set(clients):
         raise ProtocolViolation(f"need endpoints for clients 1..{n}")
-    state = ServerState(settings=settings)
     records, merged_gradients = [], []
 
     if settings.encrypted:
-        distribute_keys(state, endpoints, transcript)
+        offer = _expect(state, endpoints, 1, MessageKind.KEY_OFFER, transcript)
+        state.public_key = paillier.public_key_from_payload(offer.payload)
 
     initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
 

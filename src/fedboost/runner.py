@@ -5,10 +5,11 @@ and export metrics/model/boundary artifacts. Centralized training is a cohort
 of one trainer holding the pooled training data, run on loopback.
 
 The runner generates the cohort key pair once, before either transport
-starts, and hands it to client 1, which holds it and sends it to the cohort.
-Per-round test metrics are computed by this harness: in encrypted modes the
-server cannot decrypt, so the harness scores rounds with that key pair purely
-for measurement.
+starts, and hands it to every client in its session; over TCP it travels in
+the spawned process's arguments, which stand in for the secure channel the
+clients share, so it never crosses the server. Per-round test metrics are
+computed by this harness: in encrypted modes the server cannot decrypt, so the
+harness scores rounds with that key pair purely for measurement.
 """
 
 from __future__ import annotations
@@ -172,11 +173,7 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
         # one trainer on the pooled training data, on loopback whatever the transport
         pooled = LabeledData.concat([s.train for s in splits])
         splits = [DatasetSplit(pooled, splits[0].validation, test)]
-    # client 1 holds the key pair and sends it to the others through the server
-    sessions = [
-        ClientSession(cfg, cid, split, keypair if cid == 1 else None)
-        for cid, split in enumerate(splits, 1)
-    ]
+    sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
     if cfg.transport == "tcp" and cfg.aggregator != "centralized":
         run = _run_tcp(cfg, sessions, transcript)
     else:

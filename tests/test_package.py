@@ -1,4 +1,5 @@
-"""Every top-level name the package defines is used by the program itself.
+"""Every top-level name the package defines is used by the program itself,
+and every name a package module imports is used by that module.
 
 Code that only tests call belongs in the tests. A function, class or constant
 defined in ``src/fedboost`` must be referenced outside its own definition
@@ -60,3 +61,28 @@ def unreferenced_names() -> list[str]:
 
 def test_no_test_only_code_in_the_package():
     assert unreferenced_names() == []
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` for every name a top-level import in a package module
+    binds and that module never uses. ``__init__`` imports to re-export, and
+    ``__future__`` imports switch on features, so both are skipped."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound = [alias.asname or alias.name for alias in stmt.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return unused
+
+
+def test_no_unused_imports_in_the_package():
+    assert unused_imports() == []

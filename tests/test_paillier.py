@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import time
@@ -149,6 +148,8 @@ class TestSieveKeepsKeys:
     def test_small_keys_match_reference(self, key_bits, seed):
         kp = paillier.keygen(key_bits, seed)
         assert (kp.p, kp.q) == reference_keygen(key_bits, seed)
+        # what keygen's primes meet by construction, for every seed
+        assert kp.p != kp.q and kp.public.n.bit_length() == key_bits
 
     @pytest.mark.parametrize("master_seed", range(8))
     def test_1024_bit_keys_match_reference(self, master_seed):
@@ -383,39 +384,8 @@ class TestSerialization:
         assert payload["n"] == format(key128.public.n, "x")
         assert paillier.public_key_from_payload(payload) == key128.public
 
-    @settings(max_examples=30, deadline=None)
-    @given(key_bits=st.sampled_from([64, 96, 128]), seed=st.integers(min_value=0, max_value=10**6))
-    def test_keypair_blob_roundtrip(self, key_bits, seed):
-        kp = paillier.keygen(key_bits, seed=seed)
-        restored = paillier.keypair_from_blob(paillier.keypair_to_blob(kp))
-        assert restored == kp  # every field, the CRT constants included
-        m = 31337
-        c = paillier.encrypt(kp.public, m)
-        assert paillier.decrypt(restored, c) == m
-
-
-def _blob(**fields) -> str:
-    return json.dumps(fields, sort_keys=True)
-
 
 class TestMalformedKeyMaterial:
-    @pytest.mark.parametrize(
-        "blob, cause",
-        [
-            ("not json", "malformed key blob"),
-            ("[1, 2]", "malformed key blob"),
-            (_blob(key_bits=64, p="c5"), "malformed key blob"),
-            (_blob(key_bits=64, p="zz", q="c5"), "malformed key blob"),
-            (_blob(key_bits=64, p=197, q="c5"), "malformed key blob"),
-            (_blob(key_bits="x", p="c5", q="c7"), "malformed key blob"),
-            (_blob(key_bits=64, p="f", q="23"), "coprime"),
-            (_blob(key_bits=64, p="1", q="c5"), "greater than 2"),
-        ],
-    )
-    def test_bad_blob_is_weak_key(self, blob, cause):
-        with pytest.raises(WeakKey, match=cause):
-            paillier.keypair_from_blob(blob)
-
     @pytest.mark.parametrize(
         "payload",
         [{"key_bits": 128}, {"key_bits": 128, "n": "XY"}, {"key_bits": "big", "n": "ff"}, {"n": "ff"}],

@@ -10,7 +10,14 @@ from fedboost import nn, paillier, protocol
 from fedboost import quantize as qz
 from fedboost.config import ClientSpec, ExperimentConfig, two_client_noniid
 from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_client_dataset, split
-from fedboost.errors import ChannelClosed, ConfigError, KeyMismatch, ProtocolViolation, RoundAborted
+from fedboost.errors import (
+    ChannelClosed,
+    ConfigError,
+    KeyMismatch,
+    ProtocolViolation,
+    RoundAborted,
+    WeakKey,
+)
 from fedboost.protocol import (
     ClientSession,
     InThreadEndpoint,
@@ -19,7 +26,6 @@ from fedboost.protocol import (
     ServerState,
     decode_message,
     derive_seed,
-    distribute_keys,
     encode_message,
     server_run,
 )
@@ -27,7 +33,6 @@ from fedboost.runner import build_splits, run_experiment
 from fedboost.transport import decode_frame, encode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
-_GOOD_BLOB = json.loads(paillier.keypair_to_blob(paillier.keygen(128, seed=5)))
 
 
 def client_split(seed: int, n_each: int = 60) -> DatasetSplit:
@@ -81,7 +86,7 @@ class ReplayEndpoint:
 
 
 def cohort_key(settings) -> paillier.KeyPair | None:
-    """The key pair the runner derives for an encrypted cohort and hands client 1."""
+    """The key pair the runner derives for an encrypted cohort and hands every client."""
     if not settings.encrypted:
         return None
     return paillier.keygen(settings.key_bits, derive_seed(settings.master_seed, "keygen"))
@@ -93,10 +98,10 @@ def key_source(settings, split) -> ClientSession:
 
 
 def run_loopback(settings, splits, transcript=None, missing=()):
-    """Minimal in-test harness: clients run in this thread; a ``missing``
-    client never replies."""
-    sessions = [key_source(settings, splits[0])]
-    sessions += [ClientSession(settings, cid, split) for cid, split in enumerate(splits[1:], 2)]
+    """Minimal in-test harness: clients run in this thread, each holding the
+    cohort key pair; a ``missing`` client never replies."""
+    keypair = cohort_key(settings)
+    sessions = [ClientSession(settings, cid, split, keypair) for cid, split in enumerate(splits, 1)]
     endpoints = {
         s.client_id: ReplayEndpoint([]) if s.client_id in missing else InThreadEndpoint(s)
         for s in sessions
@@ -163,70 +168,30 @@ class TestGradientPayloads:
 
 
 class TestKeyDistribution:
-    def test_relay_and_bitwise_equality(self):
-        settings = make_settings(encryption="he_dp")
-        source = key_source(settings, client_split(1))
-        frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings)
-        endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
-        distribute_keys(state, endpoints)
-        assert state.public_key == source.keypair.public
-        relayed = [decode_message(*_frame_parts(f)) for f in endpoints[2].sent]
-        assert [m.kind for m in relayed] == [MessageKind.KEY_DELIVER]
-        receiver = ClientSession(settings, 2, client_split(2))
-        receiver.handle(dataclasses.replace(relayed[0], sender=protocol.SERVER_ID))
-        assert receiver.keypair == source.keypair
-
-    def test_server_state_never_holds_secret_material(self):
-        settings = make_settings(encryption="he")
-        source = key_source(settings, client_split(1))
-        frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings)
-        distribute_keys(state, {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])})
-        assert isinstance(state.public_key, paillier.PublicKey)
+    def test_server_state_never_holds_secret_material(self, monkeypatch):
+        states = []
+        monkeypatch.setattr(
+            protocol, "ServerState", lambda **kw: states.append(ServerState(**kw)) or states[-1]
+        )
+        settings = make_settings(encryption="he", rounds=1)
+        run_loopback(settings, [client_split(1), client_split(2)])
+        [state] = states
+        assert state.public_key == cohort_key(settings).public
         _assert_no_keypair(state, path="ServerState")
 
-    def test_duplicate_key_offer(self):
-        settings = make_settings(encryption="he")
-        source = key_source(settings, client_split(1))
-        frames = [encode_frame(*encode_message(m)) for m in source.startup()]
-        state = ServerState(settings=settings)
-        state.public_key = source.keypair.public  # a key is already registered
-        with pytest.raises(ProtocolViolation):
-            distribute_keys(state, {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])})
-
-    def test_four_client_cohort_shares_one_key(self):
-        settings = make_settings(n_clients=4, encryption="he")
-        sessions = [key_source(settings, client_split(1))]
-        sessions += [ClientSession(settings, cid, client_split(cid)) for cid in range(2, 5)]
-        startup = sessions[0].startup()
-        deliver = next(m for m in startup if m.kind == MessageKind.KEY_DELIVER)
-        relay = Message(MessageKind.KEY_DELIVER, round=0, sender=protocol.SERVER_ID, payload=deliver.payload)
-        for session in sessions[1:]:
-            session.handle(relay)
-        pk = sessions[0].keypair.public
-        secret = paillier.encrypt(pk, 424242)
-        decrypted = {paillier.decrypt(s.keypair, secret) for s in sessions}
-        assert decrypted == {424242}
-
-    @pytest.mark.parametrize(
-        "payload, cause",
-        [
-            ({}, "malformed key blob"),
-            ({"blob": json.dumps({"key_bits": 128, "q": "c5"})}, "malformed key blob"),
-            ({"blob": json.dumps({"key_bits": 128, "p": "0x1f", "q": "c5"})}, "malformed key blob"),
-            ({"blob": json.dumps({**_GOOD_BLOB, "q": _GOOD_BLOB["p"]})}, "distinct"),
-            ({"blob": json.dumps({**_GOOD_BLOB, "key_bits": 192})}, "128 bits, expected 192"),
-        ],
-    )
-    def test_bad_key_delivery_aborts_client_promptly(self, payload, cause):
-        settings = make_settings(encryption="he", timeout_s=20.0)
-        session = ClientSession(settings, 2, client_split(2))
-        [reply] = server_says(InThreadEndpoint(session), MessageKind.KEY_DELIVER, 0, payload)
+    @pytest.mark.parametrize("client_id", [1, 2])
+    @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+    def test_client_refuses_a_key_delivery(self, encryption, client_id):
+        settings = make_settings(encryption=encryption)
+        session = ClientSession(settings, client_id, client_split(client_id), cohort_key(settings))
+        endpoint = InThreadEndpoint(session)
+        *before, reply = server_says(endpoint, MessageKind.KEY_DELIVER, 0, {"blob": "{}"})
+        # client 1 of an encrypted cohort queued its key offer at startup
+        offers = [MessageKind.KEY_OFFER] if settings.encrypted and client_id == 1 else []
+        assert [m.kind for m in before] == offers
         assert session.done
-        assert reply.kind == MessageKind.ABORT and reply.sender == 2
-        assert reply.payload["reason"].startswith("WeakKey: ")
-        assert cause in reply.payload["reason"]
+        assert reply.kind == MessageKind.ABORT and reply.sender == client_id
+        assert reply.payload["reason"] == "ProtocolViolation: client cannot handle KEY_DELIVER"
 
 
 def _round_one(settings) -> Message:
@@ -306,8 +271,7 @@ class TestMalformedPayloads:
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
-        session = ClientSession(settings, 2, client_split(2))
-        session.keypair = _KEY256
+        session = ClientSession(settings, 2, client_split(2), _KEY256)
         if round_no == 2 or kind != MessageKind.GLOBAL_GRADIENT:
             session.handle(_round_one(settings))
         [reply] = server_says(InThreadEndpoint(session), kind, round_no, payload)
@@ -432,8 +396,9 @@ class TestInThreadEndpoint:
 
     def test_startup_replies_arrive_in_order(self):
         endpoint = InThreadEndpoint(key_source(make_settings(encryption="he"), client_split(1)))
-        kinds = [decode_message(*endpoint.recv()).kind for _ in range(2)]
-        assert kinds == [MessageKind.KEY_OFFER, MessageKind.KEY_DELIVER]
+        assert decode_message(*endpoint.recv()).kind == MessageKind.KEY_OFFER
+        with pytest.raises(ChannelClosed):
+            endpoint.recv()
 
     def test_replies_are_the_encoded_frames(self):
         settings = make_settings()
@@ -501,7 +466,6 @@ class TestRoundChecks:
         "kind",
         [
             MessageKind.KEY_OFFER,
-            MessageKind.KEY_DELIVER,
             MessageKind.TRAIN_RESULT,
             MessageKind.EVAL_RESULT,
             MessageKind.FINAL_MODEL,
@@ -550,8 +514,115 @@ class TestRoundChecks:
         )
 
 
-def _frame_parts(frame: bytes) -> tuple[int, bytes]:
-    return frame[4], frame[5:]
+class TestServerAbortsEveryone:
+    """Whatever ends a run after the config check, the server sends every
+    client an ABORT with the error, and the error names the client at fault."""
+
+    @staticmethod
+    def _assert_every_client_aborted(endpoints, err, round_no=1):
+        reason = f"{type(err.value).__name__}: {err.value}"
+        for endpoint in endpoints.values():
+            last = decode_message(*decode_frame(endpoint.sent[-1]))
+            abort = Message(MessageKind.ABORT, round_no, protocol.SERVER_ID, {"reason": reason})
+            assert last == abort
+
+    @pytest.mark.parametrize(
+        "kind, edit, error, cause",
+        [
+            pytest.param(
+                MessageKind.KEY_OFFER,
+                lambda m: dataclasses.replace(m, kind=MessageKind.KEY_DELIVER),
+                ProtocolViolation,
+                "^expected KEY_OFFER from client 1, got KEY_DELIVER$",
+                id="key_delivery_for_the_offer",
+            ),
+            pytest.param(
+                MessageKind.KEY_OFFER,
+                lambda m: dataclasses.replace(m, payload={**m.payload, "key_bits": 192}),
+                WeakKey,
+                "modulus has 128 bits, expected 192$",
+                id="offer_of_another_size",
+            ),
+            pytest.param(
+                MessageKind.TRAIN_RESULT,
+                lambda m: dataclasses.replace(m, kind=MessageKind.KEY_DELIVER),
+                ProtocolViolation,
+                "^expected TRAIN_RESULT from client 2, got KEY_DELIVER$",
+                id="key_delivery_for_an_upload",
+            ),
+            pytest.param(
+                MessageKind.TRAIN_RESULT,
+                lambda m: dataclasses.replace(m, sender=1),
+                ProtocolViolation,
+                "^message from endpoint 2 claims sender 1$",
+                id="another_sender",
+            ),
+            pytest.param(
+                MessageKind.TRAIN_RESULT,
+                lambda m: dataclasses.replace(m, payload={**m.payload, "train_loss": "low"}),
+                ProtocolViolation,
+                "^client 2: payload field 'train_loss' is missing or mistyped$",
+                id="mistyped_train_loss",
+            ),
+            pytest.param(
+                MessageKind.EVAL_RESULT,
+                lambda m: dataclasses.replace(m, payload={"values": [-1.0, 0.5]}),
+                ProtocolViolation,
+                "^client 2: payload field 'values' has negative losses$",
+                id="negative_validation_loss",
+            ),
+            pytest.param(
+                MessageKind.FINAL_MODEL,
+                lambda m: dataclasses.replace(m, payload={"weights": [0.0]}),
+                ProtocolViolation,
+                "^client 1: payload field 'weights' has 1 entries, expected 42$",
+                id="final_model_of_another_size",
+            ),
+        ],
+    )
+    def test_tampered_client_frame(self, kind, edit, error, cause):
+        settings = make_settings(encryption="he", rounds=1)
+        transcript = []
+        run_loopback(settings, [client_split(1), client_split(2)], transcript)
+        # the last frame of this kind: client 2's for the per-client kinds
+        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == kind)
+        cid, frame = transcript[at]
+        msg = decode_message(*decode_frame(frame))
+        transcript[at] = (cid, encode_frame(*encode_message(edit(msg))))
+        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        with pytest.raises(error, match=cause) as err:
+            server_run(settings, endpoints)
+        self._assert_every_client_aborted(endpoints, err, msg.round)
+
+    def test_eval_result_of_another_round(self):
+        settings = make_settings(rounds=1)
+        transcript = []
+        run_loopback(settings, [client_split(1), client_split(2)], transcript)
+        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == MessageKind.EVAL_RESULT)
+        msg = decode_message(*decode_frame(transcript[at][1]))
+        assert msg.sender == 2
+        transcript[at] = (2, encode_frame(*encode_message(dataclasses.replace(msg, round=7))))
+        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        with pytest.raises(ProtocolViolation, match="^client 2 sent EVAL_RESULT for round 7") as err:
+            server_run(settings, endpoints)
+        self._assert_every_client_aborted(endpoints, err)
+
+    def test_upload_under_another_key(self):
+        settings = make_settings(encryption="he", rounds=1)
+        keypair, foreign = cohort_key(settings), paillier.keygen(settings.key_bits, seed=99)
+        frames = {}
+        for cid, key in ((1, keypair), (2, foreign)):
+            upload = {"gradient": _packed_payload(key, settings), "train_loss": 0.5}
+            frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, cid, upload)]
+        frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
+        endpoints = {
+            cid: ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
+            for cid, messages in frames.items()
+        }
+        cause = "^client 2: gradient is encrypted under a different key$"
+        with pytest.raises(KeyMismatch, match=cause) as err:
+            server_run(settings, endpoints)
+        self._assert_every_client_aborted(endpoints, err)
 
 
 def _assert_no_keypair(obj, path: str, seen=None):
@@ -643,9 +714,10 @@ class TestClientSession:
         with pytest.raises(ProtocolViolation):
             session.handle(merged)
 
-    def test_encrypted_key_source_needs_the_key_pair(self):
-        with pytest.raises(ValueError, match="client 1 of an encrypted cohort needs"):
-            ClientSession(make_settings(encryption="he"), 1, client_split(1))
+    @pytest.mark.parametrize("client_id", [1, 2])
+    def test_every_encrypted_client_needs_the_key_pair(self, client_id):
+        with pytest.raises(ValueError, match="every client of an encrypted cohort needs"):
+            ClientSession(make_settings(encryption="he"), client_id, client_split(client_id))
 
     def test_final_wrong_key_rejected(self, key64):
         settings = make_settings(rounds=1, encryption="he")

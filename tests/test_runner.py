@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedboost
-from fedboost import nn, paillier, protocol
+from fedboost import nn, paillier, protocol, runner
 from fedboost.config import (
     ClientSpec,
     ExperimentConfig,
@@ -86,6 +87,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^dp_jitter: unknown field$") as info:
             config_from_dict({**old, "dp_jitter": 0.0})
         assert info.value.field == "dp_jitter"
+        # a misspelt nested key would otherwise leave its field at the default
+        poisoned = json.loads(json.dumps(old))
+        poisoned["clients"][1]["poison_frac"] = 0.5
+        quant = {**old, "quant": {**old["quant"], "scale_exp": 3}}
+        lable = json.loads(json.dumps(old))
+        lable["clients"][0]["clusters"][1]["lable"] = 1
+        for data, field in (
+            (poisoned, "clients[1].poison_frac"),
+            (quant, "quant.scale_exp"),
+            (lable, "clients[0].clusters[1].lable"),
+        ):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$") as info:
+                config_from_dict(data)
+            assert info.value.field == field
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -212,6 +227,26 @@ class TestRunExperiment:
         # one key generation per run on either transport: TCP's client 1 gets the runner's key
         run_experiment(desk_config(rounds=1, encryption="he", transport="tcp"))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+    def test_every_client_holds_the_cohort_key_pair(self, encryption, monkeypatch):
+        seen = []
+        real_run = runner._run_loopback
+
+        def recorded(cfg, sessions, transcript):
+            seen.append(sessions)
+            return real_run(cfg, sessions, transcript)
+
+        monkeypatch.setattr(runner, "_run_loopback", recorded)
+        cfg = desk_config(rounds=1, encryption=encryption)
+        run_experiment(cfg)
+        [sessions] = seen
+        assert [s.client_id for s in sessions] == [1, 2]
+        if not cfg.encrypted:
+            assert [s.keypair for s in sessions] == [None, None]
+            return
+        expected = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
+        assert all(s.keypair == expected for s in sessions)
 
     def test_loopback_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):

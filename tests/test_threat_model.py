@@ -1,25 +1,33 @@
 """What each encryption mode hides, and from whom.
 
-Every client holds the one cohort key pair (the shared-key model of Phong et
-al., "Privacy-Preserving Deep Learning via Additively Homomorphic Encryption",
-IEEE TIFS 2018). These tests rebuild gradients from nothing but the frames a
-party is handed, and compare them entry for entry with the quantized gradient
-each client uploaded.
+Every client holds the one cohort key pair, handed over out of band (the
+shared-key model of Phong et al., "Privacy-Preserving Deep Learning via
+Additively Homomorphic Encryption", IEEE TIFS 2018). These tests rebuild
+gradients from nothing but the frames a party is handed, and compare them
+entry for entry with the quantized gradient each client uploaded; and they
+scan every frame through the server for the secret key.
 """
+
+import pytest
 
 from fedboost import aggregate as agg
 from fedboost import paillier, protocol
 from fedboost import quantize as qz
 from fedboost.config import ClientSpec, ExperimentConfig
 from fedboost.datasets import GaussianSpec
-from fedboost.protocol import ClientSession, InThreadEndpoint, MessageKind, decode_message
+from fedboost.protocol import (
+    ClientSession,
+    InThreadEndpoint,
+    MessageKind,
+    decode_message,
+    encode_message,
+)
 from fedboost.runner import build_splits
-from fedboost.transport import decode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 
-def cohort(n_clients: int, encryption: str) -> ExperimentConfig:
+def cohort(n_clients: int, encryption: str, aggregator: str = "fedboosting") -> ExperimentConfig:
     clients = tuple(
         ClientSpec(
             clusters=(
@@ -32,7 +40,7 @@ def cohort(n_clients: int, encryption: str) -> ExperimentConfig:
     )
     return ExperimentConfig(
         clients=clients,
-        aggregator="fedboosting",
+        aggregator=aggregator,
         encryption=encryption,
         rounds=2,
         key_bits=256,
@@ -57,8 +65,9 @@ class Tap:
 
 def run(cfg: ExperimentConfig, monkeypatch):
     """A loopback run. Returns every client's quantized upload per round
-    (``uploads[r][j]`` is client j + 1's), client 1's key pair, the messages
-    the server delivered to client 1, and the server's inbound transcript."""
+    (``uploads[r][j]`` is client j + 1's), the cohort key pair, the messages
+    the server delivered to each client by id, and the server's inbound
+    transcript."""
     quantized = []
     quantize = qz.quantize
 
@@ -69,15 +78,15 @@ def run(cfg: ExperimentConfig, monkeypatch):
     monkeypatch.setattr(qz, "quantize", recorded)
     keypair = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
     splits = build_splits(cfg)
-    sessions = [ClientSession(cfg, 1, splits[0], keypair)]
-    sessions += [ClientSession(cfg, cid, split) for cid, split in enumerate(splits[1:], 2)]
+    sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
     endpoints = {s.client_id: Tap(InThreadEndpoint(s)) for s in sessions}
     transcript = []
     protocol.server_run(cfg, endpoints, transcript)
     # in-thread clients train inside the server's broadcast, in id order
     n = cfg.n_clients
     uploads = [[q.values for q in quantized[r * n : (r + 1) * n]] for r in range(cfg.rounds)]
-    return uploads, sessions[0].keypair, endpoints[1].delivered, transcript
+    delivered = {cid: endpoint.delivered for cid, endpoint in endpoints.items()}
+    return uploads, keypair, delivered, transcript
 
 
 def decrypt(keypair: paillier.KeyPair, payload: dict) -> list[int]:
@@ -104,7 +113,7 @@ def fusion_weights(cfg: ExperimentConfig) -> tuple[int, int]:
 def test_he_client_decrypts_every_peer_upload(monkeypatch):
     cfg = cohort(3, "he")
     uploads, keypair, delivered, _ = run(cfg, monkeypatch)
-    assert cross_validation_models(keypair, delivered) == uploads
+    assert cross_validation_models(keypair, delivered[1]) == uploads
 
 
 def test_he_dp_two_clients_client_one_rebuilds_its_peer(monkeypatch):
@@ -112,7 +121,7 @@ def test_he_dp_two_clients_client_one_rebuilds_its_peer(monkeypatch):
     uploads, keypair, delivered, _ = run(cfg, monkeypatch)
     a, b = fusion_weights(cfg)
     assert (a, b) == (90, 10)
-    fused = cross_validation_models(keypair, delivered)
+    fused = cross_validation_models(keypair, delivered[1])
     for (q1, q2), (f1, _f2) in zip(uploads, fused, strict=True):
         # q_2 = (F_1 - a*q_1) / b
         assert [(f - a * own) // b for f, own in zip(f1, q1)] == q2
@@ -123,19 +132,33 @@ def test_he_dp_three_clients_client_one_rebuilds_both_peers(monkeypatch):
     uploads, keypair, delivered, _ = run(cfg, monkeypatch)
     a, b = fusion_weights(cfg)
     assert (a, b) == (90, 5)
-    for q, fused in zip(uploads, cross_validation_models(keypair, delivered), strict=True):
+    for q, fused in zip(uploads, cross_validation_models(keypair, delivered[1]), strict=True):
         for j in (1, 2):
             # F_1 - F_j = (a - b)(q_1 - q_j)
             rebuilt = [own - (f1 - fj) // (a - b) for own, f1, fj in zip(q[0], fused[0], fused[j])]
             assert rebuilt == q[j]
 
 
-def test_server_that_reads_the_key_it_relays_decrypts_every_upload(monkeypatch):
-    cfg = cohort(2, "he_dp")
-    uploads, keypair, _, transcript = run(cfg, monkeypatch)
-    inbound = [decode_message(*decode_frame(frame)) for _cid, frame in transcript]
-    blob = next(m for m in inbound if m.kind == MessageKind.KEY_DELIVER).payload["blob"]
-    relayed = paillier.keypair_from_blob(blob)
-    assert relayed == keypair
-    trained = [m.payload["gradient"] for m in inbound if m.kind == MessageKind.TRAIN_RESULT]
-    assert [decrypt(relayed, g) for g in trained] == [q for per_round in uploads for q in per_round]
+@pytest.mark.parametrize(
+    "n_clients, encryption, aggregator, frames_in, frames_out",
+    [
+        pytest.param(2, "he", "fedboosting", 10, 11, id="he"),
+        pytest.param(2, "he_dp", "fedboosting", 10, 11, id="he_dp"),
+        pytest.param(2, "he", "fedavg", 6, 7, id="he-fedavg"),
+        pytest.param(3, "he_dp", "fedboosting", 14, 16, id="he_dp-3_clients"),
+    ],
+)
+def test_no_frame_through_the_server_carries_the_secret_key(
+    n_clients, encryption, aggregator, frames_in, frames_out, monkeypatch
+):
+    cfg = cohort(n_clients, encryption, aggregator)
+    _, keypair, delivered, transcript = run(cfg, monkeypatch)
+    inbound = [frame for _cid, frame in transcript]
+    outbound = [encode_message(m)[1] for messages in delivered.values() for m in messages]
+    # key offer, uploads, cross-validation losses and the final model in;
+    # broadcasts, models to score, the merged gradient and the final request out
+    assert (len(inbound), len(outbound)) == (frames_in, frames_out)
+    # the public modulus travels in hex, so the scan would find a prime that did
+    assert any(paillier.int_to_hex(keypair.public.n).encode() in f for f in inbound)
+    for secret in (keypair.p, keypair.q):
+        assert not any(paillier.int_to_hex(secret).encode() in f for f in inbound + outbound)
