@@ -1,15 +1,11 @@
-"""Command line entry points: run experiments, export decision boundaries,
-benchmark the cryptosystem."""
+"""Command line entry points: run experiments and export decision boundaries."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 
-from . import aggregate, paillier
 from .config import AGGREGATORS, ENCRYPTIONS, TRANSPORTS, default_config, load_config
 from .errors import FedBoostError
 from .runner import GridSpec, export_boundary, load_model, run_experiment
@@ -52,46 +48,6 @@ def _cmd_boundary(args) -> int:
     return 0
 
 
-def _cmd_keybench(args) -> int:
-    rng = random.Random(0)
-    start = time.perf_counter()
-    kp = paillier.keygen(args.key_bits, seed=0)
-    keygen_s = time.perf_counter() - start
-    plains = [rng.randrange(kp.public.n) for _ in range(args.trials)]
-
-    # key holders (every client) encrypt with the key pair
-    start = time.perf_counter()
-    cts = [paillier.encrypt(kp, m, rng) for m in plains]
-    encrypt_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    decrypted = [paillier.decrypt(kp, c) for c in cts]
-    decrypt_s = time.perf_counter() - start
-    mismatches = sum(d != m for d, m in zip(decrypted, plains))
-
-    start = time.perf_counter()
-    acc = cts[0]
-    for c in cts[1:]:
-        acc = paillier.he_add(kp.public, acc, c)
-    add_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for c in cts:
-        paillier.he_scalar_mul(kp.public, 97, c)
-    mul_s = time.perf_counter() - start
-
-    print(f"key_bits={args.key_bits} trials={args.trials}")
-    print(f"keygen:     {keygen_s * 1e3:9.3f} ms")
-    print(f"encrypt:    {encrypt_s / args.trials * 1e6:9.3f} us/op")
-    print(f"decrypt:    {decrypt_s / args.trials * 1e6:9.3f} us/op")
-    print(f"he_add:     {add_s / max(1, args.trials - 1) * 1e6:9.3f} us/op")
-    print(f"scalar_mul: {mul_s / args.trials * 1e6:9.3f} us/op")
-    print(f"slots:      {aggregate.slots_per_ciphertext(args.key_bits):9d} entries per ciphertext")
-    if mismatches:
-        raise FedBoostError(f"{mismatches} of {args.trials} decryptions differ from the plaintext")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedboost",
@@ -118,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     boundary_p.add_argument("--ymax", type=float, default=6.0)
     boundary_p.add_argument("--steps", type=int, default=101)
     boundary_p.set_defaults(func=_cmd_boundary)
-
-    bench_p = sub.add_parser("keybench", help="time keygen and homomorphic operations")
-    bench_p.add_argument("--key-bits", type=int, default=128)
-    bench_p.add_argument("--trials", type=int, default=200)
-    bench_p.set_defaults(func=_cmd_keybench)
     return parser
 
 

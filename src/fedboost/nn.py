@@ -1,47 +1,46 @@
 """Small dense classifier trained with analytic backprop.
 
-The model is a stack of fully-connected layers with sigmoid activations on all
-hidden layers and a softmax output; parameters live in one flat float64 vector
-so that whole models and gradients can be exchanged, merged and encrypted as
-plain vectors. Local training is fused for the two-layer layout of
-``mlp_layout``.
+The model is the 2-``n_hidden``-2 network the 2D, two-class data calls for: a
+sigmoid hidden layer and a softmax output. Its parameters live in one flat
+float64 vector so that whole models and gradients can be exchanged, merged and
+encrypted as plain vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .datasets import DatasetSplit, LabeledData
 from .errors import EmptyDataset, InvalidLayout, NonFiniteInput, ShapeMismatch
 
+# Adam's standard constants; every local training pass starts from fresh moments
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class Layout:
-    """Per-layer (fan_in, fan_out) pairs; each layer owns fan_out*fan_in weights
-    plus fan_out biases, packed in that order into the flat vector."""
+    """Two inputs, ``n_hidden`` sigmoid units, two softmax outputs. Each layer
+    owns fan_out*fan_in weights plus fan_out biases, packed in that order into
+    the flat vector."""
 
-    layers: tuple[tuple[int, int], ...]
+    n_hidden: int
 
     def __post_init__(self):
-        if not self.layers:
-            raise InvalidLayout("layout has no layers")
-        for i, (fan_in, fan_out) in enumerate(self.layers):
-            if fan_in < 1 or fan_out < 1:
-                raise InvalidLayout(f"layer {i} has non-positive dims ({fan_in}, {fan_out})")
-        for (_, out_prev), (in_next, _) in zip(self.layers, self.layers[1:]):
-            if out_prev != in_next:
-                raise InvalidLayout(f"layer dims do not chain: {self.layers}")
+        if isinstance(self.n_hidden, bool) or not isinstance(self.n_hidden, int) or self.n_hidden < 1:
+            raise InvalidLayout(f"n_hidden must be an int >= 1, got {self.n_hidden!r}")
+
+    @property
+    def layers(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Per-layer (fan_in, fan_out) pairs."""
+        return (2, self.n_hidden), (self.n_hidden, 2)
 
     @property
     def size(self) -> int:
         return sum(fi * fo + fo for fi, fo in self.layers)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0][0]
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weight, bias) views into ``flat``; writes through to the vector."""
@@ -55,11 +54,6 @@ class Layout:
             offset += fan_out
             out.append((w, b))
         return out
-
-
-def mlp_layout(n_inputs: int = 2, n_hidden: int = 8, n_outputs: int = 2) -> Layout:
-    """Two dense layers; the default (2, 8, 2) vector has 42 entries."""
-    return Layout(((n_inputs, n_hidden), (n_hidden, n_outputs)))
 
 
 @dataclass
@@ -77,21 +71,6 @@ class ModelParams:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("model parameters must be finite")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Adam with the standard constants and a settable learning rate; every
-    local training pass starts from fresh moments."""
-
-    learning_rate: float = 0.003
-    beta1: ClassVar[float] = 0.9
-    beta2: ClassVar[float] = 0.999
-    epsilon: ClassVar[float] = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
 
 
 @dataclass
@@ -127,41 +106,27 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _forward_hidden(params: ModelParams, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Activations of every hidden layer plus the output logits, batched."""
-    layers = params.layout.views(params.values)
-    hidden = []
-    h = x
-    for w, b in layers[:-1]:
-        h = _sigmoid(h @ w.T + b)
-        hidden.append(h)
-    w, b = layers[-1]
-    return hidden, h @ w.T + b
-
-
-def forward_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per input row."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("inputs must be finite")
-    _, logits = _forward_hidden(params, x)
-    return np.exp(_log_softmax(logits))
+def _logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Output logits, one row per input row."""
+    (w1, b1), (w2, b2) = params.layout.views(params.values)
+    return _sigmoid(x @ w1.T + b1) @ w2.T + b2
 
 
 def forward(params: ModelParams, x) -> np.ndarray:
     """Class probabilities for a single input point."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.layout.n_inputs,):
-        raise ShapeMismatch(f"expected input of shape ({params.layout.n_inputs},)")
-    return forward_batch(params, x[None, :])[0]
+    if x.shape != (2,):
+        raise ShapeMismatch(f"expected input of shape (2,), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("inputs must be finite")
+    return np.exp(_log_softmax(_logits(params, x[None, :])))[0]
 
 
 def evaluate(params: ModelParams, data: LabeledData) -> tuple[float, float]:
     """Mean cross-entropy and argmax accuracy over a labelled set."""
     if len(data) == 0:
         raise EmptyDataset("cannot evaluate on an empty set")
-    _, logits = _forward_hidden(params, data.x)
-    logp = _log_softmax(logits)
+    logp = _log_softmax(_logits(params, data.x))
     loss = -logp[np.arange(len(data)), data.y].mean()
     accuracy = float((logp.argmax(axis=1) == data.y).mean())
     return float(loss), accuracy
@@ -172,7 +137,7 @@ def train_local(
     data: DatasetSplit,
     batch_size: int,
     epochs: int,
-    opt: OptimizerConfig,
+    learning_rate: float,
     seed: int,
 ) -> TrainReport:
     """Mini-batch cross-entropy training with Adam on ``data.train``.
@@ -190,9 +155,9 @@ def train_local(
         raise ValueError("batch_size must be >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if learning_rate < 0:
+        raise ValueError("learning_rate must be >= 0")
     layout = params.layout
-    if len(layout.layers) != 2:
-        raise InvalidLayout(f"training needs two layers, got {len(layout.layers)}")
     train = data.train
     n = len(train)
     if n == 0:
@@ -215,7 +180,7 @@ def train_local(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     t = 0
-    eta, b1, b2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.epsilon
+    eta, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
     # inputs and hidden activations carry a trailing 1 that meets the bias column
     hidden = np.ones((min(batch_size, n), n_hidden + 1))

@@ -43,6 +43,7 @@ from .errors import (
     RoundAborted,
     ShapeMismatch,
     TransportError,
+    WeakKey,
 )
 from .transport import decode_frame, encode_frame
 
@@ -85,9 +86,11 @@ def decode_message(kind: int, body: bytes) -> Message:
         mk = MessageKind(kind)
     except ValueError:
         raise ProtocolViolation(f"unknown message kind byte {kind}") from None
+    # ValueError covers bad UTF-8, bad JSON and integers past the int-string
+    # limit; RecursionError, arrays or objects nested too deep
     try:
         data = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolViolation(f"malformed message body: {exc}") from exc
     if (
         not isinstance(data, dict)
@@ -271,7 +274,7 @@ class ClientSession:
             self.split,
             self.settings.batch_size,
             self.settings.epochs,
-            self.settings.optimizer,
+            self.settings.learning_rate,
             derive_seed(self.settings.master_seed, "shuffle", r, self.client_id),
         )
         if self.settings.encrypted:
@@ -491,11 +494,11 @@ def _send(endpoints, kind: MessageKind, round_no: int, payload: dict, to=None) -
 
 @contextmanager
 def _from_client(cid: int):
-    """Name client ``cid`` in a ProtocolViolation or KeyMismatch raised
-    reading what it sent."""
+    """Name client ``cid`` in a ProtocolViolation, KeyMismatch or WeakKey
+    raised reading what it sent."""
     try:
         yield
-    except (ProtocolViolation, KeyMismatch) as exc:
+    except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
         raise type(exc)(f"client {cid}: {exc}") from exc
 
 
@@ -586,7 +589,12 @@ def _run_rounds(state: ServerState, endpoints, transcript: list | None) -> Serve
 
     if settings.encrypted:
         offer = _expect(state, endpoints, 1, MessageKind.KEY_OFFER, transcript)
-        state.public_key = paillier.public_key_from_payload(offer.payload)
+        with _from_client(1):
+            state.public_key = paillier.public_key_from_payload(offer.payload)
+            if state.public_key.key_bits != settings.key_bits:
+                raise KeyMismatch(
+                    f"offered a {state.public_key.key_bits}-bit key, expected {settings.key_bits}"
+                )
 
     initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
 

@@ -27,6 +27,7 @@ from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison
 from .errors import (
     ConfigError,
     FedBoostError,
+    InvalidLayout,
     IoError,
     ProtocolViolation,
     RoundAborted,
@@ -91,16 +92,24 @@ def _run_loopback(
     return server_run(cfg, endpoints, transcript)
 
 
-def _client_process_main(address: tuple[str, int], session: ClientSession) -> None:
-    endpoint = tcp_connect(address, timeout=session.settings.timeout_s)
+def _client_process_main(
+    address: tuple[str, int],
+    cfg: ExperimentConfig,
+    client_id: int,
+    keypair: paillier.KeyPair | None,
+) -> None:
+    """A TCP client: connect first, then build the data split, so the spawn
+    argument stays small and the one-at-a-time launch does not wait on it."""
+    endpoint = tcp_connect(address, timeout=cfg.timeout_s)
     try:
+        session = ClientSession(cfg, client_id, build_client_split(cfg, client_id), keypair)
         client_run(session, endpoint)
     finally:
         endpoint.close()
 
 
 def _run_tcp(
-    cfg: ExperimentConfig, sessions: list[ClientSession], transcript: list | None
+    cfg: ExperimentConfig, keypair: paillier.KeyPair | None, transcript: list | None
 ) -> ServerRunResult:
     # imported here: loopback runs and the client processes never wait on a sentinel
     from multiprocessing.connection import wait
@@ -111,9 +120,11 @@ def _run_tcp(
     server_eps = {}
     try:
         # clients are launched one at a time, so accept order identifies them
-        for cid, session in enumerate(sessions, 1):
+        for cid in range(1, cfg.n_clients + 1):
             proc = ctx.Process(
-                target=_client_process_main, args=(listener.address, session), daemon=True
+                target=_client_process_main,
+                args=(listener.address, cfg, cid, keypair),
+                daemon=True,
             )
             proc.start()
             procs.append(proc)
@@ -173,10 +184,10 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
         # one trainer on the pooled training data, on loopback whatever the transport
         pooled = LabeledData.concat([s.train for s in splits])
         splits = [DatasetSplit(pooled, splits[0].validation, test)]
-    sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
     if cfg.transport == "tcp" and cfg.aggregator != "centralized":
-        run = _run_tcp(cfg, sessions, transcript)
+        run = _run_tcp(cfg, keypair, transcript)
     else:
+        sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
         run = _run_loopback(cfg, sessions, transcript)
     records = _protocol_records(run, test, keypair)
 
@@ -253,9 +264,11 @@ def load_model(path) -> nn.ModelParams:
     except json.JSONDecodeError as exc:
         raise IoError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
-        layout = nn.Layout(tuple(tuple(layer) for layer in doc["layout"]))
+        layout = nn.Layout(doc["layout"][0][1])
+        if doc["layout"] != [list(layer) for layer in layout.layers]:
+            raise InvalidLayout(f"layout {doc['layout']} is not [[2, h], [h, 2]]")
         return nn.ModelParams(np.array(doc["values"], dtype=np.float64), layout)
-    except (KeyError, TypeError, ValueError, FedBoostError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, FedBoostError) as exc:
         raise IoError(f"model file {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from fedboost import paillier
 from fedboost.cli import main
 from fedboost.config import config_to_dict, default_config, two_client_noniid, ExperimentConfig
 
@@ -143,6 +142,14 @@ class TestBoundaryCommand:
             {"layout": [[2, 8], [8, 2]], "values": [0.0] * 41},
             {"layout": 3, "values": [0.0] * 42},
             [],
+            # a network other than 2-n_hidden-2, of 42 values where that fits
+            {"layout": [[2, 4], [4, 4], [4, 2]], "values": [0.0] * 42},
+            {"layout": [[2, 8], [4, 2]], "values": [0.0] * 42},
+            {"layout": [[3, 8], [8, 2]], "values": [0.0] * 50},
+            {"layout": [[2, 8], [8, 3]], "values": [0.0] * 51},
+            {"layout": [[2, 8.0], [8.0, 2]], "values": [0.0] * 42},
+            {"layout": [[2, 8]], "values": [0.0] * 24},
+            {"layout": [], "values": []},
         ],
     )
     def test_malformed_model_errors_naming_the_file(self, tmp_path, capsys, doc):
@@ -152,30 +159,6 @@ class TestBoundaryCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "IoError"
         assert str(model) in err["detail"]
-
-
-class TestKeybenchCommand:
-    def test_reports_timings(self, capsys):
-        code = main(["keybench", "--key-bits", "128", "--trials", "20"])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        for label in ("keygen:", "encrypt:", "decrypt:", "he_add:", "scalar_mul:"):
-            assert label in stdout
-        assert "slots:              1 entries per ciphertext" in stdout
-
-    def test_reports_slots_per_ciphertext(self, capsys):
-        assert main(["keybench", "--key-bits", "512", "--trials", "2"]) == 0
-        assert "slots:              4 entries per ciphertext" in capsys.readouterr().out
-
-    def test_wrong_decryption_exits_nonzero(self, capsys, monkeypatch):
-        real_decrypt = paillier.decrypt
-        monkeypatch.setattr(paillier, "decrypt", lambda kp, c: real_decrypt(kp, c) ^ 1)
-        code = main(["keybench", "--key-bits", "64", "--trials", "5"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "decrypt:" in captured.out
-        err = json.loads(captured.err.strip())
-        assert err["detail"] == "5 of 5 decryptions differ from the plaintext"
 
 
 def test_default_config_is_full_scale():

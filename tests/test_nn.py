@@ -10,7 +10,7 @@ from fedboost import nn
 from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_client_dataset, split
 from fedboost.errors import EmptyDataset, InvalidLayout, NonFiniteInput, ShapeMismatch
 
-LAYOUT = nn.mlp_layout()
+LAYOUT = nn.Layout(8)
 
 
 # --- independent scalar oracle: plain-Python recomputation of the network ---
@@ -76,12 +76,17 @@ class TestLayout:
         assert LAYOUT.size == 42
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidLayout):
-            nn.Layout(())
+        with pytest.raises(InvalidLayout, match="n_hidden must be an int >= 1, got 0"):
+            nn.Layout(0)
 
-    def test_non_chaining_rejected(self):
-        with pytest.raises(InvalidLayout):
-            nn.Layout(((2, 8), (4, 2)))
+    def test_layers_are_2_n_hidden_2(self):
+        assert nn.Layout(5).layers == ((2, 5), (5, 2))
+        assert nn.Layout(5).size == 5 * 3 + 2 * 6
+
+    @pytest.mark.parametrize("n_hidden", [-3, 2.0, True, "8", None, ((2, 8), (8, 2))])
+    def test_bad_n_hidden_rejected(self, n_hidden):
+        with pytest.raises(InvalidLayout, match="n_hidden must be an int >= 1"):
+            nn.Layout(n_hidden)
 
 
 class TestInit:
@@ -122,6 +127,11 @@ class TestForward:
         x = [0.35, -1.2]
         expected = oracle_forward(list(params.values), LAYOUT, x)
         assert np.allclose(nn.forward(params, x), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0), ((1.0, 2.0),)])
+    def test_input_of_another_shape_rejected(self, x):
+        with pytest.raises(ShapeMismatch, match=r"expected input of shape \(2,\)"):
+            nn.forward(nn.init_params(1, LAYOUT), x)
 
     def test_non_finite_input_rejected(self):
         params = nn.init_params(1, LAYOUT)
@@ -209,7 +219,7 @@ def analytic_gradient(params, x, y):
     return grad
 
 
-def reference_train(params, data, batch_size, epochs, opt, seed):
+def reference_train(params, data, batch_size, epochs, learning_rate, seed):
     """Unfused training: the oracle's gradient per batch, Adam on the flat
     vector, and the batch order ``train_local`` draws from ``seed``."""
     train = data.train
@@ -224,11 +234,11 @@ def reference_train(params, data, batch_size, epochs, opt, seed):
             idx = perm[start : start + batch_size]
             loss_and_grad(views, grad_views, train.x[idx], train.y[idx])
             t += 1
-            m = opt.beta1 * m + (1.0 - opt.beta1) * grad
-            v = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-            m_hat = m / (1.0 - opt.beta1**t)
-            v_hat = v / (1.0 - opt.beta2**t)
-            flat -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+            m = nn.ADAM_BETA1 * m + (1.0 - nn.ADAM_BETA1) * grad
+            v = nn.ADAM_BETA2 * v + (1.0 - nn.ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - nn.ADAM_BETA1**t)
+            v_hat = v / (1.0 - nn.ADAM_BETA2**t)
+            flat -= learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
     return flat - params.values
 
 
@@ -261,10 +271,10 @@ class TestGradients:
         x = rng.normal(size=(1, 2))
         y = np.array([1])
         parts = DatasetSplit(LabeledData(x, y), LabeledData(x, y), LabeledData(x, y))
-        opt = nn.OptimizerConfig(learning_rate=0.003)
-        report = nn.train_local(params, parts, batch_size=1, epochs=1, opt=opt, seed=0)
+        lr = 0.003
+        report = nn.train_local(params, parts, batch_size=1, epochs=1, learning_rate=lr, seed=0)
         g = analytic_gradient(params, x, y)
-        expected = -opt.learning_rate * g / (np.abs(g) + opt.epsilon)
+        expected = -lr * g / (np.abs(g) + nn.ADAM_EPSILON)
         assert np.allclose(report.gradient, expected, rtol=1e-12, atol=1e-18)
 
 
@@ -275,12 +285,12 @@ class TestFusedStep:
     @pytest.mark.parametrize("n_hidden", [1, 8, 32])
     @pytest.mark.parametrize("batch_size", [7, 64])  # 40 rows: a partial last batch; one batch
     def test_matches_reference_adam_loop(self, n_hidden, batch_size):
-        layout = nn.mlp_layout(2, n_hidden, 2)
+        layout = nn.Layout(n_hidden)
         params = nn.init_params(n_hidden, layout)
         parts = tiny_split(20, seed=n_hidden)
-        opt = nn.OptimizerConfig(learning_rate=0.05)
-        report = nn.train_local(params, parts, batch_size, 2, opt, seed=3)
-        expected = reference_train(params, parts, batch_size, 2, opt, seed=3)
+        lr = 0.05
+        report = nn.train_local(params, parts, batch_size, 2, lr, seed=3)
+        expected = reference_train(params, parts, batch_size, 2, lr, seed=3)
         assert np.all(expected != 0)
         np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=0)
         post = nn.ModelParams(params.values + expected, layout)
@@ -296,25 +306,23 @@ class TestFusedStep:
         parts = tiny_split(10, seed=4)
         z1 = parts.train.x @ w1.T
         assert np.abs(z1).max() > 710 and np.abs(nn._sigmoid(z1) @ w2.T).max() > 710
-        opt = nn.OptimizerConfig()
+        lr = 0.003
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = nn.train_local(params, parts, 4, 1, opt, seed=2)
+            report = nn.train_local(params, parts, 4, 1, lr, seed=2)
         assert np.all(np.isfinite(report.gradient))
-        expected = reference_train(params, parts, 4, 1, opt, seed=2)
+        expected = reference_train(params, parts, 4, 1, lr, seed=2)
         np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=0)
-
-    def test_three_layers_refused(self):
-        layout = nn.Layout(((2, 4), (4, 4), (4, 2)))
-        with pytest.raises(InvalidLayout, match="two layers, got 3"):
-            nn.train_local(nn.init_params(0, layout), tiny_split(), 4, 1, nn.OptimizerConfig(), 0)
 
 
 class TestTrainLocal:
+    def test_negative_learning_rate_refused(self):
+        with pytest.raises(ValueError, match="learning_rate must be >= 0"):
+            nn.train_local(nn.init_params(2, LAYOUT), tiny_split(), 4, 1, -0.001, 0)
+
     def test_zero_learning_rate_gives_zero_delta(self):
         params = nn.init_params(2, LAYOUT)
-        opt = nn.OptimizerConfig(learning_rate=0.0)
-        report = nn.train_local(params, tiny_split(), batch_size=4, epochs=2, opt=opt, seed=1)
+        report = nn.train_local(params, tiny_split(), batch_size=4, epochs=2, learning_rate=0.0, seed=1)
         assert np.all(report.gradient == 0)
 
     def test_single_adam_step_matches_oracle(self):
@@ -324,33 +332,33 @@ class TestTrainLocal:
         x = np.array([[0.8, -0.3]])
         y = np.array([1])
         parts = DatasetSplit(LabeledData(x, y), LabeledData(x, y), LabeledData(x, y))
-        opt = nn.OptimizerConfig(learning_rate=0.003)
-        report = nn.train_local(params, parts, batch_size=1, epochs=1, opt=opt, seed=0)
+        lr = 0.003
+        report = nn.train_local(params, parts, batch_size=1, epochs=1, learning_rate=lr, seed=0)
         g = fd_gradient(list(params.values), LAYOUT, x, y, h=1e-6)
-        expected = -opt.learning_rate * g / (np.abs(g) + opt.epsilon)
+        expected = -lr * g / (np.abs(g) + nn.ADAM_EPSILON)
         assert np.allclose(report.gradient, expected, atol=1e-9)
 
     def test_deterministic_for_seed(self):
         params = nn.init_params(4, LAYOUT)
-        opt = nn.OptimizerConfig()
+        lr = 0.003
         parts = tiny_split(16)
-        a = nn.train_local(params, parts, 4, 2, opt, seed=9)
-        b = nn.train_local(params, parts, 4, 2, opt, seed=9)
+        a = nn.train_local(params, parts, 4, 2, lr, seed=9)
+        b = nn.train_local(params, parts, 4, 2, lr, seed=9)
         assert np.array_equal(a.gradient, b.gradient)
         assert a.training_loss == b.training_loss
 
     def test_seed_changes_batch_order(self):
         params = nn.init_params(4, LAYOUT)
-        opt = nn.OptimizerConfig()
+        lr = 0.003
         parts = tiny_split(16)
-        a = nn.train_local(params, parts, 4, 1, opt, seed=9)
-        b = nn.train_local(params, parts, 4, 1, opt, seed=10)
+        a = nn.train_local(params, parts, 4, 1, lr, seed=9)
+        b = nn.train_local(params, parts, 4, 1, lr, seed=10)
         assert not np.array_equal(a.gradient, b.gradient)
 
     def test_post_weights_reconstruct_exactly(self):
         params = nn.init_params(4, LAYOUT)
-        opt = nn.OptimizerConfig()
-        report = nn.train_local(params, tiny_split(16), 8, 1, opt, seed=1)
+        lr = 0.003
+        report = nn.train_local(params, tiny_split(16), 8, 1, lr, seed=1)
         post = nn.apply_gradient(params, report.gradient)
         loss, _ = nn.evaluate(post, tiny_split(16).train)
         assert loss == report.training_loss
@@ -359,13 +367,13 @@ class TestTrainLocal:
         data = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
         parts = DatasetSplit(data, data, data)
         with pytest.raises(EmptyDataset):
-            nn.train_local(nn.init_params(0, LAYOUT), parts, 1, 1, nn.OptimizerConfig(), 0)
+            nn.train_local(nn.init_params(0, LAYOUT), parts, 1, 1, 0.003, 0)
 
     def test_training_loss_is_full_pass_mean(self):
         params = nn.init_params(4, LAYOUT)
-        opt = nn.OptimizerConfig()
+        lr = 0.003
         parts = tiny_split(16)
-        report = nn.train_local(params, parts, 4, 1, opt, seed=9)
+        report = nn.train_local(params, parts, 4, 1, lr, seed=9)
         post = nn.apply_gradient(params, report.gradient)
         assert report.training_loss == nn.evaluate(post, parts.train)[0]
 
@@ -384,10 +392,10 @@ class TestApplyGradient:
         assert np.array_equal(back.values, params.values)
 
     def test_plain_arithmetic(self):
-        layout = nn.Layout(((1, 1),))
-        params = nn.ModelParams(np.array([1.0, 2.0]), layout)
-        out = nn.apply_gradient(params, np.array([0.5, -1.0]))
-        assert np.array_equal(out.values, [1.5, 1.0])
+        layout = nn.Layout(1)
+        params = nn.ModelParams(np.arange(7.0), layout)
+        out = nn.apply_gradient(params, np.full(7, 0.5))
+        assert np.array_equal(out.values, np.arange(7.0) + 0.5)
 
     def test_length_mismatch_rejected(self):
         params = nn.init_params(1, LAYOUT)

@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from fedboost import aggregate as agg
 from fedboost import nn, paillier, protocol
@@ -13,6 +16,7 @@ from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_
 from fedboost.errors import (
     ChannelClosed,
     ConfigError,
+    FedBoostError,
     KeyMismatch,
     ProtocolViolation,
     RoundAborted,
@@ -142,6 +146,40 @@ class TestMessageCodec:
     def test_missing_fields(self):
         with pytest.raises(ProtocolViolation):
             decode_message(int(MessageKind.ABORT), b'{"payload":{}}')
+
+
+# bodies that get past the JSON parser's own error types
+HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1,"sender":2}'
+DEEP_BODY = b"[" * 100_000
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+BODIES = st.one_of(
+    st.binary(max_size=200),
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.builds(
+        lambda p, r, s: json.dumps({"payload": p, "round": r, "sender": s}).encode(),
+        JSON_VALUES,
+        JSON_VALUES,
+        JSON_VALUES,
+    ),
+)
+
+
+class TestDecodeAnyBytes:
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(frame=st.one_of(st.binary(max_size=64), st.builds(encode_frame, st.integers(0, 255), BODIES)))
+    @example(frame=encode_frame(MessageKind.TRAIN_RESULT, HUGE_INT_BODY))
+    @example(frame=encode_frame(MessageKind.TRAIN_RESULT, DEEP_BODY))
+    def test_a_message_or_a_package_error(self, frame):
+        try:
+            msg = decode_message(*decode_frame(frame))
+        except FedBoostError:
+            return
+        assert isinstance(msg, Message)
 
 
 class TestGradientPayloads:
@@ -540,8 +578,24 @@ class TestServerAbortsEveryone:
                 MessageKind.KEY_OFFER,
                 lambda m: dataclasses.replace(m, payload={**m.payload, "key_bits": 192}),
                 WeakKey,
-                "modulus has 128 bits, expected 192$",
+                "^client 1: modulus has 128 bits, expected 192$",
                 id="offer_of_another_size",
+            ),
+            pytest.param(
+                MessageKind.KEY_OFFER,
+                lambda m: dataclasses.replace(m, payload={"key_bits": 128, "n": "not hex"}),
+                WeakKey,
+                "^client 1: malformed public key: ",
+                id="malformed_offer",
+            ),
+            pytest.param(
+                MessageKind.KEY_OFFER,
+                lambda m: dataclasses.replace(
+                    m, payload=paillier.public_key_to_payload(paillier.keygen(64, seed=5).public)
+                ),
+                KeyMismatch,
+                "^client 1: offered a 64-bit key, expected 128$",
+                id="offer_of_a_smaller_key",
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
@@ -549,6 +603,20 @@ class TestServerAbortsEveryone:
                 ProtocolViolation,
                 "^expected TRAIN_RESULT from client 2, got KEY_DELIVER$",
                 id="key_delivery_for_an_upload",
+            ),
+            pytest.param(
+                MessageKind.TRAIN_RESULT,
+                lambda m: HUGE_INT_BODY,
+                ProtocolViolation,
+                "^client 2: malformed message body: Exceeds the limit",
+                id="int_past_the_digit_limit",
+            ),
+            pytest.param(
+                MessageKind.TRAIN_RESULT,
+                lambda m: DEEP_BODY,
+                ProtocolViolation,
+                "^client 2: malformed message body: maximum recursion depth",
+                id="nested_too_deep",
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
@@ -588,7 +656,11 @@ class TestServerAbortsEveryone:
         at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == kind)
         cid, frame = transcript[at]
         msg = decode_message(*decode_frame(frame))
-        transcript[at] = (cid, encode_frame(*encode_message(edit(msg))))
+        edited = edit(msg)  # a message, or the raw body of a frame of this kind
+        if isinstance(edited, bytes):
+            transcript[at] = (cid, encode_frame(kind, edited))
+        else:
+            transcript[at] = (cid, encode_frame(*encode_message(edited)))
         endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
         with pytest.raises(error, match=cause) as err:
             server_run(settings, endpoints)
@@ -770,7 +842,7 @@ def reference_fedavg(settings: ExperimentConfig, splits) -> nn.ModelParams:
                 splits[cid - 1],
                 settings.batch_size,
                 settings.epochs,
-                settings.optimizer,
+                settings.learning_rate,
                 derive_seed(settings.master_seed, "shuffle", r, cid),
             )
             grads.append(report.gradient)
@@ -794,7 +866,7 @@ def reference_centralized(settings: ExperimentConfig, splits) -> tuple[nn.ModelP
             pooled,
             settings.batch_size,
             settings.epochs,
-            settings.optimizer,
+            settings.learning_rate,
             derive_seed(settings.master_seed, "shuffle", r, 1),
         )
         params = nn.apply_gradient(params, report.gradient)
@@ -847,7 +919,7 @@ class TestServerRun:
                 splits[cid - 1],
                 settings.batch_size,
                 settings.epochs,
-                settings.optimizer,
+                settings.learning_rate,
                 derive_seed(settings.master_seed, "shuffle", 1, cid),
             ).gradient
             for cid in (1, 2)

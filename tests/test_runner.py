@@ -160,7 +160,7 @@ class TestRunExperiment:
                 split_part,
                 cfg.batch_size,
                 cfg.epochs,
-                cfg.optimizer,
+                cfg.learning_rate,
                 derive_seed(cfg.master_seed, "shuffle", 1, cid),
             ).gradient
             for cid, split_part in enumerate(build_splits(cfg), start=1)
@@ -324,6 +324,29 @@ class TestRunExperiment:
         assert proc.returncode != 0
         assert "RoundAborted: client 1 exited with code 1 before connecting" in proc.stderr
 
+    def test_tcp_launch_at_full_scale_fails_fast_when_a_client_dies(self):
+        # The spawned "interpreter" is `false`, so the child exits without
+        # reading its spawn argument. An argument larger than the pipe (the
+        # whole client session once was) blocks the parent in start() past
+        # timeout_s; the subprocess time limit turns that hang into a failure.
+        script = (
+            "import multiprocessing.spawn, shutil\n"
+            "from fedboost.config import ExperimentConfig, two_client_noniid\n"
+            "from fedboost.runner import run_experiment\n"
+            "multiprocessing.spawn.set_executable(shutil.which('false'))\n"
+            "run_experiment(ExperimentConfig(clients=two_client_noniid(40000, master_seed=1),"
+            " rounds=1, master_seed=1, transport='tcp', timeout_s=5.0))\n"
+        )
+        src = Path(fedboost.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode != 0
+        assert "RoundAborted: client 1 exited with code 1 before connecting" in proc.stderr
+
 
 class TestExportMetrics:
     def test_row_count_and_header(self, tmp_path):
@@ -360,7 +383,7 @@ class TestExportMetrics:
 
 class TestExportBoundary:
     def test_two_steps_gives_four_rows(self, tmp_path):
-        params = nn.init_params(0, nn.mlp_layout())
+        params = nn.init_params(0, nn.Layout(8))
         path = tmp_path / "grid.csv"
         export_boundary(params, GridSpec(steps=2), path)
         lines = path.read_text().splitlines()
@@ -368,14 +391,14 @@ class TestExportBoundary:
         assert len(lines) == 1 + 4
 
     def test_zero_params_give_half_everywhere(self, tmp_path):
-        params = nn.ModelParams(np.zeros(42), nn.mlp_layout())
+        params = nn.ModelParams(np.zeros(42), nn.Layout(8))
         path = tmp_path / "grid.csv"
         export_boundary(params, GridSpec(steps=3), path)
         for line in path.read_text().splitlines()[1:]:
             assert float(line.split(",")[2]) == 0.5
 
     def test_grid_matches_forward_pointwise(self, tmp_path):
-        params = nn.init_params(3, nn.mlp_layout())
+        params = nn.init_params(3, nn.Layout(8))
         path = tmp_path / "grid.csv"
         export_boundary(params, GridSpec(xmin=-1, xmax=1, ymin=-1, ymax=1, steps=4), path)
         for line in path.read_text().splitlines()[1:]:
@@ -383,7 +406,7 @@ class TestExportBoundary:
             assert p == nn.forward(params, (x, y))[1]
 
     def test_degenerate_grid_rejected(self, tmp_path):
-        params = nn.init_params(0, nn.mlp_layout())
+        params = nn.init_params(0, nn.Layout(8))
         with pytest.raises(ConfigError):
             export_boundary(params, GridSpec(steps=1), tmp_path / "g.csv")
         with pytest.raises(ConfigError):
@@ -392,9 +415,14 @@ class TestExportBoundary:
 
 class TestModelRoundtrip:
     def test_save_load_bit_exact(self, tmp_path):
-        params = nn.init_params(11, nn.mlp_layout())
+        params = nn.init_params(11, nn.Layout(8))
         path = tmp_path / "model.json"
         save_model(params, path)
         restored = load_model(path)
         assert np.array_equal(restored.values, params.values)
         assert restored.layout == params.layout
+
+    def test_layout_bytes_are_the_two_layer_pairs(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(nn.init_params(0, nn.Layout(3)), path)
+        assert json.loads(path.read_text())["layout"] == [[2, 3], [3, 2]]
