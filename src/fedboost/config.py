@@ -48,8 +48,6 @@ class ExperimentConfig:
     quant: QuantConfig = field(default_factory=QuantConfig)
     key_bits: int = 128
     p_hat: float = 0.9
-    train_frac: float = 0.9
-    val_frac_of_train: float = 0.1
     n_hidden: int = 8
     timeout_s: float = 60.0
     transport: str = "loopback"
@@ -92,12 +90,6 @@ class ExperimentConfig:
             raise ConfigError("key_bits", f"must be even and >= 64, got {self.key_bits}")
         if self.encryption == "he_dp" and not (1.0 / n < self.p_hat <= 1.0):
             raise ConfigError("p_hat", f"must lie in (1/{n}, 1], got {self.p_hat}")
-        if not (0 < self.train_frac < 1):
-            raise ConfigError("train_frac", f"must lie in (0, 1), got {self.train_frac}")
-        if not (0 < self.val_frac_of_train < 1):
-            raise ConfigError(
-                "val_frac_of_train", f"must lie in (0, 1), got {self.val_frac_of_train}"
-            )
         if self.n_hidden < 1:
             raise ConfigError("n_hidden", f"must be >= 1, got {self.n_hidden}")
         if self.timeout_s <= 0:

@@ -141,11 +141,9 @@ def _generate_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
-def _check_key_bits(key_bits: int, n: int | None = None) -> None:
+def _check_key_bits(key_bits: int) -> None:
     if key_bits < 64 or key_bits % 2 != 0:
         raise WeakKey(f"key_bits must be even and >= 64, got {key_bits}")
-    if n is not None and n.bit_length() != key_bits:
-        raise WeakKey(f"modulus has {n.bit_length()} bits, expected {key_bits}")
 
 
 def keygen(key_bits: int, seed: int | None) -> KeyPair:
@@ -238,14 +236,15 @@ def hex_to_int(s: str) -> int:
 
 
 def public_key_to_payload(pk: PublicKey) -> dict:
-    return {"key_bits": pk.key_bits, "n": int_to_hex(pk.n)}
+    """The modulus alone: the key size is its bit length."""
+    return {"n": int_to_hex(pk.n)}
 
 
 def public_key_from_payload(payload: dict) -> PublicKey:
     try:
-        n, key_bits = hex_to_int(payload["n"]), int(payload["key_bits"])
+        n = hex_to_int(payload["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WeakKey(f"malformed public key: {exc!r}") from exc
-    _check_key_bits(key_bits, n)
-    return PublicKey(n=n, key_bits=key_bits)
+    _check_key_bits(n.bit_length())
+    return PublicKey(n=n, key_bits=n.bit_length())
 

@@ -12,7 +12,11 @@ client 1 offers the server its public key, and no frame carries the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as hex strings and floats as shortest round-trip decimals, so
-transcripts are byte-reproducible across transports.
+transcripts are byte-reproducible across transports. A payload carries only
+what the receiver's config cannot give: a plain gradient is ``{"values"}``, an
+encrypted one ``{"ciphertexts", "n"}`` and the key offer ``{"n"}``. Every party
+takes the entry count, scale exponent and piece count from its config, and the
+key size from ``n``; the per-gradient ``n`` tells a gradient under another key.
 """
 
 from __future__ import annotations
@@ -96,8 +100,7 @@ def decode_message(kind: int, body: bytes) -> Message:
         not isinstance(data, dict)
         or set(data) != {"payload", "round", "sender"}
         or not isinstance(data["payload"], dict)
-        or not isinstance(data["round"], int)
-        or not isinstance(data["sender"], int)
+        or any(type(data[name]) is not int for name in ("round", "sender"))  # no bools
     ):
         raise ProtocolViolation("message body must carry payload/round/sender")
     return Message(kind=mk, round=data["round"], sender=data["sender"], payload=data["payload"])
@@ -140,75 +143,43 @@ def _vector(payload, name: str, length: int | None = None) -> np.ndarray:
 
 def gradient_to_payload(g) -> dict:
     if isinstance(g, np.ndarray):
-        return {"format": "plain", "values": [float(x) for x in g]}
+        return {"values": [float(x) for x in g]}
     if isinstance(g, agg.EncryptedGradient):
         return {
-            "format": "encrypted",
             "ciphertexts": [paillier.int_to_hex(c.value) for c in g.ciphertexts],
-            "entries": g.entries,
             "n": paillier.int_to_hex(g.ciphertexts[0].public.n),
-            "pieces": g.config.pieces,
-            "scale_exponent": g.config.scale_exponent,
         }
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
 
 
 def encrypted_gradient_from_payload(
-    payload: dict,
-    pk: paillier.PublicKey,
-    length: int | None = None,
-    quant: qz.QuantConfig | None = None,
+    payload: dict, pk: paillier.PublicKey, entries: int, quant: qz.QuantConfig
 ) -> agg.EncryptedGradient:
-    """Packed ciphertexts under ``pk`` holding ``length`` entries and quantized
-    with ``quant``, each when given."""
-    if _field(payload, "format", str) != "encrypted":
-        raise ProtocolViolation(f"expected encrypted gradient, got {payload['format']!r}")
+    """Packed ciphertexts under ``pk`` of ``entries`` values quantized with
+    ``quant``, both of which the receiver takes from its config."""
+    hexes = _field(payload, "ciphertexts", list)
     try:
         n = paillier.hex_to_int(_field(payload, "n", str))
     except ValueError as exc:
         raise ProtocolViolation(f"malformed modulus: {exc}") from exc
     if n != pk.n:
         raise KeyMismatch("gradient is encrypted under a different key")
-    entries = _field(payload, "entries", int)
-    if length is not None and entries != length:
-        raise ProtocolViolation(f"gradient has {entries} entries, expected {length}")
-    hexes = _field(payload, "ciphertexts", list)
     try:
         cts = [paillier.Ciphertext(value=paillier.hex_to_int(h), public=pk) for h in hexes]
-        cfg = qz.QuantConfig(
-            scale_exponent=_field(payload, "scale_exponent", int),
-            pieces=_field(payload, "pieces", int),
-        )
-        eg = agg.EncryptedGradient(ciphertexts=cts, config=cfg, entries=entries)
+        return agg.EncryptedGradient(ciphertexts=cts, config=quant, entries=entries)
     except (ValueError, ShapeMismatch) as exc:
         raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
-    # checked before anything decodes with them: dequantize divides by 10**scale_exponent
-    for name in ("pieces", "scale_exponent"):
-        if quant is not None and getattr(cfg, name) != getattr(quant, name):
-            raise ProtocolViolation(
-                f"payload field {name!r} is {getattr(cfg, name)}, expected {getattr(quant, name)}"
-            )
-    return eg
 
 
 def decode_gradient_payload(
-    payload: dict,
-    keypair: paillier.KeyPair | None = None,
-    length: int | None = None,
-    quant: qz.QuantConfig | None = None,
+    payload: dict, keypair: paillier.KeyPair | None, entries: int, quant: qz.QuantConfig
 ) -> np.ndarray:
-    """Real-valued gradient of ``length`` entries when given, from the plain or
-    the packed encrypted wire format; encrypted needs the key pair, and is
-    checked against ``quant`` when given."""
-    fmt = _field(payload, "format", str)
-    if fmt == "plain":
-        return _vector(payload, "values", length)
-    if fmt == "encrypted":
-        if keypair is None:
-            raise ProtocolViolation("encrypted gradient but no key pair")
-        eg = encrypted_gradient_from_payload(payload, keypair.public, length, quant)
-        return qz.dequantize(agg.decrypt_gradient(keypair, eg))
-    raise ProtocolViolation(f"unknown gradient format {fmt!r}")
+    """Real-valued gradient of ``entries`` values: plain when ``keypair`` is
+    None, else packed ciphertexts under it, quantized with ``quant``."""
+    if keypair is None:
+        return _vector(payload, "values", entries)
+    eg = encrypted_gradient_from_payload(payload, keypair.public, entries, quant)
+    return qz.dequantize(agg.decrypt_gradient(keypair, eg))
 
 
 # --- client side --------------------------------------------------------------
@@ -319,6 +290,20 @@ class ClientSession:
 
     # -- message pump --
 
+    def respond(self, kind: int, body: bytes) -> list[tuple[int, bytes]]:
+        """The encoded replies to one frame from the server, none once the
+        session is done. A FedBoostError ends the session with an ABORT that
+        tells the server why."""
+        if self.done:
+            return []
+        try:
+            replies = self.handle(decode_message(kind, body))
+        except FedBoostError as exc:
+            self.done = True
+            reason = {"reason": f"{type(exc).__name__}: {exc}"}
+            replies = [Message(MessageKind.ABORT, self.round, self.client_id, reason)]
+        return [encode_message(m) for m in replies]
+
     def handle(self, msg: Message) -> list[Message]:
         if msg.sender != SERVER_ID:
             raise ProtocolViolation(f"client received message from non-server {msg.sender}")
@@ -371,70 +356,48 @@ class ClientSession:
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
     def _decode_gradient(self, payload: dict, pieces: int = 1) -> np.ndarray:
-        """A gradient from the server. An encrypted one must carry the configured
-        scale exponent and ``pieces``: 1 once the server has applied weights."""
+        """A gradient from the server. An encrypted one decodes with the
+        configured scale exponent and ``pieces``: 1 once the server has applied
+        weights."""
         quant = qz.QuantConfig(self.settings.quant.scale_exponent, pieces)
         return decode_gradient_payload(payload, self.keypair, self.settings.layout.size, quant)
 
 
-def _abort(session: ClientSession, exc: FedBoostError) -> Message:
-    """End the session on ``exc``; the ABORT that tells the server why."""
-    session.done = True
-    return Message(
-        MessageKind.ABORT,
-        round=session.round,
-        sender=session.client_id,
-        payload={"reason": f"{type(exc).__name__}: {exc}"},
-    )
-
-
 def client_run(session: ClientSession, endpoint) -> None:
-    """Blocking pump: run the session over one endpoint until done or aborted."""
+    """Blocking pump: run the session over one endpoint until it is done or
+    the channel fails."""
     try:
         for msg in session.startup():
             endpoint.send(*encode_message(msg))
         while not session.done:
-            kind, body = endpoint.recv(timeout=session.settings.timeout_s)
-            for out in session.handle(decode_message(kind, body)):
-                endpoint.send(*encode_message(out))
-    except (TransportError, RoundAborted):
+            for reply in session.respond(*endpoint.recv(timeout=session.settings.timeout_s)):
+                endpoint.send(*reply)
+    except TransportError:
         session.done = True
-    except FedBoostError as exc:
-        try:
-            endpoint.send(*encode_message(_abort(session, exc)))
-        except TransportError:
-            pass
 
 
 class InThreadEndpoint:
     """The server's endpoint to a client session run in the server's thread.
 
-    ``send`` hands the frame to the session and queues its encoded replies;
-    ``recv`` pops the next one. Frames go through the same codec as on TCP, so
-    bytes and transcripts are the same. A FedBoostError becomes an ABORT reply,
-    as in ``client_run``; frames sent after the session is done are dropped.
+    ``send`` hands the frame to ``ClientSession.respond`` and queues its
+    replies; ``recv`` pops the next one. Frames go through the same codec as on
+    TCP, so bytes and transcripts are the same. An exception that is no
+    FedBoostError reaches the caller naming the client.
     """
 
     def __init__(self, session: ClientSession):
         self._session = session
-        self._replies: deque[bytes] = deque()
-        self._run(session.startup)
+        self._replies = deque(encode_frame(*encode_message(m)) for m in session.startup())
 
-    def _run(self, step) -> None:
+    def send(self, kind: int, body: bytes) -> None:
+        kind, body = decode_frame(encode_frame(kind, body))
         try:
-            replies = step()
-        except FedBoostError as exc:
-            replies = [_abort(self._session, exc)]
+            replies = self._session.respond(kind, body)
         except Exception as exc:
             raise RuntimeError(
                 f"client {self._session.client_id} failed: {type(exc).__name__}: {exc}"
             ) from exc
-        self._replies.extend(encode_frame(*encode_message(m)) for m in replies)
-
-    def send(self, kind: int, body: bytes) -> None:
-        if not self._session.done:
-            frame = encode_frame(kind, body)
-            self._run(lambda: self._session.handle(decode_message(*decode_frame(frame))))
+        self._replies.extend(encode_frame(*reply) for reply in replies)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
         if not self._replies:
@@ -534,13 +497,13 @@ def _expect(
 def _receive_gradient(state: ServerState, payload: dict):
     """An uploaded gradient, checked against the model size; the server
     decodes ciphertexts but never decrypts them."""
-    length = state.settings.layout.size
+    settings = state.settings
     gradient = _field(payload, "gradient", dict)
-    if state.settings.encrypted:
+    if settings.encrypted:
         return encrypted_gradient_from_payload(
-            gradient, state.public_key, length, state.settings.quant
+            gradient, state.public_key, settings.layout.size, settings.quant
         )
-    return decode_gradient_payload(gradient, length=length)
+    return _vector(gradient, "values", settings.layout.size)
 
 
 def _cross_validation_models(state: ServerState, gradients: list) -> list[dict]:

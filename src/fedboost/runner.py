@@ -43,6 +43,7 @@ from .protocol import (
     derive_seed,
     server_run,
 )
+from .quantize import QuantConfig
 from .transport import tcp_connect, tcp_listen
 
 
@@ -58,9 +59,8 @@ class ExperimentResult:
 def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
     spec = cfg.clients[client_id - 1]
     data = generate_client_dataset(list(spec.clusters), spec.seed)
-    parts = split(
-        data, cfg.train_frac, cfg.val_frac_of_train, derive_seed(cfg.master_seed, "split", client_id)
-    )
+    seed = derive_seed(cfg.master_seed, "split", client_id)
+    parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
     if spec.poison_flip_frac > 0:
         parts = DatasetSplit(
             train=poison_labels(
@@ -155,12 +155,17 @@ def _run_tcp(
 
 
 def _protocol_records(
-    result: ServerRunResult, test: LabeledData, keypair: paillier.KeyPair | None
+    cfg: ExperimentConfig,
+    result: ServerRunResult,
+    test: LabeledData,
+    keypair: paillier.KeyPair | None,
 ) -> list[RoundRecord]:
     """The server's records, scored on ``test`` after each round's merge."""
     shadow = result.initial_weights
+    merged_quant = QuantConfig(cfg.quant.scale_exponent, pieces=1)
     for record, merged in zip(result.rounds, result.merged_gradients):
-        shadow = nn.apply_gradient(shadow, decode_gradient_payload(merged, keypair))
+        g = decode_gradient_payload(merged, keypair, cfg.layout.size, merged_quant)
+        shadow = nn.apply_gradient(shadow, g)
         record.global_test_loss, record.global_test_acc = nn.evaluate(shadow, test)
     if not np.array_equal(shadow.values, result.final_weights.values):
         raise ProtocolViolation("decrypted final model disagrees with the merged trajectory")
@@ -189,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
     else:
         sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
         run = _run_loopback(cfg, sessions, transcript)
-    records = _protocol_records(run, test, keypair)
+    records = _protocol_records(cfg, run, test, keypair)
 
     result = ExperimentResult(
         records=records,

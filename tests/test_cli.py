@@ -1,9 +1,17 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from fedboost.cli import main
-from fedboost.config import config_to_dict, default_config, two_client_noniid, ExperimentConfig
+from fedboost.config import (
+    ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    two_client_noniid,
+)
 
 
 @pytest.fixture()
@@ -167,3 +175,12 @@ def test_default_config_is_full_scale():
     assert sum(c.count for c in cfg.clients[0].clusters) == 40000
     assert cfg.batch_size == 8 and cfg.epochs == 1 and cfg.learning_rate == 0.003
     assert cfg.rounds == 50
+
+
+def test_readme_config_example_loads():
+    """The README's JSON config example names only fields that exist and passes validation."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [example] = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    cfg = config_from_dict(json.loads(example))
+    cfg.validate()
+    assert (cfg.encryption, cfg.rounds, len(cfg.clients)) == ("he_dp", 20, 2)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestMessageCodec:
         with pytest.raises(ProtocolViolation):
             decode_message(int(MessageKind.ABORT), b'{"payload":{}}')
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"payload":{},"round":true,"sender":1}',
+            b'{"payload":{},"round":1,"sender":true}',
+            b'{"payload":{},"round":true,"sender":true}',
+        ],
+    )
+    def test_round_and_sender_are_integers_not_bools(self, body):
+        with pytest.raises(ProtocolViolation, match="must carry payload/round/sender"):
+            decode_message(int(MessageKind.TRAIN_RESULT), body)
+
 
 # bodies that get past the JSON parser's own error types
 HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1,"sender":2}'
@@ -186,15 +199,17 @@ class TestGradientPayloads:
     def test_plain_roundtrip(self):
         g = np.array([0.5, -1.25, 3.0])
         payload = protocol.gradient_to_payload(g)
-        assert payload["format"] == "plain"
-        assert np.array_equal(protocol.decode_gradient_payload(payload), g)
+        assert payload == {"values": [0.5, -1.25, 3.0]}
+        quant = qz.QuantConfig()
+        assert np.array_equal(protocol.decode_gradient_payload(payload, None, 3, quant), g)
 
     def test_encrypted_roundtrip(self, key128):
         cfg = qz.QuantConfig(scale_exponent=8, pieces=10)
         q = qz.quantize(np.array([0.125, -0.5]), cfg)
         eg = agg.encrypt_gradient(key128.public, q)
         payload = protocol.gradient_to_payload(eg)
-        out = protocol.decode_gradient_payload(payload, key128)
+        assert set(payload) == {"ciphertexts", "n"}
+        out = protocol.decode_gradient_payload(payload, key128, 2, cfg)
         assert np.allclose(out, [0.125, -0.5])
 
     def test_encrypted_wrong_key(self, key128, key64):
@@ -202,7 +217,100 @@ class TestGradientPayloads:
         q = qz.quantize(np.array([0.125]), cfg)
         payload = protocol.gradient_to_payload(agg.encrypt_gradient(key64.public, q))
         with pytest.raises(KeyMismatch):
-            protocol.decode_gradient_payload(payload, key128)
+            protocol.decode_gradient_payload(payload, key128, 1, cfg)
+
+
+class Recorder:
+    """The server's endpoint to one client; keeps every message it carries,
+    in both directions."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.messages: list[Message] = []
+
+    def send(self, kind: int, body: bytes) -> None:
+        self.messages.append(decode_message(kind, body))
+        self.inner.send(kind, body)
+
+    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+        kind, body = self.inner.recv(timeout)
+        self.messages.append(decode_message(kind, body))
+        return kind, body
+
+
+class TestWireShape:
+    """Every party takes the entry count, the scale and the piece count from
+    its config and the key size from the modulus, so a payload carries only
+    the numbers and, when encrypted, the modulus that tells the key."""
+
+    @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+    def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
+        settings = make_settings(encryption=encryption, rounds=2)
+        keypair = cohort_key(settings)
+        endpoints = {
+            cid: Recorder(InThreadEndpoint(ClientSession(settings, cid, client_split(cid), keypair)))
+            for cid in (1, 2)
+        }
+        server_run(settings, endpoints)
+        messages = [m for endpoint in endpoints.values() for m in endpoint.messages]
+        shape = {"values"} if keypair is None else {"ciphertexts", "n"}
+        gradients = Counter()
+        for msg in messages:
+            if msg.kind == MessageKind.FUSED_GRADIENT:
+                payloads = msg.payload["models"]
+            else:
+                payloads = [msg.payload["gradient"]] if "gradient" in msg.payload else []
+            for payload in payloads:
+                assert set(payload) == shape, msg.kind.name
+            gradients[msg.kind.name] += len(payloads)
+        # round 2's broadcast, 2 rounds of uploads and of 2 models to score per
+        # client, and the merged gradient to both clients
+        assert gradients == Counter(
+            GLOBAL_GRADIENT=2, TRAIN_RESULT=4, FUSED_GRADIENT=8, MERGED_GRADIENT=2
+        )
+        offers = [m.payload for m in messages if m.kind == MessageKind.KEY_OFFER]
+        assert offers == ([] if keypair is None else [{"n": format(keypair.public.n, "x")}])
+
+
+def _run_and_summarize(settings):
+    """The final model and every round's losses, scores and boost weights."""
+    result = run_loopback(settings, [client_split(1), client_split(2)])
+    rounds = [(r.train_losses, r.validation, r.weights) for r in result.rounds]
+    return result.final_weights.values.tolist(), rounds
+
+
+class TestStaleWireFields:
+    """Fields that older payloads carried, and that the config now gives, are
+    never read: a peer still sending them, whatever their value, runs exactly
+    as if it did not."""
+
+    @pytest.mark.parametrize(
+        "encryption, field, value",
+        [
+            ("he", "format", "plain"),
+            ("he", "entries", 41),
+            pytest.param("he", "pieces", 10**400, id="he-pieces-10**400"),
+            ("he", "scale_exponent", 13),
+            ("none", "format", "encrypted"),
+            ("none", "entries", 41),
+        ],
+    )
+    def test_gradient_payload(self, monkeypatch, encryption, field, value):
+        settings = make_settings(encryption=encryption, rounds=2)
+        clean = _run_and_summarize(settings)
+        original = protocol.gradient_to_payload
+        monkeypatch.setattr(protocol, "gradient_to_payload", lambda g: {**original(g), field: value})
+        assert _run_and_summarize(settings) == clean
+
+    @pytest.mark.parametrize("key_bits", [128.9, "128", 64])
+    def test_key_offer(self, monkeypatch, key_bits):
+        settings = make_settings(encryption="he", rounds=1)
+        clean = _run_and_summarize(settings)
+        original = paillier.public_key_to_payload
+        monkeypatch.setattr(
+            paillier, "public_key_to_payload", lambda pk: {**original(pk), "key_bits": key_bits}
+        )
+        assert _run_and_summarize(settings) == clean
 
 
 class TestKeyDistribution:
@@ -266,9 +374,7 @@ class TestMalformedPayloads:
             (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 8], [8, 2]], "weights": "x"}, "'weights'"),
             (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 3], [3, 2]], "weights": []}, "layout differs"),
             (MessageKind.GLOBAL_GRADIENT, 2, {}, "'gradient' is missing"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"format": "quantized"}}, "unknown gradient format"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "entries": 41}}, "41 entries, expected 42"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "entries": "42"}}, "'entries'"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": [0.0] * 42}}, "'ciphertexts' is missing"),
             (
                 MessageKind.GLOBAL_GRADIENT,
                 2,
@@ -278,33 +384,9 @@ class TestMalformedPayloads:
             (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "ciphertexts": [7] * 21}}, "malformed"),
             (MessageKind.FUSED_GRADIENT, 1, {}, "'models' is missing"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED]}, "1 models to cross-validate"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"n": _PACKED["n"]}]}, "'format'"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"n": _PACKED["n"]}]}, "'ciphertexts' is missing"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {**_PACKED, "n": "0x1"}]}, "malformed modulus"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
-            # a merged gradient carries pieces=1; a raw upload relayed as one is refused
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": _PACKED}, "'pieces' is 100, expected 1"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "pieces": 2}}, "'pieces' is 2, expected 1"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "pieces": 10**400}}, "'pieces' is 1000"),
-            (
-                MessageKind.GLOBAL_GRADIENT,
-                2,
-                {"gradient": {**_PACKED, "pieces": 1, "scale_exponent": 13}},
-                "'scale_exponent' is 13, expected 12",
-            ),
-            # under he the models to score are the raw uploads, pieces=100
-            (
-                MessageKind.FUSED_GRADIENT,
-                1,
-                {"models": [_PACKED, {**_PACKED, "pieces": 101}]},
-                "'pieces' is 101, expected 100",
-            ),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "pieces": 10**400}] * 2}, "'pieces' is 1000"),
-            (
-                MessageKind.FUSED_GRADIENT,
-                1,
-                {"models": [{**_PACKED, "scale_exponent": 11}] * 2},
-                "'scale_exponent' is 11, expected 12",
-            ),
-            (MessageKind.MERGED_GRADIENT, 1, {"gradient": {**_PACKED, "pieces": 10**400}}, "'pieces' is 1000"),
         ],
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
@@ -322,7 +404,7 @@ class TestMalformedPayloads:
         "round_no, payload, cause",
         [
             (1, {"layout": [[2, 8], [8, 2]], "weights": [10**400] + [0.0] * 41}, "'weights'"),
-            (2, {"gradient": {"format": "plain", "values": [0.0] * 41 + [-(10**400)]}}, "'values'"),
+            (2, {"gradient": {"values": [0.0] * 41 + [-(10**400)]}}, "'values'"),
         ],
     )
     def test_client_aborts_on_numbers_beyond_float_range(self, round_no, payload, cause):
@@ -363,9 +445,11 @@ class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "gradient, cause",
         [
-            ({"format": "plain", "values": [0.0] * 41}, "client 1: payload field 'values' has 41 entries"),
-            ({"format": "plain", "values": [float("nan")] * 42}, "client 1: payload field 'values' has non-finite"),
-            ({"format": "plain"}, "client 1: payload field 'values' is missing"),
+            ({"values": [0.0] * 41}, "client 1: payload field 'values' has 41 entries"),
+            ({"values": [float("nan")] * 42}, "client 1: payload field 'values' has non-finite"),
+            ({}, "client 1: payload field 'values' is missing"),
+            # a packed upload into a plaintext cohort
+            (_PACKED, "client 1: payload field 'values' is missing or mistyped$"),
             (None, "client 1: payload field 'gradient' is missing"),
         ],
     )
@@ -383,14 +467,9 @@ class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "tamper, cause",
         [
-            (lambda p: {**p, "entries": 43}, "gradient has 43 entries, expected 42"),
             (lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2}, "42 ciphertexts cannot hold"),
-            (lambda p: {**p, "format": "plain"}, "expected encrypted gradient"),
-            # the piece count and scale must be the configured ones
-            (lambda p: {**p, "pieces": 10**400}, "payload field 'pieces' is 1000"),
-            (lambda p: {**p, "pieces": 101}, "payload field 'pieces' is 101, expected 100$"),
-            (lambda p: {**p, "pieces": 99}, "payload field 'pieces' is 99, expected 100$"),
-            (lambda p: {**p, "scale_exponent": 13}, "payload field 'scale_exponent' is 13, expected 12$"),
+            # a plaintext upload into an encrypted cohort
+            (lambda p: {"values": [0.0] * 42}, "payload field 'ciphertexts' is missing or mistyped$"),
         ],
     )
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
@@ -576,14 +655,7 @@ class TestServerAbortsEveryone:
             ),
             pytest.param(
                 MessageKind.KEY_OFFER,
-                lambda m: dataclasses.replace(m, payload={**m.payload, "key_bits": 192}),
-                WeakKey,
-                "^client 1: modulus has 128 bits, expected 192$",
-                id="offer_of_another_size",
-            ),
-            pytest.param(
-                MessageKind.KEY_OFFER,
-                lambda m: dataclasses.replace(m, payload={"key_bits": 128, "n": "not hex"}),
+                lambda m: dataclasses.replace(m, payload={"n": "not hex"}),
                 WeakKey,
                 "^client 1: malformed public key: ",
                 id="malformed_offer",
@@ -645,6 +717,14 @@ class TestServerAbortsEveryone:
                 ProtocolViolation,
                 "^client 1: payload field 'weights' has 1 entries, expected 42$",
                 id="final_model_of_another_size",
+            ),
+            # True == 1, so a bool would pass for client 1's frame of round 1
+            pytest.param(
+                MessageKind.FINAL_MODEL,
+                lambda m: dataclasses.replace(m, round=True, sender=True),
+                ProtocolViolation,
+                "^client 1: message body must carry payload/round/sender$",
+                id="bool_round_and_sender",
             ),
         ],
     )
@@ -734,7 +814,8 @@ class TestClientSession:
         settings = make_settings()
         session, initial, replies = self._trained_session(settings)
         assert [m.kind for m in replies] == [MessageKind.TRAIN_RESULT]
-        gradient = protocol.decode_gradient_payload(replies[0].payload["gradient"])
+        payload = replies[0].payload["gradient"]
+        gradient = protocol.decode_gradient_payload(payload, None, 42, settings.quant)
         assert gradient.shape == (42,)
         assert np.any(gradient != 0)
         assert np.array_equal(session.weights.values, initial.values)
