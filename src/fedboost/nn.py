@@ -8,6 +8,7 @@ encrypted as plain vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import EmptyDataset, InvalidLayout, NonFiniteInput, ShapeMismatch
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# rows of each client's shuffled epoch staged at a time, rounded down to whole batches
+STAGE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class ModelParams:
                 f"layout wants {self.layout.size} values, got {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("model parameters must be finite")
+            raise NonFiniteInput("model parameters must be finite")
 
 
 @dataclass
@@ -140,16 +143,38 @@ def train_local(
     learning_rate: float,
     seed: int,
 ) -> TrainReport:
-    """Mini-batch cross-entropy training with Adam on ``data.train``.
+    """One client's training pass: ``train_cohort`` of a cohort of one."""
+    [report] = train_cohort([params], [data], batch_size, epochs, learning_rate, [seed])
+    return report
 
-    Batch order is drawn from a generator seeded with ``seed``, so the result is
-    bit-reproducible. Returns the total weight delta (trained minus input
-    weights) and the mean loss of a final full pass over the training set.
 
-    The step is fused for two layers: each layer is held as one ``[W | b]``
-    matrix, so its forward pass and its gradient take one matmul each, and Adam
-    updates that buffer in place, per coordinate; the buffer is put back in the
-    flat order once, at the end.
+def train_cohort(
+    params: list[ModelParams],
+    splits: list[DatasetSplit],
+    batch_size: int,
+    epochs: int,
+    learning_rate: float,
+    seeds: list[int],
+) -> list[TrainReport]:
+    """Mini-batch cross-entropy training with Adam: client k trains from
+    ``params[k]`` on ``splits[k].train``, in the batch order drawn from
+    ``seeds[k]``, and all clients step together.
+
+    Each report equals, bit for bit, the client's ``train_local``: the total
+    weight delta (trained minus input weights) and the mean loss of a final
+    full pass over the training set. A client whose training diverged gets its
+    non-finite delta and a NaN loss; the others are independent of it.
+
+    Clients whose training sets have one size form a group: each layer's
+    ``[W | b]`` matrices are stacked on a leading client axis, so a step's
+    forward pass and gradient take one 3-D matmul per layer, and Adam updates
+    the (clients, size) buffer in place, per coordinate; the buffer is put
+    back in the flat order once, at the end. Every client's slice goes through
+    the same BLAS calls it would alone. Groups are by size,
+    not padded with a masked tail, so every batch mean divides by and reduces
+    over the rows the client alone would see. Each epoch's shuffled rows are
+    staged about STAGE_ROWS per client at a time, so the working set does not
+    grow with the training set.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -157,71 +182,138 @@ def train_local(
         raise ValueError("epochs must be >= 1")
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
-    layout = params.layout
-    train = data.train
-    n = len(train)
-    if n == 0:
+    if not len(params) == len(splits) == len(seeds):
+        raise ValueError("need one split and one seed per client")
+    sizes = [len(s.train) for s in splits]
+    if 0 in sizes:
         raise EmptyDataset("training set is empty")
+    reports = {}
+    for n in set(sizes):
+        group = [k for k, size in enumerate(sizes) if size == n]
+        trained = _train_group(
+            [params[k] for k in group],
+            [splits[k].train for k in group],
+            batch_size,
+            epochs,
+            learning_rate,
+            [seeds[k] for k in group],
+        )
+        reports.update(zip(group, trained))
+    return [reports[k] for k in range(len(params))]
 
+
+def _train_group(
+    params: list[ModelParams],
+    trains: list[LabeledData],
+    batch_size: int,
+    epochs: int,
+    learning_rate: float,
+    seeds: list[int],
+) -> list[TrainReport]:
+    """``train_cohort`` for clients whose training sets have one size."""
+    layout = params[0].layout
+    n_clients, n = len(params), len(trains[0])
     (n_in, n_hidden), (_, n_out) = layout.layers
     # flat index of every entry of the row-major [W | b] matrices
     order = np.concatenate(
         [np.column_stack(wb).ravel() for wb in layout.views(np.arange(layout.size))]
     )
-    theta = params.values[order]
+    theta = np.stack([p.values[order] for p in params])
     grad = np.empty_like(theta)
     split_at = n_hidden * (n_in + 1)
-    w1_t = theta[:split_at].reshape(n_hidden, n_in + 1).T
-    w2 = theta[split_at:].reshape(n_out, n_hidden + 1)
-    w2_t, w2_weights = w2.T, w2[:, :n_hidden]
-    g1 = grad[:split_at].reshape(n_hidden, n_in + 1)
-    g2 = grad[split_at:].reshape(n_out, n_hidden + 1)
+    w1_t = theta[:, :split_at].reshape(n_clients, n_hidden, n_in + 1).transpose(0, 2, 1)
+    w2 = theta[:, split_at:].reshape(n_clients, n_out, n_hidden + 1)
+    w2_t, w2_weights = w2.transpose(0, 2, 1), w2[:, :, :n_hidden]
+    g1 = grad[:, :split_at].reshape(n_clients, n_hidden, n_in + 1)
+    g2 = grad[:, split_at:].reshape(n_clients, n_out, n_hidden + 1)
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     t = 0
     eta, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
+    # whole batches per chunk, so no batch straddles two chunks
+    chunk = min(n, max(1, STAGE_ROWS // batch_size) * batch_size)
     # inputs and hidden activations carry a trailing 1 that meets the bias column
-    hidden = np.ones((min(batch_size, n), n_hidden + 1))
+    xs = np.ones((n_clients, chunk, n_in + 1))
+    ys = np.empty((n_clients, chunk, n_out))
+    batch = min(batch_size, n)
+    hidden = np.ones((n_clients, batch, n_hidden + 1))
+    pre = np.empty((n_clients, batch, n_hidden))
+    logits = np.empty((n_clients, batch, n_out))
+    row_max = np.empty((n_clients, batch, 1))
+    back = np.empty((n_clients, batch, n_hidden))
+
+    def views(rows: int) -> tuple:
+        """The buffers cut to a batch of ``rows``; with two outputs, a row's
+        max and sum are one ufunc over its two columns."""
+        h, d = hidden[:, :rows], logits[:, :rows]
+        return (
+            h, h[:, :, :n_hidden], pre[:, :rows], d, d[:, :, :1], d[:, :, 1:],
+            row_max[:, :rows], d.transpose(0, 2, 1), back[:, :rows],
+            back[:, :rows].transpose(0, 2, 1),
+        )
+
+    # every batch is whole but an epoch's last
+    batch_views = {rows: views(rows) for rows in {batch, n % batch_size or batch}}
     one_hot = np.eye(n_out)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # exp(-z) overflows to inf below z = -709, and 1 / (1 + inf) is the right 0
     with np.errstate(over="ignore"):
         for _ in range(epochs):
-            perm = rng.permutation(n)
-            xs = np.ones((n, n_in + 1))
-            xs[:, :n_in] = train.x[perm]
-            ys = one_hot[train.y[perm]]
-            for start in range(0, n, batch_size):
-                x = xs[start : start + batch_size]
-                h = hidden[: len(x)]
-                s = h[:, :n_hidden]
-                np.divide(1.0, 1.0 + np.exp(-(x @ w1_t)), out=s)
-                # softmax minus one-hot, over the batch: the loss gradient at the logits
-                d = h @ w2_t
-                d -= d.max(axis=1, keepdims=True)
-                np.exp(d, out=d)
-                d /= d.sum(axis=1, keepdims=True)
-                d -= ys[start : start + batch_size]
-                d /= len(x)
-                np.matmul(d.T, h, out=g2)
-                np.matmul(((d @ w2_weights) * s * (1.0 - s)).T, x, out=g1)
+            perms = [rng.permutation(n) for rng in rngs]
+            for first in range(0, n, chunk):
+                rows = min(chunk, n - first)
+                for k, (train, perm) in enumerate(zip(trains, perms)):
+                    picked = perm[first : first + rows]
+                    xs[k, :rows, :n_in] = train.x[picked]
+                    ys[k, :rows] = one_hot[train.y[picked]]
+                for start in range(0, rows, batch_size):
+                    stop = min(start + batch_size, rows)
+                    h, s, z, d, d0, d1, mx, d_t, dz, dz_t = batch_views[stop - start]
+                    x = xs[:, start:stop]
+                    # s = 1 / (1 + exp(-(x @ W1^T)))
+                    np.matmul(x, w1_t, out=z)
+                    np.negative(z, out=z)
+                    np.exp(z, out=z)
+                    z += 1.0
+                    np.divide(1.0, z, out=s)
+                    # softmax minus one-hot, over the batch: the loss gradient at the logits
+                    np.matmul(h, w2_t, out=d)
+                    np.maximum(d0, d1, out=mx)
+                    d -= mx
+                    np.exp(d, out=d)
+                    np.add(d0, d1, out=mx)
+                    d /= mx
+                    d -= ys[:, start:stop]
+                    d /= stop - start
+                    np.matmul(d_t, h, out=g2)
+                    # dz = (d @ W2) * s * (1 - s), the gradient at the hidden pre-activations
+                    np.matmul(d, w2_weights, out=dz)
+                    dz *= s
+                    np.subtract(1.0, s, out=z)
+                    dz *= z
+                    np.matmul(dz_t, x, out=g1)
 
-                t += 1
-                m *= b1
-                m += (1.0 - b1) * grad
-                v *= b2
-                v += (1.0 - b2) * grad * grad
-                theta -= eta * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                    t += 1
+                    m *= b1
+                    m += (1.0 - b1) * grad
+                    v *= b2
+                    v += (1.0 - b2) * grad * grad
+                    theta -= eta * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
 
     flat = np.empty_like(theta)
-    flat[order] = theta
-    # The delta is the unit exchanged with the server, so the post-training
-    # weights are defined as params + delta; reconstruction is then bit-exact.
-    delta = flat - params.values
-    final_loss, _ = evaluate(ModelParams(params.values + delta, layout), train)
-    return TrainReport(gradient=delta, training_loss=final_loss)
+    flat[:, order] = theta
+    reports = []
+    for p, train, trained in zip(params, trains, flat):
+        # The delta is the unit exchanged with the server, so the post-training
+        # weights are defined as params + delta; reconstruction is then bit-exact.
+        delta = trained - p.values
+        values = p.values + delta
+        diverged = not np.all(np.isfinite(values))
+        loss = math.nan if diverged else evaluate(ModelParams(values, layout), train)[0]
+        reports.append(TrainReport(gradient=delta, training_loss=loss))
+    return reports
 
 
 def apply_gradient(params: ModelParams, g: np.ndarray) -> ModelParams:

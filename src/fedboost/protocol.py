@@ -4,7 +4,10 @@ Flow per round: the server broadcasts the previous merged gradient (round 1:
 the initial weights), every client trains locally and uploads its gradient with
 its training loss, the server builds per-model cross-validation payloads
 (perturbed under homomorphic ops when fusion is on), clients return validation
-losses, the server computes aggregation weights and merges. After the last
+losses, the server computes aggregation weights and merges. A TCP client
+trains alone as soon as the broadcast reaches it; the in-thread loopback
+cohort trains all its clients in one stacked step when the server first waits
+for an upload. After the last
 round a designated client decrypts the merged result and returns the final
 weights, since the server's state never holds the key pair. Every client of an
 encrypted cohort holds that key pair from the start, handed over out of band;
@@ -43,6 +46,7 @@ from .errors import (
     ChannelClosed,
     FedBoostError,
     KeyMismatch,
+    NonFiniteInput,
     ProtocolViolation,
     RoundAborted,
     ShapeMismatch,
@@ -209,6 +213,7 @@ class ClientSession:
         self.round = 0
         self.done = False
         self.final_weights: nn.ModelParams | None = None
+        self.pending = False
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
 
     # -- key offer --
@@ -226,47 +231,60 @@ class ClientSession:
             )
         ]
 
-    # -- round operations --
+    # -- a round's training: apply the global state, train, upload --
 
-    def train_round(self, msg: Message) -> Message:
-        """Apply the incoming global state, train locally, upload the gradient."""
-        r = msg.round
+    def apply_global(self, msg: Message) -> None:
+        """Take the round's global state; the session is then pending training."""
         layout = self.settings.layout
-        if r == 1:
+        if msg.round == 1:
             if _field(msg.payload, "layout", list) != [list(l) for l in layout.layers]:
                 raise ProtocolViolation(f"model layout differs from {layout.layers}")
             self.weights = nn.ModelParams(_vector(msg.payload, "weights", layout.size), layout)
         else:
             g = self._decode_gradient(_field(msg.payload, "gradient", dict))
             self.weights = nn.apply_gradient(self.weights, g)
-        self.round = r
-        report = nn.train_local(
-            self.weights,
-            self.split,
-            self.settings.batch_size,
-            self.settings.epochs,
-            self.settings.learning_rate,
-            derive_seed(self.settings.master_seed, "shuffle", r, self.client_id),
-        )
-        if self.settings.encrypted:
-            upload = agg.encrypt_gradient(
-                self.keypair,
-                qz.quantize(report.gradient, self.settings.quant),
-                self._nonce_rng,
-                self.settings.n_clients,
-                self.settings.quant.pieces,
-            )
-        else:
-            upload = report.gradient
-        return Message(
-            MessageKind.TRAIN_RESULT,
-            round=r,
-            sender=self.client_id,
-            payload={
+        self.round = msg.round
+        self.pending = True
+
+    @property
+    def shuffle_seed(self) -> int:
+        """Seed of this round's batch order."""
+        return derive_seed(self.settings.master_seed, "shuffle", self.round, self.client_id)
+
+    def upload(self, report: nn.TrainReport | None = None) -> list[tuple[int, bytes]]:
+        """The encoded reply to the pending round: the TRAIN_RESULT of
+        ``report``, this session's result from a cohort's ``nn.train_cohort``;
+        without one the session trains alone, with ``nn.train_local``.
+        Training that diverged ends the session with an ABORT, as in
+        ``respond``."""
+
+        def step() -> list[Message]:
+            self.pending = False
+            s = self.settings
+            result = report
+            if result is None:
+                result = nn.train_local(
+                    self.weights, self.split, s.batch_size, s.epochs, s.learning_rate, self.shuffle_seed
+                )
+            if not (np.all(np.isfinite(result.gradient)) and math.isfinite(result.training_loss)):
+                raise NonFiniteInput(f"local training diverged in round {self.round}")
+            if s.encrypted:
+                upload = agg.encrypt_gradient(
+                    self.keypair,
+                    qz.quantize(result.gradient, s.quant),
+                    self._nonce_rng,
+                    s.n_clients,
+                    s.quant.pieces,
+                )
+            else:
+                upload = result.gradient
+            payload = {
                 "gradient": gradient_to_payload(upload),
-                "train_loss": float(report.training_loss),
-            },
-        )
+                "train_loss": float(result.training_loss),
+            }
+            return [Message(MessageKind.TRAIN_RESULT, self.round, self.client_id, payload)]
+
+        return self._reply(step)
 
     def evaluate_fused(self, fused_payload: dict) -> float:
         """Validation loss of one candidate model on the local validation set."""
@@ -292,12 +310,16 @@ class ClientSession:
 
     def respond(self, kind: int, body: bytes) -> list[tuple[int, bytes]]:
         """The encoded replies to one frame from the server, none once the
-        session is done. A FedBoostError ends the session with an ABORT that
-        tells the server why."""
+        session is done. A GLOBAL_GRADIENT gets none yet: it leaves the session
+        pending, for ``upload`` to answer. A FedBoostError ends the session
+        with an ABORT that tells the server why."""
+        return self._reply(lambda: self.handle(decode_message(kind, body)))
+
+    def _reply(self, step) -> list[tuple[int, bytes]]:
         if self.done:
             return []
         try:
-            replies = self.handle(decode_message(kind, body))
+            replies = step()
         except FedBoostError as exc:
             self.done = True
             reason = {"reason": f"{type(exc).__name__}: {exc}"}
@@ -318,7 +340,8 @@ class ClientSession:
                 f"expected round {expected}"
             )
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
-            return [self.train_round(msg)]
+            self.apply_global(msg)
+            return []
         if msg.kind == MessageKind.FUSED_GRADIENT:
             models = _field(msg.payload, "models", list)
             if len(models) != self.settings.n_clients:
@@ -365,44 +388,88 @@ class ClientSession:
 
 def client_run(session: ClientSession, endpoint) -> None:
     """Blocking pump: run the session over one endpoint until it is done or
-    the channel fails."""
+    the channel fails; the session trains alone."""
     try:
         for msg in session.startup():
             endpoint.send(*encode_message(msg))
         while not session.done:
-            for reply in session.respond(*endpoint.recv(timeout=session.settings.timeout_s)):
+            replies = session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
+            for reply in session.upload() if session.pending else replies:
                 endpoint.send(*reply)
     except TransportError:
         session.done = True
 
 
-class InThreadEndpoint:
-    """The server's endpoint to a client session run in the server's thread.
+class InThreadCohort:
+    """Client sessions run in the server's thread, trained as one cohort.
 
-    ``send`` hands the frame to ``ClientSession.respond`` and queues its
-    replies; ``recv`` pops the next one. Frames go through the same codec as on
-    TCP, so bytes and transcripts are the same. An exception that is no
-    FedBoostError reaches the caller naming the client.
+    ``endpoints`` holds the server's endpoint to each. A frame sent to a client
+    goes to its ``ClientSession.respond`` and the replies are queued; a
+    GLOBAL_GRADIENT leaves the session pending. The next ``recv`` from any
+    client trains every pending session in one ``nn.train_cohort`` call, then
+    queues their uploads in id order; if that call fails, each trains alone.
+    Frames go through the same codec as on TCP, so bytes and transcripts are
+    the same. An exception that is no FedBoostError reaches the caller naming
+    the client.
     """
 
-    def __init__(self, session: ClientSession):
-        self._session = session
-        self._replies = deque(encode_frame(*encode_message(m)) for m in session.startup())
+    def __init__(self, sessions: list[ClientSession]):
+        self._sessions = {s.client_id: s for s in sessions}
+        self._replies = {
+            s.client_id: deque(encode_frame(*encode_message(m)) for m in s.startup())
+            for s in sessions
+        }
+        self.endpoints = {cid: _CohortEndpoint(self, cid) for cid in self._sessions}
 
-    def send(self, kind: int, body: bytes) -> None:
-        kind, body = decode_frame(encode_frame(kind, body))
+    def _queue(self, session: ClientSession, step) -> None:
         try:
-            replies = self._session.respond(kind, body)
+            replies = step()
         except Exception as exc:
             raise RuntimeError(
-                f"client {self._session.client_id} failed: {type(exc).__name__}: {exc}"
+                f"client {session.client_id} failed: {type(exc).__name__}: {exc}"
             ) from exc
-        self._replies.extend(encode_frame(*reply) for reply in replies)
+        self._replies[session.client_id].extend(encode_frame(*reply) for reply in replies)
+
+    def send(self, cid: int, kind: int, body: bytes) -> None:
+        kind, body = decode_frame(encode_frame(kind, body))
+        session = self._sessions[cid]
+        self._queue(session, lambda: session.respond(kind, body))
+
+    def recv(self, cid: int) -> tuple[int, bytes]:
+        pending = [s for s in self._sessions.values() if s.pending and not s.done]
+        if pending:
+            settings = pending[0].settings
+            try:
+                reports = nn.train_cohort(
+                    [s.weights for s in pending],
+                    [s.split for s in pending],
+                    settings.batch_size,
+                    settings.epochs,
+                    settings.learning_rate,
+                    [s.shuffle_seed for s in pending],
+                )
+            except FedBoostError:
+                # each session then trains alone, so only the one at fault aborts
+                reports = [None] * len(pending)
+            for session, report in zip(pending, reports):
+                self._queue(session, lambda: session.upload(report))
+        if not self._replies[cid]:
+            raise ChannelClosed(f"client {cid} has no reply to send")
+        return decode_frame(self._replies[cid].popleft())
+
+
+class _CohortEndpoint:
+    """The server's endpoint to one client of an ``InThreadCohort``."""
+
+    def __init__(self, cohort: InThreadCohort, cid: int):
+        self._cohort = cohort
+        self._cid = cid
+
+    def send(self, kind: int, body: bytes) -> None:
+        self._cohort.send(self._cid, kind, body)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        if not self._replies:
-            raise ChannelClosed(f"client {self._session.client_id} has no reply to send")
-        return decode_frame(self._replies.popleft())
+        return self._cohort.recv(self._cid)
 
 
 # --- server side ---------------------------------------------------------------
@@ -572,7 +639,8 @@ def _run_rounds(state: ServerState, endpoints, transcript: list | None) -> Serve
             }
         else:
             payload = {"gradient": merged_gradients[-1]}
-        # in-thread loopback clients train inside send, so time the broadcast too
+        # in-thread loopback clients train in the first recv, TCP clients
+        # once the broadcast reaches them; the phase spans both
         phase_start = time.monotonic()
         _send(endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
 

@@ -1,6 +1,6 @@
 """Experiment orchestration: build client data, host a protocol run over the
-chosen transport (clients in the server's thread on loopback, one process per
-client over TCP), score the global model per round on the combined test set,
+chosen transport (clients as one cohort in the server's thread on loopback,
+one process per client over TCP), score the global model per round on the combined test set,
 and export metrics/model/boundary artifacts. Centralized training is a cohort
 of one trainer holding the pooled training data, run on loopback.
 
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .protocol import (
     ClientSession,
-    InThreadEndpoint,
+    InThreadCohort,
     RoundRecord,
     ServerRunResult,
     client_run,
@@ -86,10 +86,12 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 def _run_loopback(
     cfg: ExperimentConfig, sessions: list[ClientSession], transcript: list | None
 ) -> ServerRunResult:
-    """Clients run in this thread: numpy on batch-sized arrays holds the GIL,
-    so client threads would train no faster; TCP trains clients in parallel."""
-    endpoints = {s.client_id: InThreadEndpoint(s) for s in sessions}
-    return server_run(cfg, endpoints, transcript)
+    """Clients run in this thread as one cohort, which trains them together in
+    one stacked step per round (``nn.train_cohort``): a step on batch-sized
+    arrays costs mostly numpy's per-call overhead, which stacking shares, while
+    client threads would hold the GIL in turn. TCP trains clients in parallel
+    processes, each alone."""
+    return server_run(cfg, InThreadCohort(sessions).endpoints, transcript)
 
 
 def _client_process_main(

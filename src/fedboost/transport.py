@@ -3,8 +3,8 @@
 One frame on the wire is a 4-byte big-endian length (counting everything that
 follows), one kind byte, then the UTF-8 body; so length == len(body) + 1.
 Frames are delivered whole or not at all. Loopback runs pass the same frames to
-clients in the server's thread (``protocol.InThreadEndpoint``), so both
-transports carry identical bytes for identical protocol runs.
+clients run as one cohort in the server's thread (``protocol.InThreadCohort``),
+so both transports carry identical bytes for identical protocol runs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,7 +379,58 @@ class TestTrainLocal:
         assert report.training_loss == nn.evaluate(post, parts.train)[0]
 
 
+class TestTrainCohort:
+    """Stacked training against each client trained alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 2 * n_each rows: sizes repeat (one group) and differ (several groups)
+        halves=st.lists(st.sampled_from([1, 2, 5, 13, 30]), min_size=1, max_size=4),
+        batch_size=st.integers(1, 64),
+        epochs=st.integers(1, 2),
+        stage_rows=st.sampled_from([nn.STAGE_ROWS, 1, 5, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_each_client_trained_alone(self, halves, batch_size, epochs, stage_rows, seed):
+        rng = np.random.default_rng(seed)
+        params = [random_params(rng) for _ in halves]
+        splits = [tiny_split(n_each, seed=int(rng.integers(1000))) for n_each in halves]
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(halves))]
+        lr = 0.05
+        # alone, each epoch is staged whole: these sets are far below STAGE_ROWS
+        alone = [
+            nn.train_local(p, split, batch_size, epochs, lr, s)
+            for p, split, s in zip(params, splits, seeds)
+        ]
+        with mock.patch.object(nn, "STAGE_ROWS", stage_rows):
+            stacked = nn.train_cohort(params, splits, batch_size, epochs, lr, seeds)
+        assert len(stacked) == len(alone)
+        for got, expected in zip(stacked, alone):
+            assert np.array_equal(got.gradient, expected.gradient)
+            assert got.training_loss == expected.training_loss
+
+    def test_one_split_and_seed_per_client(self):
+        with pytest.raises(ValueError, match="one split and one seed per client"):
+            nn.train_cohort([nn.init_params(1, LAYOUT)] * 2, [tiny_split()], 4, 1, 0.003, [1, 2])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_diverged_client_leaves_the_others_alone(self):
+        blown = nn.ModelParams(np.full(LAYOUT.size, 1e308), LAYOUT)
+        sane = nn.init_params(1, LAYOUT)
+        diverged, report = nn.train_cohort([blown, sane], [tiny_split()] * 2, 4, 1, 0.003, [1, 2])
+        assert not np.all(np.isfinite(diverged.gradient)) and math.isnan(diverged.training_loss)
+        expected = nn.train_local(sane, tiny_split(), 4, 1, 0.003, 2)
+        assert np.array_equal(report.gradient, expected.gradient)
+        assert report.training_loss == expected.training_loss
+
+
 class TestApplyGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_result_is_non_finite_input(self, bad):
+        params = nn.init_params(1, LAYOUT)
+        with pytest.raises(NonFiniteInput, match="model parameters must be finite"):
+            nn.apply_gradient(params, np.full(42, bad))
+
     def test_zero_is_identity(self):
         params = nn.init_params(1, LAYOUT)
         assert np.array_equal(nn.apply_gradient(params, np.zeros(42)).values, params.values)

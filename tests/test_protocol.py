@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import socket
 import time
 from collections import Counter
 
@@ -25,17 +26,18 @@ from fedboost.errors import (
 )
 from fedboost.protocol import (
     ClientSession,
-    InThreadEndpoint,
+    InThreadCohort,
     Message,
     MessageKind,
     ServerState,
+    client_run,
     decode_message,
     derive_seed,
     encode_message,
     server_run,
 )
 from fedboost.runner import build_splits, run_experiment
-from fedboost.transport import decode_frame, encode_frame
+from fedboost.transport import TcpEndpoint, decode_frame, encode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -103,15 +105,18 @@ def key_source(settings, split) -> ClientSession:
 
 
 def run_loopback(settings, splits, transcript=None, missing=()):
-    """Minimal in-test harness: clients run in this thread, each holding the
-    cohort key pair; a ``missing`` client never replies."""
+    """Minimal in-test harness: clients run in this thread as one cohort, each
+    holding the cohort key pair; a ``missing`` client never replies."""
     keypair = cohort_key(settings)
     sessions = [ClientSession(settings, cid, split, keypair) for cid, split in enumerate(splits, 1)]
-    endpoints = {
-        s.client_id: ReplayEndpoint([]) if s.client_id in missing else InThreadEndpoint(s)
-        for s in sessions
-    }
+    endpoints = {cid: ReplayEndpoint([]) for cid in missing}
+    endpoints.update(InThreadCohort([s for s in sessions if s.client_id not in missing]).endpoints)
     return server_run(settings, endpoints, transcript)
+
+
+def in_thread(session: ClientSession):
+    """The server's endpoint to ``session`` run in this thread, a cohort of one."""
+    return InThreadCohort([session]).endpoints[session.client_id]
 
 
 def server_says(endpoint, kind, round_no, payload) -> list[Message]:
@@ -220,6 +225,126 @@ class TestGradientPayloads:
             protocol.decode_gradient_payload(payload, key128, 1, cfg)
 
 
+# a 7-entry model under a 128-bit key: one slot, so 7 ciphertexts
+FUZZ_SETTINGS = make_settings(encryption="he", n_hidden=1)
+FUZZ_KEY = cohort_key(FUZZ_SETTINGS)
+FUZZ_ENTRIES = FUZZ_SETTINGS.layout.size
+
+
+def _ciphertexts(pk: paillier.PublicKey):
+    """Wire ciphertexts, valid or not: bare lowercase hex in range, other
+    spellings of in-range values, 0 and values >= n^2, and other JSON."""
+    n2 = pk.n_squared
+    in_range = st.integers(1, n2 - 1)
+    return st.one_of(
+        in_range.map(paillier.int_to_hex),
+        in_range.map(lambda c: format(c, "X")),
+        in_range.map(lambda c: "0x" + format(c, "x")),
+        st.sampled_from([0, n2, n2 + 1, n2 ** 40]).map(paillier.int_to_hex),
+        st.integers(-(2**2000), 2**2000),
+        JSON_VALUES,
+    )
+
+
+def _moduli(pk: paillier.PublicKey):
+    return st.one_of(
+        st.just(paillier.int_to_hex(pk.n)),
+        st.just(format(pk.n, "X")),
+        st.just("0x" + format(pk.n, "x")),
+        st.integers(1, 2**300).map(paillier.int_to_hex),
+        st.just(pk.n),
+        JSON_VALUES,
+    )
+
+
+def _numbers():
+    return st.one_of(
+        st.floats(),
+        st.integers(-(10**400), 10**400),
+        st.booleans(),
+        st.text(max_size=3),
+        st.none(),
+    )
+
+
+def _gradient_payloads(pk: paillier.PublicKey, entries: int):
+    """JSON-shaped gradient payloads: good ones, ones with one bad entry,
+    wrong counts, and fields missing, mistyped or extra."""
+    good_hex = st.integers(1, pk.n_squared - 1).map(paillier.int_to_hex)
+    good_float = st.floats(allow_nan=False, allow_infinity=False)
+
+    def lists(good, bad):
+        return st.one_of(
+            st.lists(good, min_size=entries, max_size=entries),
+            st.builds(
+                lambda xs, x, i: xs[:i] + [x] + xs[i + 1 :],
+                st.lists(good, min_size=entries, max_size=entries),
+                bad,
+                st.integers(0, entries - 1),
+            ),
+            st.lists(st.one_of(good, bad), max_size=entries + 2),
+            JSON_VALUES,
+        )
+
+    ciphertexts = lists(good_hex, _ciphertexts(pk))
+    values = lists(good_float, _numbers())
+    payloads = st.one_of(
+        st.fixed_dictionaries({"ciphertexts": ciphertexts, "n": st.just(paillier.int_to_hex(pk.n))}),
+        st.fixed_dictionaries({"ciphertexts": ciphertexts, "n": _moduli(pk)}),
+        st.fixed_dictionaries({"values": values}),
+        st.fixed_dictionaries(
+            {}, optional={"ciphertexts": ciphertexts, "n": _moduli(pk), "values": values}
+        ),
+    )
+    # through the JSON codec, as a peer's payload arrives
+    return payloads.map(lambda p: json.loads(json.dumps(p)))
+
+
+class TestPayloadDecodersFuzz:
+    """Any JSON-shaped gradient payload decodes to a value or is refused as a
+    ProtocolViolation or KeyMismatch, never with another exception."""
+
+    REFUSALS = (ProtocolViolation, KeyMismatch)
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(payload=_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES))
+    def test_encrypted_gradient_from_payload(self, payload):
+        try:
+            eg = protocol.encrypted_gradient_from_payload(
+                payload, FUZZ_KEY.public, FUZZ_ENTRIES, FUZZ_SETTINGS.quant
+            )
+        except self.REFUSALS:
+            return
+        assert isinstance(eg, agg.EncryptedGradient) and eg.entries == FUZZ_ENTRIES
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(payload=_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), encrypted=st.booleans())
+    def test_decode_gradient_payload(self, payload, encrypted):
+        keypair = FUZZ_KEY if encrypted else None
+        try:
+            g = protocol.decode_gradient_payload(
+                payload, keypair, FUZZ_ENTRIES, FUZZ_SETTINGS.quant
+            )
+        except self.REFUSALS:
+            return
+        assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        gradient=st.one_of(_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), JSON_VALUES),
+        encrypted=st.booleans(),
+    )
+    def test_server_receive_gradient(self, gradient, encrypted):
+        settings = FUZZ_SETTINGS if encrypted else dataclasses.replace(FUZZ_SETTINGS, encryption="none")
+        state = ServerState(settings=settings, round=1, public_key=FUZZ_KEY.public if encrypted else None)
+        try:
+            g = protocol._receive_gradient(state, {"gradient": gradient, "train_loss": 0.5})
+        except self.REFUSALS:
+            return
+        # at 128 bits a ciphertext holds one entry
+        assert len(g) == FUZZ_ENTRIES
+
+
 class Recorder:
     """The server's endpoint to one client; keeps every message it carries,
     in both directions."""
@@ -247,9 +372,9 @@ class TestWireShape:
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
         settings = make_settings(encryption=encryption, rounds=2)
         keypair = cohort_key(settings)
+        sessions = [ClientSession(settings, cid, client_split(cid), keypair) for cid in (1, 2)]
         endpoints = {
-            cid: Recorder(InThreadEndpoint(ClientSession(settings, cid, client_split(cid), keypair)))
-            for cid in (1, 2)
+            cid: Recorder(endpoint) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
         }
         server_run(settings, endpoints)
         messages = [m for endpoint in endpoints.values() for m in endpoint.messages]
@@ -330,7 +455,7 @@ class TestKeyDistribution:
     def test_client_refuses_a_key_delivery(self, encryption, client_id):
         settings = make_settings(encryption=encryption)
         session = ClientSession(settings, client_id, client_split(client_id), cohort_key(settings))
-        endpoint = InThreadEndpoint(session)
+        endpoint = in_thread(session)
         *before, reply = server_says(endpoint, MessageKind.KEY_DELIVER, 0, {"blob": "{}"})
         # client 1 of an encrypted cohort queued its key offer at startup
         offers = [MessageKind.KEY_OFFER] if settings.encrypted and client_id == 1 else []
@@ -394,7 +519,7 @@ class TestMalformedPayloads:
         session = ClientSession(settings, 2, client_split(2), _KEY256)
         if round_no == 2 or kind != MessageKind.GLOBAL_GRADIENT:
             session.handle(_round_one(settings))
-        [reply] = server_says(InThreadEndpoint(session), kind, round_no, payload)
+        [reply] = server_says(in_thread(session), kind, round_no, payload)
         assert session.done
         assert reply.kind == MessageKind.ABORT and reply.sender == 2
         assert reply.payload["reason"].startswith("ProtocolViolation: ")
@@ -413,7 +538,7 @@ class TestMalformedPayloads:
         session = ClientSession(settings, 2, client_split(2))
         if round_no == 2:
             session.handle(_round_one(settings))
-        endpoint = InThreadEndpoint(session)
+        endpoint = in_thread(session)
         [reply] = server_says(endpoint, MessageKind.GLOBAL_GRADIENT, round_no, payload)
         assert session.done
         assert reply.kind == MessageKind.ABORT and reply.sender == 2
@@ -508,33 +633,71 @@ class TestMalformedPayloads:
             server_run(settings, endpoints)
 
 
-class TestInThreadEndpoint:
-    """The loopback endpoint runs its client session in the caller's thread."""
+def _trained_alone(session: ClientSession, msg: Message) -> list[tuple[int, bytes]]:
+    """What ``session`` answers ``msg`` with on TCP, where it trains alone."""
+    assert session.respond(*encode_message(msg)) == []
+    return session.upload()
+
+
+def _diverging_round_one(settings) -> Message:
+    """Round one with weights so large that training diverges."""
+    msg = _round_one(settings)
+    return dataclasses.replace(msg, payload={**msg.payload, "weights": [1e308] * settings.layout.size})
+
+
+class TestInThreadCohort:
+    """The loopback cohort runs its client sessions in the caller's thread and
+    trains them together on the first recv after a broadcast."""
 
     def test_startup_replies_arrive_in_order(self):
-        endpoint = InThreadEndpoint(key_source(make_settings(encryption="he"), client_split(1)))
+        endpoint = in_thread(key_source(make_settings(encryption="he"), client_split(1)))
         assert decode_message(*endpoint.recv()).kind == MessageKind.KEY_OFFER
         with pytest.raises(ChannelClosed):
             endpoint.recv()
 
-    def test_replies_are_the_encoded_frames(self):
-        settings = make_settings()
-        endpoint = InThreadEndpoint(ClientSession(settings, 2, client_split(2)))
-        endpoint.send(*encode_message(_round_one(settings)))
-        [expected] = ClientSession(settings, 2, client_split(2)).handle(_round_one(settings))
-        assert endpoint.recv() == encode_message(expected)
+    @pytest.mark.parametrize("encryption", ["none", "he"])
+    def test_replies_equal_each_client_trained_alone(self, encryption):
+        # clients 1 and 3 share a training-set size, client 2 trains in its own group
+        settings = make_settings(n_clients=3, encryption=encryption)
+        keypair = cohort_key(settings)
+        sizes = {1: 60, 2: 45, 3: 60}
+
+        def session(cid):
+            return ClientSession(settings, cid, client_split(cid, sizes[cid]), keypair)
+
+        endpoints = InThreadCohort([session(cid) for cid in sizes]).endpoints
+        if keypair is not None:
+            endpoints[1].recv()  # the key offer
+        for endpoint in endpoints.values():
+            endpoint.send(*encode_message(_round_one(settings)))
+        for cid in sizes:
+            [expected] = _trained_alone(session(cid), _round_one(settings))
+            assert endpoints[cid].recv() == expected
 
     def test_recv_with_nothing_queued_names_the_client(self):
-        endpoint = InThreadEndpoint(ClientSession(make_settings(), 2, client_split(2)))
+        endpoint = in_thread(ClientSession(make_settings(), 2, client_split(2)))
         start = time.monotonic()
         with pytest.raises(ChannelClosed, match="client 2 has no reply"):
             endpoint.recv(timeout=20.0)
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_diverged_client_aborts_alone(self):
+        settings = make_settings()
+        sessions = [ClientSession(settings, cid, client_split(cid)) for cid in (1, 2)]
+        endpoints = InThreadCohort(sessions).endpoints
+        endpoints[1].send(*encode_message(_diverging_round_one(settings)))
+        endpoints[2].send(*encode_message(_round_one(settings)))
+        abort = decode_message(*endpoints[1].recv())
+        assert abort.kind == MessageKind.ABORT and sessions[0].done
+        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 1"
+        [expected] = _trained_alone(ClientSession(settings, 2, client_split(2)), _round_one(settings))
+        assert endpoints[2].recv() == expected and not sessions[1].done
+
     def test_sends_after_the_session_ends_are_dropped(self):
         settings = make_settings()
         session = ClientSession(settings, 2, client_split(2))
-        endpoint = InThreadEndpoint(session)
+        endpoint = in_thread(session)
         assert server_says(endpoint, MessageKind.ABORT, 0, {"reason": "test"}) == []
         assert session.done
         round_one = _round_one(settings).payload
@@ -622,7 +785,7 @@ class TestRoundChecks:
         session.handle(_round_one(settings))
         expected = 2 if kind == MessageKind.GLOBAL_GRADIENT else 1
         bad = expected + shift
-        [reply] = server_says(InThreadEndpoint(session), kind, bad, {})
+        [reply] = server_says(in_thread(session), kind, bad, {})
         assert session.done
         assert reply.kind == MessageKind.ABORT and reply.sender == 1
         assert reply.payload["reason"] == (
@@ -807,7 +970,8 @@ class TestClientSession:
                 "weights": [float(x) for x in initial.values],
             },
         )
-        replies = session.handle(msg)
+        assert session.handle(msg) == [] and session.pending
+        replies = [decode_message(*reply) for reply in session.upload()]
         return session, initial, replies
 
     def test_round_one_trains_without_keys(self):
@@ -819,6 +983,21 @@ class TestClientSession:
         assert gradient.shape == (42,)
         assert np.any(gradient != 0)
         assert np.array_equal(session.weights.values, initial.values)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_diverged_client_aborts_over_tcp(self):
+        settings = make_settings()
+        session = ClientSession(settings, 2, client_split(2))
+        server_end, client_end = (TcpEndpoint(sock) for sock in socket.socketpair())
+        try:
+            server_end.send(*encode_message(_diverging_round_one(settings)))
+            client_run(session, client_end)
+            abort = decode_message(*server_end.recv(timeout=5.0))
+        finally:
+            server_end.close()
+            client_end.close()
+        assert session.done and abort.kind == MessageKind.ABORT and abort.sender == 2
+        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 1"
 
     def test_zero_fused_gradient_scores_current_weights(self):
         settings = make_settings()
@@ -1047,7 +1226,7 @@ class TestServerRun:
         settings = make_settings()
         empty = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
         crippled = DatasetSplit(train=empty, validation=client_split(2).validation, test=empty)
-        with pytest.raises(RoundAborted, match="EmptyDataset"):
+        with pytest.raises(RoundAborted, match="^client 2 aborted: EmptyDataset"):
             run_loopback(settings, [client_split(1), crippled])
 
     def test_tampered_frame_is_protocol_violation(self):

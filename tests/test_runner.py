@@ -259,26 +259,28 @@ class TestRunExperiment:
         assert threading.active_count() == before
 
     def test_loopback_times_training_in_every_round(self, tmp_path, monkeypatch):
-        # clients train inside the server's send, so the train phase must
-        # start before the broadcast to cover it
+        # the cohort trains in the server's first recv after the broadcast,
+        # so the train phase must span the broadcast and every recv
         spent = []
-        train_local = nn.train_local
+        train_cohort = nn.train_cohort
 
         def timed(*args, **kwargs):
             start = time.monotonic()
             try:
-                return train_local(*args, **kwargs)
+                return train_cohort(*args, **kwargs)
             finally:
                 spent.append(time.monotonic() - start)
 
-        monkeypatch.setattr(nn, "train_local", timed)
+        monkeypatch.setattr(nn, "train_cohort", timed)
         artifacts = []
         for run in ("a", "b"):
             spent.clear()
             out = tmp_path / run
             result = run_experiment(desk_config(out_dir=str(out)))
-            for rec, per_client in zip(result.records, np.reshape(spent, (-1, 2))):
-                assert rec.durations["train"] >= per_client.sum() > 0
+            # one stacked call per round trains both clients
+            assert len(spent) == len(result.records)
+            for rec, cohort in zip(result.records, spent):
+                assert rec.durations["train"] >= cohort > 0
             # timings go to records.json only
             artifacts.append(((out / "metrics.csv").read_bytes(), (out / "model.json").read_bytes()))
         assert artifacts[0] == artifacts[1]

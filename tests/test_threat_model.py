@@ -17,7 +17,7 @@ from fedboost.config import ClientSpec, ExperimentConfig
 from fedboost.datasets import GaussianSpec
 from fedboost.protocol import (
     ClientSession,
-    InThreadEndpoint,
+    InThreadCohort,
     MessageKind,
     decode_message,
     encode_message,
@@ -79,10 +79,10 @@ def run(cfg: ExperimentConfig, monkeypatch):
     keypair = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
     splits = build_splits(cfg)
     sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
-    endpoints = {s.client_id: Tap(InThreadEndpoint(s)) for s in sessions}
+    endpoints = {cid: Tap(ep) for cid, ep in InThreadCohort(sessions).endpoints.items()}
     transcript = []
     protocol.server_run(cfg, endpoints, transcript)
-    # in-thread clients train inside the server's broadcast, in id order
+    # the in-thread cohort builds its uploads in id order
     n = cfg.n_clients
     uploads = [[q.values for q in quantized[r * n : (r + 1) * n]] for r in range(cfg.rounds)]
     delivered = {cid: endpoint.delivered for cid, endpoint in endpoints.items()}
@@ -138,6 +138,25 @@ def test_he_dp_three_clients_client_one_rebuilds_both_peers(monkeypatch):
             # F_1 - F_j = (a - b)(q_1 - q_j)
             rebuilt = [own - (f1 - fj) // (a - b) for own, f1, fj in zip(q[0], fused[0], fused[j])]
             assert rebuilt == q[j]
+
+
+def test_fedavg_pair_rebuilds_peer_gradient_from_the_merge(monkeypatch):
+    cfg = cohort(2, "he", aggregator="fedavg")
+    uploads, keypair, delivered, _ = run(cfg, monkeypatch)
+    # FedAvg's weights are 1/N, so both clients know the merge weight k
+    k = qz.quantize_weight(1 / cfg.n_clients, cfg.quant.pieces)
+    assert k == 50
+    # each round's merge reaches client 1 in the next broadcast, the last one
+    # as the final merged gradient
+    merges = [
+        decrypt(keypair, m.payload["gradient"])
+        for m in delivered[1]
+        if m.kind in (MessageKind.GLOBAL_GRADIENT, MessageKind.MERGED_GRADIENT)
+        and "gradient" in m.payload
+    ]
+    for (q1, q2), merged in zip(uploads, merges, strict=True):
+        # M = k*q_1 + k*q_2, so q_2 = (M - k*q_1) / k
+        assert [(m - k * own) // k for m, own in zip(merged, q1)] == q2
 
 
 @pytest.mark.parametrize(
