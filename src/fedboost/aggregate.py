@@ -196,17 +196,23 @@ def merge_plain(grads: list[np.ndarray], w: AggregationWeights) -> np.ndarray:
     return merged
 
 
-def _weighted_ciphertext_sum(
-    pk: PublicKey, egrads: list[EncryptedGradient], int_weights: list[int], entry: int
-) -> Ciphertext:
-    acc = None
-    for k, eg in zip(int_weights, egrads):
-        term = paillier.he_scalar_mul(pk, k, eg.ciphertexts[entry])
-        acc = term if acc is None else paillier.he_add(pk, acc, term)
-    return acc
+def _weighted_sum(
+    pk: PublicKey, egrads: list[EncryptedGradient], int_weights: list[int]
+) -> EncryptedGradient:
+    """Homomorphic sum of int_weights[i] times egrads[i]; the integer weights
+    consume the piece factor."""
+    cts = []
+    for column in zip(*(eg.ciphertexts for eg in egrads)):
+        acc = None
+        for k, c in zip(int_weights, column):
+            term = paillier.he_scalar_mul(pk, k, c)
+            acc = term if acc is None else paillier.he_add(pk, acc, term)
+        cts.append(acc)
+    config = QuantConfig(egrads[0].config.scale_exponent, pieces=1)
+    return EncryptedGradient(ciphertexts=cts, config=config, entries=egrads[0].entries)
 
 
-def _common_config(egrads: list[EncryptedGradient], pk: PublicKey) -> QuantConfig:
+def _check_compatible(egrads: list[EncryptedGradient], pk: PublicKey) -> None:
     cfg = egrads[0].config
     entries = egrads[0].entries
     for eg in egrads:
@@ -217,7 +223,6 @@ def _common_config(egrads: list[EncryptedGradient], pk: PublicKey) -> QuantConfi
         for c in eg.ciphertexts:
             if c.public.n != pk.n:
                 raise KeyMismatch("encrypted gradients are under different keys")
-    return cfg
 
 
 def merge_encrypted(
@@ -230,14 +235,8 @@ def merge_encrypted(
     sum_i |G_i|/(2P) + N*P/(2S) per entry."""
     if len(egrads) != w.values.size:
         raise ShapeMismatch(f"{len(egrads)} gradients vs {w.values.size} weights")
-    cfg = _common_config(egrads, pk)
-    int_weights = [quantize_weight(float(p), pieces) for p in w.values]
-    cts = [
-        _weighted_ciphertext_sum(pk, egrads, int_weights, e) for e in range(len(egrads[0]))
-    ]
-    return EncryptedGradient(
-        ciphertexts=cts, config=QuantConfig(cfg.scale_exponent, pieces=1), entries=egrads[0].entries
-    )
+    _check_compatible(egrads, pk)
+    return _weighted_sum(pk, egrads, [quantize_weight(float(p), pieces) for p in w.values])
 
 
 def dp_fuse(
@@ -252,7 +251,7 @@ def dp_fuse(
     n_models = len(egrads)
     if n_models < 2:
         raise DegenerateCohort("fusion needs at least 2 models; disable it for 1")
-    quant_cfg = _common_config(egrads, pk)
+    _check_compatible(egrads, pk)
     if p_hat * n_models <= 1:
         raise InvalidWeight(
             f"p_hat={p_hat} must exceed 1/N={1 / n_models} so the own model dominates"
@@ -264,13 +263,7 @@ def dp_fuse(
             f"piece resolution P={pieces} erases the dominance of p_hat={p_hat} "
             f"over {(1.0 - p_hat) / (n_models - 1)}; raise P or p_hat"
         )
-    out_cfg = QuantConfig(quant_cfg.scale_exponent, pieces=1)
-    fused = []
-    for i in range(n_models):
-        int_weights = [k_self if j == i else k_other for j in range(n_models)]
-        cts = [
-            _weighted_ciphertext_sum(pk, egrads, int_weights, e)
-            for e in range(len(egrads[0]))
-        ]
-        fused.append(EncryptedGradient(ciphertexts=cts, config=out_cfg, entries=egrads[0].entries))
-    return fused
+    return [
+        _weighted_sum(pk, egrads, [k_self if j == i else k_other for j in range(n_models)])
+        for i in range(n_models)
+    ]

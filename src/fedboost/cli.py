@@ -68,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     boundary_p = sub.add_parser("boundary", help="export a decision-boundary grid from a saved model")
     boundary_p.add_argument("--model", required=True, help="model.json produced by `run`")
     boundary_p.add_argument("--out", required=True, help="destination CSV")
-    boundary_p.add_argument("--xmin", type=float, default=-6.0)
-    boundary_p.add_argument("--xmax", type=float, default=6.0)
-    boundary_p.add_argument("--ymin", type=float, default=-6.0)
-    boundary_p.add_argument("--ymax", type=float, default=6.0)
-    boundary_p.add_argument("--steps", type=int, default=101)
+    grid = GridSpec()
+    for name in ("xmin", "xmax", "ymin", "ymax"):
+        boundary_p.add_argument(f"--{name}", type=float, default=getattr(grid, name))
+    boundary_p.add_argument("--steps", type=int, default=grid.steps)
     boundary_p.set_defaults(func=_cmd_boundary)
     return parser
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .datasets import GaussianSpec
-from .errors import ConfigError
+from .errors import ConfigError, InvalidCovariance
 from .nn import Layout
 from .quantize import QuantConfig
 
@@ -73,8 +74,8 @@ class ExperimentConfig:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate", f"must be > 0, got {self.learning_rate}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ConfigError("learning_rate", f"must be finite and > 0, got {self.learning_rate}")
         if not self.clients:
             raise ConfigError("clients", "at least one client is required")
         n = len(self.clients)
@@ -92,8 +93,10 @@ class ExperimentConfig:
             raise ConfigError("p_hat", f"must lie in (1/{n}, 1], got {self.p_hat}")
         if self.n_hidden < 1:
             raise ConfigError("n_hidden", f"must be >= 1, got {self.n_hidden}")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout_s", f"must be > 0, got {self.timeout_s}")
+        if not (0 < self.timeout_s < math.inf):
+            raise ConfigError("timeout_s", f"must be finite and > 0, got {self.timeout_s}")
+        if not (0 <= self.tcp_port <= 65535):
+            raise ConfigError("tcp_port", f"must lie in [0, 65535], got {self.tcp_port}")
         for i, client in enumerate(self.clients):
             if not client.clusters:
                 raise ConfigError(f"clients[{i}].clusters", "must not be empty")
@@ -177,7 +180,7 @@ def _gaussian_from_dict(data: dict, path: str) -> GaussianSpec:
             label=data["label"],
             count=data["count"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidCovariance) as exc:
         raise ConfigError(path, f"bad cluster spec: {exc}") from exc
 
 

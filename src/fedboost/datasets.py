@@ -24,11 +24,12 @@ class GaussianSpec:
     count: int
 
     def __post_init__(self):
-        if np.asarray(self.mean, dtype=float).shape != (2,):
-            raise ValueError(f"mean must be 2 numbers, got {self.mean}")
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape != (2,) or not np.all(np.isfinite(mean)):
+            raise ValueError(f"mean must be 2 finite numbers, got {self.mean}")
         cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
-            raise InvalidCovariance(f"covariance must be 2x2 symmetric, got {self.covariance}")
+        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)) or not np.allclose(cov, cov.T):
+            raise InvalidCovariance(f"covariance must be 2x2 finite symmetric, got {self.covariance}")
         if np.linalg.eigvalsh(cov).min() <= 0:
             raise InvalidCovariance(f"covariance must be positive-definite, got {self.covariance}")
         if self.label not in (0, 1):

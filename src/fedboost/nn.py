@@ -95,24 +95,19 @@ def init_params(seed: int, layout: Layout) -> ModelParams:
     return ModelParams(flat, layout)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Output logits, one row per input row."""
+    """Output logits, one row per input row; the hidden layer is the sigmoid
+    ``_train_group`` steps with."""
     (w1, b1), (w2, b2) = params.layout.views(params.values)
-    return _sigmoid(x @ w1.T + b1) @ w2.T + b2
+    # exp(-z) overflows to inf below z = -709, and 1 / (1 + inf) is the right 0
+    with np.errstate(over="ignore"):
+        hidden = 1.0 / (1.0 + np.exp(-(x @ w1.T + b1)))
+    return hidden @ w2.T + b2
 
 
 def forward(params: ModelParams, x) -> np.ndarray:

@@ -7,11 +7,12 @@ its training loss, the server builds per-model cross-validation payloads
 losses, the server computes aggregation weights and merges. A TCP client
 trains alone as soon as the broadcast reaches it; the in-thread loopback
 cohort trains all its clients in one stacked step when the server first waits
-for an upload. After the last
-round a designated client decrypts the merged result and returns the final
-weights, since the server's state never holds the key pair. Every client of an
-encrypted cohort holds that key pair from the start, handed over out of band;
-client 1 offers the server its public key, and no frame carries the secret one.
+for an upload. After the last round the server sends every client the merged
+result, and the designated client answers it with the decrypted final
+weights, since the server's state never holds the key pair. Every client of
+an encrypted cohort holds that key pair from the start, handed over out of
+band; client 1 offers the server its public key, and no frame carries the
+secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as hex strings and floats as shortest round-trip decimals, so
@@ -67,7 +68,7 @@ class MessageKind(IntEnum):
     FUSED_GRADIENT = 5
     EVAL_RESULT = 6
     MERGED_GRADIENT = 7
-    FINAL_MODEL_REQUEST = 8
+    FINAL_MODEL_REQUEST = 8  # retired: client 1 answers MERGED_GRADIENT with FINAL_MODEL
     FINAL_MODEL = 9
     ABORT = 10
 
@@ -212,7 +213,6 @@ class ClientSession:
         self.weights: nn.ModelParams | None = None
         self.round = 0
         self.done = False
-        self.final_weights: nn.ModelParams | None = None
         self.pending = False
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
 
@@ -358,22 +358,16 @@ class ClientSession:
                 )
             ]
         if msg.kind == MessageKind.MERGED_GRADIENT:
-            self.final_weights = self.decrypt_final(msg)
-            if self.client_id != DESIGNATED_DECRYPTOR:
-                self.done = True
-            return []
-        if msg.kind == MessageKind.FINAL_MODEL_REQUEST:
-            if self.client_id != DESIGNATED_DECRYPTOR:
-                raise ProtocolViolation("final model requested from a non-designated client")
-            if self.final_weights is None:
-                raise ProtocolViolation("final model requested before the merged gradient")
+            final = self.decrypt_final(msg)
             self.done = True
+            if self.client_id != DESIGNATED_DECRYPTOR:
+                return []
             return [
                 Message(
                     MessageKind.FINAL_MODEL,
                     round=msg.round,
                     sender=self.client_id,
-                    payload={"weights": [float(x) for x in self.final_weights.values]},
+                    payload={"weights": [float(x) for x in final.values]},
                 )
             ]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
@@ -510,16 +504,19 @@ class ServerRunResult:
     merged_gradients: list[dict]
 
 
-def _send(endpoints, kind: MessageKind, round_no: int, payload: dict, to=None) -> None:
-    """Encode one server message once and send it to clients ``to`` (default:
-    all, in id order). An ABORT goes to every client that can still take it."""
+def _send(endpoints, kind: MessageKind, round_no: int, payload: dict) -> None:
+    """Encode one server message once and send it to every client, in id
+    order. A failed send is a RoundAborted naming the client; an ABORT goes to
+    every client that can still take it."""
     frame = encode_message(Message(kind, round=round_no, sender=SERVER_ID, payload=payload))
-    for cid in sorted(endpoints) if to is None else to:
+    for cid in sorted(endpoints):
         try:
             endpoints[cid].send(*frame)
-        except TransportError:
+        except TransportError as exc:
             if kind != MessageKind.ABORT:
-                raise
+                raise RoundAborted(
+                    f"sending {kind.name} to client {cid} in round {round_no}: {exc}"
+                ) from exc
 
 
 @contextmanager
@@ -696,9 +693,7 @@ def _run_rounds(state: ServerState, endpoints, transcript: list | None) -> Serve
             )
         )
 
-    last = settings.rounds
-    _send(endpoints, MessageKind.MERGED_GRADIENT, last, {"gradient": merged_gradients[-1]})
-    _send(endpoints, MessageKind.FINAL_MODEL_REQUEST, last, {}, to=[DESIGNATED_DECRYPTOR])
+    _send(endpoints, MessageKind.MERGED_GRADIENT, settings.rounds, {"gradient": merged_gradients[-1]})
     final_msg = _expect(state, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, transcript)
     with _from_client(DESIGNATED_DECRYPTOR):
         final_values = _vector(final_msg.payload, "weights", settings.layout.size)

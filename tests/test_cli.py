@@ -1,12 +1,14 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from fedboost.cli import main
+from fedboost.cli import build_parser, main
 from fedboost.config import (
     ExperimentConfig,
+    GridSpec,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -113,6 +115,39 @@ class TestRunCommand:
         assert err["error"] == "ConfigError"
         assert err["detail"].startswith(f"{named}: ")
 
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("tcp_port", 70000, "tcp_port: must lie in [0, 65535], got 70000"),
+            ("tcp_port", -1, "tcp_port: must lie in [0, 65535], got -1"),
+            ("timeout_s", math.nan, "timeout_s: must be finite and > 0, got nan"),
+            ("timeout_s", math.inf, "timeout_s: must be finite and > 0, got inf"),
+            ("learning_rate", math.nan, "learning_rate: must be finite and > 0, got nan"),
+            ("learning_rate", math.inf, "learning_rate: must be finite and > 0, got inf"),
+            (
+                "clients",
+                [{"seed": 1, "clusters": [cluster(mean=[math.nan, 0])]}],
+                "clients[0].clusters[0]: bad cluster spec: mean must be 2 finite numbers",
+            ),
+            (
+                "clients",
+                [{"seed": 1, "clusters": [cluster(covariance=[[math.inf, 0], [0, 1]])]}],
+                "clients[0].clusters[0]: bad cluster spec: covariance must be 2x2 finite",
+            ),
+        ],
+    )
+    def test_unusable_value_exits_with_json_error_naming_it(
+        self, tmp_path, tiny_config_path, capsys, field, value, detail
+    ):
+        # json reads NaN and Infinity literals; a TCP run would take the port to bind()
+        data = json.loads(tiny_config_path.read_text())
+        data.update({field: value, "transport": "tcp"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith(detail)
 
     def test_unwritable_artifact_exits_with_json_error(self, tmp_path, tiny_config_path, capsys):
         out = tmp_path / "out"
@@ -167,6 +202,11 @@ class TestBoundaryCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "IoError"
         assert str(model) in err["detail"]
+
+
+def test_boundary_grid_defaults_are_gridspecs():
+    args = build_parser().parse_args(["boundary", "--model", "m.json", "--out", "g.csv"])
+    assert GridSpec(args.xmin, args.xmax, args.ymin, args.ymax, args.steps) == GridSpec()
 
 
 def test_default_config_is_full_scale():

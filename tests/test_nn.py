@@ -186,6 +186,33 @@ class TestEvaluate:
         with pytest.raises(EmptyDataset):
             nn.evaluate(nn.init_params(0, LAYOUT), data)
 
+    def test_hidden_layer_is_the_training_sigmoid(self):
+        # one hidden unit whose pre-activation is x0, copied to the first logit
+        layout = nn.Layout(1)
+        flat = np.zeros(layout.size)
+        (w1, _b1), (w2, _b2) = layout.views(flat)
+        w1[0, 0] = 1.0
+        w2[0, 0] = 1.0
+        z = np.concatenate([np.linspace(-800.0, 800.0, 16001), [-745.2, -709.8, 0.0, 36.8, 745.2]])
+        x = np.column_stack([z, np.zeros_like(z)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hidden = nn._logits(nn.ModelParams(flat, layout), x)[:, 0]
+            with np.errstate(over="ignore"):
+                expected = 1.0 / (1.0 + np.exp(-z))
+        assert np.array_equal(hidden, expected)
+        assert hidden[0] == 0.0 and hidden[16000] == 1.0
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The sigmoid without overflow: exp of -|z| only."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
 
 def loss_and_grad(views, grad_views, x, y):
     """Generic per-batch backprop for any depth: the mean cross-entropy over
@@ -194,7 +221,7 @@ def loss_and_grad(views, grad_views, x, y):
     acts = [x]
     h = x
     for w, b in views[:-1]:
-        h = nn._sigmoid(h @ w.T + b)
+        h = masked_sigmoid(h @ w.T + b)
         acts.append(h)
     w_out, b_out = views[-1]
     logp = nn._log_softmax(h @ w_out.T + b_out)
@@ -306,7 +333,7 @@ class TestFusedStep:
         params = nn.ModelParams(flat, LAYOUT)
         parts = tiny_split(10, seed=4)
         z1 = parts.train.x @ w1.T
-        assert np.abs(z1).max() > 710 and np.abs(nn._sigmoid(z1) @ w2.T).max() > 710
+        assert np.abs(z1).max() > 710 and np.abs(masked_sigmoid(z1) @ w2.T).max() > 710
         lr = 0.003
         with warnings.catch_warnings():
             warnings.simplefilter("error")

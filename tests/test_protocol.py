@@ -939,6 +939,23 @@ class TestServerAbortsEveryone:
             server_run(settings, endpoints)
         self._assert_every_client_aborted(endpoints, err)
 
+    def test_failed_send_names_the_client_kind_and_round(self):
+        # client 2's socket peer is gone before the first broadcast
+        settings = make_settings(rounds=1)
+        session = ClientSession(settings, 1, client_split(1))
+        endpoints = InThreadCohort([session]).endpoints
+        server_end, client_end = socket.socketpair()
+        client_end.close()
+        endpoints[2] = TcpEndpoint(server_end)
+        cause = "^sending GLOBAL_GRADIENT to client 2 in round 1: send failed: "
+        try:
+            with pytest.raises(RoundAborted, match=cause):
+                server_run(settings, endpoints)
+        finally:
+            endpoints[2].close()
+        # client 1 took the broadcast and then the ABORT
+        assert session.done
+
 
 def _assert_no_keypair(obj, path: str, seen=None):
     seen = seen if seen is not None else set()
@@ -958,8 +975,8 @@ def _assert_no_keypair(obj, path: str, seen=None):
 
 
 class TestClientSession:
-    def _trained_session(self, settings, rounds_payloads=None):
-        session = ClientSession(settings, 2, client_split(2))
+    def _trained_session(self, settings, rounds_payloads=None, client_id=2):
+        session = ClientSession(settings, client_id, client_split(client_id))
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
         msg = Message(
             MessageKind.GLOBAL_GRADIENT,
@@ -1024,15 +1041,38 @@ class TestClientSession:
 
     def test_final_zero_gradient_keeps_weights(self):
         settings = make_settings(rounds=1)
-        session, _initial, _ = self._trained_session(settings)
+        session, _initial, _ = self._trained_session(settings, client_id=1)
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
             sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(np.zeros(42))},
         )
-        session.handle(merged)
-        assert np.array_equal(session.final_weights.values, session.weights.values)
+        [final] = session.handle(merged)
+        assert final.kind == MessageKind.FINAL_MODEL
+        assert final.payload["weights"] == session.weights.values.tolist()
+
+    @pytest.mark.parametrize("client_id", [1, 2])
+    def test_merged_gradient_ends_the_session(self, client_id):
+        """Client 1 answers the merged gradient with the final model, its
+        weights plus that gradient; any other client answers nothing."""
+        settings = make_settings(rounds=1)
+        session, _initial, _ = self._trained_session(settings, client_id=client_id)
+        g = np.linspace(-0.01, 0.01, 42)
+        merged = Message(
+            MessageKind.MERGED_GRADIENT,
+            round=1,
+            sender=protocol.SERVER_ID,
+            payload={"gradient": protocol.gradient_to_payload(g)},
+        )
+        replies = session.handle(merged)
+        assert session.done
+        if client_id != protocol.DESIGNATED_DECRYPTOR:
+            assert replies == []
+            return
+        [final] = replies
+        assert (final.kind, final.round, final.sender) == (MessageKind.FINAL_MODEL, 1, 1)
+        assert final.payload["weights"] == (session.weights.values + g).tolist()
 
     def test_final_before_last_round_rejected(self):
         settings = make_settings(rounds=3)
