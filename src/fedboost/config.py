@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 from .datasets import GaussianSpec
@@ -171,74 +172,63 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
-def _gaussian_from_dict(data: dict, path: str) -> GaussianSpec:
-    _check_scalars(data, GaussianSpec, path)
-    try:
-        return GaussianSpec(
-            mean=tuple(data["mean"]),
-            covariance=tuple(tuple(row) for row in data["covariance"]),
-            label=data["label"],
-            count=data["count"],
-        )
-    except (KeyError, TypeError, ValueError, InvalidCovariance) as exc:
-        raise ConfigError(path, f"bad cluster spec: {exc}") from exc
-
-
+# Fields that hold config objects, by name: the class of one, and what a
+# ConfigError calls one its class refuses. A tuple field holds a list of them.
+_NESTED = {
+    "quant": (QuantConfig, "quantization config"),
+    "clients": (ClientSpec, "client spec"),
+    "clusters": (GaussianSpec, "cluster spec"),
+}
 # The JSON values each scalar field takes, by the field's annotation
 _JSON_KINDS = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
-def _check_scalars(data, cls, path: str) -> None:
-    """ConfigError naming ``path.field`` for the first key of the JSON object
-    ``data`` that is no field of ``cls``, else for the first scalar field of
-    ``cls`` whose value in ``data`` is not of the annotated kind."""
+def _frozen(value):
+    """A JSON value with every list made a tuple."""
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+
+
+def _from_dict(cls, data, path: str, what: str):
+    """``cls`` built from the JSON object ``data`` found at ``path``. A
+    ConfigError names ``path.field`` for the first key that is no field of
+    ``cls``, else for the first field whose value is not of its kind, else
+    ``path`` when ``cls`` refuses the values."""
     if not isinstance(data, dict):
         raise ConfigError(path, f"must be a JSON object, got {data!r}")
     at = f"{path}." if path else ""
     unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(at + sorted(unknown)[0], "unknown field")
+    kwargs = {}
     for name, f in cls.__dataclass_fields__.items():
-        value = data.get(name)
-        if name in data and f.type in _JSON_KINDS:
+        if name not in data:
+            continue
+        value, where = data[name], at + name
+        if name in _NESTED:
+            sub, called = _NESTED[name]
+            if not f.type.startswith("tuple["):
+                value = _from_dict(sub, value, where, called)
+            elif isinstance(value, (list, tuple)):
+                value = tuple(_from_dict(sub, v, f"{where}[{i}]", called) for i, v in enumerate(value))
+            else:
+                raise ConfigError(where, f"must be a list, got {value!r}")
+        elif f.type in _JSON_KINDS:
             if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[f.type]):
-                raise ConfigError(at + name, f"must be {f.type}, got {value!r}")
+                raise ConfigError(where, f"must be {f.type}, got {value!r}")
+            # json reads integers of any size
+            if f.type == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(where, "must lie within float range")
+        kwargs[name] = _frozen(value)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, InvalidCovariance) as exc:
+        raise ConfigError(path, f"bad {what}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON document describes; a ConfigError names the first
-    unknown or mistyped field."""
-    _check_scalars(data, ExperimentConfig, "")
-    kwargs = {k: v for k, v in data.items() if k not in ("clients", "quant")}
-    if "quant" in data:
-        q = data["quant"]
-        _check_scalars(q, QuantConfig, "quant")
-        try:
-            kwargs["quant"] = QuantConfig(scale_exponent=q["scale_exponent"], pieces=q["pieces"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("quant", f"bad quantization config: {exc}") from exc
-    specs = data.get("clients", ())
-    if not isinstance(specs, (list, tuple)):
-        raise ConfigError("clients", f"must be a list, got {specs!r}")
-    clients = []
-    for i, c in enumerate(specs):
-        _check_scalars(c, ClientSpec, f"clients[{i}]")
-        try:
-            clusters = tuple(
-                _gaussian_from_dict(g, f"clients[{i}].clusters[{j}]")
-                for j, g in enumerate(c.get("clusters", ()))
-            )
-            clients.append(
-                ClientSpec(
-                    clusters=clusters,
-                    seed=c["seed"],
-                    poison_flip_frac=float(c.get("poison_flip_frac", 0.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"clients[{i}]", f"bad client spec: {exc}") from exc
-    kwargs["clients"] = tuple(clients)
-    return ExperimentConfig(**kwargs)
+    unknown, mistyped or unusable field."""
+    return _from_dict(ExperimentConfig, data, "", "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -7,11 +7,26 @@ controllable Non-IID setup.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSplit, EmptyDataset, InvalidCovariance
+
+
+def _finite_array(value, shape: tuple) -> np.ndarray | None:
+    """``value`` as a float array when it nests finite real numbers to
+    ``shape``, else None. numpy alone would read strings such as "-2" and
+    booleans as numbers, and fail on integers beyond float range."""
+    cells = np.array(value, dtype=object)
+    if cells.shape == shape and all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+        for x in cells.flat
+    ):
+        return cells.astype(float)
+    return None
 
 
 @dataclass(frozen=True)
@@ -24,11 +39,10 @@ class GaussianSpec:
     count: int
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (2,) or not np.all(np.isfinite(mean)):
+        if _finite_array(self.mean, (2,)) is None:
             raise ValueError(f"mean must be 2 finite numbers, got {self.mean}")
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)) or not np.allclose(cov, cov.T):
+        cov = _finite_array(self.covariance, (2, 2))
+        if cov is None or not np.allclose(cov, cov.T):
             raise InvalidCovariance(f"covariance must be 2x2 finite symmetric, got {self.covariance}")
         if np.linalg.eigvalsh(cov).min() <= 0:
             raise InvalidCovariance(f"covariance must be positive-definite, got {self.covariance}")

@@ -8,11 +8,11 @@ losses, the server computes aggregation weights and merges. A TCP client
 trains alone as soon as the broadcast reaches it; the in-thread loopback
 cohort trains all its clients in one stacked step when the server first waits
 for an upload. After the last round the server sends every client the merged
-result, and the designated client answers it with the decrypted final
-weights, since the server's state never holds the key pair. Every client of
-an encrypted cohort holds that key pair from the start, handed over out of
-band; client 1 offers the server its public key, and no frame carries the
-secret one.
+result; client 1 alone decrypts it and answers with the final weights, since
+the server never holds the key pair, and the others check it and end. Every
+client of an encrypted cohort holds that key pair from the start, handed over
+out of band; client 1 offers the server its public key, and no frame carries
+the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as hex strings and floats as shortest round-trip decimals, so
@@ -157,20 +157,24 @@ def gradient_to_payload(g) -> dict:
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
 
 
-def encrypted_gradient_from_payload(
-    payload: dict, pk: paillier.PublicKey, entries: int, quant: qz.QuantConfig
-) -> agg.EncryptedGradient:
-    """Packed ciphertexts under ``pk`` of ``entries`` values quantized with
-    ``quant``, both of which the receiver takes from its config."""
+def read_gradient(
+    payload: dict, public_key: paillier.PublicKey | None, entries: int, quant: qz.QuantConfig
+) -> np.ndarray | agg.EncryptedGradient:
+    """A gradient of ``entries`` values, checked but not decrypted: the plain
+    vector when ``public_key`` is None, else the EncryptedGradient of packed
+    ciphertexts under it, quantized with ``quant``. The receiver takes
+    ``entries`` and ``quant`` from its config."""
+    if public_key is None:
+        return _vector(payload, "values", entries)
     hexes = _field(payload, "ciphertexts", list)
     try:
         n = paillier.hex_to_int(_field(payload, "n", str))
     except ValueError as exc:
         raise ProtocolViolation(f"malformed modulus: {exc}") from exc
-    if n != pk.n:
+    if n != public_key.n:
         raise KeyMismatch("gradient is encrypted under a different key")
     try:
-        cts = [paillier.Ciphertext(value=paillier.hex_to_int(h), public=pk) for h in hexes]
+        cts = [paillier.Ciphertext(value=paillier.hex_to_int(h), public=public_key) for h in hexes]
         return agg.EncryptedGradient(ciphertexts=cts, config=quant, entries=entries)
     except (ValueError, ShapeMismatch) as exc:
         raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
@@ -181,10 +185,8 @@ def decode_gradient_payload(
 ) -> np.ndarray:
     """Real-valued gradient of ``entries`` values: plain when ``keypair`` is
     None, else packed ciphertexts under it, quantized with ``quant``."""
-    if keypair is None:
-        return _vector(payload, "values", entries)
-    eg = encrypted_gradient_from_payload(payload, keypair.public, entries, quant)
-    return qz.dequantize(agg.decrypt_gradient(keypair, eg))
+    g = read_gradient(payload, keypair.public if keypair else None, entries, quant)
+    return g if keypair is None else qz.dequantize(agg.decrypt_gradient(keypair, g))
 
 
 # --- client side --------------------------------------------------------------
@@ -241,8 +243,7 @@ class ClientSession:
                 raise ProtocolViolation(f"model layout differs from {layout.layers}")
             self.weights = nn.ModelParams(_vector(msg.payload, "weights", layout.size), layout)
         else:
-            g = self._decode_gradient(_field(msg.payload, "gradient", dict))
-            self.weights = nn.apply_gradient(self.weights, g)
+            self.weights = self._stepped(_field(msg.payload, "gradient", dict))
         self.round = msg.round
         self.pending = True
 
@@ -292,19 +293,9 @@ class ClientSession:
             raise ProtocolViolation("cross-validation before any training round")
         # under he the server relays the raw uploads; under he_dp it fuses them
         raw = self.settings.encryption == "he"
-        g = self._decode_gradient(fused_payload, self.settings.quant.pieces if raw else 1)
-        candidate = nn.apply_gradient(self.weights, g)
+        candidate = self._stepped(fused_payload, self.settings.quant.pieces if raw else 1)
         loss, _acc = nn.evaluate(candidate, self.split.validation)
         return float(loss)
-
-    def decrypt_final(self, msg: Message) -> nn.ModelParams:
-        """Final weights: previous global weights plus the merged gradient."""
-        if self.round != self.settings.rounds:
-            raise ProtocolViolation(
-                f"final gradient in round {self.round}, expected {self.settings.rounds}"
-            )
-        g = self._decode_gradient(_field(msg.payload, "gradient", dict))
-        return nn.apply_gradient(self.weights, g)
 
     # -- message pump --
 
@@ -358,10 +349,18 @@ class ClientSession:
                 )
             ]
         if msg.kind == MessageKind.MERGED_GRADIENT:
-            final = self.decrypt_final(msg)
+            if self.round != self.settings.rounds:
+                raise ProtocolViolation(
+                    f"final gradient in round {self.round}, expected {self.settings.rounds}"
+                )
             self.done = True
+            merged = _field(msg.payload, "gradient", dict)
             if self.client_id != DESIGNATED_DECRYPTOR:
+                # only client 1's final model is used: the others check the frame, not decrypt it
+                public = self.keypair.public if self.keypair else None
+                read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
                 return []
+            final = self._stepped(merged)
             return [
                 Message(
                     MessageKind.FINAL_MODEL,
@@ -372,12 +371,13 @@ class ClientSession:
             ]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
-    def _decode_gradient(self, payload: dict, pieces: int = 1) -> np.ndarray:
-        """A gradient from the server. An encrypted one decodes with the
-        configured scale exponent and ``pieces``: 1 once the server has applied
-        weights."""
+    def _stepped(self, payload: dict, pieces: int = 1) -> nn.ModelParams:
+        """The weights plus a gradient from the server. An encrypted one
+        decodes with the configured scale exponent and ``pieces``: 1 once the
+        server has applied weights."""
         quant = qz.QuantConfig(self.settings.quant.scale_exponent, pieces)
-        return decode_gradient_payload(payload, self.keypair, self.settings.layout.size, quant)
+        g = decode_gradient_payload(payload, self.keypair, self.settings.layout.size, quant)
+        return nn.apply_gradient(self.weights, g)
 
 
 def client_run(session: ClientSession, endpoint) -> None:
@@ -485,15 +485,6 @@ class RoundRecord:
 
 
 @dataclass
-class ServerState:
-    """Holds public material only; decryption capability never enters here."""
-
-    settings: ExperimentConfig
-    round: int = 0
-    public_key: paillier.PublicKey | None = None
-
-
-@dataclass
 class ServerRunResult:
     """The final model, one record per round, and each round's merged
     gradient payload (kept out of the records, so out of records.json)."""
@@ -530,16 +521,14 @@ def _from_client(cid: int):
 
 
 def _expect(
-    state: ServerState,
-    endpoints,
-    cid: int,
-    kind: MessageKind,
-    transcript: list | None,
+    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind, round_no: int, transcript
 ) -> Message:
     try:
-        raw_kind, body = endpoints[cid].recv(timeout=state.settings.timeout_s)
+        raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
     except TransportError as exc:
-        raise RoundAborted(f"waiting for {kind.name} from client {cid}: {exc}") from exc
+        raise RoundAborted(
+            f"waiting for {kind.name} from client {cid} in round {round_no}: {exc}"
+        ) from exc
     with _from_client(cid):
         msg = decode_message(raw_kind, body)
     if transcript is not None:
@@ -551,38 +540,23 @@ def _expect(
     if msg.kind != kind:
         raise ProtocolViolation(f"expected {kind.name} from client {cid}, got {msg.kind.name}")
     # every client frame carries the server's round, 0 for the key offer
-    if msg.round != state.round:
+    if msg.round != round_no:
         raise ProtocolViolation(
-            f"client {cid} sent {kind.name} for round {msg.round} during round {state.round}"
+            f"client {cid} sent {kind.name} for round {msg.round} during round {round_no}"
         )
     return msg
 
 
-def _receive_gradient(state: ServerState, payload: dict):
-    """An uploaded gradient, checked against the model size; the server
-    decodes ciphertexts but never decrypts them."""
-    settings = state.settings
-    gradient = _field(payload, "gradient", dict)
-    if settings.encrypted:
-        return encrypted_gradient_from_payload(
-            gradient, state.public_key, settings.layout.size, settings.quant
-        )
-    return _vector(gradient, "values", settings.layout.size)
-
-
-def _cross_validation_models(state: ServerState, gradients: list) -> list[dict]:
+def _cross_validation_models(settings: ExperimentConfig, public_key, gradients: list) -> list[dict]:
     """Per-model payloads the clients will score, fused when DP is on."""
-    settings = state.settings
-    if settings.encryption != "he_dp":
-        return [gradient_to_payload(g) for g in gradients]
-    fused = agg.dp_fuse(state.public_key, gradients, settings.p_hat, settings.quant.pieces)
-    return [gradient_to_payload(f) for f in fused]
+    if settings.encryption == "he_dp":
+        gradients = agg.dp_fuse(public_key, gradients, settings.p_hat, settings.quant.pieces)
+    return [gradient_to_payload(g) for g in gradients]
 
 
-def _merge(state: ServerState, gradients: list, weights: agg.AggregationWeights) -> dict:
-    settings = state.settings
+def _merge(settings: ExperimentConfig, public_key, gradients: list, weights) -> dict:
     if settings.encrypted:
-        merged = agg.merge_encrypted(state.public_key, gradients, weights, settings.quant.pieces)
+        merged = agg.merge_encrypted(public_key, gradients, weights, settings.quant.pieces)
         return gradient_to_payload(merged)
     return gradient_to_payload(agg.merge_plain(gradients, weights))
 
@@ -596,106 +570,107 @@ def server_run(
     model and one record per round. Clients are polled in id order inside each
     phase, so runs and transcripts are reproducible. A configuration that
     ``validate`` refuses raises ConfigError before any frame is sent; any
-    later FedBoostError is sent to every client in an ABORT, then raised."""
+    later FedBoostError is sent to every client in an ABORT of the round the
+    run was in, then raised. The server holds the public key only."""
     settings.validate()
-    state = ServerState(settings=settings)
-    try:
-        return _run_rounds(state, endpoints, transcript)
-    except FedBoostError as exc:
-        _send(endpoints, MessageKind.ABORT, state.round, {"reason": f"{type(exc).__name__}: {exc}"})
-        raise
-
-
-def _run_rounds(state: ServerState, endpoints, transcript: list | None) -> ServerRunResult:
-    settings = state.settings
     n = settings.n_clients
     clients = range(1, n + 1)
-    if set(endpoints) != set(clients):
-        raise ProtocolViolation(f"need endpoints for clients 1..{n}")
+    r, public_key = 0, None
     records, merged_gradients = [], []
+    try:
+        if set(endpoints) != set(clients):
+            raise ProtocolViolation(f"need endpoints for clients 1..{n}")
 
-    if settings.encrypted:
-        offer = _expect(state, endpoints, 1, MessageKind.KEY_OFFER, transcript)
-        with _from_client(1):
-            state.public_key = paillier.public_key_from_payload(offer.payload)
-            if state.public_key.key_bits != settings.key_bits:
-                raise KeyMismatch(
-                    f"offered a {state.public_key.key_bits}-bit key, expected {settings.key_bits}"
-                )
+        if settings.encrypted:
+            offer = _expect(settings, endpoints, 1, MessageKind.KEY_OFFER, 0, transcript)
+            with _from_client(1):
+                public_key = paillier.public_key_from_payload(offer.payload)
+                if public_key.key_bits != settings.key_bits:
+                    raise KeyMismatch(
+                        f"offered a {public_key.key_bits}-bit key, expected {settings.key_bits}"
+                    )
 
-    initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
+        initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
 
-    for r in range(1, settings.rounds + 1):
-        state.round = r
-        durations: dict[str, float] = {}
+        for r in range(1, settings.rounds + 1):
+            durations: dict[str, float] = {}
 
-        if r == 1:
-            payload = {
-                "layout": [list(l) for l in settings.layout.layers],
-                "weights": [float(x) for x in initial.values],
-            }
-        else:
-            payload = {"gradient": merged_gradients[-1]}
-        # in-thread loopback clients train in the first recv, TCP clients
-        # once the broadcast reaches them; the phase spans both
-        phase_start = time.monotonic()
-        _send(endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
-
-        # round state, indexed by cid - 1
-        gradients = []
-        train_losses = np.empty(n)
-        for cid in clients:
-            msg = _expect(state, endpoints, cid, MessageKind.TRAIN_RESULT, transcript)
-            with _from_client(cid):
-                gradients.append(_receive_gradient(state, msg.payload))
-                loss = _field(msg.payload, "train_loss", (int, float))
-                try:
-                    loss = float(loss)
-                except OverflowError:
-                    raise ProtocolViolation("payload field 'train_loss' is beyond float range")
-                if not math.isfinite(loss):
-                    raise ProtocolViolation(f"payload field 'train_loss' is {loss}")
-            train_losses[cid - 1] = loss
-        durations["train"] = time.monotonic() - phase_start
-
-        validation = None
-        if settings.aggregator == "fedboosting":
+            if r == 1:
+                payload = {
+                    "layout": [list(l) for l in settings.layout.layers],
+                    "weights": [float(x) for x in initial.values],
+                }
+            else:
+                payload = {"gradient": merged_gradients[-1]}
+            # in-thread loopback clients train in the first recv, TCP clients
+            # once the broadcast reaches them; the phase spans both
             phase_start = time.monotonic()
-            models = _cross_validation_models(state, gradients)
-            _send(endpoints, MessageKind.FUSED_GRADIENT, r, {"models": models})
-            # column j holds every candidate model's loss on client j + 1's data
-            validation = np.empty((n, n))
+            _send(endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
+
+            # round state, indexed by cid - 1
+            gradients = []
+            train_losses = np.empty(n)
             for cid in clients:
-                msg = _expect(state, endpoints, cid, MessageKind.EVAL_RESULT, transcript)
+                msg = _expect(settings, endpoints, cid, MessageKind.TRAIN_RESULT, r, transcript)
                 with _from_client(cid):
-                    values = _vector(msg.payload, "values", n)
-                    if np.any(values < 0):
-                        raise ProtocolViolation("payload field 'values' has negative losses")
-                validation[:, cid - 1] = values
-            weights = agg.fedboost_weights(
-                train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
-            )
-            durations["cross_validation"] = time.monotonic() - phase_start
-        else:
-            weights = agg.fedavg_weights(n)
+                    gradient = _field(msg.payload, "gradient", dict)
+                    gradients.append(
+                        read_gradient(gradient, public_key, settings.layout.size, settings.quant)
+                    )
+                    loss = _field(msg.payload, "train_loss", (int, float))
+                    try:
+                        loss = float(loss)
+                    except OverflowError:
+                        raise ProtocolViolation("payload field 'train_loss' is beyond float range")
+                    if not math.isfinite(loss):
+                        raise ProtocolViolation(f"payload field 'train_loss' is {loss}")
+                train_losses[cid - 1] = loss
+            durations["train"] = time.monotonic() - phase_start
 
-        phase_start = time.monotonic()
-        merged_gradients.append(_merge(state, gradients, weights))
-        durations["merge"] = time.monotonic() - phase_start
+            validation = None
+            if settings.aggregator == "fedboosting":
+                phase_start = time.monotonic()
+                models = _cross_validation_models(settings, public_key, gradients)
+                _send(endpoints, MessageKind.FUSED_GRADIENT, r, {"models": models})
+                # column j holds every candidate model's loss on client j + 1's data
+                validation = np.empty((n, n))
+                for cid in clients:
+                    msg = _expect(settings, endpoints, cid, MessageKind.EVAL_RESULT, r, transcript)
+                    with _from_client(cid):
+                        values = _vector(msg.payload, "values", n)
+                        if np.any(values < 0):
+                            raise ProtocolViolation("payload field 'values' has negative losses")
+                    validation[:, cid - 1] = values
+                weights = agg.fedboost_weights(
+                    train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
+                )
+                durations["cross_validation"] = time.monotonic() - phase_start
+            else:
+                weights = agg.fedavg_weights(n)
 
-        records.append(
-            RoundRecord(
-                round=r,
-                train_losses=train_losses.tolist(),
-                validation=None if validation is None else validation.tolist(),
-                weights=None if validation is None else weights.values.tolist(),
-                durations=durations,
+            phase_start = time.monotonic()
+            merged_gradients.append(_merge(settings, public_key, gradients, weights))
+            durations["merge"] = time.monotonic() - phase_start
+
+            records.append(
+                RoundRecord(
+                    round=r,
+                    train_losses=train_losses.tolist(),
+                    validation=None if validation is None else validation.tolist(),
+                    weights=None if validation is None else weights.values.tolist(),
+                    durations=durations,
+                )
             )
+
+        # r is now the last round, the round of the final exchange
+        _send(endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
+        final_msg = _expect(
+            settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript
         )
-
-    _send(endpoints, MessageKind.MERGED_GRADIENT, settings.rounds, {"gradient": merged_gradients[-1]})
-    final_msg = _expect(state, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, transcript)
-    with _from_client(DESIGNATED_DECRYPTOR):
-        final_values = _vector(final_msg.payload, "weights", settings.layout.size)
-    final = nn.ModelParams(final_values, settings.layout)
-    return ServerRunResult(final, initial, records, merged_gradients)
+        with _from_client(DESIGNATED_DECRYPTOR):
+            final_values = _vector(final_msg.payload, "weights", settings.layout.size)
+        final = nn.ModelParams(final_values, settings.layout)
+        return ServerRunResult(final, initial, records, merged_gradients)
+    except FedBoostError as exc:
+        _send(endpoints, MessageKind.ABORT, r, {"reason": f"{type(exc).__name__}: {exc}"})
+        raise

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -53,7 +54,6 @@ class ExperimentResult:
     final_params: nn.ModelParams
     final_test_loss: float
     final_test_acc: float
-    transcript: list | None = None
 
 
 def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
@@ -83,17 +83,6 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 # --- transports ----------------------------------------------------------------
 
 
-def _run_loopback(
-    cfg: ExperimentConfig, sessions: list[ClientSession], transcript: list | None
-) -> ServerRunResult:
-    """Clients run in this thread as one cohort, which trains them together in
-    one stacked step per round (``nn.train_cohort``): a step on batch-sized
-    arrays costs mostly numpy's per-call overhead, which stacking shares, while
-    client threads would hold the GIL in turn. TCP trains clients in parallel
-    processes, each alone."""
-    return server_run(cfg, InThreadCohort(sessions).endpoints, transcript)
-
-
 def _client_process_main(
     address: tuple[str, int],
     cfg: ExperimentConfig,
@@ -110,9 +99,9 @@ def _client_process_main(
         endpoint.close()
 
 
-def _run_tcp(
-    cfg: ExperimentConfig, keypair: paillier.KeyPair | None, transcript: list | None
-) -> ServerRunResult:
+@contextmanager
+def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
+    """The server's endpoints to one spawned process per client, each joined on exit."""
     # imported here: loopback runs and the client processes never wait on a sentinel
     from multiprocessing.connection import wait
 
@@ -141,7 +130,7 @@ def _run_tcp(
                 )
             else:
                 raise TransportTimeout(f"client {cid} did not connect within {cfg.timeout_s}s")
-        return server_run(cfg, server_eps, transcript)
+        yield server_eps
     finally:
         listener.close()
         for ep in server_eps.values():
@@ -174,13 +163,12 @@ def _protocol_records(
     return result.rounds
 
 
-def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one configured experiment end to end and write artifacts to
     cfg.out_dir when set."""
     cfg.validate()
     splits = build_splits(cfg)
     test = combined_test_set(splits)
-    transcript: list | None = [] if keep_transcript else None
     keypair = (
         paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
         if cfg.encrypted
@@ -192,10 +180,14 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
         pooled = LabeledData.concat([s.train for s in splits])
         splits = [DatasetSplit(pooled, splits[0].validation, test)]
     if cfg.transport == "tcp" and cfg.aggregator != "centralized":
-        run = _run_tcp(cfg, keypair, transcript)
+        cohort = _tcp_endpoints(cfg, keypair)
     else:
+        # one cohort in this thread, trained in one stacked step per round, shares
+        # numpy's per-call overhead, most of a batch-sized step's cost
         sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
-        run = _run_loopback(cfg, sessions, transcript)
+        cohort = nullcontext(InThreadCohort(sessions).endpoints)
+    with cohort as endpoints:
+        run = server_run(cfg, endpoints)
     records = _protocol_records(cfg, run, test, keypair)
 
     result = ExperimentResult(
@@ -203,7 +195,6 @@ def run_experiment(cfg: ExperimentConfig, keep_transcript: bool = False) -> Expe
         final_params=run.final_weights,
         final_test_loss=records[-1].global_test_loss,
         final_test_acc=records[-1].global_test_acc,
-        transcript=transcript,
     )
     if cfg.out_dir:
         write_outputs(cfg, result)

@@ -86,7 +86,7 @@ class TestRunCommand:
         [
             ("clients", [1], "clients[0]"),
             ("clients", 5, "clients"),
-            ("clients", [{"seed": 1, "clusters": 5}], "clients[0]"),
+            ("clients", [{"seed": 1, "clusters": 5}], "clients[0].clusters"),
             ("rounds", "3", "rounds"),
             ("rounds", True, "rounds"),
             ("p_hat", "0.9", "p_hat"),
@@ -94,6 +94,14 @@ class TestRunCommand:
             ("quant", 5, "quant"),
             ("clients", [{"seed": 1, "clusters": [cluster(mean="ab")]}], "clients[0].clusters[0]"),
             ("clients", [{"seed": 1, "clusters": [cluster(mean=[0, 0, 0])]}], "clients[0].clusters[0]"),
+            # numpy would read these entries as numbers
+            ("clients", [{"seed": 1, "clusters": [cluster(mean=["-2", 0])]}], "clients[0].clusters[0]"),
+            ("clients", [{"seed": 1, "clusters": [cluster(mean=[True, 0])]}], "clients[0].clusters[0]"),
+            (
+                "clients",
+                [{"seed": 1, "clusters": [cluster(covariance=[["1", 0], [0, 1]])]}],
+                "clients[0].clusters[0]",
+            ),
             # nested scalars follow the rule of top-level ones
             ("quant", {"scale_exponent": "3", "pieces": 100}, "quant.scale_exponent"),
             ("quant", {"scale_exponent": 3, "pieces": 1.5}, "quant.pieces"),
@@ -133,6 +141,28 @@ class TestRunCommand:
                 "clients",
                 [{"seed": 1, "clusters": [cluster(covariance=[[math.inf, 0], [0, 1]])]}],
                 "clients[0].clusters[0]: bad cluster spec: covariance must be 2x2 finite",
+            ),
+            # json reads integers of any size; 10**400 is beyond float range
+            pytest.param(
+                "learning_rate",
+                10**400,
+                "learning_rate: must lie within float range",
+                id="learning_rate-10**400",
+            ),
+            pytest.param(
+                "timeout_s", 10**400, "timeout_s: must lie within float range", id="timeout_s-10**400"
+            ),
+            pytest.param(
+                "clients",
+                [{"seed": 1, "poison_flip_frac": 10**400, "clusters": [cluster()]}],
+                "clients[0].poison_flip_frac: must lie within float range",
+                id="poison_flip_frac-10**400",
+            ),
+            pytest.param(
+                "clients",
+                [{"seed": 1, "clusters": [cluster(mean=[10**400, 0])]}],
+                "clients[0].clusters[0]: bad cluster spec: mean must be 2 finite numbers",
+                id="mean-10**400",
             ),
         ],
     )

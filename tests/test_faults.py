@@ -40,7 +40,7 @@ def test_tcp_client_killed_after_it_connects(monkeypatch):
         return serve(settings, endpoints, transcript)
 
     monkeypatch.setattr(runner, "server_run", kill_client_2_then_serve)
-    with pytest.raises(RoundAborted, match=r"\bclient 2\b"):
+    with pytest.raises(RoundAborted, match=r"\bclient 2 in round 1\b"):
         runner.run_experiment(cfg)
     assert time.monotonic() - killed_at[0] < TIMEOUT_S / 4
     assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import socket
+import sys
 import time
 from collections import Counter
 
@@ -29,7 +30,6 @@ from fedboost.protocol import (
     InThreadCohort,
     Message,
     MessageKind,
-    ServerState,
     client_run,
     decode_message,
     derive_seed,
@@ -307,15 +307,22 @@ class TestPayloadDecodersFuzz:
     REFUSALS = (ProtocolViolation, KeyMismatch)
 
     @hypothesis_settings(max_examples=200, deadline=None)
-    @given(payload=_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES))
-    def test_encrypted_gradient_from_payload(self, payload):
+    @given(
+        payload=st.one_of(_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), JSON_VALUES),
+        encrypted=st.booleans(),
+    )
+    def test_read_gradient(self, payload, encrypted):
+        public_key = FUZZ_KEY.public if encrypted else None
         try:
-            eg = protocol.encrypted_gradient_from_payload(
-                payload, FUZZ_KEY.public, FUZZ_ENTRIES, FUZZ_SETTINGS.quant
-            )
+            g = protocol.read_gradient(payload, public_key, FUZZ_ENTRIES, FUZZ_SETTINGS.quant)
         except self.REFUSALS:
             return
-        assert isinstance(eg, agg.EncryptedGradient) and eg.entries == FUZZ_ENTRIES
+        if encrypted:
+            assert isinstance(g, agg.EncryptedGradient) and g.entries == FUZZ_ENTRIES
+            # at 128 bits a ciphertext holds one entry
+            assert len(g) == FUZZ_ENTRIES
+        else:
+            assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
 
     @hypothesis_settings(max_examples=200, deadline=None)
     @given(payload=_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), encrypted=st.booleans())
@@ -328,21 +335,6 @@ class TestPayloadDecodersFuzz:
         except self.REFUSALS:
             return
         assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
-
-    @hypothesis_settings(max_examples=200, deadline=None)
-    @given(
-        gradient=st.one_of(_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), JSON_VALUES),
-        encrypted=st.booleans(),
-    )
-    def test_server_receive_gradient(self, gradient, encrypted):
-        settings = FUZZ_SETTINGS if encrypted else dataclasses.replace(FUZZ_SETTINGS, encryption="none")
-        state = ServerState(settings=settings, round=1, public_key=FUZZ_KEY.public if encrypted else None)
-        try:
-            g = protocol._receive_gradient(state, {"gradient": gradient, "train_loss": 0.5})
-        except self.REFUSALS:
-            return
-        # at 128 bits a ciphertext holds one entry
-        assert len(g) == FUZZ_ENTRIES
 
 
 class Recorder:
@@ -439,16 +431,27 @@ class TestStaleWireFields:
 
 
 class TestKeyDistribution:
-    def test_server_state_never_holds_secret_material(self, monkeypatch):
-        states = []
-        monkeypatch.setattr(
-            protocol, "ServerState", lambda **kw: states.append(ServerState(**kw)) or states[-1]
-        )
+    def test_server_run_never_holds_secret_material(self):
+        """Nothing reachable from server_run's locals when it returns is the
+        key pair or one of its primes; the endpoints are left out, because
+        their in-thread clients hold the key pair by design."""
         settings = make_settings(encryption="he", rounds=1)
-        run_loopback(settings, [client_split(1), client_split(2)])
-        [state] = states
-        assert state.public_key == cohort_key(settings).public
-        _assert_no_keypair(state, path="ServerState")
+        keypair = cohort_key(settings)
+        returned = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is server_run.__code__:
+                returned.append(dict(frame.f_locals))
+
+        sys.setprofile(profile)
+        try:
+            run_loopback(settings, [client_split(1), client_split(2)])
+        finally:
+            sys.setprofile(None)
+        [server_locals] = returned
+        assert server_locals["public_key"] == keypair.public
+        del server_locals["endpoints"]
+        _assert_no_secret(server_locals, keypair, path="server_run")
 
     @pytest.mark.parametrize("client_id", [1, 2])
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
@@ -957,21 +960,29 @@ class TestServerAbortsEveryone:
         assert session.done
 
 
-def _assert_no_keypair(obj, path: str, seen=None):
-    seen = seen if seen is not None else set()
-    if id(obj) in seen:
+def _assert_no_secret(obj, keypair: paillier.KeyPair, path: str, seen=None):
+    """Walk ``obj`` through containers, arrays and instance attributes: no
+    object reached is a KeyPair or an integer equal to ``p`` or ``q``."""
+    seen = seen if seen is not None else {}
+    if id(obj) in seen or isinstance(obj, type):
         return
-    seen.add(id(obj))
+    seen[id(obj)] = obj  # kept alive, so that no id is reused during the walk
     assert not isinstance(obj, paillier.KeyPair), f"secret key material at {path}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            _assert_no_keypair(getattr(obj, f.name), f"{path}.{f.name}", seen)
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            _assert_no_keypair(v, f"{path}[{k!r}]", seen)
-    elif isinstance(obj, (list, tuple, set)):
-        for i, v in enumerate(obj):
-            _assert_no_keypair(v, f"{path}[{i}]", seen)
+    if isinstance(obj, int):
+        assert obj not in (keypair.p, keypair.q), f"secret prime at {path}"
+        return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        children = [(f"[{k!r}]", v) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple, set, frozenset, range)):
+        children = [(f"[{i}]", v) for i, v in enumerate(obj)]
+    elif hasattr(obj, "__dict__"):
+        children = [(f".{k}", v) for k, v in vars(obj).items()]
+    else:
+        return
+    for at, child in children:
+        _assert_no_secret(child, keypair, path + at, seen)
 
 
 class TestClientSession:
@@ -1073,6 +1084,31 @@ class TestClientSession:
         [final] = replies
         assert (final.kind, final.round, final.sender) == (MessageKind.FINAL_MODEL, 1, 1)
         assert final.payload["weights"] == (session.weights.values + g).tolist()
+
+    def test_only_client_one_decrypts_the_final_gradient(self, monkeypatch):
+        settings = make_settings(encryption="he_dp", rounds=1, key_bits=256)
+        decrypts, handling = Counter(), []
+        handle, decrypt = ClientSession.handle, paillier.decrypt
+
+        def tracked(session, msg):
+            handling.append((session.client_id, msg.kind))
+            try:
+                return handle(session, msg)
+            finally:
+                handling.pop()
+
+        def counted(kp, c):
+            decrypts[handling[-1] if handling else None] += 1
+            return decrypt(kp, c)
+
+        monkeypatch.setattr(ClientSession, "handle", tracked)
+        monkeypatch.setattr(paillier, "decrypt", counted)
+        run_loopback(settings, [client_split(1), client_split(2)])
+        slots = agg.slots_per_ciphertext(settings.key_bits)
+        ciphertexts = -(-settings.layout.size // slots)
+        assert (slots, ciphertexts) == (2, 21)
+        assert decrypts[2, MessageKind.MERGED_GRADIENT] == 0
+        assert decrypts[1, MessageKind.MERGED_GRADIENT] == ciphertexts
 
     def test_final_before_last_round_rejected(self):
         settings = make_settings(rounds=3)

@@ -175,7 +175,15 @@ class TestRunExperiment:
         b = run_experiment(desk_config(encryption="he_dp"))
         assert np.array_equal(a.final_params.values, b.final_params.values)
 
-    def test_transports_yield_identical_transcripts(self):
+    def test_transports_yield_identical_transcripts(self, monkeypatch):
+        transcripts = []
+        serve = runner.server_run
+
+        def recorded(settings, endpoints, transcript=None):
+            transcripts.append([])
+            return serve(settings, endpoints, transcripts[-1])
+
+        monkeypatch.setattr(runner, "server_run", recorded)
         cfg = dict(
             clients=two_client_noniid(200, master_seed=6),
             rounds=2,
@@ -183,9 +191,10 @@ class TestRunExperiment:
             aggregator="fedboosting",
             encryption="he_dp",
         )
-        loop = run_experiment(ExperimentConfig(**cfg, transport="loopback"), keep_transcript=True)
-        tcp = run_experiment(ExperimentConfig(**cfg, transport="tcp"), keep_transcript=True)
-        assert loop.transcript == tcp.transcript
+        loop = run_experiment(ExperimentConfig(**cfg, transport="loopback"))
+        tcp = run_experiment(ExperimentConfig(**cfg, transport="tcp"))
+        [loop_frames, tcp_frames] = transcripts
+        assert loop_frames and loop_frames == tcp_frames
         assert np.array_equal(loop.final_params.values, tcp.final_params.values)
 
     def test_packed_keys_write_identical_artifacts(self, tmp_path):
@@ -231,13 +240,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_every_client_holds_the_cohort_key_pair(self, encryption, monkeypatch):
         seen = []
-        real_run = runner._run_loopback
+        cohort = runner.InThreadCohort
 
-        def recorded(cfg, sessions, transcript):
+        def recorded(sessions):
             seen.append(sessions)
-            return real_run(cfg, sessions, transcript)
+            return cohort(sessions)
 
-        monkeypatch.setattr(runner, "_run_loopback", recorded)
+        monkeypatch.setattr(runner, "InThreadCohort", recorded)
         cfg = desk_config(rounds=1, encryption=encryption)
         run_experiment(cfg)
         [sessions] = seen

@@ -91,7 +91,7 @@ def run(cfg: ExperimentConfig, monkeypatch):
 
 def decrypt(keypair: paillier.KeyPair, payload: dict) -> list[int]:
     """The quantized integers of a packed gradient of the default model."""
-    eg = protocol.encrypted_gradient_from_payload(payload, keypair.public, 42, qz.QuantConfig())
+    eg = protocol.read_gradient(payload, keypair.public, 42, qz.QuantConfig())
     return agg.decrypt_gradient(keypair, eg).values
 
 
