@@ -48,8 +48,9 @@ class GaussianSpec:
             raise InvalidCovariance(f"covariance must be positive-definite, got {self.covariance}")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if self.count < 0:
-            raise ValueError(f"count must be non-negative, got {self.count}")
+        # the largest dimension numpy takes; json reads integers of any size
+        if not 0 <= self.count <= np.iinfo(np.intp).max:
+            raise ValueError(f"count must lie in [0, {np.iinfo(np.intp).max}], got {self.count}")
 
 
 @dataclass

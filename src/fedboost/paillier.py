@@ -15,8 +15,9 @@ p^2 in place of a full-size one modulo p^2; the ciphertext equals the one
 :class:`PublicKey` encryption gives for the same nonce.
 
 Prime search rejects a candidate with a prime factor below a few thousand by
-one gcd with their product. It draws the same Miller-Rabin witnesses from the
-rng as the unsieved test would, so a seed gives the same key either way.
+one gcd with their product. It draws the same 40 Miller-Rabin witnesses from
+the rng as the unsieved test would, so a seed gives the same key either way,
+and tests as many as an error of at most 2^-100 needs (_TESTED_ROUNDS).
 
 Key generation accepts a seed so experiment runs are reproducible; pass
 ``seed=None`` (and ``rng=None`` to :func:`encrypt`) for OS randomness. The
@@ -26,15 +27,20 @@ modern security margins; raise ``key_bits`` for anything beyond simulation.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
 
 _MILLER_RABIN_ROUNDS = 40
+# (bits, rounds), largest first: a candidate of at least ``bits`` bits that passes
+# ``rounds`` is composite with chance <= 2^-100, twice the average-case bound of Damgard,
+# Landrock and Pomerance (Math. Comp. 1993), since its top two bits are set
+_TESTED_ROUNDS = ((1024, 4), (512, 8))
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
@@ -46,6 +52,12 @@ class PublicKey:
     @cached_property
     def n_squared(self) -> int:
         return self.n * self.n
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The key's name on the wire: 9 bytes of sha256 over n, in base64."""
+        digest = hashlib.sha256(self.n.to_bytes(byte_width(self.key_bits), "big")).digest()
+        return base64.b64encode(digest[:9]).decode()
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,8 @@ def _is_probable_prime(candidate: int, rng: random.Random, rounds: int = _MILLER
     when ``a`` might be a liar does the full round run. The result and the
     witnesses drawn from ``rng`` are therefore those of plain Miller-Rabin, and
     seeded key generation gives the same primes with or without the sieve.
+    Witnesses past the _TESTED_ROUNDS count of the candidate's size are drawn,
+    not tested: the stream differs only for a composite that passes the rest.
     """
     if candidate < 2:
         return False
@@ -117,8 +131,12 @@ def _is_probable_prime(candidate: int, rng: random.Random, rounds: int = _MILLER
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    bits = candidate.bit_length()
+    tested = next((t for size, t in _TESTED_ROUNDS if bits >= size), rounds)
+    for i in range(rounds):
         a = rng.randrange(2, candidate - 1)
+        if i >= tested:
+            continue
         if small_factors != 1 and pow(a, candidate - 1, small_factors) != 1:
             return False
         x = pow(a, d, candidate)
@@ -158,10 +176,6 @@ def keygen(key_bits: int, seed: int | None) -> KeyPair:
     return KeyPair(PublicKey(n=p * q, key_bits=key_bits), p, q, h_p, h_q, p_sq_inv)
 
 
-def _l_function(u: int, n: int) -> int:
-    return (u - 1) // n
-
-
 def encrypt(key: PublicKey | KeyPair, m: int, rng: random.Random | None = None) -> Ciphertext:
     """c = (1+n)^m * r^n mod n^2 for a fresh nonce r coprime to n. A key pair
     computes r^n by CRT; the ciphertext is the same for the same rng state."""
@@ -184,8 +198,9 @@ def decrypt(kp: KeyPair, c: Ciphertext) -> int:
     if c.public.n != kp.public.n:
         raise KeyMismatch("ciphertext was produced under a different key")
     p, q = kp.p, kp.q
-    m_p = _l_function(pow(c.value, p - 1, p * p), p) * kp.h_p % p
-    m_q = _l_function(pow(c.value, q - 1, q * q), q) * kp.h_q % q
+    # L_p(u) = (u - 1) / p, and the same for q
+    m_p = (pow(c.value, p - 1, p * p) - 1) // p * kp.h_p % p
+    m_q = (pow(c.value, q - 1, q * q) - 1) // q * kp.h_q % q
     # p^-1 mod q is -h_q mod q
     return m_p + (m_p - m_q) * kp.h_q % q * p
 
@@ -220,31 +235,41 @@ def decode_signed(m: int, n: int) -> int:
     return m - n if 2 * m >= n else m
 
 
-# --- wire helpers: bare lowercase hex for non-negative key/ciphertext values ---
+# --- wire codec: fixed-width base64 for non-negative key and ciphertext values ---
 
 
-def int_to_hex(x: int) -> str:
-    if x < 0:
-        raise ValueError("only non-negative integers serialize as bare hex")
-    return format(x, "x")
+def byte_width(bits: int) -> int:
+    """Bytes that hold any integer below 2**bits."""
+    return -(-bits // 8)
 
 
-def hex_to_int(s: str) -> int:
-    if not isinstance(s, str) or not re.fullmatch("[0-9a-f]+", s):
-        raise ValueError(f"not a bare lowercase hex string: {s!r}")
-    return int(s, 16)
+def int_to_b64(x: int, width: int) -> str:
+    """Canonical base64 of ``x`` as ``width`` big-endian bytes."""
+    return base64.b64encode(x.to_bytes(width, "big")).decode()
+
+
+def b64_to_int(text: str, width: int) -> int:
+    """The integer :func:`int_to_b64` spells as ``text`` at ``width``; any
+    other string, padding bits set included, is a ValueError."""
+    raw = base64.b64decode(text, validate=True) if isinstance(text, str) else b""
+    if len(raw) != width or base64.b64encode(raw).decode() != text:
+        raise ValueError(f"not canonical base64 of {width} bytes: {text!r:.60}")
+    return int.from_bytes(raw, "big")
 
 
 def public_key_to_payload(pk: PublicKey) -> dict:
-    """The modulus alone: the key size is its bit length."""
-    return {"n": int_to_hex(pk.n)}
+    """The modulus alone: every party takes the key size from its config."""
+    return {"n": int_to_b64(pk.n, byte_width(pk.key_bits))}
 
 
-def public_key_from_payload(payload: dict) -> PublicKey:
+def public_key_from_payload(payload: dict, key_bits: int) -> PublicKey:
+    """The offered key: malformed or weak is a WeakKey, another size a KeyMismatch."""
     try:
-        n = hex_to_int(payload["n"])
+        # read at the width it spells first, so that another size is named
+        n = int.from_bytes(base64.b64decode(payload["n"], validate=True), "big")
+        _check_key_bits(n.bit_length())
+        if n.bit_length() != key_bits:
+            raise KeyMismatch(f"offered a {n.bit_length()}-bit key, expected {key_bits}")
+        return PublicKey(b64_to_int(payload["n"], byte_width(key_bits)), key_bits)
     except (KeyError, TypeError, ValueError) as exc:
         raise WeakKey(f"malformed public key: {exc!r}") from exc
-    _check_key_bits(n.bit_length())
-    return PublicKey(n=n, key_bits=n.bit_length())
-

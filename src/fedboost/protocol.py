@@ -15,12 +15,14 @@ out of band; client 1 offers the server its public key, and no frame carries
 the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
-integers travel as hex strings and floats as shortest round-trip decimals, so
-transcripts are byte-reproducible across transports. A payload carries only
-what the receiver's config cannot give: a plain gradient is ``{"values"}``, an
-encrypted one ``{"ciphertexts", "n"}`` and the key offer ``{"n"}``. Every party
-takes the entry count, scale exponent and piece count from its config, and the
-key size from ``n``; the per-gradient ``n`` tells a gradient under another key.
+integers travel as canonical base64 of a fixed number of big-endian bytes, and
+floats as shortest round-trip decimals, so transcripts are byte-reproducible
+across transports. A payload carries only what the receiver's config cannot
+give: a plain gradient is ``{"values"}``, an encrypted one ``{"ciphertexts",
+"key"}`` and the key offer ``{"n"}``. Every party takes the entry count, scale
+exponent, piece count and key size from its config, so the byte width of ``n``
+and of each ciphertext too; ``key``, the public key's fingerprint, tells a
+gradient under another key.
 """
 
 from __future__ import annotations
@@ -150,9 +152,11 @@ def gradient_to_payload(g) -> dict:
     if isinstance(g, np.ndarray):
         return {"values": [float(x) for x in g]}
     if isinstance(g, agg.EncryptedGradient):
+        public_key = g.ciphertexts[0].public
+        width = paillier.byte_width(2 * public_key.key_bits)
         return {
-            "ciphertexts": [paillier.int_to_hex(c.value) for c in g.ciphertexts],
-            "n": paillier.int_to_hex(g.ciphertexts[0].public.n),
+            "ciphertexts": [paillier.int_to_b64(c.value, width) for c in g.ciphertexts],
+            "key": public_key.fingerprint,
         }
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
 
@@ -166,15 +170,12 @@ def read_gradient(
     ``entries`` and ``quant`` from its config."""
     if public_key is None:
         return _vector(payload, "values", entries)
-    hexes = _field(payload, "ciphertexts", list)
-    try:
-        n = paillier.hex_to_int(_field(payload, "n", str))
-    except ValueError as exc:
-        raise ProtocolViolation(f"malformed modulus: {exc}") from exc
-    if n != public_key.n:
+    texts = _field(payload, "ciphertexts", list)
+    if _field(payload, "key", str) != public_key.fingerprint:
         raise KeyMismatch("gradient is encrypted under a different key")
+    width = paillier.byte_width(2 * public_key.key_bits)
     try:
-        cts = [paillier.Ciphertext(value=paillier.hex_to_int(h), public=public_key) for h in hexes]
+        cts = [paillier.Ciphertext(paillier.b64_to_int(t, width), public_key) for t in texts]
         return agg.EncryptedGradient(ciphertexts=cts, config=quant, entries=entries)
     except (ValueError, ShapeMismatch) as exc:
         raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
@@ -224,14 +225,8 @@ class ClientSession:
         """Client 1 offers the server the cohort's public key."""
         if not self.settings.encrypted or self.client_id != 1:
             return []
-        return [
-            Message(
-                MessageKind.KEY_OFFER,
-                round=0,
-                sender=self.client_id,
-                payload=paillier.public_key_to_payload(self.keypair.public),
-            )
-        ]
+        offer = paillier.public_key_to_payload(self.keypair.public)
+        return [Message(MessageKind.KEY_OFFER, 0, self.client_id, offer)]
 
     # -- a round's training: apply the global state, train, upload --
 
@@ -340,14 +335,7 @@ class ClientSession:
                     f"{len(models)} models to cross-validate, expected {self.settings.n_clients}"
                 )
             values = [self.evaluate_fused(p) for p in models]
-            return [
-                Message(
-                    MessageKind.EVAL_RESULT,
-                    round=msg.round,
-                    sender=self.client_id,
-                    payload={"values": values},
-                )
-            ]
+            return [Message(MessageKind.EVAL_RESULT, msg.round, self.client_id, {"values": values})]
         if msg.kind == MessageKind.MERGED_GRADIENT:
             if self.round != self.settings.rounds:
                 raise ProtocolViolation(
@@ -360,15 +348,8 @@ class ClientSession:
                 public = self.keypair.public if self.keypair else None
                 read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
                 return []
-            final = self._stepped(merged)
-            return [
-                Message(
-                    MessageKind.FINAL_MODEL,
-                    round=msg.round,
-                    sender=self.client_id,
-                    payload={"weights": [float(x) for x in final.values]},
-                )
-            ]
+            weights = {"weights": [float(x) for x in self._stepped(merged).values]}
+            return [Message(MessageKind.FINAL_MODEL, msg.round, self.client_id, weights)]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
     def _stepped(self, payload: dict, pieces: int = 1) -> nn.ModelParams:
@@ -547,20 +528,6 @@ def _expect(
     return msg
 
 
-def _cross_validation_models(settings: ExperimentConfig, public_key, gradients: list) -> list[dict]:
-    """Per-model payloads the clients will score, fused when DP is on."""
-    if settings.encryption == "he_dp":
-        gradients = agg.dp_fuse(public_key, gradients, settings.p_hat, settings.quant.pieces)
-    return [gradient_to_payload(g) for g in gradients]
-
-
-def _merge(settings: ExperimentConfig, public_key, gradients: list, weights) -> dict:
-    if settings.encrypted:
-        merged = agg.merge_encrypted(public_key, gradients, weights, settings.quant.pieces)
-        return gradient_to_payload(merged)
-    return gradient_to_payload(agg.merge_plain(gradients, weights))
-
-
 def server_run(
     settings: ExperimentConfig,
     endpoints: dict[int, object],
@@ -584,11 +551,7 @@ def server_run(
         if settings.encrypted:
             offer = _expect(settings, endpoints, 1, MessageKind.KEY_OFFER, 0, transcript)
             with _from_client(1):
-                public_key = paillier.public_key_from_payload(offer.payload)
-                if public_key.key_bits != settings.key_bits:
-                    raise KeyMismatch(
-                        f"offered a {public_key.key_bits}-bit key, expected {settings.key_bits}"
-                    )
+                public_key = paillier.public_key_from_payload(offer.payload, settings.key_bits)
 
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
 
@@ -630,7 +593,12 @@ def server_run(
             validation = None
             if settings.aggregator == "fedboosting":
                 phase_start = time.monotonic()
-                models = _cross_validation_models(settings, public_key, gradients)
+                # the models the clients score, fused when DP is on
+                models = gradients
+                if settings.encryption == "he_dp":
+                    pieces = settings.quant.pieces
+                    models = agg.dp_fuse(public_key, gradients, settings.p_hat, pieces)
+                models = [gradient_to_payload(g) for g in models]
                 _send(endpoints, MessageKind.FUSED_GRADIENT, r, {"models": models})
                 # column j holds every candidate model's loss on client j + 1's data
                 validation = np.empty((n, n))
@@ -649,7 +617,11 @@ def server_run(
                 weights = agg.fedavg_weights(n)
 
             phase_start = time.monotonic()
-            merged_gradients.append(_merge(settings, public_key, gradients, weights))
+            if settings.encrypted:
+                merged = agg.merge_encrypted(public_key, gradients, weights, settings.quant.pieces)
+            else:
+                merged = agg.merge_plain(gradients, weights)
+            merged_gradients.append(gradient_to_payload(merged))
             durations["merge"] = time.monotonic() - phase_start
 
             records.append(

@@ -164,6 +164,16 @@ class TestRunCommand:
                 "clients[0].clusters[0]: bad cluster spec: mean must be 2 finite numbers",
                 id="mean-10**400",
             ),
+            # numpy takes no dimension beyond the largest intp
+            pytest.param(
+                "clients",
+                [
+                    {"seed": 1, "clusters": [cluster(count=10**400), cluster(label=1)]},
+                    {"seed": 2, "clusters": [cluster(), cluster(label=1)]},
+                ],
+                "clients[0].clusters[0]: bad cluster spec: count must lie in [0, ",
+                id="count-10**400",
+            ),
         ],
     )
     def test_unusable_value_exits_with_json_error_naming_it(

@@ -1,5 +1,8 @@
+import base64
+import hashlib
 import math
 import random
+import string
 import time
 
 import pytest
@@ -159,6 +162,85 @@ class TestSieveKeepsKeys:
 
     def test_2048_bit_key_matches_reference(self, key2048):
         assert (key2048.p, key2048.q) == reference_keygen(2048, derive_seed(1, "keygen"))
+
+
+def dlp_log2_error(k: int, t: int) -> float:
+    """log2 of the Damgard-Landrock-Pomerance bound (Math. Comp. 1993) on the
+    chance that a random odd k-bit integer that passes t Miller-Rabin rounds
+    is composite, minimised over M as FIPS 186-4 Appendix F.1 computes it."""
+
+    def log2_sum(a: float, b: float) -> float:
+        return max(a, b) + math.log2(1 + 2 ** -abs(a - b))
+
+    best = math.inf
+    for big_m in range(3, int(2 * math.sqrt(k - 1) - 1) + 1):
+        inner = math.log2(
+            sum(
+                2 ** (m - (m - 1) * t - j - (k - 1) / j)
+                for m in range(3, big_m + 1)
+                for j in range(2, m + 1)
+            )
+        )
+        tail = log2_sum(k - 2 - big_m * t, math.log2(8 * (math.pi**2 - 6) / 3) + k - 2 + inner)
+        best = min(best, math.log2(2.00743 * math.log(2) * k) - k + tail)
+    return best
+
+
+class _Witnesses:
+    """An rng that draws ``n - 1``, a strong liar for every odd n, ``liars``
+    times and then 2, and counts its draws."""
+
+    def __init__(self, n: int, liars: int):
+        self.n, self.liars, self.draws = n, liars, 0
+
+    def randrange(self, start: int, stop: int) -> int:
+        self.draws += 1
+        return self.n - 1 if self.draws <= self.liars else 2
+
+
+class TestTestedRounds:
+    """Each candidate draws all 40 witnesses but tests only as many as the
+    average-case error bound needs for its size, so seeded keys stay the same."""
+
+    def test_the_tested_rounds_meet_the_error_bound(self):
+        assert paillier._TESTED_ROUNDS == ((1024, 4), (512, 8))
+        for bits, rounds in paillier._TESTED_ROUNDS:
+            # a candidate has its top two bits set, so it is drawn from half
+            # the odd integers of its size: at most twice the bound
+            assert 1 + dlp_log2_error(bits, rounds) <= -100
+            assert 1 + dlp_log2_error(bits, rounds - 1) > -100
+        # the bound falls with the size, so a size's rounds hold above it
+        assert dlp_log2_error(768, 8) < dlp_log2_error(512, 8)
+
+    @pytest.mark.parametrize(
+        "bits, tested", [(256, 40), (510, 40), (512, 8), (768, 8), (1022, 8), (1024, 4)]
+    )
+    def test_draws_every_witness_and_tests_the_first_few(self, bits, tested):
+        composite = paillier.keygen(bits, seed=3).public.n
+        fooled = _Witnesses(composite, tested)
+        assert paillier._is_probable_prime(composite, fooled) and fooled.draws == 40
+        caught = _Witnesses(composite, tested - 1)
+        assert not paillier._is_probable_prime(composite, caught) and caught.draws == tested
+
+    @pytest.mark.parametrize(
+        "key_bits, seeds", [(512, range(16)), (1024, range(16)), (2048, range(4))]
+    )
+    def test_every_accepted_prime_passes_40_rounds(self, monkeypatch, key_bits, seeds):
+        accepted = []
+        is_probable_prime = paillier._is_probable_prime
+
+        def recorded(candidate, rng):
+            verdict = is_probable_prime(candidate, rng)
+            if verdict:
+                accepted.append(candidate)
+            return verdict
+
+        monkeypatch.setattr(paillier, "_is_probable_prime", recorded)
+        for seed in seeds:
+            paillier.keygen(key_bits, derive_seed(seed, "keygen"))
+        assert len(accepted) >= 2 * len(seeds)
+        for prime in accepted:
+            assert reference_is_probable_prime(prime, random.Random(prime), 40)
 
 
 class TestLiftedNoncePower:
@@ -369,30 +451,97 @@ class TestSignedEncoding:
         assert paillier.decode_signed(encoded, n) == v
 
 
-class TestSerialization:
-    def test_hex_roundtrip(self):
-        assert paillier.hex_to_int(paillier.int_to_hex(0xDEADBEEF)) == 0xDEADBEEF
-        assert paillier.int_to_hex(255) == "ff"
+_B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
 
-    def test_hex_rejects_prefixes_and_uppercase(self):
-        for bad in ("+ff", "-ff", "FF", " ff", "", "0xff", "f_f", "ff\n", 255, None):
+
+def _other_spellings(text: str, width: int, draw) -> list:
+    """Strings that are not the canonical base64 of any ``width`` bytes:
+    the wrong length, the URL-safe alphabet, whitespace, a misplaced ``=``,
+    non-ASCII text, non-zero padding bits, and no string at all."""
+    at = draw(st.integers(0, len(text)))
+    spellings = [
+        text[:-1],
+        text + "A",
+        text + "====",
+        text.replace("+", "-").replace("/", "_") if {"+", "/"} & set(text) else "-" + text[1:],
+        "_" + text[1:],
+        text[:at] + draw(st.sampled_from([" ", "\n", "\t"])) + text[at:],
+        text[:at] + "=" + text[at + 1 :] if text[at : at + 1] != "=" else "=" + text,
+        text[:at] + draw(st.sampled_from(["\u00e9", "\u0410", "\U0001f600"])) + text[at + 1 :],
+        text.encode(),
+        int.from_bytes(base64.b64decode(text), "big"),
+        None,
+    ]
+    padding = text.count("=")
+    if padding:
+        # the last data character's low 2 (one "=") or 4 (two) bits are padding
+        last = len(text) - padding - 1
+        digit = _B64_ALPHABET.index(text[last]) | draw(st.integers(1, 2 ** (2 * padding) - 1))
+        spellings.append(text[:last] + _B64_ALPHABET[digit] + text[last + 1 :])
+    return spellings
+
+
+class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_b64_roundtrip_at_every_width(self, data):
+        width = data.draw(st.integers(1, 300))
+        x = data.draw(st.integers(0, 256**width - 1))
+        text = paillier.int_to_b64(x, width)
+        assert len(text) == 4 * math.ceil(width / 3)
+        assert paillier.b64_to_int(text, width) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_b64_refuses_every_other_spelling_with_value_error(self, data):
+        width = data.draw(st.integers(1, 40))
+        text = paillier.int_to_b64(data.draw(st.integers(0, 256**width - 1)), width)
+        for bad in _other_spellings(text, width, data.draw):
+            assert bad != text
             with pytest.raises(ValueError):
-                paillier.hex_to_int(bad)
+                paillier.b64_to_int(bad, width)
+        # the right spelling at another width
+        with pytest.raises(ValueError):
+            paillier.b64_to_int(paillier.int_to_b64(0, width + 3), width)
+
+    def test_widths_of_a_1024_bit_key(self):
+        assert paillier.byte_width(1024) == 128 and paillier.byte_width(2048) == 256
+        assert len(paillier.int_to_b64(0, paillier.byte_width(2048))) == 344
+        # a size that is not a whole number of bytes rounds up
+        assert paillier.byte_width(2 * 66) == 17
 
     def test_public_key_payload_roundtrip(self, key128):
         payload = paillier.public_key_to_payload(key128.public)
-        assert payload == {"n": format(key128.public.n, "x")}
-        assert paillier.public_key_from_payload(payload) == key128.public
+        assert payload == {"n": base64.b64encode(key128.public.n.to_bytes(16, "big")).decode()}
+        assert paillier.public_key_from_payload(payload, 128) == key128.public
+
+    def test_fingerprint_names_the_modulus(self, key128, key64):
+        digest = hashlib.sha256(key128.public.n.to_bytes(16, "big")).digest()
+        assert key128.public.fingerprint == base64.b64encode(digest[:9]).decode()
+        assert len(key128.public.fingerprint) == 12
+        assert key64.public.fingerprint != key128.public.fingerprint
+        assert paillier.keygen(128, seed=1).public.fingerprint != key128.public.fingerprint
 
 
 class TestMalformedKeyMaterial:
     @pytest.mark.parametrize("payload", [{}, {"n": "XY"}, {"n": 255}, {"n": None}])
     def test_unparseable_public_key_is_weak_key(self, payload):
         with pytest.raises(WeakKey, match="malformed public key"):
-            paillier.public_key_from_payload(payload)
+            paillier.public_key_from_payload(payload, 128)
 
     @pytest.mark.parametrize("n", [0xFF, (1 << 126) + 1, (1 << 129) - 1], ids=["8", "127", "129"])
     def test_modulus_of_a_weak_size_is_weak_key(self, n):
-        """The key size is the modulus's bit length: under 64 or odd is weak."""
+        """The offered size is the modulus's bit length: under 64 or odd is weak."""
+        payload = {"n": paillier.int_to_b64(n, paillier.byte_width(n.bit_length()))}
         with pytest.raises(WeakKey, match=f"got {n.bit_length()}$"):
-            paillier.public_key_from_payload({"n": paillier.int_to_hex(n)})
+            paillier.public_key_from_payload(payload, 128)
+
+    def test_modulus_of_another_size_is_key_mismatch(self, key64):
+        payload = paillier.public_key_to_payload(key64.public)
+        with pytest.raises(KeyMismatch, match="^offered a 64-bit key, expected 128$"):
+            paillier.public_key_from_payload(payload, 128)
+
+    def test_modulus_with_a_leading_zero_byte_is_weak_key(self, key128):
+        payload = {"n": paillier.int_to_b64(key128.public.n, 17)}
+        with pytest.raises(WeakKey, match="malformed public key"):
+            paillier.public_key_from_payload(payload, 128)

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import socket
@@ -213,7 +214,7 @@ class TestGradientPayloads:
         q = qz.quantize(np.array([0.125, -0.5]), cfg)
         eg = agg.encrypt_gradient(key128.public, q)
         payload = protocol.gradient_to_payload(eg)
-        assert set(payload) == {"ciphertexts", "n"}
+        assert set(payload) == {"ciphertexts", "key"}
         out = protocol.decode_gradient_payload(payload, key128, 2, cfg)
         assert np.allclose(out, [0.125, -0.5])
 
@@ -232,26 +233,29 @@ FUZZ_ENTRIES = FUZZ_SETTINGS.layout.size
 
 
 def _ciphertexts(pk: paillier.PublicKey):
-    """Wire ciphertexts, valid or not: bare lowercase hex in range, other
-    spellings of in-range values, 0 and values >= n^2, and other JSON."""
+    """Wire ciphertexts, valid or not: canonical base64 in range at the
+    ciphertext width, in range at another width or in the URL-safe alphabet,
+    0 and values >= n^2, and other JSON."""
     n2 = pk.n_squared
+    width = paillier.byte_width(2 * pk.key_bits)
     in_range = st.integers(1, n2 - 1)
     return st.one_of(
-        in_range.map(paillier.int_to_hex),
-        in_range.map(lambda c: format(c, "X")),
-        in_range.map(lambda c: "0x" + format(c, "x")),
-        st.sampled_from([0, n2, n2 + 1, n2 ** 40]).map(paillier.int_to_hex),
+        in_range.map(lambda c: paillier.int_to_b64(c, width)),
+        in_range.map(lambda c: paillier.int_to_b64(c, width + 1)),
+        in_range.map(lambda c: base64.urlsafe_b64encode(c.to_bytes(width, "big")).decode()),
+        st.sampled_from([0, n2, 256**width - 1]).map(lambda c: paillier.int_to_b64(c, width)),
+        st.just(format(n2 - 1, "x")),
         st.integers(-(2**2000), 2**2000),
         JSON_VALUES,
     )
 
 
-def _moduli(pk: paillier.PublicKey):
+def _keys(pk: paillier.PublicKey):
+    """Wire key fingerprints: this key's, another key's, and other JSON."""
     return st.one_of(
-        st.just(paillier.int_to_hex(pk.n)),
-        st.just(format(pk.n, "X")),
-        st.just("0x" + format(pk.n, "x")),
-        st.integers(1, 2**300).map(paillier.int_to_hex),
+        st.just(pk.fingerprint),
+        st.just(paillier.keygen(pk.key_bits, seed=1).public.fingerprint),
+        st.just(format(pk.n, "x")),
         st.just(pk.n),
         JSON_VALUES,
     )
@@ -270,7 +274,8 @@ def _numbers():
 def _gradient_payloads(pk: paillier.PublicKey, entries: int):
     """JSON-shaped gradient payloads: good ones, ones with one bad entry,
     wrong counts, and fields missing, mistyped or extra."""
-    good_hex = st.integers(1, pk.n_squared - 1).map(paillier.int_to_hex)
+    width = paillier.byte_width(2 * pk.key_bits)
+    good_b64 = st.integers(1, pk.n_squared - 1).map(lambda c: paillier.int_to_b64(c, width))
     good_float = st.floats(allow_nan=False, allow_infinity=False)
 
     def lists(good, bad):
@@ -286,14 +291,14 @@ def _gradient_payloads(pk: paillier.PublicKey, entries: int):
             JSON_VALUES,
         )
 
-    ciphertexts = lists(good_hex, _ciphertexts(pk))
+    ciphertexts = lists(good_b64, _ciphertexts(pk))
     values = lists(good_float, _numbers())
     payloads = st.one_of(
-        st.fixed_dictionaries({"ciphertexts": ciphertexts, "n": st.just(paillier.int_to_hex(pk.n))}),
-        st.fixed_dictionaries({"ciphertexts": ciphertexts, "n": _moduli(pk)}),
+        st.fixed_dictionaries({"ciphertexts": ciphertexts, "key": st.just(pk.fingerprint)}),
+        st.fixed_dictionaries({"ciphertexts": ciphertexts, "key": _keys(pk)}),
         st.fixed_dictionaries({"values": values}),
         st.fixed_dictionaries(
-            {}, optional={"ciphertexts": ciphertexts, "n": _moduli(pk), "values": values}
+            {}, optional={"ciphertexts": ciphertexts, "key": _keys(pk), "values": values}
         ),
     )
     # through the JSON codec, as a peer's payload arrives
@@ -356,9 +361,11 @@ class Recorder:
 
 
 class TestWireShape:
-    """Every party takes the entry count, the scale and the piece count from
-    its config and the key size from the modulus, so a payload carries only
-    the numbers and, when encrypted, the modulus that tells the key."""
+    """Every party takes the entry count, the scale, the piece count and the
+    key size from its config, so a payload carries only the numbers and, when
+    encrypted, the fingerprint that tells the key. A ciphertext is base64 of
+    the bytes below n^2 and the offered modulus of the bytes below 2^key_bits:
+    at 128 bits, 32 bytes in 44 characters and 16 bytes in 24."""
 
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
@@ -370,7 +377,7 @@ class TestWireShape:
         }
         server_run(settings, endpoints)
         messages = [m for endpoint in endpoints.values() for m in endpoint.messages]
-        shape = {"values"} if keypair is None else {"ciphertexts", "n"}
+        shape = {"values"} if keypair is None else {"ciphertexts", "key"}
         gradients = Counter()
         for msg in messages:
             if msg.kind == MessageKind.FUSED_GRADIENT:
@@ -379,6 +386,10 @@ class TestWireShape:
                 payloads = [msg.payload["gradient"]] if "gradient" in msg.payload else []
             for payload in payloads:
                 assert set(payload) == shape, msg.kind.name
+                if keypair is not None:
+                    assert payload["key"] == keypair.public.fingerprint
+                    assert len(payload["key"]) == 12
+                    assert {len(c) for c in payload["ciphertexts"]} == {44}
             gradients[msg.kind.name] += len(payloads)
         # round 2's broadcast, 2 rounds of uploads and of 2 models to score per
         # client, and the merged gradient to both clients
@@ -386,7 +397,11 @@ class TestWireShape:
             GLOBAL_GRADIENT=2, TRAIN_RESULT=4, FUSED_GRADIENT=8, MERGED_GRADIENT=2
         )
         offers = [m.payload for m in messages if m.kind == MessageKind.KEY_OFFER]
-        assert offers == ([] if keypair is None else [{"n": format(keypair.public.n, "x")}])
+        if keypair is None:
+            assert offers == []
+        else:
+            assert offers == [{"n": base64.b64encode(keypair.public.n.to_bytes(16, "big")).decode()}]
+            assert len(offers[0]["n"]) == 24
 
 
 def _run_and_summarize(settings):
@@ -408,6 +423,8 @@ class TestStaleWireFields:
             ("he", "entries", 41),
             pytest.param("he", "pieces", 10**400, id="he-pieces-10**400"),
             ("he", "scale_exponent", 13),
+            # the modulus every encrypted gradient carried before the fingerprint
+            ("he", "n", "0x1"),
             ("none", "format", "encrypted"),
             ("none", "entries", 41),
         ],
@@ -512,8 +529,8 @@ class TestMalformedPayloads:
             (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "ciphertexts": [7] * 21}}, "malformed"),
             (MessageKind.FUSED_GRADIENT, 1, {}, "'models' is missing"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED]}, "1 models to cross-validate"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"n": _PACKED["n"]}]}, "'ciphertexts' is missing"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {**_PACKED, "n": "0x1"}]}, "malformed modulus"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"key": _PACKED["key"]}]}, "'ciphertexts' is missing"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {**_PACKED, "key": 1}]}, "'key' is missing"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
         ],
     )

@@ -5,8 +5,10 @@ shared-key model of Phong et al., "Privacy-Preserving Deep Learning via
 Additively Homomorphic Encryption", IEEE TIFS 2018). These tests rebuild
 gradients from nothing but the frames a party is handed, and compare them
 entry for entry with the quantized gradient each client uploaded; and they
-scan every frame through the server for the secret key.
+decode and scan every frame through the server for the secret key.
 """
+
+import base64
 
 import pytest
 
@@ -23,6 +25,7 @@ from fedboost.protocol import (
     encode_message,
 )
 from fedboost.runner import build_splits
+from fedboost.transport import decode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -87,6 +90,20 @@ def run(cfg: ExperimentConfig, monkeypatch):
     uploads = [[q.values for q in quantized[r * n : (r + 1) * n]] for r in range(cfg.rounds)]
     delivered = {cid: endpoint.delivered for cid, endpoint in endpoints.items()}
     return uploads, keypair, delivered, transcript
+
+
+def _b64_integers(node) -> list[int]:
+    """The integer of every string in a JSON value that decodes as base64."""
+    if isinstance(node, dict):
+        return [x for value in node.values() for x in _b64_integers(value)]
+    if isinstance(node, list):
+        return [x for value in node for x in _b64_integers(value)]
+    if isinstance(node, str):
+        try:
+            return [int.from_bytes(base64.b64decode(node, validate=True), "big")]
+        except ValueError:
+            return []
+    return []
 
 
 def decrypt(keypair: paillier.KeyPair, payload: dict) -> list[int]:
@@ -178,7 +195,12 @@ def test_no_frame_through_the_server_carries_the_secret_key(
     # key offer, uploads, cross-validation losses and the final model in;
     # broadcasts, models to score and the merged gradient out
     assert (len(inbound), len(outbound)) == (frames_in, frames_out)
-    # the public modulus travels in hex, so the scan would find a prime that did
-    assert any(paillier.int_to_hex(keypair.public.n).encode() in f for f in inbound)
+    # big integers travel as base64: decode every string that spells some,
+    # and the public modulus shows that a prime sent so would be found
+    decoded = [x for f in inbound for x in _b64_integers(decode_message(*decode_frame(f)).payload)]
+    decoded += [x for messages in delivered.values() for m in messages for x in _b64_integers(m.payload)]
+    assert keypair.public.n in decoded
+    assert not {keypair.p, keypair.q} & set(decoded)
+    # and no frame spells either prime in hex
     for secret in (keypair.p, keypair.q):
-        assert not any(paillier.int_to_hex(secret).encode() in f for f in inbound + outbound)
+        assert not any(format(secret, "x").encode() in f for f in inbound + outbound)
