@@ -1,28 +1,31 @@
 """Round protocol between the aggregation server and training clients.
 
 Flow per round: the server broadcasts the previous merged gradient (round 1:
-the initial weights), every client trains locally and uploads its gradient with
-its training loss, the server builds per-model cross-validation payloads
-(perturbed under homomorphic ops when fusion is on), clients return validation
-losses, the server computes aggregation weights and merges. A TCP client
-trains alone as soon as the broadcast reaches it; the in-thread loopback
-cohort trains all its clients in one stacked step when the server first waits
-for an upload. After the last round the server sends every client the merged
-result; client 1 alone decrypts it and answers with the final weights, since
-the server never holds the key pair, and the others check it and end. Every
-client of an encrypted cohort holds that key pair from the start, handed over
-out of band; client 1 offers the server its public key, and no frame carries
-the secret one.
+nothing, as every client starts from the initial model), every client trains
+locally and uploads its gradient with its training loss, the server builds
+per-model cross-validation payloads (perturbed under homomorphic ops when
+fusion is on), clients return validation losses, the server computes
+aggregation weights and merges. A TCP client trains alone as soon as the
+broadcast reaches it; the in-thread loopback cohort trains all its clients in
+one stacked step when the server first waits for an upload. After the last
+round the server sends every client the merged result; client 1 alone
+decrypts it and answers with the final weights, since the server never holds
+the key pair, and the others check it and end. Every client of an encrypted
+cohort holds that key pair from the start, handed over out of band; client 1
+offers the server its public key, and no frame carries the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators); big
 integers travel as canonical base64 of a fixed number of big-endian bytes, and
 floats as shortest round-trip decimals, so transcripts are byte-reproducible
-across transports. A payload carries only what the receiver's config cannot
-give: a plain gradient is ``{"values"}``, an encrypted one ``{"ciphertexts",
-"key"}`` and the key offer ``{"n"}``. Every party takes the entry count, scale
-exponent, piece count and key size from its config, so the byte width of ``n``
-and of each ciphertext too; ``key``, the public key's fingerprint, tells a
-gradient under another key.
+across transports. A frame carries only what its channel and the receiver's
+config cannot give: its body is ``{"payload", "round"}``, as the endpoint it
+arrives on names the peer; round 1's broadcast payload is ``{}``, as every
+client derives the initial model, ``nn.init_params(derive_seed(master_seed,
+"init"), layout)``; a plain gradient is ``{"values"}``, an encrypted one
+``{"ciphertexts", "key"}`` and the key offer ``{"n"}``. Every party takes the
+entry count, scale exponent, piece count and key size from its config, so the
+byte width of ``n`` and of each ciphertext too; ``key``, the public key's
+fingerprint, tells a gradient under another key.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 import random
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -58,7 +60,6 @@ from .errors import (
 )
 from .transport import decode_frame, encode_frame
 
-SERVER_ID = 0
 DESIGNATED_DECRYPTOR = 1
 
 
@@ -79,7 +80,6 @@ class MessageKind(IntEnum):
 class Message:
     kind: MessageKind
     round: int
-    sender: int
     payload: dict
 
 
@@ -88,7 +88,7 @@ def canonical_json(obj) -> bytes:
 
 
 def encode_message(msg: Message) -> tuple[int, bytes]:
-    body = canonical_json({"payload": msg.payload, "round": msg.round, "sender": msg.sender})
+    body = canonical_json({"payload": msg.payload, "round": msg.round})
     return int(msg.kind), body
 
 
@@ -105,12 +105,12 @@ def decode_message(kind: int, body: bytes) -> Message:
         raise ProtocolViolation(f"malformed message body: {exc}") from exc
     if (
         not isinstance(data, dict)
-        or set(data) != {"payload", "round", "sender"}
+        or set(data) != {"payload", "round"}
         or not isinstance(data["payload"], dict)
-        or any(type(data[name]) is not int for name in ("round", "sender"))  # no bools
+        or type(data["round"]) is not int  # no bools
     ):
-        raise ProtocolViolation("message body must carry payload/round/sender")
-    return Message(kind=mk, round=data["round"], sender=data["sender"], payload=data["payload"])
+        raise ProtocolViolation("message body must carry payload/round")
+    return Message(kind=mk, round=data["round"], payload=data["payload"])
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -139,6 +139,11 @@ def _vector(payload, name: str, length: int | None = None) -> np.ndarray:
         raise ProtocolViolation(
             f"payload field {name!r} has {len(values)} entries, expected {length}"
         )
+    return _finite(values, name)
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values``, numbers read from payload field ``name``, as finite floats."""
     try:
         vector = np.array(values, dtype=np.float64)
     except OverflowError:  # json reads integers of any size
@@ -204,7 +209,8 @@ class ClientSession:
         keypair: paillier.KeyPair | None = None,
     ):
         """``keypair`` is the cohort key pair, which every client of an
-        encrypted cohort holds from the start."""
+        encrypted cohort holds from the start. The session starts from the
+        initial model, which ``settings`` gives."""
         if not (1 <= client_id <= settings.n_clients):
             raise ValueError(f"client id {client_id} outside 1..{settings.n_clients}")
         if settings.encrypted and keypair is None:
@@ -213,7 +219,7 @@ class ClientSession:
         self.client_id = client_id
         self.split = split
         self.keypair = keypair
-        self.weights: nn.ModelParams | None = None
+        self.weights = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
         self.round = 0
         self.done = False
         self.pending = False
@@ -226,21 +232,9 @@ class ClientSession:
         if not self.settings.encrypted or self.client_id != 1:
             return []
         offer = paillier.public_key_to_payload(self.keypair.public)
-        return [Message(MessageKind.KEY_OFFER, 0, self.client_id, offer)]
+        return [Message(MessageKind.KEY_OFFER, 0, offer)]
 
-    # -- a round's training: apply the global state, train, upload --
-
-    def apply_global(self, msg: Message) -> None:
-        """Take the round's global state; the session is then pending training."""
-        layout = self.settings.layout
-        if msg.round == 1:
-            if _field(msg.payload, "layout", list) != [list(l) for l in layout.layers]:
-                raise ProtocolViolation(f"model layout differs from {layout.layers}")
-            self.weights = nn.ModelParams(_vector(msg.payload, "weights", layout.size), layout)
-        else:
-            self.weights = self._stepped(_field(msg.payload, "gradient", dict))
-        self.round = msg.round
-        self.pending = True
+    # -- a round's training: train on the global state, upload --
 
     @property
     def shuffle_seed(self) -> int:
@@ -278,13 +272,13 @@ class ClientSession:
                 "gradient": gradient_to_payload(upload),
                 "train_loss": float(result.training_loss),
             }
-            return [Message(MessageKind.TRAIN_RESULT, self.round, self.client_id, payload)]
+            return [Message(MessageKind.TRAIN_RESULT, self.round, payload)]
 
         return self._reply(step)
 
     def evaluate_fused(self, fused_payload: dict) -> float:
         """Validation loss of one candidate model on the local validation set."""
-        if self.weights is None:
+        if self.round == 0:
             raise ProtocolViolation("cross-validation before any training round")
         # under he the server relays the raw uploads; under he_dp it fuses them
         raw = self.settings.encryption == "he"
@@ -309,12 +303,10 @@ class ClientSession:
         except FedBoostError as exc:
             self.done = True
             reason = {"reason": f"{type(exc).__name__}: {exc}"}
-            replies = [Message(MessageKind.ABORT, self.round, self.client_id, reason)]
+            replies = [Message(MessageKind.ABORT, self.round, reason)]
         return [encode_message(m) for m in replies]
 
     def handle(self, msg: Message) -> list[Message]:
-        if msg.sender != SERVER_ID:
-            raise ProtocolViolation(f"client received message from non-server {msg.sender}")
         if msg.kind == MessageKind.ABORT:
             self.done = True
             return []
@@ -326,7 +318,10 @@ class ClientSession:
                 f"expected round {expected}"
             )
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
-            self.apply_global(msg)
+            # round 1 trains the initial model, a later one adds the merged gradient to it
+            if msg.round > 1:
+                self.weights = self._stepped(_field(msg.payload, "gradient", dict))
+            self.round, self.pending = msg.round, True
             return []
         if msg.kind == MessageKind.FUSED_GRADIENT:
             models = _field(msg.payload, "models", list)
@@ -335,7 +330,7 @@ class ClientSession:
                     f"{len(models)} models to cross-validate, expected {self.settings.n_clients}"
                 )
             values = [self.evaluate_fused(p) for p in models]
-            return [Message(MessageKind.EVAL_RESULT, msg.round, self.client_id, {"values": values})]
+            return [Message(MessageKind.EVAL_RESULT, msg.round, {"values": values})]
         if msg.kind == MessageKind.MERGED_GRADIENT:
             if self.round != self.settings.rounds:
                 raise ProtocolViolation(
@@ -349,7 +344,7 @@ class ClientSession:
                 read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
                 return []
             weights = {"weights": [float(x) for x in self._stepped(merged).values]}
-            return [Message(MessageKind.FINAL_MODEL, msg.round, self.client_id, weights)]
+            return [Message(MessageKind.FINAL_MODEL, msg.round, weights)]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
     def _stepped(self, payload: dict, pieces: int = 1) -> nn.ModelParams:
@@ -468,10 +463,11 @@ class RoundRecord:
 @dataclass
 class ServerRunResult:
     """The final model, one record per round, and each round's merged
-    gradient payload (kept out of the records, so out of records.json)."""
+    gradient payload (kept out of the records, so out of records.json).
+    Round 1 starts from the initial model that the config gives, so the
+    trajectory is that model plus each merged gradient in turn."""
 
     final_weights: nn.ModelParams
-    initial_weights: nn.ModelParams
     rounds: list[RoundRecord]
     merged_gradients: list[dict]
 
@@ -480,7 +476,7 @@ def _send(endpoints, kind: MessageKind, round_no: int, payload: dict) -> None:
     """Encode one server message once and send it to every client, in id
     order. A failed send is a RoundAborted naming the client; an ABORT goes to
     every client that can still take it."""
-    frame = encode_message(Message(kind, round=round_no, sender=SERVER_ID, payload=payload))
+    frame = encode_message(Message(kind, round=round_no, payload=payload))
     for cid in sorted(endpoints):
         try:
             endpoints[cid].send(*frame)
@@ -491,41 +487,50 @@ def _send(endpoints, kind: MessageKind, round_no: int, payload: dict) -> None:
                 ) from exc
 
 
-@contextmanager
-def _from_client(cid: int):
-    """Name client ``cid`` in a ProtocolViolation, KeyMismatch or WeakKey
-    raised reading what it sent."""
-    try:
-        yield
-    except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
-        raise type(exc)(f"client {cid}: {exc}") from exc
+def _read_upload(payload, public_key, settings: ExperimentConfig):
+    """A TRAIN_RESULT's gradient, checked but not decrypted, and training loss."""
+    gradient = _field(payload, "gradient", dict)
+    gradient = read_gradient(gradient, public_key, settings.layout.size, settings.quant)
+    return gradient, _finite([_field(payload, "train_loss", (int, float))], "train_loss")[0]
+
+
+def _read_losses(payload, n: int) -> np.ndarray:
+    """An EVAL_RESULT's n validation losses."""
+    values = _vector(payload, "values", n)
+    if np.any(values < 0):
+        raise ProtocolViolation("payload field 'values' has negative losses")
+    return values
 
 
 def _expect(
-    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind, round_no: int, transcript
-) -> Message:
+    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind, round_no: int, transcript,
+    read, *args,
+):
+    """``read(payload, *args)`` of the next frame from client ``cid``, which
+    must be a ``kind`` of ``round_no``. Any ProtocolViolation, KeyMismatch or
+    WeakKey raised decoding or reading the frame names the client."""
     try:
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
     except TransportError as exc:
         raise RoundAborted(
             f"waiting for {kind.name} from client {cid} in round {round_no}: {exc}"
         ) from exc
-    with _from_client(cid):
+    try:
         msg = decode_message(raw_kind, body)
-    if transcript is not None:
-        transcript.append((cid, encode_frame(raw_kind, body)))
+        if transcript is not None:
+            transcript.append((cid, encode_frame(raw_kind, body)))
+        if msg.kind == kind and msg.round == round_no:
+            return read(msg.payload, *args)
+    except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
+        raise type(exc)(f"client {cid}: {exc}") from exc
     if msg.kind == MessageKind.ABORT:
         raise RoundAborted(f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}")
-    if msg.sender != cid:
-        raise ProtocolViolation(f"message from endpoint {cid} claims sender {msg.sender}")
     if msg.kind != kind:
         raise ProtocolViolation(f"expected {kind.name} from client {cid}, got {msg.kind.name}")
     # every client frame carries the server's round, 0 for the key offer
-    if msg.round != round_no:
-        raise ProtocolViolation(
-            f"client {cid} sent {kind.name} for round {msg.round} during round {round_no}"
-        )
-    return msg
+    raise ProtocolViolation(
+        f"client {cid} sent {kind.name} for round {msg.round} during round {round_no}"
+    )
 
 
 def server_run(
@@ -549,22 +554,16 @@ def server_run(
             raise ProtocolViolation(f"need endpoints for clients 1..{n}")
 
         if settings.encrypted:
-            offer = _expect(settings, endpoints, 1, MessageKind.KEY_OFFER, 0, transcript)
-            with _from_client(1):
-                public_key = paillier.public_key_from_payload(offer.payload, settings.key_bits)
-
-        initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
+            public_key = _expect(
+                settings, endpoints, 1, MessageKind.KEY_OFFER, 0, transcript,
+                paillier.public_key_from_payload, settings.key_bits,
+            )
 
         for r in range(1, settings.rounds + 1):
             durations: dict[str, float] = {}
 
-            if r == 1:
-                payload = {
-                    "layout": [list(l) for l in settings.layout.layers],
-                    "weights": [float(x) for x in initial.values],
-                }
-            else:
-                payload = {"gradient": merged_gradients[-1]}
+            # round 1 starts from the initial model, which every client derives
+            payload = {"gradient": merged_gradients[-1]} if merged_gradients else {}
             # in-thread loopback clients train in the first recv, TCP clients
             # once the broadcast reaches them; the phase spans both
             phase_start = time.monotonic()
@@ -574,20 +573,11 @@ def server_run(
             gradients = []
             train_losses = np.empty(n)
             for cid in clients:
-                msg = _expect(settings, endpoints, cid, MessageKind.TRAIN_RESULT, r, transcript)
-                with _from_client(cid):
-                    gradient = _field(msg.payload, "gradient", dict)
-                    gradients.append(
-                        read_gradient(gradient, public_key, settings.layout.size, settings.quant)
-                    )
-                    loss = _field(msg.payload, "train_loss", (int, float))
-                    try:
-                        loss = float(loss)
-                    except OverflowError:
-                        raise ProtocolViolation("payload field 'train_loss' is beyond float range")
-                    if not math.isfinite(loss):
-                        raise ProtocolViolation(f"payload field 'train_loss' is {loss}")
-                train_losses[cid - 1] = loss
+                gradient, train_losses[cid - 1] = _expect(
+                    settings, endpoints, cid, MessageKind.TRAIN_RESULT, r, transcript,
+                    _read_upload, public_key, settings,
+                )
+                gradients.append(gradient)
             durations["train"] = time.monotonic() - phase_start
 
             validation = None
@@ -603,12 +593,10 @@ def server_run(
                 # column j holds every candidate model's loss on client j + 1's data
                 validation = np.empty((n, n))
                 for cid in clients:
-                    msg = _expect(settings, endpoints, cid, MessageKind.EVAL_RESULT, r, transcript)
-                    with _from_client(cid):
-                        values = _vector(msg.payload, "values", n)
-                        if np.any(values < 0):
-                            raise ProtocolViolation("payload field 'values' has negative losses")
-                    validation[:, cid - 1] = values
+                    validation[:, cid - 1] = _expect(
+                        settings, endpoints, cid, MessageKind.EVAL_RESULT, r, transcript,
+                        _read_losses, n,
+                    )
                 weights = agg.fedboost_weights(
                     train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
                 )
@@ -636,13 +624,12 @@ def server_run(
 
         # r is now the last round, the round of the final exchange
         _send(endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
-        final_msg = _expect(
-            settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript
+        final_values = _expect(
+            settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript,
+            _vector, "weights", settings.layout.size,
         )
-        with _from_client(DESIGNATED_DECRYPTOR):
-            final_values = _vector(final_msg.payload, "weights", settings.layout.size)
         final = nn.ModelParams(final_values, settings.layout)
-        return ServerRunResult(final, initial, records, merged_gradients)
+        return ServerRunResult(final, records, merged_gradients)
     except FedBoostError as exc:
         _send(endpoints, MessageKind.ABORT, r, {"reason": f"{type(exc).__name__}: {exc}"})
         raise

@@ -58,7 +58,10 @@ class ExperimentResult:
 
 def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
     spec = cfg.clients[client_id - 1]
-    data = generate_client_dataset(list(spec.clusters), spec.seed)
+    try:
+        data = generate_client_dataset(list(spec.clusters), spec.seed)
+    except MemoryError as exc:  # a count that numpy takes as a dimension but cannot allocate
+        raise ConfigError(f"clients[{client_id - 1}].clusters", str(exc)) from exc
     seed = derive_seed(cfg.master_seed, "split", client_id)
     parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
     if spec.poison_flip_frac > 0:
@@ -152,7 +155,7 @@ def _protocol_records(
     keypair: paillier.KeyPair | None,
 ) -> list[RoundRecord]:
     """The server's records, scored on ``test`` after each round's merge."""
-    shadow = result.initial_weights
+    shadow = nn.init_params(derive_seed(cfg.master_seed, "init"), cfg.layout)
     merged_quant = QuantConfig(cfg.quant.scale_exponent, pieces=1)
     for record, merged in zip(result.rounds, result.merged_gradients):
         g = decode_gradient_payload(merged, keypair, cfg.layout.size, merged_quant)

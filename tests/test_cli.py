@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fedboost
 from fedboost.cli import build_parser, main
 from fedboost.config import (
     ExperimentConfig,
@@ -188,6 +193,30 @@ class TestRunCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert err["detail"].startswith(detail)
+
+    def test_samples_beyond_memory_exit_with_json_error(self, tmp_path, tiny_config_path):
+        # numpy takes 2**40 rows as a dimension but cannot allocate their 16 TiB;
+        # the child's own address-space limit makes that fail at once, whatever
+        # the host's overcommit policy
+        data = json.loads(tiny_config_path.read_text())
+        data["clients"][0]["clusters"][0]["count"] = 2**40
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        limit = 3 * 2**30
+        src = Path(fedboost.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedboost", "run", "--config", str(bad)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith("clients[0].clusters: ")
 
     def test_unwritable_artifact_exits_with_json_error(self, tmp_path, tiny_config_path, capsys):
         out = tmp_path / "out"

@@ -122,7 +122,7 @@ def in_thread(session: ClientSession):
 
 def server_says(endpoint, kind, round_no, payload) -> list[Message]:
     """Send one server message to ``endpoint``; every reply it queued."""
-    endpoint.send(*encode_message(Message(kind, round_no, protocol.SERVER_ID, payload)))
+    endpoint.send(*encode_message(Message(kind, round_no, payload)))
     replies = []
     while True:
         try:
@@ -133,18 +133,18 @@ def server_says(endpoint, kind, round_no, payload) -> list[Message]:
 
 class TestMessageCodec:
     def test_roundtrip(self):
-        msg = Message(MessageKind.TRAIN_RESULT, round=3, sender=2, payload={"train_loss": 0.25})
+        msg = Message(MessageKind.TRAIN_RESULT, round=3, payload={"train_loss": 0.25})
         kind, body = encode_message(msg)
         assert decode_message(kind, body) == msg
 
     def test_canonical_bytes(self):
-        msg = Message(MessageKind.ABORT, round=1, sender=0, payload={"reason": "x"})
+        msg = Message(MessageKind.ABORT, round=1, payload={"reason": "x"})
         _, body = encode_message(msg)
-        assert body == b'{"payload":{"reason":"x"},"round":1,"sender":0}'
+        assert body == b'{"payload":{"reason":"x"},"round":1}'
 
     def test_unknown_kind_byte(self):
         with pytest.raises(ProtocolViolation):
-            decode_message(200, b'{"payload":{},"round":0,"sender":0}')
+            decode_message(200, b'{"payload":{},"round":0}')
 
     def test_tampered_body(self):
         with pytest.raises(ProtocolViolation):
@@ -157,18 +157,18 @@ class TestMessageCodec:
     @pytest.mark.parametrize(
         "body",
         [
-            b'{"payload":{},"round":true,"sender":1}',
-            b'{"payload":{},"round":1,"sender":true}',
-            b'{"payload":{},"round":true,"sender":true}',
+            pytest.param(b'{"payload":{},"round":true}', id="bool_round"),
+            # the endpoint a frame arrives on names the peer
+            pytest.param(b'{"payload":{},"round":1,"sender":2}', id="stale_sender"),
         ],
     )
-    def test_round_and_sender_are_integers_not_bools(self, body):
-        with pytest.raises(ProtocolViolation, match="must carry payload/round/sender"):
+    def test_body_is_a_payload_and_an_integer_round(self, body):
+        with pytest.raises(ProtocolViolation, match="must carry payload/round$"):
             decode_message(int(MessageKind.TRAIN_RESULT), body)
 
 
 # bodies that get past the JSON parser's own error types
-HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1,"sender":2}'
+HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1}'
 DEEP_BODY = b"[" * 100_000
 
 JSON_VALUES = st.recursive(
@@ -180,10 +180,7 @@ BODIES = st.one_of(
     st.binary(max_size=200),
     JSON_VALUES.map(lambda v: json.dumps(v).encode()),
     st.builds(
-        lambda p, r, s: json.dumps({"payload": p, "round": r, "sender": s}).encode(),
-        JSON_VALUES,
-        JSON_VALUES,
-        JSON_VALUES,
+        lambda p, r: json.dumps({"payload": p, "round": r}).encode(), JSON_VALUES, JSON_VALUES
     ),
 )
 
@@ -343,21 +340,46 @@ class TestPayloadDecodersFuzz:
 
 
 class Recorder:
-    """The server's endpoint to one client; keeps every message it carries,
-    in both directions."""
+    """The server's endpoint to one client; keeps every frame it carries, in
+    both directions."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.messages: list[Message] = []
+        self.frames: list[tuple[int, bytes]] = []
+
+    @property
+    def messages(self) -> list[Message]:
+        return [decode_message(kind, body) for kind, body in self.frames]
 
     def send(self, kind: int, body: bytes) -> None:
-        self.messages.append(decode_message(kind, body))
+        self.frames.append((kind, body))
         self.inner.send(kind, body)
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
         kind, body = self.inner.recv(timeout)
-        self.messages.append(decode_message(kind, body))
+        self.frames.append((kind, body))
         return kind, body
+
+
+def _recorded_run(encryption: str) -> dict[int, Recorder]:
+    """A 2-round run of two in-thread clients; the server's endpoints."""
+    settings = make_settings(encryption=encryption, rounds=2)
+    keypair = cohort_key(settings)
+    sessions = [ClientSession(settings, cid, client_split(cid), keypair) for cid in (1, 2)]
+    endpoints = {
+        cid: Recorder(endpoint) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
+    }
+    server_run(settings, endpoints)
+    return endpoints
+
+
+def _keys_within(obj) -> set:
+    """Every key of every object nested in ``obj``."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys_within, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys_within, obj))
+    return set()
 
 
 class TestWireShape:
@@ -369,13 +391,8 @@ class TestWireShape:
 
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
-        settings = make_settings(encryption=encryption, rounds=2)
-        keypair = cohort_key(settings)
-        sessions = [ClientSession(settings, cid, client_split(cid), keypair) for cid in (1, 2)]
-        endpoints = {
-            cid: Recorder(endpoint) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
-        }
-        server_run(settings, endpoints)
+        keypair = cohort_key(make_settings(encryption=encryption))
+        endpoints = _recorded_run(encryption)
         messages = [m for endpoint in endpoints.values() for m in endpoint.messages]
         shape = {"values"} if keypair is None else {"ciphertexts", "key"}
         gradients = Counter()
@@ -402,6 +419,25 @@ class TestWireShape:
         else:
             assert offers == [{"n": base64.b64encode(keypair.public.n.to_bytes(16, "big")).decode()}]
             assert len(offers[0]["n"]) == 24
+
+    @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+    def test_a_frame_carries_its_payload_and_round_only(self, encryption):
+        """The endpoint names the peer, so no body names a sender; every
+        client starts from the initial model its config gives, so round 1's
+        broadcast is empty and only the final model carries weights."""
+        kinds = Counter()
+        for endpoint in _recorded_run(encryption).values():
+            bodies = [(MessageKind(kind), json.loads(body)) for kind, body in endpoint.frames]
+            for kind, body in bodies:
+                kinds[kind.name] += 1
+                assert set(body) == {"payload", "round"}, kind.name
+                if kind == MessageKind.FINAL_MODEL:
+                    assert set(body["payload"]) == {"weights"}
+                else:
+                    assert not _keys_within(body) & {"weights", "layout"}, kind.name
+            broadcasts = [b["payload"] for k, b in bodies if k == MessageKind.GLOBAL_GRADIENT]
+            assert broadcasts[0] == {} and set(broadcasts[1]) == {"gradient"}
+        assert (kinds["TRAIN_RESULT"], kinds["FINAL_MODEL"]) == (4, 1)
 
 
 def _run_and_summarize(settings):
@@ -434,6 +470,28 @@ class TestStaleWireFields:
         clean = _run_and_summarize(settings)
         original = protocol.gradient_to_payload
         monkeypatch.setattr(protocol, "gradient_to_payload", lambda g: {**original(g), field: value})
+        assert _run_and_summarize(settings) == clean
+
+    @pytest.mark.parametrize(
+        "encryption, field, value",
+        [
+            # the initial model, which round 1's broadcast carried
+            ("none", "layout", [[2, 3], [3, 2]]),
+            ("none", "weights", [1e308] * 42),
+            ("he", "weights", "x"),
+        ],
+    )
+    def test_round_one_broadcast(self, monkeypatch, encryption, field, value):
+        settings = make_settings(encryption=encryption, rounds=2)
+        clean = _run_and_summarize(settings)
+        original = protocol.encode_message
+
+        def stale(msg):
+            if (msg.kind, msg.round) == (MessageKind.GLOBAL_GRADIENT, 1):
+                msg = dataclasses.replace(msg, payload={**msg.payload, field: value})
+            return original(msg)
+
+        monkeypatch.setattr(protocol, "encode_message", stale)
         assert _run_and_summarize(settings) == clean
 
     @pytest.mark.parametrize("key_bits", [128.9, "128", 64])
@@ -481,21 +539,13 @@ class TestKeyDistribution:
         offers = [MessageKind.KEY_OFFER] if settings.encrypted and client_id == 1 else []
         assert [m.kind for m in before] == offers
         assert session.done
-        assert reply.kind == MessageKind.ABORT and reply.sender == client_id
+        assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == "ProtocolViolation: client cannot handle KEY_DELIVER"
 
 
 def _round_one(settings) -> Message:
-    initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
-    return Message(
-        MessageKind.GLOBAL_GRADIENT,
-        round=1,
-        sender=protocol.SERVER_ID,
-        payload={
-            "layout": [list(l) for l in settings.layout.layers],
-            "weights": [float(x) for x in initial.values],
-        },
-    )
+    """Round 1's broadcast: every client starts from the initial model."""
+    return Message(MessageKind.GLOBAL_GRADIENT, round=1, payload={})
 
 
 def _packed_payload(kp, settings) -> dict:
@@ -515,9 +565,6 @@ class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "kind, round_no, payload, cause",
         [
-            (MessageKind.GLOBAL_GRADIENT, 1, {}, "'layout' is missing"),
-            (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 8], [8, 2]], "weights": "x"}, "'weights'"),
-            (MessageKind.GLOBAL_GRADIENT, 1, {"layout": [[2, 3], [3, 2]], "weights": []}, "layout differs"),
             (MessageKind.GLOBAL_GRADIENT, 2, {}, "'gradient' is missing"),
             (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": [0.0] * 42}}, "'ciphertexts' is missing"),
             (
@@ -537,33 +584,32 @@ class TestMalformedPayloads:
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
         session = ClientSession(settings, 2, client_split(2), _KEY256)
-        if round_no == 2 or kind != MessageKind.GLOBAL_GRADIENT:
-            session.handle(_round_one(settings))
+        session.handle(_round_one(settings))
         [reply] = server_says(in_thread(session), kind, round_no, payload)
         assert session.done
-        assert reply.kind == MessageKind.ABORT and reply.sender == 2
+        assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"].startswith("ProtocolViolation: ")
         assert cause in reply.payload["reason"]
 
     @pytest.mark.parametrize(
-        "round_no, payload, cause",
+        "values",
         [
-            (1, {"layout": [[2, 8], [8, 2]], "weights": [10**400] + [0.0] * 41}, "'weights'"),
-            (2, {"gradient": {"values": [0.0] * 41 + [-(10**400)]}}, "'values'"),
+            pytest.param([10**400] + [0.0] * 41, id="first"),
+            pytest.param([0.0] * 41 + [-(10**400)], id="last"),
         ],
     )
-    def test_client_aborts_on_numbers_beyond_float_range(self, round_no, payload, cause):
+    def test_client_aborts_on_numbers_beyond_float_range(self, values):
         # json reads an integer literal of any length; float() of it overflows
         settings = make_settings(rounds=2)
         session = ClientSession(settings, 2, client_split(2))
-        if round_no == 2:
-            session.handle(_round_one(settings))
+        session.handle(_round_one(settings))
         endpoint = in_thread(session)
-        [reply] = server_says(endpoint, MessageKind.GLOBAL_GRADIENT, round_no, payload)
+        payload = {"gradient": {"values": values}}
+        [reply] = server_says(endpoint, MessageKind.GLOBAL_GRADIENT, 2, payload)
         assert session.done
-        assert reply.kind == MessageKind.ABORT and reply.sender == 2
+        assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == (
-            f"ProtocolViolation: payload field {cause} has entries beyond float range"
+            "ProtocolViolation: payload field 'values' has entries beyond float range"
         )
 
     @pytest.mark.parametrize("field", ["train_loss", "values", "weights"])
@@ -576,12 +622,12 @@ class TestMalformedPayloads:
         endpoints = {}
         for cid in (1, 2):
             upload = {"gradient": gradient, "train_loss": huge if field == "train_loss" else 0.5}
-            messages = [Message(MessageKind.TRAIN_RESULT, 1, cid, upload)]
+            messages = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
             if field == "values":
-                messages.append(Message(MessageKind.EVAL_RESULT, 1, cid, {"values": [huge, 0.5]}))
+                messages.append(Message(MessageKind.EVAL_RESULT, 1, {"values": [huge, 0.5]}))
             if field == "weights" and cid == 1:
                 weights = [huge] + [0.0] * 41
-                messages.append(Message(MessageKind.FINAL_MODEL, 1, cid, {"weights": weights}))
+                messages.append(Message(MessageKind.FINAL_MODEL, 1, {"weights": weights}))
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
         cause = f"client 1: payload field '{field}' .*beyond float range"
         with pytest.raises(ProtocolViolation, match=cause):
@@ -602,7 +648,7 @@ class TestMalformedPayloads:
         settings = make_settings(rounds=1)
         # plain json.dumps: the canonical encoder refuses NaN, a peer need not
         body = json.dumps(
-            {"payload": {"gradient": gradient, "train_loss": 0.5}, "round": 1, "sender": 1}
+            {"payload": {"gradient": gradient, "train_loss": 0.5}, "round": 1}
         ).encode()
         upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
         endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
@@ -622,7 +668,7 @@ class TestMalformedPayloads:
         source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         bad = tamper(_packed_payload(source.keypair, settings))
-        upload = Message(MessageKind.TRAIN_RESULT, 1, 1, {"gradient": bad, "train_loss": 0.5})
+        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": bad, "train_loss": 0.5})
         frames.append(encode_frame(*encode_message(upload)))
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
@@ -634,11 +680,12 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         # plain json.dumps writes a bare NaN, which json.loads accepts
         body = json.dumps(
-            {"payload": {"gradient": gradient, "train_loss": float("nan")}, "round": 1, "sender": 1}
+            {"payload": {"gradient": gradient, "train_loss": float("nan")}, "round": 1}
         ).encode()
         upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
         endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
-        with pytest.raises(ProtocolViolation, match="client 1: payload field 'train_loss' is nan"):
+        cause = "client 1: payload field 'train_loss' has non-finite entries"
+        with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
 
     def test_server_rejects_negative_validation_losses(self):
@@ -646,8 +693,8 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         endpoints = {}
         for cid in (1, 2):
-            upload = Message(MessageKind.TRAIN_RESULT, 1, cid, {"gradient": gradient, "train_loss": 0.5})
-            scores = Message(MessageKind.EVAL_RESULT, 1, cid, {"values": [-1.0, 0.5]})
+            upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": 0.5})
+            scores = Message(MessageKind.EVAL_RESULT, 1, {"values": [-1.0, 0.5]})
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in (upload, scores)])
         with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
             server_run(settings, endpoints)
@@ -659,10 +706,10 @@ def _trained_alone(session: ClientSession, msg: Message) -> list[tuple[int, byte
     return session.upload()
 
 
-def _diverging_round_one(settings) -> Message:
-    """Round one with weights so large that training diverges."""
-    msg = _round_one(settings)
-    return dataclasses.replace(msg, payload={**msg.payload, "weights": [1e308] * settings.layout.size})
+def _diverging_round_two(settings) -> Message:
+    """Round two's broadcast of a plain gradient so large that training diverges."""
+    gradient = {"values": [1e308] * settings.layout.size}
+    return Message(MessageKind.GLOBAL_GRADIENT, round=2, payload={"gradient": gradient})
 
 
 class TestInThreadCohort:
@@ -706,12 +753,18 @@ class TestInThreadCohort:
         settings = make_settings()
         sessions = [ClientSession(settings, cid, client_split(cid)) for cid in (1, 2)]
         endpoints = InThreadCohort(sessions).endpoints
-        endpoints[1].send(*encode_message(_diverging_round_one(settings)))
-        endpoints[2].send(*encode_message(_round_one(settings)))
+        for endpoint in endpoints.values():
+            endpoint.send(*encode_message(_round_one(settings)))
+            endpoint.recv()
+        round_two = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": [0.0] * 42}})
+        endpoints[1].send(*encode_message(_diverging_round_two(settings)))
+        endpoints[2].send(*encode_message(round_two))
         abort = decode_message(*endpoints[1].recv())
         assert abort.kind == MessageKind.ABORT and sessions[0].done
-        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 1"
-        [expected] = _trained_alone(ClientSession(settings, 2, client_split(2)), _round_one(settings))
+        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 2"
+        alone = ClientSession(settings, 2, client_split(2))
+        _trained_alone(alone, _round_one(settings))
+        [expected] = _trained_alone(alone, round_two)
         assert endpoints[2].recv() == expected and not sessions[1].done
 
     def test_sends_after_the_session_ends_are_dropped(self):
@@ -722,7 +775,7 @@ class TestInThreadCohort:
         assert session.done
         round_one = _round_one(settings).payload
         assert server_says(endpoint, MessageKind.GLOBAL_GRADIENT, 1, round_one) == []
-        assert session.round == 0 and session.weights is None
+        assert session.round == 0 and not session.pending
 
     def test_other_errors_reach_the_caller_naming_the_client(self, monkeypatch):
         handle = ClientSession.handle
@@ -807,7 +860,7 @@ class TestRoundChecks:
         bad = expected + shift
         [reply] = server_says(in_thread(session), kind, bad, {})
         assert session.done
-        assert reply.kind == MessageKind.ABORT and reply.sender == 1
+        assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == (
             f"ProtocolViolation: {kind.name} for round {bad} at local round 1, "
             f"expected round {expected}"
@@ -823,7 +876,7 @@ class TestServerAbortsEveryone:
         reason = f"{type(err.value).__name__}: {err.value}"
         for endpoint in endpoints.values():
             last = decode_message(*decode_frame(endpoint.sent[-1]))
-            abort = Message(MessageKind.ABORT, round_no, protocol.SERVER_ID, {"reason": reason})
+            abort = Message(MessageKind.ABORT, round_no, {"reason": reason})
             assert last == abort
 
     @pytest.mark.parametrize(
@@ -875,10 +928,10 @@ class TestServerAbortsEveryone:
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
-                lambda m: dataclasses.replace(m, sender=1),
+                lambda m: protocol.canonical_json({"payload": m.payload, "round": 1, "sender": 2}),
                 ProtocolViolation,
-                "^message from endpoint 2 claims sender 1$",
-                id="another_sender",
+                "^client 2: message body must carry payload/round$",
+                id="stale_sender",
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
@@ -904,10 +957,10 @@ class TestServerAbortsEveryone:
             # True == 1, so a bool would pass for client 1's frame of round 1
             pytest.param(
                 MessageKind.FINAL_MODEL,
-                lambda m: dataclasses.replace(m, round=True, sender=True),
+                lambda m: dataclasses.replace(m, round=True),
                 ProtocolViolation,
-                "^client 1: message body must carry payload/round/sender$",
-                id="bool_round_and_sender",
+                "^client 1: message body must carry payload/round$",
+                id="bool_round",
             ),
         ],
     )
@@ -934,8 +987,8 @@ class TestServerAbortsEveryone:
         transcript = []
         run_loopback(settings, [client_split(1), client_split(2)], transcript)
         at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == MessageKind.EVAL_RESULT)
+        assert transcript[at][0] == 2
         msg = decode_message(*decode_frame(transcript[at][1]))
-        assert msg.sender == 2
         transcript[at] = (2, encode_frame(*encode_message(dataclasses.replace(msg, round=7))))
         endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
         with pytest.raises(ProtocolViolation, match="^client 2 sent EVAL_RESULT for round 7") as err:
@@ -948,7 +1001,7 @@ class TestServerAbortsEveryone:
         frames = {}
         for cid, key in ((1, keypair), (2, foreign)):
             upload = {"gradient": _packed_payload(key, settings), "train_loss": 0.5}
-            frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, cid, upload)]
+            frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
         frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
         endpoints = {
             cid: ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
@@ -1006,16 +1059,7 @@ class TestClientSession:
     def _trained_session(self, settings, rounds_payloads=None, client_id=2):
         session = ClientSession(settings, client_id, client_split(client_id))
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
-        msg = Message(
-            MessageKind.GLOBAL_GRADIENT,
-            round=1,
-            sender=protocol.SERVER_ID,
-            payload={
-                "layout": [list(l) for l in settings.layout.layers],
-                "weights": [float(x) for x in initial.values],
-            },
-        )
-        assert session.handle(msg) == [] and session.pending
+        assert session.handle(_round_one(settings)) == [] and session.pending
         replies = [decode_message(*reply) for reply in session.upload()]
         return session, initial, replies
 
@@ -1033,16 +1077,17 @@ class TestClientSession:
     def test_a_diverged_client_aborts_over_tcp(self):
         settings = make_settings()
         session = ClientSession(settings, 2, client_split(2))
+        _trained_alone(session, _round_one(settings))
         server_end, client_end = (TcpEndpoint(sock) for sock in socket.socketpair())
         try:
-            server_end.send(*encode_message(_diverging_round_one(settings)))
+            server_end.send(*encode_message(_diverging_round_two(settings)))
             client_run(session, client_end)
             abort = decode_message(*server_end.recv(timeout=5.0))
         finally:
             server_end.close()
             client_end.close()
-        assert session.done and abort.kind == MessageKind.ABORT and abort.sender == 2
-        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 1"
+        assert session.done and abort.kind == MessageKind.ABORT
+        assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 2"
 
     def test_zero_fused_gradient_scores_current_weights(self):
         settings = make_settings()
@@ -1060,7 +1105,6 @@ class TestClientSession:
         fused = Message(
             MessageKind.FUSED_GRADIENT,
             round=1,
-            sender=protocol.SERVER_ID,
             payload={"models": [protocol.gradient_to_payload(np.zeros(42)) for _ in range(2)]},
         )
         replies = session.handle(fused)
@@ -1073,7 +1117,6 @@ class TestClientSession:
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
-            sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(np.zeros(42))},
         )
         [final] = session.handle(merged)
@@ -1090,7 +1133,6 @@ class TestClientSession:
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
-            sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(g)},
         )
         replies = session.handle(merged)
@@ -1099,7 +1141,7 @@ class TestClientSession:
             assert replies == []
             return
         [final] = replies
-        assert (final.kind, final.round, final.sender) == (MessageKind.FINAL_MODEL, 1, 1)
+        assert (final.kind, final.round) == (MessageKind.FINAL_MODEL, 1)
         assert final.payload["weights"] == (session.weights.values + g).tolist()
 
     def test_only_client_one_decrypts_the_final_gradient(self, monkeypatch):
@@ -1133,11 +1175,17 @@ class TestClientSession:
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
-            sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(np.zeros(42))},
         )
         with pytest.raises(ProtocolViolation):
             session.handle(merged)
+
+    def test_cross_validation_before_the_first_broadcast_is_refused(self):
+        session = ClientSession(make_settings(), 2, client_split(2))
+        models = [protocol.gradient_to_payload(np.zeros(42))] * 2
+        [reply] = server_says(in_thread(session), MessageKind.FUSED_GRADIENT, 0, {"models": models})
+        assert session.done and reply.kind == MessageKind.ABORT
+        assert reply.payload["reason"] == "ProtocolViolation: cross-validation before any training round"
 
     @pytest.mark.parametrize("client_id", [1, 2])
     def test_every_encrypted_client_needs_the_key_pair(self, client_id):
@@ -1147,25 +1195,13 @@ class TestClientSession:
     def test_final_wrong_key_rejected(self, key64):
         settings = make_settings(rounds=1, encryption="he")
         session = key_source(settings, client_split(1))
-        initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
-        session.handle(
-            Message(
-                MessageKind.GLOBAL_GRADIENT,
-                round=1,
-                sender=protocol.SERVER_ID,
-                payload={
-                    "layout": [list(l) for l in settings.layout.layers],
-                    "weights": [float(x) for x in initial.values],
-                },
-            )
-        )
+        session.handle(_round_one(settings))
         foreign = agg.encrypt_gradient(
             key64.public, qz.quantize(np.zeros(42), settings.quant)
         )
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
-            sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(foreign)},
         )
         with pytest.raises(KeyMismatch):
@@ -1177,7 +1213,6 @@ class TestClientSession:
         stale = Message(
             MessageKind.GLOBAL_GRADIENT,
             round=5,
-            sender=protocol.SERVER_ID,
             payload={"gradient": protocol.gradient_to_payload(np.zeros(42))},
         )
         with pytest.raises(ProtocolViolation):
@@ -1326,15 +1361,5 @@ class TestServerRun:
         settings = make_settings(rounds=1, timeout_s=5.0)
         state_frames = [encode_frame(int(MessageKind.TRAIN_RESULT), b"{broken")]
         endpoints = {1: ReplayEndpoint(state_frames), 2: ReplayEndpoint([])}
-        with pytest.raises(ProtocolViolation):
-            server_run(settings, endpoints)
-
-    def test_sender_spoof_rejected(self):
-        settings = make_settings(rounds=1, timeout_s=5.0)
-        msg = Message(MessageKind.TRAIN_RESULT, round=1, sender=2, payload={"gradient": {}, "train_loss": 0.0})
-        endpoints = {
-            1: ReplayEndpoint([encode_frame(*encode_message(msg))]),
-            2: ReplayEndpoint([]),
-        }
         with pytest.raises(ProtocolViolation):
             server_run(settings, endpoints)

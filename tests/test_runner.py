@@ -257,6 +257,20 @@ class TestRunExperiment:
         expected = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
         assert all(s.keypair == expected for s in sessions)
 
+    @pytest.mark.parametrize("client_id", [1, 2])
+    def test_sessions_start_from_the_model_that_scores_round_one(self, client_id):
+        cfg = desk_config(rounds=1)
+        splits = build_splits(cfg)
+        start = protocol.ClientSession(cfg, client_id, splits[client_id - 1]).weights
+        # a zero merged gradient leaves round 1's scored model where the trajectory starts
+        zero = protocol.gradient_to_payload(np.zeros(cfg.layout.size))
+        record = protocol.RoundRecord(round=1, train_losses=[0.0, 0.0], validation=None, weights=None)
+        run = protocol.ServerRunResult(start, [record], [zero])
+        test = runner.combined_test_set(splits)
+        # the runner also refuses a final model off that trajectory
+        [scored] = runner._protocol_records(cfg, run, test, None)
+        assert (scored.global_test_loss, scored.global_test_acc) == nn.evaluate(start, test)
+
     def test_loopback_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("loopback started a thread")
