@@ -25,6 +25,12 @@ admits an entry when 2 * N * P * |v| is below the slot capacity: 2^w, or the
 whole modulus n when a ciphertext holds one slot (the unpacked rule, so
 128-bit ciphertexts are unchanged). Then no slot borrows from or carries into
 its neighbour, and the packed sum stays below 2^(w*s - 1) <= n/2.
+
+A key pair decrypts each ciphertext once: :func:`encrypt_gradient` and
+:func:`decrypt_gradient` record every plaintext in its memo, which
+decrypt_gradient reads after the key check. The in-thread cohort and the
+runner share one key pair, and a client under ``he`` reads its own relayed
+upload back. A plaintext is a function of key and ciphertext: no output changes.
 """
 
 from __future__ import annotations
@@ -123,7 +129,8 @@ def encrypt_gradient(
     """Pack and encrypt ``q``, leaving every slot room for a weighted sum of
     ``n_clients`` gradients with integer weights up to ``pieces``; raises
     GradientOverflow naming the first entry that does not fit. Key holders
-    pass the KeyPair for faster, identical ciphertexts."""
+    pass the KeyPair for faster, identical ciphertexts, whose plaintexts it
+    then remembers."""
     pk = key.public if isinstance(key, KeyPair) else key
     quantize.check_capacity(q, slot_capacity(pk), n_clients, pieces)
     slots = slots_per_ciphertext(pk.key_bits)
@@ -132,16 +139,27 @@ def encrypt_gradient(
         packed = 0
         for v in reversed(q.values[start : start + slots]):
             packed = (packed << SLOT_BITS) + v
-        cts.append(paillier.encrypt(key, paillier.encode_signed(packed, pk.n), rng))
+        m = paillier.encode_signed(packed, pk.n)
+        cts.append(paillier.encrypt(key, m, rng))
+        if isinstance(key, KeyPair):
+            key.remember(cts[-1], m)
     return EncryptedGradient(ciphertexts=cts, config=q.config, entries=len(q.values))
 
 
 def decrypt_gradient(kp: KeyPair, eg: EncryptedGradient) -> QuantizedGradient:
+    """The quantized values of ``eg``. A ciphertext whose plaintext ``kp``
+    remembers is not decrypted again; every other one is, and remembered."""
     slots = slots_per_ciphertext(kp.key_bits)
     mask, half = (1 << SLOT_BITS) - 1, 1 << (SLOT_BITS - 1)
     values = []
     for c in eg.ciphertexts:
-        packed = paillier.decode_signed(paillier.decrypt(kp, c), kp.public.n)
+        if c.public.n != kp.public.n:
+            raise KeyMismatch("ciphertext was produced under a different key")
+        m = kp.plaintexts.get(c.value)
+        if m is None:
+            m = paillier.decrypt(kp, c)
+            kp.remember(c, m)
+        packed = paillier.decode_signed(m, kp.public.n)
         for _ in range(slots - 1):
             digit = packed & mask
             if digit >= half:

@@ -19,6 +19,10 @@ one gcd with their product. It draws the same 40 Miller-Rabin witnesses from
 the rng as the unsieved test would, so a seed gives the same key either way,
 and tests as many as an error of at most 2^-100 needs (_TESTED_ROUNDS).
 
+A KeyPair remembers the plaintext of each ciphertext it made or decrypted
+(``plaintexts``, emptied at PLAINTEXT_MEMO_BOUND entries; see aggregate). A
+plaintext is a function of key and ciphertext, so the memo changes no output.
+
 Key generation accepts a seed so experiment runs are reproducible; pass
 ``seed=None`` (and ``rng=None`` to :func:`encrypt`) for OS randomness. The
 default 128-bit modulus matches the experimental setup here but is far below
@@ -31,7 +35,7 @@ import base64
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
@@ -42,6 +46,8 @@ _MILLER_RABIN_ROUNDS = 40
 # Landrock and Pomerance (Math. Comp. 1993), since its top two bits are set
 _TESTED_ROUNDS = ((1024, 4), (512, 8))
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+# Plaintexts a KeyPair remembers before it forgets them all: at 2048 bits, a few MiB
+PLAINTEXT_MEMO_BOUND = 4096
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,24 @@ class KeyPair:
     h_p: int  # (-q)^-1 mod p, which is L_p(g^(p-1) mod p^2)^-1 for g = n+1
     h_q: int  # (-p)^-1 mod q
     p_sq_inv: int  # (p^2)^-1 mod q^2
+    # ciphertext value -> plaintext; pickled empty, so a spawn argument does not grow
+    plaintexts: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def key_bits(self) -> int:
         return self.public.key_bits
+
+    def remember(self, c: Ciphertext, m: int) -> None:
+        """Note that ``c``, under this key, decrypts to ``m``; a full memo is emptied first."""
+        if len(self.plaintexts) >= PLAINTEXT_MEMO_BOUND:
+            self.plaintexts.clear()
+        self.plaintexts[c.value] = m
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "plaintexts"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, plaintexts={})
 
     def _nonce_power(self, r: int) -> int:
         """r^n mod n^2 by CRT over p^2 and q^2, each lifted from mod p (mod q),

@@ -47,6 +47,9 @@ from .protocol import (
 from .quantize import QuantConfig
 from .transport import tcp_connect, tcp_listen
 
+# How long an aborted TCP run waits for each client to exit before naming the dead
+_EXIT_GRACE_S = 1.0
+
 
 @dataclass
 class ExperimentResult:
@@ -133,7 +136,20 @@ def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
                 )
             else:
                 raise TransportTimeout(f"client {cid} did not connect within {cfg.timeout_s}s")
-        yield server_eps
+        try:
+            yield server_eps
+        except RoundAborted as exc:
+            # a client that died mid-run has usually exited by the time its channel closes
+            for proc in procs:
+                proc.join(timeout=_EXIT_GRACE_S)
+            dead = [
+                f"client {cid} exited with code {p.exitcode}"
+                for cid, p in enumerate(procs, 1)
+                if p.exitcode not in (None, 0)
+            ]
+            if dead:
+                raise RoundAborted("; ".join([str(exc), *dead])) from exc
+            raise
     finally:
         listener.close()
         for ep in server_eps.values():

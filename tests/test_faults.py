@@ -40,7 +40,8 @@ def test_tcp_client_killed_after_it_connects(monkeypatch):
         return serve(settings, endpoints, transcript)
 
     monkeypatch.setattr(runner, "server_run", kill_client_2_then_serve)
-    with pytest.raises(RoundAborted, match=r"\bclient 2 in round 1\b"):
+    with pytest.raises(RoundAborted, match=r"\bclient 2 in round 1\b") as aborted:
         runner.run_experiment(cfg)
+    assert "client 2 exited with code -9" in str(aborted.value)
     assert time.monotonic() - killed_at[0] < TIMEOUT_S / 4
     assert multiprocessing.active_children() == []

@@ -1,6 +1,8 @@
 import base64
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import string
 import time
@@ -354,6 +356,75 @@ class TestCrtAgainstReference:
         assert [c.value for c in a.ciphertexts] == [c.value for c in b.ciphertexts]
         assert a.config == b.config
         assert agg.decrypt_gradient(key128, a).values == values
+
+
+def _fill_memo(kp: paillier.KeyPair, count: int) -> list[int]:
+    """Remember ``count`` ciphertext values with made-up plaintexts; the
+    memo's size after each."""
+    sizes = []
+    for value in range(1, count + 1):
+        kp.remember(paillier.Ciphertext(value, kp.public), value % kp.public.n)
+        sizes.append(len(kp.plaintexts))
+    return sizes
+
+
+class TestPlaintextMemo:
+    """A key pair remembers the plaintexts of the ciphertexts it made or
+    decrypted, and decrypt_gradient reads them back."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=-(2**100), max_value=2**100), min_size=1, max_size=40),
+        key_bits=st.sampled_from([128, 256, 512]),
+    )
+    def test_remembered_plaintexts_are_the_decrypted_ones(self, values, key_bits):
+        kp = paillier.keygen(key_bits, seed=key_bits)
+        q = qz.QuantizedGradient(values=values, config=qz.QuantConfig())
+        eg = agg.encrypt_gradient(kp, q, random.Random(0))
+        assert {c.value: paillier.decrypt(kp, c) for c in eg.ciphertexts} == kp.plaintexts
+        assert agg.decrypt_gradient(kp, eg).values == values
+
+    def test_each_ciphertext_is_decrypted_once(self, monkeypatch):
+        kp = paillier.keygen(256, seed=5)
+        q = qz.QuantizedGradient(values=list(range(-21, 21)), config=qz.QuantConfig())
+        eg = agg.encrypt_gradient(kp.public, q, random.Random(0))
+        assert kp.plaintexts == {}
+        decrypted = []
+        decrypt = paillier.decrypt
+        monkeypatch.setattr(paillier, "decrypt", lambda k, c: decrypted.append(c.value) or decrypt(k, c))
+        for _ in range(3):
+            assert agg.decrypt_gradient(kp, eg).values == q.values
+        assert decrypted == [c.value for c in eg.ciphertexts]
+
+    def test_another_key_is_refused_whatever_the_memo_holds(self):
+        kp, other = paillier.keygen(128, seed=3), paillier.keygen(256, seed=3)
+        q = qz.QuantizedGradient(values=[5], config=qz.QuantConfig())
+        [mine] = agg.encrypt_gradient(kp, q, random.Random(0)).ciphertexts
+        assert mine.value in kp.plaintexts
+        # the same value under another key, which the memo must not answer for
+        foreign = agg.EncryptedGradient([paillier.Ciphertext(mine.value, other.public)], q.config, 1)
+        with pytest.raises(KeyMismatch, match="different key"):
+            agg.decrypt_gradient(kp, foreign)
+
+    def test_the_memo_never_outgrows_its_bound(self):
+        kp = paillier.keygen(128, seed=4)
+        bound = paillier.PLAINTEXT_MEMO_BOUND
+        sizes = _fill_memo(kp, 2 * bound + 3)
+        assert max(sizes) == bound
+        # a full memo is emptied before the next entry
+        assert sizes[bound - 1 : bound + 1] == [bound, 1] and sizes[-1] == 3
+
+    def test_a_full_memo_is_not_pickled_compared_or_shown(self):
+        kp = paillier.keygen(128, seed=6)
+        fresh = dataclasses.replace(kp)  # the same key, its memo empty
+        _fill_memo(kp, paillier.PLAINTEXT_MEMO_BOUND)
+        assert len(kp.plaintexts) == paillier.PLAINTEXT_MEMO_BOUND and fresh.plaintexts == {}
+        assert pickle.dumps(kp) == pickle.dumps(fresh)
+        assert kp == fresh and hash(kp) == hash(fresh) and repr(kp) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(kp))
+        assert copy == kp and copy.plaintexts == {}
+        _fill_memo(copy, 1)
+        assert copy.plaintexts == {1: 1}
 
 
 class TestHomomorphism:

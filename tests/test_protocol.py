@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import pickle
 import socket
 import sys
 import time
@@ -13,7 +14,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from fedboost import aggregate as agg
-from fedboost import nn, paillier, protocol
+from fedboost import nn, paillier, protocol, runner
 from fedboost import quantize as qz
 from fedboost.config import ClientSpec, ExperimentConfig, two_client_noniid
 from fedboost.datasets import DatasetSplit, GaussianSpec, LabeledData, generate_client_dataset, split
@@ -1168,6 +1169,89 @@ class TestClientSession:
         assert (slots, ciphertexts) == (2, 21)
         assert decrypts[2, MessageKind.MERGED_GRADIENT] == 0
         assert decrypts[1, MessageKind.MERGED_GRADIENT] == ciphertexts
+
+    def test_a_loopback_cohort_decrypts_each_ciphertext_once(self, monkeypatch, tmp_path):
+        """In-thread clients and the runner's scoring share the key pair: the
+        clients decrypt each fused model once between them, and the scoring
+        reads the merged gradient that client 1 decrypted. The artifacts are
+        those of a TCP run, whose clients and runner share nothing."""
+        decrypts, scoring = Counter(), []
+        decrypt, score = paillier.decrypt, runner._protocol_records
+
+        def counted(kp, c):
+            decrypts["scoring" if scoring else "protocol"] += 1
+            return decrypt(kp, c)
+
+        def scored(*args):
+            scoring.append(True)
+            try:
+                return score(*args)
+            finally:
+                scoring.pop()
+
+        monkeypatch.setattr(paillier, "decrypt", counted)
+        monkeypatch.setattr(runner, "_protocol_records", scored)
+        artifacts = {}
+        for transport in ("loopback", "tcp"):
+            out = tmp_path / transport
+            cfg = ExperimentConfig(
+                clients=two_client_noniid(200, master_seed=8),
+                rounds=1,
+                master_seed=8,
+                aggregator="fedboosting",
+                encryption="he_dp",
+                key_bits=256,
+                transport=transport,
+                out_dir=str(out),
+            )
+            decrypts.clear()
+            run_experiment(cfg)
+            records = json.loads((out / "records.json").read_text())
+            for rec in records:
+                del rec["durations"]
+            artifacts[transport] = (
+                (out / "metrics.csv").read_bytes(),
+                (out / "model.json").read_bytes(),
+                records,
+            )
+            if transport == "loopback":
+                # 2 fused models and client 1's final gradient, 21 ciphertexts each
+                assert decrypts == {"protocol": (cfg.n_clients + 1) * 21}
+            else:
+                # TCP clients decrypt in their own processes, with their own copies of the key
+                assert decrypts == {"scoring": 21}
+        assert artifacts["loopback"] == artifacts["tcp"]
+
+    def test_he_cross_validation_decrypts_only_the_peer_upload(self, monkeypatch):
+        """Under he the server relays the raw uploads; a client reads its own
+        back from its key pair's memo, on TCP too, where no peer shares it."""
+        settings = make_settings(encryption="he", rounds=1)
+        keypair = cohort_key(settings)
+        # each session holds its own copy of the key pair, as in a TCP client process
+        sessions = [
+            ClientSession(settings, cid, client_split(cid), pickle.loads(pickle.dumps(keypair)))
+            for cid in (1, 2)
+        ]
+        uploads = []
+        for session in sessions:
+            session.handle(_round_one(settings))
+            [reply] = [decode_message(*r) for r in session.upload()]
+            uploads.append(reply.payload["gradient"])
+        values = [
+            [c.value for c in protocol.read_gradient(u, keypair.public, 42, settings.quant).ciphertexts]
+            for u in uploads
+        ]
+        decrypted = []
+        decrypt = paillier.decrypt
+        monkeypatch.setattr(paillier, "decrypt", lambda kp, c: decrypted.append(c.value) or decrypt(kp, c))
+        fused = Message(MessageKind.FUSED_GRADIENT, 1, {"models": uploads})
+        [reply] = sessions[0].handle(fused)
+        assert decrypted == values[1]
+        # the same losses as with an empty memo, which decrypts both uploads
+        sessions[0].keypair.plaintexts.clear()
+        decrypted.clear()
+        assert sessions[0].handle(fused) == [reply]
+        assert decrypted == values[0] + values[1]
 
     def test_final_before_last_round_rejected(self):
         settings = make_settings(rounds=3)
