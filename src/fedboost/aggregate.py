@@ -29,8 +29,10 @@ its neighbour, and the packed sum stays below 2^(w*s - 1) <= n/2.
 A key pair decrypts each ciphertext once: :func:`encrypt_gradient` and
 :func:`decrypt_gradient` record every plaintext in its memo, which
 decrypt_gradient reads after the key check. The in-thread cohort and the
-runner share one key pair, and a client under ``he`` reads its own relayed
-upload back. A plaintext is a function of key and ciphertext: no output changes.
+runner share one key pair, so a loopback client reads a peer's upload and a
+fused model another client decrypted first, and the runner the merged gradient
+client 1 decrypted. A plaintext is a function of key and ciphertext: no output
+changes.
 """
 
 from __future__ import annotations

@@ -268,11 +268,23 @@ def int_to_b64(x: int, width: int) -> str:
     return base64.b64encode(x.to_bytes(width, "big")).decode()
 
 
+def b64_to_bytes(text: str) -> bytes:
+    """The bytes whose canonical base64 is ``text``; any other string,
+    padding bits set included, or a non-string is a ValueError."""
+    try:
+        raw = base64.b64decode(text, validate=True) if isinstance(text, str) else None
+    except ValueError:  # a character outside the alphabet, bad padding, non-ASCII text
+        raw = None
+    if raw is None or base64.b64encode(raw).decode() != text:
+        raise ValueError(f"not canonical base64: {text!r:.60}")
+    return raw
+
+
 def b64_to_int(text: str, width: int) -> int:
     """The integer :func:`int_to_b64` spells as ``text`` at ``width``; any
-    other string, padding bits set included, is a ValueError."""
-    raw = base64.b64decode(text, validate=True) if isinstance(text, str) else b""
-    if len(raw) != width or base64.b64encode(raw).decode() != text:
+    other string is a ValueError."""
+    raw = b64_to_bytes(text)
+    if len(raw) != width:
         raise ValueError(f"not canonical base64 of {width} bytes: {text!r:.60}")
     return int.from_bytes(raw, "big")
 

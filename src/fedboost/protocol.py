@@ -2,34 +2,40 @@
 
 Flow per round: the server broadcasts the previous merged gradient (round 1:
 nothing, as every client starts from the initial model), every client trains
-locally and uploads its gradient with its training loss, the server builds
-per-model cross-validation payloads (perturbed under homomorphic ops when
-fusion is on), clients return validation losses, the server computes
-aggregation weights and merges. A TCP client trains alone as soon as the
-broadcast reaches it; the in-thread loopback cohort trains all its clients in
-one stacked step when the server first waits for an upload. After the last
-round the server sends every client the merged result; client 1 alone
+locally and uploads its gradient with its training loss, the server sends
+every client the candidate models to cross-validate (perturbed under
+homomorphic ops when fusion is on), clients return validation losses, the
+server computes aggregation weights and merges. A TCP client trains alone as
+soon as the broadcast reaches it; the in-thread loopback cohort trains all its
+clients in one stacked step when the server first waits for an upload. After
+the last round the server sends every client the merged result; client 1 alone
 decrypts it and answers with the final weights, since the server never holds
 the key pair, and the others check it and end. Every client of an encrypted
 cohort holds that key pair from the start, handed over out of band; client 1
 offers the server its public key, and no frame carries the secret one.
 
-Wire bodies are canonical JSON (alphabetical keys, compact separators); big
-integers travel as canonical base64 of a fixed number of big-endian bytes, and
-floats as shortest round-trip decimals, so transcripts are byte-reproducible
-across transports. A frame carries only what its channel and the receiver's
-config cannot give: its body is ``{"payload", "round"}``, as the endpoint it
-arrives on names the peer; round 1's broadcast payload is ``{}``, as every
-client derives the initial model, ``nn.init_params(derive_seed(master_seed,
-"init"), layout)``; a plain gradient is ``{"values"}``, an encrypted one
-``{"ciphertexts", "key"}`` and the key offer ``{"n"}``. Every party takes the
-entry count, scale exponent, piece count and key size from its config, so the
-byte width of ``n`` and of each ciphertext too; ``key``, the public key's
+Wire bodies are canonical JSON (alphabetical keys, compact separators), so
+transcripts are byte-reproducible across transports. Every number travels as
+canonical base64 of a byte count the reader takes from its config, and any
+other string is refused: a big integer as fixed-width big-endian bytes, a
+float vector as 8 bytes of big-endian float64 per entry, never NaN or
+infinity. A frame carries only what its channel and the receiver's config
+cannot give: its body is ``{"payload", "round"}``, as the endpoint it arrives
+on names the peer. KEY_OFFER is ``{"n"}``; GLOBAL_GRADIENT is ``{}`` in round
+1, as every client derives the initial model, ``nn.init_params(derive_seed(
+master_seed, "init"), layout)``, and ``{"gradient"}`` later, as is
+MERGED_GRADIENT; TRAIN_RESULT is ``{"gradient", "train_loss"}``; FUSED_GRADIENT
+``{"models"}`` holds client k's peers' uploads in id order under ``none`` and
+``he``, as it holds its own, and all N fused models under ``he_dp``;
+EVAL_RESULT ``{"values"}`` holds a loss per client in id order, FINAL_MODEL
+``{"weights"}`` the final model. A plain gradient is ``{"values"}`` and an
+encrypted one ``{"ciphertexts", "key"}``; ``key``, the public key's
 fingerprint, tells a gradient under another key.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -125,29 +131,29 @@ def derive_seed(master: int, *tags) -> int:
 def _field(payload, name: str, kind):
     """payload[name], or ProtocolViolation when it is missing or not of ``kind``."""
     value = payload.get(name) if isinstance(payload, dict) else None
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise ProtocolViolation(f"payload field {name!r} is missing or mistyped")
     return value
 
 
-def _vector(payload, name: str, length: int | None = None) -> np.ndarray:
-    """A list of finite numbers, of ``length`` entries when given."""
-    values = _field(payload, name, list)
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
-        raise ProtocolViolation(f"payload field {name!r} is not a list of numbers")
-    if length is not None and len(values) != length:
-        raise ProtocolViolation(
-            f"payload field {name!r} has {len(values)} entries, expected {length}"
-        )
-    return _finite(values, name)
+def floats_to_b64(values) -> str:
+    """Canonical base64 of ``values`` as big-endian float64, 8 bytes each."""
+    return base64.b64encode(np.asarray(values, dtype=">f8").tobytes()).decode()
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """``values``, numbers read from payload field ``name``, as finite floats."""
+def read_floats(payload, name: str, entries: int) -> np.ndarray:
+    """Payload field ``name`` as ``entries`` finite floats, read from the
+    text :func:`floats_to_b64` writes for them and from no other string."""
     try:
-        vector = np.array(values, dtype=np.float64)
-    except OverflowError:  # json reads integers of any size
-        raise ProtocolViolation(f"payload field {name!r} has entries beyond float range") from None
+        raw = paillier.b64_to_bytes(_field(payload, name, str))
+    except ValueError as exc:
+        raise ProtocolViolation(f"payload field {name!r} is {exc}") from None
+    if len(raw) != 8 * entries:
+        raise ProtocolViolation(
+            f"payload field {name!r} has {len(raw) / 8:g} entries, expected {entries}"
+        )
+    vector = np.frombuffer(raw, dtype=">f8").astype(np.float64)
+    # float64 bits can spell NaN and infinity
     if not np.all(np.isfinite(vector)):
         raise ProtocolViolation(f"payload field {name!r} has non-finite entries")
     return vector
@@ -155,7 +161,7 @@ def _finite(values, name: str) -> np.ndarray:
 
 def gradient_to_payload(g) -> dict:
     if isinstance(g, np.ndarray):
-        return {"values": [float(x) for x in g]}
+        return {"values": floats_to_b64(g)}
     if isinstance(g, agg.EncryptedGradient):
         public_key = g.ciphertexts[0].public
         width = paillier.byte_width(2 * public_key.key_bits)
@@ -174,7 +180,7 @@ def read_gradient(
     ciphertexts under it, quantized with ``quant``. The receiver takes
     ``entries`` and ``quant`` from its config."""
     if public_key is None:
-        return _vector(payload, "values", entries)
+        return read_floats(payload, "values", entries)
     texts = _field(payload, "ciphertexts", list)
     if _field(payload, "key", str) != public_key.fingerprint:
         raise KeyMismatch("gradient is encrypted under a different key")
@@ -223,6 +229,8 @@ class ClientSession:
         self.round = 0
         self.done = False
         self.pending = False
+        # the plaintext of this client's latest upload, whose candidate it scores itself
+        self._own: np.ndarray | qz.QuantizedGradient | None = None
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
 
     # -- key offer --
@@ -258,19 +266,15 @@ class ClientSession:
                 )
             if not (np.all(np.isfinite(result.gradient)) and math.isfinite(result.training_loss)):
                 raise NonFiniteInput(f"local training diverged in round {self.round}")
+            upload = self._own = result.gradient
             if s.encrypted:
+                self._own = qz.quantize(result.gradient, s.quant)
                 upload = agg.encrypt_gradient(
-                    self.keypair,
-                    qz.quantize(result.gradient, s.quant),
-                    self._nonce_rng,
-                    s.n_clients,
-                    s.quant.pieces,
+                    self.keypair, self._own, self._nonce_rng, s.n_clients, s.quant.pieces
                 )
-            else:
-                upload = result.gradient
             payload = {
                 "gradient": gradient_to_payload(upload),
-                "train_loss": float(result.training_loss),
+                "train_loss": floats_to_b64([result.training_loss]),
             }
             return [Message(MessageKind.TRAIN_RESULT, self.round, payload)]
 
@@ -278,11 +282,11 @@ class ClientSession:
 
     def evaluate_fused(self, fused_payload: dict) -> float:
         """Validation loss of one candidate model on the local validation set."""
-        if self.round == 0:
-            raise ProtocolViolation("cross-validation before any training round")
         # under he the server relays the raw uploads; under he_dp it fuses them
         raw = self.settings.encryption == "he"
-        candidate = self._stepped(fused_payload, self.settings.quant.pieces if raw else 1)
+        return self._score(self._stepped(fused_payload, self.settings.quant.pieces if raw else 1))
+
+    def _score(self, candidate: nn.ModelParams) -> float:
         loss, _acc = nn.evaluate(candidate, self.split.validation)
         return float(loss)
 
@@ -324,13 +328,26 @@ class ClientSession:
             self.round, self.pending = msg.round, True
             return []
         if msg.kind == MessageKind.FUSED_GRADIENT:
+            if self.round == 0:
+                raise ProtocolViolation("cross-validation before any training round")
+            if self.pending:
+                raise ProtocolViolation(f"cross-validation before the upload of round {self.round}")
+            # under he_dp every model is fused; else the server relays the
+            # peers' uploads only, as this client holds its own
+            holds_own = self.settings.encryption != "he_dp"
+            expected = self.settings.n_clients - 1 if holds_own else self.settings.n_clients
             models = _field(msg.payload, "models", list)
-            if len(models) != self.settings.n_clients:
+            if len(models) != expected:
                 raise ProtocolViolation(
-                    f"{len(models)} models to cross-validate, expected {self.settings.n_clients}"
+                    f"{len(models)} models to cross-validate, expected {expected}"
                 )
             values = [self.evaluate_fused(p) for p in models]
-            return [Message(MessageKind.EVAL_RESULT, msg.round, {"values": values})]
+            if holds_own:
+                # under he, what a peer decrypts from the upload, P pieces per unit
+                own = qz.dequantize(self._own) if self.settings.encrypted else self._own
+                values.insert(self.client_id - 1, self._score(nn.apply_gradient(self.weights, own)))
+            payload = {"values": floats_to_b64(values)}
+            return [Message(MessageKind.EVAL_RESULT, msg.round, payload)]
         if msg.kind == MessageKind.MERGED_GRADIENT:
             if self.round != self.settings.rounds:
                 raise ProtocolViolation(
@@ -343,7 +360,7 @@ class ClientSession:
                 public = self.keypair.public if self.keypair else None
                 read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
                 return []
-            weights = {"weights": [float(x) for x in self._stepped(merged).values]}
+            weights = {"weights": floats_to_b64(self._stepped(merged).values)}
             return [Message(MessageKind.FINAL_MODEL, msg.round, weights)]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
@@ -472,14 +489,15 @@ class ServerRunResult:
     merged_gradients: list[dict]
 
 
-def _send(endpoints, kind: MessageKind, round_no: int, payload: dict) -> None:
-    """Encode one server message once and send it to every client, in id
-    order. A failed send is a RoundAborted naming the client; an ABORT goes to
-    every client that can still take it."""
-    frame = encode_message(Message(kind, round=round_no, payload=payload))
+def _send(endpoints, kind: MessageKind, round_no: int, payload) -> None:
+    """Send one server message to every client, in id order: ``payload``,
+    encoded once, or ``payload(cid)``, each client's own. A failed send is a
+    RoundAborted naming the client; an ABORT goes to every client that can
+    still take it."""
+    frame = None if callable(payload) else encode_message(Message(kind, round_no, payload))
     for cid in sorted(endpoints):
         try:
-            endpoints[cid].send(*frame)
+            endpoints[cid].send(*(frame or encode_message(Message(kind, round_no, payload(cid)))))
         except TransportError as exc:
             if kind != MessageKind.ABORT:
                 raise RoundAborted(
@@ -491,12 +509,12 @@ def _read_upload(payload, public_key, settings: ExperimentConfig):
     """A TRAIN_RESULT's gradient, checked but not decrypted, and training loss."""
     gradient = _field(payload, "gradient", dict)
     gradient = read_gradient(gradient, public_key, settings.layout.size, settings.quant)
-    return gradient, _finite([_field(payload, "train_loss", (int, float))], "train_loss")[0]
+    return gradient, read_floats(payload, "train_loss", 1)[0]
 
 
 def _read_losses(payload, n: int) -> np.ndarray:
     """An EVAL_RESULT's n validation losses."""
-    values = _vector(payload, "values", n)
+    values = read_floats(payload, "values", n)
     if np.any(values < 0):
         raise ProtocolViolation("payload field 'values' has negative losses")
     return values
@@ -508,7 +526,8 @@ def _expect(
 ):
     """``read(payload, *args)`` of the next frame from client ``cid``, which
     must be a ``kind`` of ``round_no``. Any ProtocolViolation, KeyMismatch or
-    WeakKey raised decoding or reading the frame names the client."""
+    WeakKey raised decoding or reading the frame names the client, the kind
+    and the round."""
     try:
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
     except TransportError as exc:
@@ -522,7 +541,7 @@ def _expect(
         if msg.kind == kind and msg.round == round_no:
             return read(msg.payload, *args)
     except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
-        raise type(exc)(f"client {cid}: {exc}") from exc
+        raise type(exc)(f"client {cid}: {exc} ({kind.name}, round {round_no})") from exc
     if msg.kind == MessageKind.ABORT:
         raise RoundAborted(f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}")
     if msg.kind != kind:
@@ -583,13 +602,19 @@ def server_run(
             validation = None
             if settings.aggregator == "fedboosting":
                 phase_start = time.monotonic()
-                # the models the clients score, fused when DP is on
-                models = gradients
                 if settings.encryption == "he_dp":
+                    # the fused models are no uploads: every client scores all N
                     pieces = settings.quant.pieces
-                    models = agg.dp_fuse(public_key, gradients, settings.p_hat, pieces)
-                models = [gradient_to_payload(g) for g in models]
-                _send(endpoints, MessageKind.FUSED_GRADIENT, r, {"models": models})
+                    fused = agg.dp_fuse(public_key, gradients, settings.p_hat, pieces)
+                    payload = {"models": [gradient_to_payload(g) for g in fused]}
+                else:
+                    # a client holds its own upload, so it gets its peers' only
+                    uploads = [gradient_to_payload(g) for g in gradients]
+
+                    def payload(cid):
+                        return {"models": uploads[: cid - 1] + uploads[cid:]}
+
+                _send(endpoints, MessageKind.FUSED_GRADIENT, r, payload)
                 # column j holds every candidate model's loss on client j + 1's data
                 validation = np.empty((n, n))
                 for cid in clients:
@@ -626,7 +651,7 @@ def server_run(
         _send(endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
         final_values = _expect(
             settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript,
-            _vector, "weights", settings.layout.size,
+            read_floats, "weights", settings.layout.size,
         )
         final = nn.ModelParams(final_values, settings.layout)
         return ServerRunResult(final, records, merged_gradients)

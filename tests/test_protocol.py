@@ -1,8 +1,10 @@
 import base64
 import dataclasses
 import json
+import math
 import pickle
 import socket
+import struct
 import sys
 import time
 from collections import Counter
@@ -41,7 +43,14 @@ from fedboost.protocol import (
 from fedboost.runner import build_splits, run_experiment
 from fedboost.transport import TcpEndpoint, decode_frame, encode_frame
 
+from test_paillier import _other_spellings
+
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
+
+def b64(*values: float) -> str:
+    """``values`` as the wire spells a float vector."""
+    return protocol.floats_to_b64(values)
 
 
 def client_split(seed: int, n_each: int = 60) -> DatasetSplit:
@@ -203,7 +212,7 @@ class TestGradientPayloads:
     def test_plain_roundtrip(self):
         g = np.array([0.5, -1.25, 3.0])
         payload = protocol.gradient_to_payload(g)
-        assert payload == {"values": [0.5, -1.25, 3.0]}
+        assert payload == {"values": _b64_bytes(struct.pack(">3d", 0.5, -1.25, 3.0))}
         quant = qz.QuantConfig()
         assert np.array_equal(protocol.decode_gradient_payload(payload, None, 3, quant), g)
 
@@ -269,12 +278,37 @@ def _numbers():
     )
 
 
+def _b64_bytes(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+def _float_vectors(entries: int):
+    """Wire float vectors, valid or not: base64 of ``entries`` float64s of any
+    bits, NaN and infinity included, or of another byte count; the right
+    bytes in the URL-safe alphabet or with a stray character; decimal lists,
+    as floats travelled before, and other JSON."""
+    any_bits = st.binary(min_size=8 * entries, max_size=8 * entries)
+    return st.one_of(
+        st.lists(st.floats(), min_size=entries, max_size=entries).map(protocol.floats_to_b64),
+        any_bits.map(_b64_bytes),
+        st.binary(max_size=8 * entries + 9).map(_b64_bytes),
+        any_bits.map(lambda raw: base64.urlsafe_b64encode(raw).decode()),
+        st.builds(
+            lambda text, at, c: text[:at] + c + text[at:],
+            any_bits.map(_b64_bytes),
+            st.integers(0, 12 * entries),
+            st.sampled_from([" ", "\n", "=", "-", "\u00e9"]),
+        ),
+        st.lists(st.one_of(st.floats(), _numbers()), max_size=entries + 1),
+        JSON_VALUES,
+    )
+
+
 def _gradient_payloads(pk: paillier.PublicKey, entries: int):
     """JSON-shaped gradient payloads: good ones, ones with one bad entry,
     wrong counts, and fields missing, mistyped or extra."""
     width = paillier.byte_width(2 * pk.key_bits)
     good_b64 = st.integers(1, pk.n_squared - 1).map(lambda c: paillier.int_to_b64(c, width))
-    good_float = st.floats(allow_nan=False, allow_infinity=False)
 
     def lists(good, bad):
         return st.one_of(
@@ -290,7 +324,7 @@ def _gradient_payloads(pk: paillier.PublicKey, entries: int):
         )
 
     ciphertexts = lists(good_b64, _ciphertexts(pk))
-    values = lists(good_float, _numbers())
+    values = _float_vectors(entries)
     payloads = st.one_of(
         st.fixed_dictionaries({"ciphertexts": ciphertexts, "key": st.just(pk.fingerprint)}),
         st.fixed_dictionaries({"ciphertexts": ciphertexts, "key": _keys(pk)}),
@@ -338,6 +372,75 @@ class TestPayloadDecodersFuzz:
         except self.REFUSALS:
             return
         assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
+
+
+# every float vector a reader takes, with the entry count its config gives
+FLOAT_FIELDS = {"values": FUZZ_ENTRIES, "weights": FUZZ_ENTRIES, "train_loss": 1}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFloatCodecFuzz:
+    """Every float vector on the wire is canonical base64 of big-endian
+    float64s, as ``floats_to_b64`` writes it. ``read_floats`` takes the entry
+    count from the reader's config, returns that many finite floats bit for
+    bit, and refuses anything else with a ProtocolViolation."""
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(sorted(FLOAT_FIELDS)))
+    def test_any_json_value_decodes_or_is_refused(self, data, field):
+        entries = FLOAT_FIELDS[field]
+        value = data.draw(st.one_of(_float_vectors(entries), JSON_VALUES))
+        # through the JSON codec, as a peer's payload arrives
+        payload = json.loads(json.dumps({field: value}))
+        try:
+            vector = protocol.read_floats(payload, field, entries)
+        except ProtocolViolation:
+            return
+        assert vector.dtype == np.float64 and vector.shape == (entries,)
+        assert np.all(np.isfinite(vector))
+        assert protocol.floats_to_b64(vector) == value
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(FINITE, max_size=50))
+    # signed zeros, the smallest subnormal and normal, and the largest magnitude
+    @example(xs=[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max])
+    @example(xs=[-sys.float_info.max])
+    def test_finite_vectors_round_trip_bit_for_bit(self, xs):
+        text = protocol.floats_to_b64(xs)
+        assert len(text) == 4 * math.ceil(8 * len(xs) / 3)
+        vector = protocol.read_floats({"weights": text}, "weights", len(xs))
+        assert vector.tobytes() == np.array(xs, dtype=np.float64).tobytes()
+
+    @hypothesis_settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        field=st.sampled_from(sorted(FLOAT_FIELDS)),
+        negative=st.booleans(),
+        mantissa=st.integers(0, 2**52 - 1),
+    )
+    def test_nan_and_infinity_bits_are_refused(self, data, field, negative, mantissa):
+        entries = FLOAT_FIELDS[field]
+        # exponent all ones: infinity for mantissa 0, else a NaN
+        bits = negative << 63 | 0x7FF << 52 | mantissa
+        finite = data.draw(st.lists(FINITE, min_size=entries, max_size=entries))
+        raw = bytearray(np.array(finite, ">f8").tobytes())
+        at = 8 * data.draw(st.integers(0, entries - 1))
+        raw[at : at + 8] = bits.to_bytes(8, "big")
+        with pytest.raises(ProtocolViolation, match=f"^payload field '{field}' has non-finite entries$"):
+            protocol.read_floats({field: _b64_bytes(bytes(raw))}, field, entries)
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(sorted(FLOAT_FIELDS)))
+    def test_every_other_spelling_is_refused(self, data, field):
+        entries = FLOAT_FIELDS[field]
+        text = protocol.floats_to_b64(data.draw(st.lists(FINITE, min_size=entries, max_size=entries)))
+        for bad in _other_spellings(text, 8 * entries, data.draw):
+            with pytest.raises(ProtocolViolation, match=f"^payload field '{field}' "):
+                protocol.read_floats({field: bad}, field, entries)
+        # the right spelling of one entry fewer or more
+        for other in (entries - 1, entries + 1):
+            with pytest.raises(ProtocolViolation, match=f"has {other} entries, expected {entries}$"):
+                protocol.read_floats({field: protocol.floats_to_b64([0.5] * other)}, field, entries)
 
 
 class Recorder:
@@ -404,15 +507,26 @@ class TestWireShape:
                 payloads = [msg.payload["gradient"]] if "gradient" in msg.payload else []
             for payload in payloads:
                 assert set(payload) == shape, msg.kind.name
-                if keypair is not None:
+                if keypair is None:
+                    # 42 float64s, 336 bytes
+                    assert len(payload["values"]) == 448
+                else:
                     assert payload["key"] == keypair.public.fingerprint
                     assert len(payload["key"]) == 12
                     assert {len(c) for c in payload["ciphertexts"]} == {44}
             gradients[msg.kind.name] += len(payloads)
-        # round 2's broadcast, 2 rounds of uploads and of 2 models to score per
-        # client, and the merged gradient to both clients
+        # every other float is base64 of float64s: one training loss, a
+        # loss per client, the final model's 42 weights
+        widths = {"train_loss": 12, "values": 24, "weights": 448}
+        for msg in messages:
+            for name in widths.keys() & msg.payload.keys():
+                assert len(msg.payload[name]) == widths[name], msg.kind.name
+        # round 2's broadcast, 2 rounds of uploads and of the models to score
+        # per client, and the merged gradient to both clients; a client holds
+        # its own upload, so only he_dp's fused models number N per client
+        models = 8 if encryption == "he_dp" else 4
         assert gradients == Counter(
-            GLOBAL_GRADIENT=2, TRAIN_RESULT=4, FUSED_GRADIENT=8, MERGED_GRADIENT=2
+            GLOBAL_GRADIENT=2, TRAIN_RESULT=4, FUSED_GRADIENT=models, MERGED_GRADIENT=2
         )
         offers = [m.payload for m in messages if m.kind == MessageKind.KEY_OFFER]
         if keypair is None:
@@ -446,6 +560,61 @@ def _run_and_summarize(settings):
     result = run_loopback(settings, [client_split(1), client_split(2)])
     rounds = [(r.train_losses, r.validation, r.weights) for r in result.rounds]
     return result.final_weights.values.tolist(), rounds
+
+
+class TestNoSelfRelay:
+    """Under none and he a client holds its own upload, so the server sends it
+    its N - 1 peers' uploads only and the client scores its own from what it
+    uploaded; under he_dp the fused models are no uploads, and every client
+    scores all N. Either way the validation matrix is the one a client that
+    scores every candidate from the wire gives."""
+
+    @pytest.mark.parametrize("n_clients", [2, 3])
+    @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+    def test_validation_matrix_equals_scoring_every_candidate(self, encryption, n_clients):
+        settings = make_settings(n_clients, encryption=encryption, key_bits=256, rounds=2)
+        keypair = cohort_key(settings)
+        splits = [client_split(cid) for cid in range(1, n_clients + 1)]
+        sessions = [ClientSession(settings, cid, sp, keypair) for cid, sp in enumerate(splits, 1)]
+        endpoints = {
+            cid: Recorder(endpoint) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
+        }
+        result = server_run(settings, endpoints)
+
+        def decoded(payload, pieces):
+            quant = qz.QuantConfig(settings.quant.scale_exponent, pieces)
+            return protocol.decode_gradient_payload(payload, keypair, settings.layout.size, quant)
+
+        def sent(cid, kind):
+            return [m for m in endpoints[cid].messages if m.kind == kind]
+
+        weights = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
+        for r, record in enumerate(result.rounds):
+            fused = [sent(cid, MessageKind.FUSED_GRADIENT)[r].payload["models"] for cid in endpoints]
+            if encryption == "he_dp":
+                assert all(models == fused[0] for models in fused)
+                candidates = [decoded(m, 1) for m in fused[0]]
+            else:
+                uploads = [sent(cid, MessageKind.TRAIN_RESULT)[r].payload["gradient"] for cid in endpoints]
+                # client k gets every upload but its own, in id order
+                assert fused == [uploads[: k - 1] + uploads[k:] for k in endpoints]
+                raw = settings.quant.pieces if encryption == "he" else 1
+                candidates = [decoded(u, raw) for u in uploads]
+            # entry (i, j): candidate i on client j's validation set
+            expected = [
+                [nn.evaluate(nn.apply_gradient(weights, g), sp.validation)[0] for sp in splits]
+                for g in candidates
+            ]
+            assert record.validation == expected
+            weights = nn.apply_gradient(weights, decoded(result.merged_gradients[r], 1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_he_dp_runs_complete_with_finite_losses(self, seed):
+        settings = make_settings(encryption="he_dp", key_bits=256, rounds=2, master_seed=seed)
+        result = run_loopback(settings, [client_split(seed + 1), client_split(seed + 2)])
+        losses = [x for r in result.rounds for x in r.train_losses + sum(r.validation, [])]
+        assert len(result.rounds) == 2 and np.all(np.isfinite(losses))
+        assert np.all(np.isfinite(result.final_weights.values))
 
 
 class TestStaleWireFields:
@@ -567,7 +736,7 @@ class TestMalformedPayloads:
         "kind, round_no, payload, cause",
         [
             (MessageKind.GLOBAL_GRADIENT, 2, {}, "'gradient' is missing"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": [0.0] * 42}}, "'ciphertexts' is missing"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": b64(*[0.0] * 42)}}, "'ciphertexts' is missing"),
             (
                 MessageKind.GLOBAL_GRADIENT,
                 2,
@@ -576,9 +745,10 @@ class TestMalformedPayloads:
             ),
             (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "ciphertexts": [7] * 21}}, "malformed"),
             (MessageKind.FUSED_GRADIENT, 1, {}, "'models' is missing"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED]}, "1 models to cross-validate"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {"key": _PACKED["key"]}]}, "'ciphertexts' is missing"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED, {**_PACKED, "key": 1}]}, "'key' is missing"),
+            # client 2 of 2 holds its own upload, so it scores its one peer's
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED] * 2}, "2 models to cross-validate, expected 1"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [{"key": _PACKED["key"]}]}, "'ciphertexts' is missing"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "key": 1}]}, "'key' is missing"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
         ],
     )
@@ -586,6 +756,7 @@ class TestMalformedPayloads:
         settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
         session = ClientSession(settings, 2, client_split(2), _KEY256)
         session.handle(_round_one(settings))
+        session.upload()
         [reply] = server_says(in_thread(session), kind, round_no, payload)
         assert session.done
         assert reply.kind == MessageKind.ABORT
@@ -600,7 +771,8 @@ class TestMalformedPayloads:
         ],
     )
     def test_client_aborts_on_numbers_beyond_float_range(self, values):
-        # json reads an integer literal of any length; float() of it overflows
+        # json reads an integer literal of any length; floats travel as base
+        # 64 of float64 bytes, so no JSON number is a float vector
         settings = make_settings(rounds=2)
         session = ClientSession(settings, 2, client_split(2))
         session.handle(_round_one(settings))
@@ -610,19 +782,20 @@ class TestMalformedPayloads:
         assert session.done
         assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == (
-            "ProtocolViolation: payload field 'values' has entries beyond float range"
+            "ProtocolViolation: payload field 'values' is missing or mistyped"
         )
 
     @pytest.mark.parametrize("field", ["train_loss", "values", "weights"])
     def test_server_rejects_numbers_beyond_float_range(self, field):
         huge = 10**400
+        kind = {"train_loss": "TRAIN_RESULT", "values": "EVAL_RESULT", "weights": "FINAL_MODEL"}[field]
         # the final model's weights are read only after a fedavg round
         aggregator = "fedavg" if field == "weights" else "fedboosting"
         settings = make_settings(aggregator=aggregator, rounds=1)
         gradient = protocol.gradient_to_payload(np.zeros(42))
         endpoints = {}
         for cid in (1, 2):
-            upload = {"gradient": gradient, "train_loss": huge if field == "train_loss" else 0.5}
+            upload = {"gradient": gradient, "train_loss": huge if field == "train_loss" else b64(0.5)}
             messages = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
             if field == "values":
                 messages.append(Message(MessageKind.EVAL_RESULT, 1, {"values": [huge, 0.5]}))
@@ -630,26 +803,25 @@ class TestMalformedPayloads:
                 weights = [huge] + [0.0] * 41
                 messages.append(Message(MessageKind.FINAL_MODEL, 1, {"weights": weights}))
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
-        cause = f"client 1: payload field '{field}' .*beyond float range"
+        cause = rf"^client 1: payload field '{field}' is missing or mistyped \({kind}, round 1\)$"
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
 
     @pytest.mark.parametrize(
         "gradient, cause",
         [
-            ({"values": [0.0] * 41}, "client 1: payload field 'values' has 41 entries"),
-            ({"values": [float("nan")] * 42}, "client 1: payload field 'values' has non-finite"),
+            ({"values": b64(*[0.0] * 41)}, "client 1: payload field 'values' has 41 entries"),
+            ({"values": b64(*[float("nan")] * 42)}, "client 1: payload field 'values' has non-finite"),
             ({}, "client 1: payload field 'values' is missing"),
             # a packed upload into a plaintext cohort
-            (_PACKED, "client 1: payload field 'values' is missing or mistyped$"),
+            (_PACKED, r"client 1: payload field 'values' is missing or mistyped \(TRAIN_RESULT, round 1\)$"),
             (None, "client 1: payload field 'gradient' is missing"),
         ],
     )
     def test_server_rejects_malformed_plain_upload(self, gradient, cause):
         settings = make_settings(rounds=1)
-        # plain json.dumps: the canonical encoder refuses NaN, a peer need not
         body = json.dumps(
-            {"payload": {"gradient": gradient, "train_loss": 0.5}, "round": 1}
+            {"payload": {"gradient": gradient, "train_loss": b64(0.5)}, "round": 1}
         ).encode()
         upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
         endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
@@ -661,7 +833,10 @@ class TestMalformedPayloads:
         [
             (lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2}, "42 ciphertexts cannot hold"),
             # a plaintext upload into an encrypted cohort
-            (lambda p: {"values": [0.0] * 42}, "payload field 'ciphertexts' is missing or mistyped$"),
+            (
+                lambda p: protocol.gradient_to_payload(np.zeros(42)),
+                r"payload field 'ciphertexts' is missing or mistyped \(TRAIN_RESULT, round 1\)$",
+            ),
         ],
     )
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
@@ -669,7 +844,7 @@ class TestMalformedPayloads:
         source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         bad = tamper(_packed_payload(source.keypair, settings))
-        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": bad, "train_loss": 0.5})
+        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": bad, "train_loss": b64(0.5)})
         frames.append(encode_frame(*encode_message(upload)))
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
@@ -679,12 +854,9 @@ class TestMalformedPayloads:
     def test_server_rejects_non_finite_train_loss(self, aggregator):
         settings = make_settings(aggregator=aggregator, rounds=1)
         gradient = protocol.gradient_to_payload(np.zeros(42))
-        # plain json.dumps writes a bare NaN, which json.loads accepts
-        body = json.dumps(
-            {"payload": {"gradient": gradient, "train_loss": float("nan")}, "round": 1}
-        ).encode()
-        upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
-        endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
+        # float64 bits spell NaN, which the codec carries and the reader refuses
+        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": b64(math.nan)})
+        endpoints = {1: ReplayEndpoint([encode_frame(*encode_message(upload))]), 2: ReplayEndpoint([])}
         cause = "client 1: payload field 'train_loss' has non-finite entries"
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
@@ -694,8 +866,8 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         endpoints = {}
         for cid in (1, 2):
-            upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": 0.5})
-            scores = Message(MessageKind.EVAL_RESULT, 1, {"values": [-1.0, 0.5]})
+            upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": b64(0.5)})
+            scores = Message(MessageKind.EVAL_RESULT, 1, {"values": b64(-1.0, 0.5)})
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in (upload, scores)])
         with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
             server_run(settings, endpoints)
@@ -709,7 +881,7 @@ def _trained_alone(session: ClientSession, msg: Message) -> list[tuple[int, byte
 
 def _diverging_round_two(settings) -> Message:
     """Round two's broadcast of a plain gradient so large that training diverges."""
-    gradient = {"values": [1e308] * settings.layout.size}
+    gradient = protocol.gradient_to_payload(np.full(settings.layout.size, 1e308))
     return Message(MessageKind.GLOBAL_GRADIENT, round=2, payload={"gradient": gradient})
 
 
@@ -757,7 +929,7 @@ class TestInThreadCohort:
         for endpoint in endpoints.values():
             endpoint.send(*encode_message(_round_one(settings)))
             endpoint.recv()
-        round_two = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": [0.0] * 42}})
+        round_two = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": protocol.gradient_to_payload(np.zeros(42))})
         endpoints[1].send(*encode_message(_diverging_round_two(settings)))
         endpoints[2].send(*encode_message(round_two))
         abort = decode_message(*endpoints[1].recv())
@@ -903,7 +1075,7 @@ class TestServerAbortsEveryone:
                     m, payload=paillier.public_key_to_payload(paillier.keygen(64, seed=5).public)
                 ),
                 KeyMismatch,
-                "^client 1: offered a 64-bit key, expected 128$",
+                r"^client 1: offered a 64-bit key, expected 128 \(KEY_OFFER, round 0\)$",
                 id="offer_of_a_smaller_key",
             ),
             pytest.param(
@@ -931,28 +1103,29 @@ class TestServerAbortsEveryone:
                 MessageKind.TRAIN_RESULT,
                 lambda m: protocol.canonical_json({"payload": m.payload, "round": 1, "sender": 2}),
                 ProtocolViolation,
-                "^client 2: message body must carry payload/round$",
+                r"^client 2: message body must carry payload/round \(TRAIN_RESULT, round 1\)$",
                 id="stale_sender",
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
-                lambda m: dataclasses.replace(m, payload={**m.payload, "train_loss": "low"}),
+                # a decimal, as the loss travelled before the float codec
+                lambda m: dataclasses.replace(m, payload={**m.payload, "train_loss": 0.25}),
                 ProtocolViolation,
-                "^client 2: payload field 'train_loss' is missing or mistyped$",
+                r"^client 2: payload field 'train_loss' is missing or mistyped \(TRAIN_RESULT, round 1\)$",
                 id="mistyped_train_loss",
             ),
             pytest.param(
                 MessageKind.EVAL_RESULT,
-                lambda m: dataclasses.replace(m, payload={"values": [-1.0, 0.5]}),
+                lambda m: dataclasses.replace(m, payload={"values": b64(-1.0, 0.5)}),
                 ProtocolViolation,
-                "^client 2: payload field 'values' has negative losses$",
+                r"^client 2: payload field 'values' has negative losses \(EVAL_RESULT, round 1\)$",
                 id="negative_validation_loss",
             ),
             pytest.param(
                 MessageKind.FINAL_MODEL,
-                lambda m: dataclasses.replace(m, payload={"weights": [0.0]}),
+                lambda m: dataclasses.replace(m, payload={"weights": b64(0.0)}),
                 ProtocolViolation,
-                "^client 1: payload field 'weights' has 1 entries, expected 42$",
+                r"^client 1: payload field 'weights' has 1 entries, expected 42 \(FINAL_MODEL, round 1\)$",
                 id="final_model_of_another_size",
             ),
             # True == 1, so a bool would pass for client 1's frame of round 1
@@ -960,7 +1133,7 @@ class TestServerAbortsEveryone:
                 MessageKind.FINAL_MODEL,
                 lambda m: dataclasses.replace(m, round=True),
                 ProtocolViolation,
-                "^client 1: message body must carry payload/round$",
+                r"^client 1: message body must carry payload/round \(FINAL_MODEL, round 1\)$",
                 id="bool_round",
             ),
         ],
@@ -1001,14 +1174,14 @@ class TestServerAbortsEveryone:
         keypair, foreign = cohort_key(settings), paillier.keygen(settings.key_bits, seed=99)
         frames = {}
         for cid, key in ((1, keypair), (2, foreign)):
-            upload = {"gradient": _packed_payload(key, settings), "train_loss": 0.5}
+            upload = {"gradient": _packed_payload(key, settings), "train_loss": b64(0.5)}
             frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
         frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
         endpoints = {
             cid: ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
             for cid, messages in frames.items()
         }
-        cause = "^client 2: gradient is encrypted under a different key$"
+        cause = r"^client 2: gradient is encrypted under a different key \(TRAIN_RESULT, round 1\)$"
         with pytest.raises(KeyMismatch, match=cause) as err:
             server_run(settings, endpoints)
         self._assert_every_client_aborted(endpoints, err)
@@ -1101,16 +1274,30 @@ class TestClientSession:
         assert np.array_equal(session.weights.values, before)
 
     def test_eval_result_carries_full_row(self):
+        """Client 2 of 2 gets its one peer's model and scores its own upload
+        too: a loss per client, in id order."""
         settings = make_settings()
-        session, _initial, _ = self._trained_session(settings)
+        session, _initial, [upload] = self._trained_session(settings)
         fused = Message(
             MessageKind.FUSED_GRADIENT,
             round=1,
-            payload={"models": [protocol.gradient_to_payload(np.zeros(42)) for _ in range(2)]},
+            payload={"models": [protocol.gradient_to_payload(np.zeros(42))]},
         )
         replies = session.handle(fused)
         assert len(replies) == 1 and replies[0].kind == MessageKind.EVAL_RESULT
-        assert len(replies[0].payload["values"]) == 2
+        own = protocol.decode_gradient_payload(upload.payload["gradient"], None, 42, settings.quant)
+        own_loss, _acc = nn.evaluate(nn.apply_gradient(session.weights, own), session.split.validation)
+        expected = b64(session.evaluate_fused(fused.payload["models"][0]), own_loss)
+        assert replies[0].payload == {"values": expected}
+
+    def test_cross_validation_before_the_upload_is_refused(self):
+        settings = make_settings()
+        session = ClientSession(settings, 2, client_split(2))
+        session.handle(_round_one(settings))
+        models = [protocol.gradient_to_payload(np.zeros(42))]
+        [reply] = server_says(in_thread(session), MessageKind.FUSED_GRADIENT, 1, {"models": models})
+        assert session.done and reply.kind == MessageKind.ABORT
+        assert reply.payload["reason"] == "ProtocolViolation: cross-validation before the upload of round 1"
 
     def test_final_zero_gradient_keeps_weights(self):
         settings = make_settings(rounds=1)
@@ -1122,7 +1309,7 @@ class TestClientSession:
         )
         [final] = session.handle(merged)
         assert final.kind == MessageKind.FINAL_MODEL
-        assert final.payload["weights"] == session.weights.values.tolist()
+        assert final.payload["weights"] == b64(*session.weights.values)
 
     @pytest.mark.parametrize("client_id", [1, 2])
     def test_merged_gradient_ends_the_session(self, client_id):
@@ -1143,7 +1330,7 @@ class TestClientSession:
             return
         [final] = replies
         assert (final.kind, final.round) == (MessageKind.FINAL_MODEL, 1)
-        assert final.payload["weights"] == (session.weights.values + g).tolist()
+        assert final.payload["weights"] == b64(*(session.weights.values + g))
 
     def test_only_client_one_decrypts_the_final_gradient(self, monkeypatch):
         settings = make_settings(encryption="he_dp", rounds=1, key_bits=256)
@@ -1223,8 +1410,9 @@ class TestClientSession:
         assert artifacts["loopback"] == artifacts["tcp"]
 
     def test_he_cross_validation_decrypts_only_the_peer_upload(self, monkeypatch):
-        """Under he the server relays the raw uploads; a client reads its own
-        back from its key pair's memo, on TCP too, where no peer shares it."""
+        """Under he the server relays the peers' raw uploads only; a client
+        scores its own from the integers it encrypted, on TCP too, where no
+        peer shares its key pair, and whatever its memo holds."""
         settings = make_settings(encryption="he", rounds=1)
         keypair = cohort_key(settings)
         # each session holds its own copy of the key pair, as in a TCP client process
@@ -1244,14 +1432,17 @@ class TestClientSession:
         decrypted = []
         decrypt = paillier.decrypt
         monkeypatch.setattr(paillier, "decrypt", lambda kp, c: decrypted.append(c.value) or decrypt(kp, c))
-        fused = Message(MessageKind.FUSED_GRADIENT, 1, {"models": uploads})
+        fused = Message(MessageKind.FUSED_GRADIENT, 1, {"models": uploads[1:]})
         [reply] = sessions[0].handle(fused)
         assert decrypted == values[1]
-        # the same losses as with an empty memo, which decrypts both uploads
+        # the same losses with an empty memo, which decrypts the peer's upload again
         sessions[0].keypair.plaintexts.clear()
         decrypted.clear()
         assert sessions[0].handle(fused) == [reply]
-        assert decrypted == values[0] + values[1]
+        assert decrypted == values[1]
+        # and the own loss is the one the relayed upload would give
+        own = sessions[0].evaluate_fused(uploads[0])
+        assert protocol.read_floats(reply.payload, "values", 2)[0] == own
 
     def test_final_before_last_round_rejected(self):
         settings = make_settings(rounds=3)

@@ -197,6 +197,33 @@ class TestRunExperiment:
         assert loop_frames and loop_frames == tcp_frames
         assert np.array_equal(loop.final_params.values, tcp.final_params.values)
 
+    @pytest.mark.parametrize("encryption", ["none", "he"])
+    def test_tcp_clients_score_their_own_upload_as_in_thread_ones(self, monkeypatch, encryption):
+        """No client is sent its own upload under none and he: a TCP client
+        scores it from what it uploaded, with its own copy of the key pair,
+        and the run's frames are those of the in-thread cohort."""
+        transcripts = []
+        serve = runner.server_run
+
+        def recorded(settings, endpoints, transcript=None):
+            transcripts.append([])
+            return serve(settings, endpoints, transcripts[-1])
+
+        monkeypatch.setattr(runner, "server_run", recorded)
+        cfg = dict(
+            clients=two_client_noniid(200, master_seed=6),
+            rounds=2,
+            master_seed=6,
+            aggregator="fedboosting",
+            encryption=encryption,
+        )
+        loop = run_experiment(ExperimentConfig(**cfg, transport="loopback"))
+        tcp = run_experiment(ExperimentConfig(**cfg, transport="tcp"))
+        [loop_frames, tcp_frames] = transcripts
+        assert loop_frames and loop_frames == tcp_frames
+        assert [r.validation for r in loop.records] == [r.validation for r in tcp.records]
+        assert np.array_equal(loop.final_params.values, tcp.final_params.values)
+
     def test_packed_keys_write_identical_artifacts(self, tmp_path):
         # 512-bit keys pack 4 entries per ciphertext, 128-bit keys one; packed
         # arithmetic is exact, so every artifact but the timings is the same

@@ -131,7 +131,10 @@ def fusion_weights(cfg: ExperimentConfig) -> tuple[int, int]:
 def test_he_client_decrypts_every_peer_upload(monkeypatch):
     cfg = cohort(3, "he")
     uploads, keypair, delivered, _ = run(cfg, monkeypatch)
-    assert cross_validation_models(keypair, delivered[1]) == uploads
+    # each client gets its peers' uploads in id order, as it holds its own
+    for cid in (1, 2, 3):
+        peers = [models[: cid - 1] + models[cid:] for models in uploads]
+        assert cross_validation_models(keypair, delivered[cid]) == peers
 
 
 def test_he_dp_two_clients_client_one_rebuilds_its_peer(monkeypatch):
