@@ -4,15 +4,20 @@ Additively homomorphic: multiplying two ciphertexts adds the plaintexts mod n,
 and raising a ciphertext to an integer power multiplies its plaintext. Uses the
 g = n+1 variant, so encryption needs no exponentiation by g.
 
+The nonce is the fixed-base, short-exponent one of Damgard, Jurik and
+Nielsen (IJIS 2010): keygen draws h = -x^2 mod n for a random x coprime to n,
+and encryption multiplies by h_s^a mod n^2, with h_s = h^n and a fresh random
+a of ceil(k/2) bits for a k-bit n. h_s^a is an n-th residue, as the textbook
+r^n is, so every ciphertext is an ordinary Paillier ciphertext.
+
 The key holder works modulo p^2 and q^2 and recombines by the Chinese
 remainder theorem (Paillier, EUROCRYPT 1999, section 7). Decryption computes
 m mod p = L_p(c^(p-1) mod p^2) * h_p mod p with L_p(u) = (u-1)/p and
 h_p = (-q)^-1 mod p (the same for q), then m mod n. Encryption under a
-:class:`KeyPair` computes the nonce term r^n mod p^2 by lifting from mod p:
-(r^(q mod (p-1)) mod p)^p mod p^2, since a^p mod p^2 depends only on a mod p
-(the same for q). That is a half-size exponent modulo p and another modulo
-p^2 in place of a full-size one modulo p^2; the ciphertext equals the one
-:class:`PublicKey` encryption gives for the same nonce.
+:class:`KeyPair` raises h_s mod p^2 (and q^2) to a from a table of its powers,
+one per w-bit window of a (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
+1992), built at the first encrypt; the ciphertext equals the one
+:class:`PublicKey` encryption gives for the same rng state.
 
 Prime search rejects a candidate with a prime factor below a few thousand by
 one gcd with their product. It draws the same 40 Miller-Rabin witnesses from
@@ -48,16 +53,30 @@ _TESTED_ROUNDS = ((1024, 4), (512, 8))
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 # Plaintexts a KeyPair remembers before it forgets them all: at 2048 bits, a few MiB
 PLAINTEXT_MEMO_BOUND = 4096
+# Exponent bits per entry of the fixed-base table: 103 entries per prime at 1024 bits
+_WINDOW_BITS = 5
 
 
 @dataclass(frozen=True)
 class PublicKey:
     n: int
     key_bits: int
+    # DJN's h, whose h^n is the nonce base; None in the key the server is
+    # offered, since the server never encrypts. The same key with or without it.
+    h: int | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def n_squared(self) -> int:
         return self.n * self.n
+
+    @property
+    def nonce_bits(self) -> int:
+        """Bits of the nonce exponent a: ceil(k/2) for a k-bit n, after DJN."""
+        return -(-self.key_bits // 2)
+
+    @cached_property
+    def h_s(self) -> int:
+        return pow(self.h, self.n, self.n_squared)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -88,18 +107,32 @@ class KeyPair:
         self.plaintexts[c.value] = m
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "plaintexts"}
+        unpickled = ("plaintexts", "_nonce_tables")
+        return {k: v for k, v in self.__dict__.items() if k not in unpickled}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, plaintexts={})
 
-    def _nonce_power(self, r: int) -> int:
-        """r^n mod n^2 by CRT over p^2 and q^2, each lifted from mod p (mod q),
-        for r coprime to n: r^n = (r^q)^p, and a^p mod p^2 depends on a mod p."""
-        p, q = self.p, self.q
-        p_sq, q_sq = p * p, q * q
-        x_p = pow(pow(r, q % (p - 1), p), p, p_sq)
-        x_q = pow(pow(r, p % (q - 1), q), q, q_sq)
+    @cached_property
+    def _nonce_tables(self) -> tuple[tuple[int, list[int]], ...]:
+        """(p^2, powers of h_s mod p^2) and the same for q^2: h_s^(2^(w*i))
+        for each w-bit window of the nonce exponent. Built at the first
+        encrypt, as keygen is timed, and like the memo never pickled."""
+        h, windows = self.public.h, -(-self.public.nonce_bits // _WINDOW_BITS)
+        tables = []
+        for prime, other in ((self.p, self.q), (self.q, self.p)):
+            modulus = prime * prime
+            # h^n = (h^other)^prime, and a^prime mod prime^2 depends on a mod prime
+            powers = [pow(pow(h, other % (prime - 1), prime), prime, modulus)]
+            for _ in range(windows - 1):
+                powers.append(pow(powers[-1], 1 << _WINDOW_BITS, modulus))
+            tables.append((modulus, powers))
+        return tuple(tables)
+
+    def nonce(self, a: int) -> int:
+        """h_s^a mod n^2, by the fixed-base tables mod p^2 and q^2 and CRT."""
+        (p_sq, p_powers), (q_sq, q_powers) = self._nonce_tables
+        x_p, x_q = _fixed_base_pow(p_powers, a, p_sq), _fixed_base_pow(q_powers, a, q_sq)
         return x_p + (x_q - x_p) * self.p_sq_inv % q_sq * p_sq
 
 
@@ -111,6 +144,25 @@ class Ciphertext:
     def __post_init__(self):
         if not (0 < self.value < self.public.n_squared):
             raise ValueError("ciphertext value out of range")
+
+
+def _fixed_base_pow(powers: list[int], a: int, modulus: int) -> int:
+    """base^a mod ``modulus`` from powers[i] = base^(2^(w*i)), for ``a`` below
+    2^(w*len(powers)), by the method of Brickell, Gordon, McCurley and Wilson:
+    for each digit d from 2^w - 1 down to 1, ``run`` multiplies in every power
+    whose window of ``a`` holds d, and ``result`` takes ``run``, so a power
+    enters ``result`` as many times as its digit says."""
+    top = (1 << _WINDOW_BITS) - 1
+    by_digit = [[] for _ in range(top + 1)]
+    for power in powers:
+        by_digit[a & top].append(power)
+        a >>= _WINDOW_BITS
+    result = run = 1
+    for digit in range(top, 0, -1):
+        for power in by_digit[digit]:
+            run = run * power % modulus
+        result = result * run % modulus
+    return result
 
 
 def _primes_below(bound: int) -> list[int]:
@@ -185,33 +237,34 @@ def _check_key_bits(key_bits: int) -> None:
 
 
 def keygen(key_bits: int, seed: int | None) -> KeyPair:
-    """Generate an n of exactly ``key_bits`` bits from two equal-size primes."""
+    """Generate an n of exactly ``key_bits`` bits from two equal-size primes,
+    then DJN's h = -x^2 mod n; drawing h last keeps each seed's primes."""
     _check_key_bits(key_bits)
     rng = random.Random(seed) if seed is not None else random.SystemRandom()
     p = _generate_prime(key_bits // 2, rng)
     q = _generate_prime(key_bits // 2, rng)
     while q == p:
         q = _generate_prime(key_bits // 2, rng)
+    n, x = p * q, 0
+    while x % p == 0 or x % q == 0:  # x coprime to n
+        x = rng.randrange(1, n)
     h_p, h_q, p_sq_inv = pow(-q, -1, p), pow(-p, -1, q), pow(p * p, -1, q * q)
-    return KeyPair(PublicKey(n=p * q, key_bits=key_bits), p, q, h_p, h_q, p_sq_inv)
+    return KeyPair(PublicKey(n, key_bits, h=-x * x % n), p, q, h_p, h_q, p_sq_inv)
 
 
 def encrypt(key: PublicKey | KeyPair, m: int, rng: random.Random | None = None) -> Ciphertext:
-    """c = (1+n)^m * r^n mod n^2 for a fresh nonce r coprime to n. A key pair
-    computes r^n by CRT; the ciphertext is the same for the same rng state."""
+    """c = (1+n)^m * h_s^a mod n^2 for a fresh nonce_bits-bit exponent a. A
+    key pair computes h_s^a by its tables and CRT; the ciphertext is the same
+    for the same rng state. The offered public key, without h, is a WeakKey."""
     pk = key.public if isinstance(key, KeyPair) else key
     if not (0 <= m < pk.n):
         raise PlaintextOutOfRange(f"plaintext must lie in [0, n), got {m}")
-    rng = rng if rng is not None else random.SystemRandom()
-    # gcd(r, n) == 1 is also what lets the key pair reduce the exponent of r^n
-    while True:
-        r = rng.randrange(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            break
+    if pk.h is None:
+        raise WeakKey("the offered public key carries no nonce base, so it cannot encrypt")
+    a = (rng if rng is not None else random.SystemRandom()).getrandbits(pk.nonce_bits)
     n_sq = pk.n_squared
-    r_n = key._nonce_power(r) if isinstance(key, KeyPair) else pow(r, pk.n, n_sq)
-    value = (1 + pk.n * m) % n_sq * r_n % n_sq
-    return Ciphertext(value=value, public=pk)
+    nonce = key.nonce(a) if isinstance(key, KeyPair) else pow(pk.h_s, a, n_sq)
+    return Ciphertext(value=(1 + pk.n * m) % n_sq * nonce % n_sq, public=pk)
 
 
 def decrypt(kp: KeyPair, c: Ciphertext) -> int:
@@ -255,7 +308,7 @@ def decode_signed(m: int, n: int) -> int:
     return m - n if 2 * m >= n else m
 
 
-# --- wire codec: fixed-width base64 for non-negative key and ciphertext values ---
+# --- wire codec: fixed-width base64 for keys, ciphertexts and float vectors ---
 
 
 def byte_width(bits: int) -> int:
@@ -263,45 +316,43 @@ def byte_width(bits: int) -> int:
     return -(-bits // 8)
 
 
-def int_to_b64(x: int, width: int) -> str:
-    """Canonical base64 of ``x`` as ``width`` big-endian bytes."""
-    return base64.b64encode(x.to_bytes(width, "big")).decode()
+def ints_to_b64(values, width: int) -> str:
+    """Canonical base64 of ``values`` back to back, each as ``width`` big-endian bytes."""
+    return base64.b64encode(b"".join(x.to_bytes(width, "big") for x in values)).decode()
 
 
-def b64_to_bytes(text: str) -> bytes:
-    """The bytes whose canonical base64 is ``text``; any other string,
-    padding bits set included, or a non-string is a ValueError."""
+def b64_to_fixed(text: str, count: int, width: int) -> bytes:
+    """The bytes of ``count`` values of ``width`` bytes each whose canonical
+    base64 is ``text``, as :func:`ints_to_b64` writes them. Any other string,
+    padding bits set included, a non-string or another length is a
+    ValueError, whose message reads after a field's name."""
     try:
         raw = base64.b64decode(text, validate=True) if isinstance(text, str) else None
     except ValueError:  # a character outside the alphabet, bad padding, non-ASCII text
         raw = None
     if raw is None or base64.b64encode(raw).decode() != text:
-        raise ValueError(f"not canonical base64: {text!r:.60}")
+        raise ValueError(f"is not canonical base64: {text!r:.60}")
+    if len(raw) != count * width:
+        entries = len(raw) // width if len(raw) % width == 0 else len(raw) / width
+        raise ValueError(f"has {entries} entries, expected {count}")
     return raw
-
-
-def b64_to_int(text: str, width: int) -> int:
-    """The integer :func:`int_to_b64` spells as ``text`` at ``width``; any
-    other string is a ValueError."""
-    raw = b64_to_bytes(text)
-    if len(raw) != width:
-        raise ValueError(f"not canonical base64 of {width} bytes: {text!r:.60}")
-    return int.from_bytes(raw, "big")
 
 
 def public_key_to_payload(pk: PublicKey) -> dict:
     """The modulus alone: every party takes the key size from its config."""
-    return {"n": int_to_b64(pk.n, byte_width(pk.key_bits))}
+    return {"n": ints_to_b64([pk.n], byte_width(pk.key_bits))}
 
 
 def public_key_from_payload(payload: dict, key_bits: int) -> PublicKey:
-    """The offered key: malformed or weak is a WeakKey, another size a KeyMismatch."""
+    """The offered key, without the nonce base h, since the server never
+    encrypts: malformed or weak is a WeakKey, another size a KeyMismatch."""
     try:
         # read at the width it spells first, so that another size is named
         n = int.from_bytes(base64.b64decode(payload["n"], validate=True), "big")
         _check_key_bits(n.bit_length())
         if n.bit_length() != key_bits:
             raise KeyMismatch(f"offered a {n.bit_length()}-bit key, expected {key_bits}")
-        return PublicKey(b64_to_int(payload["n"], byte_width(key_bits)), key_bits)
+        b64_to_fixed(payload["n"], 1, byte_width(key_bits))  # and at the config's width only
+        return PublicKey(n, key_bits)
     except (KeyError, TypeError, ValueError) as exc:
         raise WeakKey(f"malformed public key: {exc!r}") from exc

@@ -16,21 +16,24 @@ offers the server its public key, and no frame carries the secret one.
 
 Wire bodies are canonical JSON (alphabetical keys, compact separators), so
 transcripts are byte-reproducible across transports. Every number travels as
-canonical base64 of a byte count the reader takes from its config, and any
-other string is refused: a big integer as fixed-width big-endian bytes, a
-float vector as 8 bytes of big-endian float64 per entry, never NaN or
-infinity. A frame carries only what its channel and the receiver's config
-cannot give: its body is ``{"payload", "round"}``, as the endpoint it arrives
-on names the peer. KEY_OFFER is ``{"n"}``; GLOBAL_GRADIENT is ``{}`` in round
-1, as every client derives the initial model, ``nn.init_params(derive_seed(
-master_seed, "init"), layout)``, and ``{"gradient"}`` later, as is
-MERGED_GRADIENT; TRAIN_RESULT is ``{"gradient", "train_loss"}``; FUSED_GRADIENT
-``{"models"}`` holds client k's peers' uploads in id order under ``none`` and
-``he``, as it holds its own, and all N fused models under ``he_dp``;
-EVAL_RESULT ``{"values"}`` holds a loss per client in id order, FINAL_MODEL
-``{"weights"}`` the final model. A plain gradient is ``{"values"}`` and an
-encrypted one ``{"ciphertexts", "key"}``; ``key``, the public key's
-fingerprint, tells a gradient under another key.
+canonical base64 of ``count`` values of ``width`` bytes back to back, both
+taken from the reader's config, and any other string is refused: the offered
+modulus as one value of key_bits/8 bytes; an encrypted gradient's
+ceil(entries / slots) ciphertexts as one string, each in (0, n^2) as
+2*key_bits/8 big-endian bytes; a float vector as 8 bytes of big-endian
+float64 per entry, never NaN or infinity. A frame carries only what its
+channel and the receiver's config cannot give: its body is ``{"payload",
+"round"}``, as the endpoint it arrives on names the peer. KEY_OFFER is
+``{"n"}``; GLOBAL_GRADIENT is ``{}`` in round 1, as every client derives the
+initial model, ``nn.init_params(derive_seed(master_seed, "init"), layout)``,
+and ``{"gradient"}`` later, as is MERGED_GRADIENT; TRAIN_RESULT is
+``{"gradient", "train_loss"}``; FUSED_GRADIENT ``{"models"}`` holds client
+k's peers' uploads in id order under ``none`` and ``he``, as it holds its
+own, and all N fused models under ``he_dp``; EVAL_RESULT ``{"values"}`` holds
+a loss per client in id order, FINAL_MODEL ``{"weights"}`` the final model. A
+plain gradient is ``{"values"}`` and an encrypted one ``{"ciphertexts",
+"key"}``, its blob and its public key's fingerprint, which tells a gradient
+under another key.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .errors import (
     NonFiniteInput,
     ProtocolViolation,
     RoundAborted,
-    ShapeMismatch,
     TransportError,
     WeakKey,
 )
@@ -141,18 +143,19 @@ def floats_to_b64(values) -> str:
     return base64.b64encode(np.asarray(values, dtype=">f8").tobytes()).decode()
 
 
+def _fixed(payload, name: str, count: int, width: int) -> bytes:
+    """Payload field ``name`` as the bytes of ``count`` values of ``width``
+    bytes, read from their canonical base64 and from no other string."""
+    try:
+        return paillier.b64_to_fixed(_field(payload, name, str), count, width)
+    except ValueError as exc:
+        raise ProtocolViolation(f"payload field {name!r} {exc}") from None
+
+
 def read_floats(payload, name: str, entries: int) -> np.ndarray:
     """Payload field ``name`` as ``entries`` finite floats, read from the
     text :func:`floats_to_b64` writes for them and from no other string."""
-    try:
-        raw = paillier.b64_to_bytes(_field(payload, name, str))
-    except ValueError as exc:
-        raise ProtocolViolation(f"payload field {name!r} is {exc}") from None
-    if len(raw) != 8 * entries:
-        raise ProtocolViolation(
-            f"payload field {name!r} has {len(raw) / 8:g} entries, expected {entries}"
-        )
-    vector = np.frombuffer(raw, dtype=">f8").astype(np.float64)
+    vector = np.frombuffer(_fixed(payload, name, entries, 8), dtype=">f8").astype(np.float64)
     # float64 bits can spell NaN and infinity
     if not np.all(np.isfinite(vector)):
         raise ProtocolViolation(f"payload field {name!r} has non-finite entries")
@@ -166,7 +169,7 @@ def gradient_to_payload(g) -> dict:
         public_key = g.ciphertexts[0].public
         width = paillier.byte_width(2 * public_key.key_bits)
         return {
-            "ciphertexts": [paillier.int_to_b64(c.value, width) for c in g.ciphertexts],
+            "ciphertexts": paillier.ints_to_b64((c.value for c in g.ciphertexts), width),
             "key": public_key.fingerprint,
         }
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
@@ -181,15 +184,20 @@ def read_gradient(
     ``entries`` and ``quant`` from its config."""
     if public_key is None:
         return read_floats(payload, "values", entries)
-    texts = _field(payload, "ciphertexts", list)
+    _field(payload, "ciphertexts", str)  # a gradient with no blob is refused before its key
     if _field(payload, "key", str) != public_key.fingerprint:
         raise KeyMismatch("gradient is encrypted under a different key")
     width = paillier.byte_width(2 * public_key.key_bits)
+    count = -(-entries // agg.slots_per_ciphertext(public_key.key_bits))
+    raw = _fixed(payload, "ciphertexts", count, width)
     try:
-        cts = [paillier.Ciphertext(paillier.b64_to_int(t, width), public_key) for t in texts]
-        return agg.EncryptedGradient(ciphertexts=cts, config=quant, entries=entries)
-    except (ValueError, ShapeMismatch) as exc:
-        raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from exc
+        cts = [
+            paillier.Ciphertext(int.from_bytes(raw[at : at + width], "big"), public_key)
+            for at in range(0, len(raw), width)
+        ]
+    except ValueError as exc:  # a value of 0 or at least n^2
+        raise ProtocolViolation(f"malformed encrypted gradient: {exc}") from None
+    return agg.EncryptedGradient(ciphertexts=cts, config=quant, entries=entries)
 
 
 def decode_gradient_payload(
@@ -543,9 +551,12 @@ def _expect(
     except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
         raise type(exc)(f"client {cid}: {exc} ({kind.name}, round {round_no})") from exc
     if msg.kind == MessageKind.ABORT:
-        raise RoundAborted(f"client {cid} aborted: {msg.payload.get('reason', 'unspecified')}")
+        reason = msg.payload.get("reason", "unspecified")
+        raise RoundAborted(f"client {cid} aborted: {reason} ({kind.name}, round {round_no})")
     if msg.kind != kind:
-        raise ProtocolViolation(f"expected {kind.name} from client {cid}, got {msg.kind.name}")
+        raise ProtocolViolation(
+            f"expected {kind.name} from client {cid} in round {round_no}, got {msg.kind.name}"
+        )
     # every client frame carries the server's round, 0 for the key offer
     raise ProtocolViolation(
         f"client {cid} sent {kind.name} for round {msg.round} during round {round_no}"

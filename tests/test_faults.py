@@ -1,6 +1,6 @@
 """Faults injected into live runs: each must end the run quickly with a
-RoundAborted or ProtocolViolation that names the client, and leave no child
-process or thread behind."""
+RoundAborted, ProtocolViolation or KeyMismatch that names the client, and
+leave no child process or thread behind."""
 
 import base64
 import dataclasses
@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from fedboost import runner
+from fedboost import paillier, runner
 from fedboost.config import ExperimentConfig, two_client_noniid
-from fedboost.errors import ProtocolViolation, RoundAborted
+from fedboost.errors import KeyMismatch, ProtocolViolation, RoundAborted
 from fedboost.protocol import (
     ClientSession,
     InThreadCohort,
@@ -63,30 +63,60 @@ def test_tcp_client_killed_after_it_connects(monkeypatch):
 
 
 class CorruptingEndpoint:
-    """The server's endpoint to one loopback client; it rewrites the float
-    field ``name`` of the frame of ``kind`` and round ``round_no`` that the
-    client sends, with ``corrupt`` applied to its base64 text."""
+    """The server's endpoint to one loopback client; it rewrites the frame of
+    ``kind`` and round ``round_no`` that passes it, either way, applying
+    ``corrupt`` to the payload value at ``path``."""
 
-    def __init__(self, inner, kind, round_no, name, corrupt):
+    def __init__(self, inner, kind, round_no, path, corrupt):
         self.inner = inner
         self.target = (kind, round_no)
-        self.name = name
+        self.path = path
         self.corrupt = corrupt
 
+    def _rewrite(self, kind: int, body: bytes) -> tuple[int, bytes]:
+        msg = decode_message(kind, body)
+        if (msg.kind, msg.round) != self.target:
+            return kind, body
+        payload = _edited(msg.payload, self.path, self.corrupt)
+        return encode_message(dataclasses.replace(msg, payload=payload))
+
     def send(self, kind: int, body: bytes) -> None:
-        self.inner.send(kind, body)
+        self.inner.send(*self._rewrite(kind, body))
 
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        kind, body = self.inner.recv(timeout)
-        msg = decode_message(kind, body)
-        if (msg.kind, msg.round) == self.target:
-            payload = {**msg.payload, self.name: self.corrupt(msg.payload[self.name])}
-            kind, body = encode_message(dataclasses.replace(msg, payload=payload))
-        return kind, body
+        return self._rewrite(*self.inner.recv(timeout))
+
+
+def _edited(value, path: tuple, edit):
+    """A copy of ``value`` with ``edit`` applied to what ``path`` names in it."""
+    if not path:
+        return edit(value)
+    head, *rest = path
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[head] = _edited(value[head], rest, edit)
+    return copy
 
 
 def _bytes_of(text: str, edit) -> str:
     return base64.b64encode(edit(base64.b64decode(text))).decode()
+
+
+def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
+    """A 2-round loopback run whose frame of ``kind`` in round 2 to or from
+    client ``cid`` is corrupted: it must raise ``error`` matching ``cause``
+    within TIMEOUT_S / 4, leave no thread, and end every session."""
+    keypair = cohort_key(settings)
+    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
+    endpoints = InThreadCohort(sessions).endpoints
+    endpoints[cid] = CorruptingEndpoint(endpoints[cid], kind, 2, path, corrupt)
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(error, match=cause):
+        server_run(settings, endpoints)
+    assert time.monotonic() - start < TIMEOUT_S / 4
+    assert threading.active_count() == threads
+    # the server's ABORT reached every client
+    assert all(session.done for session in sessions)
 
 
 CORRUPTIONS = {
@@ -114,16 +144,63 @@ CAUSES = {
 @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
 def test_corrupt_float_vector_on_loopback(encryption, kind, cid, name, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    keypair = cohort_key(settings)
-    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    endpoints = InThreadCohort(sessions).endpoints
-    endpoints[cid] = CorruptingEndpoint(endpoints[cid], kind, 2, name, CORRUPTIONS[corruption])
-    threads = threading.active_count()
-    start = time.monotonic()
     cause = rf"^client {cid}: payload field '{name}' {CAUSES[corruption]}.* \({kind.name}, round 2\)$"
-    with pytest.raises(ProtocolViolation, match=cause):
-        server_run(settings, endpoints)
-    assert time.monotonic() - start < TIMEOUT_S / 4
-    assert threading.active_count() == threads
-    # the server's ABORT reached every client
-    assert all(session.done for session in sessions)
+    _run_corrupted(settings, cid, kind, (name,), CORRUPTIONS[corruption], ProtocolViolation, cause)
+
+
+# the cohort key of make_settings at 128 bits: one ciphertext of 32 bytes per entry
+N_SQUARED = cohort_key(make_settings(encryption="he")).public.n_squared
+WIDTH = 32
+
+
+def _ciphertexts(edit):
+    """A corruption of an encrypted gradient: ``edit`` of its blob's bytes."""
+    return lambda gradient: {**gradient, "ciphertexts": _bytes_of(gradient["ciphertexts"], edit)}
+
+
+BLOB_CORRUPTIONS = {
+    "truncated": lambda gradient: {**gradient, "ciphertexts": gradient["ciphertexts"][:-1]},
+    "one_byte_too_many": _ciphertexts(lambda raw: raw + b"\0"),
+    "one_ciphertext_short": _ciphertexts(lambda raw: raw[:-WIDTH]),
+    "ciphertext_of_zero": _ciphertexts(lambda raw: bytes(WIDTH) + raw[WIDTH:]),
+    "ciphertext_of_n_squared": _ciphertexts(lambda raw: N_SQUARED.to_bytes(WIDTH, "big") + raw[WIDTH:]),
+    "wrong_key": lambda gradient: {**gradient, "key": paillier.keygen(128, seed=1).public.fingerprint},
+}
+OUT_OF_RANGE = "ProtocolViolation: malformed encrypted gradient: ciphertext value out of range"
+BLOB_CAUSES = {
+    "truncated": "ProtocolViolation: payload field 'ciphertexts' is not canonical base64",
+    "one_byte_too_many": r"ProtocolViolation: payload field 'ciphertexts' has 42\.03125 entries",
+    "one_ciphertext_short": "ProtocolViolation: payload field 'ciphertexts' has 41 entries, expected 42",
+    "ciphertext_of_zero": OUT_OF_RANGE,
+    "ciphertext_of_n_squared": OUT_OF_RANGE,
+    "wrong_key": "KeyMismatch: gradient is encrypted under a different key",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(BLOB_CORRUPTIONS))
+@pytest.mark.parametrize("encryption", ["he", "he_dp"])
+def test_corrupt_ciphertext_blob_from_a_client(encryption, corruption):
+    settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
+    error_name, cause = BLOB_CAUSES[corruption].split(": ", 1)
+    error = KeyMismatch if error_name == "KeyMismatch" else ProtocolViolation
+    pattern = rf"^client 2: {cause}.* \(TRAIN_RESULT, round 2\)$"
+    corrupt = BLOB_CORRUPTIONS[corruption]
+    _run_corrupted(settings, 2, MessageKind.TRAIN_RESULT, ("gradient",), corrupt, error, pattern)
+
+
+@pytest.mark.parametrize("corruption", sorted(BLOB_CORRUPTIONS))
+@pytest.mark.parametrize(
+    "kind, cid, path, awaited",
+    [
+        (MessageKind.GLOBAL_GRADIENT, 2, ("gradient",), MessageKind.TRAIN_RESULT),
+        (MessageKind.FUSED_GRADIENT, 2, ("models", 0), MessageKind.EVAL_RESULT),
+        # only client 1 answers the final gradient, so only its ABORT is read
+        (MessageKind.MERGED_GRADIENT, 1, ("gradient",), MessageKind.FINAL_MODEL),
+    ],
+    ids=lambda v: v.name if isinstance(v, MessageKind) else str(v),
+)
+@pytest.mark.parametrize("encryption", ["he", "he_dp"])
+def test_corrupt_ciphertext_blob_to_a_client(encryption, kind, cid, path, awaited, corruption):
+    settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
+    pattern = rf"^client {cid} aborted: {BLOB_CAUSES[corruption]}.* \({awaited.name}, round 2\)$"
+    _run_corrupted(settings, cid, kind, path, BLOB_CORRUPTIONS[corruption], RoundAborted, pattern)

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import string
+import sys
 import time
 
 import pytest
@@ -245,9 +246,27 @@ class TestTestedRounds:
             assert reference_is_probable_prime(prime, random.Random(prime), 40)
 
 
-class TestLiftedNoncePower:
-    """The key holder's r^n mod n^2, lifted from mod p and mod q, equals the
-    full exponentiation."""
+# (key_bits, seed) -> (p, q) as keygen chose them before it drew the nonce base h
+PINNED_PRIMES = {
+    (64, 0): (0xD82C07CD, 0xE9BB17BD),
+    (128, 1234): (0xDEC4AC467888FA7B, 0xE4357C976ECA2BA1),
+    (256, 8): (0xE9D7AE8644D3123614FC9A3DD693CFE3, 0xFC08893309E07562AB948EA8A0F18995),
+}
+# the same at real sizes: sha256 of "<p hex>:<q hex>", first 32 hex digits
+PINNED_PRIME_DIGESTS = {
+    "key1024": "eef61a3e66ba51b0700581741e998cb5",
+    "key2048": "89359eb6288cf0c133e0cc2a553b2d33",
+}
+
+
+def _prime_digest(kp: paillier.KeyPair) -> str:
+    return hashlib.sha256(f"{kp.p:x}:{kp.q:x}".encode()).hexdigest()[:32]
+
+
+class TestFixedBaseNonce:
+    """The key holder's nonce h_s^a mod n^2, from fixed-base tables mod p^2
+    and q^2, equals the full exponentiation; h comes after the primes, so a
+    seed keeps its key, and the tables are built at the first encrypt."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -257,18 +276,75 @@ class TestLiftedNoncePower:
     )
     def test_matches_full_exponentiation(self, key_bits, key_seed, data):
         kp = paillier.keygen(key_bits, seed=key_seed)
-        n = kp.public.n
-        r = data.draw(st.integers(min_value=1, max_value=n - 1).filter(lambda r: math.gcd(r, n) == 1))
-        assert kp._nonce_power(r) == pow(r, n, n * n)
+        n, bits = kp.public.n, kp.public.nonce_bits
+        a = data.draw(st.integers(min_value=0, max_value=2**bits - 1))
+        assert kp.nonce(a) == pow(pow(kp.public.h, n, n * n), a, n * n) == pow(kp.public.h_s, a, n * n)
 
     @pytest.mark.parametrize("key_name", ["key1024", "key2048"])
     def test_real_key_sizes(self, key_name, request):
         kp = request.getfixturevalue(key_name)
-        n = kp.public.n
+        n, bits = kp.public.n, kp.public.nonce_bits
         rng = random.Random(11)
-        cases = [1, 2, n - 1, kp.p + 1, kp.q - 1] + [rng.randrange(1, n) for _ in range(3)]
-        for r in cases:
-            assert kp._nonce_power(r) == pow(r, n, n * n)
+        # every window empty, full or alone, and a few random exponents
+        cases = [0, 1, 2**bits - 1, 2 ** (bits - 1), 31 << 5, 2 ** (bits - 5)]
+        for a in cases + [rng.getrandbits(bits) for _ in range(3)]:
+            assert kp.nonce(a) == pow(kp.public.h_s, a, n * n)
+        # one power per 5-bit window and prime: well under 1 MiB at 2048 bits
+        tables = [powers for _modulus, powers in kp._nonce_tables]
+        assert [len(powers) for powers in tables] == [-(-bits // 5)] * 2
+        assert sum(sys.getsizeof(x) for powers in tables for x in powers) < 2**18
+
+    @settings(max_examples=30, deadline=None)
+    @given(key_bits=st.sampled_from([64, 128, 256]), a=st.integers(min_value=0, max_value=2**128 - 1))
+    def test_the_nonce_is_an_encryption_of_zero(self, key_bits, a):
+        """h_s^a is an n-th residue, so a ciphertext stays an ordinary Paillier ciphertext."""
+        kp = paillier.keygen(key_bits, seed=key_bits)
+        a %= 2**kp.public.nonce_bits
+        assert paillier.decrypt(kp, paillier.Ciphertext(kp.nonce(a), kp.public)) == 0
+
+    @pytest.mark.parametrize("key_bits, seed", sorted(PINNED_PRIMES))
+    def test_keygen_keeps_each_seeds_primes(self, key_bits, seed):
+        kp = paillier.keygen(key_bits, seed)
+        assert (kp.p, kp.q) == PINNED_PRIMES[key_bits, seed]
+        assert math.gcd(kp.public.h, kp.public.n) == 1
+
+    @pytest.mark.parametrize("key_name", sorted(PINNED_PRIME_DIGESTS))
+    def test_keygen_keeps_the_primes_of_real_key_sizes(self, key_name, request):
+        assert _prime_digest(request.getfixturevalue(key_name)) == PINNED_PRIME_DIGESTS[key_name]
+
+    @pytest.mark.parametrize("key_bits", [64, 128, 1024])
+    def test_encrypt_draws_an_exponent_of_half_the_key_bits(self, key_bits):
+        kp = paillier.keygen(key_bits, seed=3)
+        n, n_sq = kp.public.n, kp.public.n_squared
+        assert kp.public.nonce_bits == key_bits // 2
+        a = random.Random(5).getrandbits(key_bits // 2)
+        expected = (1 + 7 * n) * pow(kp.public.h_s, a, n_sq) % n_sq
+        assert paillier.encrypt(kp, 7, random.Random(5)).value == expected
+        assert paillier.encrypt(kp.public, 7, random.Random(5)).value == expected
+
+    def test_tables_are_built_at_the_first_encrypt(self):
+        kp = paillier.keygen(128, seed=6)
+        assert "_nonce_tables" not in kp.__dict__
+        paillier.encrypt(kp, 1, random.Random(0))
+        assert "_nonce_tables" in kp.__dict__
+
+    def test_a_built_table_is_not_pickled_compared_or_shown(self):
+        kp = paillier.keygen(128, seed=6)
+        fresh = dataclasses.replace(kp)  # the same key, no table built
+        c = paillier.encrypt(kp, 9, random.Random(1))
+        assert "_nonce_tables" in kp.__dict__ and "_nonce_tables" not in fresh.__dict__
+        assert pickle.dumps(kp) == pickle.dumps(fresh)
+        assert kp == fresh and hash(kp) == hash(fresh) and repr(kp) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(kp))
+        assert copy == kp and "_nonce_tables" not in copy.__dict__
+        assert copy.public.h == kp.public.h
+        assert paillier.encrypt(copy, 9, random.Random(1)) == c
+
+    def test_the_offered_public_key_cannot_encrypt(self, key128):
+        offered = paillier.public_key_from_payload(paillier.public_key_to_payload(key128.public), 128)
+        assert offered.h is None and offered == key128.public
+        with pytest.raises(WeakKey, match="no nonce base"):
+            paillier.encrypt(offered, 1, random.Random(0))
 
 
 class TestEncryptDecrypt:
@@ -557,27 +633,30 @@ class TestSerialization:
     @given(data=st.data())
     def test_b64_roundtrip_at_every_width(self, data):
         width = data.draw(st.integers(1, 300))
-        x = data.draw(st.integers(0, 256**width - 1))
-        text = paillier.int_to_b64(x, width)
-        assert len(text) == 4 * math.ceil(width / 3)
-        assert paillier.b64_to_int(text, width) == x
+        xs = data.draw(st.lists(st.integers(0, 256**width - 1), max_size=4))
+        text = paillier.ints_to_b64(xs, width)
+        assert len(text) == 4 * math.ceil(len(xs) * width / 3)
+        raw = paillier.b64_to_fixed(text, len(xs), width)
+        assert [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)] == xs
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_b64_refuses_every_other_spelling_with_value_error(self, data):
         width = data.draw(st.integers(1, 40))
-        text = paillier.int_to_b64(data.draw(st.integers(0, 256**width - 1)), width)
+        text = paillier.ints_to_b64([data.draw(st.integers(0, 256**width - 1))], width)
         for bad in _other_spellings(text, width, data.draw):
             assert bad != text
             with pytest.raises(ValueError):
-                paillier.b64_to_int(bad, width)
-        # the right spelling at another width
-        with pytest.raises(ValueError):
-            paillier.b64_to_int(paillier.int_to_b64(0, width + 3), width)
+                paillier.b64_to_fixed(bad, 1, width)
+        # the right spelling at another width, and of another count
+        with pytest.raises(ValueError, match="^has 2 entries, expected 1$"):
+            paillier.b64_to_fixed(paillier.ints_to_b64([0], 2 * width), 1, width)
+        with pytest.raises(ValueError, match="^has 3 entries, expected 1$"):
+            paillier.b64_to_fixed(paillier.ints_to_b64([0] * 3, width), 1, width)
 
     def test_widths_of_a_1024_bit_key(self):
         assert paillier.byte_width(1024) == 128 and paillier.byte_width(2048) == 256
-        assert len(paillier.int_to_b64(0, paillier.byte_width(2048))) == 344
+        assert len(paillier.ints_to_b64([0], paillier.byte_width(2048))) == 344
         # a size that is not a whole number of bytes rounds up
         assert paillier.byte_width(2 * 66) == 17
 
@@ -603,7 +682,7 @@ class TestMalformedKeyMaterial:
     @pytest.mark.parametrize("n", [0xFF, (1 << 126) + 1, (1 << 129) - 1], ids=["8", "127", "129"])
     def test_modulus_of_a_weak_size_is_weak_key(self, n):
         """The offered size is the modulus's bit length: under 64 or odd is weak."""
-        payload = {"n": paillier.int_to_b64(n, paillier.byte_width(n.bit_length()))}
+        payload = {"n": paillier.ints_to_b64([n], paillier.byte_width(n.bit_length()))}
         with pytest.raises(WeakKey, match=f"got {n.bit_length()}$"):
             paillier.public_key_from_payload(payload, 128)
 
@@ -613,6 +692,6 @@ class TestMalformedKeyMaterial:
             paillier.public_key_from_payload(payload, 128)
 
     def test_modulus_with_a_leading_zero_byte_is_weak_key(self, key128):
-        payload = {"n": paillier.int_to_b64(key128.public.n, 17)}
+        payload = {"n": paillier.ints_to_b64([key128.public.n], 17)}
         with pytest.raises(WeakKey, match="malformed public key"):
             paillier.public_key_from_payload(payload, 128)

@@ -221,7 +221,9 @@ class TestGradientPayloads:
         q = qz.quantize(np.array([0.125, -0.5]), cfg)
         eg = agg.encrypt_gradient(key128.public, q)
         payload = protocol.gradient_to_payload(eg)
-        assert set(payload) == {"ciphertexts", "key"}
+        # one ciphertext per entry at 128 bits, each as 32 bytes, in one string
+        blob = b"".join(c.value.to_bytes(32, "big") for c in eg.ciphertexts)
+        assert payload == {"ciphertexts": _b64_bytes(blob), "key": key128.public.fingerprint}
         out = protocol.decode_gradient_payload(payload, key128, 2, cfg)
         assert np.allclose(out, [0.125, -0.5])
 
@@ -237,24 +239,6 @@ class TestGradientPayloads:
 FUZZ_SETTINGS = make_settings(encryption="he", n_hidden=1)
 FUZZ_KEY = cohort_key(FUZZ_SETTINGS)
 FUZZ_ENTRIES = FUZZ_SETTINGS.layout.size
-
-
-def _ciphertexts(pk: paillier.PublicKey):
-    """Wire ciphertexts, valid or not: canonical base64 in range at the
-    ciphertext width, in range at another width or in the URL-safe alphabet,
-    0 and values >= n^2, and other JSON."""
-    n2 = pk.n_squared
-    width = paillier.byte_width(2 * pk.key_bits)
-    in_range = st.integers(1, n2 - 1)
-    return st.one_of(
-        in_range.map(lambda c: paillier.int_to_b64(c, width)),
-        in_range.map(lambda c: paillier.int_to_b64(c, width + 1)),
-        in_range.map(lambda c: base64.urlsafe_b64encode(c.to_bytes(width, "big")).decode()),
-        st.sampled_from([0, n2, 256**width - 1]).map(lambda c: paillier.int_to_b64(c, width)),
-        st.just(format(n2 - 1, "x")),
-        st.integers(-(2**2000), 2**2000),
-        JSON_VALUES,
-    )
 
 
 def _keys(pk: paillier.PublicKey):
@@ -304,26 +288,45 @@ def _float_vectors(entries: int):
     )
 
 
-def _gradient_payloads(pk: paillier.PublicKey, entries: int):
-    """JSON-shaped gradient payloads: good ones, ones with one bad entry,
-    wrong counts, and fields missing, mistyped or extra."""
+def _blobs(pk: paillier.PublicKey, count: int):
+    """Wire ciphertext blobs, valid or not: ``count`` ciphertexts in range;
+    one of them 0, n^2 or 256^width - 1; another count; any bytes; the right
+    bytes in the URL-safe alphabet or with a stray character; the list of
+    base64 strings that ciphertexts travelled as before, and other JSON."""
+    n2 = pk.n_squared
     width = paillier.byte_width(2 * pk.key_bits)
-    good_b64 = st.integers(1, pk.n_squared - 1).map(lambda c: paillier.int_to_b64(c, width))
+    in_range = st.integers(1, n2 - 1)
+    good = st.lists(in_range, min_size=count, max_size=count)
 
-    def lists(good, bad):
-        return st.one_of(
-            st.lists(good, min_size=entries, max_size=entries),
-            st.builds(
-                lambda xs, x, i: xs[:i] + [x] + xs[i + 1 :],
-                st.lists(good, min_size=entries, max_size=entries),
-                bad,
-                st.integers(0, entries - 1),
-            ),
-            st.lists(st.one_of(good, bad), max_size=entries + 2),
-            JSON_VALUES,
-        )
+    def blob(values) -> bytes:
+        return b"".join(c.to_bytes(width, "big") for c in values)
 
-    ciphertexts = lists(good_b64, _ciphertexts(pk))
+    return st.one_of(
+        good.map(lambda cs: paillier.ints_to_b64(cs, width)),
+        st.builds(
+            lambda cs, c, i: paillier.ints_to_b64(cs[:i] + [c] + cs[i + 1 :], width),
+            good,
+            st.sampled_from([0, n2, 256**width - 1]),
+            st.integers(0, count - 1),
+        ),
+        st.lists(in_range, max_size=count + 2).map(lambda cs: paillier.ints_to_b64(cs, width)),
+        st.binary(max_size=(count + 1) * width + 1).map(_b64_bytes),
+        good.map(lambda cs: base64.urlsafe_b64encode(blob(cs)).decode()),
+        st.builds(
+            lambda text, at, c: text[:at] + c + text[at:],
+            good.map(lambda cs: _b64_bytes(blob(cs))),
+            st.integers(0, 4 * count * width // 3),
+            st.sampled_from([" ", "\n", "=", "-", "\u00e9"]),
+        ),
+        good.map(lambda cs: [paillier.ints_to_b64([c], width) for c in cs]),
+        JSON_VALUES,
+    )
+
+
+def _gradient_payloads(pk: paillier.PublicKey, entries: int):
+    """JSON-shaped gradient payloads: good ones, ones with one bad
+    ciphertext, wrong counts, and fields missing, mistyped or extra."""
+    ciphertexts = _blobs(pk, -(-entries // agg.slots_per_ciphertext(pk.key_bits)))
     values = _float_vectors(entries)
     payloads = st.one_of(
         st.fixed_dictionaries({"ciphertexts": ciphertexts, "key": st.just(pk.fingerprint)}),
@@ -358,6 +361,7 @@ class TestPayloadDecodersFuzz:
             assert isinstance(g, agg.EncryptedGradient) and g.entries == FUZZ_ENTRIES
             # at 128 bits a ciphertext holds one entry
             assert len(g) == FUZZ_ENTRIES
+            assert all(0 < c.value < FUZZ_KEY.public.n_squared for c in g.ciphertexts)
         else:
             assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
 
@@ -372,6 +376,84 @@ class TestPayloadDecodersFuzz:
         except self.REFUSALS:
             return
         assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
+
+
+# 8 slots per ciphertext: 42 entries in 6 ciphertexts of 256 bytes
+_KEY1024 = paillier.keygen(1024, seed=2024)
+BLOB_KEYS = {128: FUZZ_KEY.public, 1024: _KEY1024.public}
+# this key's fingerprint half the time; built once, as _keys makes a key of the size
+BLOB_KEY_FIELDS = {bits: st.one_of(st.just(pk.fingerprint), _keys(pk)) for bits, pk in BLOB_KEYS.items()}
+
+
+class TestCiphertextBlobFuzz:
+    """An encrypted gradient's ciphertexts travel as one canonical base64
+    string of count x width bytes, count = ceil(entries / slots) and width =
+    the bytes below n^2, both from the reader's config. ``read_gradient``
+    returns exactly that many ciphertexts, each in (0, n^2), or refuses with
+    a ProtocolViolation, or a KeyMismatch for another key."""
+
+    REFUSALS = (ProtocolViolation, KeyMismatch)
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key_bits=st.sampled_from(sorted(BLOB_KEYS)))
+    def test_any_json_value_decodes_or_is_refused(self, data, key_bits):
+        pk = BLOB_KEYS[key_bits]
+        count = -(-FUZZ_ENTRIES // agg.slots_per_ciphertext(key_bits))
+        value = data.draw(st.one_of(_blobs(pk, count), JSON_VALUES))
+        key = data.draw(BLOB_KEY_FIELDS[key_bits])
+        # through the JSON codec, as a peer's payload arrives
+        payload = json.loads(json.dumps({"ciphertexts": value, "key": key}))
+        try:
+            g = protocol.read_gradient(payload, pk, FUZZ_ENTRIES, FUZZ_SETTINGS.quant)
+        except self.REFUSALS:
+            return
+        assert len(g) == count and g.entries == FUZZ_ENTRIES
+        assert all(0 < c.value < pk.n_squared and c.public == pk for c in g.ciphertexts)
+        assert protocol.gradient_to_payload(g) == payload
+
+    @pytest.mark.parametrize("key_bits", sorted(BLOB_KEYS))
+    @hypothesis_settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_random_ciphertexts_round_trip(self, key_bits, data):
+        pk = BLOB_KEYS[key_bits]
+        entries = data.draw(st.integers(1, 60))
+        count = -(-entries // agg.slots_per_ciphertext(key_bits))
+        values = data.draw(st.lists(st.integers(1, pk.n_squared - 1), min_size=count, max_size=count))
+        cts = [paillier.Ciphertext(v, pk) for v in values]
+        eg = agg.EncryptedGradient(cts, FUZZ_SETTINGS.quant, entries)
+        payload = json.loads(json.dumps(protocol.gradient_to_payload(eg)))
+        width = paillier.byte_width(2 * key_bits)
+        assert len(payload["ciphertexts"]) == 4 * math.ceil(count * width / 3)
+        back = protocol.read_gradient(payload, pk, entries, FUZZ_SETTINGS.quant)
+        assert [c.value for c in back.ciphertexts] == values and back.config == FUZZ_SETTINGS.quant
+
+    @hypothesis_settings(max_examples=100, deadline=None)
+    @given(data=st.data(), key_bits=st.sampled_from(sorted(BLOB_KEYS)))
+    def test_every_other_spelling_is_refused(self, data, key_bits):
+        pk = BLOB_KEYS[key_bits]
+        count = -(-FUZZ_ENTRIES // agg.slots_per_ciphertext(key_bits))
+        width = paillier.byte_width(2 * key_bits)
+        values = data.draw(st.lists(st.integers(1, pk.n_squared - 1), min_size=count, max_size=count))
+
+        def read(text):
+            payload = {"ciphertexts": text, "key": pk.fingerprint}
+            return protocol.read_gradient(payload, pk, FUZZ_ENTRIES, FUZZ_SETTINGS.quant)
+
+        text = paillier.ints_to_b64(values, width)
+        assert [c.value for c in read(text).ciphertexts] == values
+        for bad in _other_spellings(text, count * width, data.draw):
+            with pytest.raises(ProtocolViolation, match="^payload field 'ciphertexts' "):
+                read(bad)
+        # the right spelling of a ciphertext too few or too many
+        for other in (count - 1, count + 1):
+            with pytest.raises(ProtocolViolation, match=f"has {other} entries, expected {count}$"):
+                read(paillier.ints_to_b64((values * 2)[:other], width))
+        # a ciphertext of 0 or n^2, wherever it stands
+        at = data.draw(st.integers(0, count - 1))
+        out_of_range = "^malformed encrypted gradient: ciphertext value out of range$"
+        for edge in (0, pk.n_squared):
+            with pytest.raises(ProtocolViolation, match=out_of_range):
+                read(paillier.ints_to_b64(values[:at] + [edge] + values[at + 1 :], width))
 
 
 # every float vector a reader takes, with the entry count its config gives
@@ -489,9 +571,10 @@ def _keys_within(obj) -> set:
 class TestWireShape:
     """Every party takes the entry count, the scale, the piece count and the
     key size from its config, so a payload carries only the numbers and, when
-    encrypted, the fingerprint that tells the key. A ciphertext is base64 of
-    the bytes below n^2 and the offered modulus of the bytes below 2^key_bits:
-    at 128 bits, 32 bytes in 44 characters and 16 bytes in 24."""
+    encrypted, the fingerprint that tells the key. An encrypted gradient's
+    ciphertexts are one base64 string of the bytes below n^2 each, and the
+    offered modulus is base64 of the bytes below 2^key_bits: at 128 bits, 42
+    ciphertexts of 32 bytes in 1,792 characters and 16 bytes in 24."""
 
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
@@ -513,7 +596,8 @@ class TestWireShape:
                 else:
                     assert payload["key"] == keypair.public.fingerprint
                     assert len(payload["key"]) == 12
-                    assert {len(c) for c in payload["ciphertexts"]} == {44}
+                    # 42 ciphertexts of 32 bytes, 1,344 bytes
+                    assert len(payload["ciphertexts"]) == 1792
             gradients[msg.kind.name] += len(payloads)
         # every other float is base64 of float64s: one training loss, a
         # loss per client, the final model's 42 weights
@@ -726,6 +810,14 @@ def _packed_payload(kp, settings) -> dict:
 
 _KEY256 = paillier.keygen(256, seed=8)  # 2 slots: 42 entries in 21 ciphertexts
 _PACKED = _packed_payload(_KEY256, make_settings(encryption="he", key_bits=256))
+_PACKED_VALUES = [
+    c.value for c in protocol.read_gradient(_PACKED, _KEY256.public, 42, qz.QuantConfig()).ciphertexts
+]
+
+
+def _blob(values: list[int]) -> str:
+    """``values`` as a 256-bit key's ciphertexts travel: 64 bytes each, in one string."""
+    return paillier.ints_to_b64(values, 64)
 
 
 class TestMalformedPayloads:
@@ -740,16 +832,28 @@ class TestMalformedPayloads:
             (
                 MessageKind.GLOBAL_GRADIENT,
                 2,
-                {"gradient": {**_PACKED, "ciphertexts": _PACKED["ciphertexts"][:-1]}},
-                "20 ciphertexts cannot hold 42 entries at 2 per ciphertext",
+                {"gradient": {**_PACKED, "ciphertexts": _blob(_PACKED_VALUES[:-1])}},
+                "payload field 'ciphertexts' has 20 entries, expected 21",
             ),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {**_PACKED, "ciphertexts": [7] * 21}}, "malformed"),
+            (
+                MessageKind.GLOBAL_GRADIENT,
+                2,
+                {"gradient": {**_PACKED, "ciphertexts": _blob([0] + _PACKED_VALUES[1:])}},
+                "malformed encrypted gradient: ciphertext value out of range",
+            ),
             (MessageKind.FUSED_GRADIENT, 1, {}, "'models' is missing"),
             # client 2 of 2 holds its own upload, so it scores its one peer's
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED] * 2}, "2 models to cross-validate, expected 1"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [{"key": _PACKED["key"]}]}, "'ciphertexts' is missing"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "key": 1}]}, "'key' is missing"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
+            # the list of base64 strings that ciphertexts travelled as before
+            (
+                MessageKind.GLOBAL_GRADIENT,
+                2,
+                {"gradient": {**_PACKED, "ciphertexts": [_blob([c]) for c in _PACKED_VALUES]}},
+                "payload field 'ciphertexts' is missing or mistyped",
+            ),
         ],
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
@@ -831,7 +935,11 @@ class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "tamper, cause",
         [
-            (lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2}, "42 ciphertexts cannot hold"),
+            # twice the 21 ciphertexts, whose 1,344 bytes need no base64 padding
+            (
+                lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2},
+                "'ciphertexts' has 42 entries, expected 21",
+            ),
             # a plaintext upload into an encrypted cohort
             (
                 lambda p: protocol.gradient_to_payload(np.zeros(42)),
@@ -1059,7 +1167,7 @@ class TestServerAbortsEveryone:
                 MessageKind.KEY_OFFER,
                 lambda m: dataclasses.replace(m, kind=MessageKind.KEY_DELIVER),
                 ProtocolViolation,
-                "^expected KEY_OFFER from client 1, got KEY_DELIVER$",
+                "^expected KEY_OFFER from client 1 in round 0, got KEY_DELIVER$",
                 id="key_delivery_for_the_offer",
             ),
             pytest.param(
@@ -1082,7 +1190,7 @@ class TestServerAbortsEveryone:
                 MessageKind.TRAIN_RESULT,
                 lambda m: dataclasses.replace(m, kind=MessageKind.KEY_DELIVER),
                 ProtocolViolation,
-                "^expected TRAIN_RESULT from client 2, got KEY_DELIVER$",
+                "^expected TRAIN_RESULT from client 2 in round 1, got KEY_DELIVER$",
                 id="key_delivery_for_an_upload",
             ),
             pytest.param(
@@ -1629,7 +1737,8 @@ class TestServerRun:
         settings = make_settings()
         empty = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))
         crippled = DatasetSplit(train=empty, validation=client_split(2).validation, test=empty)
-        with pytest.raises(RoundAborted, match="^client 2 aborted: EmptyDataset"):
+        cause = r"^client 2 aborted: EmptyDataset: .* \(TRAIN_RESULT, round 1\)$"
+        with pytest.raises(RoundAborted, match=cause):
             run_loopback(settings, [client_split(1), crippled])
 
     def test_tampered_frame_is_protocol_violation(self):
