@@ -121,13 +121,21 @@ def forward(params: ModelParams, x) -> np.ndarray:
 
 
 def evaluate(params: ModelParams, data: LabeledData) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy over a labelled set."""
-    if len(data) == 0:
+    """Mean cross-entropy and argmax accuracy over a labelled set, scored
+    STAGE_ROWS rows at a time, so the working set does not grow with the set."""
+    n = len(data)
+    if n == 0:
         raise EmptyDataset("cannot evaluate on an empty set")
-    logp = _log_softmax(_logits(params, data.x))
-    loss = -logp[np.arange(len(data)), data.y].mean()
-    accuracy = float((logp.argmax(axis=1) == data.y).mean())
-    return float(loss), accuracy
+    # each row's log-probability of its label, and whether its argmax hits it
+    logp, hits = np.empty(n), np.empty(n, dtype=bool)
+    # no chunk of one row among several: numpy multiplies a lone row as a
+    # vector, which rounds otherwise than the same row of a matrix product
+    bounds = [*range(0, max(n - 1, 1), max(STAGE_ROWS, 2)), n]
+    for rows in map(slice, bounds, bounds[1:]):
+        chunk, y = _log_softmax(_logits(params, data.x[rows])), data.y[rows]
+        logp[rows] = chunk[np.arange(len(y)), y]
+        hits[rows] = chunk.argmax(axis=1) == y
+    return float(-logp.mean()), float(hits.mean())
 
 
 def train_local(

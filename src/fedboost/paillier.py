@@ -308,7 +308,7 @@ def decode_signed(m: int, n: int) -> int:
     return m - n if 2 * m >= n else m
 
 
-# --- wire codec: fixed-width base64 for keys, ciphertexts and float vectors ---
+# --- wire codec: the offered modulus as fixed-width bytes ---
 
 
 def byte_width(bits: int) -> int:
@@ -316,43 +316,26 @@ def byte_width(bits: int) -> int:
     return -(-bits // 8)
 
 
-def ints_to_b64(values, width: int) -> str:
-    """Canonical base64 of ``values`` back to back, each as ``width`` big-endian bytes."""
-    return base64.b64encode(b"".join(x.to_bytes(width, "big") for x in values)).decode()
-
-
-def b64_to_fixed(text: str, count: int, width: int) -> bytes:
-    """The bytes of ``count`` values of ``width`` bytes each whose canonical
-    base64 is ``text``, as :func:`ints_to_b64` writes them. Any other string,
-    padding bits set included, a non-string or another length is a
-    ValueError, whose message reads after a field's name."""
-    try:
-        raw = base64.b64decode(text, validate=True) if isinstance(text, str) else None
-    except ValueError:  # a character outside the alphabet, bad padding, non-ASCII text
-        raw = None
-    if raw is None or base64.b64encode(raw).decode() != text:
-        raise ValueError(f"is not canonical base64: {text!r:.60}")
-    if len(raw) != count * width:
-        entries = len(raw) // width if len(raw) % width == 0 else len(raw) / width
-        raise ValueError(f"has {entries} entries, expected {count}")
-    return raw
-
-
 def public_key_to_payload(pk: PublicKey) -> dict:
-    """The modulus alone: every party takes the key size from its config."""
-    return {"n": ints_to_b64([pk.n], byte_width(pk.key_bits))}
+    """The modulus alone, as key_bits/8 big-endian bytes: every party takes
+    the key size from its config."""
+    return {"n": pk.n.to_bytes(byte_width(pk.key_bits), "big")}
 
 
 def public_key_from_payload(payload: dict, key_bits: int) -> PublicKey:
     """The offered key, without the nonce base h, since the server never
     encrypts: malformed or weak is a WeakKey, another size a KeyMismatch."""
     try:
+        raw = payload["n"]
+        if not isinstance(raw, bytes):
+            raise TypeError(f"n is {type(raw).__name__}, not bytes")
         # read at the width it spells first, so that another size is named
-        n = int.from_bytes(base64.b64decode(payload["n"], validate=True), "big")
+        n = int.from_bytes(raw, "big")
         _check_key_bits(n.bit_length())
         if n.bit_length() != key_bits:
             raise KeyMismatch(f"offered a {n.bit_length()}-bit key, expected {key_bits}")
-        b64_to_fixed(payload["n"], 1, byte_width(key_bits))  # and at the config's width only
+        if len(raw) != byte_width(key_bits):  # and at the config's width only
+            raise ValueError(f"n has {len(raw)} bytes, expected {byte_width(key_bits)}")
         return PublicKey(n, key_bits)
     except (KeyError, TypeError, ValueError) as exc:
         raise WeakKey(f"malformed public key: {exc!r}") from exc

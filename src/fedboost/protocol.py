@@ -10,16 +10,18 @@ soon as the broadcast reaches it; the in-thread loopback cohort trains all its
 clients in one stacked step when the server first waits for an upload. After
 the last round the server sends every client the merged result; client 1 alone
 decrypts it and answers with the final weights, since the server never holds
-the key pair, and the others check it and end. Every client of an encrypted
-cohort holds that key pair from the start, handed over out of band; client 1
-offers the server its public key, and no frame carries the secret one.
+the key pair, and the others check it and close their channel. Every client
+of an encrypted cohort holds that key pair from the start, handed over out of
+band; client 1 offers the server its public key, and no frame carries the
+secret one.
 
-Wire bodies are canonical JSON (alphabetical keys, compact separators), so
-transcripts are byte-reproducible across transports. Every number travels as
-canonical base64 of ``count`` values of ``width`` bytes back to back, both
-taken from the reader's config, and any other string is refused: the offered
-modulus as one value of key_bits/8 bytes; an encrypted gradient's
-ceil(entries / slots) ciphertexts as one string, each in (0, n^2) as
+A wire body is a canonical JSON header (alphabetical keys, compact
+separators), one newline, then a binary tail, so transcripts are
+byte-reproducible across transports. Every number travels in the tail as
+``count`` values of ``width`` bytes back to back, both taken from the
+reader's config, and the header holds its byte count where it stands: the
+offered modulus as one value of key_bits/8 bytes; an encrypted gradient's
+ceil(entries / slots) ciphertexts as one blob, each in (0, n^2) as
 2*key_bits/8 big-endian bytes; a float vector as 8 bytes of big-endian
 float64 per entry, never NaN or infinity. A frame carries only what its
 channel and the receiver's config cannot give: its body is ``{"payload",
@@ -38,7 +40,6 @@ under another key.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -91,34 +92,72 @@ class Message:
     payload: dict
 
 
-def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
+def canonical_json(obj, default=None) -> bytes:
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default
+    ).encode()
 
 
 def encode_message(msg: Message) -> tuple[int, bytes]:
-    body = canonical_json({"payload": msg.payload, "round": msg.round})
-    return int(msg.kind), body
+    """The kind byte and the body: the canonical JSON header, a newline, then
+    the tail, the payload's ``bytes`` values back to back in the order the
+    header lists them, each one's length standing in its place there."""
+    tail = []
+
+    def to_tail(raw: bytes) -> int:
+        tail.append(raw)
+        return len(raw)
+
+    head = canonical_json({"payload": msg.payload, "round": msg.round}, to_tail)
+    return int(msg.kind), b"\n".join([head, b"".join(tail)])
 
 
 def decode_message(kind: int, body: bytes) -> Message:
+    """The message of one frame, each number in its payload replaced by that
+    many bytes of the tail, in the order the header lists them; the numbers
+    must spend the tail exactly."""
     try:
         mk = MessageKind(kind)
     except ValueError:
         raise ProtocolViolation(f"unknown message kind byte {kind}") from None
+    # canonical JSON escapes every newline, so the first one ends the header
+    head, newline, tail = body.partition(b"\n")
+    if not newline:
+        raise ProtocolViolation("message body has no header separator")
+    at = 0
+
+    def read(value):
+        nonlocal at
+        if isinstance(value, dict):
+            return {k: read(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [read(v) for v in value]
+        if not isinstance(value, (int, float)):
+            return value
+        if type(value) is not int or value < 0:  # a bool, a float or a negative number
+            raise ProtocolViolation(f"payload length {value!r:.20} is no byte count")
+        at += value
+        if at > len(tail):
+            raise ProtocolViolation(f"payload lengths run past the {len(tail)}-byte tail")
+        return tail[at - value : at]
+
     # ValueError covers bad UTF-8, bad JSON and integers past the int-string
     # limit; RecursionError, arrays or objects nested too deep
     try:
-        data = json.loads(body.decode())
+        data = json.loads(head.decode())
+        if (
+            not isinstance(data, dict)
+            or set(data) != {"payload", "round"}
+            or not isinstance(data["payload"], dict)
+            or type(data["round"]) is not int  # no bools
+        ):
+            raise ProtocolViolation("message body must carry payload/round")
+        payload = read(data["payload"])
     except (ValueError, RecursionError) as exc:
         raise ProtocolViolation(f"malformed message body: {exc}") from exc
-    if (
-        not isinstance(data, dict)
-        or set(data) != {"payload", "round"}
-        or not isinstance(data["payload"], dict)
-        or type(data["round"]) is not int  # no bools
-    ):
-        raise ProtocolViolation("message body must carry payload/round")
-    return Message(kind=mk, round=data["round"], payload=data["payload"])
+    if at != len(tail):
+        raise ProtocolViolation(f"{len(tail) - at} tail bytes left over")
+    return Message(kind=mk, round=data["round"], payload=payload)
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -138,23 +177,23 @@ def _field(payload, name: str, kind):
     return value
 
 
-def floats_to_b64(values) -> str:
-    """Canonical base64 of ``values`` as big-endian float64, 8 bytes each."""
-    return base64.b64encode(np.asarray(values, dtype=">f8").tobytes()).decode()
+def floats_to_bytes(values) -> bytes:
+    """``values`` as big-endian float64, 8 bytes each."""
+    return np.asarray(values, dtype=">f8").tobytes()
 
 
 def _fixed(payload, name: str, count: int, width: int) -> bytes:
-    """Payload field ``name`` as the bytes of ``count`` values of ``width``
-    bytes, read from their canonical base64 and from no other string."""
-    try:
-        return paillier.b64_to_fixed(_field(payload, name, str), count, width)
-    except ValueError as exc:
-        raise ProtocolViolation(f"payload field {name!r} {exc}") from None
+    """Payload field ``name``: the bytes of ``count`` values of ``width`` bytes."""
+    raw = _field(payload, name, bytes)
+    if len(raw) != count * width:
+        entries = len(raw) // width if len(raw) % width == 0 else len(raw) / width
+        raise ProtocolViolation(f"payload field {name!r} has {entries} entries, expected {count}")
+    return raw
 
 
 def read_floats(payload, name: str, entries: int) -> np.ndarray:
-    """Payload field ``name`` as ``entries`` finite floats, read from the
-    text :func:`floats_to_b64` writes for them and from no other string."""
+    """Payload field ``name`` as ``entries`` finite floats, from the bytes
+    :func:`floats_to_bytes` writes for them."""
     vector = np.frombuffer(_fixed(payload, name, entries, 8), dtype=">f8").astype(np.float64)
     # float64 bits can spell NaN and infinity
     if not np.all(np.isfinite(vector)):
@@ -164,12 +203,12 @@ def read_floats(payload, name: str, entries: int) -> np.ndarray:
 
 def gradient_to_payload(g) -> dict:
     if isinstance(g, np.ndarray):
-        return {"values": floats_to_b64(g)}
+        return {"values": floats_to_bytes(g)}
     if isinstance(g, agg.EncryptedGradient):
         public_key = g.ciphertexts[0].public
         width = paillier.byte_width(2 * public_key.key_bits)
         return {
-            "ciphertexts": paillier.ints_to_b64((c.value for c in g.ciphertexts), width),
+            "ciphertexts": b"".join(c.value.to_bytes(width, "big") for c in g.ciphertexts),
             "key": public_key.fingerprint,
         }
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
@@ -184,7 +223,7 @@ def read_gradient(
     ``entries`` and ``quant`` from its config."""
     if public_key is None:
         return read_floats(payload, "values", entries)
-    _field(payload, "ciphertexts", str)  # a gradient with no blob is refused before its key
+    _field(payload, "ciphertexts", bytes)  # a gradient with no blob is refused before its key
     if _field(payload, "key", str) != public_key.fingerprint:
         raise KeyMismatch("gradient is encrypted under a different key")
     width = paillier.byte_width(2 * public_key.key_bits)
@@ -282,7 +321,7 @@ class ClientSession:
                 )
             payload = {
                 "gradient": gradient_to_payload(upload),
-                "train_loss": floats_to_b64([result.training_loss]),
+                "train_loss": floats_to_bytes([result.training_loss]),
             }
             return [Message(MessageKind.TRAIN_RESULT, self.round, payload)]
 
@@ -354,7 +393,7 @@ class ClientSession:
                 # under he, what a peer decrypts from the upload, P pieces per unit
                 own = qz.dequantize(self._own) if self.settings.encrypted else self._own
                 values.insert(self.client_id - 1, self._score(nn.apply_gradient(self.weights, own)))
-            payload = {"values": floats_to_b64(values)}
+            payload = {"values": floats_to_bytes(values)}
             return [Message(MessageKind.EVAL_RESULT, msg.round, payload)]
         if msg.kind == MessageKind.MERGED_GRADIENT:
             if self.round != self.settings.rounds:
@@ -368,7 +407,7 @@ class ClientSession:
                 public = self.keypair.public if self.keypair else None
                 read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
                 return []
-            weights = {"weights": floats_to_b64(self._stepped(merged).values)}
+            weights = {"weights": floats_to_bytes(self._stepped(merged).values)}
             return [Message(MessageKind.FINAL_MODEL, msg.round, weights)]
         raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
 
@@ -529,18 +568,22 @@ def _read_losses(payload, n: int) -> np.ndarray:
 
 
 def _expect(
-    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind, round_no: int, transcript,
-    read, *args,
+    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind | None, round_no: int,
+    transcript, read, *args,
 ):
     """``read(payload, *args)`` of the next frame from client ``cid``, which
-    must be a ``kind`` of ``round_no``. Any ProtocolViolation, KeyMismatch or
+    must be a ``kind`` of ``round_no``; for ``kind`` None, the end of the run,
+    the channel must close instead. Any ProtocolViolation, KeyMismatch or
     WeakKey raised decoding or reading the frame names the client, the kind
     and the round."""
+    awaited = kind.name if kind else "end of run"
     try:
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
     except TransportError as exc:
+        if kind is None and isinstance(exc, ChannelClosed):
+            return None
         raise RoundAborted(
-            f"waiting for {kind.name} from client {cid} in round {round_no}: {exc}"
+            f"waiting for {awaited} from client {cid} in round {round_no}: {exc}"
         ) from exc
     try:
         msg = decode_message(raw_kind, body)
@@ -549,13 +592,13 @@ def _expect(
         if msg.kind == kind and msg.round == round_no:
             return read(msg.payload, *args)
     except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
-        raise type(exc)(f"client {cid}: {exc} ({kind.name}, round {round_no})") from exc
+        raise type(exc)(f"client {cid}: {exc} ({awaited}, round {round_no})") from exc
     if msg.kind == MessageKind.ABORT:
         reason = msg.payload.get("reason", "unspecified")
-        raise RoundAborted(f"client {cid} aborted: {reason} ({kind.name}, round {round_no})")
+        raise RoundAborted(f"client {cid} aborted: {reason} ({awaited}, round {round_no})")
     if msg.kind != kind:
         raise ProtocolViolation(
-            f"expected {kind.name} from client {cid} in round {round_no}, got {msg.kind.name}"
+            f"expected {awaited} from client {cid} in round {round_no}, got {msg.kind.name}"
         )
     # every client frame carries the server's round, 0 for the key offer
     raise ProtocolViolation(
@@ -664,6 +707,10 @@ def server_run(
             settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript,
             read_floats, "weights", settings.layout.size,
         )
+        # the others only check the final gradient, so each ends by closing its channel
+        for cid in clients:
+            if cid != DESIGNATED_DECRYPTOR:
+                _expect(settings, endpoints, cid, None, r, transcript, None)
         final = nn.ModelParams(final_values, settings.layout)
         return ServerRunResult(final, records, merged_gradients)
     except FedBoostError as exc:

@@ -1,7 +1,7 @@
 """Frames and the framed TCP transport.
 
 One frame on the wire is a 4-byte big-endian length (counting everything that
-follows), one kind byte, then the UTF-8 body; so length == len(body) + 1.
+follows), one kind byte, then the body; so length == len(body) + 1.
 Frames are delivered whole or not at all. Loopback runs pass the same frames to
 clients run as one cohort in the server's thread (``protocol.InThreadCohort``),
 so both transports carry identical bytes for identical protocol runs.

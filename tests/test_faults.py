@@ -2,7 +2,6 @@
 RoundAborted, ProtocolViolation or KeyMismatch that names the client, and
 leave no child process or thread behind."""
 
-import base64
 import dataclasses
 import math
 import multiprocessing
@@ -64,8 +63,8 @@ def test_tcp_client_killed_after_it_connects(monkeypatch):
 
 class CorruptingEndpoint:
     """The server's endpoint to one loopback client; it rewrites the frame of
-    ``kind`` and round ``round_no`` that passes it, either way, applying
-    ``corrupt`` to the payload value at ``path``."""
+    ``kind`` and round ``round_no`` that passes it, either way, to the body
+    ``corrupt(message, path)`` gives."""
 
     def __init__(self, inner, kind, round_no, path, corrupt):
         self.inner = inner
@@ -77,8 +76,7 @@ class CorruptingEndpoint:
         msg = decode_message(kind, body)
         if (msg.kind, msg.round) != self.target:
             return kind, body
-        payload = _edited(msg.payload, self.path, self.corrupt)
-        return encode_message(dataclasses.replace(msg, payload=payload))
+        return kind, self.corrupt(msg, self.path)
 
     def send(self, kind: int, body: bytes) -> None:
         self.inner.send(*self._rewrite(kind, body))
@@ -97,8 +95,29 @@ def _edited(value, path: tuple, edit):
     return copy
 
 
-def _bytes_of(text: str, edit) -> str:
-    return base64.b64encode(edit(base64.b64decode(text))).decode()
+def _value(edit):
+    """A corruption of the payload value at the endpoint's path: ``edit`` of it."""
+    return lambda msg, path: encode_message(
+        dataclasses.replace(msg, payload=_edited(msg.payload, path, edit))
+    )[1]
+
+
+def _body(edit):
+    """A corruption of the whole encoded body: ``edit`` of its bytes."""
+    return lambda msg, _path: edit(encode_message(msg)[1])
+
+
+# the same in every frame: its header and tail disagree
+FRAME_CORRUPTIONS = {
+    "length_past_the_tail": _body(lambda body: body[:-1]),
+    "tail_left_over": _body(lambda body: body + b"\0"),
+    "no_separator": _body(lambda body: body.partition(b"\n")[0]),
+}
+FRAME_CAUSES = {
+    "length_past_the_tail": r"payload lengths run past the \d+-byte tail",
+    "tail_left_over": "1 tail bytes left over",
+    "no_separator": "message body has no header separator",
+}
 
 
 def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
@@ -120,14 +139,19 @@ def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
 
 
 CORRUPTIONS = {
-    "truncated": lambda text: text[:-1],
-    "one_byte_too_many": lambda text: _bytes_of(text, lambda raw: raw + b"\0"),
-    "nan_bits": lambda text: _bytes_of(text, lambda raw: struct.pack(">d", math.nan) + raw[8:]),
+    "truncated": _value(lambda raw: raw[:-1]),
+    "one_byte_too_many": _value(lambda raw: raw + b"\0"),
+    "nan_bits": _value(lambda raw: struct.pack(">d", math.nan) + raw[8:]),
+    # a str where bytes belong
+    "text": _value(lambda raw: raw.hex()),
+    **FRAME_CORRUPTIONS,
 }
 CAUSES = {
-    "truncated": "is not canonical base64",
-    "one_byte_too_many": r"has \d+\.125 entries",
-    "nan_bits": "has non-finite entries",
+    "truncated": r"payload field '{name}' has \d+\.875 entries",
+    "one_byte_too_many": r"payload field '{name}' has \d+\.125 entries",
+    "nan_bits": "payload field '{name}' has non-finite entries",
+    "text": "payload field '{name}' is missing or mistyped",
+    **FRAME_CAUSES,
 }
 
 
@@ -144,8 +168,9 @@ CAUSES = {
 @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
 def test_corrupt_float_vector_on_loopback(encryption, kind, cid, name, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    cause = rf"^client {cid}: payload field '{name}' {CAUSES[corruption]}.* \({kind.name}, round 2\)$"
-    _run_corrupted(settings, cid, kind, (name,), CORRUPTIONS[corruption], ProtocolViolation, cause)
+    cause = CAUSES[corruption].format(name=name)
+    pattern = rf"^client {cid}: {cause}.* \({kind.name}, round 2\)$"
+    _run_corrupted(settings, cid, kind, (name,), CORRUPTIONS[corruption], ProtocolViolation, pattern)
 
 
 # the cohort key of make_settings at 128 bits: one ciphertext of 32 bytes per entry
@@ -154,26 +179,30 @@ WIDTH = 32
 
 
 def _ciphertexts(edit):
-    """A corruption of an encrypted gradient: ``edit`` of its blob's bytes."""
-    return lambda gradient: {**gradient, "ciphertexts": _bytes_of(gradient["ciphertexts"], edit)}
+    """A corruption of an encrypted gradient: ``edit`` of its blob."""
+    return _value(lambda gradient: {**gradient, "ciphertexts": edit(gradient["ciphertexts"])})
 
 
 BLOB_CORRUPTIONS = {
-    "truncated": lambda gradient: {**gradient, "ciphertexts": gradient["ciphertexts"][:-1]},
+    "truncated": _ciphertexts(lambda raw: raw[:-1]),
     "one_byte_too_many": _ciphertexts(lambda raw: raw + b"\0"),
     "one_ciphertext_short": _ciphertexts(lambda raw: raw[:-WIDTH]),
     "ciphertext_of_zero": _ciphertexts(lambda raw: bytes(WIDTH) + raw[WIDTH:]),
     "ciphertext_of_n_squared": _ciphertexts(lambda raw: N_SQUARED.to_bytes(WIDTH, "big") + raw[WIDTH:]),
-    "wrong_key": lambda gradient: {**gradient, "key": paillier.keygen(128, seed=1).public.fingerprint},
+    "text": _ciphertexts(lambda raw: raw.hex()),
+    "wrong_key": _value(lambda gradient: {**gradient, "key": paillier.keygen(128, seed=1).public.fingerprint}),
+    **FRAME_CORRUPTIONS,
 }
 OUT_OF_RANGE = "ProtocolViolation: malformed encrypted gradient: ciphertext value out of range"
 BLOB_CAUSES = {
-    "truncated": "ProtocolViolation: payload field 'ciphertexts' is not canonical base64",
+    "truncated": r"ProtocolViolation: payload field 'ciphertexts' has 41\.96875 entries",
     "one_byte_too_many": r"ProtocolViolation: payload field 'ciphertexts' has 42\.03125 entries",
     "one_ciphertext_short": "ProtocolViolation: payload field 'ciphertexts' has 41 entries, expected 42",
     "ciphertext_of_zero": OUT_OF_RANGE,
     "ciphertext_of_n_squared": OUT_OF_RANGE,
+    "text": "ProtocolViolation: payload field 'ciphertexts' is missing or mistyped",
     "wrong_key": "KeyMismatch: gradient is encrypted under a different key",
+    **{name: f"ProtocolViolation: {cause}" for name, cause in FRAME_CAUSES.items()},
 }
 
 
@@ -192,15 +221,16 @@ def test_corrupt_ciphertext_blob_from_a_client(encryption, corruption):
 @pytest.mark.parametrize(
     "kind, cid, path, awaited",
     [
-        (MessageKind.GLOBAL_GRADIENT, 2, ("gradient",), MessageKind.TRAIN_RESULT),
-        (MessageKind.FUSED_GRADIENT, 2, ("models", 0), MessageKind.EVAL_RESULT),
-        # only client 1 answers the final gradient, so only its ABORT is read
-        (MessageKind.MERGED_GRADIENT, 1, ("gradient",), MessageKind.FINAL_MODEL),
+        (MessageKind.GLOBAL_GRADIENT, 2, ("gradient",), "TRAIN_RESULT"),
+        (MessageKind.FUSED_GRADIENT, 2, ("models", 0), "EVAL_RESULT"),
+        (MessageKind.MERGED_GRADIENT, 1, ("gradient",), "FINAL_MODEL"),
+        # client 2 only checks the final gradient, and ends by closing its channel
+        (MessageKind.MERGED_GRADIENT, 2, ("gradient",), "end of run"),
     ],
     ids=lambda v: v.name if isinstance(v, MessageKind) else str(v),
 )
 @pytest.mark.parametrize("encryption", ["he", "he_dp"])
 def test_corrupt_ciphertext_blob_to_a_client(encryption, kind, cid, path, awaited, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    pattern = rf"^client {cid} aborted: {BLOB_CAUSES[corruption]}.* \({awaited.name}, round 2\)$"
+    pattern = rf"^client {cid} aborted: {BLOB_CAUSES[corruption]}.* \({awaited}, round 2\)$"
     _run_corrupted(settings, cid, kind, path, BLOB_CORRUPTIONS[corruption], RoundAborted, pattern)

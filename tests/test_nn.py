@@ -148,6 +148,17 @@ class TestForward:
         assert np.all(probs > 0)
 
 
+# row counts around the staging size s, and one of many chunks
+EVAL_SIZES = {
+    "1": lambda s: 1,
+    "s-1": lambda s: s - 1,
+    "s": lambda s: s,
+    "s+1": lambda s: s + 1,
+    "2s+3": lambda s: 2 * s + 3,
+    "many": lambda s: max(3 * s + 1, 301),
+}
+
+
 class TestEvaluate:
     def test_zero_params_on_balanced_set_give_ln2(self):
         parts = tiny_split(10)
@@ -180,6 +191,21 @@ class TestEvaluate:
         loss, acc = nn.evaluate(params, data)
         assert acc == 1.0
         assert loss < 1e-6
+
+    @pytest.mark.parametrize("size", sorted(EVAL_SIZES))
+    @pytest.mark.parametrize("stage_rows", [nn.STAGE_ROWS, 16, 5, 1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chunks_equal_the_one_shot_formula_bit_for_bit(self, size, stage_rows, seed):
+        n = max(EVAL_SIZES[size](stage_rows), 1)
+        rng = np.random.default_rng([seed, n])
+        params = random_params(rng)
+        data = LabeledData(rng.normal(0.0, 3.0, size=(n, 2)), rng.integers(0, 2, size=n))
+        # every row at once, as evaluate scored before it staged the rows
+        logp = nn._log_softmax(nn._logits(params, data.x))
+        loss = float(-logp[np.arange(n), data.y].mean())
+        accuracy = float((logp.argmax(axis=1) == data.y).mean())
+        with mock.patch.object(nn, "STAGE_ROWS", stage_rows):
+            assert nn.evaluate(params, data) == (loss, accuracy)
 
     def test_empty_rejected(self):
         data = LabeledData(np.zeros((0, 2)), np.zeros(0, dtype=int))

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import math
@@ -48,9 +47,20 @@ from test_paillier import _other_spellings
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 
-def b64(*values: float) -> str:
+def f64(*values: float) -> bytes:
     """``values`` as the wire spells a float vector."""
-    return protocol.floats_to_b64(values)
+    return protocol.floats_to_bytes(values)
+
+
+def raw_body(payload, round_no: int, tail: bytes = b"") -> bytes:
+    """A body whose header holds ``payload`` as written, numbers included,
+    before ``tail``: what a peer could send that ``encode_message`` never writes."""
+    return protocol.canonical_json({"payload": payload, "round": round_no}) + b"\n" + tail
+
+
+def through_the_wire(payload):
+    """``payload`` as a peer's arrives: encoded and decoded."""
+    return decode_message(*encode_message(Message(MessageKind.TRAIN_RESULT, 1, payload))).payload
 
 
 def client_split(seed: int, n_each: int = 60) -> DatasetSplit:
@@ -143,54 +153,100 @@ def server_says(endpoint, kind, round_no, payload) -> list[Message]:
 
 class TestMessageCodec:
     def test_roundtrip(self):
-        msg = Message(MessageKind.TRAIN_RESULT, round=3, payload={"train_loss": 0.25})
+        payload = {"train_loss": f64(0.25), "gradient": {"values": f64(1.0, 2.0)}}
+        msg = Message(MessageKind.TRAIN_RESULT, round=3, payload=payload)
         kind, body = encode_message(msg)
         assert decode_message(kind, body) == msg
 
     def test_canonical_bytes(self):
         msg = Message(MessageKind.ABORT, round=1, payload={"reason": "x"})
         _, body = encode_message(msg)
-        assert body == b'{"payload":{"reason":"x"},"round":1}'
+        assert body == b'{"payload":{"reason":"x"},"round":1}\n'
+
+    def test_bytes_travel_in_the_tail_in_header_order(self):
+        # sorted keys, then list order; the header holds each one's length
+        payload = {"b": [b"\x01", b""], "a": b"\n\n", "c": {"d": b"xyz"}}
+        _, body = encode_message(Message(MessageKind.FUSED_GRADIENT, 2, payload))
+        assert body == b'{"payload":{"a":2,"b":[1,0],"c":{"d":3}},"round":2}\n\n\n\x01xyz'
 
     def test_unknown_kind_byte(self):
         with pytest.raises(ProtocolViolation):
-            decode_message(200, b'{"payload":{},"round":0}')
+            decode_message(200, b'{"payload":{},"round":0}\n')
 
     def test_tampered_body(self):
         with pytest.raises(ProtocolViolation):
-            decode_message(int(MessageKind.ABORT), b"{not json")
+            decode_message(int(MessageKind.ABORT), b"{not json\n")
 
     def test_missing_fields(self):
         with pytest.raises(ProtocolViolation):
-            decode_message(int(MessageKind.ABORT), b'{"payload":{}}')
+            decode_message(int(MessageKind.ABORT), b'{"payload":{}}\n')
 
     @pytest.mark.parametrize(
         "body",
         [
-            pytest.param(b'{"payload":{},"round":true}', id="bool_round"),
+            pytest.param(b'{"payload":{},"round":true}\n', id="bool_round"),
             # the endpoint a frame arrives on names the peer
-            pytest.param(b'{"payload":{},"round":1,"sender":2}', id="stale_sender"),
+            pytest.param(b'{"payload":{},"round":1,"sender":2}\n', id="stale_sender"),
         ],
     )
     def test_body_is_a_payload_and_an_integer_round(self, body):
         with pytest.raises(ProtocolViolation, match="must carry payload/round$"):
             decode_message(int(MessageKind.TRAIN_RESULT), body)
 
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            pytest.param(b'{"payload":{},"round":1}', "^message body has no header separator$", id="no_separator"),
+            pytest.param(
+                raw_body({"n": 17}, 0, bytes(16)),
+                "^payload lengths run past the 16-byte tail$",
+                id="length_past_the_tail",
+            ),
+            pytest.param(raw_body({"n": 16}, 0, bytes(17)), "^1 tail bytes left over$", id="tail_left_over"),
+            pytest.param(raw_body({}, 0, b"\n"), "^1 tail bytes left over$", id="newline_left_over"),
+            pytest.param(raw_body({"n": -1}, 0), "^payload length -1 is no byte count$", id="negative_length"),
+            pytest.param(raw_body({"n": True}, 0, b"\0"), "^payload length True is no byte count$", id="bool"),
+            pytest.param(raw_body({"n": 1.0}, 0, b"\0"), "^payload length 1.0 is no byte count$", id="float"),
+        ],
+    )
+    def test_the_tail_must_be_spent_exactly(self, body, cause):
+        with pytest.raises(ProtocolViolation, match=cause):
+            decode_message(int(MessageKind.KEY_OFFER), body)
+
 
 # bodies that get past the JSON parser's own error types
-HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1}'
-DEEP_BODY = b"[" * 100_000
+HUGE_INT_BODY = b'{"payload":{"train_loss":' + b"1" * 5000 + b'},"round":1}\n'
+DEEP_BODY = b"[" * 100_000 + b"\n"
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=10,
 )
+# what a payload holds once decoded: no numbers, as every length became bytes
+PAYLOAD_VALUES = st.recursive(
+    st.text() | st.binary(max_size=40),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+WIRE_VALUES = st.none() | PAYLOAD_VALUES
 BODIES = st.one_of(
     st.binary(max_size=200),
-    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
     st.builds(
-        lambda p, r: json.dumps({"payload": p, "round": r}).encode(), JSON_VALUES, JSON_VALUES
+        lambda v, tail: json.dumps(v).encode() + b"\n" + tail, JSON_VALUES, st.binary(max_size=20)
+    ),
+    st.builds(
+        lambda p, r, tail: json.dumps({"payload": p, "round": r}).encode() + b"\n" + tail,
+        JSON_VALUES,
+        JSON_VALUES,
+        st.binary(max_size=20),
+    ),
+    # a well-formed body, cut or extended anywhere
+    st.builds(
+        lambda p, cut, extra: encode_message(Message(MessageKind.TRAIN_RESULT, 1, p))[1][:cut] + extra,
+        st.dictionaries(st.text(), PAYLOAD_VALUES),
+        st.integers(0, 400),
+        st.binary(max_size=3),
     ),
 )
 
@@ -212,7 +268,7 @@ class TestGradientPayloads:
     def test_plain_roundtrip(self):
         g = np.array([0.5, -1.25, 3.0])
         payload = protocol.gradient_to_payload(g)
-        assert payload == {"values": _b64_bytes(struct.pack(">3d", 0.5, -1.25, 3.0))}
+        assert payload == {"values": struct.pack(">3d", 0.5, -1.25, 3.0)}
         quant = qz.QuantConfig()
         assert np.array_equal(protocol.decode_gradient_payload(payload, None, 3, quant), g)
 
@@ -221,9 +277,9 @@ class TestGradientPayloads:
         q = qz.quantize(np.array([0.125, -0.5]), cfg)
         eg = agg.encrypt_gradient(key128.public, q)
         payload = protocol.gradient_to_payload(eg)
-        # one ciphertext per entry at 128 bits, each as 32 bytes, in one string
+        # one ciphertext per entry at 128 bits, each as 32 bytes, in one blob
         blob = b"".join(c.value.to_bytes(32, "big") for c in eg.ciphertexts)
-        assert payload == {"ciphertexts": _b64_bytes(blob), "key": key128.public.fingerprint}
+        assert payload == {"ciphertexts": blob, "key": key128.public.fingerprint}
         out = protocol.decode_gradient_payload(payload, key128, 2, cfg)
         assert np.allclose(out, [0.125, -0.5])
 
@@ -242,57 +298,37 @@ FUZZ_ENTRIES = FUZZ_SETTINGS.layout.size
 
 
 def _keys(pk: paillier.PublicKey):
-    """Wire key fingerprints: this key's, another key's, and other JSON."""
+    """Wire key fingerprints: this key's, another key's, the right one as
+    bytes, the modulus, and other wire values."""
     return st.one_of(
         st.just(pk.fingerprint),
         st.just(paillier.keygen(pk.key_bits, seed=1).public.fingerprint),
+        st.just(pk.fingerprint.encode()),
         st.just(format(pk.n, "x")),
-        st.just(pk.n),
-        JSON_VALUES,
+        st.just(pk.n.to_bytes(paillier.byte_width(pk.key_bits), "big")),
+        WIRE_VALUES,
     )
-
-
-def _numbers():
-    return st.one_of(
-        st.floats(),
-        st.integers(-(10**400), 10**400),
-        st.booleans(),
-        st.text(max_size=3),
-        st.none(),
-    )
-
-
-def _b64_bytes(raw: bytes) -> str:
-    return base64.b64encode(raw).decode()
 
 
 def _float_vectors(entries: int):
-    """Wire float vectors, valid or not: base64 of ``entries`` float64s of any
-    bits, NaN and infinity included, or of another byte count; the right
-    bytes in the URL-safe alphabet or with a stray character; decimal lists,
-    as floats travelled before, and other JSON."""
+    """Wire float vectors, valid or not: ``entries`` float64s of any bits,
+    NaN and infinity included, or another byte count; the right bytes as
+    text or one value per entry, and other wire values."""
     any_bits = st.binary(min_size=8 * entries, max_size=8 * entries)
     return st.one_of(
-        st.lists(st.floats(), min_size=entries, max_size=entries).map(protocol.floats_to_b64),
-        any_bits.map(_b64_bytes),
-        st.binary(max_size=8 * entries + 9).map(_b64_bytes),
-        any_bits.map(lambda raw: base64.urlsafe_b64encode(raw).decode()),
-        st.builds(
-            lambda text, at, c: text[:at] + c + text[at:],
-            any_bits.map(_b64_bytes),
-            st.integers(0, 12 * entries),
-            st.sampled_from([" ", "\n", "=", "-", "\u00e9"]),
-        ),
-        st.lists(st.one_of(st.floats(), _numbers()), max_size=entries + 1),
-        JSON_VALUES,
+        st.lists(st.floats(), min_size=entries, max_size=entries).map(protocol.floats_to_bytes),
+        any_bits,
+        st.binary(max_size=8 * entries + 9),
+        any_bits.map(lambda raw: raw.decode("latin-1")),
+        any_bits.map(lambda raw: [raw[at : at + 8] for at in range(0, len(raw), 8)]),
+        WIRE_VALUES,
     )
 
 
 def _blobs(pk: paillier.PublicKey, count: int):
     """Wire ciphertext blobs, valid or not: ``count`` ciphertexts in range;
     one of them 0, n^2 or 256^width - 1; another count; any bytes; the right
-    bytes in the URL-safe alphabet or with a stray character; the list of
-    base64 strings that ciphertexts travelled as before, and other JSON."""
+    bytes as text or one value per ciphertext, and other wire values."""
     n2 = pk.n_squared
     width = paillier.byte_width(2 * pk.key_bits)
     in_range = st.integers(1, n2 - 1)
@@ -302,30 +338,24 @@ def _blobs(pk: paillier.PublicKey, count: int):
         return b"".join(c.to_bytes(width, "big") for c in values)
 
     return st.one_of(
-        good.map(lambda cs: paillier.ints_to_b64(cs, width)),
+        good.map(blob),
         st.builds(
-            lambda cs, c, i: paillier.ints_to_b64(cs[:i] + [c] + cs[i + 1 :], width),
+            lambda cs, c, i: blob(cs[:i] + [c] + cs[i + 1 :]),
             good,
             st.sampled_from([0, n2, 256**width - 1]),
             st.integers(0, count - 1),
         ),
-        st.lists(in_range, max_size=count + 2).map(lambda cs: paillier.ints_to_b64(cs, width)),
-        st.binary(max_size=(count + 1) * width + 1).map(_b64_bytes),
-        good.map(lambda cs: base64.urlsafe_b64encode(blob(cs)).decode()),
-        st.builds(
-            lambda text, at, c: text[:at] + c + text[at:],
-            good.map(lambda cs: _b64_bytes(blob(cs))),
-            st.integers(0, 4 * count * width // 3),
-            st.sampled_from([" ", "\n", "=", "-", "\u00e9"]),
-        ),
-        good.map(lambda cs: [paillier.ints_to_b64([c], width) for c in cs]),
-        JSON_VALUES,
+        st.lists(in_range, max_size=count + 2).map(blob),
+        st.binary(max_size=(count + 1) * width + 1),
+        good.map(lambda cs: blob(cs).hex()),
+        good.map(lambda cs: [c.to_bytes(width, "big") for c in cs]),
+        WIRE_VALUES,
     )
 
 
 def _gradient_payloads(pk: paillier.PublicKey, entries: int):
-    """JSON-shaped gradient payloads: good ones, ones with one bad
-    ciphertext, wrong counts, and fields missing, mistyped or extra."""
+    """Wire gradient payloads: good ones, ones with one bad ciphertext,
+    wrong counts, and fields missing, mistyped or extra."""
     ciphertexts = _blobs(pk, -(-entries // agg.slots_per_ciphertext(pk.key_bits)))
     values = _float_vectors(entries)
     payloads = st.one_of(
@@ -336,19 +366,20 @@ def _gradient_payloads(pk: paillier.PublicKey, entries: int):
             {}, optional={"ciphertexts": ciphertexts, "key": _keys(pk), "values": values}
         ),
     )
-    # through the JSON codec, as a peer's payload arrives
-    return payloads.map(lambda p: json.loads(json.dumps(p)))
+    return payloads.map(through_the_wire)
 
 
 class TestPayloadDecodersFuzz:
-    """Any JSON-shaped gradient payload decodes to a value or is refused as a
-    ProtocolViolation or KeyMismatch, never with another exception."""
+    """Any wire gradient payload decodes to a value or is refused as a
+    ProtocolViolation or KeyMismatch, never with another exception; and the
+    message codec returns any payload it writes, and refuses any body it
+    cannot read with a ProtocolViolation."""
 
     REFUSALS = (ProtocolViolation, KeyMismatch)
 
     @hypothesis_settings(max_examples=200, deadline=None)
     @given(
-        payload=st.one_of(_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), JSON_VALUES),
+        payload=st.one_of(_gradient_payloads(FUZZ_KEY.public, FUZZ_ENTRIES), WIRE_VALUES),
         encrypted=st.booleans(),
     )
     def test_read_gradient(self, payload, encrypted):
@@ -377,6 +408,50 @@ class TestPayloadDecodersFuzz:
             return
         assert g.shape == (FUZZ_ENTRIES,) and np.all(np.isfinite(g))
 
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(MessageKind),
+        round_no=st.integers(-(2**63), 2**63),
+        payload=st.dictionaries(st.text(), PAYLOAD_VALUES),
+    )
+    # a newline in a key, in text and in bytes: only the header's own is raw
+    @example(kind=MessageKind.ABORT, round_no=0, payload={"\n": ["\n", b"\n"]})
+    def test_encode_then_decode_returns_the_payload(self, kind, round_no, payload):
+        msg = Message(kind, round_no, payload)
+        raw_kind, body = encode_message(msg)
+        assert decode_message(raw_kind, body) == msg
+        head, _newline, tail = body.partition(b"\n")
+        assert json.loads(head)["round"] == round_no
+        assert len(tail) == sum(map(len, bytes_within(payload)))
+
+    @hypothesis_settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(MessageKind), body=BODIES)
+    @example(kind=MessageKind.TRAIN_RESULT, body=HUGE_INT_BODY)
+    @example(kind=MessageKind.TRAIN_RESULT, body=DEEP_BODY)
+    # nested deeper than the tail walk can recurse, though the JSON parser reads it
+    @example(kind=MessageKind.ABORT, body=b'{"payload":{"a":' + b"[" * 900 + b"]" * 900 + b'},"round":0}\n')
+    def test_any_body_decodes_to_a_message_or_a_protocol_violation(self, kind, body):
+        try:
+            msg = decode_message(int(kind), body)
+        except ProtocolViolation:
+            return
+        assert isinstance(msg, Message) and msg.kind == kind
+        assert not any(isinstance(v, (int, float)) for v in _leaves(msg.payload))
+
+
+def _leaves(value):
+    """Every value nested in ``value`` that is no dict or list."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _leaves(v)]
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def bytes_within(value) -> list[bytes]:
+    """Every bytes value nested in ``value``."""
+    return [leaf for leaf in _leaves(value) if isinstance(leaf, bytes)]
+
 
 # 8 slots per ciphertext: 42 entries in 6 ciphertexts of 256 bytes
 _KEY1024 = paillier.keygen(1024, seed=2024)
@@ -386,23 +461,22 @@ BLOB_KEY_FIELDS = {bits: st.one_of(st.just(pk.fingerprint), _keys(pk)) for bits,
 
 
 class TestCiphertextBlobFuzz:
-    """An encrypted gradient's ciphertexts travel as one canonical base64
-    string of count x width bytes, count = ceil(entries / slots) and width =
-    the bytes below n^2, both from the reader's config. ``read_gradient``
-    returns exactly that many ciphertexts, each in (0, n^2), or refuses with
-    a ProtocolViolation, or a KeyMismatch for another key."""
+    """An encrypted gradient's ciphertexts travel as one blob of count x
+    width bytes, count = ceil(entries / slots) and width = the bytes below
+    n^2, both from the reader's config. ``read_gradient`` returns exactly
+    that many ciphertexts, each in (0, n^2), or refuses with a
+    ProtocolViolation, or a KeyMismatch for another key."""
 
     REFUSALS = (ProtocolViolation, KeyMismatch)
 
     @hypothesis_settings(max_examples=300, deadline=None)
     @given(data=st.data(), key_bits=st.sampled_from(sorted(BLOB_KEYS)))
-    def test_any_json_value_decodes_or_is_refused(self, data, key_bits):
+    def test_any_wire_value_decodes_or_is_refused(self, data, key_bits):
         pk = BLOB_KEYS[key_bits]
         count = -(-FUZZ_ENTRIES // agg.slots_per_ciphertext(key_bits))
-        value = data.draw(st.one_of(_blobs(pk, count), JSON_VALUES))
+        value = data.draw(st.one_of(_blobs(pk, count), WIRE_VALUES))
         key = data.draw(BLOB_KEY_FIELDS[key_bits])
-        # through the JSON codec, as a peer's payload arrives
-        payload = json.loads(json.dumps({"ciphertexts": value, "key": key}))
+        payload = through_the_wire({"ciphertexts": value, "key": key})
         try:
             g = protocol.read_gradient(payload, pk, FUZZ_ENTRIES, FUZZ_SETTINGS.quant)
         except self.REFUSALS:
@@ -421,9 +495,8 @@ class TestCiphertextBlobFuzz:
         values = data.draw(st.lists(st.integers(1, pk.n_squared - 1), min_size=count, max_size=count))
         cts = [paillier.Ciphertext(v, pk) for v in values]
         eg = agg.EncryptedGradient(cts, FUZZ_SETTINGS.quant, entries)
-        payload = json.loads(json.dumps(protocol.gradient_to_payload(eg)))
-        width = paillier.byte_width(2 * key_bits)
-        assert len(payload["ciphertexts"]) == 4 * math.ceil(count * width / 3)
+        payload = through_the_wire(protocol.gradient_to_payload(eg))
+        assert len(payload["ciphertexts"]) == count * paillier.byte_width(2 * key_bits)
         back = protocol.read_gradient(payload, pk, entries, FUZZ_SETTINGS.quant)
         assert [c.value for c in back.ciphertexts] == values and back.config == FUZZ_SETTINGS.quant
 
@@ -435,25 +508,28 @@ class TestCiphertextBlobFuzz:
         width = paillier.byte_width(2 * key_bits)
         values = data.draw(st.lists(st.integers(1, pk.n_squared - 1), min_size=count, max_size=count))
 
-        def read(text):
-            payload = {"ciphertexts": text, "key": pk.fingerprint}
+        def read(blob):
+            payload = {"ciphertexts": blob, "key": pk.fingerprint}
             return protocol.read_gradient(payload, pk, FUZZ_ENTRIES, FUZZ_SETTINGS.quant)
 
-        text = paillier.ints_to_b64(values, width)
-        assert [c.value for c in read(text).ciphertexts] == values
-        for bad in _other_spellings(text, count * width, data.draw):
+        def blob(values) -> bytes:
+            return b"".join(c.to_bytes(width, "big") for c in values)
+
+        raw = blob(values)
+        assert [c.value for c in read(raw).ciphertexts] == values
+        for bad in _other_spellings(raw, data.draw):
             with pytest.raises(ProtocolViolation, match="^payload field 'ciphertexts' "):
                 read(bad)
-        # the right spelling of a ciphertext too few or too many
+        # a ciphertext too few or too many
         for other in (count - 1, count + 1):
             with pytest.raises(ProtocolViolation, match=f"has {other} entries, expected {count}$"):
-                read(paillier.ints_to_b64((values * 2)[:other], width))
+                read(blob((values * 2)[:other]))
         # a ciphertext of 0 or n^2, wherever it stands
         at = data.draw(st.integers(0, count - 1))
         out_of_range = "^malformed encrypted gradient: ciphertext value out of range$"
         for edge in (0, pk.n_squared):
             with pytest.raises(ProtocolViolation, match=out_of_range):
-                read(paillier.ints_to_b64(values[:at] + [edge] + values[at + 1 :], width))
+                read(blob(values[:at] + [edge] + values[at + 1 :]))
 
 
 # every float vector a reader takes, with the entry count its config gives
@@ -462,25 +538,24 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestFloatCodecFuzz:
-    """Every float vector on the wire is canonical base64 of big-endian
-    float64s, as ``floats_to_b64`` writes it. ``read_floats`` takes the entry
-    count from the reader's config, returns that many finite floats bit for
-    bit, and refuses anything else with a ProtocolViolation."""
+    """Every float vector on the wire is the big-endian float64 bytes that
+    ``floats_to_bytes`` writes. ``read_floats`` takes the entry count from
+    the reader's config, returns that many finite floats bit for bit, and
+    refuses anything else with a ProtocolViolation."""
 
     @hypothesis_settings(max_examples=300, deadline=None)
     @given(data=st.data(), field=st.sampled_from(sorted(FLOAT_FIELDS)))
-    def test_any_json_value_decodes_or_is_refused(self, data, field):
+    def test_any_wire_value_decodes_or_is_refused(self, data, field):
         entries = FLOAT_FIELDS[field]
-        value = data.draw(st.one_of(_float_vectors(entries), JSON_VALUES))
-        # through the JSON codec, as a peer's payload arrives
-        payload = json.loads(json.dumps({field: value}))
+        value = data.draw(st.one_of(_float_vectors(entries), WIRE_VALUES))
+        payload = through_the_wire({field: value})
         try:
             vector = protocol.read_floats(payload, field, entries)
         except ProtocolViolation:
             return
         assert vector.dtype == np.float64 and vector.shape == (entries,)
         assert np.all(np.isfinite(vector))
-        assert protocol.floats_to_b64(vector) == value
+        assert protocol.floats_to_bytes(vector) == value
 
     @hypothesis_settings(max_examples=200, deadline=None)
     @given(xs=st.lists(FINITE, max_size=50))
@@ -488,9 +563,9 @@ class TestFloatCodecFuzz:
     @example(xs=[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max])
     @example(xs=[-sys.float_info.max])
     def test_finite_vectors_round_trip_bit_for_bit(self, xs):
-        text = protocol.floats_to_b64(xs)
-        assert len(text) == 4 * math.ceil(8 * len(xs) / 3)
-        vector = protocol.read_floats({"weights": text}, "weights", len(xs))
+        raw = protocol.floats_to_bytes(xs)
+        assert len(raw) == 8 * len(xs)
+        vector = protocol.read_floats(through_the_wire({"weights": raw}), "weights", len(xs))
         assert vector.tobytes() == np.array(xs, dtype=np.float64).tobytes()
 
     @hypothesis_settings(max_examples=200, deadline=None)
@@ -509,20 +584,20 @@ class TestFloatCodecFuzz:
         at = 8 * data.draw(st.integers(0, entries - 1))
         raw[at : at + 8] = bits.to_bytes(8, "big")
         with pytest.raises(ProtocolViolation, match=f"^payload field '{field}' has non-finite entries$"):
-            protocol.read_floats({field: _b64_bytes(bytes(raw))}, field, entries)
+            protocol.read_floats({field: bytes(raw)}, field, entries)
 
     @hypothesis_settings(max_examples=100, deadline=None)
     @given(data=st.data(), field=st.sampled_from(sorted(FLOAT_FIELDS)))
     def test_every_other_spelling_is_refused(self, data, field):
         entries = FLOAT_FIELDS[field]
-        text = protocol.floats_to_b64(data.draw(st.lists(FINITE, min_size=entries, max_size=entries)))
-        for bad in _other_spellings(text, 8 * entries, data.draw):
+        raw = protocol.floats_to_bytes(data.draw(st.lists(FINITE, min_size=entries, max_size=entries)))
+        for bad in _other_spellings(raw, data.draw):
             with pytest.raises(ProtocolViolation, match=f"^payload field '{field}' "):
                 protocol.read_floats({field: bad}, field, entries)
-        # the right spelling of one entry fewer or more
+        # one entry fewer or more
         for other in (entries - 1, entries + 1):
             with pytest.raises(ProtocolViolation, match=f"has {other} entries, expected {entries}$"):
-                protocol.read_floats({field: protocol.floats_to_b64([0.5] * other)}, field, entries)
+                protocol.read_floats({field: f64(*[0.5] * other)}, field, entries)
 
 
 class Recorder:
@@ -568,13 +643,30 @@ def _keys_within(obj) -> set:
     return set()
 
 
+# whole-frame bytes per kind of ``_recorded_run``, the 5-byte frame header included
+FRAME_BYTES = {
+    "none": dict(
+        GLOBAL_GRADIENT=842, TRAIN_RESULT=1656, FUSED_GRADIENT=1564, EVAL_RESULT=228,
+        MERGED_GRADIENT=782, FINAL_MODEL=379,
+    ),
+    "he": dict(
+        KEY_OFFER=52, GLOBAL_GRADIENT=2912, TRAIN_RESULT=5796, FUSED_GRADIENT=5704,
+        EVAL_RESULT=228, MERGED_GRADIENT=2852, FINAL_MODEL=379,
+    ),
+    "he_dp": dict(
+        KEY_OFFER=52, GLOBAL_GRADIENT=2912, TRAIN_RESULT=5796, FUSED_GRADIENT=11248,
+        EVAL_RESULT=228, MERGED_GRADIENT=2852, FINAL_MODEL=379,
+    ),
+}
+
+
 class TestWireShape:
     """Every party takes the entry count, the scale, the piece count and the
     key size from its config, so a payload carries only the numbers and, when
     encrypted, the fingerprint that tells the key. An encrypted gradient's
-    ciphertexts are one base64 string of the bytes below n^2 each, and the
-    offered modulus is base64 of the bytes below 2^key_bits: at 128 bits, 42
-    ciphertexts of 32 bytes in 1,792 characters and 16 bytes in 24."""
+    ciphertexts are one blob of the bytes below n^2 each, and the offered
+    modulus the bytes below 2^key_bits: at 128 bits, 42 ciphertexts of 32
+    bytes and 16 bytes."""
 
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
@@ -591,17 +683,17 @@ class TestWireShape:
             for payload in payloads:
                 assert set(payload) == shape, msg.kind.name
                 if keypair is None:
-                    # 42 float64s, 336 bytes
-                    assert len(payload["values"]) == 448
+                    # 42 float64s
+                    assert len(payload["values"]) == 336
                 else:
                     assert payload["key"] == keypair.public.fingerprint
                     assert len(payload["key"]) == 12
-                    # 42 ciphertexts of 32 bytes, 1,344 bytes
-                    assert len(payload["ciphertexts"]) == 1792
+                    # 42 ciphertexts of 32 bytes
+                    assert len(payload["ciphertexts"]) == 1344
             gradients[msg.kind.name] += len(payloads)
-        # every other float is base64 of float64s: one training loss, a
-        # loss per client, the final model's 42 weights
-        widths = {"train_loss": 12, "values": 24, "weights": 448}
+        # every other float is float64 bytes: one training loss, a loss per
+        # client, the final model's 42 weights
+        widths = {"train_loss": 8, "values": 16, "weights": 336}
         for msg in messages:
             for name in widths.keys() & msg.payload.keys():
                 assert len(msg.payload[name]) == widths[name], msg.kind.name
@@ -616,8 +708,13 @@ class TestWireShape:
         if keypair is None:
             assert offers == []
         else:
-            assert offers == [{"n": base64.b64encode(keypair.public.n.to_bytes(16, "big")).decode()}]
-            assert len(offers[0]["n"]) == 24
+            assert offers == [{"n": keypair.public.n.to_bytes(16, "big")}]
+        # and every frame whole, header, separator and tail
+        sizes = Counter()
+        for endpoint in endpoints.values():
+            for kind, body in endpoint.frames:
+                sizes[MessageKind(kind).name] += len(encode_frame(kind, body))
+        assert sizes == Counter(FRAME_BYTES[encryption])
 
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_frame_carries_its_payload_and_round_only(self, encryption):
@@ -626,7 +723,8 @@ class TestWireShape:
         broadcast is empty and only the final model carries weights."""
         kinds = Counter()
         for endpoint in _recorded_run(encryption).values():
-            bodies = [(MessageKind(kind), json.loads(body)) for kind, body in endpoint.frames]
+            # the JSON header, before the first newline
+            bodies = [(MessageKind(kind), json.loads(body.partition(b"\n")[0])) for kind, body in endpoint.frames]
             for kind, body in bodies:
                 kinds[kind.name] += 1
                 assert set(body) == {"payload", "round"}, kind.name
@@ -704,19 +802,19 @@ class TestNoSelfRelay:
 class TestStaleWireFields:
     """Fields that older payloads carried, and that the config now gives, are
     never read: a peer still sending them, whatever their value, runs exactly
-    as if it did not."""
+    as if it did not. A number travels as bytes, so a stale one is spelled so."""
 
     @pytest.mark.parametrize(
         "encryption, field, value",
         [
             ("he", "format", "plain"),
-            ("he", "entries", 41),
-            pytest.param("he", "pieces", 10**400, id="he-pieces-10**400"),
-            ("he", "scale_exponent", 13),
+            pytest.param("he", "entries", (41).to_bytes(1, "big"), id="he-entries-41"),
+            pytest.param("he", "pieces", (10**400).to_bytes(167, "big"), id="he-pieces-10**400"),
+            pytest.param("he", "scale_exponent", (13).to_bytes(1, "big"), id="he-scale_exponent-13"),
             # the modulus every encrypted gradient carried before the fingerprint
             ("he", "n", "0x1"),
             ("none", "format", "encrypted"),
-            ("none", "entries", 41),
+            pytest.param("none", "entries", (41).to_bytes(1, "big"), id="none-entries-41"),
         ],
     )
     def test_gradient_payload(self, monkeypatch, encryption, field, value):
@@ -730,8 +828,8 @@ class TestStaleWireFields:
         "encryption, field, value",
         [
             # the initial model, which round 1's broadcast carried
-            ("none", "layout", [[2, 3], [3, 2]]),
-            ("none", "weights", [1e308] * 42),
+            pytest.param("none", "layout", [[b"\x02", b"\x03"], [b"\x03", b"\x02"]], id="none-layout"),
+            pytest.param("none", "weights", f64(*[1e308] * 42), id="none-weights"),
             ("he", "weights", "x"),
         ],
     )
@@ -748,7 +846,7 @@ class TestStaleWireFields:
         monkeypatch.setattr(protocol, "encode_message", stale)
         assert _run_and_summarize(settings) == clean
 
-    @pytest.mark.parametrize("key_bits", [128.9, "128", 64])
+    @pytest.mark.parametrize("key_bits", [f64(128.9), "128", b"\x40"], ids=["float", "text", "byte"])
     def test_key_offer(self, monkeypatch, key_bits):
         settings = make_settings(encryption="he", rounds=1)
         clean = _run_and_summarize(settings)
@@ -815,9 +913,9 @@ _PACKED_VALUES = [
 ]
 
 
-def _blob(values: list[int]) -> str:
-    """``values`` as a 256-bit key's ciphertexts travel: 64 bytes each, in one string."""
-    return paillier.ints_to_b64(values, 64)
+def _blob(values: list[int]) -> bytes:
+    """``values`` as a 256-bit key's ciphertexts travel: 64 bytes each, in one blob."""
+    return b"".join(c.to_bytes(64, "big") for c in values)
 
 
 class TestMalformedPayloads:
@@ -828,7 +926,7 @@ class TestMalformedPayloads:
         "kind, round_no, payload, cause",
         [
             (MessageKind.GLOBAL_GRADIENT, 2, {}, "'gradient' is missing"),
-            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": b64(*[0.0] * 42)}}, "'ciphertexts' is missing"),
+            (MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": f64(*[0.0] * 42)}}, "'ciphertexts' is missing"),
             (
                 MessageKind.GLOBAL_GRADIENT,
                 2,
@@ -845,13 +943,20 @@ class TestMalformedPayloads:
             # client 2 of 2 holds its own upload, so it scores its one peer's
             (MessageKind.FUSED_GRADIENT, 1, {"models": [_PACKED] * 2}, "2 models to cross-validate, expected 1"),
             (MessageKind.FUSED_GRADIENT, 1, {"models": [{"key": _PACKED["key"]}]}, "'ciphertexts' is missing"),
-            (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "key": 1}]}, "'key' is missing"),
+            (MessageKind.FUSED_GRADIENT, 1, {"models": [{**_PACKED, "key": _PACKED["key"].encode()}]}, "'key' is missing"),
             (MessageKind.MERGED_GRADIENT, 1, {"gradient": []}, "'gradient' is missing or mistyped"),
-            # the list of base64 strings that ciphertexts travelled as before
+            # one value per ciphertext, as ciphertexts travelled before the blob
             (
                 MessageKind.GLOBAL_GRADIENT,
                 2,
                 {"gradient": {**_PACKED, "ciphertexts": [_blob([c]) for c in _PACKED_VALUES]}},
+                "payload field 'ciphertexts' is missing or mistyped",
+            ),
+            # the blob as text
+            (
+                MessageKind.GLOBAL_GRADIENT,
+                2,
+                {"gradient": {**_PACKED, "ciphertexts": _PACKED["ciphertexts"].hex()}},
                 "payload field 'ciphertexts' is missing or mistyped",
             ),
         ],
@@ -868,26 +973,26 @@ class TestMalformedPayloads:
         assert cause in reply.payload["reason"]
 
     @pytest.mark.parametrize(
-        "values",
+        "values, cause",
         [
-            pytest.param([10**400] + [0.0] * 41, id="first"),
-            pytest.param([0.0] * 41 + [-(10**400)], id="last"),
+            pytest.param([10**400] + [0.0] * 41, "payload lengths run past the 0-byte tail", id="first"),
+            pytest.param([0.0] * 41 + [-(10**400)], "payload length 0.0 is no byte count", id="last"),
         ],
     )
-    def test_client_aborts_on_numbers_beyond_float_range(self, values):
-        # json reads an integer literal of any length; floats travel as base
-        # 64 of float64 bytes, so no JSON number is a float vector
+    def test_client_aborts_on_numbers_beyond_float_range(self, values, cause):
+        # json reads an integer literal of any length; a number in a payload
+        # is the length of a tail slice, so no JSON number is a float vector
         settings = make_settings(rounds=2)
         session = ClientSession(settings, 2, client_split(2))
         session.handle(_round_one(settings))
         endpoint = in_thread(session)
-        payload = {"gradient": {"values": values}}
-        [reply] = server_says(endpoint, MessageKind.GLOBAL_GRADIENT, 2, payload)
+        endpoint.send(int(MessageKind.GLOBAL_GRADIENT), raw_body({"gradient": {"values": values}}, 2))
+        reply = decode_message(*endpoint.recv())
+        with pytest.raises(ChannelClosed):
+            endpoint.recv()
         assert session.done
         assert reply.kind == MessageKind.ABORT
-        assert reply.payload["reason"] == (
-            "ProtocolViolation: payload field 'values' is missing or mistyped"
-        )
+        assert reply.payload["reason"] == f"ProtocolViolation: {cause}"
 
     @pytest.mark.parametrize("field", ["train_loss", "values", "weights"])
     def test_server_rejects_numbers_beyond_float_range(self, field):
@@ -899,23 +1004,28 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         endpoints = {}
         for cid in (1, 2):
-            upload = {"gradient": gradient, "train_loss": huge if field == "train_loss" else b64(0.5)}
-            messages = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
+            if field == "train_loss":
+                # the header as the codec writes it, with the loss's length replaced
+                header = {"gradient": {"values": len(gradient["values"])}, "train_loss": huge}
+                frames = [encode_frame(int(MessageKind.TRAIN_RESULT), raw_body(header, 1, gradient["values"]))]
+            else:
+                upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": f64(0.5)})
+                frames = [encode_frame(*encode_message(upload))]
             if field == "values":
-                messages.append(Message(MessageKind.EVAL_RESULT, 1, {"values": [huge, 0.5]}))
+                frames.append(encode_frame(int(MessageKind.EVAL_RESULT), raw_body({"values": [huge, 0.5]}, 1)))
             if field == "weights" and cid == 1:
-                weights = [huge] + [0.0] * 41
-                messages.append(Message(MessageKind.FINAL_MODEL, 1, {"weights": weights}))
-            endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in messages])
-        cause = rf"^client 1: payload field '{field}' is missing or mistyped \({kind}, round 1\)$"
+                weights = raw_body({"weights": [huge] + [0.0] * 41}, 1)
+                frames.append(encode_frame(int(MessageKind.FINAL_MODEL), weights))
+            endpoints[cid] = ReplayEndpoint(frames)
+        cause = rf"^client 1: payload lengths run past the \d+-byte tail \({kind}, round 1\)$"
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
 
     @pytest.mark.parametrize(
         "gradient, cause",
         [
-            ({"values": b64(*[0.0] * 41)}, "client 1: payload field 'values' has 41 entries"),
-            ({"values": b64(*[float("nan")] * 42)}, "client 1: payload field 'values' has non-finite"),
+            ({"values": f64(*[0.0] * 41)}, "client 1: payload field 'values' has 41 entries"),
+            ({"values": f64(*[float("nan")] * 42)}, "client 1: payload field 'values' has non-finite"),
             ({}, "client 1: payload field 'values' is missing"),
             # a packed upload into a plaintext cohort
             (_PACKED, r"client 1: payload field 'values' is missing or mistyped \(TRAIN_RESULT, round 1\)$"),
@@ -924,10 +1034,8 @@ class TestMalformedPayloads:
     )
     def test_server_rejects_malformed_plain_upload(self, gradient, cause):
         settings = make_settings(rounds=1)
-        body = json.dumps(
-            {"payload": {"gradient": gradient, "train_loss": b64(0.5)}, "round": 1}
-        ).encode()
-        upload = encode_frame(int(MessageKind.TRAIN_RESULT), body)
+        payload = {"gradient": gradient, "train_loss": f64(0.5)}
+        upload = encode_frame(*encode_message(Message(MessageKind.TRAIN_RESULT, 1, payload)))
         endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
@@ -935,7 +1043,7 @@ class TestMalformedPayloads:
     @pytest.mark.parametrize(
         "tamper, cause",
         [
-            # twice the 21 ciphertexts, whose 1,344 bytes need no base64 padding
+            # twice the 21 ciphertexts
             (
                 lambda p: {**p, "ciphertexts": p["ciphertexts"] * 2},
                 "'ciphertexts' has 42 entries, expected 21",
@@ -952,7 +1060,7 @@ class TestMalformedPayloads:
         source = key_source(settings, client_split(1))
         frames = [encode_frame(*encode_message(m)) for m in source.startup()]
         bad = tamper(_packed_payload(source.keypair, settings))
-        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": bad, "train_loss": b64(0.5)})
+        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": bad, "train_loss": f64(0.5)})
         frames.append(encode_frame(*encode_message(upload)))
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
@@ -963,7 +1071,7 @@ class TestMalformedPayloads:
         settings = make_settings(aggregator=aggregator, rounds=1)
         gradient = protocol.gradient_to_payload(np.zeros(42))
         # float64 bits spell NaN, which the codec carries and the reader refuses
-        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": b64(math.nan)})
+        upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": f64(math.nan)})
         endpoints = {1: ReplayEndpoint([encode_frame(*encode_message(upload))]), 2: ReplayEndpoint([])}
         cause = "client 1: payload field 'train_loss' has non-finite entries"
         with pytest.raises(ProtocolViolation, match=cause):
@@ -974,8 +1082,8 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         endpoints = {}
         for cid in (1, 2):
-            upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": b64(0.5)})
-            scores = Message(MessageKind.EVAL_RESULT, 1, {"values": b64(-1.0, 0.5)})
+            upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": f64(0.5)})
+            scores = Message(MessageKind.EVAL_RESULT, 1, {"values": f64(-1.0, 0.5)})
             endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m)) for m in (upload, scores)])
         with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
             server_run(settings, endpoints)
@@ -1172,7 +1280,7 @@ class TestServerAbortsEveryone:
             ),
             pytest.param(
                 MessageKind.KEY_OFFER,
-                lambda m: dataclasses.replace(m, payload={"n": "not hex"}),
+                lambda m: dataclasses.replace(m, payload={"n": m.payload["n"].hex()}),
                 WeakKey,
                 "^client 1: malformed public key: ",
                 id="malformed_offer",
@@ -1209,29 +1317,29 @@ class TestServerAbortsEveryone:
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
-                lambda m: protocol.canonical_json({"payload": m.payload, "round": 1, "sender": 2}),
+                lambda m: protocol.canonical_json({"payload": {}, "round": 1, "sender": 2}) + b"\n",
                 ProtocolViolation,
                 r"^client 2: message body must carry payload/round \(TRAIN_RESULT, round 1\)$",
                 id="stale_sender",
             ),
             pytest.param(
                 MessageKind.TRAIN_RESULT,
-                # a decimal, as the loss travelled before the float codec
-                lambda m: dataclasses.replace(m, payload={**m.payload, "train_loss": 0.25}),
+                # text where the loss's bytes belong
+                lambda m: dataclasses.replace(m, payload={**m.payload, "train_loss": "0.25"}),
                 ProtocolViolation,
                 r"^client 2: payload field 'train_loss' is missing or mistyped \(TRAIN_RESULT, round 1\)$",
                 id="mistyped_train_loss",
             ),
             pytest.param(
                 MessageKind.EVAL_RESULT,
-                lambda m: dataclasses.replace(m, payload={"values": b64(-1.0, 0.5)}),
+                lambda m: dataclasses.replace(m, payload={"values": f64(-1.0, 0.5)}),
                 ProtocolViolation,
                 r"^client 2: payload field 'values' has negative losses \(EVAL_RESULT, round 1\)$",
                 id="negative_validation_loss",
             ),
             pytest.param(
                 MessageKind.FINAL_MODEL,
-                lambda m: dataclasses.replace(m, payload={"weights": b64(0.0)}),
+                lambda m: dataclasses.replace(m, payload={"weights": f64(0.0)}),
                 ProtocolViolation,
                 r"^client 1: payload field 'weights' has 1 entries, expected 42 \(FINAL_MODEL, round 1\)$",
                 id="final_model_of_another_size",
@@ -1282,7 +1390,7 @@ class TestServerAbortsEveryone:
         keypair, foreign = cohort_key(settings), paillier.keygen(settings.key_bits, seed=99)
         frames = {}
         for cid, key in ((1, keypair), (2, foreign)):
-            upload = {"gradient": _packed_payload(key, settings), "train_loss": b64(0.5)}
+            upload = {"gradient": _packed_payload(key, settings), "train_loss": f64(0.5)}
             frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
         frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
         endpoints = {
@@ -1395,7 +1503,7 @@ class TestClientSession:
         assert len(replies) == 1 and replies[0].kind == MessageKind.EVAL_RESULT
         own = protocol.decode_gradient_payload(upload.payload["gradient"], None, 42, settings.quant)
         own_loss, _acc = nn.evaluate(nn.apply_gradient(session.weights, own), session.split.validation)
-        expected = b64(session.evaluate_fused(fused.payload["models"][0]), own_loss)
+        expected = f64(session.evaluate_fused(fused.payload["models"][0]), own_loss)
         assert replies[0].payload == {"values": expected}
 
     def test_cross_validation_before_the_upload_is_refused(self):
@@ -1417,7 +1525,7 @@ class TestClientSession:
         )
         [final] = session.handle(merged)
         assert final.kind == MessageKind.FINAL_MODEL
-        assert final.payload["weights"] == b64(*session.weights.values)
+        assert final.payload["weights"] == f64(*session.weights.values)
 
     @pytest.mark.parametrize("client_id", [1, 2])
     def test_merged_gradient_ends_the_session(self, client_id):
@@ -1438,7 +1546,7 @@ class TestClientSession:
             return
         [final] = replies
         assert (final.kind, final.round) == (MessageKind.FINAL_MODEL, 1)
-        assert final.payload["weights"] == b64(*(session.weights.values + g))
+        assert final.payload["weights"] == f64(*(session.weights.values + g))
 
     def test_only_client_one_decrypts_the_final_gradient(self, monkeypatch):
         settings = make_settings(encryption="he_dp", rounds=1, key_bits=256)
@@ -1724,6 +1832,37 @@ class TestServerRun:
             assert a.weights == b.weights
         assert live.merged_gradients == replayed.merged_gradients
         assert np.array_equal(live.final_weights.values, replayed.final_weights.values)
+
+    @pytest.mark.parametrize(
+        "extra, error, cause",
+        [
+            pytest.param(
+                Message(MessageKind.ABORT, 2, {"reason": "KeyMismatch: x"}),
+                RoundAborted,
+                r"^client 2 aborted: KeyMismatch: x \(end of run, round 2\)$",
+                id="abort",
+            ),
+            pytest.param(
+                Message(MessageKind.EVAL_RESULT, 2, {"values": f64(0.5, 0.5)}),
+                ProtocolViolation,
+                "^expected end of run from client 2 in round 2, got EVAL_RESULT$",
+                id="another_frame",
+            ),
+        ],
+    )
+    def test_the_other_clients_end_by_closing_their_channel(self, extra, error, cause):
+        """After client 1's final model the server reads client 2's end: a
+        closed channel, as the replay of a clean run gives, and no frame."""
+        settings = make_settings(rounds=2)
+        transcript = []
+        run_loopback(settings, [client_split(1), client_split(2)], transcript)
+        frames = {c: [f for i, f in transcript if i == c] for c in (1, 2)}
+        frames[2].append(encode_frame(*encode_message(extra)))
+        endpoints = {c: ReplayEndpoint(f) for c, f in frames.items()}
+        with pytest.raises(error, match=cause):
+            server_run(settings, endpoints)
+        for endpoint in endpoints.values():
+            assert decode_message(*decode_frame(endpoint.sent[-1])).kind == MessageKind.ABORT
 
     def test_unresponsive_client_aborts_round(self):
         settings = make_settings(timeout_s=20.0)

@@ -8,8 +8,6 @@ entry for entry with the quantized gradient each client uploaded; and they
 decode and scan every frame through the server for the secret key.
 """
 
-import base64
-
 import pytest
 
 from fedboost import aggregate as agg
@@ -26,6 +24,8 @@ from fedboost.protocol import (
 )
 from fedboost.runner import build_splits
 from fedboost.transport import decode_frame
+
+from test_protocol import bytes_within
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -90,20 +90,6 @@ def run(cfg: ExperimentConfig, monkeypatch):
     uploads = [[q.values for q in quantized[r * n : (r + 1) * n]] for r in range(cfg.rounds)]
     delivered = {cid: endpoint.delivered for cid, endpoint in endpoints.items()}
     return uploads, keypair, delivered, transcript
-
-
-def _b64_integers(node) -> list[int]:
-    """The integer of every string in a JSON value that decodes as base64."""
-    if isinstance(node, dict):
-        return [x for value in node.values() for x in _b64_integers(value)]
-    if isinstance(node, list):
-        return [x for value in node for x in _b64_integers(value)]
-    if isinstance(node, str):
-        try:
-            return [int.from_bytes(base64.b64decode(node, validate=True), "big")]
-        except ValueError:
-            return []
-    return []
 
 
 def decrypt(keypair: paillier.KeyPair, payload: dict) -> list[int]:
@@ -198,12 +184,14 @@ def test_no_frame_through_the_server_carries_the_secret_key(
     # key offer, uploads, cross-validation losses and the final model in;
     # broadcasts, models to score and the merged gradient out
     assert (len(inbound), len(outbound)) == (frames_in, frames_out)
-    # big integers travel as base64: decode every string that spells some,
-    # and the public modulus shows that a prime sent so would be found
-    decoded = [x for f in inbound for x in _b64_integers(decode_message(*decode_frame(f)).payload)]
-    decoded += [x for messages in delivered.values() for m in messages for x in _b64_integers(m.payload)]
-    assert keypair.public.n in decoded
-    assert not {keypair.p, keypair.q} & set(decoded)
-    # and no frame spells either prime in hex
+    # big integers travel as raw big-endian bytes: the public modulus is one
+    # such value, which shows that a prime sent so would be found
+    width = cfg.key_bits // 8
+    values = [v for f in inbound for v in bytes_within(decode_message(*decode_frame(f)).payload)]
+    values += [v for messages in delivered.values() for m in messages for v in bytes_within(m.payload)]
+    assert keypair.public.n.to_bytes(width, "big") in values
+    assert not {keypair.p, keypair.q} & {int.from_bytes(v, "big") for v in values}
+    # and no frame spells either prime at any offset, in bytes, hex or decimal
     for secret in (keypair.p, keypair.q):
-        assert not any(format(secret, "x").encode() in f for f in inbound + outbound)
+        spellings = [secret.to_bytes(width // 2, "big"), format(secret, "x").encode(), str(secret).encode()]
+        assert not any(s in f for s in spellings for f in inbound + outbound)
