@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paillier, quantize
-from .errors import DegenerateCohort, EmptyCohort, InvalidWeight, KeyMismatch, ShapeMismatch
+from .errors import InvalidWeight, KeyMismatch, ShapeMismatch
 from .paillier import Ciphertext, KeyPair, PublicKey
 from .quantize import QuantConfig, QuantizedGradient, quantize_weight
 
@@ -80,7 +80,7 @@ class AggregationWeights:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
-            raise EmptyCohort("weights must be a non-empty vector")
+            raise ShapeMismatch("weights must be a non-empty vector")
         if np.any(self.values < 0) or np.any(self.values > 1):
             raise InvalidWeight("weights must lie in [0, 1]")
         if abs(self.values.sum() - 1.0) > 1e-12:
@@ -181,7 +181,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def fedavg_weights(n: int) -> AggregationWeights:
     """Uniform 1/N weights."""
     if n < 1:
-        raise EmptyCohort(f"cohort size must be >= 1, got {n}")
+        raise ShapeMismatch(f"cohort size must be >= 1, got {n}")
     return AggregationWeights(np.full(n, 1.0 / n))
 
 
@@ -259,30 +259,33 @@ def merge_encrypted(
     return _weighted_sum(pk, egrads, [quantize_weight(float(p), pieces) for p in w.values])
 
 
+def fusion_weights(p_hat: float, n_models: int, pieces: int) -> tuple[int, int]:
+    """The integer weights of :func:`dp_fuse`, round(p_hat*P) for a model's own
+    gradient and round((1-p_hat)*P/(N-1)) for each other one; InvalidWeight
+    unless the own one is the larger (never so for p_hat <= 1/N)."""
+    k_self = quantize_weight(p_hat, pieces)
+    k_other = quantize_weight((1.0 - p_hat) / (n_models - 1), pieces)
+    if k_self <= k_other:
+        raise InvalidWeight(
+            f"p_hat={p_hat} over N={n_models} models gives the own model {k_self} of "
+            f"P={pieces} pieces and each other {k_other}; the own model must dominate"
+        )
+    return k_self, k_other
+
+
 def dp_fuse(
     pk: PublicKey, egrads: list[EncryptedGradient], p_hat: float, pieces: int
 ) -> list[EncryptedGradient]:
     """Perturbed copy of every encrypted gradient for cross-validation.
 
-    Fused model i is round(p_hat*P) times gradient i plus
-    round((1-p_hat)*P/(N-1)) times every other gradient, entirely under
-    homomorphic operations; nothing is decrypted here. The own model must keep
-    the dominant integer weight, else InvalidWeight."""
+    Fused model i is gradient i and every other gradient summed with the
+    :func:`fusion_weights`, entirely under homomorphic operations; nothing is
+    decrypted here."""
     n_models = len(egrads)
     if n_models < 2:
-        raise DegenerateCohort("fusion needs at least 2 models; disable it for 1")
+        raise ShapeMismatch("fusion needs at least 2 models; disable it for 1")
     _check_compatible(egrads, pk)
-    if p_hat * n_models <= 1:
-        raise InvalidWeight(
-            f"p_hat={p_hat} must exceed 1/N={1 / n_models} so the own model dominates"
-        )
-    k_self = quantize_weight(p_hat, pieces)
-    k_other = quantize_weight((1.0 - p_hat) / (n_models - 1), pieces)
-    if k_self <= k_other:
-        raise InvalidWeight(
-            f"piece resolution P={pieces} erases the dominance of p_hat={p_hat} "
-            f"over {(1.0 - p_hat) / (n_models - 1)}; raise P or p_hat"
-        )
+    k_self, k_other = fusion_weights(p_hat, n_models, pieces)
     return [
         _weighted_sum(pk, egrads, [k_self if j == i else k_other for j in range(n_models)])
         for i in range(n_models)

@@ -7,8 +7,9 @@ import math
 import sys
 from dataclasses import dataclass, field, asdict
 
+from .aggregate import fusion_weights
 from .datasets import GaussianSpec
-from .errors import ConfigError, InvalidCovariance
+from .errors import ConfigError, InvalidWeight
 from .nn import Layout
 from .quantize import QuantConfig
 
@@ -90,8 +91,11 @@ class ExperimentConfig:
             raise ConfigError("encryption", "centralized training has no gradients to encrypt")
         if self.encryption != "none" and (self.key_bits < 64 or self.key_bits % 2):
             raise ConfigError("key_bits", f"must be even and >= 64, got {self.key_bits}")
-        if self.encryption == "he_dp" and not (1.0 / n < self.p_hat <= 1.0):
-            raise ConfigError("p_hat", f"must lie in (1/{n}, 1], got {self.p_hat}")
+        if self.encryption == "he_dp":
+            try:
+                fusion_weights(self.p_hat, n, self.quant.pieces)
+            except InvalidWeight as exc:
+                raise ConfigError("p_hat", str(exc)) from exc
         if self.n_hidden < 1:
             raise ConfigError("n_hidden", f"must be >= 1, got {self.n_hidden}")
         if not (0 < self.timeout_s < math.inf):
@@ -221,7 +225,7 @@ def _from_dict(cls, data, path: str, what: str):
         kwargs[name] = _frozen(value)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, InvalidCovariance) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(path, f"bad {what}: {exc}") from exc
 
 

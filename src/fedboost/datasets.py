@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplit, EmptyDataset, InvalidCovariance
+from .errors import EmptyDataset
 
 
 def _finite_array(value, shape: tuple) -> np.ndarray | None:
@@ -43,9 +43,9 @@ class GaussianSpec:
             raise ValueError(f"mean must be 2 finite numbers, got {self.mean}")
         cov = _finite_array(self.covariance, (2, 2))
         if cov is None or not np.allclose(cov, cov.T):
-            raise InvalidCovariance(f"covariance must be 2x2 finite symmetric, got {self.covariance}")
+            raise ValueError(f"covariance must be 2x2 finite symmetric, got {self.covariance}")
         if np.linalg.eigvalsh(cov).min() <= 0:
-            raise InvalidCovariance(f"covariance must be positive-definite, got {self.covariance}")
+            raise ValueError(f"covariance must be positive-definite, got {self.covariance}")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
         # the largest dimension numpy takes; json reads integers of any size
@@ -117,7 +117,7 @@ def split(
     """Shuffle once, hold out ``round((1-train_frac)*n)`` test samples, then carve
     ``val_frac_of_train`` of the remaining training portion as validation."""
     if not (0 < train_frac < 1) or not (0 < val_frac_of_train < 1):
-        raise DegenerateSplit(
+        raise ValueError(
             f"fractions must lie in (0,1), got train_frac={train_frac} "
             f"val_frac_of_train={val_frac_of_train}"
         )
@@ -133,7 +133,7 @@ def split(
     }
     for name, idx in parts.items():
         if idx.size == 0:
-            raise DegenerateSplit(f"{name} part is empty for n={n}")
+            raise EmptyDataset(f"{name} part is empty for n={n}")
     return DatasetSplit(
         train=dataset.subset(parts["train"]),
         validation=dataset.subset(parts["validation"]),

@@ -1,11 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, one class per cause."""
 
 
 class FedBoostError(Exception):
     """Base class for all package errors."""
 
 
-# --- model / training ---
+# --- data and shapes ---
 
 class InvalidLayout(FedBoostError):
     pass
@@ -23,16 +23,6 @@ class ShapeMismatch(FedBoostError):
     pass
 
 
-# --- data generation ---
-
-class InvalidCovariance(FedBoostError):
-    pass
-
-
-class DegenerateSplit(FedBoostError):
-    pass
-
-
 # --- crypto ---
 
 class WeakKey(FedBoostError):
@@ -47,15 +37,7 @@ class KeyMismatch(FedBoostError):
     pass
 
 
-class CapacityExceeded(FedBoostError):
-    pass
-
-
-# --- quantization ---
-
-class NonFiniteGradient(FedBoostError):
-    pass
-
+# --- weights ---
 
 class InvalidWeight(FedBoostError):
     pass
@@ -65,16 +47,6 @@ class GradientOverflow(FedBoostError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-# --- aggregation ---
-
-class EmptyCohort(FedBoostError):
-    pass
-
-
-class DegenerateCohort(FedBoostError):
-    pass
 
 
 # --- transport ---
@@ -88,10 +60,6 @@ class TransportTimeout(TransportError):
 
 
 class ChannelClosed(TransportError):
-    pass
-
-
-class FrameTooLarge(TransportError):
     pass
 
 

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
+from .errors import KeyMismatch, PlaintextOutOfRange, WeakKey
 
 _MILLER_RABIN_ROUNDS = 40
 # (bits, rounds), largest first: a candidate of at least ``bits`` bits that passes
@@ -297,7 +297,7 @@ def he_scalar_mul(pk: PublicKey, k: int, a: Ciphertext) -> Ciphertext:
 def encode_signed(v: int, n: int) -> int:
     """Map a signed integer with |v| < n/2 into [0, n); negatives wrap upward."""
     if 2 * abs(v) >= n:
-        raise CapacityExceeded(f"|{v}| >= n/2, does not fit the plaintext space")
+        raise PlaintextOutOfRange(f"|{v}| >= n/2, does not fit the plaintext space")
     return v % n
 
 

@@ -574,23 +574,22 @@ def _expect(
     """``read(payload, *args)`` of the next frame from client ``cid``, which
     must be a ``kind`` of ``round_no``; for ``kind`` None, the end of the run,
     the channel must close instead. Any ProtocolViolation, KeyMismatch or
-    WeakKey raised decoding or reading the frame names the client, the kind
-    and the round."""
+    WeakKey raised receiving, decoding or reading the frame names the client,
+    the kind and the round."""
     awaited = kind.name if kind else "end of run"
     try:
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
+        msg = decode_message(raw_kind, body)
+        if transcript is not None:
+            transcript.append((cid, encode_frame(raw_kind, body)))
+        if msg.kind == kind and msg.round == round_no:
+            return read(msg.payload, *args)
     except TransportError as exc:
         if kind is None and isinstance(exc, ChannelClosed):
             return None
         raise RoundAborted(
             f"waiting for {awaited} from client {cid} in round {round_no}: {exc}"
         ) from exc
-    try:
-        msg = decode_message(raw_kind, body)
-        if transcript is not None:
-            transcript.append((cid, encode_frame(raw_kind, body)))
-        if msg.kind == kind and msg.round == round_no:
-            return read(msg.payload, *args)
     except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
         raise type(exc)(f"client {cid}: {exc} ({awaited}, round {round_no})") from exc
     if msg.kind == MessageKind.ABORT:

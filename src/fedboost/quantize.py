@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GradientOverflow, InvalidWeight, NonFiniteGradient
+from .errors import GradientOverflow, InvalidWeight, NonFiniteInput
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def quantize(g: np.ndarray, cfg: QuantConfig) -> QuantizedGradient:
     """Per entry: round-half-even(x * S / P), with x * S taken exactly in rationals."""
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient("gradient entries must be finite")
+        raise NonFiniteInput("gradient entries must be finite")
     scale = cfg.scale
     values = [round(Fraction(float(x)) * scale / cfg.pieces) for x in g]
     return QuantizedGradient(values=values, config=cfg)

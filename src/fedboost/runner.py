@@ -27,6 +27,7 @@ from .config import ExperimentConfig, GridSpec, config_to_dict
 from .datasets import DatasetSplit, LabeledData, generate_client_dataset, poison_labels, split
 from .errors import (
     ConfigError,
+    EmptyDataset,
     FedBoostError,
     InvalidLayout,
     IoError,
@@ -61,12 +62,12 @@ class ExperimentResult:
 
 def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
     spec = cfg.clients[client_id - 1]
+    seed = derive_seed(cfg.master_seed, "split", client_id)
     try:
         data = generate_client_dataset(list(spec.clusters), spec.seed)
-    except MemoryError as exc:  # a count that numpy takes as a dimension but cannot allocate
+        parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
+    except (EmptyDataset, MemoryError) as exc:  # too few to split, or a count beyond memory
         raise ConfigError(f"clients[{client_id - 1}].clusters", str(exc)) from exc
-    seed = derive_seed(cfg.master_seed, "split", client_id)
-    parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
     if spec.poison_flip_frac > 0:
         parts = DatasetSplit(
             train=poison_labels(

@@ -13,7 +13,7 @@ import socket
 import struct
 import time
 
-from .errors import ChannelClosed, FrameTooLarge, ProtocolViolation, TransportError, TransportTimeout
+from .errors import ChannelClosed, ProtocolViolation, TransportError, TransportTimeout
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -25,18 +25,24 @@ def encode_frame(kind: int, body: bytes) -> bytes:
         raise ValueError(f"kind must fit one byte, got {kind}")
     length = len(body) + 1
     if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {length} bytes exceeds limit {MAX_FRAME_BYTES}")
+        raise TransportError(f"frame of {length} bytes exceeds limit {MAX_FRAME_BYTES}")
     return _HEADER.pack(length) + bytes([kind]) + body
+
+
+def _declared_length(data: bytes) -> int:
+    """The length a frame header declares, checked to lie in [1, MAX_FRAME_BYTES]."""
+    (length,) = _HEADER.unpack_from(data)
+    if length < 1:
+        raise ProtocolViolation("declared length omits the kind byte")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolViolation(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
+    return length
 
 
 def decode_frame(data: bytes) -> tuple[int, bytes]:
     if len(data) < _HEADER.size + 1:
         raise ProtocolViolation(f"frame truncated at {len(data)} bytes")
-    (length,) = _HEADER.unpack_from(data)
-    if length < 1:
-        raise ProtocolViolation("declared length omits the kind byte")
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
+    length = _declared_length(data)
     if len(data) != _HEADER.size + length:
         raise ProtocolViolation(
             f"declared length {length} does not match payload of {len(data) - _HEADER.size}"
@@ -86,14 +92,7 @@ class TcpEndpoint:
         if self._closed:
             raise ChannelClosed("recv after close")
         deadline = None if timeout is None else time.monotonic() + timeout
-        header = self._recv_exact(_HEADER.size, deadline)
-        (length,) = _HEADER.unpack(header)
-        if length < 1:
-            self.close()
-            raise ProtocolViolation("declared length omits the kind byte")
-        if length > MAX_FRAME_BYTES:
-            self.close()
-            raise FrameTooLarge(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
+        length = _declared_length(self._recv_exact(_HEADER.size, deadline))
         payload = self._recv_exact(length, deadline)
         return payload[0], payload[1:]
 

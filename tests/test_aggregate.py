@@ -10,8 +10,6 @@ from fedboost import aggregate as agg
 from fedboost import paillier
 from fedboost import quantize as qz
 from fedboost.errors import (
-    DegenerateCohort,
-    EmptyCohort,
     GradientOverflow,
     InvalidWeight,
     KeyMismatch,
@@ -51,7 +49,7 @@ class TestFedavgWeights:
         assert abs(w.values.sum() - 1.0) < 1e-12
 
     def test_empty_cohort(self):
-        with pytest.raises(EmptyCohort):
+        with pytest.raises(ShapeMismatch, match="^cohort size must be >= 1, got 0$"):
             agg.fedavg_weights(0)
 
 
@@ -236,7 +234,7 @@ class TestDpFuse:
     def test_single_model_rejected(self, key128):
         cfg = qz.QuantConfig(scale_exponent=4, pieces=10)
         egrads = encrypt_all(key128.public, [np.array([0.5])], cfg)
-        with pytest.raises(DegenerateCohort):
+        with pytest.raises(ShapeMismatch, match="^fusion needs at least 2 models; disable it for 1$"):
             agg.dp_fuse(key128.public, egrads, 0.9, 10)
 
     def test_p_hat_must_dominate(self, key128):

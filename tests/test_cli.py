@@ -179,6 +179,16 @@ class TestRunCommand:
                 "clients[0].clusters[0]: bad cluster spec: count must lie in [0, ",
                 id="count-10**400",
             ),
+            # one sample per cluster leaves no test part to split off
+            pytest.param(
+                "clients",
+                [
+                    {"seed": 1, "clusters": [cluster(), cluster(label=1)]},
+                    {"seed": 2, "clusters": [cluster(count=1), cluster(label=1, count=1)]},
+                ],
+                "clients[1].clusters: test part is empty for n=2",
+                id="too-few-to-split",
+            ),
         ],
     )
     def test_unusable_value_exits_with_json_error_naming_it(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fedboost import aggregate as agg
 from fedboost import paillier
 from fedboost import quantize as qz
-from fedboost.errors import CapacityExceeded, KeyMismatch, PlaintextOutOfRange, WeakKey
+from fedboost.errors import KeyMismatch, PlaintextOutOfRange, WeakKey
 from fedboost.protocol import derive_seed
 
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -582,9 +582,9 @@ class TestSignedEncoding:
         half = n // 2  # n is odd, so |v| <= n//2 fits
         assert paillier.decode_signed(paillier.encode_signed(half, n), n) == half
         assert paillier.decode_signed(paillier.encode_signed(-half, n), n) == -half
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(PlaintextOutOfRange, match=r">= n/2, does not fit the plaintext space$"):
             paillier.encode_signed(half + 1, n)
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(PlaintextOutOfRange, match=r">= n/2, does not fit the plaintext space$"):
             paillier.encode_signed(-half - 1, n)
 
     @settings(max_examples=100, deadline=None)

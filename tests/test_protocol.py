@@ -40,7 +40,7 @@ from fedboost.protocol import (
     server_run,
 )
 from fedboost.runner import build_splits, run_experiment
-from fedboost.transport import TcpEndpoint, decode_frame, encode_frame
+from fedboost.transport import MAX_FRAME_BYTES, TcpEndpoint, decode_frame, encode_frame
 
 from test_paillier import _other_spellings
 
@@ -1189,6 +1189,8 @@ class TestServerConfigCheck:
         [
             (dict(aggregator="fedavg", encryption="he_dp"), "encryption"),
             (dict(encryption="he_dp", p_hat=0.5), "p_hat"),
+            # round(0.55 * 2) == round(0.45 * 2): the fusion would erase the own model's dominance
+            (dict(encryption="he_dp", p_hat=0.55, quant=qz.QuantConfig(32, 2)), "p_hat"),
         ],
     )
     def test_refused_before_any_frame(self, overrides, field):
@@ -1418,6 +1420,40 @@ class TestServerAbortsEveryone:
             endpoints[2].close()
         # client 1 took the broadcast and then the ABORT
         assert session.done
+
+    @pytest.mark.parametrize(
+        "encryption, length, cause",
+        [
+            ("he", 0, r"^client 1: declared length omits the kind byte \(KEY_OFFER, round 0\)$"),
+            (
+                "none",
+                MAX_FRAME_BYTES + 1,
+                rf"^client 1: declared length {MAX_FRAME_BYTES + 1} exceeds limit "
+                rf"{MAX_FRAME_BYTES} \(TRAIN_RESULT, round 1\)$",
+            ),
+        ],
+        ids=["zero_length_offer", "oversize_upload"],
+    )
+    def test_bad_tcp_header_names_the_client_kind_and_round(self, encryption, length, cause):
+        settings = make_settings(rounds=1, encryption=encryption, timeout_s=5.0)
+        pairs = {cid: socket.socketpair() for cid in (1, 2)}
+        endpoints = {cid: TcpEndpoint(server) for cid, (server, _client) in pairs.items()}
+        peers = {cid: TcpEndpoint(client) for cid, (_server, client) in pairs.items()}
+        try:
+            pairs[1][1].sendall(struct.pack(">I", length))
+            with pytest.raises(ProtocolViolation, match=cause):
+                server_run(settings, endpoints)
+            # each client took whatever the run sent it, then the ABORT
+            for cid in (1, 2):
+                endpoints[cid].close()
+                frames = []
+                with pytest.raises(ChannelClosed):
+                    while True:
+                        frames.append(decode_message(*peers[cid].recv(timeout=5.0)))
+                assert frames[-1].kind == MessageKind.ABORT
+        finally:
+            for endpoint in [*endpoints.values(), *peers.values()]:
+                endpoint.close()
 
 
 def _assert_no_secret(obj, keypair: paillier.KeyPair, path: str, seen=None):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedboost import quantize as qz
-from fedboost.errors import GradientOverflow, InvalidWeight, NonFiniteGradient
+from fedboost.errors import GradientOverflow, InvalidWeight, NonFiniteInput
 
 
 def oracle_quantize_entry(x: float, scale_exponent: int, pieces: int) -> int:
@@ -41,9 +41,9 @@ class TestQuantize:
         assert qz.dequantize(q)[0] == 0.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NonFiniteInput, match="^gradient entries must be finite$"):
             qz.quantize(np.array([np.inf]), qz.QuantConfig())
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NonFiniteInput, match="^gradient entries must be finite$"):
             qz.quantize(np.array([np.nan]), qz.QuantConfig())
 
     def test_order_independent(self):

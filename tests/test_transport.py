@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedboost import transport
 from fedboost.errors import (
     ChannelClosed,
-    FrameTooLarge,
     ProtocolViolation,
     TransportError,
     TransportTimeout,
@@ -37,7 +36,7 @@ class TestFrameCodec:
 
     def test_oversize_rejected(self, monkeypatch):
         monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 16)
-        with pytest.raises(FrameTooLarge):
+        with pytest.raises(TransportError, match="^frame of 33 bytes exceeds limit 16$"):
             transport.encode_frame(1, b"x" * 32)
 
     def test_zero_length_rejected(self):
@@ -131,7 +130,7 @@ class TestTcp:
         thread = threading.Thread(target=_send_big)
         thread.start()
         server_ep = listener.accept(timeout=5)
-        with pytest.raises(FrameTooLarge):
+        with pytest.raises(ProtocolViolation, match="^declared length 10000 exceeds limit 64$"):
             server_ep.recv(timeout=5)
         thread.join()
         listener.close()
