@@ -17,6 +17,8 @@ AGGREGATORS = ("fedavg", "fedboosting", "centralized")
 ENCRYPTIONS = ("none", "he", "he_dp")
 WEIGHTING_MODES = ("literal", "score")
 TRANSPORTS = ("loopback", "tcp")
+# Every frame carries its round in 4 bytes
+MAX_ROUNDS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ class ExperimentConfig:
             )
         if self.transport not in TRANSPORTS:
             raise ConfigError("transport", f"must be one of {TRANSPORTS}, got {self.transport!r}")
-        if self.rounds < 1:
-            raise ConfigError("rounds", f"must be >= 1, got {self.rounds}")
+        if not (1 <= self.rounds <= MAX_ROUNDS):
+            raise ConfigError("rounds", f"must lie in [1, {MAX_ROUNDS}], got {self.rounds}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

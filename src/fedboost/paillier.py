@@ -36,7 +36,6 @@ modern security margins; raise ``key_bits`` for anything beyond simulation.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import math
 import random
@@ -55,6 +54,8 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 PLAINTEXT_MEMO_BOUND = 4096
 # Exponent bits per entry of the fixed-base table: 103 entries per prime at 1024 bits
 _WINDOW_BITS = 5
+# Bytes of a public key's fingerprint
+FINGERPRINT_BYTES = 9
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ class PublicKey:
         return pow(self.h, self.n, self.n_squared)
 
     @cached_property
-    def fingerprint(self) -> str:
-        """The key's name on the wire: 9 bytes of sha256 over n, in base64."""
+    def fingerprint(self) -> bytes:
+        """The key's name on the wire: the first bytes of sha256 over n."""
         digest = hashlib.sha256(self.n.to_bytes(byte_width(self.key_bits), "big")).digest()
-        return base64.b64encode(digest[:9]).decode()
+        return digest[:FINGERPRINT_BYTES]
 
 
 @dataclass(frozen=True)
@@ -324,18 +325,9 @@ def public_key_to_payload(pk: PublicKey) -> dict:
 
 def public_key_from_payload(payload: dict, key_bits: int) -> PublicKey:
     """The offered key, without the nonce base h, since the server never
-    encrypts: malformed or weak is a WeakKey, another size a KeyMismatch."""
-    try:
-        raw = payload["n"]
-        if not isinstance(raw, bytes):
-            raise TypeError(f"n is {type(raw).__name__}, not bytes")
-        # read at the width it spells first, so that another size is named
-        n = int.from_bytes(raw, "big")
-        _check_key_bits(n.bit_length())
-        if n.bit_length() != key_bits:
-            raise KeyMismatch(f"offered a {n.bit_length()}-bit key, expected {key_bits}")
-        if len(raw) != byte_width(key_bits):  # and at the config's width only
-            raise ValueError(f"n has {len(raw)} bytes, expected {byte_width(key_bits)}")
-        return PublicKey(n, key_bits)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WeakKey(f"malformed public key: {exc!r}") from exc
+    encrypts: n of a weak size is a WeakKey, of another size a KeyMismatch."""
+    n = int.from_bytes(payload["n"], "big")
+    _check_key_bits(n.bit_length())
+    if n.bit_length() != key_bits:
+        raise KeyMismatch(f"offered a {n.bit_length()}-bit key, expected {key_bits}")
+    return PublicKey(n, key_bits)

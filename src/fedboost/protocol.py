@@ -15,35 +15,36 @@ of an encrypted cohort holds that key pair from the start, handed over out of
 band; client 1 offers the server its public key, and no frame carries the
 secret one.
 
-A wire body is a canonical JSON header (alphabetical keys, compact
-separators), one newline, then a binary tail, so transcripts are
-byte-reproducible across transports. Every number travels in the tail as
-``count`` values of ``width`` bytes back to back, both taken from the
-reader's config, and the header holds its byte count where it stands: the
-offered modulus as one value of key_bits/8 bytes; an encrypted gradient's
-ceil(entries / slots) ciphertexts as one blob, each in (0, n^2) as
-2*key_bits/8 big-endian bytes; a float vector as 8 bytes of big-endian
-float64 per entry, never NaN or infinity. A frame carries only what its
-channel and the receiver's config cannot give: its body is ``{"payload",
-"round"}``, as the endpoint it arrives on names the peer. KEY_OFFER is
-``{"n"}``; GLOBAL_GRADIENT is ``{}`` in round 1, as every client derives the
-initial model, ``nn.init_params(derive_seed(master_seed, "init"), layout)``,
-and ``{"gradient"}`` later, as is MERGED_GRADIENT; TRAIN_RESULT is
-``{"gradient", "train_loss"}``; FUSED_GRADIENT ``{"models"}`` holds client
-k's peers' uploads in id order under ``none`` and ``he``, as it holds its
-own, and all N fused models under ``he_dp``; EVAL_RESULT ``{"values"}`` holds
-a loss per client in id order, FINAL_MODEL ``{"weights"}`` the final model. A
-plain gradient is ``{"values"}`` and an encrypted one ``{"ciphertexts",
-"key"}``, its blob and its public key's fingerprint, which tells a gradient
-under another key.
+A body is the frame's round as 4 big-endian bytes, then its kind's fields
+back to back, each at the width the receiver's config gives
+(:func:`field_widths`); a body of any other length is refused. So frames are
+byte-reproducible across transports, and the endpoint a frame arrives on
+names the peer:
+
+    KEY_OFFER        n, in key_bits/8 bytes
+    GLOBAL_GRADIENT  nothing in round 1, as every client derives the initial
+                     model, nn.init_params(derive_seed(master_seed, "init"),
+                     layout); a merged gradient G later
+    TRAIN_RESULT     G, then the training loss F(1)
+    FUSED_GRADIENT   client k's N - 1 peers' uploads G in id order, as it
+                     holds its own; all N fused models G under he_dp
+    EVAL_RESULT      F(N), a validation loss per client in id order
+    MERGED_GRADIENT  G, the last round's
+    FINAL_MODEL      F(entries), the final model
+    ABORT            the reason in UTF-8, at most MAX_REASON_BYTES
+
+F(k) is k big-endian float64s, never NaN or infinity, and a plain G is
+F(entries). An encrypted G is its key's fingerprint, 9 bytes that tell a
+gradient under another key, then its ceil(entries / slots) ciphertexts, each
+in (0, n^2) as 2*key_bits/8 big-endian bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,72 +93,90 @@ class Message:
     payload: dict
 
 
-def canonical_json(obj, default=None) -> bytes:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default
-    ).encode()
+# the longest ABORT reason on the wire, in UTF-8 bytes
+MAX_REASON_BYTES = 1024
+_ROUND = struct.Struct(">I")
 
 
-def encode_message(msg: Message) -> tuple[int, bytes]:
-    """The kind byte and the body: the canonical JSON header, a newline, then
-    the tail, the payload's ``bytes`` values back to back in the order the
-    header lists them, each one's length standing in its place there."""
-    tail = []
+def field_widths(kind: MessageKind, round_no: int, settings: ExperimentConfig) -> dict | None:
+    """The payload of a ``kind`` frame of ``round_no`` under ``settings``, each
+    field its width in bytes, in wire order; an ABORT's reason takes at most
+    its width. None for a retired kind."""
+    n, entries = settings.n_clients, settings.layout.size
+    gradient = {"values": 8 * entries}
+    if settings.encrypted:
+        count = -(-entries // agg.slots_per_ciphertext(settings.key_bits))
+        width = paillier.byte_width(2 * settings.key_bits)
+        gradient = {"key": paillier.FINGERPRINT_BYTES, "ciphertexts": count * width}
+    # a client holds its own upload, so it is sent its peers' only; under he_dp, all N fused models
+    models = n if settings.encryption == "he_dp" else n - 1
+    return {
+        MessageKind.KEY_OFFER: {"n": paillier.byte_width(settings.key_bits)},
+        MessageKind.GLOBAL_GRADIENT: {"gradient": gradient} if round_no > 1 else {},
+        MessageKind.TRAIN_RESULT: {"gradient": gradient, "train_loss": 8},
+        MessageKind.FUSED_GRADIENT: {"models": [gradient] * models},
+        MessageKind.EVAL_RESULT: {"values": 8 * n},
+        MessageKind.MERGED_GRADIENT: {"gradient": gradient},
+        MessageKind.FINAL_MODEL: {"weights": 8 * entries},
+        MessageKind.ABORT: {"reason": MAX_REASON_BYTES},
+    }.get(kind)
 
-    def to_tail(raw: bytes) -> int:
-        tail.append(raw)
-        return len(raw)
 
-    head = canonical_json({"payload": msg.payload, "round": msg.round}, to_tail)
-    return int(msg.kind), b"\n".join([head, b"".join(tail)])
+def _walk(widths, payload, leaf):
+    """``payload`` rebuilt with ``leaf(width, value)`` for each field, in wire order."""
+    if isinstance(widths, dict):
+        return {name: _walk(w, payload[name], leaf) for name, w in widths.items()}
+    if isinstance(widths, list):
+        return [_walk(w, value, leaf) for w, value in zip(widths, payload, strict=True)]
+    return leaf(widths, payload)
 
 
-def decode_message(kind: int, body: bytes) -> Message:
-    """The message of one frame, each number in its payload replaced by that
-    many bytes of the tail, in the order the header lists them; the numbers
-    must spend the tail exactly."""
+def encode_message(msg: Message, settings: ExperimentConfig) -> tuple[int, bytes]:
+    """The kind byte and the body: the round, then the payload's fields in
+    the order :func:`field_widths` gives. An ABORT's reason is cut to its
+    bound on a character boundary."""
+    parts = [_ROUND.pack(msg.round)]
+    if msg.kind == MessageKind.ABORT:
+        reason = msg.payload["reason"].encode()[:MAX_REASON_BYTES]
+        parts.append(reason.decode(errors="ignore").encode())
+    else:
+        widths = field_widths(msg.kind, msg.round, settings)
+        _walk(widths, msg.payload, lambda _, raw: parts.append(raw))
+    return int(msg.kind), b"".join(parts)
+
+
+def decode_message(kind: int, body: bytes, settings: ExperimentConfig) -> Message:
+    """The message of one frame: its round, then the fields :func:`field_widths`
+    gives for its kind and round under ``settings``, which must spend the body
+    exactly."""
     try:
         mk = MessageKind(kind)
     except ValueError:
         raise ProtocolViolation(f"unknown message kind byte {kind}") from None
-    # canonical JSON escapes every newline, so the first one ends the header
-    head, newline, tail = body.partition(b"\n")
-    if not newline:
-        raise ProtocolViolation("message body has no header separator")
-    at = 0
+    # a body too short for its round is refused for its length
+    round_no = int.from_bytes(body[: _ROUND.size], "big")
+    widths = field_widths(mk, round_no, settings)
+    if widths is None:
+        raise ProtocolViolation(f"{mk.name} is retired")
+    at = _ROUND.size
 
-    def read(value):
+    def take(width, _):
         nonlocal at
-        if isinstance(value, dict):
-            return {k: read(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [read(v) for v in value]
-        if not isinstance(value, (int, float)):
-            return value
-        if type(value) is not int or value < 0:  # a bool, a float or a negative number
-            raise ProtocolViolation(f"payload length {value!r:.20} is no byte count")
-        at += value
-        if at > len(tail):
-            raise ProtocolViolation(f"payload lengths run past the {len(tail)}-byte tail")
-        return tail[at - value : at]
+        at += width
+        return body[at - width : at]
 
-    # ValueError covers bad UTF-8, bad JSON and integers past the int-string
-    # limit; RecursionError, arrays or objects nested too deep
-    try:
-        data = json.loads(head.decode())
-        if (
-            not isinstance(data, dict)
-            or set(data) != {"payload", "round"}
-            or not isinstance(data["payload"], dict)
-            or type(data["round"]) is not int  # no bools
-        ):
-            raise ProtocolViolation("message body must carry payload/round")
-        payload = read(data["payload"])
-    except (ValueError, RecursionError) as exc:
-        raise ProtocolViolation(f"malformed message body: {exc}") from exc
-    if at != len(tail):
-        raise ProtocolViolation(f"{len(tail) - at} tail bytes left over")
-    return Message(kind=mk, round=data["round"], payload=payload)
+    payload = _walk(widths, widths, take)
+    if mk == MessageKind.ABORT:
+        # the reason runs to the end of the body, up to its bound
+        at = min(at, max(len(body), _ROUND.size))
+    if len(body) != at:
+        raise ProtocolViolation(f"{mk.name} body has {len(body)} bytes, expected {at}")
+    if mk == MessageKind.ABORT:
+        try:
+            payload = {"reason": payload["reason"].decode()}
+        except UnicodeDecodeError as exc:
+            raise ProtocolViolation(f"ABORT reason is no UTF-8: {exc}") from None
+    return Message(mk, round_no, payload)
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -169,32 +188,15 @@ def derive_seed(master: int, *tags) -> int:
 # --- payload codec ------------------------------------------------------------
 
 
-def _field(payload, name: str, kind):
-    """payload[name], or ProtocolViolation when it is missing or not of ``kind``."""
-    value = payload.get(name) if isinstance(payload, dict) else None
-    if not isinstance(value, kind):
-        raise ProtocolViolation(f"payload field {name!r} is missing or mistyped")
-    return value
-
-
 def floats_to_bytes(values) -> bytes:
     """``values`` as big-endian float64, 8 bytes each."""
     return np.asarray(values, dtype=">f8").tobytes()
 
 
-def _fixed(payload, name: str, count: int, width: int) -> bytes:
-    """Payload field ``name``: the bytes of ``count`` values of ``width`` bytes."""
-    raw = _field(payload, name, bytes)
-    if len(raw) != count * width:
-        entries = len(raw) // width if len(raw) % width == 0 else len(raw) / width
-        raise ProtocolViolation(f"payload field {name!r} has {entries} entries, expected {count}")
-    return raw
-
-
-def read_floats(payload, name: str, entries: int) -> np.ndarray:
-    """Payload field ``name`` as ``entries`` finite floats, from the bytes
+def read_floats(payload: dict, name: str) -> np.ndarray:
+    """Payload field ``name`` as finite floats, from the bytes
     :func:`floats_to_bytes` writes for them."""
-    vector = np.frombuffer(_fixed(payload, name, entries, 8), dtype=">f8").astype(np.float64)
+    vector = np.frombuffer(payload[name], dtype=">f8").astype(np.float64)
     # float64 bits can spell NaN and infinity
     if not np.all(np.isfinite(vector)):
         raise ProtocolViolation(f"payload field {name!r} has non-finite entries")
@@ -208,8 +210,8 @@ def gradient_to_payload(g) -> dict:
         public_key = g.ciphertexts[0].public
         width = paillier.byte_width(2 * public_key.key_bits)
         return {
-            "ciphertexts": b"".join(c.value.to_bytes(width, "big") for c in g.ciphertexts),
             "key": public_key.fingerprint,
+            "ciphertexts": b"".join(c.value.to_bytes(width, "big") for c in g.ciphertexts),
         }
     raise TypeError(f"cannot serialize gradient of type {type(g)!r}")
 
@@ -222,13 +224,11 @@ def read_gradient(
     ciphertexts under it, quantized with ``quant``. The receiver takes
     ``entries`` and ``quant`` from its config."""
     if public_key is None:
-        return read_floats(payload, "values", entries)
-    _field(payload, "ciphertexts", bytes)  # a gradient with no blob is refused before its key
-    if _field(payload, "key", str) != public_key.fingerprint:
+        return read_floats(payload, "values")
+    if payload["key"] != public_key.fingerprint:
         raise KeyMismatch("gradient is encrypted under a different key")
     width = paillier.byte_width(2 * public_key.key_bits)
-    count = -(-entries // agg.slots_per_ciphertext(public_key.key_bits))
-    raw = _fixed(payload, "ciphertexts", count, width)
+    raw = payload["ciphertexts"]
     try:
         cts = [
             paillier.Ciphertext(int.from_bytes(raw[at : at + width], "big"), public_key)
@@ -344,7 +344,7 @@ class ClientSession:
         session is done. A GLOBAL_GRADIENT gets none yet: it leaves the session
         pending, for ``upload`` to answer. A FedBoostError ends the session
         with an ABORT that tells the server why."""
-        return self._reply(lambda: self.handle(decode_message(kind, body)))
+        return self._reply(lambda: self.handle(decode_message(kind, body, self.settings)))
 
     def _reply(self, step) -> list[tuple[int, bytes]]:
         if self.done:
@@ -355,7 +355,7 @@ class ClientSession:
             self.done = True
             reason = {"reason": f"{type(exc).__name__}: {exc}"}
             replies = [Message(MessageKind.ABORT, self.round, reason)]
-        return [encode_message(m) for m in replies]
+        return [encode_message(m, self.settings) for m in replies]
 
     def handle(self, msg: Message) -> list[Message]:
         if msg.kind == MessageKind.ABORT:
@@ -371,7 +371,7 @@ class ClientSession:
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
             # round 1 trains the initial model, a later one adds the merged gradient to it
             if msg.round > 1:
-                self.weights = self._stepped(_field(msg.payload, "gradient", dict))
+                self.weights = self._stepped(msg.payload["gradient"])
             self.round, self.pending = msg.round, True
             return []
         if msg.kind == MessageKind.FUSED_GRADIENT:
@@ -379,17 +379,10 @@ class ClientSession:
                 raise ProtocolViolation("cross-validation before any training round")
             if self.pending:
                 raise ProtocolViolation(f"cross-validation before the upload of round {self.round}")
+            values = [self.evaluate_fused(p) for p in msg.payload["models"]]
             # under he_dp every model is fused; else the server relays the
             # peers' uploads only, as this client holds its own
-            holds_own = self.settings.encryption != "he_dp"
-            expected = self.settings.n_clients - 1 if holds_own else self.settings.n_clients
-            models = _field(msg.payload, "models", list)
-            if len(models) != expected:
-                raise ProtocolViolation(
-                    f"{len(models)} models to cross-validate, expected {expected}"
-                )
-            values = [self.evaluate_fused(p) for p in models]
-            if holds_own:
+            if self.settings.encryption != "he_dp":
                 # under he, what a peer decrypts from the upload, P pieces per unit
                 own = qz.dequantize(self._own) if self.settings.encrypted else self._own
                 values.insert(self.client_id - 1, self._score(nn.apply_gradient(self.weights, own)))
@@ -401,7 +394,7 @@ class ClientSession:
                     f"final gradient in round {self.round}, expected {self.settings.rounds}"
                 )
             self.done = True
-            merged = _field(msg.payload, "gradient", dict)
+            merged = msg.payload["gradient"]
             if self.client_id != DESIGNATED_DECRYPTOR:
                 # only client 1's final model is used: the others check the frame, not decrypt it
                 public = self.keypair.public if self.keypair else None
@@ -425,7 +418,7 @@ def client_run(session: ClientSession, endpoint) -> None:
     the channel fails; the session trains alone."""
     try:
         for msg in session.startup():
-            endpoint.send(*encode_message(msg))
+            endpoint.send(*encode_message(msg, session.settings))
         while not session.done:
             replies = session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
             for reply in session.upload() if session.pending else replies:
@@ -450,7 +443,7 @@ class InThreadCohort:
     def __init__(self, sessions: list[ClientSession]):
         self._sessions = {s.client_id: s for s in sessions}
         self._replies = {
-            s.client_id: deque(encode_frame(*encode_message(m)) for m in s.startup())
+            s.client_id: deque(encode_frame(*encode_message(m, s.settings)) for m in s.startup())
             for s in sessions
         }
         self.endpoints = {cid: _CohortEndpoint(self, cid) for cid in self._sessions}
@@ -536,15 +529,16 @@ class ServerRunResult:
     merged_gradients: list[dict]
 
 
-def _send(endpoints, kind: MessageKind, round_no: int, payload) -> None:
+def _send(settings: ExperimentConfig, endpoints, kind: MessageKind, round_no: int, payload) -> None:
     """Send one server message to every client, in id order: ``payload``,
     encoded once, or ``payload(cid)``, each client's own. A failed send is a
     RoundAborted naming the client; an ABORT goes to every client that can
     still take it."""
-    frame = None if callable(payload) else encode_message(Message(kind, round_no, payload))
+    frame = None if callable(payload) else encode_message(Message(kind, round_no, payload), settings)
     for cid in sorted(endpoints):
+        message = frame or encode_message(Message(kind, round_no, payload(cid)), settings)
         try:
-            endpoints[cid].send(*(frame or encode_message(Message(kind, round_no, payload(cid)))))
+            endpoints[cid].send(*message)
         except TransportError as exc:
             if kind != MessageKind.ABORT:
                 raise RoundAborted(
@@ -554,14 +548,13 @@ def _send(endpoints, kind: MessageKind, round_no: int, payload) -> None:
 
 def _read_upload(payload, public_key, settings: ExperimentConfig):
     """A TRAIN_RESULT's gradient, checked but not decrypted, and training loss."""
-    gradient = _field(payload, "gradient", dict)
-    gradient = read_gradient(gradient, public_key, settings.layout.size, settings.quant)
-    return gradient, read_floats(payload, "train_loss", 1)[0]
+    gradient = read_gradient(payload["gradient"], public_key, settings.layout.size, settings.quant)
+    return gradient, read_floats(payload, "train_loss")[0]
 
 
-def _read_losses(payload, n: int) -> np.ndarray:
-    """An EVAL_RESULT's n validation losses."""
-    values = read_floats(payload, "values", n)
+def _read_losses(payload) -> np.ndarray:
+    """An EVAL_RESULT's validation losses, one per client."""
+    values = read_floats(payload, "values")
     if np.any(values < 0):
         raise ProtocolViolation("payload field 'values' has negative losses")
     return values
@@ -579,7 +572,7 @@ def _expect(
     awaited = kind.name if kind else "end of run"
     try:
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
-        msg = decode_message(raw_kind, body)
+        msg = decode_message(raw_kind, body, settings)
         if transcript is not None:
             transcript.append((cid, encode_frame(raw_kind, body)))
         if msg.kind == kind and msg.round == round_no:
@@ -593,7 +586,7 @@ def _expect(
     except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
         raise type(exc)(f"client {cid}: {exc} ({awaited}, round {round_no})") from exc
     if msg.kind == MessageKind.ABORT:
-        reason = msg.payload.get("reason", "unspecified")
+        reason = msg.payload["reason"]
         raise RoundAborted(f"client {cid} aborted: {reason} ({awaited}, round {round_no})")
     if msg.kind != kind:
         raise ProtocolViolation(
@@ -639,7 +632,7 @@ def server_run(
             # in-thread loopback clients train in the first recv, TCP clients
             # once the broadcast reaches them; the phase spans both
             phase_start = time.monotonic()
-            _send(endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
+            _send(settings, endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
 
             # round state, indexed by cid - 1
             gradients = []
@@ -667,13 +660,13 @@ def server_run(
                     def payload(cid):
                         return {"models": uploads[: cid - 1] + uploads[cid:]}
 
-                _send(endpoints, MessageKind.FUSED_GRADIENT, r, payload)
+                _send(settings, endpoints, MessageKind.FUSED_GRADIENT, r, payload)
                 # column j holds every candidate model's loss on client j + 1's data
                 validation = np.empty((n, n))
                 for cid in clients:
                     validation[:, cid - 1] = _expect(
                         settings, endpoints, cid, MessageKind.EVAL_RESULT, r, transcript,
-                        _read_losses, n,
+                        _read_losses,
                     )
                 weights = agg.fedboost_weights(
                     train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
@@ -701,10 +694,10 @@ def server_run(
             )
 
         # r is now the last round, the round of the final exchange
-        _send(endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
+        _send(settings, endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
         final_values = _expect(
             settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript,
-            read_floats, "weights", settings.layout.size,
+            read_floats, "weights",
         )
         # the others only check the final gradient, so each ends by closing its channel
         for cid in clients:
@@ -713,5 +706,5 @@ def server_run(
         final = nn.ModelParams(final_values, settings.layout)
         return ServerRunResult(final, records, merged_gradients)
     except FedBoostError as exc:
-        _send(endpoints, MessageKind.ABORT, r, {"reason": f"{type(exc).__name__}: {exc}"})
+        _send(settings, endpoints, MessageKind.ABORT, r, {"reason": f"{type(exc).__name__}: {exc}"})
         raise

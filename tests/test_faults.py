@@ -64,19 +64,20 @@ def test_tcp_client_killed_after_it_connects(monkeypatch):
 class CorruptingEndpoint:
     """The server's endpoint to one loopback client; it rewrites the frame of
     ``kind`` and round ``round_no`` that passes it, either way, to the body
-    ``corrupt(message, path)`` gives."""
+    ``corrupt(message, path, settings)`` gives."""
 
-    def __init__(self, inner, kind, round_no, path, corrupt):
+    def __init__(self, inner, settings, kind, round_no, path, corrupt):
         self.inner = inner
+        self.settings = settings
         self.target = (kind, round_no)
         self.path = path
         self.corrupt = corrupt
 
     def _rewrite(self, kind: int, body: bytes) -> tuple[int, bytes]:
-        msg = decode_message(kind, body)
+        msg = decode_message(kind, body, self.settings)
         if (msg.kind, msg.round) != self.target:
             return kind, body
-        return kind, self.corrupt(msg, self.path)
+        return kind, self.corrupt(msg, self.path, self.settings)
 
     def send(self, kind: int, body: bytes) -> None:
         self.inner.send(*self._rewrite(kind, body))
@@ -97,26 +98,26 @@ def _edited(value, path: tuple, edit):
 
 def _value(edit):
     """A corruption of the payload value at the endpoint's path: ``edit`` of it."""
-    return lambda msg, path: encode_message(
-        dataclasses.replace(msg, payload=_edited(msg.payload, path, edit))
+    return lambda msg, path, settings: encode_message(
+        dataclasses.replace(msg, payload=_edited(msg.payload, path, edit)), settings
     )[1]
 
 
 def _body(edit):
     """A corruption of the whole encoded body: ``edit`` of its bytes."""
-    return lambda msg, _path: edit(encode_message(msg)[1])
+    return lambda msg, _path, settings: edit(encode_message(msg, settings)[1])
 
 
-# the same in every frame: its header and tail disagree
+# the same in every frame: a body of another length than its kind's
 FRAME_CORRUPTIONS = {
-    "length_past_the_tail": _body(lambda body: body[:-1]),
-    "tail_left_over": _body(lambda body: body + b"\0"),
-    "no_separator": _body(lambda body: body.partition(b"\n")[0]),
+    "short_body": _body(lambda body: body[:-1]),
+    "long_body": _body(lambda body: body + b"\0"),
+    "empty_body": _body(lambda body: b""),
 }
 FRAME_CAUSES = {
-    "length_past_the_tail": r"payload lengths run past the \d+-byte tail",
-    "tail_left_over": "1 tail bytes left over",
-    "no_separator": "message body has no header separator",
+    "short_body": r"{kind} body has \d+ bytes, expected \d+",
+    "long_body": r"{kind} body has \d+ bytes, expected \d+",
+    "empty_body": r"{kind} body has 0 bytes, expected \d+",
 }
 
 
@@ -127,7 +128,7 @@ def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
     keypair = cohort_key(settings)
     sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
     endpoints = InThreadCohort(sessions).endpoints
-    endpoints[cid] = CorruptingEndpoint(endpoints[cid], kind, 2, path, corrupt)
+    endpoints[cid] = CorruptingEndpoint(endpoints[cid], settings, kind, 2, path, corrupt)
     threads = threading.active_count()
     start = time.monotonic()
     with pytest.raises(error, match=cause):
@@ -139,18 +140,13 @@ def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
 
 
 CORRUPTIONS = {
-    "truncated": _value(lambda raw: raw[:-1]),
-    "one_byte_too_many": _value(lambda raw: raw + b"\0"),
     "nan_bits": _value(lambda raw: struct.pack(">d", math.nan) + raw[8:]),
-    # a str where bytes belong
-    "text": _value(lambda raw: raw.hex()),
+    "infinity_bits": _value(lambda raw: raw[:-8] + struct.pack(">d", -math.inf)),
     **FRAME_CORRUPTIONS,
 }
 CAUSES = {
-    "truncated": r"payload field '{name}' has \d+\.875 entries",
-    "one_byte_too_many": r"payload field '{name}' has \d+\.125 entries",
     "nan_bits": "payload field '{name}' has non-finite entries",
-    "text": "payload field '{name}' is missing or mistyped",
+    "infinity_bits": "payload field '{name}' has non-finite entries",
     **FRAME_CAUSES,
 }
 
@@ -168,7 +164,7 @@ CAUSES = {
 @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
 def test_corrupt_float_vector_on_loopback(encryption, kind, cid, name, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    cause = CAUSES[corruption].format(name=name)
+    cause = CAUSES[corruption].format(name=name, kind=kind.name)
     pattern = rf"^client {cid}: {cause}.* \({kind.name}, round 2\)$"
     _run_corrupted(settings, cid, kind, (name,), CORRUPTIONS[corruption], ProtocolViolation, pattern)
 
@@ -184,23 +180,17 @@ def _ciphertexts(edit):
 
 
 BLOB_CORRUPTIONS = {
-    "truncated": _ciphertexts(lambda raw: raw[:-1]),
-    "one_byte_too_many": _ciphertexts(lambda raw: raw + b"\0"),
     "one_ciphertext_short": _ciphertexts(lambda raw: raw[:-WIDTH]),
     "ciphertext_of_zero": _ciphertexts(lambda raw: bytes(WIDTH) + raw[WIDTH:]),
     "ciphertext_of_n_squared": _ciphertexts(lambda raw: N_SQUARED.to_bytes(WIDTH, "big") + raw[WIDTH:]),
-    "text": _ciphertexts(lambda raw: raw.hex()),
     "wrong_key": _value(lambda gradient: {**gradient, "key": paillier.keygen(128, seed=1).public.fingerprint}),
     **FRAME_CORRUPTIONS,
 }
 OUT_OF_RANGE = "ProtocolViolation: malformed encrypted gradient: ciphertext value out of range"
 BLOB_CAUSES = {
-    "truncated": r"ProtocolViolation: payload field 'ciphertexts' has 41\.96875 entries",
-    "one_byte_too_many": r"ProtocolViolation: payload field 'ciphertexts' has 42\.03125 entries",
-    "one_ciphertext_short": "ProtocolViolation: payload field 'ciphertexts' has 41 entries, expected 42",
+    "one_ciphertext_short": r"ProtocolViolation: {kind} body has \d+ bytes, expected \d+",
     "ciphertext_of_zero": OUT_OF_RANGE,
     "ciphertext_of_n_squared": OUT_OF_RANGE,
-    "text": "ProtocolViolation: payload field 'ciphertexts' is missing or mistyped",
     "wrong_key": "KeyMismatch: gradient is encrypted under a different key",
     **{name: f"ProtocolViolation: {cause}" for name, cause in FRAME_CAUSES.items()},
 }
@@ -210,7 +200,7 @@ BLOB_CAUSES = {
 @pytest.mark.parametrize("encryption", ["he", "he_dp"])
 def test_corrupt_ciphertext_blob_from_a_client(encryption, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    error_name, cause = BLOB_CAUSES[corruption].split(": ", 1)
+    error_name, cause = BLOB_CAUSES[corruption].format(kind="TRAIN_RESULT").split(": ", 1)
     error = KeyMismatch if error_name == "KeyMismatch" else ProtocolViolation
     pattern = rf"^client 2: {cause}.* \(TRAIN_RESULT, round 2\)$"
     corrupt = BLOB_CORRUPTIONS[corruption]
@@ -232,5 +222,6 @@ def test_corrupt_ciphertext_blob_from_a_client(encryption, corruption):
 @pytest.mark.parametrize("encryption", ["he", "he_dp"])
 def test_corrupt_ciphertext_blob_to_a_client(encryption, kind, cid, path, awaited, corruption):
     settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    pattern = rf"^client {cid} aborted: {BLOB_CAUSES[corruption]}.* \({awaited}, round 2\)$"
+    cause = BLOB_CAUSES[corruption].format(kind=kind.name)
+    pattern = rf"^client {cid} aborted: {cause}.* \({awaited}, round 2\)$"
     _run_corrupted(settings, cid, kind, path, BLOB_CORRUPTIONS[corruption], RoundAborted, pattern)

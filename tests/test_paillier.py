@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import hashlib
 import math
@@ -597,23 +596,6 @@ class TestSignedEncoding:
         assert paillier.decode_signed(encoded, n) == v
 
 
-def _other_spellings(raw: bytes, draw) -> list:
-    """Values that are not the ``len(raw)`` bytes a reader takes: a byte
-    fewer, one to three more anywhere, the same bytes as text, as a
-    bytearray or one value per byte, a list of them, and no value."""
-    at = draw(st.integers(0, len(raw)))
-    return [
-        raw[:-1],
-        raw[:at] + draw(st.binary(min_size=1, max_size=3)) + raw[at:],
-        raw.hex(),
-        raw.decode("latin-1"),
-        bytearray(raw),
-        list(raw),
-        [raw],
-        None,
-    ]
-
-
 class TestSerialization:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -626,17 +608,20 @@ class TestSerialization:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_modulus_refuses_every_other_spelling(self, data):
+    def test_any_modulus_bytes_are_a_key_or_refused_by_size(self, data):
+        """The frame gives n its key_bits/8 bytes; their bit length names the
+        offered size, which must be the configured one and no weak one."""
         key_bits = 2 * data.draw(st.integers(32, 300))
-        n = data.draw(st.integers(2 ** (key_bits - 1), 2**key_bits - 1))
-        raw = n.to_bytes(paillier.byte_width(key_bits), "big")
-        for bad in _other_spellings(raw, data.draw):
-            assert type(bad) is not bytes or bad != raw
-            size = int.from_bytes(bad, "big").bit_length() if isinstance(bad, bytes) else 0
-            # bytes that spell a modulus of another size that is no weak one name that size
-            other_size = size >= 64 and size % 2 == 0 and size != key_bits
-            with pytest.raises(KeyMismatch if other_size else WeakKey):
-                paillier.public_key_from_payload({"n": bad}, key_bits)
+        raw = data.draw(st.binary(min_size=paillier.byte_width(key_bits), max_size=paillier.byte_width(key_bits)))
+        size = int.from_bytes(raw, "big").bit_length()
+        if size < 64 or size % 2:
+            with pytest.raises(WeakKey, match=f"got {size}$"):
+                paillier.public_key_from_payload({"n": raw}, key_bits)
+        elif size != key_bits:
+            with pytest.raises(KeyMismatch, match=f"^offered a {size}-bit key, expected {key_bits}$"):
+                paillier.public_key_from_payload({"n": raw}, key_bits)
+        else:
+            assert paillier.public_key_from_payload({"n": raw}, key_bits).n == int.from_bytes(raw, "big")
 
     def test_widths_of_a_1024_bit_key(self):
         assert paillier.byte_width(1024) == 128 and paillier.byte_width(2048) == 256
@@ -650,34 +635,22 @@ class TestSerialization:
 
     def test_fingerprint_names_the_modulus(self, key128, key64):
         digest = hashlib.sha256(key128.public.n.to_bytes(16, "big")).digest()
-        assert key128.public.fingerprint == base64.b64encode(digest[:9]).decode()
-        assert len(key128.public.fingerprint) == 12
+        assert key128.public.fingerprint == digest[:9]
+        assert len(key128.public.fingerprint) == paillier.FINGERPRINT_BYTES == 9
         assert key64.public.fingerprint != key128.public.fingerprint
         assert paillier.keygen(128, seed=1).public.fingerprint != key128.public.fingerprint
 
 
 class TestMalformedKeyMaterial:
-    @pytest.mark.parametrize(
-        "payload",
-        [{}, {"n": "XY"}, {"n": 255}, {"n": None}, {"n": [bytes(16)]}, {"n": bytearray(16)}],
-    )
-    def test_unparseable_public_key_is_weak_key(self, payload):
-        with pytest.raises(WeakKey, match="malformed public key"):
-            paillier.public_key_from_payload(payload, 128)
-
-    @pytest.mark.parametrize("n", [0xFF, (1 << 126) + 1, (1 << 129) - 1], ids=["8", "127", "129"])
+    @pytest.mark.parametrize("n", [0xFF, (1 << 126) + 1], ids=["8", "127"])
     def test_modulus_of_a_weak_size_is_weak_key(self, n):
         """The offered size is the modulus's bit length: under 64 or odd is weak."""
-        payload = {"n": n.to_bytes(paillier.byte_width(n.bit_length()), "big")}
+        payload = {"n": n.to_bytes(16, "big")}
         with pytest.raises(WeakKey, match=f"got {n.bit_length()}$"):
             paillier.public_key_from_payload(payload, 128)
 
     def test_modulus_of_another_size_is_key_mismatch(self, key64):
-        payload = paillier.public_key_to_payload(key64.public)
+        # a 64-bit modulus in the 16 bytes of a 128-bit one
+        payload = {"n": key64.public.n.to_bytes(16, "big")}
         with pytest.raises(KeyMismatch, match="^offered a 64-bit key, expected 128$"):
-            paillier.public_key_from_payload(payload, 128)
-
-    def test_modulus_with_a_leading_zero_byte_is_weak_key(self, key128):
-        payload = {"n": key128.public.n.to_bytes(17, "big")}
-        with pytest.raises(WeakKey, match="malformed public key"):
             paillier.public_key_from_payload(payload, 128)

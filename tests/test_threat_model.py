@@ -54,12 +54,13 @@ def cohort(n_clients: int, encryption: str, aggregator: str = "fedboosting") -> 
 class Tap:
     """The server's endpoint to one client; keeps every message it delivers."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, settings):
         self.inner = inner
+        self.settings = settings
         self.delivered = []
 
     def send(self, kind: int, body: bytes) -> None:
-        self.delivered.append(decode_message(kind, body))
+        self.delivered.append(decode_message(kind, body, self.settings))
         self.inner.send(kind, body)
 
     def recv(self, timeout=None):
@@ -82,7 +83,7 @@ def run(cfg: ExperimentConfig, monkeypatch):
     keypair = paillier.keygen(cfg.key_bits, protocol.derive_seed(cfg.master_seed, "keygen"))
     splits = build_splits(cfg)
     sessions = [ClientSession(cfg, cid, split, keypair) for cid, split in enumerate(splits, 1)]
-    endpoints = {cid: Tap(ep) for cid, ep in InThreadCohort(sessions).endpoints.items()}
+    endpoints = {cid: Tap(ep, cfg) for cid, ep in InThreadCohort(sessions).endpoints.items()}
     transcript = []
     protocol.server_run(cfg, endpoints, transcript)
     # the in-thread cohort builds its uploads in id order
@@ -180,14 +181,14 @@ def test_no_frame_through_the_server_carries_the_secret_key(
     cfg = cohort(n_clients, encryption, aggregator)
     _, keypair, delivered, transcript = run(cfg, monkeypatch)
     inbound = [frame for _cid, frame in transcript]
-    outbound = [encode_message(m)[1] for messages in delivered.values() for m in messages]
+    outbound = [encode_message(m, cfg)[1] for messages in delivered.values() for m in messages]
     # key offer, uploads, cross-validation losses and the final model in;
     # broadcasts, models to score and the merged gradient out
     assert (len(inbound), len(outbound)) == (frames_in, frames_out)
     # big integers travel as raw big-endian bytes: the public modulus is one
     # such value, which shows that a prime sent so would be found
     width = cfg.key_bits // 8
-    values = [v for f in inbound for v in bytes_within(decode_message(*decode_frame(f)).payload)]
+    values = [v for f in inbound for v in bytes_within(decode_message(*decode_frame(f), cfg).payload)]
     values += [v for messages in delivered.values() for m in messages for v in bytes_within(m.payload)]
     assert keypair.public.n.to_bytes(width, "big") in values
     assert not {keypair.p, keypair.q} & {int.from_bytes(v, "big") for v in values}

@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -149,3 +150,56 @@ class TestTcp:
         client.close()
         with pytest.raises(ChannelClosed):
             server.recv(timeout=5)
+
+
+class TestTcpFailurePaths:
+    """Each failure a socket can give ends the wait at once, as the cause it is."""
+
+    def test_deadline_passes_mid_frame(self, monkeypatch):
+        # the length prefix and 3 of 10 body bytes arrive; each clock read
+        # advances 0.4 s, so the deadline of 1 s passes between the two reads
+        clock = iter(range(0, 100, 4))
+        monkeypatch.setattr(transport, "time", SimpleNamespace(monotonic=lambda: next(clock) / 10))
+        server_sock, client_sock = socket.socketpair()
+        server = transport.TcpEndpoint(server_sock)
+        try:
+            client_sock.sendall(transport.encode_frame(1, bytes(9))[:7])
+            start = time.monotonic()
+            with pytest.raises(TransportTimeout, match="^read deadline exceeded$"):
+                server.recv(timeout=1.0)
+            assert time.monotonic() - start < 1.0
+            # the clock was read at the deadline's start, the prefix, the body, then past it
+            assert next(clock) == 16
+        finally:
+            server.close()
+            client_sock.close()
+
+    def test_connection_reset_is_a_recv_failure(self, tcp_pair):
+        client, server = tcp_pair
+        # linger 0: the close sends a reset, not an orderly end of stream
+        client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client._sock.close()
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="^recv failed: ") as err:
+            server.recv(timeout=5)
+        assert type(err.value) is TransportError
+        assert time.monotonic() - start < 1.0
+
+    def test_accept_times_out(self):
+        listener = transport.tcp_listen(("127.0.0.1", 0))
+        start = time.monotonic()
+        try:
+            with pytest.raises(TransportTimeout, match=r"^no connection within 0\.05s$"):
+                listener.accept(timeout=0.05)
+        finally:
+            listener.close()
+        assert time.monotonic() - start < 1.0
+
+    def test_listen_on_an_address_already_listening(self):
+        listener = transport.tcp_listen(("127.0.0.1", 0))
+        host, port = listener.address
+        try:
+            with pytest.raises(TransportError, match=f"^cannot listen on {host}:{port}: "):
+                transport.tcp_listen((host, port))
+        finally:
+            listener.close()
