@@ -20,9 +20,11 @@ one per w-bit window of a (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
 :class:`PublicKey` encryption gives for the same rng state.
 
 Prime search rejects a candidate with a prime factor below a few thousand by
-one gcd with their product. It draws the same 40 Miller-Rabin witnesses from
-the rng as the unsieved test would, so a seed gives the same key either way,
-and tests as many as an error of at most 2^-100 needs (_TESTED_ROUNDS).
+one gcd with their product, and one of 512 bits or more that passes it by a
+second gcd with the primes up to 2^15. It draws the same 40 Miller-Rabin
+witnesses from the rng as the unsieved test would, so a seed gives the same
+key either way, and tests as many as an error of at most 2^-100 needs
+(_TESTED_ROUNDS).
 
 A KeyPair remembers the plaintext of each ciphertext it made or decrypted
 (``plaintexts``, emptied at PLAINTEXT_MEMO_BOUND entries; see aggregate). A
@@ -39,8 +41,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 
 from .errors import KeyMismatch, PlaintextOutOfRange, WeakKey
 
@@ -166,13 +170,13 @@ def _fixed_base_pow(powers: list[int], a: int, modulus: int) -> int:
     return result
 
 
-def _primes_below(bound: int) -> list[int]:
+def _primes_below(bound: int) -> Iterator[int]:
     sieve = bytearray([1]) * bound
     sieve[:2] = b"\0\0"
     for i in range(2, math.isqrt(bound - 1) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
-    return [i for i, is_prime in enumerate(sieve) if is_prime]
+    return compress(range(bound), sieve)
 
 
 # Product of the primes from 53 (the first after _SMALL_PRIMES) below _SIEVE_BOUND.
@@ -180,17 +184,27 @@ def _primes_below(bound: int) -> list[int]:
 # the primorial and outweighs the saving at small key sizes.
 _SIEVE_BOUND = 3000
 _PRIMORIAL = math.prod(p for p in _primes_below(_SIEVE_BOUND) if p > _SMALL_PRIMES[-1])
+# A second level for candidates of at least _DEEP_SIEVE_BITS bits: below that,
+# its gcd costs more than the Miller-Rabin rounds it saves (512-bit primes: -6 ms a key)
+_DEEP_SIEVE_BITS = 512
+
+
+@cache
+def _deep_primorial() -> int:
+    """Product of the primes from _SIEVE_BOUND below 2^15, built at its first use."""
+    return math.prod(p for p in _primes_below(1 << 15) if p >= _SIEVE_BOUND)
 
 
 def _is_probable_prime(candidate: int, rng: random.Random, rounds: int = _MILLER_RABIN_ROUNDS) -> bool:
     """Miller-Rabin with ``rounds`` random witnesses after trial division.
 
-    A candidate with a prime factor below _SIEVE_BOUND is composite. For it a
-    drawn witness ``a`` with a^(candidate-1) != 1 modulo those factors is not a
-    Fermat liar, so the Miller-Rabin round would fail: return at once. Only
-    when ``a`` might be a liar does the full round run. The result and the
-    witnesses drawn from ``rng`` are therefore those of plain Miller-Rabin, and
-    seeded key generation gives the same primes with or without the sieve.
+    A candidate with a prime factor below _SIEVE_BOUND (below 2^15 from
+    _DEEP_SIEVE_BITS bits on) is composite. For it a drawn witness ``a`` with
+    a^(candidate-1) != 1 modulo those factors is not a Fermat liar, so the
+    Miller-Rabin round would fail: return at once. Only when ``a`` might be a
+    liar does the full round run. The result and the witnesses drawn from
+    ``rng`` are therefore those of plain Miller-Rabin, and seeded key
+    generation gives the same primes with or without the sieve.
     Witnesses past the _TESTED_ROUNDS count of the candidate's size are drawn,
     not tested: the stream differs only for a composite that passes the rest.
     """
@@ -200,11 +214,13 @@ def _is_probable_prime(candidate: int, rng: random.Random, rounds: int = _MILLER
         if candidate % p == 0:
             return candidate == p
     small_factors = math.gcd(candidate, _PRIMORIAL) if candidate > _SIEVE_BOUND else 1
+    bits = candidate.bit_length()
+    if small_factors == 1 and bits >= _DEEP_SIEVE_BITS:
+        small_factors = math.gcd(candidate, _deep_primorial())
     d, s = candidate - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    bits = candidate.bit_length()
     tested = next((t for size, t in _TESTED_ROUNDS if bits >= size), rounds)
     for i in range(rounds):
         a = rng.randrange(2, candidate - 1)

@@ -122,6 +122,19 @@ def field_widths(kind: MessageKind, round_no: int, settings: ExperimentConfig) -
     }.get(kind)
 
 
+def largest_body(settings: ExperimentConfig) -> int:
+    """The longest body any frame under ``settings`` may have: its round, then
+    the widest kind's fields, an ABORT's at their bound."""
+
+    def size(widths) -> int:
+        if isinstance(widths, dict):
+            widths = list(widths.values())
+        return sum(map(size, widths)) if isinstance(widths, list) else widths
+
+    # round 2 is the first whose broadcast carries a gradient
+    return _ROUND.size + max(size(field_widths(kind, 2, settings) or {}) for kind in MessageKind)
+
+
 def _walk(widths, payload, leaf):
     """``payload`` rebuilt with ``leaf(width, value)`` for each field, in wire order."""
     if isinstance(widths, dict):

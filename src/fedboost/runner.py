@@ -1,8 +1,9 @@
 """Experiment orchestration: build client data, host a protocol run over the
-chosen transport (clients as one cohort in the server's thread on loopback,
-one process per client over TCP), score the global model per round on the combined test set,
-and export metrics/model/boundary artifacts. Centralized training is a cohort
-of one trainer holding the pooled training data, run on loopback.
+chosen transport (loopback: clients as one cohort in the server's thread; TCP:
+one process per client, all started at once, each named by the id it writes
+before its first frame), score the global model per round on the combined test
+set, and export metrics/model/boundary artifacts. Centralized training is a
+cohort of one trainer holding the pooled training data, run on loopback.
 
 The runner generates the cohort key pair once, before either transport
 starts, and hands it to every client in its session; over TCP it travels in
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import struct
+import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,7 @@ from .errors import (
     IoError,
     ProtocolViolation,
     RoundAborted,
+    TransportError,
     TransportTimeout,
 )
 from .protocol import (
@@ -43,13 +47,16 @@ from .protocol import (
     client_run,
     decode_gradient_payload,
     derive_seed,
+    largest_body,
     server_run,
 )
 from .quantize import QuantConfig
-from .transport import tcp_connect, tcp_listen
+from .transport import TcpEndpoint, tcp_connect, tcp_listen
 
-# How long an aborted TCP run waits for each client to exit before naming the dead
+# How long a failed TCP launch or run waits on the other clients before naming the dead
 _EXIT_GRACE_S = 1.0
+# A TCP client names itself by its id, 4 big-endian bytes written before its first frame
+_CLIENT_ID = struct.Struct(">I")
 
 
 @dataclass
@@ -69,13 +76,8 @@ def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
     except (EmptyDataset, MemoryError) as exc:  # too few to split, or a count beyond memory
         raise ConfigError(f"clients[{client_id - 1}].clusters", str(exc)) from exc
     if spec.poison_flip_frac > 0:
-        parts = DatasetSplit(
-            train=poison_labels(
-                parts.train, spec.poison_flip_frac, derive_seed(cfg.master_seed, "poison", client_id)
-            ),
-            validation=parts.validation,
-            test=parts.test,
-        )
+        seed = derive_seed(cfg.master_seed, "poison", client_id)
+        parts = replace(parts, train=poison_labels(parts.train, spec.poison_flip_frac, seed))
     return parts
 
 
@@ -90,15 +92,10 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 # --- transports ----------------------------------------------------------------
 
 
-def _client_process_main(
-    address: tuple[str, int],
-    cfg: ExperimentConfig,
-    client_id: int,
-    keypair: paillier.KeyPair | None,
-) -> None:
-    """A TCP client: connect first, then build the data split, so the spawn
-    argument stays small and the one-at-a-time launch does not wait on it."""
-    endpoint = tcp_connect(address, timeout=cfg.timeout_s)
+def _client_process_main(address, cfg: ExperimentConfig, client_id: int, keypair) -> None:
+    """A TCP client: connect and send its id first, then build the data split,
+    so the spawn argument stays small and the launch does not wait on it."""
+    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), _CLIENT_ID.pack(client_id))
     try:
         session = ClientSession(cfg, client_id, build_client_split(cfg, client_id), keypair)
         client_run(session, endpoint)
@@ -106,60 +103,80 @@ def _client_process_main(
         endpoint.close()
 
 
+def _claimed_id(endpoint: TcpEndpoint, n_clients: int, named: dict, deadline: float) -> int:
+    """The id a new connection sends before its first frame: in 1..n_clients,
+    and not yet claimed, as the first claim wins."""
+    try:
+        raw = endpoint.recv_preamble(_CLIENT_ID.size, deadline - time.monotonic())
+    except TransportError as exc:
+        raise ProtocolViolation(f"{endpoint.peer} sent no client id: {exc}") from exc
+    (cid,) = _CLIENT_ID.unpack(raw)
+    if cid in named or not 1 <= cid <= n_clients:
+        taken = "is taken" if cid in named else f"is outside 1..{n_clients}"
+        raise ProtocolViolation(f"{endpoint.peer} claims client {cid}, which {taken}")
+    return cid
+
+
 @contextmanager
 def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
-    """The server's endpoints to one spawned process per client, each joined on exit."""
+    """The server's endpoints to one spawned process per client, each named by
+    the id its connection sends first; every process is joined on exit."""
     # imported here: loopback runs and the client processes never wait on a sentinel
     from multiprocessing.connection import wait
 
     listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
     ctx = multiprocessing.get_context("spawn")
-    procs = []
-    server_eps = {}
+    procs, accepted, server_eps = {}, [], {}
     try:
-        # clients are launched one at a time, so accept order identifies them
         for cid in range(1, cfg.n_clients + 1):
-            proc = ctx.Process(
-                target=_client_process_main,
-                args=(listener.address, cfg, cid, keypair),
-                daemon=True,
-            )
+            args = (listener.address, cfg, cid, keypair)
+            proc = ctx.Process(target=_client_process_main, args=args, daemon=True)
             proc.start()
-            procs.append(proc)
-            # a client that exits before it connects ends the wait at once
-            ready = wait([listener, proc.sentinel], timeout=cfg.timeout_s)
-            if listener in ready:
-                server_eps[cid] = listener.accept(timeout=cfg.timeout_s)
-            elif ready:
-                proc.join()
-                raise RoundAborted(
-                    f"client {cid} exited with code {proc.exitcode} before connecting"
-                )
-            else:
-                raise TransportTimeout(f"client {cid} did not connect within {cfg.timeout_s}s")
+            procs[cid] = proc
+        # until every client is named or has exited; an exit leaves the rest one grace period
+        deadline = time.monotonic() + cfg.timeout_s
+        while waiting := {
+            p.sentinel: p for c, p in procs.items() if c not in server_eps and p.exitcode is None
+        }:
+            ready = wait([listener, *waiting], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                break
+            for obj in ready:
+                if obj is listener:
+                    accepted.append(listener.accept(cfg.timeout_s, largest_body(cfg)))
+                    cid = _claimed_id(accepted[-1], cfg.n_clients, server_eps, deadline)
+                    server_eps[cid] = accepted[-1]
+                else:
+                    waiting[obj].join()
+                    deadline = min(deadline, time.monotonic() + _EXIT_GRACE_S)
+        missing = sorted(set(procs) - set(server_eps))
+        dead = [cid for cid in missing if procs[cid].exitcode is not None]
+        if dead:
+            codes = (f"client {c} exited with code {procs[c].exitcode} before connecting" for c in dead)
+            raise RoundAborted("; ".join(codes))
+        if missing:
+            raise TransportTimeout(f"clients {missing} did not connect within {cfg.timeout_s}s")
         try:
             yield server_eps
         except RoundAborted as exc:
             # a client that died mid-run has usually exited by the time its channel closes
-            for proc in procs:
-                proc.join(timeout=_EXIT_GRACE_S)
-            dead = [
-                f"client {cid} exited with code {p.exitcode}"
-                for cid, p in enumerate(procs, 1)
-                if p.exitcode not in (None, 0)
-            ]
+            live = {proc.sentinel: proc for proc in procs.values()}
+            deadline = time.monotonic() + _EXIT_GRACE_S
+            while live and (ready := wait(list(live), max(0.0, deadline - time.monotonic()))):
+                for sentinel in ready:
+                    live.pop(sentinel).join()
+            dead = [f"client {c} exited with code {p.exitcode}" for c, p in procs.items() if p.exitcode]
             if dead:
                 raise RoundAborted("; ".join([str(exc), *dead])) from exc
             raise
     finally:
         listener.close()
-        for ep in server_eps.values():
+        for ep in accepted:
             ep.close()
-        for proc in procs:
+        for proc in procs.values():
             proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+            proc.terminate()  # no-op once the process has exited
+            proc.join()
 
 
 # --- experiment driver -----------------------------------------------------------
@@ -189,11 +206,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     splits = build_splits(cfg)
     test = combined_test_set(splits)
-    keypair = (
-        paillier.keygen(cfg.key_bits, derive_seed(cfg.master_seed, "keygen"))
-        if cfg.encrypted
-        else None
-    )
+    seed = derive_seed(cfg.master_seed, "keygen")
+    keypair = paillier.keygen(cfg.key_bits, seed) if cfg.encrypted else None
 
     if cfg.aggregator == "centralized":
         # one trainer on the pooled training data, on loopback whatever the transport
@@ -210,12 +224,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         run = server_run(cfg, endpoints)
     records = _protocol_records(cfg, run, test, keypair)
 
-    result = ExperimentResult(
-        records=records,
-        final_params=run.final_weights,
-        final_test_loss=records[-1].global_test_loss,
-        final_test_acc=records[-1].global_test_acc,
-    )
+    last = records[-1]
+    result = ExperimentResult(records, run.final_weights, last.global_test_loss, last.global_test_acc)
     if cfg.out_dir:
         write_outputs(cfg, result)
     return result

@@ -4,7 +4,9 @@ One frame on the wire is a 4-byte big-endian length (counting everything that
 follows), one kind byte, then the body; so length == len(body) + 1.
 Frames are delivered whole or not at all. Loopback runs pass the same frames to
 clients run as one cohort in the server's thread (``protocol.InThreadCohort``),
-so both transports carry identical bytes for identical protocol runs.
+so both transports carry identical bytes for identical protocol runs. Over TCP,
+the connecting side may write a raw preamble before its first frame (the
+runner's client id); it is not a frame, so no frame count or transcript holds it.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ def encode_frame(kind: int, body: bytes) -> bytes:
     return _HEADER.pack(length) + bytes([kind]) + body
 
 
-def _declared_length(data: bytes) -> int:
-    """The length a frame header declares, checked to lie in [1, MAX_FRAME_BYTES]."""
+def _declared_length(data: bytes, limit: int | None = None) -> int:
+    """The length a frame header declares, checked to lie in [1, limit],
+    MAX_FRAME_BYTES when no limit is given."""
     (length,) = _HEADER.unpack_from(data)
+    limit = MAX_FRAME_BYTES if limit is None else limit
     if length < 1:
         raise ProtocolViolation("declared length omits the kind byte")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolViolation(f"declared length {length} exceeds limit {MAX_FRAME_BYTES}")
+    if length > limit:
+        raise ProtocolViolation(f"declared length {length} exceeds limit {limit}")
     return length
 
 
@@ -51,10 +55,14 @@ def decode_frame(data: bytes) -> tuple[int, bytes]:
 
 
 class TcpEndpoint:
-    """Framed stream over one connected socket; reassembles partial reads."""
+    """Framed stream over one connected socket; reassembles partial reads.
+    A header declaring a body longer than ``max_body`` is refused before the
+    body is read. ``peer`` names the remote end in errors."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, max_body: int | None = None, peer: str = ""):
         self._sock = sock
+        self._limit = None if max_body is None else max_body + 1
+        self.peer = peer
         self._closed = False
 
     def send(self, kind: int, body: bytes) -> None:
@@ -92,9 +100,13 @@ class TcpEndpoint:
         if self._closed:
             raise ChannelClosed("recv after close")
         deadline = None if timeout is None else time.monotonic() + timeout
-        length = _declared_length(self._recv_exact(_HEADER.size, deadline))
+        length = _declared_length(self._recv_exact(_HEADER.size, deadline), self._limit)
         payload = self._recv_exact(length, deadline)
         return payload[0], payload[1:]
+
+    def recv_preamble(self, nbytes: int, timeout: float) -> bytes:
+        """The ``nbytes`` the peer wrote before its first frame."""
+        return self._recv_exact(nbytes, time.monotonic() + timeout)
 
     def close(self) -> None:
         if not self._closed:
@@ -118,16 +130,16 @@ class TcpListener:
         """The listening socket's descriptor, readable when a client is waiting."""
         return self._sock.fileno()
 
-    def accept(self, timeout: float | None = None) -> TcpEndpoint:
+    def accept(self, timeout: float | None = None, max_body: int | None = None) -> TcpEndpoint:
         self._sock.settimeout(timeout)
         try:
-            conn, _peer = self._sock.accept()
+            conn, peer = self._sock.accept()
         except socket.timeout:
             raise TransportTimeout(f"no connection within {timeout}s") from None
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return TcpEndpoint(conn)
+        return TcpEndpoint(conn, max_body, f"connection from {peer[0]}:{peer[1]}")
 
     def close(self) -> None:
         self._sock.close()
@@ -146,12 +158,16 @@ def tcp_listen(addr: tuple[str, int]) -> TcpListener:
     return TcpListener(sock)
 
 
-def tcp_connect(addr: tuple[str, int], timeout: float = 30.0) -> TcpEndpoint:
+def tcp_connect(
+    addr: tuple[str, int], timeout: float = 30.0, max_body: int | None = None, preamble: bytes = b""
+) -> TcpEndpoint:
+    """An endpoint to ``addr`` that has written ``preamble``, raw, before any frame."""
     host, port = addr
     try:
         sock = socket.create_connection(addr, timeout=timeout)
+        sock.sendall(preamble)
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.settimeout(None)
-    return TcpEndpoint(sock)
+    return TcpEndpoint(sock, max_body)

@@ -119,6 +119,25 @@ class TestSieveKeepsKeys:
         ]
         assert paillier._PRIMORIAL == math.prod(primes)
 
+    def test_second_level_holds_the_primes_from_the_bound_below_2_15(self):
+        primes = [
+            p for p in range(paillier._SIEVE_BOUND, 1 << 15) if all(p % d for d in range(2, math.isqrt(p) + 1))
+        ]
+        assert paillier._deep_primorial() == math.prod(primes)
+
+    @pytest.mark.parametrize("factor", [3001, 3011, 9973, 32749])
+    def test_second_level_keeps_verdict_and_rng_stream(self, factor):
+        # a 512-bit composite whose prime factors only the second level holds
+        cofactor = paillier._generate_prime(512 - factor.bit_length() + 1, random.Random(factor))
+        candidate = factor * cofactor
+        assert candidate.bit_length() >= paillier._DEEP_SIEVE_BITS
+        assert math.gcd(candidate, paillier._PRIMORIAL) == 1
+        for seed in range(20):
+            sieved, plain = random.Random(seed), random.Random(seed)
+            assert not paillier._is_probable_prime(candidate, sieved)
+            assert not reference_is_probable_prime(candidate, plain)
+            assert sieved.getstate() == plain.getstate()
+
     @settings(max_examples=300, deadline=None)
     @given(half=st.integers(min_value=1, max_value=2**80), seed=st.integers(min_value=0, max_value=2**32))
     def test_verdict_and_rng_stream_match_reference(self, half, seed):

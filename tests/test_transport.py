@@ -136,6 +136,45 @@ class TestTcp:
         thread.join()
         listener.close()
 
+    def test_header_over_the_body_bound_is_refused_before_the_body(self):
+        # a frame at the bound passes; the next header declares one byte more,
+        # and no body follows it, so only the header can refuse it at once
+        listener = transport.tcp_listen(("127.0.0.1", 0))
+        raw = socket.create_connection(listener.address)
+        server_ep = listener.accept(timeout=5, max_body=8)
+        try:
+            raw.sendall(transport.encode_frame(3, bytes(8)) + struct.pack(">I", 10))
+            assert server_ep.recv(timeout=5) == (3, bytes(8))
+            start = time.monotonic()
+            with pytest.raises(ProtocolViolation, match="^declared length 10 exceeds limit 9$"):
+                server_ep.recv(timeout=5)
+            assert time.monotonic() - start < 1.0
+        finally:
+            raw.close()
+            server_ep.close()
+            listener.close()
+
+    def test_connect_writes_its_preamble_and_bounds_its_frames(self):
+        listener = transport.tcp_listen(("127.0.0.1", 0))
+        client = transport.tcp_connect(listener.address, max_body=4, preamble=b"\0\0\0\7")
+        server_ep = listener.accept(timeout=5)
+        try:
+            assert server_ep.recv_preamble(4, timeout=5) == b"\0\0\0\7"
+            client.send(5, b"z")
+            assert server_ep.recv(timeout=5) == (5, b"z")
+            server_ep.send(5, bytes(5))
+            with pytest.raises(ProtocolViolation, match="^declared length 6 exceeds limit 5$"):
+                client.recv(timeout=5)
+        finally:
+            client.close()
+            server_ep.close()
+            listener.close()
+
+    def test_accepted_endpoint_names_its_peer(self, tcp_pair):
+        client, server = tcp_pair
+        host, port = client._sock.getsockname()[:2]
+        assert server.peer == f"connection from {host}:{port}"
+
     def test_connect_failure(self):
         with pytest.raises(TransportError):
             transport.tcp_connect(("127.0.0.1", 1), timeout=0.2)
