@@ -68,7 +68,6 @@ from .errors import (
     TransportError,
     WeakKey,
 )
-from .transport import decode_frame, encode_frame
 
 DESIGNATED_DECRYPTOR = 1
 
@@ -295,12 +294,12 @@ class ClientSession:
 
     # -- key offer --
 
-    def startup(self) -> list[Message]:
-        """Client 1 offers the server the cohort's public key."""
+    def startup(self) -> list[tuple[int, bytes]]:
+        """The encoded first frames: client 1 offers the server the cohort's public key."""
         if not self.settings.encrypted or self.client_id != 1:
             return []
         offer = paillier.public_key_to_payload(self.keypair.public)
-        return [Message(MessageKind.KEY_OFFER, 0, offer)]
+        return [encode_message(Message(MessageKind.KEY_OFFER, 0, offer), self.settings)]
 
     # -- a round's training: train on the global state, upload --
 
@@ -430,8 +429,8 @@ def client_run(session: ClientSession, endpoint) -> None:
     """Blocking pump: run the session over one endpoint until it is done or
     the channel fails; the session trains alone."""
     try:
-        for msg in session.startup():
-            endpoint.send(*encode_message(msg, session.settings))
+        for reply in session.startup():
+            endpoint.send(*reply)
         while not session.done:
             replies = session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
             for reply in session.upload() if session.pending else replies:
@@ -443,73 +442,68 @@ def client_run(session: ClientSession, endpoint) -> None:
 class InThreadCohort:
     """Client sessions run in the server's thread, trained as one cohort.
 
-    ``endpoints`` holds the server's endpoint to each. A frame sent to a client
-    goes to its ``ClientSession.respond`` and the replies are queued; a
-    GLOBAL_GRADIENT leaves the session pending. The next ``recv`` from any
-    client trains every pending session in one ``nn.train_cohort`` call, then
-    queues their uploads in id order; if that call fails, each trains alone.
-    Frames go through the same codec as on TCP, so bytes and transcripts are
-    the same. An exception that is no FedBoostError reaches the caller naming
-    the client.
+    ``endpoints`` holds the server's endpoint to each. A (kind, body) pair
+    sent to a client goes straight to its ``ClientSession.respond``, and the
+    encoded replies are queued; a GLOBAL_GRADIENT leaves the session pending.
+    The next ``recv`` from any client trains every pending session in one
+    ``nn.train_cohort`` call, then queues their uploads in id order; if that
+    call fails, each trains alone. No frame is built: the pairs are those a
+    TCP endpoint frames, so transcripts are the same. An exception that is no
+    FedBoostError reaches the caller naming the client.
     """
 
     def __init__(self, sessions: list[ClientSession]):
-        self._sessions = {s.client_id: s for s in sessions}
-        self._replies = {
-            s.client_id: deque(encode_frame(*encode_message(m, s.settings)) for m in s.startup())
-            for s in sessions
-        }
-        self.endpoints = {cid: _CohortEndpoint(self, cid) for cid in self._sessions}
+        # its own list, as callers may replace entries of ``endpoints``
+        self._members = [_CohortEndpoint(self, s) for s in sessions]
+        self.endpoints = {m.session.client_id: m for m in self._members}
 
-    def _queue(self, session: ClientSession, step) -> None:
+    def train_pending(self) -> None:
+        pending = [m for m in self._members if m.session.pending and not m.session.done]
+        if not pending:
+            return
+        settings = pending[0].session.settings
         try:
-            replies = step()
-        except Exception as exc:
-            raise RuntimeError(
-                f"client {session.client_id} failed: {type(exc).__name__}: {exc}"
-            ) from exc
-        self._replies[session.client_id].extend(encode_frame(*reply) for reply in replies)
-
-    def send(self, cid: int, kind: int, body: bytes) -> None:
-        kind, body = decode_frame(encode_frame(kind, body))
-        session = self._sessions[cid]
-        self._queue(session, lambda: session.respond(kind, body))
-
-    def recv(self, cid: int) -> tuple[int, bytes]:
-        pending = [s for s in self._sessions.values() if s.pending and not s.done]
-        if pending:
-            settings = pending[0].settings
-            try:
-                reports = nn.train_cohort(
-                    [s.weights for s in pending],
-                    [s.split for s in pending],
-                    settings.batch_size,
-                    settings.epochs,
-                    settings.learning_rate,
-                    [s.shuffle_seed for s in pending],
-                )
-            except FedBoostError:
-                # each session then trains alone, so only the one at fault aborts
-                reports = [None] * len(pending)
-            for session, report in zip(pending, reports):
-                self._queue(session, lambda: session.upload(report))
-        if not self._replies[cid]:
-            raise ChannelClosed(f"client {cid} has no reply to send")
-        return decode_frame(self._replies[cid].popleft())
+            reports = nn.train_cohort(
+                [m.session.weights for m in pending],
+                [m.session.split for m in pending],
+                settings.batch_size,
+                settings.epochs,
+                settings.learning_rate,
+                [m.session.shuffle_seed for m in pending],
+            )
+        except FedBoostError:
+            # each session then trains alone, so only the one at fault aborts
+            reports = [None] * len(pending)
+        for member, report in zip(pending, reports):
+            member.queue(lambda: member.session.upload(report))
 
 
 class _CohortEndpoint:
-    """The server's endpoint to one client of an ``InThreadCohort``."""
+    """The server's endpoint to one client of an ``InThreadCohort``: its
+    session and the replies it has queued."""
 
-    def __init__(self, cohort: InThreadCohort, cid: int):
+    def __init__(self, cohort: InThreadCohort, session: ClientSession):
         self._cohort = cohort
-        self._cid = cid
+        self.session = session
+        self._replies = deque()
+        self.queue(session.startup)
+
+    def queue(self, step) -> None:
+        try:
+            self._replies.extend(step())
+        except Exception as exc:
+            raise RuntimeError(
+                f"client {self.session.client_id} failed: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def send(self, kind: int, body: bytes) -> None:
-        self._cohort.send(self._cid, kind, body)
+        self.queue(lambda: self.session.respond(kind, body))
 
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        return self._cohort.recv(self._cid)
+    def recv(self, timeout: float) -> tuple[int, bytes]:
+        self._cohort.train_pending()
+        if not self._replies:
+            raise ChannelClosed(f"client {self.session.client_id} has no reply to send")
+        return self._replies.popleft()
 
 
 # --- server side ---------------------------------------------------------------
@@ -587,7 +581,7 @@ def _expect(
         raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
         msg = decode_message(raw_kind, body, settings)
         if transcript is not None:
-            transcript.append((cid, encode_frame(raw_kind, body)))
+            transcript.append((cid, raw_kind, body))
         if msg.kind == kind and msg.round == round_no:
             return read(msg.payload, *args)
     except TransportError as exc:

@@ -1,9 +1,10 @@
 """Experiment orchestration: build client data, host a protocol run over the
-chosen transport (loopback: clients as one cohort in the server's thread; TCP:
-one process per client, all started at once, each named by the id it writes
-before its first frame), score the global model per round on the combined test
-set, and export metrics/model/boundary artifacts. Centralized training is a
-cohort of one trainer holding the pooled training data, run on loopback.
+chosen transport (loopback: clients as one cohort in the server's thread, sent
+(kind, body) pairs; TCP: one process per client, all started at once, each
+named by the id it writes before its first frame), score the global model per
+round on the combined test set, and export metrics/model/boundary artifacts.
+Centralized training is a cohort of one trainer holding the pooled training
+data, run on loopback.
 
 The runner generates the cohort key pair once, before either transport
 starts, and hands it to every client in its session; over TCP it travels in
@@ -120,13 +121,13 @@ def _claimed_id(endpoint: TcpEndpoint, n_clients: int, named: dict, deadline: fl
 @contextmanager
 def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
     """The server's endpoints to one spawned process per client, each named by
-    the id its connection sends first; every process is joined on exit."""
+    the id its connection sends first; on exit all get one grace period to end."""
     # imported here: loopback runs and the client processes never wait on a sentinel
     from multiprocessing.connection import wait
 
     listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
     ctx = multiprocessing.get_context("spawn")
-    procs, accepted, server_eps = {}, [], {}
+    procs, accepted, server_eps, aborted = {}, [], {}, None
     try:
         for cid in range(1, cfg.n_clients + 1):
             args = (listener.address, cfg, cid, keypair)
@@ -159,24 +160,28 @@ def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
         try:
             yield server_eps
         except RoundAborted as exc:
-            # a client that died mid-run has usually exited by the time its channel closes
-            live = {proc.sentinel: proc for proc in procs.values()}
-            deadline = time.monotonic() + _EXIT_GRACE_S
-            while live and (ready := wait(list(live), max(0.0, deadline - time.monotonic()))):
-                for sentinel in ready:
-                    live.pop(sentinel).join()
-            dead = [f"client {c} exited with code {p.exitcode}" for c, p in procs.items() if p.exitcode]
-            if dead:
-                raise RoundAborted("; ".join([str(exc), *dead])) from exc
-            raise
+            aborted = exc
     finally:
         listener.close()
+        # an aborted run's clients have an ABORT to read; a close ends any other waiting client
+        for ep in [] if aborted else accepted:
+            ep.close()
+        live = {proc.sentinel: proc for proc in procs.values()}
+        deadline = time.monotonic() + _EXIT_GRACE_S
+        while live and (ready := wait(list(live), max(0.0, deadline - time.monotonic()))):
+            for sentinel in ready:
+                live.pop(sentinel).join()
+        # read before any terminate, so a hung client is not named as dead
+        died = [f"client {c} exited with code {p.exitcode}" for c, p in procs.items() if p.exitcode]
         for ep in accepted:
             ep.close()
-        for proc in procs.values():
-            proc.join(timeout=10)
-            proc.terminate()  # no-op once the process has exited
+        for proc in live.values():
+            proc.terminate()
             proc.join()
+    if aborted and died:
+        raise RoundAborted("; ".join([str(aborted), *died])) from aborted
+    if aborted:
+        raise aborted
 
 
 # --- experiment driver -----------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Frames and the framed TCP transport.
+"""The framed TCP transport, the one place a frame exists.
 
 One frame on the wire is a 4-byte big-endian length (counting everything that
 follows), one kind byte, then the body; so length == len(body) + 1.
-Frames are delivered whole or not at all. Loopback runs pass the same frames to
-clients run as one cohort in the server's thread (``protocol.InThreadCohort``),
-so both transports carry identical bytes for identical protocol runs. Over TCP,
-the connecting side may write a raw preamble before its first frame (the
-runner's client id); it is not a frame, so no frame count or transcript holds it.
+Frames are delivered whole or not at all. An endpoint bounds the body both
+ways: it refuses to send a longer one, and a header that declares one before
+reading it. The loopback cohort (``protocol.InThreadCohort``) passes (kind,
+body) pairs as they are. Over TCP, the connecting side may write a raw
+preamble before its first frame (the runner's client id); it is not a frame,
+so no frame count or transcript holds it.
 """
 
 from __future__ import annotations
@@ -17,73 +18,45 @@ import time
 
 from .errors import ChannelClosed, ProtocolViolation, TransportError, TransportTimeout
 
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 _HEADER = struct.Struct(">I")
 
 
 def encode_frame(kind: int, body: bytes) -> bytes:
     if not (0 <= kind <= 255):
         raise ValueError(f"kind must fit one byte, got {kind}")
-    length = len(body) + 1
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame of {length} bytes exceeds limit {MAX_FRAME_BYTES}")
-    return _HEADER.pack(length) + bytes([kind]) + body
-
-
-def _declared_length(data: bytes, limit: int | None = None) -> int:
-    """The length a frame header declares, checked to lie in [1, limit],
-    MAX_FRAME_BYTES when no limit is given."""
-    (length,) = _HEADER.unpack_from(data)
-    limit = MAX_FRAME_BYTES if limit is None else limit
-    if length < 1:
-        raise ProtocolViolation("declared length omits the kind byte")
-    if length > limit:
-        raise ProtocolViolation(f"declared length {length} exceeds limit {limit}")
-    return length
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes]:
-    if len(data) < _HEADER.size + 1:
-        raise ProtocolViolation(f"frame truncated at {len(data)} bytes")
-    length = _declared_length(data)
-    if len(data) != _HEADER.size + length:
-        raise ProtocolViolation(
-            f"declared length {length} does not match payload of {len(data) - _HEADER.size}"
-        )
-    return data[_HEADER.size], data[_HEADER.size + 1 :]
+    return _HEADER.pack(len(body) + 1) + bytes([kind]) + body
 
 
 class TcpEndpoint:
     """Framed stream over one connected socket; reassembles partial reads.
-    A header declaring a body longer than ``max_body`` is refused before the
-    body is read. ``peer`` names the remote end in errors."""
+    A body longer than ``max_body`` is refused: a sent one before it is
+    written, a received one from its header, before it is read. ``peer``
+    names the remote end in errors."""
 
-    def __init__(self, sock: socket.socket, max_body: int | None = None, peer: str = ""):
+    def __init__(self, sock: socket.socket, max_body: int, peer: str = ""):
         self._sock = sock
-        self._limit = None if max_body is None else max_body + 1
+        self._limit = max_body + 1
         self.peer = peer
         self._closed = False
 
     def send(self, kind: int, body: bytes) -> None:
         if self._closed:
             raise ChannelClosed("send after close")
+        if len(body) + 1 > self._limit:
+            raise TransportError(f"frame of {len(body) + 1} bytes exceeds limit {self._limit}")
         try:
             self._sock.sendall(encode_frame(kind, body))
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
-    def _recv_exact(self, nbytes: int, deadline: float | None) -> bytes:
+    def _recv_exact(self, nbytes: int, deadline: float) -> bytes:
         chunks = []
         got = 0
         while got < nbytes:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportTimeout("read deadline exceeded")
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportTimeout("read deadline exceeded")
+            self._sock.settimeout(remaining)
             try:
                 chunk = self._sock.recv(nbytes - got)
             except socket.timeout:
@@ -96,11 +69,15 @@ class TcpEndpoint:
             got += len(chunk)
         return b"".join(chunks)
 
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+    def recv(self, timeout: float) -> tuple[int, bytes]:
         if self._closed:
             raise ChannelClosed("recv after close")
-        deadline = None if timeout is None else time.monotonic() + timeout
-        length = _declared_length(self._recv_exact(_HEADER.size, deadline), self._limit)
+        deadline = time.monotonic() + timeout
+        (length,) = _HEADER.unpack(self._recv_exact(_HEADER.size, deadline))
+        if length < 1:
+            raise ProtocolViolation("declared length omits the kind byte")
+        if length > self._limit:
+            raise ProtocolViolation(f"declared length {length} exceeds limit {self._limit}")
         payload = self._recv_exact(length, deadline)
         return payload[0], payload[1:]
 
@@ -130,7 +107,7 @@ class TcpListener:
         """The listening socket's descriptor, readable when a client is waiting."""
         return self._sock.fileno()
 
-    def accept(self, timeout: float | None = None, max_body: int | None = None) -> TcpEndpoint:
+    def accept(self, timeout: float, max_body: int) -> TcpEndpoint:
         self._sock.settimeout(timeout)
         try:
             conn, peer = self._sock.accept()
@@ -159,7 +136,7 @@ def tcp_listen(addr: tuple[str, int]) -> TcpListener:
 
 
 def tcp_connect(
-    addr: tuple[str, int], timeout: float = 30.0, max_body: int | None = None, preamble: bytes = b""
+    addr: tuple[str, int], timeout: float, max_body: int, preamble: bytes = b""
 ) -> TcpEndpoint:
     """An endpoint to ``addr`` that has written ``preamble``, raw, before any frame."""
     host, port = addr

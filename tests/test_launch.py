@@ -3,8 +3,9 @@ the 4-byte id it writes before its first frame.
 
 The stand-in clients below are module-level functions, so a spawned process
 can import them by name; each run swaps one in for runner._client_process_main.
-Every case leaves no child process, and every case but the silent connection,
-which is refused at its deadline, ends well within its timeout_s."""
+Every case leaves no child process, and every case but the silent connection
+and the client that never connects, which end at their deadline, ends well
+within its timeout_s."""
 
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ import pytest
 
 from fedboost import runner
 from fedboost.config import ExperimentConfig, two_client_noniid
-from fedboost.errors import ProtocolViolation, RoundAborted, TransportError
+from fedboost.errors import ProtocolViolation, RoundAborted, TransportError, TransportTimeout
 from fedboost.protocol import MessageKind, largest_body
 from fedboost.transport import tcp_connect
 
@@ -42,10 +43,10 @@ def tcp_config(n_clients: int = 2, **overrides) -> ExperimentConfig:
 def _claim(address, cfg, claimed_id: int) -> None:
     """Connect as ``claimed_id``, then read frames, ABORT included, until the
     server closes the channel."""
-    endpoint = tcp_connect(address, cfg.timeout_s, preamble=struct.pack(">I", claimed_id))
+    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", claimed_id))
     try:
         while True:
-            endpoint.recv()
+            endpoint.recv(cfg.timeout_s)
     except TransportError:
         pass
     finally:
@@ -82,10 +83,25 @@ def both_exit_before_connecting(address, cfg, client_id, keypair):
 
 def client_1_dies_after_the_broadcast(address, cfg, client_id, keypair):
     if client_id == 1:
-        endpoint = tcp_connect(address, cfg.timeout_s, preamble=struct.pack(">I", 1))
-        endpoint.recv()
+        endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
+        endpoint.recv(cfg.timeout_s)
         os._exit(3)
     _claim(address, cfg, client_id)
+
+
+def client_1_dies_and_the_others_stop_reading(address, cfg, client_id, keypair):
+    if client_id == 1:
+        client_1_dies_after_the_broadcast(address, cfg, client_id, keypair)
+    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", client_id))
+    time.sleep(cfg.timeout_s)  # alive, with its channel open, and reads nothing
+    endpoint.close()
+
+
+def client_2_never_connects(address, cfg, client_id, keypair):
+    if client_id == 1:
+        _claim(address, cfg, 1)
+    else:
+        time.sleep(TIMEOUT_S)  # alive, and never connects
 
 
 def client_1_declares_an_oversize_upload(address, cfg, client_id, keypair):
@@ -195,9 +211,16 @@ def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp
     assert multiprocessing.active_children() == []
 
 
-def test_hung_clients_after_an_abort_cost_one_grace_period(monkeypatch):
-    # client 1 dies mid-run; clients 2 and 3 stay alive past the ABORT until
-    # their channels close, so the run waits out the grace period once
+@pytest.mark.parametrize(
+    "client_main",
+    [client_1_dies_after_the_broadcast, client_1_dies_and_the_others_stop_reading],
+    ids=["reading_on", "not_reading"],
+)
+def test_hung_clients_after_an_abort_cost_one_grace_period(monkeypatch, client_main):
+    # client 1 dies mid-run; clients 2 and 3 stay alive past the ABORT, reading
+    # on until their channels close or reading nothing, so the run waits out the
+    # grace period once, for both; those that still run then are terminated,
+    # and only client 1 is named
     serve = runner.server_run
     aborted_at = []
 
@@ -209,9 +232,20 @@ def test_hung_clients_after_an_abort_cost_one_grace_period(monkeypatch):
 
     monkeypatch.setattr(runner, "server_run", timed)
     with pytest.raises(RoundAborted, match=r"\bclient 1 exited with code 3$"):
-        _run(monkeypatch, tcp_config(n_clients=3), client_1_dies_after_the_broadcast)
+        _run(monkeypatch, tcp_config(n_clients=3), client_main)
     after_abort = time.monotonic() - aborted_at[0]
     assert runner._EXIT_GRACE_S <= after_abort < 1.5 * runner._EXIT_GRACE_S
+
+
+def test_a_client_that_never_connects_times_out_the_launch(monkeypatch):
+    # the launch deadline, then one grace period for the clients still alive,
+    # with half a grace period of slack for the launch and the terminate
+    cfg = tcp_config(timeout_s=1.0)
+    start = time.monotonic()
+    with pytest.raises(TransportTimeout, match=r"^clients \[2\] did not connect within 1\.0s$"):
+        _run(monkeypatch, cfg, client_2_never_connects)
+    elapsed = time.monotonic() - start
+    assert cfg.timeout_s + runner._EXIT_GRACE_S <= elapsed < cfg.timeout_s + 1.5 * runner._EXIT_GRACE_S
 
 
 def test_an_oversize_upload_prefix_is_refused_before_its_body(monkeypatch):

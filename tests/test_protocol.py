@@ -39,7 +39,7 @@ from fedboost.protocol import (
     server_run,
 )
 from fedboost.runner import build_splits, run_experiment
-from fedboost.transport import MAX_FRAME_BYTES, TcpEndpoint, decode_frame, encode_frame
+from fedboost.transport import TcpEndpoint, encode_frame
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -106,19 +106,20 @@ def make_settings(n_clients: int = 2, **overrides) -> ExperimentConfig:
 
 
 class ReplayEndpoint:
-    """Feeds a prerecorded inbound frame sequence; records what gets sent."""
+    """Feeds a prerecorded inbound sequence of (kind, body) pairs; records
+    the pairs that get sent."""
 
-    def __init__(self, frames: list[bytes]):
+    def __init__(self, frames: list[tuple[int, bytes]]):
         self._frames = list(frames)
-        self.sent: list[bytes] = []
+        self.sent: list[tuple[int, bytes]] = []
 
     def send(self, kind: int, body: bytes) -> None:
-        self.sent.append(encode_frame(kind, body))
+        self.sent.append((kind, body))
 
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+    def recv(self, timeout: float) -> tuple[int, bytes]:
         if not self._frames:
             raise ChannelClosed("replay exhausted")
-        return decode_frame(self._frames.pop(0))
+        return self._frames.pop(0)
 
     def close(self) -> None:
         pass
@@ -161,7 +162,7 @@ def server_says(endpoint, settings, kind, round_no, payload) -> list[Message]:
     replies = []
     while True:
         try:
-            replies.append(decode_message(*endpoint.recv(), settings))
+            replies.append(decode_message(*endpoint.recv(settings.timeout_s), settings))
         except ChannelClosed:
             return replies
 
@@ -309,7 +310,7 @@ class TestAbortReason:
     )
     def test_a_peer_reason_over_the_bound_or_not_utf8_names_the_client(self, reason, cause):
         settings = make_settings(rounds=1)
-        abort = encode_frame(int(MessageKind.ABORT), b"\0\0\0\x01" + reason)
+        abort = (int(MessageKind.ABORT), b"\0\0\0\x01" + reason)
         endpoints = {1: ReplayEndpoint([abort]), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=rf"^client 1: {cause}.*\(TRAIN_RESULT, round 1\)$"):
             server_run(settings, endpoints)
@@ -354,7 +355,7 @@ class TestDecodeAnyBytes:
     def test_a_message_or_a_protocol_violation(self, settings, data):
         kind, body = data.draw(_frames(settings))
         try:
-            msg = decode_message(*decode_frame(encode_frame(kind, body)), settings)
+            msg = decode_message(kind, body, settings)
         except ProtocolViolation as exc:
             names = {k.value: k.name for k in MessageKind}
             assert str(exc).startswith(f"{names[kind]} " if kind in names else "unknown message kind")
@@ -976,9 +977,9 @@ class TestMalformedPayloads:
         endpoint = in_thread(session)
         broadcast = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": f64(*values)}})
         endpoint.send(*encode_message(broadcast, settings))
-        reply = decode_message(*endpoint.recv(), settings)
+        reply = decode_message(*endpoint.recv(settings.timeout_s), settings)
         with pytest.raises(ChannelClosed):
-            endpoint.recv()
+            endpoint.recv(settings.timeout_s)
         assert session.done
         assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == "ProtocolViolation: payload field 'values' has non-finite entries"
@@ -999,7 +1000,7 @@ class TestMalformedPayloads:
                 messages.append(Message(MessageKind.EVAL_RESULT, 1, {"values": short}))
             if field == "weights" and cid == 1:
                 messages.append(Message(MessageKind.FINAL_MODEL, 1, {"weights": short}))
-            endpoints[cid] = ReplayEndpoint([encode_frame(*encode_message(m, settings)) for m in messages])
+            endpoints[cid] = ReplayEndpoint([encode_message(m, settings) for m in messages])
         size = body_size(MessageKind[kind], 1, settings)
         cause = rf"^client 1: {kind} body has {size - 8} bytes, expected {size} \({kind}, round 1\)$"
         with pytest.raises(ProtocolViolation, match=cause):
@@ -1016,7 +1017,7 @@ class TestMalformedPayloads:
     )
     def test_server_rejects_malformed_plain_upload(self, gradient, cause):
         settings = make_settings(rounds=1)
-        upload = encode_frame(int(MessageKind.TRAIN_RESULT), raw_body(1, *gradient.values(), f64(0.5)))
+        upload = (int(MessageKind.TRAIN_RESULT), raw_body(1, *gradient.values(), f64(0.5)))
         endpoints = {1: ReplayEndpoint([upload]), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
@@ -1039,9 +1040,9 @@ class TestMalformedPayloads:
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1)
         source = key_source(settings, client_split(1))
-        frames = [encode_frame(*encode_message(m, settings)) for m in source.startup()]
+        frames = source.startup()
         bad = tamper(_packed_payload(source.keypair, settings))
-        frames.append(encode_frame(int(MessageKind.TRAIN_RESULT), raw_body(1, *bad.values(), f64(0.5))))
+        frames.append((int(MessageKind.TRAIN_RESULT), raw_body(1, *bad.values(), f64(0.5))))
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation, match=f"client 1: .*{cause}"):
             server_run(settings, endpoints)
@@ -1052,7 +1053,7 @@ class TestMalformedPayloads:
         gradient = protocol.gradient_to_payload(np.zeros(42))
         # float64 bits spell NaN, which the codec carries and the reader refuses
         upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": f64(math.nan)})
-        frame = encode_frame(*encode_message(upload, settings))
+        frame = encode_message(upload, settings)
         endpoints = {1: ReplayEndpoint([frame]), 2: ReplayEndpoint([])}
         cause = "client 1: payload field 'train_loss' has non-finite entries"
         with pytest.raises(ProtocolViolation, match=cause):
@@ -1065,7 +1066,7 @@ class TestMalformedPayloads:
         for cid in (1, 2):
             upload = Message(MessageKind.TRAIN_RESULT, 1, {"gradient": gradient, "train_loss": f64(0.5)})
             scores = Message(MessageKind.EVAL_RESULT, 1, {"values": f64(-1.0, 0.5)})
-            frames = [encode_frame(*encode_message(m, settings)) for m in (upload, scores)]
+            frames = [encode_message(m, settings) for m in (upload, scores)]
             endpoints[cid] = ReplayEndpoint(frames)
         with pytest.raises(ProtocolViolation, match="client 1: payload field 'values' has negative"):
             server_run(settings, endpoints)
@@ -1090,9 +1091,9 @@ class TestInThreadCohort:
     def test_startup_replies_arrive_in_order(self):
         settings = make_settings(encryption="he")
         endpoint = in_thread(key_source(settings, client_split(1)))
-        assert decode_message(*endpoint.recv(), settings).kind == MessageKind.KEY_OFFER
+        assert decode_message(*endpoint.recv(settings.timeout_s), settings).kind == MessageKind.KEY_OFFER
         with pytest.raises(ChannelClosed):
-            endpoint.recv()
+            endpoint.recv(settings.timeout_s)
 
     @pytest.mark.parametrize("encryption", ["none", "he"])
     def test_replies_equal_each_client_trained_alone(self, encryption):
@@ -1106,12 +1107,12 @@ class TestInThreadCohort:
 
         endpoints = InThreadCohort([session(cid) for cid in sizes]).endpoints
         if keypair is not None:
-            endpoints[1].recv()  # the key offer
+            endpoints[1].recv(settings.timeout_s)  # the key offer
         for endpoint in endpoints.values():
             endpoint.send(*encode_message(_round_one(settings), settings))
         for cid in sizes:
             [expected] = _trained_alone(session(cid), _round_one(settings))
-            assert endpoints[cid].recv() == expected
+            assert endpoints[cid].recv(settings.timeout_s) == expected
 
     def test_recv_with_nothing_queued_names_the_client(self):
         endpoint = in_thread(ClientSession(make_settings(), 2, client_split(2)))
@@ -1127,17 +1128,17 @@ class TestInThreadCohort:
         endpoints = InThreadCohort(sessions).endpoints
         for endpoint in endpoints.values():
             endpoint.send(*encode_message(_round_one(settings), settings))
-            endpoint.recv()
+            endpoint.recv(settings.timeout_s)
         round_two = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": protocol.gradient_to_payload(np.zeros(42))})
         endpoints[1].send(*encode_message(_diverging_round_two(settings), settings))
         endpoints[2].send(*encode_message(round_two, settings))
-        abort = decode_message(*endpoints[1].recv(), settings)
+        abort = decode_message(*endpoints[1].recv(settings.timeout_s), settings)
         assert abort.kind == MessageKind.ABORT and sessions[0].done
         assert abort.payload["reason"] == "NonFiniteInput: local training diverged in round 2"
         alone = ClientSession(settings, 2, client_split(2))
         _trained_alone(alone, _round_one(settings))
         [expected] = _trained_alone(alone, round_two)
-        assert endpoints[2].recv() == expected and not sessions[1].done
+        assert endpoints[2].recv(settings.timeout_s) == expected and not sessions[1].done
 
     def test_sends_after_the_session_ends_are_dropped(self):
         settings = make_settings()
@@ -1206,13 +1207,13 @@ class TestRoundChecks:
         transcript = []
         run_loopback(settings, [client_split(1), client_split(2)], transcript)
         # the last frame of this kind: client 2's in round 2 for the per-client kinds
-        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == kind)
-        cid, frame = transcript[at]
-        msg = decode_message(*decode_frame(frame), settings)
+        at = max(i for i, (_cid, k, _body) in enumerate(transcript) if k == kind)
+        cid, _kind, body = transcript[at]
+        msg = decode_message(kind, body, settings)
         # a round behind the key offer's 0 is the largest the 4-byte field holds
         bad = (msg.round + shift) % 2**32
-        transcript[at] = (cid, encode_frame(*encode_message(dataclasses.replace(msg, round=bad), settings)))
-        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        transcript[at] = (cid, *encode_message(dataclasses.replace(msg, round=bad), settings))
+        endpoints = {c: ReplayEndpoint([(k, b) for i, k, b in transcript if i == c]) for c in (1, 2)}
         cause = f"^client {cid} sent {kind.name} for round {bad} during round {msg.round}$"
         with pytest.raises(ProtocolViolation, match=cause):
             server_run(settings, endpoints)
@@ -1246,7 +1247,7 @@ class TestServerAbortsEveryone:
     def _assert_every_client_aborted(settings, endpoints, err, round_no=1):
         reason = f"{type(err.value).__name__}: {err.value}"
         for endpoint in endpoints.values():
-            last = decode_message(*decode_frame(endpoint.sent[-1]), settings)
+            last = decode_message(*endpoint.sent[-1], settings)
             abort = Message(MessageKind.ABORT, round_no, {"reason": reason})
             assert last == abort
 
@@ -1324,9 +1325,8 @@ class TestServerAbortsEveryone:
         transcript = []
         run_loopback(settings, [client_split(1), client_split(2)], transcript)
         # the last frame of this kind: client 2's for the per-client kinds
-        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == kind)
-        cid, frame = transcript[at]
-        _kind, body = decode_frame(frame)
+        at = max(i for i, (_cid, k, _body) in enumerate(transcript) if k == kind)
+        cid, _kind, body = transcript[at]
         msg = decode_message(kind, body, settings)
         # a message, the raw body of a frame of this kind, or a frame's kind and body
         edited = edit(msg, body)
@@ -1334,8 +1334,8 @@ class TestServerAbortsEveryone:
             edited = encode_message(edited, settings)
         elif isinstance(edited, bytes):
             edited = (kind, edited)
-        transcript[at] = (cid, encode_frame(*edited))
-        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        transcript[at] = (cid, *edited)
+        endpoints = {c: ReplayEndpoint([(k, b) for i, k, b in transcript if i == c]) for c in (1, 2)}
         with pytest.raises(error, match=cause) as err:
             server_run(settings, endpoints)
         self._assert_every_client_aborted(settings, endpoints, err, msg.round)
@@ -1344,11 +1344,11 @@ class TestServerAbortsEveryone:
         settings = make_settings(rounds=1)
         transcript = []
         run_loopback(settings, [client_split(1), client_split(2)], transcript)
-        at = max(i for i, (_cid, frame) in enumerate(transcript) if frame[4] == MessageKind.EVAL_RESULT)
+        at = max(i for i, (_cid, k, _body) in enumerate(transcript) if k == MessageKind.EVAL_RESULT)
         assert transcript[at][0] == 2
-        msg = decode_message(*decode_frame(transcript[at][1]), settings)
-        transcript[at] = (2, encode_frame(*encode_message(dataclasses.replace(msg, round=7), settings)))
-        endpoints = {c: ReplayEndpoint([f for i, f in transcript if i == c]) for c in (1, 2)}
+        msg = decode_message(*transcript[at][1:], settings)
+        transcript[at] = (2, *encode_message(dataclasses.replace(msg, round=7), settings))
+        endpoints = {c: ReplayEndpoint([(k, b) for i, k, b in transcript if i == c]) for c in (1, 2)}
         with pytest.raises(ProtocolViolation, match="^client 2 sent EVAL_RESULT for round 7") as err:
             server_run(settings, endpoints)
         self._assert_every_client_aborted(settings, endpoints, err)
@@ -1359,12 +1359,9 @@ class TestServerAbortsEveryone:
         frames = {}
         for cid, key in ((1, keypair), (2, foreign)):
             upload = {"gradient": _packed_payload(key, settings), "train_loss": f64(0.5)}
-            frames[cid] = [Message(MessageKind.TRAIN_RESULT, 1, upload)]
+            frames[cid] = [encode_message(Message(MessageKind.TRAIN_RESULT, 1, upload), settings)]
         frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
-        endpoints = {
-            cid: ReplayEndpoint([encode_frame(*encode_message(m, settings)) for m in messages])
-            for cid, messages in frames.items()
-        }
+        endpoints = {cid: ReplayEndpoint(pairs) for cid, pairs in frames.items()}
         cause = r"^client 2: gradient is encrypted under a different key \(TRAIN_RESULT, round 1\)$"
         with pytest.raises(KeyMismatch, match=cause) as err:
             server_run(settings, endpoints)
@@ -1377,7 +1374,7 @@ class TestServerAbortsEveryone:
         endpoints = InThreadCohort([session]).endpoints
         server_end, client_end = socket.socketpair()
         client_end.close()
-        endpoints[2] = TcpEndpoint(server_end)
+        endpoints[2] = TcpEndpoint(server_end, protocol.largest_body(settings))
         cause = "^sending GLOBAL_GRADIENT to client 2 in round 1: send failed: "
         try:
             with pytest.raises(RoundAborted, match=cause):
@@ -1391,11 +1388,11 @@ class TestServerAbortsEveryone:
         "encryption, length, cause",
         [
             ("he", 0, r"^client 1: declared length omits the kind byte \(KEY_OFFER, round 0\)$"),
+            # the largest body is an ABORT's, 4 + 1024 bytes, so a frame has at most 1029
             (
                 "none",
-                MAX_FRAME_BYTES + 1,
-                rf"^client 1: declared length {MAX_FRAME_BYTES + 1} exceeds limit "
-                rf"{MAX_FRAME_BYTES} \(TRAIN_RESULT, round 1\)$",
+                1030,
+                r"^client 1: declared length 1030 exceeds limit 1029 \(TRAIN_RESULT, round 1\)$",
             ),
         ],
         ids=["zero_length_offer", "oversize_upload"],
@@ -1403,8 +1400,9 @@ class TestServerAbortsEveryone:
     def test_bad_tcp_header_names_the_client_kind_and_round(self, encryption, length, cause):
         settings = make_settings(rounds=1, encryption=encryption, timeout_s=5.0)
         pairs = {cid: socket.socketpair() for cid in (1, 2)}
-        endpoints = {cid: TcpEndpoint(server) for cid, (server, _client) in pairs.items()}
-        peers = {cid: TcpEndpoint(client) for cid, (_server, client) in pairs.items()}
+        bound = protocol.largest_body(settings)
+        endpoints = {cid: TcpEndpoint(server, bound) for cid, (server, _client) in pairs.items()}
+        peers = {cid: TcpEndpoint(client, bound) for cid, (_server, client) in pairs.items()}
         try:
             pairs[1][1].sendall(struct.pack(">I", length))
             with pytest.raises(ProtocolViolation, match=cause):
@@ -1470,7 +1468,8 @@ class TestClientSession:
         settings = make_settings()
         session = ClientSession(settings, 2, client_split(2))
         _trained_alone(session, _round_one(settings))
-        server_end, client_end = (TcpEndpoint(sock) for sock in socket.socketpair())
+        bound = protocol.largest_body(settings)
+        server_end, client_end = (TcpEndpoint(sock, bound) for sock in socket.socketpair())
         try:
             server_end.send(*encode_message(_diverging_round_two(settings), settings))
             client_run(session, client_end)
@@ -1825,8 +1824,8 @@ class TestServerRun:
         transcript = []
         live = run_loopback(settings, splits, transcript=transcript)
         per_client = {cid: [] for cid in (1, 2)}
-        for cid, frame in transcript:
-            per_client[cid].append(frame)
+        for cid, kind, body in transcript:
+            per_client[cid].append((kind, body))
         replay_eps = {cid: ReplayEndpoint(frames) for cid, frames in per_client.items()}
         replayed = server_run(settings, replay_eps)
         for a, b in zip(live.rounds, replayed.rounds):
@@ -1859,13 +1858,13 @@ class TestServerRun:
         settings = make_settings(rounds=2)
         transcript = []
         run_loopback(settings, [client_split(1), client_split(2)], transcript)
-        frames = {c: [f for i, f in transcript if i == c] for c in (1, 2)}
-        frames[2].append(encode_frame(*encode_message(extra, settings)))
+        frames = {c: [(k, b) for i, k, b in transcript if i == c] for c in (1, 2)}
+        frames[2].append(encode_message(extra, settings))
         endpoints = {c: ReplayEndpoint(f) for c, f in frames.items()}
         with pytest.raises(error, match=cause):
             server_run(settings, endpoints)
         for endpoint in endpoints.values():
-            assert decode_message(*decode_frame(endpoint.sent[-1]), settings).kind == MessageKind.ABORT
+            assert decode_message(*endpoint.sent[-1], settings).kind == MessageKind.ABORT
 
     def test_unresponsive_client_aborts_round(self):
         settings = make_settings(timeout_s=20.0)
@@ -1885,7 +1884,7 @@ class TestServerRun:
 
     def test_tampered_frame_is_protocol_violation(self):
         settings = make_settings(rounds=1, timeout_s=5.0)
-        state_frames = [encode_frame(int(MessageKind.TRAIN_RESULT), b"{broken")]
+        state_frames = [(int(MessageKind.TRAIN_RESULT), b"{broken")]
         endpoints = {1: ReplayEndpoint(state_frames), 2: ReplayEndpoint([])}
         with pytest.raises(ProtocolViolation):
             server_run(settings, endpoints)

@@ -23,7 +23,7 @@ from fedboost.protocol import (
     encode_message,
 )
 from fedboost.runner import build_splits
-from fedboost.transport import decode_frame
+from fedboost.transport import encode_frame
 
 from test_protocol import bytes_within
 
@@ -180,7 +180,7 @@ def test_no_frame_through_the_server_carries_the_secret_key(
 ):
     cfg = cohort(n_clients, encryption, aggregator)
     _, keypair, delivered, transcript = run(cfg, monkeypatch)
-    inbound = [frame for _cid, frame in transcript]
+    inbound = [encode_frame(kind, body) for _cid, kind, body in transcript]
     outbound = [encode_message(m, cfg)[1] for messages in delivered.values() for m in messages]
     # key offer, uploads, cross-validation losses and the final model in;
     # broadcasts, models to score and the merged gradient out
@@ -188,7 +188,7 @@ def test_no_frame_through_the_server_carries_the_secret_key(
     # big integers travel as raw big-endian bytes: the public modulus is one
     # such value, which shows that a prime sent so would be found
     width = cfg.key_bits // 8
-    values = [v for f in inbound for v in bytes_within(decode_message(*decode_frame(f), cfg).payload)]
+    values = [v for _cid, *frame in transcript for v in bytes_within(decode_message(*frame, cfg).payload)]
     values += [v for messages in delivered.values() for m in messages for v in bytes_within(m.payload)]
     assert keypair.public.n.to_bytes(width, "big") in values
     assert not {keypair.p, keypair.q} & {int.from_bytes(v, "big") for v in values}

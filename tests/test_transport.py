@@ -17,37 +17,80 @@ from fedboost.errors import (
 )
 
 
+# the body bound of every endpoint below that does not test the bound itself
+BOUND = 1 << 20
+
+
+def bounded_pair(max_body: int = BOUND) -> tuple[transport.TcpEndpoint, transport.TcpEndpoint]:
+    """Two connected endpoints over a socket pair, each bounded to ``max_body``."""
+    return tuple(transport.TcpEndpoint(sock, max_body) for sock in socket.socketpair())
+
+
 class TestFrameCodec:
+    """A frame exists only on a socket: what one bounded endpoint sends, the
+    other receives as the same (kind, body) pair."""
+
     def test_layout(self):
         frame = transport.encode_frame(7, b"abc")
         assert frame == struct.pack(">I", 4) + bytes([7]) + b"abc"
 
+    def test_kind_must_fit_one_byte(self):
+        with pytest.raises(ValueError, match="^kind must fit one byte, got 256$"):
+            transport.encode_frame(256, b"")
+
     def test_roundtrip_empty_body(self):
-        kind, body = transport.decode_frame(transport.encode_frame(3, b""))
-        assert (kind, body) == (3, b"")
+        sender, receiver = bounded_pair()
+        try:
+            sender.send(3, b"")
+            assert receiver.recv(timeout=5) == (3, b"")
+        finally:
+            sender.close()
+            receiver.close()
 
     def test_self_delimiting_concatenation(self):
-        a = transport.encode_frame(1, b"first")
-        b = transport.encode_frame(2, b"second frame")
-        blob = a + b
-        (length,) = struct.unpack_from(">I", blob)
-        first, rest = blob[: 4 + length], blob[4 + length :]
-        assert transport.decode_frame(first) == (1, b"first")
-        assert transport.decode_frame(rest) == (2, b"second frame")
+        raw, sock = socket.socketpair()
+        receiver = transport.TcpEndpoint(sock, BOUND)
+        try:
+            raw.sendall(transport.encode_frame(1, b"first") + transport.encode_frame(2, b"second frame"))
+            assert receiver.recv(timeout=5) == (1, b"first")
+            assert receiver.recv(timeout=5) == (2, b"second frame")
+        finally:
+            raw.close()
+            receiver.close()
 
-    def test_oversize_rejected(self, monkeypatch):
-        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 16)
-        with pytest.raises(TransportError, match="^frame of 33 bytes exceeds limit 16$"):
-            transport.encode_frame(1, b"x" * 32)
+    def test_oversize_rejected(self):
+        # the bound holds for what an endpoint sends, as for what it receives
+        sender, receiver = bounded_pair(max_body=15)
+        try:
+            with pytest.raises(TransportError, match="^frame of 33 bytes exceeds limit 16$"):
+                sender.send(1, b"x" * 32)
+            sender.send(1, b"x" * 15)
+            assert receiver.recv(timeout=5) == (1, b"x" * 15)
+        finally:
+            sender.close()
+            receiver.close()
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ProtocolViolation):
-            transport.decode_frame(struct.pack(">I", 0))
+        raw, sock = socket.socketpair()
+        receiver = transport.TcpEndpoint(sock, BOUND)
+        try:
+            raw.sendall(struct.pack(">I", 0))
+            with pytest.raises(ProtocolViolation, match="^declared length omits the kind byte$"):
+                receiver.recv(timeout=5)
+        finally:
+            raw.close()
+            receiver.close()
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.integers(0, 255), body=st.binary(max_size=512))
     def test_roundtrip_property(self, kind, body):
-        assert transport.decode_frame(transport.encode_frame(kind, body)) == (kind, body)
+        sender, receiver = bounded_pair(max_body=512)
+        try:
+            sender.send(kind, body)
+            assert receiver.recv(timeout=5) == (kind, body)
+        finally:
+            sender.close()
+            receiver.close()
 
 
 @pytest.fixture()
@@ -56,11 +99,11 @@ def tcp_pair():
     client_box = {}
 
     def _connect():
-        client_box["ep"] = transport.tcp_connect(listener.address)
+        client_box["ep"] = transport.tcp_connect(listener.address, 5.0, BOUND)
 
     thread = threading.Thread(target=_connect)
     thread.start()
-    server_ep = listener.accept(timeout=5)
+    server_ep = listener.accept(timeout=5, max_body=BOUND)
     thread.join()
     yield client_box["ep"], server_ep
     client_box["ep"].close()
@@ -95,7 +138,7 @@ class TestTcp:
 
         thread = threading.Thread(target=_send_in_pieces)
         thread.start()
-        server_ep = listener.accept(timeout=5)
+        server_ep = listener.accept(timeout=5, max_body=BOUND)
         assert server_ep.recv(timeout=5) == (4, b"split across segments")
         thread.join()
         server_ep.close()
@@ -112,14 +155,13 @@ class TestTcp:
 
         thread = threading.Thread(target=_send_bad)
         thread.start()
-        server_ep = listener.accept(timeout=5)
+        server_ep = listener.accept(timeout=5, max_body=BOUND)
         with pytest.raises(ProtocolViolation):
             server_ep.recv(timeout=5)
         thread.join()
         listener.close()
 
-    def test_oversize_declared_length_rejected(self, monkeypatch):
-        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 64)
+    def test_oversize_declared_length_rejected(self):
         listener = transport.tcp_listen(("127.0.0.1", 0))
 
         def _send_big():
@@ -130,7 +172,7 @@ class TestTcp:
 
         thread = threading.Thread(target=_send_big)
         thread.start()
-        server_ep = listener.accept(timeout=5)
+        server_ep = listener.accept(timeout=5, max_body=63)
         with pytest.raises(ProtocolViolation, match="^declared length 10000 exceeds limit 64$"):
             server_ep.recv(timeout=5)
         thread.join()
@@ -156,8 +198,8 @@ class TestTcp:
 
     def test_connect_writes_its_preamble_and_bounds_its_frames(self):
         listener = transport.tcp_listen(("127.0.0.1", 0))
-        client = transport.tcp_connect(listener.address, max_body=4, preamble=b"\0\0\0\7")
-        server_ep = listener.accept(timeout=5)
+        client = transport.tcp_connect(listener.address, 5.0, max_body=4, preamble=b"\0\0\0\7")
+        server_ep = listener.accept(timeout=5, max_body=BOUND)
         try:
             assert server_ep.recv_preamble(4, timeout=5) == b"\0\0\0\7"
             client.send(5, b"z")
@@ -177,7 +219,7 @@ class TestTcp:
 
     def test_connect_failure(self):
         with pytest.raises(TransportError):
-            transport.tcp_connect(("127.0.0.1", 1), timeout=0.2)
+            transport.tcp_connect(("127.0.0.1", 1), timeout=0.2, max_body=BOUND)
 
     def test_recv_timeout(self, tcp_pair):
         _client, server = tcp_pair
@@ -200,7 +242,7 @@ class TestTcpFailurePaths:
         clock = iter(range(0, 100, 4))
         monkeypatch.setattr(transport, "time", SimpleNamespace(monotonic=lambda: next(clock) / 10))
         server_sock, client_sock = socket.socketpair()
-        server = transport.TcpEndpoint(server_sock)
+        server = transport.TcpEndpoint(server_sock, BOUND)
         try:
             client_sock.sendall(transport.encode_frame(1, bytes(9))[:7])
             start = time.monotonic()
@@ -229,7 +271,7 @@ class TestTcpFailurePaths:
         start = time.monotonic()
         try:
             with pytest.raises(TransportTimeout, match=r"^no connection within 0\.05s$"):
-                listener.accept(timeout=0.05)
+                listener.accept(timeout=0.05, max_body=BOUND)
         finally:
             listener.close()
         assert time.monotonic() - start < 1.0
