@@ -2,18 +2,19 @@
 
 Flow per round: the server broadcasts the previous merged gradient (round 1:
 nothing, as every client starts from the initial model), every client trains
-locally and uploads its gradient with its training loss, the server sends
-every client the candidate models to cross-validate (perturbed under
-homomorphic ops when fusion is on), clients return validation losses, the
-server computes aggregation weights and merges. A TCP client trains alone as
-soon as the broadcast reaches it; the in-thread loopback cohort trains all its
-clients in one stacked step when the server first waits for an upload. After
-the last round the server sends every client the merged result; client 1 alone
-decrypts it and answers with the final weights, since the server never holds
-the key pair, and the others check it and close their channel. Every client
-of an encrypted cohort holds that key pair from the start, handed over out of
-band; client 1 offers the server its public key, and no frame carries the
-secret one.
+locally and uploads its gradient with its training loss, under fedboosting the
+server sends every client the candidate models to cross-validate (perturbed
+under homomorphic ops when fusion is on) and clients return validation losses,
+and the server computes aggregation weights and merges. A TCP client trains
+alone as soon as the broadcast reaches it; the in-thread loopback cohort trains
+all its clients in one stacked step when the server first waits for an upload.
+After the last round the server sends every client the merged result; client 1
+alone decrypts it and answers with the final weights, since the server never
+holds the key pair, and the others check it and close their channel. A client
+takes only the next server frame of this order, or an ABORT; any other frame
+ends its session with an ABORT naming the frame it awaited. Every client of an
+encrypted cohort holds that key pair from the start, handed over out of band;
+client 1 offers the server its public key, and no frame carries the secret one.
 
 A body is the frame's round as 4 big-endian bytes, then its kind's fields
 back to back, each at the width the receiver's config gives
@@ -287,7 +288,8 @@ class ClientSession:
         self.weights = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
         self.round = 0
         self.done = False
-        self.pending = False
+        # the (kind, round) of the one server frame it takes next; None while it owes its upload
+        self.awaits: tuple[MessageKind, int] | None = (MessageKind.GLOBAL_GRADIENT, 1)
         # the plaintext of this client's latest upload, whose candidate it scores itself
         self._own: np.ndarray | qz.QuantizedGradient | None = None
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
@@ -309,15 +311,17 @@ class ClientSession:
         return derive_seed(self.settings.master_seed, "shuffle", self.round, self.client_id)
 
     def upload(self, report: nn.TrainReport | None = None) -> list[tuple[int, bytes]]:
-        """The encoded reply to the pending round: the TRAIN_RESULT of
+        """The encoded upload the round owes: the TRAIN_RESULT of
         ``report``, this session's result from a cohort's ``nn.train_cohort``;
         without one the session trains alone, with ``nn.train_local``.
         Training that diverged ends the session with an ABORT, as in
         ``respond``."""
 
         def step() -> list[Message]:
-            self.pending = False
             s = self.settings
+            # under fedboosting the round goes on with cross-validation
+            boosted = (MessageKind.FUSED_GRADIENT, self.round)
+            self.awaits = boosted if s.aggregator == "fedboosting" else self._round_end()
             result = report
             if result is None:
                 result = nn.train_local(
@@ -349,12 +353,18 @@ class ClientSession:
         loss, _acc = nn.evaluate(candidate, self.split.validation)
         return float(loss)
 
+    def _round_end(self) -> tuple[MessageKind, int]:
+        """The frame that ends this round: the next broadcast, or the final gradient after the last."""
+        if self.round == self.settings.rounds:
+            return MessageKind.MERGED_GRADIENT, self.round
+        return MessageKind.GLOBAL_GRADIENT, self.round + 1
+
     # -- message pump --
 
     def respond(self, kind: int, body: bytes) -> list[tuple[int, bytes]]:
         """The encoded replies to one frame from the server, none once the
-        session is done. A GLOBAL_GRADIENT gets none yet: it leaves the session
-        pending, for ``upload`` to answer. A FedBoostError ends the session
+        session is done. A GLOBAL_GRADIENT gets none yet: the session then owes
+        its upload, which ``upload`` gives. A FedBoostError ends the session
         with an ABORT that tells the server why."""
         return self._reply(lambda: self.handle(decode_message(kind, body, self.settings)))
 
@@ -373,24 +383,18 @@ class ClientSession:
         if msg.kind == MessageKind.ABORT:
             self.done = True
             return []
-        # a server frame carries this client's round, and a round's broadcast the next one
-        expected = self.round + 1 if msg.kind == MessageKind.GLOBAL_GRADIENT else self.round
-        if msg.round != expected:
+        if (msg.kind, msg.round) != self.awaits:
+            awaited = f"{self.awaits[0].name} of round {self.awaits[1]}" if self.awaits else "its upload"
             raise ProtocolViolation(
-                f"{msg.kind.name} for round {msg.round} at local round {self.round}, "
-                f"expected round {expected}"
+                f"{msg.kind.name} for round {msg.round} at local round {self.round}, awaiting {awaited}"
             )
         if msg.kind == MessageKind.GLOBAL_GRADIENT:
             # round 1 trains the initial model, a later one adds the merged gradient to it
             if msg.round > 1:
                 self.weights = self._stepped(msg.payload["gradient"])
-            self.round, self.pending = msg.round, True
+            self.round, self.awaits = msg.round, None
             return []
         if msg.kind == MessageKind.FUSED_GRADIENT:
-            if self.round == 0:
-                raise ProtocolViolation("cross-validation before any training round")
-            if self.pending:
-                raise ProtocolViolation(f"cross-validation before the upload of round {self.round}")
             values = [self.evaluate_fused(p) for p in msg.payload["models"]]
             # under he_dp every model is fused; else the server relays the
             # peers' uploads only, as this client holds its own
@@ -398,23 +402,19 @@ class ClientSession:
                 # under he, what a peer decrypts from the upload, P pieces per unit
                 own = qz.dequantize(self._own) if self.settings.encrypted else self._own
                 values.insert(self.client_id - 1, self._score(nn.apply_gradient(self.weights, own)))
+            self.awaits = self._round_end()
             payload = {"values": floats_to_bytes(values)}
             return [Message(MessageKind.EVAL_RESULT, msg.round, payload)]
-        if msg.kind == MessageKind.MERGED_GRADIENT:
-            if self.round != self.settings.rounds:
-                raise ProtocolViolation(
-                    f"final gradient in round {self.round}, expected {self.settings.rounds}"
-                )
-            self.done = True
-            merged = msg.payload["gradient"]
-            if self.client_id != DESIGNATED_DECRYPTOR:
-                # only client 1's final model is used: the others check the frame, not decrypt it
-                public = self.keypair.public if self.keypair else None
-                read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
-                return []
-            weights = {"weights": floats_to_bytes(self._stepped(merged).values)}
-            return [Message(MessageKind.FINAL_MODEL, msg.round, weights)]
-        raise ProtocolViolation(f"client cannot handle {msg.kind.name}")
+        # the final gradient, after the last round
+        self.done = True
+        merged = msg.payload["gradient"]
+        if self.client_id != DESIGNATED_DECRYPTOR:
+            # only client 1's final model is used: the others check the frame, not decrypt it
+            public = self.keypair.public if self.keypair else None
+            read_gradient(merged, public, self.settings.layout.size, self.settings.quant)
+            return []
+        weights = {"weights": floats_to_bytes(self._stepped(merged).values)}
+        return [Message(MessageKind.FINAL_MODEL, msg.round, weights)]
 
     def _stepped(self, payload: dict, pieces: int = 1) -> nn.ModelParams:
         """The weights plus a gradient from the server. An encrypted one
@@ -433,7 +433,7 @@ def client_run(session: ClientSession, endpoint) -> None:
             endpoint.send(*reply)
         while not session.done:
             replies = session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
-            for reply in session.upload() if session.pending else replies:
+            for reply in session.upload() if session.awaits is None else replies:
                 endpoint.send(*reply)
     except TransportError:
         session.done = True
@@ -442,23 +442,22 @@ def client_run(session: ClientSession, endpoint) -> None:
 class InThreadCohort:
     """Client sessions run in the server's thread, trained as one cohort.
 
-    ``endpoints`` holds the server's endpoint to each. A (kind, body) pair
-    sent to a client goes straight to its ``ClientSession.respond``, and the
-    encoded replies are queued; a GLOBAL_GRADIENT leaves the session pending.
-    The next ``recv`` from any client trains every pending session in one
-    ``nn.train_cohort`` call, then queues their uploads in id order; if that
-    call fails, each trains alone. No frame is built: the pairs are those a
-    TCP endpoint frames, so transcripts are the same. An exception that is no
+    ``endpoints`` holds the server's endpoint to each, and through them the
+    sessions the cohort trains, so a caller that swaps one in wraps a copy. A
+    (kind, body) pair sent to a client goes straight to its
+    ``ClientSession.respond``, and the encoded replies are queued. The next
+    ``recv`` from any client trains every session that owes its upload in one
+    ``nn.train_cohort`` call, then queues the uploads in id order; if that call
+    fails, each trains alone. No frame is built: the pairs are those a TCP
+    endpoint frames, so transcripts are the same. An exception that is no
     FedBoostError reaches the caller naming the client.
     """
 
     def __init__(self, sessions: list[ClientSession]):
-        # its own list, as callers may replace entries of ``endpoints``
-        self._members = [_CohortEndpoint(self, s) for s in sessions]
-        self.endpoints = {m.session.client_id: m for m in self._members}
+        self.endpoints = {s.client_id: _CohortEndpoint(self, s) for s in sessions}
 
     def train_pending(self) -> None:
-        pending = [m for m in self._members if m.session.pending and not m.session.done]
+        pending = [m for m in self.endpoints.values() if m.session.awaits is None and not m.session.done]
         if not pending:
             return
         settings = pending[0].session.settings

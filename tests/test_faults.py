@@ -121,14 +121,15 @@ FRAME_CAUSES = {
 }
 
 
-def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
-    """A 2-round loopback run whose frame of ``kind`` in round 2 to or from
-    client ``cid`` is corrupted: it must raise ``error`` matching ``cause``
-    within TIMEOUT_S / 4, leave no thread, and end every session."""
+def _run_faulty(settings, cid, wrap, error, cause) -> None:
+    """A 2-round loopback run whose server endpoint to client ``cid`` is
+    ``wrap(endpoint)``: it must raise ``error`` matching ``cause`` within
+    TIMEOUT_S / 4, leave no thread, and end every session."""
     keypair = cohort_key(settings)
     sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    endpoints = InThreadCohort(sessions).endpoints
-    endpoints[cid] = CorruptingEndpoint(endpoints[cid], settings, kind, 2, path, corrupt)
+    # a copy: the cohort trains the sessions its own endpoints hold
+    endpoints = dict(InThreadCohort(sessions).endpoints)
+    endpoints[cid] = wrap(endpoints[cid])
     threads = threading.active_count()
     start = time.monotonic()
     with pytest.raises(error, match=cause):
@@ -137,6 +138,16 @@ def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
     assert threading.active_count() == threads
     # the server's ABORT reached every client
     assert all(session.done for session in sessions)
+
+
+def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
+    """A 2-round loopback run whose frame of ``kind`` in round 2 to or from
+    client ``cid`` is corrupted, as ``_run_faulty`` checks it."""
+
+    def wrap(endpoint):
+        return CorruptingEndpoint(endpoint, settings, kind, 2, path, corrupt)
+
+    _run_faulty(settings, cid, wrap, error, cause)
 
 
 CORRUPTIONS = {
@@ -225,3 +236,88 @@ def test_corrupt_ciphertext_blob_to_a_client(encryption, kind, cid, path, awaite
     cause = BLOB_CAUSES[corruption].format(kind=kind.name)
     pattern = rf"^client {cid} aborted: {cause}.* \({awaited}, round 2\)$"
     _run_corrupted(settings, cid, kind, path, BLOB_CORRUPTIONS[corruption], RoundAborted, pattern)
+
+
+class ReplayingEndpoint:
+    """The server's endpoint to one loopback client; in one direction, "to"
+    or "from" the client, it delivers frame ``index`` - 1 again in place of
+    frame ``index``, counting from 0, and keeps both as ``swapped``."""
+
+    def __init__(self, inner, settings, direction, index):
+        self.inner = inner
+        self.settings = settings
+        self.direction = direction
+        self.index = index
+        self.frames: list[tuple[int, bytes]] = []
+        self.swapped = None
+
+    def _deliver(self, direction: str, frame: tuple[int, bytes]) -> tuple[int, bytes]:
+        if direction != self.direction:
+            return frame
+        self.frames.append(frame)
+        if len(self.frames) - 1 != self.index:
+            return frame
+        self.swapped = [decode_message(*f, self.settings) for f in (self.frames[-1], self.frames[-2])]
+        return self.frames[-2]
+
+    def send(self, kind: int, body: bytes) -> None:
+        self.inner.send(*self._deliver("to", (kind, body)))
+
+    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
+        return self._deliver("from", self.inner.recv(timeout))
+
+
+G, F, M = MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT
+T, E = MessageKind.TRAIN_RESULT, MessageKind.EVAL_RESULT
+# what the server awaits from a client that took each of its frames
+REPLY = {G: T, F: E, M: MessageKind.FINAL_MODEL}
+
+
+def _channel(encryption: str, direction: str) -> list[tuple[MessageKind, int]]:
+    """Client 1's frames in one direction of a clean 2-round fedboosting run,
+    as (kind, round): to it, a broadcast and candidates per round, then the
+    final gradient; from it, its key offer when encrypted, an upload and scores
+    per round, then the final model."""
+    if direction == "to":
+        return [(G, 1), (F, 1), (G, 2), (F, 2), (M, 2)]
+    offer = [(MessageKind.KEY_OFFER, 0)] if encryption != "none" else []
+    return offer + [(T, 1), (E, 1), (T, 2), (E, 2), (MessageKind.FINAL_MODEL, 2)]
+
+
+REPLAY_CELLS = [
+    pytest.param(encryption, direction, index, id=f"{encryption}-{direction}-{index}")
+    for encryption in ["none", "he", "he_dp"]
+    for direction in ["to", "from"]
+    for index in range(1, len(_channel(encryption, direction)))
+]
+
+
+@pytest.mark.parametrize("encryption, direction, index", REPLAY_CELLS)
+def test_a_replayed_frame_on_loopback(encryption, direction, index):
+    """Client 1's channel delivers frame ``index`` - 1 of one direction again
+    in place of frame ``index``: the peer that takes it refuses it, and the run
+    ends naming client 1, the round and the replayed kind."""
+    settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
+    frames = _channel(encryption, direction)
+    (kind, round_no), (again, again_round) = frames[index], frames[index - 1]
+    if direction == "to":
+        # the client refuses it, and the server reads its ABORT
+        local = round_no - (kind == G)
+        reason = (
+            f"ProtocolViolation: {again.name} for round {again_round} at local round {local}, "
+            f"awaiting {kind.name} of round {round_no}"
+        )
+        error = RoundAborted
+        cause = rf"^client 1 aborted: {reason} \({REPLY[kind].name}, round {round_no}\)$"
+    else:
+        error = ProtocolViolation
+        cause = f"^expected {kind.name} from client 1 in round {round_no}, got {again.name}$"
+    wrapped = []
+
+    def replay(endpoint):
+        wrapped.append(ReplayingEndpoint(endpoint, settings, direction, index))
+        return wrapped[-1]
+
+    _run_faulty(settings, 1, replay, error, cause)
+    # the frames a clean run sends, so the cell replayed the frame it names
+    assert [(m.kind, m.round) for m in wrapped[0].swapped] == [frames[index], frames[index - 1]]

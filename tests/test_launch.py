@@ -20,7 +20,7 @@ import pytest
 from fedboost import runner
 from fedboost.config import ExperimentConfig, two_client_noniid
 from fedboost.errors import ProtocolViolation, RoundAborted, TransportError, TransportTimeout
-from fedboost.protocol import MessageKind, largest_body
+from fedboost.protocol import Message, MessageKind, encode_message, largest_body
 from fedboost.transport import tcp_connect
 
 TIMEOUT_S = 20.0
@@ -102,6 +102,17 @@ def client_2_never_connects(address, cfg, client_id, keypair):
         _claim(address, cfg, 1)
     else:
         time.sleep(TIMEOUT_S)  # alive, and never connects
+
+
+def client_1_aborts_after_the_broadcast(address, cfg, client_id, keypair):
+    if client_id != 1:
+        return runner._client_process_main(address, cfg, client_id, keypair)
+    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
+    try:
+        endpoint.recv(cfg.timeout_s)
+        endpoint.send(*encode_message(Message(MessageKind.ABORT, 1, {"reason": "gives up"}), cfg))
+    finally:
+        endpoint.close()
 
 
 def client_1_declares_an_oversize_upload(address, cfg, client_id, keypair):
@@ -235,6 +246,16 @@ def test_hung_clients_after_an_abort_cost_one_grace_period(monkeypatch, client_m
         _run(monkeypatch, tcp_config(n_clients=3), client_main)
     after_abort = time.monotonic() - aborted_at[0]
     assert runner._EXIT_GRACE_S <= after_abort < 1.5 * runner._EXIT_GRACE_S
+
+
+def test_an_abort_from_a_client_that_exits_cleanly_is_raised_as_sent(monkeypatch):
+    # client 1 aborts and exits with code 0, and client 2 ends on the server's
+    # ABORT, so no exit code is added to the error
+    cfg = tcp_config()
+    start = time.monotonic()
+    with pytest.raises(RoundAborted, match=r"^client 1 aborted: gives up \(TRAIN_RESULT, round 1\)$"):
+        _run(monkeypatch, cfg, client_1_aborts_after_the_broadcast)
+    assert time.monotonic() - start < cfg.timeout_s / 4
 
 
 def test_a_client_that_never_connects_times_out_the_launch(monkeypatch):

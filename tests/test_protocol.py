@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -878,6 +879,33 @@ def _round_one(settings) -> Message:
     return Message(MessageKind.GLOBAL_GRADIENT, round=1, payload={})
 
 
+def server_frame(session: ClientSession, kind: MessageKind, round_no: int) -> Message:
+    """A well-formed ``kind`` frame of ``round_no`` for ``session``: every
+    gradient in it zero, under the cohort key when encrypted."""
+    settings = session.settings
+    zero = np.zeros(settings.layout.size)
+    if settings.encrypted:
+        zero = agg.encrypt_gradient(session.keypair, qz.quantize(zero, settings.quant))
+    zero = protocol.gradient_to_payload(zero)
+    widths = protocol.field_widths(kind, round_no, settings)
+    if kind == MessageKind.FUSED_GRADIENT:
+        return Message(kind, round_no, {"models": [zero] * len(widths["models"])})
+    return Message(kind, round_no, {name: zero for name in widths})
+
+
+def until_it_awaits(session: ClientSession, awaited) -> ClientSession:
+    """``session``, driven in the order of a clean run, uploading and taking
+    the frames it awaits, until ``session.awaits == awaited``: a (kind, round),
+    or None for a session that owes its upload."""
+    while session.awaits != awaited:
+        assert not session.done, f"the session ended before it awaited {awaited}"
+        if session.awaits is None:
+            session.upload()
+        else:
+            session.handle(server_frame(session, *session.awaits))
+    return session
+
+
 def _packed_payload(kp, settings) -> dict:
     """A valid packed gradient payload under ``kp``."""
     q = qz.quantize(np.full(settings.layout.size, 0.01), settings.quant)
@@ -956,10 +984,9 @@ class TestMalformedPayloads:
         ],
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
-        settings = make_settings(encryption="he", key_bits=256, rounds=1, timeout_s=20.0)
+        settings = make_settings(encryption="he", key_bits=256, rounds=round_no, timeout_s=20.0)
         session = ClientSession(settings, 2, client_split(2), _KEY256)
-        session.handle(_round_one(settings))
-        session.upload()
+        until_it_awaits(session, (kind, round_no))
         [reply] = server_says(in_thread(session), settings, kind, round_no, payload)
         assert session.done
         assert reply.kind == MessageKind.ABORT
@@ -973,7 +1000,7 @@ class TestMalformedPayloads:
     def test_client_aborts_on_non_finite_gradient_bits(self, values):
         settings = make_settings(rounds=2)
         session = ClientSession(settings, 2, client_split(2))
-        session.handle(_round_one(settings))
+        until_it_awaits(session, (MessageKind.GLOBAL_GRADIENT, 2))
         endpoint = in_thread(session)
         broadcast = Message(MessageKind.GLOBAL_GRADIENT, 2, {"gradient": {"values": f64(*values)}})
         endpoint.send(*encode_message(broadcast, settings))
@@ -1123,7 +1150,8 @@ class TestInThreadCohort:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_a_diverged_client_aborts_alone(self):
-        settings = make_settings()
+        # under fedavg round 2's broadcast follows round 1's uploads
+        settings = make_settings(aggregator="fedavg")
         sessions = [ClientSession(settings, cid, client_split(cid)) for cid in (1, 2)]
         endpoints = InThreadCohort(sessions).endpoints
         for endpoint in endpoints.values():
@@ -1148,7 +1176,7 @@ class TestInThreadCohort:
         assert session.done
         round_one = _round_one(settings).payload
         assert server_says(endpoint, settings, MessageKind.GLOBAL_GRADIENT, 1, round_one) == []
-        assert session.round == 0 and not session.pending
+        assert session.round == 0 and session.awaits == (MessageKind.GLOBAL_GRADIENT, 1)
 
     def test_other_errors_reach_the_caller_naming_the_client(self, monkeypatch):
         handle = ClientSession.handle
@@ -1225,18 +1253,63 @@ class TestRoundChecks:
         ids=lambda kind: kind.name,
     )
     def test_client_aborts_on_a_server_frame_of_another_round(self, kind, shift):
-        settings = make_settings(rounds=1)
-        session = ClientSession(settings, 1, client_split(1))
-        session.handle(_round_one(settings))
         expected = 2 if kind == MessageKind.GLOBAL_GRADIENT else 1
+        # round 2's broadcast comes only in a run of 2 rounds
+        settings = make_settings(rounds=expected)
+        session = ClientSession(settings, 1, client_split(1))
+        # at local round 1, awaiting this kind of frame
+        until_it_awaits(session, (kind, expected))
         bad = expected + shift
         [reply] = server_says(in_thread(session), settings, kind, bad, zeros(kind, bad, settings))
         assert session.done
         assert reply.kind == MessageKind.ABORT
         assert reply.payload["reason"] == (
             f"ProtocolViolation: {kind.name} for round {bad} at local round 1, "
-            f"expected round {expected}"
+            f"awaiting {kind.name} of round {expected}"
         )
+
+
+G, F, M = MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT
+
+
+class TestFrameOrder:
+    """A client takes a round's broadcast, then, once it has uploaded, the
+    candidates to score under fedboosting, then the next broadcast, or the
+    final gradient after the last round. Any other server frame but an ABORT
+    ends its session with one ABORT naming the frame and what it awaited."""
+
+    @pytest.mark.parametrize("encryption", ["none", "he_dp"])
+    @pytest.mark.parametrize(
+        "overrides, point, frame, awaited",
+        [
+            pytest.param(
+                {"rounds": 1}, None, (M, 1), "its upload", id="final_gradient_while_the_upload_is_owed"
+            ),
+            pytest.param({}, None, (G, 2), "its upload", id="next_broadcast_before_the_upload"),
+            pytest.param({}, (G, 2), (F, 1), "GLOBAL_GRADIENT of round 2", id="candidates_scored_twice"),
+            pytest.param(
+                {"aggregator": "fedavg"}, (G, 2), (F, 1), "GLOBAL_GRADIENT of round 2",
+                id="candidates_under_fedavg",
+            ),
+            pytest.param(
+                {}, (F, 2), (M, 2), "FUSED_GRADIENT of round 2", id="final_gradient_before_the_last_scoring"
+            ),
+        ],
+    )
+    def test_a_frame_out_of_order_ends_the_session(self, encryption, overrides, point, frame, awaited):
+        settings = make_settings(encryption=encryption, **overrides)
+        # client 1, which would answer the final gradient with the final model
+        session = until_it_awaits(key_source(settings, client_split(1)), point)
+        local = session.round
+        kind, round_no = frame
+        raw = encode_message(server_frame(session, kind, round_no), settings)
+        [reply] = [decode_message(*r, settings) for r in session.respond(*raw)]
+        assert (reply.kind, reply.round) == (MessageKind.ABORT, local)
+        assert reply.payload["reason"] == (
+            f"ProtocolViolation: {kind.name} for round {round_no} at local round {local}, awaiting {awaited}"
+        )
+        assert session.done
+        assert session.respond(*raw) == [] and session.upload() == []
 
 
 class TestServerAbortsEveryone:
@@ -1371,7 +1444,8 @@ class TestServerAbortsEveryone:
         # client 2's socket peer is gone before the first broadcast
         settings = make_settings(rounds=1)
         session = ClientSession(settings, 1, client_split(1))
-        endpoints = InThreadCohort([session]).endpoints
+        # a copy: the cohort trains the sessions its own endpoints hold
+        endpoints = dict(InThreadCohort([session]).endpoints)
         server_end, client_end = socket.socketpair()
         client_end.close()
         endpoints[2] = TcpEndpoint(server_end, protocol.largest_body(settings))
@@ -1449,7 +1523,7 @@ class TestClientSession:
     def _trained_session(self, settings, rounds_payloads=None, client_id=2):
         session = ClientSession(settings, client_id, client_split(client_id))
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
-        assert session.handle(_round_one(settings)) == [] and session.pending
+        assert session.handle(_round_one(settings)) == [] and session.awaits is None
         replies = [decode_message(*reply, settings) for reply in session.upload()]
         return session, initial, replies
 
@@ -1465,7 +1539,8 @@ class TestClientSession:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_a_diverged_client_aborts_over_tcp(self):
-        settings = make_settings()
+        # under fedavg round 2's broadcast follows round 1's upload
+        settings = make_settings(aggregator="fedavg")
         session = ClientSession(settings, 2, client_split(2))
         _trained_alone(session, _round_one(settings))
         bound = protocol.largest_body(settings)
@@ -1514,10 +1589,13 @@ class TestClientSession:
         models = [protocol.gradient_to_payload(np.zeros(42))]
         [reply] = server_says(in_thread(session), settings, MessageKind.FUSED_GRADIENT, 1, {"models": models})
         assert session.done and reply.kind == MessageKind.ABORT
-        assert reply.payload["reason"] == "ProtocolViolation: cross-validation before the upload of round 1"
+        assert reply.payload["reason"] == (
+            "ProtocolViolation: FUSED_GRADIENT for round 1 at local round 1, awaiting its upload"
+        )
 
     def test_final_zero_gradient_keeps_weights(self):
-        settings = make_settings(rounds=1)
+        # under fedavg the final gradient follows the last upload
+        settings = make_settings(aggregator="fedavg", rounds=1)
         session, _initial, _ = self._trained_session(settings, client_id=1)
         merged = Message(
             MessageKind.MERGED_GRADIENT,
@@ -1531,8 +1609,9 @@ class TestClientSession:
     @pytest.mark.parametrize("client_id", [1, 2])
     def test_merged_gradient_ends_the_session(self, client_id):
         """Client 1 answers the merged gradient with the final model, its
-        weights plus that gradient; any other client answers nothing."""
-        settings = make_settings(rounds=1)
+        weights plus that gradient; any other client answers nothing. Under
+        fedavg it follows the last upload."""
+        settings = make_settings(aggregator="fedavg", rounds=1)
         session, _initial, _ = self._trained_session(settings, client_id=client_id)
         g = np.linspace(-0.01, 0.01, 42)
         merged = Message(
@@ -1650,26 +1729,30 @@ class TestClientSession:
         decrypt = paillier.decrypt
         monkeypatch.setattr(paillier, "decrypt", lambda kp, c: decrypted.append(c.value) or decrypt(kp, c))
         fused = Message(MessageKind.FUSED_GRADIENT, 1, {"models": uploads[1:]})
+        # a session takes the candidates once, so a copy of it scores them again
+        again = copy.deepcopy(sessions[0])
         [reply] = sessions[0].handle(fused)
         assert decrypted == values[1]
         # the same losses with an empty memo, which decrypts the peer's upload again
-        sessions[0].keypair.plaintexts.clear()
+        again.keypair.plaintexts.clear()
         decrypted.clear()
-        assert sessions[0].handle(fused) == [reply]
+        assert again.handle(fused) == [reply]
         assert decrypted == values[1]
         # and the own loss is the one the relayed upload would give
         own = sessions[0].evaluate_fused(uploads[0])
         assert protocol.read_floats(reply.payload, "values")[0] == own
 
     def test_final_before_last_round_rejected(self):
-        settings = make_settings(rounds=3)
+        # under fedavg the next broadcast follows the upload
+        settings = make_settings(aggregator="fedavg", rounds=3)
         session, _initial, _ = self._trained_session(settings)
         merged = Message(
             MessageKind.MERGED_GRADIENT,
             round=1,
             payload={"gradient": protocol.gradient_to_payload(np.zeros(42))},
         )
-        with pytest.raises(ProtocolViolation):
+        cause = "^MERGED_GRADIENT for round 1 at local round 1, awaiting GLOBAL_GRADIENT of round 2$"
+        with pytest.raises(ProtocolViolation, match=cause):
             session.handle(merged)
 
     def test_cross_validation_before_the_first_broadcast_is_refused(self):
@@ -1678,7 +1761,10 @@ class TestClientSession:
         models = [protocol.gradient_to_payload(np.zeros(42))]
         [reply] = server_says(in_thread(session), settings, MessageKind.FUSED_GRADIENT, 0, {"models": models})
         assert session.done and reply.kind == MessageKind.ABORT
-        assert reply.payload["reason"] == "ProtocolViolation: cross-validation before any training round"
+        assert reply.payload["reason"] == (
+            "ProtocolViolation: FUSED_GRADIENT for round 0 at local round 0, "
+            "awaiting GLOBAL_GRADIENT of round 1"
+        )
 
     @pytest.mark.parametrize("client_id", [1, 2])
     def test_every_encrypted_client_needs_the_key_pair(self, client_id):
@@ -1687,8 +1773,7 @@ class TestClientSession:
 
     def test_final_wrong_key_rejected(self, key64):
         settings = make_settings(rounds=1, encryption="he")
-        session = key_source(settings, client_split(1))
-        session.handle(_round_one(settings))
+        session = until_it_awaits(key_source(settings, client_split(1)), (MessageKind.MERGED_GRADIENT, 1))
         foreign = agg.encrypt_gradient(
             key64.public, qz.quantize(np.zeros(42), settings.quant)
         )

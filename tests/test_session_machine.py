@@ -1,13 +1,13 @@
 """Any sequence of server frames drives a ClientSession to replies or an ABORT.
 
 A hypothesis state machine starts one session of a none, he or he_dp cohort
-part way through a clean run, then feeds it well-formed server frames at the
-round it is in, well-formed frames of every kind at any round, and arbitrary
-bodies under any kind byte, their fields valid, huge or random bytes; a
-pending session may be asked for its upload. Every step returns (kind, body)
-pairs that decode_message accepts and raises nothing. A session that ends on
-a frame other than the server's ABORT or the final gradient ends with an
-ABORT as its last reply, and a session that has ended replies no more.
+part way through a clean run, then feeds it the server frame it awaits, after
+the upload it owes, well-formed frames of every kind at any round, and
+arbitrary bodies under any kind byte, their fields valid, huge or random
+bytes; a session that owes its upload may be asked for it. Every step returns
+(kind, body) pairs that decode_message accepts and raises nothing. A session
+that ends on a frame other than the server's ABORT or the final gradient ends
+with an ABORT as its last reply, and a session that has ended replies no more.
 """
 
 import pytest
@@ -59,7 +59,6 @@ def _filled(widths, leaf, name=None):
 # how a frame's fields are filled: see ClientSessionMachine.field
 CONTENTS = st.sampled_from(["valid", "huge", "random"])
 RNGS = st.randoms(use_true_random=False)
-SERVER_KINDS = [MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT]
 # the server's side of a clean 2-round run
 HONEST = [MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT] * 2 + [MessageKind.MERGED_GRADIENT]
 
@@ -81,18 +80,17 @@ class ClientSessionMachine(RuleBasedStateMachine):
         self.upload_payload = UPLOADS[encryption]
         self.session = ClientSession(self.settings, client_id, SPLITS[client_id], self.keypair)
         self.step(self.session.startup)
-        for at, kind in enumerate(HONEST[:prefix], 1):
-            self.frame_at_its_round(kind, last if at == prefix else "valid", rng, True)
+        for at in range(1, prefix + 1):
+            self.frame_at_its_round(last if at == prefix else "valid", rng)
 
-    @rule(kind=st.sampled_from(SERVER_KINDS), content=CONTENTS, rng=RNGS, then_upload=st.booleans())
-    def frame_at_its_round(self, kind, content, rng, then_upload):
-        """A server frame of the round the session is in, or a broadcast of the
-        next. A session it leaves pending uploads at once if ``then_upload``, as
-        a TCP client does, or else takes the frames that follow pending."""
-        round_no = self.session.round + (kind == MessageKind.GLOBAL_GRADIENT)
-        self.well_formed_frame(kind, round_no, content, rng, "")
-        if then_upload and self.session.pending and not self.session.done:
+    @rule(content=CONTENTS, rng=RNGS)
+    def frame_at_its_round(self, content, rng):
+        """The server frame the session awaits, after the upload it owes, as a
+        TCP client uploads as soon as it has the broadcast."""
+        if self.session.awaits is None:
             self.upload()
+        if not self.session.done:
+            self.well_formed_frame(*self.session.awaits, content, rng, "")
 
     @rule(
         kind=st.sampled_from(LAID_OUT),
@@ -130,7 +128,7 @@ class ClientSessionMachine(RuleBasedStateMachine):
     def arbitrary_frame(self, kind, body):
         self.step(lambda: self.session.respond(kind, body), (kind, body))
 
-    @precondition(lambda self: self.session.pending and not self.session.done)
+    @precondition(lambda self: self.session.awaits is None and not self.session.done)
     @rule()
     def upload(self):
         self.step(self.session.upload)
