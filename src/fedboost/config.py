@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import sys
 from dataclasses import dataclass, field, asdict
 
@@ -72,6 +73,8 @@ class ExperimentConfig:
             )
         if self.transport not in TRANSPORTS:
             raise ConfigError("transport", f"must be one of {TRANSPORTS}, got {self.transport!r}")
+        if self.transport == "tcp" and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError("transport", "tcp forks its clients, which this platform cannot")
         if not (1 <= self.rounds <= MAX_ROUNDS):
             raise ConfigError("rounds", f"must lie in [1, {MAX_ROUNDS}], got {self.rounds}")
         if self.epochs < 1:

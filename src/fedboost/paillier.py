@@ -98,7 +98,7 @@ class KeyPair:
     h_p: int  # (-q)^-1 mod p, which is L_p(g^(p-1) mod p^2)^-1 for g = n+1
     h_q: int  # (-p)^-1 mod q
     p_sq_inv: int  # (p^2)^-1 mod q^2
-    # ciphertext value -> plaintext; pickled empty, so a spawn argument does not grow
+    # ciphertext value -> plaintext; pickled empty, and a forked TCP client inherits it as it stands
     plaintexts: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

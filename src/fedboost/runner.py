@@ -6,12 +6,13 @@ round on the combined test set, and export metrics/model/boundary artifacts.
 Centralized training is a cohort of one trainer holding the pooled training
 data, run on loopback.
 
-The runner generates the cohort key pair once, before either transport
-starts, and hands it to every client in its session; over TCP it travels in
-the spawned process's arguments, which stand in for the secure channel the
-clients share, so it never crosses the server. Per-round test metrics are
-computed by this harness: in encrypted modes the server cannot decrypt, so the
-harness scores rounds with that key pair purely for measurement.
+The runner generates the cohort key pair and builds every client's split once,
+before either transport starts, and hands each client both in its session. A
+TCP client is forked (POSIX only) and inherits them in the runner's memory,
+which stands in for the secure channel the clients share, so the key pair
+never crosses the server; only the socket is the simulated boundary. Per-round
+test metrics are computed by this harness: in encrypted modes the server cannot
+decrypt, so the harness scores rounds with that key pair purely for measurement.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import multiprocessing
 import struct
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -52,7 +53,7 @@ from .protocol import (
     server_run,
 )
 from .quantize import QuantConfig
-from .transport import TcpEndpoint, tcp_connect, tcp_listen
+from .transport import TcpEndpoint, TcpListener, tcp_connect, tcp_listen
 
 # How long a failed TCP launch or run waits on the other clients before naming the dead
 _EXIT_GRACE_S = 1.0
@@ -68,22 +69,20 @@ class ExperimentResult:
     final_test_acc: float
 
 
-def build_client_split(cfg: ExperimentConfig, client_id: int) -> DatasetSplit:
-    spec = cfg.clients[client_id - 1]
-    seed = derive_seed(cfg.master_seed, "split", client_id)
-    try:
-        data = generate_client_dataset(list(spec.clusters), spec.seed)
-        parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
-    except (EmptyDataset, MemoryError) as exc:  # too few to split, or a count beyond memory
-        raise ConfigError(f"clients[{client_id - 1}].clusters", str(exc)) from exc
-    if spec.poison_flip_frac > 0:
-        seed = derive_seed(cfg.master_seed, "poison", client_id)
-        parts = replace(parts, train=poison_labels(parts.train, spec.poison_flip_frac, seed))
-    return parts
-
-
 def build_splits(cfg: ExperimentConfig) -> list[DatasetSplit]:
-    return [build_client_split(cfg, cid) for cid in range(1, len(cfg.clients) + 1)]
+    splits = []
+    for client_id, spec in enumerate(cfg.clients, 1):
+        seed = derive_seed(cfg.master_seed, "split", client_id)
+        try:
+            data = generate_client_dataset(list(spec.clusters), spec.seed)
+            parts = split(data, train_frac=0.9, val_frac_of_train=0.1, seed=seed)
+        except (EmptyDataset, MemoryError) as exc:  # too few to split, or a count beyond memory
+            raise ConfigError(f"clients[{client_id - 1}].clusters", str(exc)) from exc
+        if spec.poison_flip_frac > 0:
+            seed = derive_seed(cfg.master_seed, "poison", client_id)
+            parts = replace(parts, train=poison_labels(parts.train, spec.poison_flip_frac, seed))
+        splits.append(parts)
+    return splits
 
 
 def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
@@ -93,13 +92,12 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 # --- transports ----------------------------------------------------------------
 
 
-def _client_process_main(address, cfg: ExperimentConfig, client_id: int, keypair) -> None:
-    """A TCP client: connect and send its id first, then build the data split,
-    so the spawn argument stays small and the launch does not wait on it."""
+def _client_process_main(address, cfg: ExperimentConfig, client_id: int, split, keypair) -> None:
+    """A forked TCP client: connect and send its id first, then run its session
+    on the split and key pair it inherited from the runner, none of them pickled."""
     endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), _CLIENT_ID.pack(client_id))
     try:
-        session = ClientSession(cfg, client_id, build_client_split(cfg, client_id), keypair)
-        client_run(session, endpoint)
+        client_run(ClientSession(cfg, client_id, split, keypair), endpoint)
     finally:
         endpoint.close()
 
@@ -119,37 +117,40 @@ def _claimed_id(endpoint: TcpEndpoint, n_clients: int, named: dict, deadline: fl
 
 
 @contextmanager
-def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
-    """The server's endpoints to one spawned process per client, each named by
-    the id its connection sends first; on exit all get one grace period to end."""
-    # imported here: loopback runs and the client processes never wait on a sentinel
+def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: paillier.KeyPair | None):
+    """The server's endpoints to one forked process per client, each named by
+    the id its connection sends first; on exit all get one grace period to end,
+    and a client that exited with an error code fails the run."""
+    # imported here: loopback runs never fork or wait on a sentinel
     from multiprocessing.connection import wait
+    from multiprocessing.util import register_after_fork
 
-    listener = tcp_listen((cfg.tcp_host, cfg.tcp_port))
-    ctx = multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("fork")
     procs, accepted, server_eps, aborted = {}, [], {}, None
     try:
-        for cid in range(1, cfg.n_clients + 1):
-            args = (listener.address, cfg, cid, keypair)
-            proc = ctx.Process(target=_client_process_main, args=args, daemon=True)
-            proc.start()
-            procs[cid] = proc
-        # until every client is named or has exited; an exit leaves the rest one grace period
-        deadline = time.monotonic() + cfg.timeout_s
-        while waiting := {
-            p.sentinel: p for c, p in procs.items() if c not in server_eps and p.exitcode is None
-        }:
-            ready = wait([listener, *waiting], max(0.0, deadline - time.monotonic()))
-            if not ready:
-                break
-            for obj in ready:
-                if obj is listener:
-                    accepted.append(listener.accept(cfg.timeout_s, largest_body(cfg)))
-                    cid = _claimed_id(accepted[-1], cfg.n_clients, server_eps, deadline)
-                    server_eps[cid] = accepted[-1]
-                else:
-                    waiting[obj].join()
-                    deadline = min(deadline, time.monotonic() + _EXIT_GRACE_S)
+        # open until the last client is named: no later connection is taken into its backlog
+        with closing(tcp_listen((cfg.tcp_host, cfg.tcp_port))) as listener:
+            register_after_fork(listener, TcpListener.close)  # no client holds the listener
+            for cid, split in enumerate(splits, 1):
+                args = (listener.address, cfg, cid, split, keypair)
+                procs[cid] = ctx.Process(target=_client_process_main, args=args, daemon=True)
+                procs[cid].start()
+            # until every client is named or has exited; an exit leaves the rest one grace period
+            deadline = time.monotonic() + cfg.timeout_s
+            while waiting := {
+                p.sentinel: p for c, p in procs.items() if c not in server_eps and p.exitcode is None
+            }:
+                ready = wait([listener, *waiting], max(0.0, deadline - time.monotonic()))
+                if not ready:
+                    break
+                for obj in ready:
+                    if obj is listener:
+                        accepted.append(listener.accept(cfg.timeout_s, largest_body(cfg)))
+                        cid = _claimed_id(accepted[-1], cfg.n_clients, server_eps, deadline)
+                        server_eps[cid] = accepted[-1]
+                    else:
+                        waiting[obj].join()
+                        deadline = min(deadline, time.monotonic() + _EXIT_GRACE_S)
         missing = sorted(set(procs) - set(server_eps))
         dead = [cid for cid in missing if procs[cid].exitcode is not None]
         if dead:
@@ -162,7 +163,6 @@ def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
         except RoundAborted as exc:
             aborted = exc
     finally:
-        listener.close()
         # an aborted run's clients have an ABORT to read; a close ends any other waiting client
         for ep in [] if aborted else accepted:
             ep.close()
@@ -178,8 +178,8 @@ def _tcp_endpoints(cfg: ExperimentConfig, keypair: paillier.KeyPair | None):
         for proc in live.values():
             proc.terminate()
             proc.join()
-    if aborted and died:
-        raise RoundAborted("; ".join([str(aborted), *died])) from aborted
+    if died:  # a finished run fails too: its clients must all end cleanly
+        raise RoundAborted("; ".join([str(aborted), *died] if aborted else died)) from aborted
     if aborted:
         raise aborted
 
@@ -219,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pooled = LabeledData.concat([s.train for s in splits])
         splits = [DatasetSplit(pooled, splits[0].validation, test)]
     if cfg.transport == "tcp" and cfg.aggregator != "centralized":
-        cohort = _tcp_endpoints(cfg, keypair)
+        cohort = _tcp_endpoints(cfg, splits, keypair)
     else:
         # one cohort in this thread, trained in one stacked step per round, shares
         # numpy's per-call overhead, most of a batch-sized step's cost

@@ -5,6 +5,7 @@ leave no child process or thread behind."""
 import dataclasses
 import math
 import multiprocessing
+import re
 import struct
 import threading
 import time
@@ -34,31 +35,113 @@ def _last_started_child() -> multiprocessing.Process:
     return max(multiprocessing.active_children(), key=lambda p: int(p.name.rsplit("-", 1)[1]))
 
 
-def test_tcp_client_killed_after_it_connects(monkeypatch):
+G, F, M = MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT
+T, E = MessageKind.TRAIN_RESULT, MessageKind.EVAL_RESULT
+# the server's exchanges with client 2 in a clean 2-round fedboosting run, in
+# order, as (direction, kind, round): a send, a recv, or the closing read (None)
+CLIENT_2_EXCHANGES = [
+    *(x for r in (1, 2) for x in [("send", G, r), ("recv", T, r), ("send", F, r), ("recv", E, r)]),
+    ("send", M, 2),
+    ("recv", None, 2),
+]
+# where a server that found client 2 dead was: "sending KIND to" or "waiting for KIND|end of run from"
+_FOUND_AT = re.compile(r"^(sending|waiting for) (\w+|end of run) (?:to|from) client 2 in round (\d): ")
+
+
+def _latest_find(index: int) -> int:
+    """The last of CLIENT_2_EXCHANGES at which the server can find client 2
+    dead when it was killed just before exchange ``index``: the first recv
+    after the first frame sent at or after the kill, whose reply the dead
+    client cannot have sent; with no such frame, the closing read."""
+    directions = [direction for direction, _, _ in CLIENT_2_EXCHANGES]
+    if "send" not in directions[index:]:
+        return len(directions) - 1
+    return directions.index("recv", directions.index("send", index))
+
+
+class KillingEndpoint:
+    """The server's TCP endpoint to client 2, which SIGKILLs the client's
+    process, and reaps it, just before exchange ``index`` of
+    CLIENT_2_EXCHANGES."""
+
+    def __init__(self, inner, victim: multiprocessing.Process, index: int):
+        self.inner = inner
+        self.victim = victim
+        self.index = index
+        self.exchanges = 0
+        self.killed_at = None
+
+    def _next(self) -> None:
+        if self.exchanges == self.index:
+            self.victim.kill()
+            self.victim.join()
+            self.killed_at = time.monotonic()
+        self.exchanges += 1
+
+    def send(self, kind: int, body: bytes) -> None:
+        self._next()
+        self.inner.send(kind, body)
+
+    def recv(self, timeout: float) -> tuple[int, bytes]:
+        self._next()
+        return self.inner.recv(timeout)
+
+
+@pytest.mark.parametrize("index", range(len(CLIENT_2_EXCHANGES)))
+@pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
+def test_tcp_client_killed_before_an_exchange(monkeypatch, encryption, index):
+    """Client 2 dies by SIGKILL just before the server's exchange ``index``
+    with it, after both clients have connected: the run ends naming its exit
+    code, and where the server was at a frame when it found the death, that
+    frame's kind and round: at or after the kill, and no later than the
+    first reply the dead client cannot have sent."""
     cfg = ExperimentConfig(
         clients=two_client_noniid(200, master_seed=4),
         rounds=2,
         master_seed=4,
+        encryption=encryption,
         transport="tcp",
         timeout_s=TIMEOUT_S,
     )
+    client_run = runner.client_run
+
+    def lingering(session, endpoint):
+        client_run(session, endpoint)
+        if session.client_id == 2:
+            # alive, with its channel open, until the kill: a forked client
+            # runs the client_run patched here
+            time.sleep(TIMEOUT_S)
+
     serve = runner.server_run
-    killed_at = []
+    wrapped = []
 
     def kill_client_2_then_serve(settings, endpoints, transcript=None):
         # both clients have connected; client 2 was started last
-        victim = _last_started_child()
-        victim.kill()
-        victim.join()
-        killed_at.append(time.monotonic())
-        return serve(settings, endpoints, transcript)
+        wrapped.append(KillingEndpoint(endpoints[2], _last_started_child(), index))
+        return serve(settings, {**endpoints, 2: wrapped[0]}, transcript)
 
+    monkeypatch.setattr(runner, "client_run", lingering)
     monkeypatch.setattr(runner, "server_run", kill_client_2_then_serve)
-    with pytest.raises(RoundAborted, match=r"\bclient 2 in round 1\b") as aborted:
+    threads = threading.active_count()
+    with pytest.raises(RoundAborted) as aborted:
         runner.run_experiment(cfg)
-    assert "client 2 exited with code -9" in str(aborted.value)
-    assert time.monotonic() - killed_at[0] < TIMEOUT_S / 4
+    assert time.monotonic() - wrapped[0].killed_at < TIMEOUT_S / 4
     assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    message = str(aborted.value)
+    assert message.endswith("client 2 exited with code -9")
+    if message == "client 2 exited with code -9":
+        # the server read every frame client 2 sends and its channel's close:
+        # it found the death only after its closing read
+        found_at = len(CLIENT_2_EXCHANGES) - 1
+    else:
+        found = _FOUND_AT.match(message)
+        assert found, message
+        direction, kind, round_no = found.groups()
+        kind = None if kind == "end of run" else MessageKind[kind]
+        exchange = ("send" if direction == "sending" else "recv", kind, int(round_no))
+        found_at = CLIENT_2_EXCHANGES.index(exchange)
+    assert index <= found_at <= _latest_find(index), message
 
 
 class CorruptingEndpoint:
@@ -267,8 +350,6 @@ class ReplayingEndpoint:
         return self._deliver("from", self.inner.recv(timeout))
 
 
-G, F, M = MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT
-T, E = MessageKind.TRAIN_RESULT, MessageKind.EVAL_RESULT
 # what the server awaits from a client that took each of its frames
 REPLY = {G: T, F: E, M: MessageKind.FINAL_MODEL}
 

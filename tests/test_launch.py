@@ -1,8 +1,9 @@
-"""The TCP launch: every client process starts at once and names itself by
+"""The TCP launch: every client process is forked at once and names itself by
 the 4-byte id it writes before its first frame.
 
-The stand-in clients below are module-level functions, so a spawned process
-can import them by name; each run swaps one in for runner._client_process_main.
+Each run swaps one of the stand-in clients below in for
+runner._client_process_main. A forked client calls the swapped-in name, so a
+stand-in that runs the real client calls CLIENT_MAIN, taken at import.
 Every case leaves no child process, and every case but the silent connection
 and the client that never connects, which end at their deadline, ends well
 within its timeout_s."""
@@ -20,10 +21,18 @@ import pytest
 from fedboost import runner
 from fedboost.config import ExperimentConfig, two_client_noniid
 from fedboost.errors import ProtocolViolation, RoundAborted, TransportError, TransportTimeout
-from fedboost.protocol import Message, MessageKind, encode_message, largest_body
-from fedboost.transport import tcp_connect
+from fedboost.protocol import (
+    ClientSession,
+    Message,
+    MessageKind,
+    client_run,
+    encode_message,
+    largest_body,
+)
+from fedboost.transport import tcp_connect, tcp_listen
 
 TIMEOUT_S = 20.0
+CLIENT_MAIN = runner._client_process_main
 
 
 def tcp_config(n_clients: int = 2, **overrides) -> ExperimentConfig:
@@ -53,15 +62,15 @@ def _claim(address, cfg, claimed_id: int) -> None:
         endpoint.close()
 
 
-def both_claim_client_1(address, cfg, client_id, keypair):
+def both_claim_client_1(address, cfg, client_id, split, keypair):
     _claim(address, cfg, 1)
 
 
-def client_2_claims_an_unknown_id(address, cfg, client_id, keypair):
+def client_2_claims_an_unknown_id(address, cfg, client_id, split, keypair):
     _claim(address, cfg, client_id if client_id == 1 else cfg.n_clients + 1)
 
 
-def client_2_closes_before_its_id(address, cfg, client_id, keypair):
+def client_2_closes_before_its_id(address, cfg, client_id, split, keypair):
     if client_id == 1:
         _claim(address, cfg, 1)
     else:
@@ -69,7 +78,7 @@ def client_2_closes_before_its_id(address, cfg, client_id, keypair):
         time.sleep(0.5)  # alive while the server reads the closed connection
 
 
-def client_2_stays_silent(address, cfg, client_id, keypair):
+def client_2_stays_silent(address, cfg, client_id, split, keypair):
     if client_id == 1:
         _claim(address, cfg, 1)
     else:
@@ -77,11 +86,11 @@ def client_2_stays_silent(address, cfg, client_id, keypair):
             sock.recv(1)  # until the server closes the connection
 
 
-def both_exit_before_connecting(address, cfg, client_id, keypair):
+def both_exit_before_connecting(address, cfg, client_id, split, keypair):
     os._exit(3 + client_id)
 
 
-def client_1_dies_after_the_broadcast(address, cfg, client_id, keypair):
+def client_1_dies_after_the_broadcast(address, cfg, client_id, split, keypair):
     if client_id == 1:
         endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
         endpoint.recv(cfg.timeout_s)
@@ -89,24 +98,24 @@ def client_1_dies_after_the_broadcast(address, cfg, client_id, keypair):
     _claim(address, cfg, client_id)
 
 
-def client_1_dies_and_the_others_stop_reading(address, cfg, client_id, keypair):
+def client_1_dies_and_the_others_stop_reading(address, cfg, client_id, split, keypair):
     if client_id == 1:
-        client_1_dies_after_the_broadcast(address, cfg, client_id, keypair)
+        client_1_dies_after_the_broadcast(address, cfg, client_id, split, keypair)
     endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", client_id))
     time.sleep(cfg.timeout_s)  # alive, with its channel open, and reads nothing
     endpoint.close()
 
 
-def client_2_never_connects(address, cfg, client_id, keypair):
+def client_2_never_connects(address, cfg, client_id, split, keypair):
     if client_id == 1:
         _claim(address, cfg, 1)
     else:
         time.sleep(TIMEOUT_S)  # alive, and never connects
 
 
-def client_1_aborts_after_the_broadcast(address, cfg, client_id, keypair):
+def client_1_aborts_after_the_broadcast(address, cfg, client_id, split, keypair):
     if client_id != 1:
-        return runner._client_process_main(address, cfg, client_id, keypair)
+        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
     endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
     try:
         endpoint.recv(cfg.timeout_s)
@@ -115,14 +124,23 @@ def client_1_aborts_after_the_broadcast(address, cfg, client_id, keypair):
         endpoint.close()
 
 
-def client_1_declares_an_oversize_upload(address, cfg, client_id, keypair):
+def client_1_declares_an_oversize_upload(address, cfg, client_id, split, keypair):
     if client_id != 1:
-        return runner._client_process_main(address, cfg, client_id, keypair)
+        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
     with socket.create_connection(address) as sock:
         # its id, the prefix of a 10,000,001-byte TRAIN_RESULT frame, then 1,000 of its bytes
         sock.sendall(struct.pack(">IIB", 1, 10_000_001, MessageKind.TRAIN_RESULT) + bytes(999))
         while sock.recv(4096):
             pass
+
+
+def client_2_exits_with_code_3_after_the_run(address, cfg, client_id, split, keypair):
+    if client_id != 2:
+        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
+    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 2))
+    # the session ends once it has checked the final MERGED_GRADIENT
+    client_run(ClientSession(cfg, 2, split, keypair), endpoint)
+    os._exit(3)  # without closing its channel
 
 
 def _run(monkeypatch, cfg, client_main):
@@ -164,17 +182,17 @@ def test_a_silent_connection_is_refused_at_the_deadline(monkeypatch):
 
 
 def test_a_client_killed_before_it_connects_ends_the_wait(monkeypatch):
-    spawn_start = multiprocessing.context.SpawnProcess.start
+    fork_start = multiprocessing.context.ForkProcess.start
     started, killed_at = [], []
 
     def start_then_kill_client_2(proc):
-        spawn_start(proc)
+        fork_start(proc)
         started.append(proc)
         if len(started) == 2:  # started in id order
             proc.kill()
             killed_at.append(time.monotonic())
 
-    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start_then_kill_client_2)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_kill_client_2)
     with pytest.raises(RoundAborted, match=r"^client 2 exited with code -9 before connecting$"):
         runner.run_experiment(tcp_config())
     assert time.monotonic() - killed_at[0] < 1.0
@@ -193,7 +211,7 @@ def test_every_client_that_exits_before_connecting_is_named_in_id_order(monkeypa
 def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp_path):
     from test_pinned_outputs import PINS, output_digests
 
-    spawn_start = multiprocessing.context.SpawnProcess.start
+    fork_start = multiprocessing.context.ForkProcess.start
     held = []
 
     def start_last_first(proc):
@@ -201,7 +219,7 @@ def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp
         held.append(proc)
         if len(held) == 2:
             for later in reversed(held):
-                spawn_start(later)
+                fork_start(later)
                 time.sleep(0.2)
 
     transcripts = []
@@ -213,7 +231,7 @@ def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp
 
     monkeypatch.setattr(runner, "server_run", recorded)
     loopback = output_digests("avg_he_tcp", 0, tmp_path / "loopback", transport="loopback")
-    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start_last_first)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_last_first)
     reversed_tcp = output_digests("avg_he_tcp", 0, tmp_path / "tcp")
     pins = json.loads(PINS.read_text())["digests"]["avg_he_tcp/0"]
     assert reversed_tcp == loopback == pins
@@ -278,3 +296,38 @@ def test_an_oversize_upload_prefix_is_refused_before_its_body(monkeypatch):
     with pytest.raises(ProtocolViolation, match=cause):
         _run(monkeypatch, cfg, client_1_declares_an_oversize_upload)
     assert time.monotonic() - start < cfg.timeout_s / 2
+
+
+def test_a_client_that_exits_with_an_error_after_a_finished_run_fails_it(monkeypatch):
+    # client 2 reads the final gradient, so the server sees every frame of a
+    # clean run and its channel close, and only the exit code tells
+    cfg = tcp_config()
+    start = time.monotonic()
+    with pytest.raises(RoundAborted, match=r"^client 2 exited with code 3$"):
+        _run(monkeypatch, cfg, client_2_exits_with_code_3_after_the_run)
+    assert time.monotonic() - start < cfg.timeout_s / 4
+
+
+def test_no_connection_is_taken_once_every_client_is_named(monkeypatch):
+    # neither the runner nor a forked client holds the listener any longer, so
+    # the kernel refuses a new connection instead of queueing it
+    addresses, alive = [], []
+
+    def listen(addr):
+        listener = tcp_listen(addr)
+        addresses.append(listener.address)
+        return listener
+
+    serve = runner.server_run
+
+    def connect_then_serve(settings, endpoints, transcript=None):
+        alive.append(sum(p.is_alive() for p in multiprocessing.active_children()))
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(addresses[0], timeout=1.0)
+        return serve(settings, endpoints, transcript)
+
+    monkeypatch.setattr(runner, "tcp_listen", listen)
+    monkeypatch.setattr(runner, "server_run", connect_then_serve)
+    runner.run_experiment(tcp_config())
+    assert alive == [2]
+    assert multiprocessing.active_children() == []

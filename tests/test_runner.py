@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -66,6 +67,11 @@ class TestConfigValidation:
     def test_unknown_aggregator(self):
         with pytest.raises(ConfigError, match="aggregator"):
             desk_config(aggregator="fedprox").validate()
+
+    def test_tcp_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ConfigError, match="^transport: tcp forks"):
+            desk_config(transport="tcp").validate()
 
     def test_poison_fraction_bounds(self):
         cfg = desk_config()
@@ -298,13 +304,15 @@ class TestRunExperiment:
         [scored] = runner._protocol_records(cfg, run, test, None)
         assert (scored.global_test_loss, scored.global_test_acc) == nn.evaluate(start, test)
 
-    def test_loopback_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_a_run_starts_no_thread(self, monkeypatch, transport):
+        # a TCP run forks its clients, which is safe only while it runs no other thread
         def refuse(*args, **kwargs):
-            raise AssertionError("loopback started a thread")
+            raise AssertionError(f"a {transport} run started a thread")
 
         before = threading.active_count()
         monkeypatch.setattr(threading, "Thread", refuse)
-        result = run_experiment(desk_config(rounds=2, encryption="he"))
+        result = run_experiment(desk_config(rounds=2, encryption="he", transport=transport))
         assert len(result.records) == 2
         assert threading.active_count() == before
 
@@ -356,15 +364,16 @@ class TestRunExperiment:
         params = load_model(out / "model.json")
         assert params.values.shape == (42,)
 
-    def test_tcp_client_that_dies_before_connecting_fails_fast(self, tmp_path):
-        # Without a __main__ guard the spawned client re-runs the script and
-        # fails while bootstrapping, before it ever connects.
+    def test_an_unguarded_script_completes_a_tcp_run(self, tmp_path):
+        # A forked client starts in the runner's state and runs only its own
+        # session, so a script without a __main__ guard is not run again.
         script = tmp_path / "unguarded.py"
         script.write_text(
             "from fedboost.config import ExperimentConfig, two_client_noniid\n"
             "from fedboost.runner import run_experiment\n"
-            "run_experiment(ExperimentConfig(clients=two_client_noniid(100, master_seed=1),"
+            "result = run_experiment(ExperimentConfig(clients=two_client_noniid(100, master_seed=1),"
             " rounds=1, master_seed=1, transport='tcp', timeout_s=30.0))\n"
+            "print('rounds', len(result.records))\n"
         )
         src = Path(fedboost.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -373,19 +382,24 @@ class TestRunExperiment:
             [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
         )
         assert time.monotonic() - start < 10.0
-        assert proc.returncode != 0
-        assert "RoundAborted: client 1 exited with code 1 before connecting" in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rounds 1\n", "")
 
     def test_tcp_launch_at_full_scale_fails_fast_when_a_client_dies(self):
-        # The spawned "interpreter" is `false`, so the child exits without
-        # reading its spawn argument. An argument larger than the pipe (the
-        # whole client session once was) blocks the parent in start() past
-        # timeout_s; the subprocess time limit turns that hang into a failure.
+        # Client 1 is killed as soon as it is forked, with 40,000 rows per
+        # client in the splits the clients inherit; the launch names it at
+        # once, and the subprocess time limit turns any hang into a failure.
         script = (
-            "import multiprocessing.spawn, shutil\n"
+            "import multiprocessing.context\n"
             "from fedboost.config import ExperimentConfig, two_client_noniid\n"
             "from fedboost.runner import run_experiment\n"
-            "multiprocessing.spawn.set_executable(shutil.which('false'))\n"
+            "fork_start = multiprocessing.context.ForkProcess.start\n"
+            "started = []\n"
+            "def start_then_kill_client_1(proc):\n"
+            "    fork_start(proc)\n"
+            "    started.append(proc)\n"
+            "    if len(started) == 1:  # started in id order\n"
+            "        proc.kill()\n"
+            "multiprocessing.context.ForkProcess.start = start_then_kill_client_1\n"
             "run_experiment(ExperimentConfig(clients=two_client_noniid(40000, master_seed=1),"
             " rounds=1, master_seed=1, transport='tcp', timeout_s=5.0))\n"
         )
@@ -397,7 +411,7 @@ class TestRunExperiment:
         )
         assert time.monotonic() - start < 10.0
         assert proc.returncode != 0
-        assert "RoundAborted: client 1 exited with code 1 before connecting" in proc.stderr
+        assert "RoundAborted: client 1 exited with code -9 before connecting" in proc.stderr
 
 
 class TestExportMetrics:
