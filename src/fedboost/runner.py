@@ -1,8 +1,8 @@
 """Experiment orchestration: build client data, host a protocol run over the
 chosen transport (loopback: clients as one cohort in the server's thread, sent
-(kind, body) pairs; TCP: one process per client, all started at once, each
-named by the id it writes before its first frame), score the global model per
-round on the combined test set, and export metrics/model/boundary artifacts.
+(kind, body) pairs; TCP: one forked process per client, on the k-th connection
+the runner makes before its first fork), score the global model per round on
+the combined test set, and export metrics/model/boundary artifacts.
 Centralized training is a cohort of one trainer holding the pooled training
 data, run on loopback.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import struct
 import time
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -38,8 +37,6 @@ from .errors import (
     IoError,
     ProtocolViolation,
     RoundAborted,
-    TransportError,
-    TransportTimeout,
 )
 from .protocol import (
     ClientSession,
@@ -53,12 +50,10 @@ from .protocol import (
     server_run,
 )
 from .quantize import QuantConfig
-from .transport import TcpEndpoint, TcpListener, tcp_connect, tcp_listen
+from .transport import TcpEndpoint, tcp_connect, tcp_listen
 
-# How long a failed TCP launch or run waits on the other clients before naming the dead
+# How long a failed TCP run waits on the other clients before naming the dead
 _EXIT_GRACE_S = 1.0
-# A TCP client names itself by its id, 4 big-endian bytes written before its first frame
-_CLIENT_ID = struct.Struct(">I")
 
 
 @dataclass
@@ -92,79 +87,62 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 # --- transports ----------------------------------------------------------------
 
 
-def _client_process_main(address, cfg: ExperimentConfig, client_id: int, split, keypair) -> None:
-    """A forked TCP client: connect and send its id first, then run its session
-    on the split and key pair it inherited from the runner, none of them pickled."""
-    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), _CLIENT_ID.pack(client_id))
+def _client_process_main(endpoint, cfg: ExperimentConfig, client_id: int, split, keypair) -> None:
+    """A forked TCP client: run its session on the endpoint, split and key pair
+    it inherited from the runner, none of them pickled."""
     try:
         client_run(ClientSession(cfg, client_id, split, keypair), endpoint)
     finally:
         endpoint.close()
 
 
-def _claimed_id(endpoint: TcpEndpoint, n_clients: int, named: dict, deadline: float) -> int:
-    """The id a new connection sends before its first frame: in 1..n_clients,
-    and not yet claimed, as the first claim wins."""
-    try:
-        raw = endpoint.recv_preamble(_CLIENT_ID.size, deadline - time.monotonic())
-    except TransportError as exc:
-        raise ProtocolViolation(f"{endpoint.peer} sent no client id: {exc}") from exc
-    (cid,) = _CLIENT_ID.unpack(raw)
-    if cid in named or not 1 <= cid <= n_clients:
-        taken = "is taken" if cid in named else f"is outside 1..{n_clients}"
-        raise ProtocolViolation(f"{endpoint.peer} claims client {cid}, which {taken}")
-    return cid
+def _forked_client(own: TcpEndpoint, inherited: list[TcpEndpoint], *args) -> None:
+    """Release this process's copy of every connection but its own, so a death
+    or close at either end of another reaches its peer, then run the client."""
+    for endpoint in inherited:
+        if endpoint is not own:
+            endpoint.release()  # a shutdown would end the connection for every holder
+    _client_process_main(own, *args)
 
 
 @contextmanager
 def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: paillier.KeyPair | None):
-    """The server's endpoints to one forked process per client, each named by
-    the id its connection sends first; on exit all get one grace period to end,
-    and a client that exited with an error code fails the run."""
+    """The server's endpoints to one forked process per client. The runner
+    makes every connection before the first fork, so the k-th is client k's,
+    and refuses one it did not make; on exit all clients get one grace period
+    to end, and a client that exited with an error code fails the run."""
     # imported here: loopback runs never fork or wait on a sentinel
     from multiprocessing.connection import wait
-    from multiprocessing.util import register_after_fork
 
     ctx = multiprocessing.get_context("fork")
-    procs, accepted, server_eps, aborted = {}, [], {}, None
+    procs, server_eps, client_eps, aborted = {}, {}, {}, None
     try:
-        # open until the last client is named: no later connection is taken into its backlog
         with closing(tcp_listen((cfg.tcp_host, cfg.tcp_port))) as listener:
-            register_after_fork(listener, TcpListener.close)  # no client holds the listener
-            for cid, split in enumerate(splits, 1):
-                args = (listener.address, cfg, cid, split, keypair)
-                procs[cid] = ctx.Process(target=_client_process_main, args=args, daemon=True)
-                procs[cid].start()
-            # until every client is named or has exited; an exit leaves the rest one grace period
-            deadline = time.monotonic() + cfg.timeout_s
-            while waiting := {
-                p.sentinel: p for c, p in procs.items() if c not in server_eps and p.exitcode is None
-            }:
-                ready = wait([listener, *waiting], max(0.0, deadline - time.monotonic()))
-                if not ready:
-                    break
-                for obj in ready:
-                    if obj is listener:
-                        accepted.append(listener.accept(cfg.timeout_s, largest_body(cfg)))
-                        cid = _claimed_id(accepted[-1], cfg.n_clients, server_eps, deadline)
-                        server_eps[cid] = accepted[-1]
-                    else:
-                        waiting[obj].join()
-                        deadline = min(deadline, time.monotonic() + _EXIT_GRACE_S)
-        missing = sorted(set(procs) - set(server_eps))
-        dead = [cid for cid in missing if procs[cid].exitcode is not None]
-        if dead:
-            codes = (f"client {c} exited with code {procs[c].exitcode} before connecting" for c in dead)
-            raise RoundAborted("; ".join(codes))
-        if missing:
-            raise TransportTimeout(f"clients {missing} did not connect within {cfg.timeout_s}s")
+            for cid in range(1, len(splits) + 1):
+                client_eps[cid] = tcp_connect(listener.address, cfg.timeout_s, largest_body(cfg))
+                server_eps[cid] = listener.accept(cfg.timeout_s, largest_body(cfg))
+                if server_eps[cid].peer_address != client_eps[cid].address:
+                    host, port = server_eps[cid].peer_address
+                    raise ProtocolViolation(
+                        f"connection from {host}:{port} is not the runner's own, made for client {cid}"
+                    )
+        inherited = [*server_eps.values(), *client_eps.values()]
+        for cid, split in enumerate(splits, 1):
+            args = (client_eps[cid], inherited, cfg, cid, split, keypair)
+            procs[cid] = ctx.Process(target=_forked_client, args=args, daemon=True)
+            procs[cid].start()
+        # only after every start: a fork that a caller defers still inherits its end
+        for ep in client_eps.values():
+            ep.release()
         try:
             yield server_eps
         except RoundAborted as exc:
             aborted = exc
     finally:
+        for ep in client_eps.values():
+            ep.release()
         # an aborted run's clients have an ABORT to read; a close ends any other waiting client
-        for ep in [] if aborted else accepted:
+        for ep in [] if aborted else server_eps.values():
             ep.close()
         live = {proc.sentinel: proc for proc in procs.values()}
         deadline = time.monotonic() + _EXIT_GRACE_S
@@ -173,7 +151,7 @@ def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: p
                 live.pop(sentinel).join()
         # read before any terminate, so a hung client is not named as dead
         died = [f"client {c} exited with code {p.exitcode}" for c, p in procs.items() if p.exitcode]
-        for ep in accepted:
+        for ep in server_eps.values():
             ep.close()
         for proc in live.values():
             proc.terminate()

@@ -5,9 +5,7 @@ follows), one kind byte, then the body; so length == len(body) + 1.
 Frames are delivered whole or not at all. An endpoint bounds the body both
 ways: it refuses to send a longer one, and a header that declares one before
 reading it. The loopback cohort (``protocol.InThreadCohort``) passes (kind,
-body) pairs as they are. Over TCP, the connecting side may write a raw
-preamble before its first frame (the runner's client id); it is not a frame,
-so no frame count or transcript holds it.
+body) pairs as they are. Nothing but frames crosses a TCP connection.
 """
 
 from __future__ import annotations
@@ -30,14 +28,19 @@ def encode_frame(kind: int, body: bytes) -> bytes:
 class TcpEndpoint:
     """Framed stream over one connected socket; reassembles partial reads.
     A body longer than ``max_body`` is refused: a sent one before it is
-    written, a received one from its header, before it is read. ``peer``
-    names the remote end in errors."""
+    written, a received one from its header, before it is read.
+    ``peer_address`` is the remote end's (host, port) as accepted, if it was."""
 
-    def __init__(self, sock: socket.socket, max_body: int, peer: str = ""):
+    def __init__(self, sock: socket.socket, max_body: int, peer_address: tuple[str, int] | None = None):
         self._sock = sock
         self._limit = max_body + 1
-        self.peer = peer
+        self.peer_address = peer_address
         self._closed = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        """This end's (host, port)."""
+        return self._sock.getsockname()[:2]
 
     def send(self, kind: int, body: bytes) -> None:
         if self._closed:
@@ -81,18 +84,20 @@ class TcpEndpoint:
         payload = self._recv_exact(length, deadline)
         return payload[0], payload[1:]
 
-    def recv_preamble(self, nbytes: int, timeout: float) -> bytes:
-        """The ``nbytes`` the peer wrote before its first frame."""
-        return self._recv_exact(nbytes, time.monotonic() + timeout)
+    def release(self) -> None:
+        """Close this process's descriptor only: the connection stays open
+        while a forked copy of the socket holds it."""
+        self._closed = True
+        self._sock.close()
 
     def close(self) -> None:
+        """End the connection for every holder of the socket, then release it."""
         if not self._closed:
-            self._closed = True
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            self._sock.close()
+            self.release()
 
 
 class TcpListener:
@@ -103,10 +108,6 @@ class TcpListener:
     def address(self) -> tuple[str, int]:
         return self._sock.getsockname()[:2]
 
-    def fileno(self) -> int:
-        """The listening socket's descriptor, readable when a client is waiting."""
-        return self._sock.fileno()
-
     def accept(self, timeout: float, max_body: int) -> TcpEndpoint:
         self._sock.settimeout(timeout)
         try:
@@ -116,7 +117,7 @@ class TcpListener:
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return TcpEndpoint(conn, max_body, f"connection from {peer[0]}:{peer[1]}")
+        return TcpEndpoint(conn, max_body, peer[:2])
 
     def close(self) -> None:
         self._sock.close()
@@ -135,14 +136,10 @@ def tcp_listen(addr: tuple[str, int]) -> TcpListener:
     return TcpListener(sock)
 
 
-def tcp_connect(
-    addr: tuple[str, int], timeout: float, max_body: int, preamble: bytes = b""
-) -> TcpEndpoint:
-    """An endpoint to ``addr`` that has written ``preamble``, raw, before any frame."""
+def tcp_connect(addr: tuple[str, int], timeout: float, max_body: int) -> TcpEndpoint:
     host, port = addr
     try:
         sock = socket.create_connection(addr, timeout=timeout)
-        sock.sendall(preamble)
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

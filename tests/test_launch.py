@@ -1,12 +1,12 @@
-"""The TCP launch: every client process is forked at once and names itself by
-the 4-byte id it writes before its first frame.
+"""The TCP launch: the runner makes every connection before it forks, so the
+k-th is client k's, then forks each client with its own end.
 
 Each run swaps one of the stand-in clients below in for
 runner._client_process_main. A forked client calls the swapped-in name, so a
 stand-in that runs the real client calls CLIENT_MAIN, taken at import.
-Every case leaves no child process, and every case but the silent connection
-and the client that never connects, which end at their deadline, ends well
-within its timeout_s."""
+Every case leaves no child process, and every case but the client that never
+sends its first frame, which ends at its deadline, ends well within its
+timeout_s."""
 
 import json
 import multiprocessing
@@ -20,7 +20,7 @@ import pytest
 
 from fedboost import runner
 from fedboost.config import ExperimentConfig, two_client_noniid
-from fedboost.errors import ProtocolViolation, RoundAborted, TransportError, TransportTimeout
+from fedboost.errors import ProtocolViolation, RoundAborted, TransportError
 from fedboost.protocol import (
     ClientSession,
     Message,
@@ -29,7 +29,7 @@ from fedboost.protocol import (
     encode_message,
     largest_body,
 )
-from fedboost.transport import tcp_connect, tcp_listen
+from fedboost.transport import tcp_listen
 
 TIMEOUT_S = 20.0
 CLIENT_MAIN = runner._client_process_main
@@ -49,10 +49,8 @@ def tcp_config(n_clients: int = 2, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**base, **overrides})
 
 
-def _claim(address, cfg, claimed_id: int) -> None:
-    """Connect as ``claimed_id``, then read frames, ABORT included, until the
-    server closes the channel."""
-    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", claimed_id))
+def _read_until_closed(endpoint, cfg) -> None:
+    """Read frames, ABORT included, until the server closes the channel."""
     try:
         while True:
             endpoint.recv(cfg.timeout_s)
@@ -62,61 +60,33 @@ def _claim(address, cfg, claimed_id: int) -> None:
         endpoint.close()
 
 
-def both_claim_client_1(address, cfg, client_id, split, keypair):
-    _claim(address, cfg, 1)
-
-
-def client_2_claims_an_unknown_id(address, cfg, client_id, split, keypair):
-    _claim(address, cfg, client_id if client_id == 1 else cfg.n_clients + 1)
-
-
-def client_2_closes_before_its_id(address, cfg, client_id, split, keypair):
-    if client_id == 1:
-        _claim(address, cfg, 1)
-    else:
-        socket.create_connection(address).close()
-        time.sleep(0.5)  # alive while the server reads the closed connection
-
-
-def client_2_stays_silent(address, cfg, client_id, split, keypair):
-    if client_id == 1:
-        _claim(address, cfg, 1)
-    else:
-        with socket.create_connection(address) as sock:
-            sock.recv(1)  # until the server closes the connection
-
-
-def both_exit_before_connecting(address, cfg, client_id, split, keypair):
+def both_exit_at_start(endpoint, cfg, client_id, split, keypair):
     os._exit(3 + client_id)
 
 
-def client_1_dies_after_the_broadcast(address, cfg, client_id, split, keypair):
+def client_1_dies_after_the_broadcast(endpoint, cfg, client_id, split, keypair):
     if client_id == 1:
-        endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
         endpoint.recv(cfg.timeout_s)
         os._exit(3)
-    _claim(address, cfg, client_id)
+    _read_until_closed(endpoint, cfg)
 
 
-def client_1_dies_and_the_others_stop_reading(address, cfg, client_id, split, keypair):
+def client_1_dies_and_the_others_stop_reading(endpoint, cfg, client_id, split, keypair):
     if client_id == 1:
-        client_1_dies_after_the_broadcast(address, cfg, client_id, split, keypair)
-    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", client_id))
+        client_1_dies_after_the_broadcast(endpoint, cfg, client_id, split, keypair)
     time.sleep(cfg.timeout_s)  # alive, with its channel open, and reads nothing
     endpoint.close()
 
 
-def client_2_never_connects(address, cfg, client_id, split, keypair):
-    if client_id == 1:
-        _claim(address, cfg, 1)
-    else:
-        time.sleep(TIMEOUT_S)  # alive, and never connects
+def client_2_never_sends_its_first_frame(endpoint, cfg, client_id, split, keypair):
+    if client_id != 2:
+        return CLIENT_MAIN(endpoint, cfg, client_id, split, keypair)
+    time.sleep(TIMEOUT_S)  # alive, with its channel open, and sends nothing
 
 
-def client_1_aborts_after_the_broadcast(address, cfg, client_id, split, keypair):
+def client_1_aborts_after_the_broadcast(endpoint, cfg, client_id, split, keypair):
     if client_id != 1:
-        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
-    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 1))
+        return CLIENT_MAIN(endpoint, cfg, client_id, split, keypair)
     try:
         endpoint.recv(cfg.timeout_s)
         endpoint.send(*encode_message(Message(MessageKind.ABORT, 1, {"reason": "gives up"}), cfg))
@@ -124,20 +94,18 @@ def client_1_aborts_after_the_broadcast(address, cfg, client_id, split, keypair)
         endpoint.close()
 
 
-def client_1_declares_an_oversize_upload(address, cfg, client_id, split, keypair):
+def client_1_declares_an_oversize_upload(endpoint, cfg, client_id, split, keypair):
     if client_id != 1:
-        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
-    with socket.create_connection(address) as sock:
-        # its id, the prefix of a 10,000,001-byte TRAIN_RESULT frame, then 1,000 of its bytes
-        sock.sendall(struct.pack(">IIB", 1, 10_000_001, MessageKind.TRAIN_RESULT) + bytes(999))
-        while sock.recv(4096):
-            pass
+        return CLIENT_MAIN(endpoint, cfg, client_id, split, keypair)
+    # the prefix of a 10,000,001-byte TRAIN_RESULT frame, then 1,000 of its bytes,
+    # written past the endpoint, which refuses to send a body over its bound
+    endpoint._sock.sendall(struct.pack(">IB", 10_000_001, MessageKind.TRAIN_RESULT) + bytes(999))
+    _read_until_closed(endpoint, cfg)
 
 
-def client_2_exits_with_code_3_after_the_run(address, cfg, client_id, split, keypair):
+def client_2_exits_with_code_3_after_the_run(endpoint, cfg, client_id, split, keypair):
     if client_id != 2:
-        return CLIENT_MAIN(address, cfg, client_id, split, keypair)
-    endpoint = tcp_connect(address, cfg.timeout_s, largest_body(cfg), struct.pack(">I", 2))
+        return CLIENT_MAIN(endpoint, cfg, client_id, split, keypair)
     # the session ends once it has checked the final MERGED_GRADIENT
     client_run(ClientSession(cfg, 2, split, keypair), endpoint)
     os._exit(3)  # without closing its channel
@@ -154,34 +122,30 @@ def _run(monkeypatch, cfg, client_main):
 _CONNECTION = r"connection from 127\.0\.0\.1:\d+"
 
 
-@pytest.mark.parametrize(
-    "client_main, cause",
-    [
-        (both_claim_client_1, rf"^{_CONNECTION} claims client 1, which is taken$"),
-        (client_2_claims_an_unknown_id, rf"^{_CONNECTION} claims client 3, which is outside 1\.\.2$"),
-        (
-            client_2_closes_before_its_id,
-            rf"^{_CONNECTION} sent no client id: connection closed mid-stream$",
-        ),
-    ],
-    ids=["duplicate", "out_of_range", "closed"],
-)
-def test_a_bad_client_id_is_refused_naming_the_connection(monkeypatch, client_main, cause):
+def test_a_connection_the_runner_did_not_make_is_refused_before_any_fork(monkeypatch):
+    # a stranger connects between the listen and the runner's first connect,
+    # so the first connection the runner accepts is not its own
+    strangers, started = [], []
+
+    def listen_then_let_a_stranger_in(addr):
+        listener = tcp_listen(addr)
+        strangers.append(socket.create_connection(listener.address, timeout=1.0))
+        return listener
+
+    monkeypatch.setattr(runner, "tcp_listen", listen_then_let_a_stranger_in)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", lambda proc: started.append(proc))
     start = time.monotonic()
+    cause = rf"^{_CONNECTION} is not the runner's own, made for client 1$"
     with pytest.raises(ProtocolViolation, match=cause):
-        _run(monkeypatch, tcp_config(), client_main)
-    assert time.monotonic() - start < TIMEOUT_S / 4
+        runner.run_experiment(tcp_config(timeout_s=10.0))
+    assert time.monotonic() - start < 1.0
+    assert started == []
+    assert multiprocessing.active_children() == []
+    with strangers[0] as stranger:
+        assert stranger.recv(1) == b""
 
 
-def test_a_silent_connection_is_refused_at_the_deadline(monkeypatch):
-    cfg = tcp_config(timeout_s=1.5)
-    start = time.monotonic()
-    with pytest.raises(ProtocolViolation, match=rf"^{_CONNECTION} sent no client id: read deadline"):
-        _run(monkeypatch, cfg, client_2_stays_silent)
-    assert time.monotonic() - start < cfg.timeout_s + 2.0
-
-
-def test_a_client_killed_before_it_connects_ends_the_wait(monkeypatch):
+def test_a_client_killed_at_start_is_found_at_the_first_exchange(monkeypatch):
     fork_start = multiprocessing.context.ForkProcess.start
     started, killed_at = [], []
 
@@ -193,19 +157,49 @@ def test_a_client_killed_before_it_connects_ends_the_wait(monkeypatch):
             killed_at.append(time.monotonic())
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_kill_client_2)
-    with pytest.raises(RoundAborted, match=r"^client 2 exited with code -9 before connecting$"):
+    cause = r"^(sending GLOBAL_GRADIENT to|waiting for TRAIN_RESULT from) client 2 in round 1: "
+    with pytest.raises(RoundAborted, match=rf"{cause}.+; client 2 exited with code -9$"):
         runner.run_experiment(tcp_config())
     assert time.monotonic() - killed_at[0] < 1.0
     assert multiprocessing.active_children() == []
 
 
-def test_every_client_that_exits_before_connecting_is_named_in_id_order(monkeypatch):
+def test_every_client_that_exits_at_start_is_named_in_id_order(monkeypatch):
     cause = (
-        r"^client 1 exited with code 4 before connecting; "
-        r"client 2 exited with code 5 before connecting$"
+        r"^(sending GLOBAL_GRADIENT to|waiting for TRAIN_RESULT from) client 1 in round 1: .+; "
+        r"client 1 exited with code 4; client 2 exited with code 5$"
     )
     with pytest.raises(RoundAborted, match=cause):
-        _run(monkeypatch, tcp_config(), both_exit_before_connecting)
+        _run(monkeypatch, tcp_config(), both_exit_at_start)
+
+
+def test_a_server_end_closed_without_shutdown_ends_its_client_at_once(monkeypatch):
+    # as when the kernel closes a killed runner's sockets: no client holds a
+    # copy of the server's end to client 1, so client 1 reads the close
+    fork_start = multiprocessing.context.ForkProcess.start
+    started, exited_after = [], []
+
+    class Released(Exception):
+        pass
+
+    def start(proc):
+        fork_start(proc)
+        started.append(proc)
+
+    def release_client_1(settings, endpoints, transcript=None):
+        endpoints[1].release()
+        released_at = time.monotonic()
+        started[0].join(timeout=5.0)
+        exited_after.append(time.monotonic() - released_at)
+        raise Released
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    monkeypatch.setattr(runner, "server_run", release_client_1)
+    with pytest.raises(Released):
+        runner.run_experiment(tcp_config())
+    assert started[0].exitcode is not None
+    assert exited_after[0] < 1.0
+    assert multiprocessing.active_children() == []
 
 
 def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp_path):
@@ -276,13 +270,14 @@ def test_an_abort_from_a_client_that_exits_cleanly_is_raised_as_sent(monkeypatch
     assert time.monotonic() - start < cfg.timeout_s / 4
 
 
-def test_a_client_that_never_connects_times_out_the_launch(monkeypatch):
-    # the launch deadline, then one grace period for the clients still alive,
+def test_a_client_that_never_sends_its_first_frame_times_out_the_run(monkeypatch):
+    # the read deadline, then one grace period for the clients still alive,
     # with half a grace period of slack for the launch and the terminate
     cfg = tcp_config(timeout_s=1.0)
     start = time.monotonic()
-    with pytest.raises(TransportTimeout, match=r"^clients \[2\] did not connect within 1\.0s$"):
-        _run(monkeypatch, cfg, client_2_never_connects)
+    cause = r"^waiting for TRAIN_RESULT from client 2 in round 1: read deadline exceeded$"
+    with pytest.raises(RoundAborted, match=cause):
+        _run(monkeypatch, cfg, client_2_never_sends_its_first_frame)
     elapsed = time.monotonic() - start
     assert cfg.timeout_s + runner._EXIT_GRACE_S <= elapsed < cfg.timeout_s + 1.5 * runner._EXIT_GRACE_S
 

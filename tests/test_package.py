@@ -17,7 +17,6 @@ PROGRAM_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
 
 # Definitions the program reaches without naming them, and why
 CALLED_FROM_ELSEWHERE = {
-    "transport.TcpListener.fileno": "multiprocessing.connection.wait calls it on the listener",
     "config.ExperimentConfig.optimizer": "tests/test_acceptance.py, the fixed contract, reads it",
 }
 

@@ -386,8 +386,9 @@ class TestRunExperiment:
 
     def test_tcp_launch_at_full_scale_fails_fast_when_a_client_dies(self):
         # Client 1 is killed as soon as it is forked, with 40,000 rows per
-        # client in the splits the clients inherit; the launch names it at
-        # once, and the subprocess time limit turns any hang into a failure.
+        # client in the splits the clients inherit; the server finds it at its
+        # first exchange, and the subprocess time limit turns any hang into a
+        # failure.
         script = (
             "import multiprocessing.context\n"
             "from fedboost.config import ExperimentConfig, two_client_noniid\n"
@@ -411,7 +412,8 @@ class TestRunExperiment:
         )
         assert time.monotonic() - start < 10.0
         assert proc.returncode != 0
-        assert "RoundAborted: client 1 exited with code -9 before connecting" in proc.stderr
+        found = r"RoundAborted: .*\bclient 1 in round 1: .+; client 1 exited with code -9$"
+        assert re.search(found, proc.stderr, re.MULTILINE)
 
 
 class TestExportMetrics:
