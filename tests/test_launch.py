@@ -29,7 +29,7 @@ from fedboost.protocol import (
     encode_message,
     largest_body,
 )
-from fedboost.transport import tcp_listen
+from fedboost.transport import tcp_connect, tcp_listen
 
 TIMEOUT_S = 20.0
 CLIENT_MAIN = runner._client_process_main
@@ -122,27 +122,36 @@ def _run(monkeypatch, cfg, client_main):
 _CONNECTION = r"connection from 127\.0\.0\.1:\d+"
 
 
-def test_a_connection_the_runner_did_not_make_is_refused_before_any_fork(monkeypatch):
-    # a stranger connects between the listen and the runner's first connect,
-    # so the first connection the runner accepts is not its own
-    strangers, started = [], []
+@pytest.mark.parametrize(
+    "client_id, closed", [(1, False), (2, False), (1, True)], ids=["first", "second", "closed"]
+)
+def test_a_connection_the_runner_did_not_make_is_refused_before_any_fork(monkeypatch, client_id, closed):
+    # a stranger connects just before the runner's own connect for client_id,
+    # so the connection the runner accepts for that client is not its own; a
+    # stranger that has already closed is still accepted, and refused
+    strangers, connects, started = [], [], []
 
-    def listen_then_let_a_stranger_in(addr):
-        listener = tcp_listen(addr)
-        strangers.append(socket.create_connection(listener.address, timeout=1.0))
-        return listener
+    def let_a_stranger_in_then_connect(addr, *args):
+        connects.append(addr)
+        if len(connects) == client_id:
+            strangers.append(socket.create_connection(addr, timeout=1.0))
+            if closed:
+                strangers.pop().close()
+        return tcp_connect(addr, *args)
 
-    monkeypatch.setattr(runner, "tcp_listen", listen_then_let_a_stranger_in)
+    monkeypatch.setattr(runner, "tcp_connect", let_a_stranger_in_then_connect)
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", lambda proc: started.append(proc))
     start = time.monotonic()
-    cause = rf"^{_CONNECTION} is not the runner's own, made for client 1$"
+    cause = rf"^{_CONNECTION} is not the runner's own, made for client {client_id}$"
     with pytest.raises(ProtocolViolation, match=cause):
         runner.run_experiment(tcp_config(timeout_s=10.0))
     assert time.monotonic() - start < 1.0
+    assert len(connects) == client_id
     assert started == []
     assert multiprocessing.active_children() == []
-    with strangers[0] as stranger:
-        assert stranger.recv(1) == b""
+    for stranger in strangers:
+        with stranger:
+            assert stranger.recv(1) == b""
 
 
 def test_a_client_killed_at_start_is_found_at_the_first_exchange(monkeypatch):

@@ -159,6 +159,7 @@ class TestTcp:
         with pytest.raises(ProtocolViolation):
             server_ep.recv(timeout=5)
         thread.join()
+        server_ep.close()
         listener.close()
 
     def test_oversize_declared_length_rejected(self):
@@ -176,6 +177,7 @@ class TestTcp:
         with pytest.raises(ProtocolViolation, match="^declared length 10000 exceeds limit 64$"):
             server_ep.recv(timeout=5)
         thread.join()
+        server_ep.close()
         listener.close()
 
     def test_header_over_the_body_bound_is_refused_before_the_body(self):
