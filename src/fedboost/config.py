@@ -57,8 +57,6 @@ class ExperimentConfig:
     n_hidden: int = 8
     timeout_s: float = 60.0
     transport: str = "loopback"
-    tcp_host: str = "127.0.0.1"
-    tcp_port: int = 0  # 0 picks an ephemeral port
     out_dir: str | None = None
     master_seed: int = 0
 
@@ -105,8 +103,6 @@ class ExperimentConfig:
             raise ConfigError("n_hidden", f"must be >= 1, got {self.n_hidden}")
         if not (0 < self.timeout_s < math.inf):
             raise ConfigError("timeout_s", f"must be finite and > 0, got {self.timeout_s}")
-        if not (0 <= self.tcp_port <= 65535):
-            raise ConfigError("tcp_port", f"must lie in [0, 65535], got {self.tcp_port}")
         for i, client in enumerate(self.clients):
             if not client.clusters:
                 raise ConfigError(f"clients[{i}].clusters", "must not be empty")

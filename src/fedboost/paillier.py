@@ -98,7 +98,7 @@ class KeyPair:
     h_p: int  # (-q)^-1 mod p, which is L_p(g^(p-1) mod p^2)^-1 for g = n+1
     h_q: int  # (-p)^-1 mod q
     p_sq_inv: int  # (p^2)^-1 mod q^2
-    # ciphertext value -> plaintext; pickled empty, and a forked TCP client inherits it as it stands
+    # ciphertext value -> plaintext; a forked TCP client inherits it as it stands
     plaintexts: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -111,18 +111,11 @@ class KeyPair:
             self.plaintexts.clear()
         self.plaintexts[c.value] = m
 
-    def __getstate__(self) -> dict:
-        unpickled = ("plaintexts", "_nonce_tables")
-        return {k: v for k, v in self.__dict__.items() if k not in unpickled}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, plaintexts={})
-
     @cached_property
     def _nonce_tables(self) -> tuple[tuple[int, list[int]], ...]:
         """(p^2, powers of h_s mod p^2) and the same for q^2: h_s^(2^(w*i))
         for each w-bit window of the nonce exponent. Built at the first
-        encrypt, as keygen is timed, and like the memo never pickled."""
+        encrypt, as keygen is timed, and like the memo never compared."""
         h, windows = self.public.h, -(-self.public.nonce_bits // _WINDOW_BITS)
         tables = []
         for prime, other in ((self.p, self.q), (self.q, self.p)):

@@ -1,8 +1,9 @@
 """Experiment orchestration: build client data, host a protocol run over the
 chosen transport (loopback: clients as one cohort in the server's thread, sent
-(kind, body) pairs; TCP: one forked process per client, on the k-th connection
-the runner makes before its first fork), score the global model per round on
-the combined test set, and export metrics/model/boundary artifacts.
+(kind, body) pairs; TCP: one forked process per client, holding the client end
+of the k-th pair ``transport.tcp_pairs`` made before the first fork), score
+the global model per round on the combined test set, and export
+metrics/model/boundary artifacts.
 Centralized training is a cohort of one trainer holding the pooled training
 data, run on loopback.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .protocol import (
     server_run,
 )
 from .quantize import QuantConfig
-from .transport import TcpEndpoint, tcp_connect, tcp_listen
+from .transport import TcpEndpoint, tcp_pairs
 
 # How long a failed TCP run waits on the other clients before naming the dead
 _EXIT_GRACE_S = 1.0
@@ -107,39 +108,33 @@ def _forked_client(own: TcpEndpoint, inherited: list[TcpEndpoint], *args) -> Non
 
 @contextmanager
 def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: paillier.KeyPair | None):
-    """The server's endpoints to one forked process per client. The runner
-    makes every connection before the first fork, so the k-th is client k's,
-    and refuses one it did not make; on exit all clients get one grace period
-    to end, and a client that exited with an error code fails the run."""
+    """The server's endpoints to one forked process per client. Every pair is
+    made before the first fork, and client k is forked holding the client end
+    of the k-th; on exit all clients get one grace period to end, and a client
+    that exited with an error code fails the run."""
     # imported here: loopback runs never fork or wait on a sentinel
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    procs, server_eps, client_eps, aborted = {}, {}, {}, None
+    pairs = tcp_pairs(len(splits), cfg.timeout_s, largest_body(cfg))
+    server_eps = {cid: server for cid, (server, _) in enumerate(pairs, 1)}
+    client_eps = [client for _, client in pairs]
+    inherited = [end for pair in pairs for end in pair]
+    procs, aborted = {}, None
     try:
-        with closing(tcp_listen((cfg.tcp_host, cfg.tcp_port))) as listener:
-            for cid in range(1, len(splits) + 1):
-                client_eps[cid] = tcp_connect(listener.address, cfg.timeout_s, largest_body(cfg))
-                server_eps[cid] = listener.accept(cfg.timeout_s, largest_body(cfg))
-                if server_eps[cid].peer_address != client_eps[cid].address:
-                    host, port = server_eps[cid].peer_address
-                    raise ProtocolViolation(
-                        f"connection from {host}:{port} is not the runner's own, made for client {cid}"
-                    )
-        inherited = [*server_eps.values(), *client_eps.values()]
-        for cid, split in enumerate(splits, 1):
-            args = (client_eps[cid], inherited, cfg, cid, split, keypair)
+        for cid, (split, own) in enumerate(zip(splits, client_eps), 1):
+            args = (own, inherited, cfg, cid, split, keypair)
             procs[cid] = ctx.Process(target=_forked_client, args=args, daemon=True)
             procs[cid].start()
         # only after every start: a fork that a caller defers still inherits its end
-        for ep in client_eps.values():
+        for ep in client_eps:
             ep.release()
         try:
             yield server_eps
         except RoundAborted as exc:
             aborted = exc
     finally:
-        for ep in client_eps.values():
+        for ep in client_eps:
             ep.release()
         # an aborted run's clients have an ABORT to read; a close ends any other waiting client
         for ep in [] if aborted else server_eps.values():

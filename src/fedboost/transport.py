@@ -5,7 +5,8 @@ follows), one kind byte, then the body; so length == len(body) + 1.
 Frames are delivered whole or not at all. An endpoint bounds the body both
 ways: it refuses to send a longer one, and a header that declares one before
 reading it. The loopback cohort (``protocol.InThreadCohort``) passes (kind,
-body) pairs as they are. Nothing but frames crosses a TCP connection.
+body) pairs as they are. Nothing but frames crosses a TCP connection, and
+every one is made, both ends, by ``tcp_pairs`` in one process on loopback.
 """
 
 from __future__ import annotations
@@ -28,19 +29,12 @@ def encode_frame(kind: int, body: bytes) -> bytes:
 class TcpEndpoint:
     """Framed stream over one connected socket; reassembles partial reads.
     A body longer than ``max_body`` is refused: a sent one before it is
-    written, a received one from its header, before it is read.
-    ``peer_address`` is the remote end's (host, port) as accepted, if it was."""
+    written, a received one from its header, before it is read."""
 
-    def __init__(self, sock: socket.socket, max_body: int, peer_address: tuple[str, int] | None = None):
+    def __init__(self, sock: socket.socket, max_body: int):
         self._sock = sock
         self._limit = max_body + 1
-        self.peer_address = peer_address
         self._closed = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """This end's (host, port)."""
-        return self._sock.getsockname()[:2]
 
     def send(self, kind: int, body: bytes) -> None:
         if self._closed:
@@ -100,48 +94,32 @@ class TcpEndpoint:
             self.release()
 
 
-class TcpListener:
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()[:2]
-
-    def accept(self, timeout: float, max_body: int) -> TcpEndpoint:
-        self._sock.settimeout(timeout)
-        try:
-            conn, peer = self._sock.accept()
-        except socket.timeout:
-            raise TransportTimeout(f"no connection within {timeout}s") from None
-        except OSError as exc:
-            raise TransportError(f"accept failed: {exc}") from exc
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return TcpEndpoint(conn, max_body, peer[:2])
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-def tcp_listen(addr: tuple[str, int]) -> TcpListener:
-    host, port = addr
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+def tcp_pairs(count: int, timeout: float, max_body: int) -> list[tuple[TcpEndpoint, TcpEndpoint]]:
+    """``count`` connected (server end, client end) pairs, made one at a time
+    through a listener on an ephemeral loopback port, closed after the last.
+    The k-th connection accepted must be the k-th made here, so none from
+    outside this process is ever served. A failure closes every socket made."""
+    socks, pairs = [], []
     try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen()
-    except OSError as exc:
-        sock.close()
-        raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
-    return TcpListener(sock)
-
-
-def tcp_connect(addr: tuple[str, int], timeout: float, max_body: int) -> TcpEndpoint:
-    host, port = addr
-    try:
-        sock = socket.create_connection(addr, timeout=timeout)
-    except OSError as exc:
-        raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(None)
-    return TcpEndpoint(sock, max_body)
+        socks.append(listener := socket.create_server(("127.0.0.1", 0)))
+        listener.settimeout(timeout)
+        for k in range(1, count + 1):
+            socks.append(client := socket.create_connection(listener.getsockname(), timeout=timeout))
+            server, (host, port, *_) = listener.accept()
+            socks.append(server)
+            if (host, port) != client.getsockname()[:2]:
+                raise ProtocolViolation(
+                    f"connection from {host}:{port} is not the runner's own, made for client {k}"
+                )
+            for sock in (server, client):
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(None)
+            pairs.append((TcpEndpoint(server, max_body), TcpEndpoint(client, max_body)))
+    except BaseException as exc:
+        for sock in socks:
+            sock.close()
+        if isinstance(exc, OSError):
+            raise TransportError(f"cannot make TCP pair {len(pairs) + 1}: {exc}") from exc
+        raise
+    listener.close()
+    return pairs

@@ -131,8 +131,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "field, value, detail",
         [
-            ("tcp_port", 70000, "tcp_port: must lie in [0, 65535], got 70000"),
-            ("tcp_port", -1, "tcp_port: must lie in [0, 65535], got -1"),
+            # the runner picks an ephemeral loopback port itself; no field sets one
+            ("tcp_port", 0, "tcp_port: unknown field"),
             ("timeout_s", math.nan, "timeout_s: must be finite and > 0, got nan"),
             ("timeout_s", math.inf, "timeout_s: must be finite and > 0, got inf"),
             ("learning_rate", math.nan, "learning_rate: must be finite and > 0, got nan"),
@@ -194,7 +194,7 @@ class TestRunCommand:
     def test_unusable_value_exits_with_json_error_naming_it(
         self, tmp_path, tiny_config_path, capsys, field, value, detail
     ):
-        # json reads NaN and Infinity literals; a TCP run would take the port to bind()
+        # json reads NaN and Infinity literals
         data = json.loads(tiny_config_path.read_text())
         data.update({field: value, "transport": "tcp"})
         bad = tmp_path / "bad.json"

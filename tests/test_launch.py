@@ -1,5 +1,6 @@
-"""The TCP launch: the runner makes every connection before it forks, so the
-k-th is client k's, then forks each client with its own end.
+"""The TCP launch: the runner makes every pair with ``transport.tcp_pairs``
+before it forks, so the k-th is client k's, then forks each client with its
+own end.
 
 Each run swaps one of the stand-in clients below in for
 runner._client_process_main. A forked client calls the swapped-in name, so a
@@ -29,7 +30,6 @@ from fedboost.protocol import (
     encode_message,
     largest_body,
 )
-from fedboost.transport import tcp_connect, tcp_listen
 
 TIMEOUT_S = 20.0
 CLIENT_MAIN = runner._client_process_main
@@ -130,16 +130,17 @@ def test_a_connection_the_runner_did_not_make_is_refused_before_any_fork(monkeyp
     # so the connection the runner accepts for that client is not its own; a
     # stranger that has already closed is still accepted, and refused
     strangers, connects, started = [], [], []
+    create_connection = socket.create_connection
 
-    def let_a_stranger_in_then_connect(addr, *args):
+    def let_a_stranger_in_then_connect(addr, *args, **kwargs):
         connects.append(addr)
         if len(connects) == client_id:
-            strangers.append(socket.create_connection(addr, timeout=1.0))
+            strangers.append(create_connection(addr, timeout=1.0))
             if closed:
                 strangers.pop().close()
-        return tcp_connect(addr, *args)
+        return create_connection(addr, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "tcp_connect", let_a_stranger_in_then_connect)
+    monkeypatch.setattr(socket, "create_connection", let_a_stranger_in_then_connect)
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", lambda proc: started.append(proc))
     start = time.monotonic()
     cause = rf"^{_CONNECTION} is not the runner's own, made for client {client_id}$"
@@ -316,10 +317,11 @@ def test_no_connection_is_taken_once_every_client_is_named(monkeypatch):
     # neither the runner nor a forked client holds the listener any longer, so
     # the kernel refuses a new connection instead of queueing it
     addresses, alive = [], []
+    create_server = socket.create_server
 
-    def listen(addr):
-        listener = tcp_listen(addr)
-        addresses.append(listener.address)
+    def listen(addr, *args, **kwargs):
+        listener = create_server(addr, *args, **kwargs)
+        addresses.append(listener.getsockname())
         return listener
 
     serve = runner.server_run
@@ -330,7 +332,7 @@ def test_no_connection_is_taken_once_every_client_is_named(monkeypatch):
             socket.create_connection(addresses[0], timeout=1.0)
         return serve(settings, endpoints, transcript)
 
-    monkeypatch.setattr(runner, "tcp_listen", listen)
+    monkeypatch.setattr(socket, "create_server", listen)
     monkeypatch.setattr(runner, "server_run", connect_then_serve)
     runner.run_experiment(tcp_config())
     assert alive == [2]

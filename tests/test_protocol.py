@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import json
 import math
-import pickle
 import socket
 import struct
 import sys
@@ -1713,7 +1712,7 @@ class TestClientSession:
         keypair = cohort_key(settings)
         # each session holds its own copy of the key pair, as in a TCP client process
         sessions = [
-            ClientSession(settings, cid, client_split(cid), pickle.loads(pickle.dumps(keypair)))
+            ClientSession(settings, cid, client_split(cid), dataclasses.replace(keypair))
             for cid in (1, 2)
         ]
         uploads = []

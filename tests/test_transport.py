@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -93,22 +94,21 @@ class TestFrameCodec:
             receiver.close()
 
 
+@contextmanager
+def connected(max_body: int = BOUND):
+    """The (client, server) ends of one pair from ``tcp_pairs``, closed on exit."""
+    [(server, client)] = transport.tcp_pairs(1, 5.0, max_body)
+    try:
+        yield client, server
+    finally:
+        client.close()
+        server.close()
+
+
 @pytest.fixture()
 def tcp_pair():
-    listener = transport.tcp_listen(("127.0.0.1", 0))
-    client_box = {}
-
-    def _connect():
-        client_box["ep"] = transport.tcp_connect(listener.address, 5.0, BOUND)
-
-    thread = threading.Thread(target=_connect)
-    thread.start()
-    server_ep = listener.accept(timeout=5, max_body=BOUND)
-    thread.join()
-    yield client_box["ep"], server_ep
-    client_box["ep"].close()
-    server_ep.close()
-    listener.close()
+    with connected() as pair:
+        yield pair
 
 
 class TestTcp:
@@ -123,103 +123,94 @@ class TestTcp:
         client.send(8, body)
         assert server.recv(timeout=5) == (8, body)
 
-    def test_split_frame_reassembled(self):
-        # the frame is pushed through the raw socket in two delayed segments
-        listener = transport.tcp_listen(("127.0.0.1", 0))
+    def test_split_frame_reassembled(self, tcp_pair):
+        # the frame is pushed through the raw client socket in two delayed segments
+        client, server_ep = tcp_pair
         frame = transport.encode_frame(4, b"split across segments")
 
         def _send_in_pieces():
-            raw = socket.create_connection(listener.address)
-            raw.sendall(frame[:7])
+            client._sock.sendall(frame[:7])
             time.sleep(0.05)
-            raw.sendall(frame[7:])
-            time.sleep(0.05)
-            raw.close()
+            client._sock.sendall(frame[7:])
 
         thread = threading.Thread(target=_send_in_pieces)
         thread.start()
-        server_ep = listener.accept(timeout=5, max_body=BOUND)
         assert server_ep.recv(timeout=5) == (4, b"split across segments")
         thread.join()
-        server_ep.close()
-        listener.close()
 
-    def test_zero_declared_length_violates_protocol(self):
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-
-        def _send_bad():
-            raw = socket.create_connection(listener.address)
-            raw.sendall(struct.pack(">I", 0))
-            time.sleep(0.1)
-            raw.close()
-
-        thread = threading.Thread(target=_send_bad)
-        thread.start()
-        server_ep = listener.accept(timeout=5, max_body=BOUND)
+    def test_zero_declared_length_violates_protocol(self, tcp_pair):
+        client, server_ep = tcp_pair
+        client._sock.sendall(struct.pack(">I", 0))
         with pytest.raises(ProtocolViolation):
             server_ep.recv(timeout=5)
-        thread.join()
-        server_ep.close()
-        listener.close()
 
     def test_oversize_declared_length_rejected(self):
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-
-        def _send_big():
-            raw = socket.create_connection(listener.address)
-            raw.sendall(struct.pack(">I", 10_000))
-            time.sleep(0.1)
-            raw.close()
-
-        thread = threading.Thread(target=_send_big)
-        thread.start()
-        server_ep = listener.accept(timeout=5, max_body=63)
-        with pytest.raises(ProtocolViolation, match="^declared length 10000 exceeds limit 64$"):
-            server_ep.recv(timeout=5)
-        thread.join()
-        server_ep.close()
-        listener.close()
+        with connected(max_body=63) as (client, server_ep):
+            client._sock.sendall(struct.pack(">I", 10_000))
+            with pytest.raises(ProtocolViolation, match="^declared length 10000 exceeds limit 64$"):
+                server_ep.recv(timeout=5)
 
     def test_header_over_the_body_bound_is_refused_before_the_body(self):
         # a frame at the bound passes; the next header declares one byte more,
         # and no body follows it, so only the header can refuse it at once
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-        raw = socket.create_connection(listener.address)
-        server_ep = listener.accept(timeout=5, max_body=8)
-        try:
-            raw.sendall(transport.encode_frame(3, bytes(8)) + struct.pack(">I", 10))
+        with connected(max_body=8) as (client, server_ep):
+            client._sock.sendall(transport.encode_frame(3, bytes(8)) + struct.pack(">I", 10))
             assert server_ep.recv(timeout=5) == (3, bytes(8))
             start = time.monotonic()
             with pytest.raises(ProtocolViolation, match="^declared length 10 exceeds limit 9$"):
                 server_ep.recv(timeout=5)
             assert time.monotonic() - start < 1.0
-        finally:
-            raw.close()
-            server_ep.close()
-            listener.close()
 
-    def test_connect_bounds_its_frames(self):
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-        client = transport.tcp_connect(listener.address, 5.0, max_body=4)
-        server_ep = listener.accept(timeout=5, max_body=BOUND)
+    def test_each_end_of_a_pair_bounds_its_frames(self):
+        # each end refuses to send a body over the bound, and a header that declares one
+        with connected(max_body=4) as (client, server):
+            for sender, receiver in ((client, server), (server, client)):
+                with pytest.raises(TransportError, match="^frame of 6 bytes exceeds limit 5$"):
+                    sender.send(5, bytes(5))
+                sender.send(5, bytes(4))
+                assert receiver.recv(timeout=5) == (5, bytes(4))
+                sender._sock.sendall(transport.encode_frame(5, bytes(5)))
+                with pytest.raises(ProtocolViolation, match="^declared length 6 exceeds limit 5$"):
+                    receiver.recv(timeout=5)
+
+    def test_pair_k_connects_client_k_to_server_k(self):
+        pairs = transport.tcp_pairs(3, 5.0, BOUND)
         try:
-            client.send(5, b"z")
-            assert server_ep.recv(timeout=5) == (5, b"z")
-            server_ep.send(5, bytes(5))
-            with pytest.raises(ProtocolViolation, match="^declared length 6 exceeds limit 5$"):
-                client.recv(timeout=5)
+            for k, (_, client) in enumerate(pairs, 1):
+                client.send(k, bytes([k]))
+            for k, (server, client) in enumerate(pairs, 1):
+                assert server.recv(timeout=5) == (k, bytes([k]))
+                assert server._sock.getpeername() == client._sock.getsockname()
         finally:
-            client.close()
-            server_ep.close()
-            listener.close()
+            for ends in pairs:
+                for endpoint in ends:
+                    endpoint.close()
 
-    def test_accepted_endpoint_names_its_peer(self, tcp_pair):
-        client, server = tcp_pair
-        assert server.peer_address == client.address == client._sock.getsockname()[:2]
+    def test_connect_failure(self, monkeypatch):
+        # the connect for pair 2 fails: every socket made, the listener included, is closed
+        made = []
+        create_server, create_connection, accept = socket.create_server, socket.create_connection, socket.socket.accept
 
-    def test_connect_failure(self):
-        with pytest.raises(TransportError):
-            transport.tcp_connect(("127.0.0.1", 1), timeout=0.2, max_body=BOUND)
+        def record(sock):
+            made.append(sock)
+            return sock
+
+        def connect(*args, **kwargs):
+            if len(made) == 3:  # the listener and pair 1's two ends
+                raise ConnectionRefusedError("refused for the test")
+            return record(create_connection(*args, **kwargs))
+
+        def accepted(listener):
+            conn, address = accept(listener)
+            return record(conn), address
+
+        monkeypatch.setattr(socket, "create_server", lambda *a, **kw: record(create_server(*a, **kw)))
+        monkeypatch.setattr(socket, "create_connection", connect)
+        monkeypatch.setattr(socket.socket, "accept", accepted)
+        with pytest.raises(TransportError, match="^cannot make TCP pair 2: refused for the test$"):
+            transport.tcp_pairs(3, 5.0, BOUND)
+        assert len(made) == 3
+        assert [sock.fileno() for sock in made] == [-1, -1, -1]
 
     def test_recv_timeout(self, tcp_pair):
         _client, server = tcp_pair
@@ -265,22 +256,3 @@ class TestTcpFailurePaths:
             server.recv(timeout=5)
         assert type(err.value) is TransportError
         assert time.monotonic() - start < 1.0
-
-    def test_accept_times_out(self):
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-        start = time.monotonic()
-        try:
-            with pytest.raises(TransportTimeout, match=r"^no connection within 0\.05s$"):
-                listener.accept(timeout=0.05, max_body=BOUND)
-        finally:
-            listener.close()
-        assert time.monotonic() - start < 1.0
-
-    def test_listen_on_an_address_already_listening(self):
-        listener = transport.tcp_listen(("127.0.0.1", 0))
-        host, port = listener.address
-        try:
-            with pytest.raises(TransportError, match=f"^cannot listen on {host}:{port}: "):
-                transport.tcp_listen((host, port))
-        finally:
-            listener.close()
