@@ -8,7 +8,7 @@ import multiprocessing
 import sys
 from dataclasses import dataclass, field, asdict
 
-from .aggregate import fusion_weights
+from .aggregate import SLOT_BITS, fusion_weights, slots_per_ciphertext
 from .datasets import GaussianSpec
 from .errors import ConfigError, InvalidWeight
 from .nn import Layout
@@ -94,6 +94,11 @@ class ExperimentConfig:
             raise ConfigError("encryption", "centralized training has no gradients to encrypt")
         if self.encryption != "none" and (self.key_bits < 64 or self.key_bits % 2):
             raise ConfigError("key_bits", f"must be even and >= 64, got {self.key_bits}")
+        # quantize.check_capacity's rule for an entry of magnitude 1, under the smallest key_bits-bit n
+        slot_bits = self.key_bits - 1 if slots_per_ciphertext(self.key_bits) == 1 else SLOT_BITS
+        if self.encrypted and 2 * n * self.quant.scale >= 2**slot_bits:
+            too_big = f"scale 10^{self.quant.scale_exponent} overflows a {slot_bits}-bit plaintext slot"
+            raise ConfigError("quant", f"{too_big} for N={n} at {self.key_bits}-bit keys")
         if self.encryption == "he_dp":
             try:
                 fusion_weights(self.p_hat, n, self.quant.pieces)

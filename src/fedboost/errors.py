@@ -44,9 +44,7 @@ class InvalidWeight(FedBoostError):
 
 
 class GradientOverflow(FedBoostError):
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    pass
 
 
 # --- transport ---
@@ -78,7 +76,6 @@ class RoundAborted(FedBoostError):
 class ConfigError(FedBoostError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 class IoError(FedBoostError):

@@ -535,29 +535,6 @@ class ServerRunResult:
     merged_gradients: list[dict]
 
 
-def _send(settings: ExperimentConfig, endpoints, kind: MessageKind, round_no: int, payload) -> None:
-    """Send one server message to every client, in id order: ``payload``,
-    encoded once, or ``payload(cid)``, each client's own. A failed send is a
-    RoundAborted naming the client; an ABORT goes to every client that can
-    still take it."""
-    frame = None if callable(payload) else encode_message(Message(kind, round_no, payload), settings)
-    for cid in sorted(endpoints):
-        message = frame or encode_message(Message(kind, round_no, payload(cid)), settings)
-        try:
-            endpoints[cid].send(*message)
-        except TransportError as exc:
-            if kind != MessageKind.ABORT:
-                raise RoundAborted(
-                    f"sending {kind.name} to client {cid} in round {round_no}: {exc}"
-                ) from exc
-
-
-def _read_upload(payload, public_key, settings: ExperimentConfig):
-    """A TRAIN_RESULT's gradient, checked but not decrypted, and training loss."""
-    gradient = read_gradient(payload["gradient"], public_key, settings.layout.size, settings.quant)
-    return gradient, read_floats(payload, "train_loss")[0]
-
-
 def _read_losses(payload) -> np.ndarray:
     """An EVAL_RESULT's validation losses, one per client."""
     values = read_floats(payload, "values")
@@ -566,68 +543,81 @@ def _read_losses(payload) -> np.ndarray:
     return values
 
 
-def _expect(
-    settings: ExperimentConfig, endpoints, cid: int, kind: MessageKind | None, round_no: int,
-    transcript, read, *args,
-):
-    """``read(payload, *args)`` of the next frame from client ``cid``, which
-    must be a ``kind`` of ``round_no``; for ``kind`` None, the end of the run,
-    the channel must close instead. Any ProtocolViolation, KeyMismatch or
-    WeakKey raised receiving, decoding or reading the frame names the client,
-    the kind and the round."""
-    awaited = kind.name if kind else "end of run"
-    try:
-        raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
-        msg = decode_message(raw_kind, body, settings)
-        if transcript is not None:
-            transcript.append((cid, raw_kind, body))
-        if msg.kind == kind and msg.round == round_no:
-            return read(msg.payload, *args)
-    except TransportError as exc:
-        if kind is None and isinstance(exc, ChannelClosed):
-            return None
-        raise RoundAborted(
-            f"waiting for {awaited} from client {cid} in round {round_no}: {exc}"
-        ) from exc
-    except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
-        raise type(exc)(f"client {cid}: {exc} ({awaited}, round {round_no})") from exc
-    if msg.kind == MessageKind.ABORT:
-        reason = msg.payload["reason"]
-        raise RoundAborted(f"client {cid} aborted: {reason} ({awaited}, round {round_no})")
-    if msg.kind != kind:
-        raise ProtocolViolation(
-            f"expected {awaited} from client {cid} in round {round_no}, got {msg.kind.name}"
-        )
-    # every client frame carries the server's round, 0 for the key offer
-    raise ProtocolViolation(
-        f"client {cid} sent {kind.name} for round {msg.round} during round {round_no}"
-    )
-
-
 def server_run(
     settings: ExperimentConfig,
     endpoints: dict[int, object],
     transcript: list | None = None,
 ) -> ServerRunResult:
     """Drive all rounds over per-client endpoints; returns the decrypted final
-    model and one record per round. Clients are polled in id order inside each
-    phase, so runs and transcripts are reproducible. A configuration that
-    ``validate`` refuses raises ConfigError before any frame is sent; any
-    later FedBoostError is sent to every client in an ABORT of the round the
-    run was in, then raised. The server holds the public key only."""
+    model and one record per round. Every frame passes ``send`` or ``expect``,
+    in the round the run is in. Clients are polled in id order inside each
+    phase, so runs and transcripts are reproducible; ``transcript`` gets the
+    (cid, kind, body) of each inbound frame that decodes. A configuration that
+    ``validate`` refuses raises ConfigError before any frame is sent; any later
+    FedBoostError is sent to every client in an ABORT of the round the run was
+    in, then raised. The server holds the public key only."""
     settings.validate()
     n = settings.n_clients
     clients = range(1, n + 1)
     r, public_key = 0, None
     records, merged_gradients = [], []
+
+    def send(kind: MessageKind, payload) -> None:
+        """A ``kind`` of round ``r`` to every client, in id order: ``payload``,
+        encoded once, or ``payload(cid)``, each client's own. A failed send is a
+        RoundAborted naming the client; an ABORT goes to every client that can
+        still take it."""
+        frame = None if callable(payload) else encode_message(Message(kind, r, payload), settings)
+        for cid in sorted(endpoints):
+            message = frame or encode_message(Message(kind, r, payload(cid)), settings)
+            try:
+                endpoints[cid].send(*message)
+            except TransportError as exc:
+                if kind == MessageKind.ABORT:
+                    continue
+                raise RoundAborted(f"sending {kind.name} to client {cid} in round {r}: {exc}") from exc
+
+    def expect(cid: int, kind: MessageKind | None, read):
+        """``read(payload)`` of the next frame from client ``cid``, which must
+        be a ``kind`` of round ``r``; for ``kind`` None, the end of the run, the
+        channel must close instead. Any ProtocolViolation, KeyMismatch or
+        WeakKey raised receiving, decoding or reading the frame names the
+        client, the kind and the round."""
+        awaited = kind.name if kind else "end of run"
+        where = f"{awaited} from client {cid} in round {r}"
+        try:
+            raw_kind, body = endpoints[cid].recv(timeout=settings.timeout_s)
+            msg = decode_message(raw_kind, body, settings)
+            if transcript is not None:
+                transcript.append((cid, raw_kind, body))
+            if msg.kind == kind and msg.round == r:
+                return read(msg.payload)
+        except TransportError as exc:
+            if kind is None and isinstance(exc, ChannelClosed):
+                return None
+            raise RoundAborted(f"waiting for {where}: {exc}") from exc
+        except (ProtocolViolation, KeyMismatch, WeakKey) as exc:
+            raise type(exc)(f"client {cid}: {exc} ({awaited}, round {r})") from exc
+        if msg.kind == MessageKind.ABORT:
+            raise RoundAborted(f"client {cid} aborted: {msg.payload['reason']} ({awaited}, round {r})")
+        if msg.kind != kind:
+            raise ProtocolViolation(f"expected {where}, got {msg.kind.name}")
+        # every client frame carries the server's round, 0 for the key offer
+        raise ProtocolViolation(f"client {cid} sent {kind.name} for round {msg.round} during round {r}")
+
+    def read_upload(payload):
+        """A TRAIN_RESULT's gradient, checked but not decrypted, and training loss."""
+        gradient = read_gradient(payload["gradient"], public_key, settings.layout.size, settings.quant)
+        return gradient, read_floats(payload, "train_loss")[0]
+
     try:
         if set(endpoints) != set(clients):
             raise ProtocolViolation(f"need endpoints for clients 1..{n}")
 
         if settings.encrypted:
-            public_key = _expect(
-                settings, endpoints, 1, MessageKind.KEY_OFFER, 0, transcript,
-                paillier.public_key_from_payload, settings.key_bits,
+            public_key = expect(
+                1, MessageKind.KEY_OFFER,
+                lambda p: paillier.public_key_from_payload(p, settings.key_bits),
             )
 
         for r in range(1, settings.rounds + 1):
@@ -638,17 +628,10 @@ def server_run(
             # in-thread loopback clients train in the first recv, TCP clients
             # once the broadcast reaches them; the phase spans both
             phase_start = time.monotonic()
-            _send(settings, endpoints, MessageKind.GLOBAL_GRADIENT, r, payload)
-
-            # round state, indexed by cid - 1
-            gradients = []
-            train_losses = np.empty(n)
-            for cid in clients:
-                gradient, train_losses[cid - 1] = _expect(
-                    settings, endpoints, cid, MessageKind.TRAIN_RESULT, r, transcript,
-                    _read_upload, public_key, settings,
-                )
-                gradients.append(gradient)
+            send(MessageKind.GLOBAL_GRADIENT, payload)
+            results = [expect(cid, MessageKind.TRAIN_RESULT, read_upload) for cid in clients]
+            gradients, train_losses = zip(*results)
+            train_losses = np.array(train_losses)
             durations["train"] = time.monotonic() - phase_start
 
             validation = None
@@ -666,14 +649,11 @@ def server_run(
                     def payload(cid):
                         return {"models": uploads[: cid - 1] + uploads[cid:]}
 
-                _send(settings, endpoints, MessageKind.FUSED_GRADIENT, r, payload)
+                send(MessageKind.FUSED_GRADIENT, payload)
                 # column j holds every candidate model's loss on client j + 1's data
-                validation = np.empty((n, n))
-                for cid in clients:
-                    validation[:, cid - 1] = _expect(
-                        settings, endpoints, cid, MessageKind.EVAL_RESULT, r, transcript,
-                        _read_losses,
-                    )
+                validation = np.column_stack(
+                    [expect(cid, MessageKind.EVAL_RESULT, _read_losses) for cid in clients]
+                )
                 weights = agg.fedboost_weights(
                     train_losses, agg.ValidationMatrix(validation), mode=settings.weighting_mode
                 )
@@ -700,17 +680,16 @@ def server_run(
             )
 
         # r is now the last round, the round of the final exchange
-        _send(settings, endpoints, MessageKind.MERGED_GRADIENT, r, {"gradient": merged_gradients[-1]})
-        final_values = _expect(
-            settings, endpoints, DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, r, transcript,
-            read_floats, "weights",
+        send(MessageKind.MERGED_GRADIENT, {"gradient": merged_gradients[-1]})
+        final_values = expect(
+            DESIGNATED_DECRYPTOR, MessageKind.FINAL_MODEL, lambda p: read_floats(p, "weights")
         )
         # the others only check the final gradient, so each ends by closing its channel
         for cid in clients:
             if cid != DESIGNATED_DECRYPTOR:
-                _expect(settings, endpoints, cid, None, r, transcript, None)
+                expect(cid, None, None)
         final = nn.ModelParams(final_values, settings.layout)
         return ServerRunResult(final, records, merged_gradients)
     except FedBoostError as exc:
-        _send(settings, endpoints, MessageKind.ABORT, r, {"reason": f"{type(exc).__name__}: {exc}"})
+        send(MessageKind.ABORT, {"reason": f"{type(exc).__name__}: {exc}"})
         raise

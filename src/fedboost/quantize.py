@@ -73,6 +73,5 @@ def check_capacity(q: QuantizedGradient, capacity: int, n_clients: int, pieces: 
         if 2 * n_clients * pieces * abs(v) >= capacity:
             raise GradientOverflow(
                 f"entry {index} ({v}) would overflow its plaintext slot for "
-                f"N={n_clients}, P={pieces}",
-                index=index,
+                f"N={n_clients}, P={pieces}"
             )

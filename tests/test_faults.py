@@ -14,7 +14,7 @@ import pytest
 
 from fedboost import paillier, runner
 from fedboost.config import ExperimentConfig, two_client_noniid
-from fedboost.errors import KeyMismatch, ProtocolViolation, RoundAborted
+from fedboost.errors import ChannelClosed, KeyMismatch, ProtocolViolation, RoundAborted, TransportTimeout
 from fedboost.protocol import (
     ClientSession,
     InThreadCohort,
@@ -402,3 +402,147 @@ def test_a_replayed_frame_on_loopback(encryption, direction, index):
     _run_faulty(settings, 1, replay, error, cause)
     # the frames a clean run sends, so the cell replayed the frame it names
     assert [(m.kind, m.round) for m in wrapped[0].swapped] == [frames[index], frames[index - 1]]
+
+
+class FailingEndpoint:
+    """The server's endpoint to one client, which fails from its frame
+    ``index`` on, counting from 0 the frames sent "to" or received "from" the
+    client in ``direction``, or in both for None. Under ``fault`` "close" it
+    closes the inner endpoint, which then refuses every frame; under "drop" it
+    refuses them itself, as a closed endpoint does; under "stall" every send is
+    lost and every recv waits out its timeout."""
+
+    def __init__(self, inner, fault: str, index: int, direction: str | None = None):
+        self.inner = inner
+        self.fault = fault
+        self.index = index
+        self.direction = direction
+        self.frames = 0
+        self.failed_at = None
+
+    def _failed(self, direction: str) -> bool:
+        self.frames += self.direction in (None, direction)
+        if self.frames <= self.index:
+            return False
+        if self.failed_at is None:
+            self.failed_at = time.monotonic()
+            if self.fault == "close":
+                self.inner.close()
+        # a closed inner endpoint refuses the frame itself
+        return self.fault != "close"
+
+    def send(self, kind: int, body: bytes) -> None:
+        if not self._failed("to"):
+            self.inner.send(kind, body)
+        elif self.fault == "drop":
+            raise ChannelClosed("send after close")
+
+    def recv(self, timeout: float) -> tuple[int, bytes]:
+        if not self._failed("from"):
+            return self.inner.recv(timeout)
+        if self.fault == "drop":
+            raise ChannelClosed("recv after close")
+        time.sleep(timeout)
+        raise TransportTimeout("read deadline exceeded")
+
+
+def _failure_cause(fault: str, direction: str, kind: MessageKind, round_no: int) -> str:
+    """How a run whose channel to client 1 failed at a frame of ``kind`` and
+    ``round_no`` ends: a closed channel at that frame; a stalled one waiting
+    for the reply to that frame, or for the frame itself if the client sent it."""
+    if fault == "stall":
+        awaited = REPLY[kind] if direction == "to" else kind
+        return f"^waiting for {awaited.name} from client 1 in round {round_no}: read deadline exceeded$"
+    if direction == "to":
+        return f"^sending {kind.name} to client 1 in round {round_no}: send after close$"
+    return f"^waiting for {kind.name} from client 1 in round {round_no}: recv after close$"
+
+
+# a stall waits out this timeout: small, so that no cell waits out TIMEOUT_S;
+# over TCP, long enough for every reply a forked client sends before the stall
+STALL_S, TCP_STALL_S = 0.05, 0.2
+
+FAILURE_CELLS = [
+    pytest.param(fault, encryption, direction, index, id=f"{fault}-{encryption}-{direction}-{index}")
+    for fault in ["drop", "stall"]
+    for encryption in ["none", "he", "he_dp"]
+    for direction in ["to", "from"]
+    for index in range(len(_channel(encryption, direction)))
+]
+
+
+@pytest.mark.parametrize("fault, encryption, direction, index", FAILURE_CELLS)
+def test_a_dropped_or_stalled_channel_on_loopback(fault, encryption, direction, index):
+    """Client 1's channel is dropped, or stalls, from frame ``index`` of one
+    direction on: the run ends naming client 1, the round, and the kind of
+    that frame, or for a stall the kind the server then waits for; the ABORT
+    reaches client 2, and no thread is left."""
+    timeout = STALL_S if fault == "stall" else TIMEOUT_S
+    settings = make_settings(encryption=encryption, rounds=2, timeout_s=timeout)
+    kind, round_no = _channel(encryption, direction)[index]
+    keypair = cohort_key(settings)
+    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
+    # a copy: the cohort trains the sessions its own endpoints hold
+    endpoints = dict(InThreadCohort(sessions).endpoints)
+    endpoints[1] = failing = FailingEndpoint(endpoints[1], fault, index, direction)
+    threads = threading.active_count()
+    with pytest.raises(RoundAborted, match=_failure_cause(fault, direction, kind, round_no)):
+        server_run(settings, endpoints)
+    within = STALL_S + runner._EXIT_GRACE_S if fault == "stall" else TIMEOUT_S / 4
+    assert time.monotonic() - failing.failed_at < within
+    assert threading.active_count() == threads
+    assert sessions[1].done
+
+
+def _client_1_exchanges(encryption: str) -> list[tuple[str, MessageKind, int]]:
+    """The server's exchanges with client 1 in a clean 2-round fedboosting
+    run, in order, as (direction, kind, round): "to" it or "from" it, its key
+    offer first when encrypted, the final model last."""
+    offer = [("from", MessageKind.KEY_OFFER, 0)] if encryption != "none" else []
+    rounds = [x for r in (1, 2) for x in [("to", G, r), ("from", T, r), ("to", F, r), ("from", E, r)]]
+    return offer + rounds + [("to", M, 2), ("from", MessageKind.FINAL_MODEL, 2)]
+
+
+# every exchange is closed before; a stall costs its timeout, so only the first and last stall
+TCP_FAILURE_CELLS = [
+    pytest.param(fault, encryption, index, id=f"{fault}-{encryption}-{index}")
+    for encryption in ["none", "he", "he_dp"]
+    for fault, indices in [
+        ("close", range(len(_client_1_exchanges(encryption)))),
+        ("stall", [0, len(_client_1_exchanges(encryption)) - 1]),
+    ]
+    for index in indices
+]
+
+
+@pytest.mark.parametrize("fault, encryption, index", TCP_FAILURE_CELLS)
+def test_a_closed_or_stalled_tcp_channel(monkeypatch, fault, encryption, index):
+    """The server's TCP endpoint to client 1 is closed, or stalls, just before
+    its exchange ``index`` with client 1: the run ends naming client 1, the
+    round and the kind, as on loopback, and no child process or thread is
+    left."""
+    timeout = TCP_STALL_S if fault == "stall" else TIMEOUT_S
+    cfg = ExperimentConfig(
+        clients=two_client_noniid(200, master_seed=4),
+        rounds=2,
+        master_seed=4,
+        encryption=encryption,
+        transport="tcp",
+        timeout_s=timeout,
+    )
+    direction, kind, round_no = _client_1_exchanges(encryption)[index]
+    serve = runner.server_run
+    wrapped = []
+
+    def fail_client_1_then_serve(settings, endpoints, transcript=None):
+        wrapped.append(FailingEndpoint(endpoints[1], fault, index))
+        return serve(settings, {**endpoints, 1: wrapped[0]}, transcript)
+
+    monkeypatch.setattr(runner, "server_run", fail_client_1_then_serve)
+    threads = threading.active_count()
+    with pytest.raises(RoundAborted, match=_failure_cause(fault, direction, kind, round_no)):
+        runner.run_experiment(cfg)
+    within = timeout + runner._EXIT_GRACE_S if fault == "stall" else TIMEOUT_S / 4
+    assert time.monotonic() - wrapped[0].failed_at < within
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads

@@ -4,7 +4,9 @@ name a package module imports is used by that module.
 Code that only tests call belongs in the tests. A top-level function, class
 or constant defined in ``src/fedboost``, and a method or property of such a
 class, must be referenced outside its own definition somewhere in ``src/``,
-``scripts/`` or ``perfbench/``; imports do not count as references.
+``scripts/`` or ``perfbench/``; imports do not count as references. Every
+attribute such a class assigns on ``self`` must be read, as an attribute,
+somewhere there too.
 """
 
 import ast
@@ -81,6 +83,34 @@ def unreferenced_names() -> list[str]:
 
 def test_no_test_only_code_in_the_package():
     assert sorted(unreferenced_names()) == sorted(CALLED_FROM_ELSEWHERE)
+
+
+def unread_attributes() -> list[str]:
+    """``module.Class.attribute`` for every attribute a top-level package class
+    assigns on ``self`` that no program file reads as an attribute."""
+    assigned, read = [], set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            if path.parent != PACKAGE:
+                continue
+            for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+                assigned += [
+                    (f"{path.stem}.{cls.name}.{node.attr}", node.attr)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ]
+    return sorted({label for label, attr in assigned if attr not in read})
+
+
+def test_no_test_only_attributes_in_the_package():
+    assert unread_attributes() == []
 
 
 def unused_imports() -> list[str]:

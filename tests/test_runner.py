@@ -23,6 +23,7 @@ from fedboost.config import (
     two_client_noniid,
 )
 from fedboost.errors import ConfigError, IoError
+from fedboost.quantize import QuantConfig
 from fedboost.runner import (
     build_splits,
     export_boundary,
@@ -68,6 +69,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="aggregator"):
             desk_config(aggregator="fedprox").validate()
 
+    # 2 * N * 10^e against 2^63 at 64 bits (one slot, the smallest 64-bit n) and 2^127 above
+    @pytest.mark.parametrize(
+        "key_bits, exponent, clients, refused",
+        [
+            (64, 32, 2, True),
+            (64, 12, 2, False),
+            (64, 18, 4, False),
+            (64, 18, 6, True),
+            (64, 19, 2, True),
+            (128, 32, 4, False),
+            (256, 37, 4, False),
+            (256, 38, 2, True),
+            (2048, 32, 2, False),
+        ],
+    )
+    def test_a_scale_no_slot_holds_is_refused(self, key_bits, exponent, clients, refused):
+        cfg = desk_config(
+            clients=two_client_noniid(400) * (clients // 2),
+            encryption="he",
+            key_bits=key_bits,
+            quant=QuantConfig(scale_exponent=exponent),
+        )
+        if not refused:
+            cfg.validate()
+            return
+        refusal = rf"^quant: scale 10\^{exponent} overflows .* N={clients} "
+        with pytest.raises(ConfigError, match=refusal):
+            cfg.validate()
+
     def test_tcp_needs_fork(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         with pytest.raises(ConfigError, match="^transport: tcp forks"):
@@ -90,9 +120,8 @@ class TestConfigValidation:
             config_from_dict({"gpu_count": 4})
         # a config.json written before dp_jitter was deleted
         old = json.loads(json.dumps(config_to_dict(desk_config())))
-        with pytest.raises(ConfigError, match="^dp_jitter: unknown field$") as info:
+        with pytest.raises(ConfigError, match="^dp_jitter: unknown field$"):
             config_from_dict({**old, "dp_jitter": 0.0})
-        assert info.value.field == "dp_jitter"
         # a misspelt nested key would otherwise leave its field at the default
         poisoned = json.loads(json.dumps(old))
         poisoned["clients"][1]["poison_frac"] = 0.5
@@ -104,9 +133,8 @@ class TestConfigValidation:
             (quant, "quant.scale_exp"),
             (lable, "clients[0].clusters[1].lable"),
         ):
-            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$") as info:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field$"):
                 config_from_dict(data)
-            assert info.value.field == field
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
