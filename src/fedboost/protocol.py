@@ -5,9 +5,11 @@ nothing, as every client starts from the initial model), every client trains
 locally and uploads its gradient with its training loss, under fedboosting the
 server sends every client the candidate models to cross-validate (perturbed
 under homomorphic ops when fusion is on) and clients return validation losses,
-and the server computes aggregation weights and merges. A TCP client trains
-alone as soon as the broadcast reaches it; the in-thread loopback cohort trains
-all its clients in one stacked step when the server first waits for an upload.
+and the server computes aggregation weights and merges. Every frame a client
+sends waits in its session's outbox until the transport takes it. A TCP client
+trains alone as soon as the broadcast reaches it; the in-thread loopback cohort
+trains all its clients in one stacked step when the server first waits for an
+upload.
 After the last round the server sends every client the merged result; client 1
 alone decrypts it and answers with the final weights, since the server never
 holds the key pair, and the others check it and close their channel. A client
@@ -50,6 +52,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -293,15 +297,12 @@ class ClientSession:
         # the plaintext of this client's latest upload, whose candidate it scores itself
         self._own: np.ndarray | qz.QuantizedGradient | None = None
         self._nonce_rng = random.Random(derive_seed(settings.master_seed, "nonce", client_id))
-
-    # -- key offer --
-
-    def startup(self) -> list[tuple[int, bytes]]:
-        """The encoded first frames: client 1 offers the server the cohort's public key."""
-        if not self.settings.encrypted or self.client_id != 1:
-            return []
-        offer = paillier.public_key_to_payload(self.keypair.public)
-        return [encode_message(Message(MessageKind.KEY_OFFER, 0, offer), self.settings)]
+        # every encoded frame this client sends waits here, in order, until its transport takes it
+        self.outbox: deque[tuple[int, bytes]] = deque()
+        if settings.encrypted and client_id == 1:
+            # client 1 offers the server the cohort's public key
+            offer = paillier.public_key_to_payload(keypair.public)
+            self._queue(lambda: [Message(MessageKind.KEY_OFFER, 0, offer)])
 
     # -- a round's training: train on the global state, upload --
 
@@ -310,12 +311,11 @@ class ClientSession:
         """Seed of this round's batch order."""
         return derive_seed(self.settings.master_seed, "shuffle", self.round, self.client_id)
 
-    def upload(self, report: nn.TrainReport | None = None) -> list[tuple[int, bytes]]:
-        """The encoded upload the round owes: the TRAIN_RESULT of
-        ``report``, this session's result from a cohort's ``nn.train_cohort``;
-        without one the session trains alone, with ``nn.train_local``.
-        Training that diverged ends the session with an ABORT, as in
-        ``respond``."""
+    def upload(self, report: nn.TrainReport | None = None) -> None:
+        """Queue the upload the round owes: the TRAIN_RESULT of ``report``,
+        this session's result from a cohort's ``nn.train_cohort``; without
+        one the session trains alone, with ``nn.train_local``. Training that
+        diverged ends the session with an ABORT, as in ``respond``."""
 
         def step() -> list[Message]:
             s = self.settings
@@ -341,7 +341,7 @@ class ClientSession:
             }
             return [Message(MessageKind.TRAIN_RESULT, self.round, payload)]
 
-        return self._reply(step)
+        self._queue(step)
 
     def evaluate_fused(self, fused_payload: dict) -> float:
         """Validation loss of one candidate model on the local validation set."""
@@ -361,23 +361,25 @@ class ClientSession:
 
     # -- message pump --
 
-    def respond(self, kind: int, body: bytes) -> list[tuple[int, bytes]]:
-        """The encoded replies to one frame from the server, none once the
+    def respond(self, kind: int, body: bytes) -> None:
+        """Queue the replies to one frame from the server, none once the
         session is done. A GLOBAL_GRADIENT gets none yet: the session then owes
-        its upload, which ``upload`` gives. A FedBoostError ends the session
+        its upload, which ``upload`` queues. A FedBoostError ends the session
         with an ABORT that tells the server why."""
-        return self._reply(lambda: self.handle(decode_message(kind, body, self.settings)))
+        self._queue(lambda: self.handle(decode_message(kind, body, self.settings)))
 
-    def _reply(self, step) -> list[tuple[int, bytes]]:
+    def _queue(self, step) -> None:
+        """Run ``step`` unless the session is done, and queue its replies, or
+        the ABORT for the FedBoostError it raised, encoded in ``outbox``."""
         if self.done:
-            return []
+            return
         try:
             replies = step()
         except FedBoostError as exc:
             self.done = True
             reason = {"reason": f"{type(exc).__name__}: {exc}"}
             replies = [Message(MessageKind.ABORT, self.round, reason)]
-        return [encode_message(m, self.settings) for m in replies]
+        self.outbox.extend(encode_message(m, self.settings) for m in replies)
 
     def handle(self, msg: Message) -> list[Message]:
         if msg.kind == MessageKind.ABORT:
@@ -426,15 +428,18 @@ class ClientSession:
 
 
 def client_run(session: ClientSession, endpoint) -> None:
-    """Blocking pump: run the session over one endpoint until it is done or
-    the channel fails; the session trains alone."""
+    """Blocking pump: send what the session's outbox holds, then feed it one
+    frame from the endpoint and have it upload when it owes one, until it is
+    done or the channel fails; the session trains alone."""
     try:
-        for reply in session.startup():
-            endpoint.send(*reply)
-        while not session.done:
-            replies = session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
-            for reply in session.upload() if session.awaits is None else replies:
-                endpoint.send(*reply)
+        while True:
+            while session.outbox:
+                endpoint.send(*session.outbox.popleft())
+            if session.done:
+                return
+            session.respond(*endpoint.recv(timeout=session.settings.timeout_s))
+            if session.awaits is None:
+                session.upload()
     except TransportError:
         session.done = True
 
@@ -442,67 +447,55 @@ def client_run(session: ClientSession, endpoint) -> None:
 class InThreadCohort:
     """Client sessions run in the server's thread, trained as one cohort.
 
-    ``endpoints`` holds the server's endpoint to each, and through them the
-    sessions the cohort trains, so a caller that swaps one in wraps a copy. A
-    (kind, body) pair sent to a client goes straight to its
-    ``ClientSession.respond``, and the encoded replies are queued. The next
-    ``recv`` from any client trains every session that owes its upload in one
-    ``nn.train_cohort`` call, then queues the uploads in id order; if that call
-    fails, each trains alone. No frame is built: the pairs are those a TCP
-    endpoint frames, so transcripts are the same. An exception that is no
-    FedBoostError reaches the caller naming the client.
+    ``endpoints`` holds the server's endpoint to each session. A (kind, body)
+    pair sent to a client goes straight to its ``ClientSession.respond``. A
+    ``recv`` from any client first trains every session that owes its upload
+    in one ``nn.train_cohort`` call and queues the uploads in id order (if that
+    call fails, each trains alone), then takes the next pair from that
+    client's ``outbox``. No frame is built: the pairs are those a TCP endpoint
+    frames, so transcripts are the same. An exception that is no FedBoostError
+    reaches the caller naming the client.
     """
 
     def __init__(self, sessions: list[ClientSession]):
-        self.endpoints = {s.client_id: _CohortEndpoint(self, s) for s in sessions}
+        self._sessions = sessions
+        self.endpoints = {
+            s.client_id: SimpleNamespace(send=partial(self._step, s, s.respond), recv=partial(self._recv, s))
+            for s in sessions
+        }
+
+    @staticmethod
+    def _step(session: ClientSession, method, *args) -> None:
+        try:
+            method(*args)
+        except Exception as exc:
+            raise RuntimeError(f"client {session.client_id} failed: {type(exc).__name__}: {exc}") from exc
+
+    def _recv(self, session: ClientSession, timeout: float) -> tuple[int, bytes]:
+        self.train_pending()
+        if not session.outbox:
+            raise ChannelClosed(f"client {session.client_id} has no reply to send")
+        return session.outbox.popleft()
 
     def train_pending(self) -> None:
-        pending = [m for m in self.endpoints.values() if m.session.awaits is None and not m.session.done]
+        pending = [s for s in self._sessions if s.awaits is None and not s.done]
         if not pending:
             return
-        settings = pending[0].session.settings
+        settings = pending[0].settings
         try:
             reports = nn.train_cohort(
-                [m.session.weights for m in pending],
-                [m.session.split for m in pending],
+                [s.weights for s in pending],
+                [s.split for s in pending],
                 settings.batch_size,
                 settings.epochs,
                 settings.learning_rate,
-                [m.session.shuffle_seed for m in pending],
+                [s.shuffle_seed for s in pending],
             )
         except FedBoostError:
             # each session then trains alone, so only the one at fault aborts
             reports = [None] * len(pending)
-        for member, report in zip(pending, reports):
-            member.queue(lambda: member.session.upload(report))
-
-
-class _CohortEndpoint:
-    """The server's endpoint to one client of an ``InThreadCohort``: its
-    session and the replies it has queued."""
-
-    def __init__(self, cohort: InThreadCohort, session: ClientSession):
-        self._cohort = cohort
-        self.session = session
-        self._replies = deque()
-        self.queue(session.startup)
-
-    def queue(self, step) -> None:
-        try:
-            self._replies.extend(step())
-        except Exception as exc:
-            raise RuntimeError(
-                f"client {self.session.client_id} failed: {type(exc).__name__}: {exc}"
-            ) from exc
-
-    def send(self, kind: int, body: bytes) -> None:
-        self.queue(lambda: self.session.respond(kind, body))
-
-    def recv(self, timeout: float) -> tuple[int, bytes]:
-        self._cohort.train_pending()
-        if not self._replies:
-            raise ChannelClosed(f"client {self.session.client_id} has no reply to send")
-        return self._replies.popleft()
+        for session, report in zip(pending, reports):
+            self._step(session, session.upload, report)
 
 
 # --- server side ---------------------------------------------------------------

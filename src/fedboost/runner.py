@@ -188,10 +188,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     keypair = paillier.keygen(cfg.key_bits, seed) if cfg.encrypted else None
 
     if cfg.aggregator == "centralized":
-        # one trainer on the pooled training data, on loopback whatever the transport
+        # one trainer on the pooled training data
         pooled = LabeledData.concat([s.train for s in splits])
         splits = [DatasetSplit(pooled, splits[0].validation, test)]
-    if cfg.transport == "tcp" and cfg.aggregator != "centralized":
+    if cfg.transport == "tcp":
         cohort = _tcp_endpoints(cfg, splits, keypair)
     else:
         # one cohort in this thread, trained in one stacked step per round, shares

@@ -1,9 +1,9 @@
 """Any valid config gives the same run on both transports.
 
 Hypothesis draws a config: 2 to 4 clients of unequal sizes, 1 to 3 rounds,
-fedavg or fedboosting under every encryption valid for it, at 64, 128 or 256
-bits, a scale its slots hold, either weighting mode, a valid p_hat, batch size
-and seed. It runs on
+fedavg or fedboosting under every encryption valid for it, or centralized
+without, at 64, 128 or 256 bits, a scale its slots hold, either weighting
+mode, a valid p_hat, batch size and seed. It runs on
 loopback and over TCP, and the two runs must write the same metrics.csv,
 model.json and records.json (without the timing-only ``durations``) byte for
 byte, and send the server the same frames, read through the ``server_run``
@@ -34,7 +34,7 @@ from fedboost.quantize import QuantConfig
 from test_protocol import reference_fedavg
 
 OUTPUTS = ("metrics.csv", "model.json", "records.json")
-ENCRYPTIONS = {"fedavg": ("none", "he"), "fedboosting": ("none", "he", "he_dp")}
+ENCRYPTIONS = {"fedavg": ("none", "he"), "fedboosting": ("none", "he", "he_dp"), "centralized": ("none",)}
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import multiprocessing.context
 import socket
 import struct
 import sys
@@ -150,6 +151,13 @@ def run_loopback(settings, splits, transcript=None, missing=()):
 def in_thread(session: ClientSession):
     """The server's endpoint to ``session`` run in this thread, a cohort of one."""
     return InThreadCohort([session]).endpoints[session.client_id]
+
+
+def drained(session: ClientSession) -> list[tuple[int, bytes]]:
+    """Every (kind, body) pair in ``session``'s outbox, which it empties."""
+    pairs = list(session.outbox)
+    session.outbox.clear()
+    return pairs
 
 
 def server_says(endpoint, settings, kind, round_no, payload) -> list[Message]:
@@ -865,7 +873,7 @@ class TestKeyDistribution:
         session = ClientSession(settings, client_id, client_split(client_id), cohort_key(settings))
         endpoint = in_thread(session)
         *before, reply = server_says(endpoint, settings, MessageKind.KEY_DELIVER, 0, b"\0\0\0\0{}")
-        # client 1 of an encrypted cohort queued its key offer at startup
+        # client 1 of an encrypted cohort queued its key offer when it was built
         offers = [MessageKind.KEY_OFFER] if settings.encrypted and client_id == 1 else []
         assert [m.kind for m in before] == offers
         assert session.done
@@ -895,13 +903,15 @@ def server_frame(session: ClientSession, kind: MessageKind, round_no: int) -> Me
 def until_it_awaits(session: ClientSession, awaited) -> ClientSession:
     """``session``, driven in the order of a clean run, uploading and taking
     the frames it awaits, until ``session.awaits == awaited``: a (kind, round),
-    or None for a session that owes its upload."""
+    or None for a session that owes its upload. What it queued on the way is
+    dropped, so its outbox is empty."""
     while session.awaits != awaited:
         assert not session.done, f"the session ended before it awaited {awaited}"
         if session.awaits is None:
             session.upload()
         else:
             session.handle(server_frame(session, *session.awaits))
+    drained(session)
     return session
 
 
@@ -980,6 +990,16 @@ class TestMalformedPayloads:
                 raw_body(1, _PACKED["key"], _PACKED["ciphertexts"], b"\0"),
                 "ProtocolViolation: MERGED_GRADIENT body has 1358 bytes, expected 1357",
             ),
+        ],
+        ids=[
+            "round_one_broadcast_in_round_two",
+            "plain_broadcast_under_he",
+            "broadcast_one_ciphertext_short",
+            "broadcast_ciphertext_of_zero",
+            "broadcast_under_another_key",
+            "no_candidates",
+            "own_upload_relayed_too",
+            "final_gradient_one_byte_long",
         ],
     )
     def test_client_aborts_promptly_naming_the_cause(self, kind, round_no, payload, cause):
@@ -1066,7 +1086,7 @@ class TestMalformedPayloads:
     def test_server_rejects_packed_upload_with_wrong_counts(self, tamper, cause):
         settings = make_settings(encryption="he", key_bits=256, rounds=1)
         source = key_source(settings, client_split(1))
-        frames = source.startup()
+        frames = list(source.outbox)
         bad = tamper(_packed_payload(source.keypair, settings))
         frames.append((int(MessageKind.TRAIN_RESULT), raw_body(1, *bad.values(), f64(0.5))))
         endpoints = {1: ReplayEndpoint(frames), 2: ReplayEndpoint([])}
@@ -1100,8 +1120,11 @@ class TestMalformedPayloads:
 
 def _trained_alone(session: ClientSession, msg: Message) -> list[tuple[int, bytes]]:
     """What ``session`` answers ``msg`` with on TCP, where it trains alone."""
-    assert session.respond(*encode_message(msg, session.settings)) == []
-    return session.upload()
+    drained(session)  # client 1's key offer, which answers no frame
+    session.respond(*encode_message(msg, session.settings))
+    assert drained(session) == []
+    session.upload()
+    return drained(session)
 
 
 def _diverging_round_two(settings) -> Message:
@@ -1301,13 +1324,16 @@ class TestFrameOrder:
         local = session.round
         kind, round_no = frame
         raw = encode_message(server_frame(session, kind, round_no), settings)
-        [reply] = [decode_message(*r, settings) for r in session.respond(*raw)]
+        session.respond(*raw)
+        [reply] = [decode_message(*r, settings) for r in drained(session)]
         assert (reply.kind, reply.round) == (MessageKind.ABORT, local)
         assert reply.payload["reason"] == (
             f"ProtocolViolation: {kind.name} for round {round_no} at local round {local}, awaiting {awaited}"
         )
         assert session.done
-        assert session.respond(*raw) == [] and session.upload() == []
+        session.respond(*raw)
+        session.upload()
+        assert drained(session) == []
 
 
 class TestServerAbortsEveryone:
@@ -1431,7 +1457,7 @@ class TestServerAbortsEveryone:
         for cid, key in ((1, keypair), (2, foreign)):
             upload = {"gradient": _packed_payload(key, settings), "train_loss": f64(0.5)}
             frames[cid] = [encode_message(Message(MessageKind.TRAIN_RESULT, 1, upload), settings)]
-        frames[1].insert(0, key_source(settings, client_split(1)).startup()[0])
+        frames[1].insert(0, key_source(settings, client_split(1)).outbox[0])
         endpoints = {cid: ReplayEndpoint(pairs) for cid, pairs in frames.items()}
         cause = r"^client 2: gradient is encrypted under a different key \(TRAIN_RESULT, round 1\)$"
         with pytest.raises(KeyMismatch, match=cause) as err:
@@ -1442,7 +1468,7 @@ class TestServerAbortsEveryone:
         # client 2's socket peer is gone before the first broadcast
         settings = make_settings(rounds=1)
         session = ClientSession(settings, 1, client_split(1))
-        # a copy: the cohort trains the sessions its own endpoints hold
+        # a copy, so that client 2's endpoint is no part of the cohort
         endpoints = dict(InThreadCohort([session]).endpoints)
         server_end, client_end = socket.socketpair()
         client_end.close()
@@ -1522,7 +1548,8 @@ class TestClientSession:
         session = ClientSession(settings, client_id, client_split(client_id))
         initial = nn.init_params(derive_seed(settings.master_seed, "init"), settings.layout)
         assert session.handle(_round_one(settings)) == [] and session.awaits is None
-        replies = [decode_message(*reply, settings) for reply in session.upload()]
+        session.upload()
+        replies = [decode_message(*reply, settings) for reply in drained(session)]
         return session, initial, replies
 
     def test_round_one_trains_without_keys(self):
@@ -1717,7 +1744,9 @@ class TestClientSession:
         uploads = []
         for session in sessions:
             session.handle(_round_one(settings))
-            [reply] = [decode_message(*r, settings) for r in session.upload()]
+            drained(session)  # client 1's key offer
+            session.upload()
+            [reply] = [decode_message(*r, settings) for r in drained(session)]
             uploads.append(reply.payload["gradient"])
         values = [
             [c.value for c in protocol.read_gradient(u, keypair.public, 42, settings.quant).ciphertexts]
@@ -1858,7 +1887,7 @@ class TestServerRun:
         assert np.array_equal(result.final_weights.values, expected.values)
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
-    def test_centralized_matches_reference_loop_bitwise(self, transport):
+    def test_centralized_matches_reference_loop_bitwise(self, transport, monkeypatch):
         settings = ExperimentConfig(
             clients=two_client_noniid(300, master_seed=4),
             aggregator="centralized",
@@ -1866,7 +1895,11 @@ class TestServerRun:
             master_seed=4,
             transport=transport,
         )
+        forks, fork = [], multiprocessing.context.ForkProcess
+        monkeypatch.setattr(fork, "start", lambda proc, start=fork.start: forks.append(proc) or start(proc))
         result = run_experiment(settings)
+        # over TCP the one trainer is one forked client
+        assert len(forks) == (transport == "tcp")
         expected, losses = reference_centralized(settings, build_splits(settings))
         assert np.array_equal(result.final_params.values, expected.values)
         assert [rec.global_test_loss for rec in result.records] == losses

@@ -2,16 +2,20 @@
 
 A hypothesis state machine starts one session of a none, he or he_dp cohort
 part way through a clean run, then feeds it the server frame it awaits, after
-the upload it owes, well-formed frames of every kind at any round, and
-arbitrary bodies under any kind byte, their fields valid, huge or random
-bytes; a session that owes its upload may be asked for it. Every step returns
-(kind, body) pairs that decode_message accepts and raises nothing. A session
+the upload it owes. In two examples of three the server is clean and plays
+the run to its final gradient. A faulty server also sends well-formed frames
+of every kind at any round, and arbitrary bodies under any kind byte, their
+fields valid, huge or random bytes; a session that owes its upload may be
+asked for it. Every step returns nothing, raises nothing, and queues (kind,
+body) pairs in the session's outbox that decode_message accepts. A session
 that ends on a frame other than the server's ABORT or the final gradient ends
 with an ABORT as its last reply, and a session that has ended replies no more.
+How each example ended is a hypothesis event, so
+``pytest --hypothesis-show-statistics`` prints the share of each ending.
 """
 
 import pytest
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
@@ -40,7 +44,8 @@ def _upload(encryption: str) -> dict:
     settings = SETTINGS[encryption]
     session = ClientSession(settings, 2, SPLITS[2], KEYS[encryption])
     session.respond(*encode_message(Message(MessageKind.GLOBAL_GRADIENT, 1, {}), settings))
-    [reply] = session.upload()
+    session.upload()
+    [reply] = session.outbox
     return decode_message(*reply, settings).payload["gradient"]
 
 
@@ -59,6 +64,8 @@ def _filled(widths, leaf, name=None):
 # how a frame's fields are filled: see ClientSessionMachine.field
 CONTENTS = st.sampled_from(["valid", "huge", "random"])
 RNGS = st.randoms(use_true_random=False)
+# two servers in three are clean
+FAULTY = st.sampled_from([False, False, True])
 # the server's side of a clean 2-round run
 HONEST = [MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT] * 2 + [MessageKind.MERGED_GRADIENT]
 
@@ -70,28 +77,44 @@ class ClientSessionMachine(RuleBasedStateMachine):
         prefix=st.integers(0, len(HONEST)),
         last=CONTENTS,
         rng=RNGS,
+        faulty=FAULTY,
     )
-    def start(self, encryption, client_id, prefix, last, rng):
+    def start(self, encryption, client_id, prefix, last, rng, faulty):
         """A session that has taken the first ``prefix`` server frames of a
         clean run, so that every state is reached, the last filled as ``last``
-        gives."""
+        gives when the server is ``faulty``."""
         self.settings = SETTINGS[encryption]
         self.keypair = KEYS[encryption]
         self.upload_payload = UPLOADS[encryption]
+        self.faulty = faulty
+        self.ending = "not ended"
         self.session = ClientSession(self.settings, client_id, SPLITS[client_id], self.keypair)
-        self.step(self.session.startup)
+        # the frames it queued when it was built
+        self.step(lambda: None)
         for at in range(1, prefix + 1):
             self.frame_at_its_round(last if at == prefix else "valid", rng)
+
+    def teardown(self):
+        """A clean server plays the run to its final gradient, whichever rules
+        the example enabled; then how the session ended is reported."""
+        if not hasattr(self, "session"):  # the example ended before start ran
+            return
+        while not (self.faulty or self.session.done):
+            self.frame_at_its_round("valid", None)
+        event("server", "faulty" if self.faulty else "clean")
+        event("ended", self.ending)
 
     @rule(content=CONTENTS, rng=RNGS)
     def frame_at_its_round(self, content, rng):
         """The server frame the session awaits, after the upload it owes, as a
-        TCP client uploads as soon as it has the broadcast."""
+        TCP client uploads as soon as it has the broadcast; a clean server's
+        fields are valid."""
         if self.session.awaits is None:
             self.upload()
         if not self.session.done:
-            self.well_formed_frame(*self.session.awaits, content, rng, "")
+            self.well_formed_frame(*self.session.awaits, content if self.faulty else "valid", rng, "")
 
+    @precondition(lambda self: self.faulty)
     @rule(
         kind=st.sampled_from(LAID_OUT),
         round_no=st.integers(0, 3),
@@ -124,6 +147,7 @@ class ClientSessionMachine(RuleBasedStateMachine):
             return (n * n - 1).to_bytes(size, "big") * (width // size)
         return floats_to_bytes([1e308] * (width // 8))
 
+    @precondition(lambda self: self.faulty)
     @rule(kind=st.integers(0, 255), body=st.binary(max_size=64))
     def arbitrary_frame(self, kind, body):
         self.step(lambda: self.session.respond(kind, body), (kind, body))
@@ -134,13 +158,14 @@ class ClientSessionMachine(RuleBasedStateMachine):
         self.step(self.session.upload)
 
     def step(self, call, frame=None):
-        """``call()``, the replies to ``frame`` or to no frame: well-formed
-        pairs, none once the session has ended, and an ABORT only as the last,
-        which ends it. Only the server's ABORT or final gradient ends it
-        without one."""
+        """``call()``, then the replies it queued to ``frame`` or to no frame,
+        taken from the outbox: well-formed pairs, none once the session has
+        ended, and an ABORT only as the last, which ends it. Only the server's
+        ABORT or final gradient ends it without one."""
         was_done = self.session.done
-        replies = call()
-        assert isinstance(replies, list)
+        assert call() is None
+        replies = list(self.session.outbox)
+        self.session.outbox.clear()
         for reply in replies:
             assert isinstance(reply, tuple) and len(reply) == 2
             assert isinstance(reply[0], int) and isinstance(reply[1], bytes)
@@ -151,15 +176,17 @@ class ClientSessionMachine(RuleBasedStateMachine):
         assert MessageKind.ABORT not in kinds[:-1]
         if MessageKind.ABORT in kinds:
             assert self.session.done
+            self.ending = "with its own ABORT"
         elif self.session.done:
             assert frame is not None, "a session ended without an ABORT on no frame"
             msg = decode_message(*frame, self.settings)
             assert msg.kind in (MessageKind.ABORT, MessageKind.MERGED_GRADIENT)
+            self.ending = f"on the server's {msg.kind.name}"
             # client 1 alone answers the final gradient, with the final model
             final = msg.kind == MessageKind.MERGED_GRADIENT and self.session.client_id == 1
             assert kinds == ([MessageKind.FINAL_MODEL] if final else [])
 
 
 TestClientSessionMachine = ClientSessionMachine.TestCase
-TestClientSessionMachine.settings = settings(max_examples=40, stateful_step_count=12, deadline=None)
+TestClientSessionMachine.settings = settings(max_examples=120, stateful_step_count=12, deadline=None)
 TestClientSessionMachine = pytest.mark.filterwarnings("ignore::RuntimeWarning")(TestClientSessionMachine)
