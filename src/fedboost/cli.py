@@ -13,18 +13,10 @@ from .runner import GridSpec, export_boundary, load_model, run_experiment
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.aggregator:
-        cfg.aggregator = args.aggregator
-    if args.encryption:
-        cfg.encryption = args.encryption
-    if args.transport:
-        cfg.transport = args.transport
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.rounds is not None:
-        cfg.rounds = args.rounds
-    if args.out:
-        cfg.out_dir = args.out
+    # each run flag overrides the config field its dest names; an empty --out keeps the config's
+    for name in ("aggregator", "encryption", "transport", "master_seed", "rounds", "out_dir"):
+        if getattr(args, name) not in (None, ""):
+            setattr(cfg, name, getattr(args, name))
     result = run_experiment(cfg)
     for rec in result.records:
         print(
@@ -60,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--aggregator", choices=AGGREGATORS)
     run_p.add_argument("--encryption", choices=ENCRYPTIONS)
     run_p.add_argument("--transport", choices=TRANSPORTS)
-    run_p.add_argument("--seed", type=int, help="override master_seed")
+    run_p.add_argument("--seed", type=int, dest="master_seed", help="override master_seed")
     run_p.add_argument("--rounds", type=int, help="override round count")
-    run_p.add_argument("--out", help="output directory for metrics.csv/model.json")
+    run_p.add_argument("--out", dest="out_dir", help="output directory for metrics.csv/model.json")
     run_p.set_defaults(func=_cmd_run)
 
     boundary_p = sub.add_parser("boundary", help="export a decision-boundary grid from a saved model")

@@ -147,32 +147,26 @@ def two_client_noniid(
     """Default Non-IID pair: horizontally separated unit-covariance clusters for
     client 1, vertically separated anisotropic clusters for client 2."""
     half = samples_per_client // 2
-    identity = ((1.0, 0.0), (0.0, 1.0))
-    aniso = ((1.5, 0.0), (0.0, 0.5))
-    specs = (
-        ClientSpec(
-            clusters=(
-                GaussianSpec((-2.0, 0.0), identity, 0, half),
-                GaussianSpec((2.0, 0.0), identity, 1, samples_per_client - half),
-            ),
-            seed=master_seed * 7919 + 1,
-            poison_flip_frac=poison_flip_frac if poison_client == 1 else 0.0,
-        ),
-        ClientSpec(
-            clusters=(
-                GaussianSpec((0.0, -2.0), aniso, 0, half),
-                GaussianSpec((0.0, 2.0), aniso, 1, samples_per_client - half),
-            ),
-            seed=master_seed * 7919 + 2,
-            poison_flip_frac=poison_flip_frac if poison_client == 2 else 0.0,
-        ),
+    # one row per client: its label-0 and label-1 cluster means, and the covariance both share
+    rows = (
+        ((-2.0, 0.0), (2.0, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+        ((0.0, -2.0), (0.0, 2.0), ((1.5, 0.0), (0.0, 0.5))),
     )
-    return specs
+    return tuple(
+        ClientSpec(
+            clusters=(
+                GaussianSpec(mean_0, covariance, 0, half),
+                GaussianSpec(mean_1, covariance, 1, samples_per_client - half),
+            ),
+            seed=master_seed * 7919 + cid,
+            poison_flip_frac=poison_flip_frac if poison_client == cid else 0.0,
+        )
+        for cid, (mean_0, mean_1, covariance) in enumerate(rows, 1)
+    )
 
 
 def default_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(clients=two_client_noniid(), **overrides)
-    return cfg
+    return ExperimentConfig(clients=two_client_noniid(), **overrides)
 
 
 # --- JSON (de)serialization ---------------------------------------------------

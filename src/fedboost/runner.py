@@ -3,9 +3,10 @@ chosen transport (loopback: clients as one cohort in the server's thread, sent
 (kind, body) pairs; TCP: one forked process per client, holding the client end
 of the k-th pair ``transport.tcp_pairs`` made before the first fork), score
 the global model per round on the combined test set, and export
-metrics/model/boundary artifacts.
-Centralized training is a cohort of one trainer holding the pooled training
-data, run on loopback.
+metrics/model/boundary artifacts. Centralized training is a cohort of one
+trainer holding the pooled training data, on either transport. A TCP client
+ends by exiting, which closes its end; the runner joins every client under one
+grace deadline, then terminates any still running.
 
 The runner generates the cohort key pair and builds every client's split once,
 before either transport starts, and hands each client both in its session. A
@@ -90,11 +91,8 @@ def combined_test_set(splits: list[DatasetSplit]) -> LabeledData:
 
 def _client_process_main(endpoint, cfg: ExperimentConfig, client_id: int, split, keypair) -> None:
     """A forked TCP client: run its session on the endpoint, split and key pair
-    it inherited from the runner, none of them pickled."""
-    try:
-        client_run(ClientSession(cfg, client_id, split, keypair), endpoint)
-    finally:
-        endpoint.close()
+    it inherited from the runner, none of them pickled; exiting closes its end."""
+    client_run(ClientSession(cfg, client_id, split, keypair), endpoint)
 
 
 def _forked_client(own: TcpEndpoint, inherited: list[TcpEndpoint], *args) -> None:
@@ -112,9 +110,6 @@ def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: p
     made before the first fork, and client k is forked holding the client end
     of the k-th; on exit all clients get one grace period to end, and a client
     that exited with an error code fails the run."""
-    # imported here: loopback runs never fork or wait on a sentinel
-    from multiprocessing.connection import wait
-
     ctx = multiprocessing.get_context("fork")
     pairs = tcp_pairs(len(splits), cfg.timeout_s, largest_body(cfg))
     server_eps = {cid: server for cid, (server, _) in enumerate(pairs, 1)}
@@ -124,8 +119,9 @@ def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: p
     try:
         for cid, (split, own) in enumerate(zip(splits, client_eps), 1):
             args = (own, inherited, cfg, cid, split, keypair)
-            procs[cid] = ctx.Process(target=_forked_client, args=args, daemon=True)
-            procs[cid].start()
+            proc = ctx.Process(target=_forked_client, args=args, daemon=True)
+            proc.start()
+            procs[cid] = proc  # only once started: one whose fork failed cannot be joined
         # only after every start: a fork that a caller defers still inherits its end
         for ep in client_eps:
             ep.release()
@@ -139,17 +135,15 @@ def _tcp_endpoints(cfg: ExperimentConfig, splits: list[DatasetSplit], keypair: p
         # an aborted run's clients have an ABORT to read; a close ends any other waiting client
         for ep in [] if aborted else server_eps.values():
             ep.close()
-        live = {proc.sentinel: proc for proc in procs.values()}
         deadline = time.monotonic() + _EXIT_GRACE_S
-        while live and (ready := wait(list(live), max(0.0, deadline - time.monotonic()))):
-            for sentinel in ready:
-                live.pop(sentinel).join()
+        for proc in procs.values():
+            proc.join(max(0.0, deadline - time.monotonic()))
         # read before any terminate, so a hung client is not named as dead
         died = [f"client {c} exited with code {p.exitcode}" for c, p in procs.items() if p.exitcode]
         for ep in server_eps.values():
             ep.close()
-        for proc in live.values():
-            proc.terminate()
+        for proc in procs.values():
+            proc.terminate()  # nothing to one already reaped
             proc.join()
     if died:  # a finished run fails too: its clients must all end cleanly
         raise RoundAborted("; ".join([str(aborted), *died] if aborted else died)) from aborted

@@ -60,6 +60,8 @@ class TestRunCommand:
                 "fedavg",
                 "--encryption",
                 "he",
+                "--transport",
+                "tcp",
                 "--rounds",
                 "1",
                 "--seed",
@@ -72,8 +74,17 @@ class TestRunCommand:
         written = json.loads((out / "config.json").read_text())
         assert written["aggregator"] == "fedavg"
         assert written["encryption"] == "he"
+        assert written["transport"] == "tcp"
         assert written["rounds"] == 1
         assert written["master_seed"] == 9
+
+        # a flag left out, or an empty --out, keeps the config file's value
+        data = json.loads(tiny_config_path.read_text())
+        data["out_dir"] = str(tmp_path / "kept")
+        tiny_config_path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(tiny_config_path), "--rounds", "1", "--out", ""]) == 0
+        kept = json.loads((tmp_path / "kept" / "config.json").read_text())
+        assert kept == {**data, "rounds": 1}
 
     def test_invalid_config_exits_nonzero_with_json_error(self, tmp_path, tiny_config_path, capsys):
         data = json.loads(tiny_config_path.read_text())

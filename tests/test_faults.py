@@ -210,7 +210,6 @@ def _run_faulty(settings, cid, wrap, error, cause) -> None:
     TIMEOUT_S / 4, leave no thread, and end every session."""
     keypair = cohort_key(settings)
     sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    # a copy: the cohort trains the sessions its own endpoints hold
     endpoints = dict(InThreadCohort(sessions).endpoints)
     endpoints[cid] = wrap(endpoints[cid])
     threads = threading.active_count()
@@ -482,7 +481,6 @@ def test_a_dropped_or_stalled_channel_on_loopback(fault, encryption, direction, 
     kind, round_no = _channel(encryption, direction)[index]
     keypair = cohort_key(settings)
     sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    # a copy: the cohort trains the sessions its own endpoints hold
     endpoints = dict(InThreadCohort(sessions).endpoints)
     endpoints[1] = failing = FailingEndpoint(endpoints[1], fault, index, direction)
     threads = threading.active_count()

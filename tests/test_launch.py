@@ -174,6 +174,24 @@ def test_a_client_killed_at_start_is_found_at_the_first_exchange(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_fork_that_fails_at_client_2_raises_its_error_and_leaves_no_client(monkeypatch):
+    # client 1 runs when the fork of client 2 fails: the fork's own error
+    # reaches the caller, client 1 is reaped, and no socket is left open
+    fork_start = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def fail_the_second(proc):
+        started.append(proc)
+        if len(started) == 2:
+            raise OSError("fork refused")
+        fork_start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail_the_second)
+    with pytest.raises(OSError, match=r"^fork refused$"):
+        runner.run_experiment(tcp_config())
+    assert multiprocessing.active_children() == []
+
+
 def test_every_client_that_exits_at_start_is_named_in_id_order(monkeypatch):
     cause = (
         r"^(sending GLOBAL_GRADIENT to|waiting for TRAIN_RESULT from) client 1 in round 1: .+; "

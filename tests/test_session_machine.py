@@ -3,7 +3,9 @@
 A hypothesis state machine starts one session of a none, he or he_dp cohort
 part way through a clean run, then feeds it the server frame it awaits, after
 the upload it owes. In two examples of three the server is clean and plays
-the run to its final gradient. A faulty server also sends well-formed frames
+the run to its final gradient, and each of its rules plays the next frame of
+that run, so an example whose swarm flags disable some rules still has one to
+take. A faulty server also sends well-formed frames
 of every kind at any round, and arbitrary bodies under any kind byte, their
 fields valid, huge or random bytes; a session that owes its upload may be
 asked for it. Every step returns nothing, raises nothing, and queues (kind,
@@ -108,13 +110,12 @@ class ClientSessionMachine(RuleBasedStateMachine):
     def frame_at_its_round(self, content, rng):
         """The server frame the session awaits, after the upload it owes, as a
         TCP client uploads as soon as it has the broadcast; a clean server's
-        fields are valid."""
+        fields are valid, and every rule of a clean server takes this one."""
         if self.session.awaits is None:
-            self.upload()
+            self.step(self.session.upload)
         if not self.session.done:
-            self.well_formed_frame(*self.session.awaits, content if self.faulty else "valid", rng, "")
+            self.send(*self.session.awaits, content if self.faulty else "valid", rng, "")
 
-    @precondition(lambda self: self.faulty)
     @rule(
         kind=st.sampled_from(LAID_OUT),
         round_no=st.integers(0, 3),
@@ -123,6 +124,13 @@ class ClientSessionMachine(RuleBasedStateMachine):
         reason=st.text(max_size=8),
     )
     def well_formed_frame(self, kind, round_no, content, rng, reason):
+        if not self.faulty:
+            return self.frame_at_its_round("valid", None)
+        self.send(kind, round_no, content, rng, reason)
+
+    def send(self, kind, round_no, content, rng, reason):
+        """A well-formed frame of ``kind`` at ``round_no``, its fields filled
+        as ``content`` gives."""
         widths = field_widths(kind, round_no, self.settings)
         payload = _filled(widths, lambda name, width: self.field(content, rng, name, width))
         if kind == MessageKind.ABORT:
@@ -147,14 +155,17 @@ class ClientSessionMachine(RuleBasedStateMachine):
             return (n * n - 1).to_bytes(size, "big") * (width // size)
         return floats_to_bytes([1e308] * (width // 8))
 
-    @precondition(lambda self: self.faulty)
     @rule(kind=st.integers(0, 255), body=st.binary(max_size=64))
     def arbitrary_frame(self, kind, body):
+        if not self.faulty:
+            return self.frame_at_its_round("valid", None)
         self.step(lambda: self.session.respond(kind, body), (kind, body))
 
-    @precondition(lambda self: self.session.awaits is None and not self.session.done)
+    @precondition(lambda self: not self.faulty or self.session.awaits is None and not self.session.done)
     @rule()
     def upload(self):
+        if not self.faulty:
+            return self.frame_at_its_round("valid", None)
         self.step(self.session.upload)
 
     def step(self, call, frame=None):
