@@ -1,14 +1,19 @@
-"""Faults injected into live runs: each must end the run quickly with a
-RoundAborted, ProtocolViolation or KeyMismatch that names the client, and
-leave no child process or thread behind."""
+"""Faults injected into live runs, each at one exchange of one client's
+schedule: the (direction, kind, round) of every frame the server sends that
+client ("to") or takes from it ("from"), in order, as a clean loopback run
+of the same aggregator, encryption and cohort size logs them at the
+``server_run`` seam. So the frame order is written only in ``server_run``. One rule, ``expected_error``, gives from the schedule
+the error that each fault must end the run with, naming the client, the kind
+and the round, and the run must end quickly; ``conftest.py`` fails any cell
+that leaves a child process or a thread behind."""
 
 import dataclasses
+import functools
 import math
 import multiprocessing
-import re
 import struct
-import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,149 +29,313 @@ from fedboost.protocol import (
     server_run,
 )
 
+from test_config_fuzz import ENCRYPTIONS
 from test_protocol import client_split, cohort_key, make_settings
 
 TIMEOUT_S = 20.0
+# a stall waits out this timeout: small, so that no cell waits out TIMEOUT_S;
+# over TCP, long enough for every reply a forked client sends before the stall
+STALL_S, TCP_STALL_S = 0.001, 0.2
 
 
-def _last_started_child() -> multiprocessing.Process:
-    """The newest live child: processes are named '<Type>Process-N', N counting
-    this process's children in start order."""
-    return max(multiprocessing.active_children(), key=lambda p: int(p.name.rsplit("-", 1)[1]))
+class FaultyEndpoint:
+    """The server's endpoint to one client. It logs each exchange as
+    (direction, kind, round), "to" the client or "from" it; the closing read
+    of a client that ends by closing its channel is ("from", None, round). It
+    keeps the (direction, kind, body) of every frame it carries. At exchange
+    ``at``, counting from 0, ``fault`` acts: "kill" SIGKILLs and reaps
+    ``victim``, the client's process, and "close" closes the inner endpoint,
+    just before it; "drop" refuses it and every later one, as a closed
+    endpoint does; "stall" loses every send and has every recv wait out its
+    timeout from it on; "replay" delivers the previous frame of its direction
+    in its place, and "rewrite" the body ``rewrite(message)``. With no fault
+    it only logs."""
 
-
-G, F, M = MessageKind.GLOBAL_GRADIENT, MessageKind.FUSED_GRADIENT, MessageKind.MERGED_GRADIENT
-T, E = MessageKind.TRAIN_RESULT, MessageKind.EVAL_RESULT
-# the server's exchanges with client 2 in a clean 2-round fedboosting run, in
-# order, as (direction, kind, round): a send, a recv, or the closing read (None)
-CLIENT_2_EXCHANGES = [
-    *(x for r in (1, 2) for x in [("send", G, r), ("recv", T, r), ("send", F, r), ("recv", E, r)]),
-    ("send", M, 2),
-    ("recv", None, 2),
-]
-# where a server that found client 2 dead was: "sending KIND to" or "waiting for KIND|end of run from"
-_FOUND_AT = re.compile(r"^(sending|waiting for) (\w+|end of run) (?:to|from) client 2 in round (\d): ")
-
-
-def _latest_find(index: int) -> int:
-    """The last of CLIENT_2_EXCHANGES at which the server can find client 2
-    dead when it was killed just before exchange ``index``: the first recv
-    after the first frame sent at or after the kill, whose reply the dead
-    client cannot have sent; with no such frame, the closing read."""
-    directions = [direction for direction, _, _ in CLIENT_2_EXCHANGES]
-    if "send" not in directions[index:]:
-        return len(directions) - 1
-    return directions.index("recv", directions.index("send", index))
-
-
-class KillingEndpoint:
-    """The server's TCP endpoint to client 2, which SIGKILLs the client's
-    process, and reaps it, just before exchange ``index`` of
-    CLIENT_2_EXCHANGES."""
-
-    def __init__(self, inner, victim: multiprocessing.Process, index: int):
+    def __init__(self, inner, settings, fault=None, at=None, victim=None, rewrite=None):
         self.inner = inner
-        self.victim = victim
-        self.index = index
-        self.exchanges = 0
-        self.killed_at = None
+        self.settings = settings
+        self.fault, self.at = fault, at
+        self.victim, self.rewrite = victim, rewrite
+        self.log: list[tuple[str, MessageKind | None, int]] = []
+        self.frames: list[tuple[str, int, bytes]] = []
+        self.exchange = -1
+        self.failed_at = None
 
-    def _next(self) -> None:
-        if self.exchanges == self.index:
-            self.victim.kill()
-            self.victim.join()
-            self.killed_at = time.monotonic()
-        self.exchanges += 1
+    @property
+    def messages(self):
+        return [decode_message(kind, body, self.settings) for _, kind, body in self.frames]
+
+    def _next(self) -> bool:
+        """Start the next exchange, acting the fault at ``at``; whether the
+        channel has failed for good."""
+        self.exchange += 1
+        if self.exchange == self.at:
+            if self.fault == "kill":
+                self.victim.kill()
+                self.victim.join()
+            elif self.fault == "close":
+                self.inner.close()
+            self.failed_at = time.monotonic()
+        return self.fault in ("drop", "stall") and self.exchange >= self.at
+
+    def _carry(self, direction: str, kind: int, body: bytes) -> tuple[int, bytes]:
+        """Log and keep the frame, or the one the fault delivers in its place."""
+        if self.exchange == self.at and self.fault == "replay":
+            kind, body = [(k, b) for d, k, b in self.frames if d == direction][-1]
+        elif self.exchange == self.at and self.fault == "rewrite":
+            body = self.rewrite(decode_message(kind, body, self.settings))
+        self.log.append((direction, MessageKind(kind), int.from_bytes(body[:4], "big")))
+        self.frames.append((direction, kind, body))
+        return kind, body
 
     def send(self, kind: int, body: bytes) -> None:
-        self._next()
-        self.inner.send(kind, body)
+        if not self._next():
+            self.inner.send(*self._carry("to", kind, body))
+        elif self.fault == "drop":
+            raise ChannelClosed("send after close")
 
     def recv(self, timeout: float) -> tuple[int, bytes]:
-        self._next()
-        return self.inner.recv(timeout)
+        if self._next():
+            if self.fault == "drop":
+                raise ChannelClosed("recv after close")
+            time.sleep(timeout)
+            raise TransportTimeout("read deadline exceeded")
+        try:
+            frame = self.inner.recv(timeout)
+        except ChannelClosed:
+            if self.failed_at is None:
+                # the client closed its channel: the closing read, in the round of the final gradient
+                self.log.append(("from", None, self.log[-1][2]))
+            raise
+        return self._carry("from", *frame)
 
 
-@pytest.mark.parametrize("index", range(len(CLIENT_2_EXCHANGES)))
-@pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
-def test_tcp_client_killed_before_an_exchange(monkeypatch, encryption, index):
-    """Client 2 dies by SIGKILL just before the server's exchange ``index``
-    with it, after both clients have connected: the run ends naming its exit
-    code, and where the server was at a frame when it found the death, that
-    frame's kind and round: at or after the kill, and no later than the
-    first reply the dead client cannot have sent."""
+@functools.cache
+def _shared_key(key_bits: int, master_seed: int) -> paillier.KeyPair:
+    """The cohort key pair of every encrypted loopback run of one key size
+    and seed, made once: the plaintexts it remembers change no output."""
+    return cohort_key(make_settings(encryption="he", key_bits=key_bits, master_seed=master_seed))
+
+
+def wrapped_cohort(settings, cid=None, **fault):
+    """In-thread sessions on ``client_split`` data, and the server's
+    endpoints to them, each a FaultyEndpoint: client ``cid``'s with
+    ``fault``, the others with none."""
+    keypair = _shared_key(settings.key_bits, settings.master_seed) if settings.encrypted else None
+    clients = range(1, settings.n_clients + 1)
+    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in clients]
+    endpoints = {
+        c: FaultyEndpoint(endpoint, settings, **(fault if c == cid else {}))
+        for c, endpoint in InThreadCohort(sessions).endpoints.items()
+    }
+    return sessions, endpoints
+
+
+@functools.cache
+def schedule(aggregator: str, encryption: str, n_clients: int) -> dict[int, list]:
+    """Each client's exchanges with the server in a clean 2-round run of
+    ``n_clients``, as the server's endpoints log them. The order depends on
+    the aggregator, the encryption, the cohort size and the rounds only, so
+    a TCP run of that shape has it too."""
+    settings = make_settings(n_clients, aggregator=aggregator, encryption=encryption)
+    _, endpoints = wrapped_cohort(settings)
+    server_run(settings, endpoints)
+    return {c: endpoint.log for c, endpoint in endpoints.items()}
+
+
+def _where(cid: int, exchange) -> str:
+    """How the server names an exchange with client ``cid`` that failed."""
+    direction, kind, r = exchange
+    if direction == "to":
+        return f"sending {kind.name} to client {cid} in round {r}"
+    return f"waiting for {kind.name if kind else 'end of run'} from client {cid} in round {r}"
+
+
+def expected_error(exchanges: list, cid: int, fault: str, at: int):
+    """The error, and a pattern of its text, that ends a run whose channel
+    to client ``cid`` has ``fault`` at exchange ``at`` of ``exchanges``, that
+    client's schedule; None for a run that ends cleanly.
+    - drop, close: the server names exchange ``at``; at the closing read it
+      takes the close as the client's own, and the run ends cleanly;
+    - stall: the server names the first recv at or after ``at``, whose frame
+      never comes;
+    - replay to the client: the client refuses the frame, and the server
+      reads its ABORT at that recv. Replay from it: the server refuses the
+      frame;
+    - kill: the server finds the death at an exchange from ``at`` to the
+      first recv after the first send at or after ``at``, the first reply
+      the dead client cannot have sent; at the closing read it may find
+      none, and the runner names the exit alone."""
+    direction, kind, r = exchanges[at]
+    reply = next(x for x in exchanges[at:] if x[0] == "from")
+    if fault in ("drop", "close"):
+        if kind is None:
+            return None
+        verb = "send" if direction == "to" else "recv"
+        return RoundAborted, f"^{_where(cid, exchanges[at])}: {verb} after close$"
+    if fault == "stall":
+        return RoundAborted, f"^{_where(cid, reply)}: read deadline exceeded$"
+    if fault == "kill":
+        directions = [d for d, _, _ in exchanges]
+        first_send = directions.index("to", at) if "to" in directions[at:] else len(directions) - 1
+        last = directions.index("from", first_send)
+        found = "|".join(_where(cid, x) for x in exchanges[at : last + 1])
+        optional = "?" if exchanges[last][1] is None else ""
+        return RoundAborted, rf"^(?:(?:{found}): .+; ){optional}client {cid} exited with code -9$"
+    _, again, again_round = [x for x in exchanges[:at] if x[0] == direction][-1]
+    if direction == "to":
+        # a session is in the round of the last broadcast it took
+        local = r - (kind == MessageKind.GLOBAL_GRADIENT)
+        reason = (
+            f"{again.name} for round {again_round} at local round {local}, "
+            f"awaiting {kind.name} of round {r}"
+        )
+        awaited = reply[1].name if reply[1] else "end of run"
+        cause = rf"ProtocolViolation: {reason} \({awaited}, round {reply[2]}\)"
+        return RoundAborted, f"^client {cid} aborted: {cause}$"
+    if again == kind:
+        return ProtocolViolation, f"^client {cid} sent {kind.name} for round {again_round} during round {r}$"
+    return ProtocolViolation, f"^expected {kind.name} from client {cid} in round {r}, got {again.name}$"
+
+
+def _raising(outcome):
+    """A context that requires ``outcome``, an (error, pattern), or for None a clean end."""
+    return nullcontext() if outcome is None else pytest.raises(outcome[0], match=outcome[1])
+
+
+def _ended_in_time(endpoint: FaultyEndpoint, timeout: float) -> None:
+    """The run ended within TIMEOUT_S / 4 of the endpoint's fault, or for a
+    stall within its ``timeout`` and the runner's grace period."""
+    within = timeout + runner._EXIT_GRACE_S if endpoint.fault == "stall" else TIMEOUT_S / 4
+    assert time.monotonic() - endpoint.failed_at < within
+
+
+def _run_on_loopback(settings, cid, outcome, **fault) -> None:
+    """A loopback run whose server endpoint to client ``cid`` has ``fault``:
+    it must end as ``outcome`` says, in time, and the server's ABORT must
+    reach every client whose channel it did not break."""
+    sessions, endpoints = wrapped_cohort(settings, cid, **fault)
+    with _raising(outcome):
+        server_run(settings, endpoints)
+    _ended_in_time(endpoints[cid], settings.timeout_s)
+    broken = fault["fault"] in ("drop", "stall")
+    assert all(s.done for s in sessions if s.client_id != cid or not broken)
+
+
+def _cell(*values):
+    """One cell: fault, aggregator, encryption, N, client and exchange."""
+    return pytest.param(*values, id="-".join(map(str, values)))
+
+
+def _replayable(exchanges: list, at: int) -> bool:
+    """Whether exchange ``at`` carries a frame, with an earlier one in its direction."""
+    direction, kind, _ = exchanges[at]
+    return kind is not None and direction in [d for d, _, _ in exchanges[:at]]
+
+
+# every valid aggregator × encryption pair, with 2 and 3 clients, or the one
+# trainer of centralized; the victims are the first, the middle and the last
+# client, at every exchange
+CONFIGS = [
+    (aggregator, encryption, n)
+    for aggregator, modes in ENCRYPTIONS.items()
+    for encryption in modes
+    for n in ((1,) if aggregator == "centralized" else (2, 3))
+]
+LOOPBACK_CELLS = [
+    _cell(fault, aggregator, encryption, n, cid, at)
+    for fault in ("drop", "stall", "replay")
+    for aggregator, encryption, n in CONFIGS
+    for cid in sorted({1, (n + 1) // 2, n})
+    for at in range(len(schedule(aggregator, encryption, n)[cid]))
+    if fault != "replay" or _replayable(schedule(aggregator, encryption, n)[cid], at)
+]
+
+
+@pytest.mark.parametrize("fault, aggregator, encryption, n, cid, at", LOOPBACK_CELLS)
+def test_a_fault_on_loopback(fault, aggregator, encryption, n, cid, at):
+    """Client ``cid``'s channel is dropped or stalls from exchange ``at`` on,
+    or delivers the previous frame of its direction at ``at`` again: the run
+    ends as ``expected_error`` says, and the ABORT reaches the other clients,
+    on both sides of a middle one."""
+    timeout = STALL_S if fault == "stall" else TIMEOUT_S
+    # the smallest keys whose slots hold make_settings' scale: the cells test
+    # the protocol, and encryption is most of an encrypted cell's time
+    fields = dict(aggregator=aggregator, encryption=encryption, key_bits=64, timeout_s=timeout)
+    settings = make_settings(n, **fields)
+    outcome = expected_error(schedule(aggregator, encryption, n)[cid], cid, fault, at)
+    _run_on_loopback(settings, cid, outcome, fault=fault, at=at)
+
+
+# client 2 killed, and client 1's channel closed or stalled, in 2-client
+# fedboosting runs; and fedavg/he at N = 3 with client 2 the victim of each.
+# A stall costs its timeout, so only the first and the last exchange stall
+TCP_RUNS = [("fedboosting", e, 2, {"kill": 2, "close": 1, "stall": 1}) for e in ENCRYPTIONS["fedboosting"]]
+TCP_RUNS.append(("fedavg", "he", 3, {"kill": 2, "close": 2, "stall": 2}))
+TCP_CELLS = [
+    _cell(fault, aggregator, encryption, n, cid, at)
+    for aggregator, encryption, n, victims in TCP_RUNS
+    for fault, cid in victims.items()
+    for count in [len(schedule(aggregator, encryption, n)[cid])]
+    for at in ([0, count - 1] if fault == "stall" else range(count))
+]
+
+
+@pytest.mark.parametrize("fault, aggregator, encryption, n, cid, at", TCP_CELLS)
+def test_a_fault_over_tcp(monkeypatch, fault, aggregator, encryption, n, cid, at):
+    """Just before the server's exchange ``at`` with client ``cid``, after
+    every client has connected, the client dies by SIGKILL, or the server's
+    end of its channel is closed, or stalls from then on: the run ends as
+    ``expected_error`` says from the loopback schedule, whose frames a TCP
+    run sends too."""
+    timeout = TCP_STALL_S if fault == "stall" else TIMEOUT_S
+    pair = two_client_noniid(200, master_seed=4)
+    # a third client draws client 1's clusters from its own seed
+    clients = (*pair, dataclasses.replace(pair[0], seed=pair[1].seed + 1))[:n]
     cfg = ExperimentConfig(
-        clients=two_client_noniid(200, master_seed=4),
+        clients=clients,
         rounds=2,
         master_seed=4,
+        aggregator=aggregator,
         encryption=encryption,
         transport="tcp",
-        timeout_s=TIMEOUT_S,
+        timeout_s=timeout,
     )
-    client_run = runner.client_run
+    client_run, serve, wrapped = runner.client_run, runner.server_run, []
 
     def lingering(session, endpoint):
         client_run(session, endpoint)
-        if session.client_id == 2:
+        if session.client_id == cid:
             # alive, with its channel open, until the kill: a forked client
             # runs the client_run patched here
             time.sleep(TIMEOUT_S)
 
-    serve = runner.server_run
-    wrapped = []
+    def serve_with_a_fault(settings, endpoints, transcript=None):
+        # every client has started, in id order: children are named
+        # '<Type>Process-K', K counting this process's children as started
+        started = sorted(multiprocessing.active_children(), key=lambda p: int(p.name.rsplit("-", 1)[1]))
+        wrapped.append(FaultyEndpoint(endpoints[cid], settings, fault, at, victim=started[cid - 1]))
+        return serve(settings, {**endpoints, cid: wrapped[0]}, transcript)
 
-    def kill_client_2_then_serve(settings, endpoints, transcript=None):
-        # both clients have connected; client 2 was started last
-        wrapped.append(KillingEndpoint(endpoints[2], _last_started_child(), index))
-        return serve(settings, {**endpoints, 2: wrapped[0]}, transcript)
-
-    monkeypatch.setattr(runner, "client_run", lingering)
-    monkeypatch.setattr(runner, "server_run", kill_client_2_then_serve)
-    threads = threading.active_count()
-    with pytest.raises(RoundAborted) as aborted:
+    if fault == "kill":
+        monkeypatch.setattr(runner, "client_run", lingering)
+    monkeypatch.setattr(runner, "server_run", serve_with_a_fault)
+    with _raising(expected_error(schedule(aggregator, encryption, n)[cid], cid, fault, at)):
         runner.run_experiment(cfg)
-    assert time.monotonic() - wrapped[0].killed_at < TIMEOUT_S / 4
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
-    message = str(aborted.value)
-    assert message.endswith("client 2 exited with code -9")
-    if message == "client 2 exited with code -9":
-        # the server read every frame client 2 sends and its channel's close:
-        # it found the death only after its closing read
-        found_at = len(CLIENT_2_EXCHANGES) - 1
-    else:
-        found = _FOUND_AT.match(message)
-        assert found, message
-        direction, kind, round_no = found.groups()
-        kind = None if kind == "end of run" else MessageKind[kind]
-        exchange = ("send" if direction == "sending" else "recv", kind, int(round_no))
-        found_at = CLIENT_2_EXCHANGES.index(exchange)
-    assert index <= found_at <= _latest_find(index), message
+    _ended_in_time(wrapped[0], timeout)
 
 
-class CorruptingEndpoint:
-    """The server's endpoint to one loopback client; it rewrites the frame of
-    ``kind`` and round ``round_no`` that passes it, either way, to the body
-    ``corrupt(message, path, settings)`` gives."""
+def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
+    """A 2-round loopback run whose frame of ``kind`` in round 2 to or from
+    client ``cid`` gets the body ``corrupt(message, path, settings)``: it must
+    raise ``error`` matching ``cause``, as ``_run_on_loopback`` checks it."""
+    exchanges = schedule(settings.aggregator, settings.encryption, settings.n_clients)[cid]
+    at = [(k, r) for _, k, r in exchanges].index((kind, 2))
 
-    def __init__(self, inner, settings, kind, round_no, path, corrupt):
-        self.inner = inner
-        self.settings = settings
-        self.target = (kind, round_no)
-        self.path = path
-        self.corrupt = corrupt
+    def rewrite(msg):
+        return corrupt(msg, path, settings)
 
-    def _rewrite(self, kind: int, body: bytes) -> tuple[int, bytes]:
-        msg = decode_message(kind, body, self.settings)
-        if (msg.kind, msg.round) != self.target:
-            return kind, body
-        return kind, self.corrupt(msg, self.path, self.settings)
-
-    def send(self, kind: int, body: bytes) -> None:
-        self.inner.send(*self._rewrite(kind, body))
-
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        return self._rewrite(*self.inner.recv(timeout))
+    _run_on_loopback(settings, cid, (error, cause), fault="rewrite", at=at, rewrite=rewrite)
 
 
 def _edited(value, path: tuple, edit):
@@ -202,34 +371,6 @@ FRAME_CAUSES = {
     "long_body": r"{kind} body has \d+ bytes, expected \d+",
     "empty_body": r"{kind} body has 0 bytes, expected \d+",
 }
-
-
-def _run_faulty(settings, cid, wrap, error, cause) -> None:
-    """A 2-round loopback run whose server endpoint to client ``cid`` is
-    ``wrap(endpoint)``: it must raise ``error`` matching ``cause`` within
-    TIMEOUT_S / 4, leave no thread, and end every session."""
-    keypair = cohort_key(settings)
-    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    endpoints = dict(InThreadCohort(sessions).endpoints)
-    endpoints[cid] = wrap(endpoints[cid])
-    threads = threading.active_count()
-    start = time.monotonic()
-    with pytest.raises(error, match=cause):
-        server_run(settings, endpoints)
-    assert time.monotonic() - start < TIMEOUT_S / 4
-    assert threading.active_count() == threads
-    # the server's ABORT reached every client
-    assert all(session.done for session in sessions)
-
-
-def _run_corrupted(settings, cid, kind, path, corrupt, error, cause) -> None:
-    """A 2-round loopback run whose frame of ``kind`` in round 2 to or from
-    client ``cid`` is corrupted, as ``_run_faulty`` checks it."""
-
-    def wrap(endpoint):
-        return CorruptingEndpoint(endpoint, settings, kind, 2, path, corrupt)
-
-    _run_faulty(settings, cid, wrap, error, cause)
 
 
 CORRUPTIONS = {
@@ -318,229 +459,3 @@ def test_corrupt_ciphertext_blob_to_a_client(encryption, kind, cid, path, awaite
     cause = BLOB_CAUSES[corruption].format(kind=kind.name)
     pattern = rf"^client {cid} aborted: {cause}.* \({awaited}, round 2\)$"
     _run_corrupted(settings, cid, kind, path, BLOB_CORRUPTIONS[corruption], RoundAborted, pattern)
-
-
-class ReplayingEndpoint:
-    """The server's endpoint to one loopback client; in one direction, "to"
-    or "from" the client, it delivers frame ``index`` - 1 again in place of
-    frame ``index``, counting from 0, and keeps both as ``swapped``."""
-
-    def __init__(self, inner, settings, direction, index):
-        self.inner = inner
-        self.settings = settings
-        self.direction = direction
-        self.index = index
-        self.frames: list[tuple[int, bytes]] = []
-        self.swapped = None
-
-    def _deliver(self, direction: str, frame: tuple[int, bytes]) -> tuple[int, bytes]:
-        if direction != self.direction:
-            return frame
-        self.frames.append(frame)
-        if len(self.frames) - 1 != self.index:
-            return frame
-        self.swapped = [decode_message(*f, self.settings) for f in (self.frames[-1], self.frames[-2])]
-        return self.frames[-2]
-
-    def send(self, kind: int, body: bytes) -> None:
-        self.inner.send(*self._deliver("to", (kind, body)))
-
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        return self._deliver("from", self.inner.recv(timeout))
-
-
-# what the server awaits from a client that took each of its frames
-REPLY = {G: T, F: E, M: MessageKind.FINAL_MODEL}
-
-
-def _channel(encryption: str, direction: str) -> list[tuple[MessageKind, int]]:
-    """Client 1's frames in one direction of a clean 2-round fedboosting run,
-    as (kind, round): to it, a broadcast and candidates per round, then the
-    final gradient; from it, its key offer when encrypted, an upload and scores
-    per round, then the final model."""
-    if direction == "to":
-        return [(G, 1), (F, 1), (G, 2), (F, 2), (M, 2)]
-    offer = [(MessageKind.KEY_OFFER, 0)] if encryption != "none" else []
-    return offer + [(T, 1), (E, 1), (T, 2), (E, 2), (MessageKind.FINAL_MODEL, 2)]
-
-
-REPLAY_CELLS = [
-    pytest.param(encryption, direction, index, id=f"{encryption}-{direction}-{index}")
-    for encryption in ["none", "he", "he_dp"]
-    for direction in ["to", "from"]
-    for index in range(1, len(_channel(encryption, direction)))
-]
-
-
-@pytest.mark.parametrize("encryption, direction, index", REPLAY_CELLS)
-def test_a_replayed_frame_on_loopback(encryption, direction, index):
-    """Client 1's channel delivers frame ``index`` - 1 of one direction again
-    in place of frame ``index``: the peer that takes it refuses it, and the run
-    ends naming client 1, the round and the replayed kind."""
-    settings = make_settings(encryption=encryption, rounds=2, timeout_s=TIMEOUT_S)
-    frames = _channel(encryption, direction)
-    (kind, round_no), (again, again_round) = frames[index], frames[index - 1]
-    if direction == "to":
-        # the client refuses it, and the server reads its ABORT
-        local = round_no - (kind == G)
-        reason = (
-            f"ProtocolViolation: {again.name} for round {again_round} at local round {local}, "
-            f"awaiting {kind.name} of round {round_no}"
-        )
-        error = RoundAborted
-        cause = rf"^client 1 aborted: {reason} \({REPLY[kind].name}, round {round_no}\)$"
-    else:
-        error = ProtocolViolation
-        cause = f"^expected {kind.name} from client 1 in round {round_no}, got {again.name}$"
-    wrapped = []
-
-    def replay(endpoint):
-        wrapped.append(ReplayingEndpoint(endpoint, settings, direction, index))
-        return wrapped[-1]
-
-    _run_faulty(settings, 1, replay, error, cause)
-    # the frames a clean run sends, so the cell replayed the frame it names
-    assert [(m.kind, m.round) for m in wrapped[0].swapped] == [frames[index], frames[index - 1]]
-
-
-class FailingEndpoint:
-    """The server's endpoint to one client, which fails from its frame
-    ``index`` on, counting from 0 the frames sent "to" or received "from" the
-    client in ``direction``, or in both for None. Under ``fault`` "close" it
-    closes the inner endpoint, which then refuses every frame; under "drop" it
-    refuses them itself, as a closed endpoint does; under "stall" every send is
-    lost and every recv waits out its timeout."""
-
-    def __init__(self, inner, fault: str, index: int, direction: str | None = None):
-        self.inner = inner
-        self.fault = fault
-        self.index = index
-        self.direction = direction
-        self.frames = 0
-        self.failed_at = None
-
-    def _failed(self, direction: str) -> bool:
-        self.frames += self.direction in (None, direction)
-        if self.frames <= self.index:
-            return False
-        if self.failed_at is None:
-            self.failed_at = time.monotonic()
-            if self.fault == "close":
-                self.inner.close()
-        # a closed inner endpoint refuses the frame itself
-        return self.fault != "close"
-
-    def send(self, kind: int, body: bytes) -> None:
-        if not self._failed("to"):
-            self.inner.send(kind, body)
-        elif self.fault == "drop":
-            raise ChannelClosed("send after close")
-
-    def recv(self, timeout: float) -> tuple[int, bytes]:
-        if not self._failed("from"):
-            return self.inner.recv(timeout)
-        if self.fault == "drop":
-            raise ChannelClosed("recv after close")
-        time.sleep(timeout)
-        raise TransportTimeout("read deadline exceeded")
-
-
-def _failure_cause(fault: str, direction: str, kind: MessageKind, round_no: int) -> str:
-    """How a run whose channel to client 1 failed at a frame of ``kind`` and
-    ``round_no`` ends: a closed channel at that frame; a stalled one waiting
-    for the reply to that frame, or for the frame itself if the client sent it."""
-    if fault == "stall":
-        awaited = REPLY[kind] if direction == "to" else kind
-        return f"^waiting for {awaited.name} from client 1 in round {round_no}: read deadline exceeded$"
-    if direction == "to":
-        return f"^sending {kind.name} to client 1 in round {round_no}: send after close$"
-    return f"^waiting for {kind.name} from client 1 in round {round_no}: recv after close$"
-
-
-# a stall waits out this timeout: small, so that no cell waits out TIMEOUT_S;
-# over TCP, long enough for every reply a forked client sends before the stall
-STALL_S, TCP_STALL_S = 0.05, 0.2
-
-FAILURE_CELLS = [
-    pytest.param(fault, encryption, direction, index, id=f"{fault}-{encryption}-{direction}-{index}")
-    for fault in ["drop", "stall"]
-    for encryption in ["none", "he", "he_dp"]
-    for direction in ["to", "from"]
-    for index in range(len(_channel(encryption, direction)))
-]
-
-
-@pytest.mark.parametrize("fault, encryption, direction, index", FAILURE_CELLS)
-def test_a_dropped_or_stalled_channel_on_loopback(fault, encryption, direction, index):
-    """Client 1's channel is dropped, or stalls, from frame ``index`` of one
-    direction on: the run ends naming client 1, the round, and the kind of
-    that frame, or for a stall the kind the server then waits for; the ABORT
-    reaches client 2, and no thread is left."""
-    timeout = STALL_S if fault == "stall" else TIMEOUT_S
-    settings = make_settings(encryption=encryption, rounds=2, timeout_s=timeout)
-    kind, round_no = _channel(encryption, direction)[index]
-    keypair = cohort_key(settings)
-    sessions = [ClientSession(settings, c, client_split(c), keypair) for c in (1, 2)]
-    endpoints = dict(InThreadCohort(sessions).endpoints)
-    endpoints[1] = failing = FailingEndpoint(endpoints[1], fault, index, direction)
-    threads = threading.active_count()
-    with pytest.raises(RoundAborted, match=_failure_cause(fault, direction, kind, round_no)):
-        server_run(settings, endpoints)
-    within = STALL_S + runner._EXIT_GRACE_S if fault == "stall" else TIMEOUT_S / 4
-    assert time.monotonic() - failing.failed_at < within
-    assert threading.active_count() == threads
-    assert sessions[1].done
-
-
-def _client_1_exchanges(encryption: str) -> list[tuple[str, MessageKind, int]]:
-    """The server's exchanges with client 1 in a clean 2-round fedboosting
-    run, in order, as (direction, kind, round): "to" it or "from" it, its key
-    offer first when encrypted, the final model last."""
-    offer = [("from", MessageKind.KEY_OFFER, 0)] if encryption != "none" else []
-    rounds = [x for r in (1, 2) for x in [("to", G, r), ("from", T, r), ("to", F, r), ("from", E, r)]]
-    return offer + rounds + [("to", M, 2), ("from", MessageKind.FINAL_MODEL, 2)]
-
-
-# every exchange is closed before; a stall costs its timeout, so only the first and last stall
-TCP_FAILURE_CELLS = [
-    pytest.param(fault, encryption, index, id=f"{fault}-{encryption}-{index}")
-    for encryption in ["none", "he", "he_dp"]
-    for fault, indices in [
-        ("close", range(len(_client_1_exchanges(encryption)))),
-        ("stall", [0, len(_client_1_exchanges(encryption)) - 1]),
-    ]
-    for index in indices
-]
-
-
-@pytest.mark.parametrize("fault, encryption, index", TCP_FAILURE_CELLS)
-def test_a_closed_or_stalled_tcp_channel(monkeypatch, fault, encryption, index):
-    """The server's TCP endpoint to client 1 is closed, or stalls, just before
-    its exchange ``index`` with client 1: the run ends naming client 1, the
-    round and the kind, as on loopback, and no child process or thread is
-    left."""
-    timeout = TCP_STALL_S if fault == "stall" else TIMEOUT_S
-    cfg = ExperimentConfig(
-        clients=two_client_noniid(200, master_seed=4),
-        rounds=2,
-        master_seed=4,
-        encryption=encryption,
-        transport="tcp",
-        timeout_s=timeout,
-    )
-    direction, kind, round_no = _client_1_exchanges(encryption)[index]
-    serve = runner.server_run
-    wrapped = []
-
-    def fail_client_1_then_serve(settings, endpoints, transcript=None):
-        wrapped.append(FailingEndpoint(endpoints[1], fault, index))
-        return serve(settings, {**endpoints, 1: wrapped[0]}, transcript)
-
-    monkeypatch.setattr(runner, "server_run", fail_client_1_then_serve)
-    threads = threading.active_count()
-    with pytest.raises(RoundAborted, match=_failure_cause(fault, direction, kind, round_no)):
-        runner.run_experiment(cfg)
-    within = timeout + runner._EXIT_GRACE_S if fault == "stall" else TIMEOUT_S / 4
-    assert time.monotonic() - wrapped[0].failed_at < within
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads

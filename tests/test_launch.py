@@ -5,9 +5,9 @@ own end.
 Each run swaps one of the stand-in clients below in for
 runner._client_process_main. A forked client calls the swapped-in name, so a
 stand-in that runs the real client calls CLIENT_MAIN, taken at import.
-Every case leaves no child process, and every case but the client that never
-sends its first frame, which ends at its deadline, ends well within its
-timeout_s."""
+No case may leave a child process (``conftest.py``), and every case but the
+client that never sends its first frame, which ends at its deadline, ends
+well within its timeout_s."""
 
 import json
 import multiprocessing
@@ -113,10 +113,7 @@ def client_2_exits_with_code_3_after_the_run(endpoint, cfg, client_id, split, ke
 
 def _run(monkeypatch, cfg, client_main):
     monkeypatch.setattr(runner, "_client_process_main", client_main)
-    try:
-        runner.run_experiment(cfg)
-    finally:
-        assert multiprocessing.active_children() == []
+    runner.run_experiment(cfg)
 
 
 _CONNECTION = r"connection from 127\.0\.0\.1:\d+"
@@ -149,7 +146,6 @@ def test_a_connection_the_runner_did_not_make_is_refused_before_any_fork(monkeyp
     assert time.monotonic() - start < 1.0
     assert len(connects) == client_id
     assert started == []
-    assert multiprocessing.active_children() == []
     for stranger in strangers:
         with stranger:
             assert stranger.recv(1) == b""
@@ -171,7 +167,6 @@ def test_a_client_killed_at_start_is_found_at_the_first_exchange(monkeypatch):
     with pytest.raises(RoundAborted, match=rf"{cause}.+; client 2 exited with code -9$"):
         runner.run_experiment(tcp_config())
     assert time.monotonic() - killed_at[0] < 1.0
-    assert multiprocessing.active_children() == []
 
 
 def test_a_fork_that_fails_at_client_2_raises_its_error_and_leaves_no_client(monkeypatch):
@@ -189,7 +184,6 @@ def test_a_fork_that_fails_at_client_2_raises_its_error_and_leaves_no_client(mon
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail_the_second)
     with pytest.raises(OSError, match=r"^fork refused$"):
         runner.run_experiment(tcp_config())
-    assert multiprocessing.active_children() == []
 
 
 def test_every_client_that_exits_at_start_is_named_in_id_order(monkeypatch):
@@ -227,7 +221,6 @@ def test_a_server_end_closed_without_shutdown_ends_its_client_at_once(monkeypatc
         runner.run_experiment(tcp_config())
     assert started[0].exitcode is not None
     assert exited_after[0] < 1.0
-    assert multiprocessing.active_children() == []
 
 
 def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp_path):
@@ -259,7 +252,6 @@ def test_clients_started_in_reverse_keep_transcript_and_digests(monkeypatch, tmp
     assert reversed_tcp == loopback == pins
     [loop_frames, tcp_frames] = transcripts
     assert loop_frames and loop_frames == tcp_frames
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
@@ -354,4 +346,3 @@ def test_no_connection_is_taken_once_every_client_is_named(monkeypatch):
     monkeypatch.setattr(runner, "server_run", connect_then_serve)
     runner.run_experiment(tcp_config())
     assert alive == [2]
-    assert multiprocessing.active_children() == []

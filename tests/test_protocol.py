@@ -658,39 +658,14 @@ class TestFloatCodecFuzz:
             protocol.read_floats({field: bytes(raw)}, field)
 
 
-class Recorder:
-    """The server's endpoint to one client; keeps every frame it carries, in
-    both directions."""
+def _recorded_run(settings):
+    """A run of in-thread clients on ``client_split`` data: its result, and
+    the server's endpoints, which keep every frame they carry."""
+    # imported here, as test_faults imports this module's helpers
+    from test_faults import wrapped_cohort
 
-    def __init__(self, inner, settings):
-        self.inner = inner
-        self.settings = settings
-        self.frames: list[tuple[int, bytes]] = []
-
-    @property
-    def messages(self) -> list[Message]:
-        return [decode_message(kind, body, self.settings) for kind, body in self.frames]
-
-    def send(self, kind: int, body: bytes) -> None:
-        self.frames.append((kind, body))
-        self.inner.send(kind, body)
-
-    def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
-        kind, body = self.inner.recv(timeout)
-        self.frames.append((kind, body))
-        return kind, body
-
-
-def _recorded_run(encryption: str) -> dict[int, Recorder]:
-    """A 2-round run of two in-thread clients; the server's endpoints."""
-    settings = make_settings(encryption=encryption, rounds=2)
-    keypair = cohort_key(settings)
-    sessions = [ClientSession(settings, cid, client_split(cid), keypair) for cid in (1, 2)]
-    endpoints = {
-        cid: Recorder(endpoint, settings) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
-    }
-    server_run(settings, endpoints)
-    return endpoints
+    _, endpoints = wrapped_cohort(settings)
+    return server_run(settings, endpoints), endpoints
 
 
 # whole-frame bytes per kind of ``_recorded_run``: each frame is a 5-byte frame
@@ -726,7 +701,7 @@ class TestWireShape:
     @pytest.mark.parametrize("encryption", ["none", "he", "he_dp"])
     def test_a_payload_carries_only_what_the_config_cannot_give(self, encryption):
         keypair = cohort_key(make_settings(encryption=encryption))
-        endpoints = _recorded_run(encryption)
+        _, endpoints = _recorded_run(make_settings(encryption=encryption))
         messages = [m for endpoint in endpoints.values() for m in endpoint.messages]
         shape = {"values"} if keypair is None else {"ciphertexts", "key"}
         gradients = Counter()
@@ -767,7 +742,7 @@ class TestWireShape:
         # and every frame whole, frame header, round and fields
         sizes = Counter()
         for endpoint in endpoints.values():
-            for kind, body in endpoint.frames:
+            for _, kind, body in endpoint.frames:
                 sizes[MessageKind(kind).name] += len(encode_frame(kind, body))
         assert sizes == Counter(FRAME_BYTES[encryption])
 
@@ -777,8 +752,8 @@ class TestWireShape:
         client starts from the initial model its config gives, so round 1's
         broadcast is its round alone and only the final model carries weights."""
         kinds = Counter()
-        for endpoint in _recorded_run(encryption).values():
-            for (_kind, body), msg in zip(endpoint.frames, endpoint.messages):
+        for endpoint in _recorded_run(make_settings(encryption=encryption))[1].values():
+            for (_, _, body), msg in zip(endpoint.frames, endpoint.messages):
                 kinds[msg.kind.name] += 1
                 # the round, then the payload's fields and nothing else
                 assert body[:4] == msg.round.to_bytes(4, "big")
@@ -800,12 +775,9 @@ class TestNoSelfRelay:
     def test_validation_matrix_equals_scoring_every_candidate(self, encryption, n_clients):
         settings = make_settings(n_clients, encryption=encryption, key_bits=256, rounds=2)
         keypair = cohort_key(settings)
+        # the splits the recorded run's sessions hold
         splits = [client_split(cid) for cid in range(1, n_clients + 1)]
-        sessions = [ClientSession(settings, cid, sp, keypair) for cid, sp in enumerate(splits, 1)]
-        endpoints = {
-            cid: Recorder(endpoint, settings) for cid, endpoint in InThreadCohort(sessions).endpoints.items()
-        }
-        result = server_run(settings, endpoints)
+        result, endpoints = _recorded_run(settings)
 
         def decoded(payload, pieces):
             quant = qz.QuantConfig(settings.quant.scale_exponent, pieces)

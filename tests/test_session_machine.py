@@ -8,7 +8,8 @@ that run, so an example whose swarm flags disable some rules still has one to
 take. A faulty server also sends well-formed frames
 of every kind at any round, and arbitrary bodies under any kind byte, their
 fields valid, huge or random bytes; a session that owes its upload may be
-asked for it. Every step returns nothing, raises nothing, and queues (kind,
+asked for it, and one that owes none is sent the next frame of a clean run
+instead. Every step returns nothing, raises nothing, and queues (kind,
 body) pairs in the session's outbox that decode_message accepts. A session
 that ends on a frame other than the server's ABORT or the final gradient ends
 with an ABORT as its last reply, and a session that has ended replies no more.
@@ -19,7 +20,7 @@ How each example ended is a hypothesis event, so
 import pytest
 from hypothesis import event, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from fedboost import paillier
 from fedboost.protocol import (
@@ -161,10 +162,11 @@ class ClientSessionMachine(RuleBasedStateMachine):
             return self.frame_at_its_round("valid", None)
         self.step(lambda: self.session.respond(kind, body), (kind, body))
 
-    @precondition(lambda self: not self.faulty or self.session.awaits is None and not self.session.done)
     @rule()
     def upload(self):
-        if not self.faulty:
+        """The upload the session owes, asked for by a faulty server; with
+        none owed, or from a clean server, the next frame of a clean run."""
+        if not self.faulty or self.session.awaits is not None or self.session.done:
             return self.frame_at_its_round("valid", None)
         self.step(self.session.upload)
 
